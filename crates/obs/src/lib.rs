@@ -108,6 +108,13 @@ pub trait Recorder {
     fn on_cwnd(&mut self, conn: u32, now_ns: u64, cwnd_bytes: u64) {
         let _ = (conn, now_ns, cwnd_bytes);
     }
+
+    /// The fluid solver ran with `active_flows` in flight and re-solved
+    /// `resolved_flows` of them (all of them after a flow start, only the
+    /// flows whose rate could change after a finish wave).
+    fn on_fluid_solve(&mut self, active_flows: usize, resolved_flows: usize) {
+        let _ = (active_flows, resolved_flows);
+    }
 }
 
 /// The default recorder: records nothing, costs nothing. `ENABLED = false`

@@ -40,6 +40,7 @@ use simnet::ids::HostId;
 use simnet::obs::Recorder;
 use simnet::time::SimTime;
 use simnet::topology::Topology;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Relative finish-coalescing window handed to [`FluidSim`]: flow finishes
@@ -67,13 +68,16 @@ struct Transfer {
     arrival_ns: f64,
 }
 
-/// Unmatched sends/receives between one ordered rank pair, matched FIFO.
-#[derive(Debug, Default)]
-struct PairQueue {
+/// Unmatched traffic between one ordered rank pair, matched FIFO. Only
+/// one side can be waiting at a time, and a pair with nothing waiting has
+/// no entry: a queue is dropped when its last element matches, so a large
+/// all-to-all does not keep n² emptied queues alive.
+#[derive(Debug)]
+enum PairQueue {
     /// Issued sends (transfer ids) with no matching receive yet.
-    sends: VecDeque<u64>,
+    Sends(VecDeque<u64>),
     /// Posted receives (post instants) with no matching send yet.
-    recvs: VecDeque<f64>,
+    Recvs(VecDeque<f64>),
 }
 
 /// A heap event: something a rank waits on resolves at `at_ns`.
@@ -412,18 +416,19 @@ impl<R: Recorder> Interp<'_, '_, R> {
         }
         // FIFO match against an already-posted receive.
         let key = self.pair_key(src, dst);
-        let waiting_post = self
-            .pair_queues
-            .get_mut(&key)
-            .and_then(|q| q.recvs.pop_front());
-        if let Some(post) = waiting_post {
-            tr.post_ns = post;
-        } else {
-            self.pair_queues
-                .entry(key)
-                .or_default()
-                .sends
-                .push_back(tid);
+        match self.pair_queues.entry(key) {
+            Entry::Occupied(mut e) => match e.get_mut() {
+                PairQueue::Sends(q) => q.push_back(tid),
+                PairQueue::Recvs(q) => {
+                    tr.post_ns = q.pop_front().expect("queues are never left empty");
+                    if q.is_empty() {
+                        e.remove();
+                    }
+                }
+            },
+            Entry::Vacant(e) => {
+                e.insert(PairQueue::Sends(VecDeque::from([tid])));
+            }
         }
         let matched = !tr.post_ns.is_nan();
         let arrival = tr.arrival_ns;
@@ -446,17 +451,21 @@ impl<R: Recorder> Interp<'_, '_, R> {
 
     fn post_recv(&mut self, src: Rank, dst: Rank, now_ns: f64) {
         let key = self.pair_key(src, dst);
-        let waiting_send = self
-            .pair_queues
-            .get_mut(&key)
-            .and_then(|q| q.sends.pop_front());
-        let Some(tid) = waiting_send else {
-            self.pair_queues
-                .entry(key)
-                .or_default()
-                .recvs
-                .push_back(now_ns);
-            return;
+        let tid = match self.pair_queues.entry(key) {
+            Entry::Occupied(mut e) => match e.get_mut() {
+                PairQueue::Recvs(q) => return q.push_back(now_ns),
+                PairQueue::Sends(q) => {
+                    let tid = q.pop_front().expect("queues are never left empty");
+                    if q.is_empty() {
+                        e.remove();
+                    }
+                    tid
+                }
+            },
+            Entry::Vacant(e) => {
+                e.insert(PairQueue::Recvs(VecDeque::from([now_ns])));
+                return;
+            }
         };
         let tr = &mut self.transfers[tid as usize];
         tr.post_ns = now_ns;

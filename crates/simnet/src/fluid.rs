@@ -39,12 +39,25 @@
 //! from a flow that already has less. [`FluidSim`] computes the allocation
 //! by progressive filling in bottleneck-saturation order — repeatedly find
 //! the serializer slot with the smallest fair share `residual / unfrozen`,
-//! freeze every unfrozen flow crossing it at that share, subtract the
-//! frozen bandwidth, and continue until every flow is frozen. Per-slot
-//! flow lists (a CSR index rebuilt per recomputation) make each
-//! recomputation `O(total hops + bottleneck iterations × active slots)`,
-//! so the cost of a churn event scales with the traffic actually in
-//! flight, not with per-packet state.
+//! freeze every unfrozen flow crossing it at that share (one *level*),
+//! subtract the frozen bandwidth, and continue until every flow is frozen.
+//! Level shares come out non-decreasing. The solver keeps each flow's level,
+//! each level's share and each slot's residual between solves, so a solve
+//! can *restart* from a level instead of from zero.
+//!
+//! **Restart invariant.** A flow frozen at level `L` crosses no slot that
+//! saturated below `L` (it would have frozen there). Removing it changes no
+//! residual at any level below `L` and only lowers the unfrozen count of
+//! its own slots, whose shares can then only rise: each level below `L`
+//! keeps its arg-min slot, its share and the rate of every flow frozen
+//! there. So after a finish wave only the *tail* — the survivors frozen at
+//! or above the lowest finished level — is re-solved, over residuals that
+//! got the finished and the tail rates added back; a flow start restarts
+//! from level 0, the from-scratch solve. Per-slot flow lists (a CSR index
+//! over the tail) make a full solve `O(total hops + levels × active slots)`
+//! and any other `O(flows + slots + tail hops)`. Same-size flows started
+//! together finish from the top levels down, so an all-to-all's waves leave
+//! a tail that is empty or tiny.
 
 use crate::guard::{GuardStop, RunGuard};
 use crate::ids::HostId;
@@ -78,6 +91,14 @@ struct FlowState {
     tag: u64,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<FlowState>() <= 32,
+    "FlowState must stay within 32 bytes: a large all-to-all holds ~n² of them"
+);
+
+/// No level: a flow no solve has frozen yet; no restart pending.
+const NO_LEVEL: u32 = u32::MAX;
+
 /// Churn-capable max-min fair flow-level simulator over a built
 /// [`Topology`].
 ///
@@ -101,17 +122,29 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// used to label recorder samples.
     slot_tx: Vec<u32>,
     flows: Vec<FlowState>,
+    /// Bottleneck level each flow froze at in the last solve (parallel to
+    /// `flows`, so the tail scan reads 4 bytes per flow, not 32).
+    flow_level: Vec<u32>,
+    /// Fair share of each bottleneck level of the last solve.
+    levels: Vec<f64>,
+    /// Capacity each slot has left under the current rates.
+    residual: Vec<f64>,
     /// Backing store for flow slot lists (grows monotonically; spans of
     /// finished flows are not reclaimed, which is fine for the bounded
     /// programs the scenario layer runs).
     slot_arena: Vec<u32>,
     now_ns: f64,
-    /// Flow set changed since the last rate computation.
-    dirty: bool,
+    /// Lowest level whose flow set changed since the last solve (0 after
+    /// a start), [`NO_LEVEL`] when none did.
+    restart_level: u32,
+    /// Earliest finish instant at the current rates, NaN once any fluid
+    /// has drained or the flow set changed since it was computed.
+    next_finish_ns: f64,
     /// Relative finish-coalescing window (see [`FluidSim::set_finish_window`]).
     finish_window_rel: f64,
-    /// Lifetime count of full rate recomputations (performance counter).
+    /// Lifetime counts of rate solves and of the flows they re-solved.
     recomputes: u64,
+    flows_resolved: u64,
     /// Supervision limits polled once per advance iteration; the event
     /// budget counts rate recomputations here (the fluid tier's unit of
     /// solver effort).
@@ -122,14 +155,13 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     stopped: Option<GuardStop>,
     recorder: R,
     // Scratch buffers reused across recomputations.
-    scratch_residual: Vec<f64>,
+    scratch_tail: Vec<u32>,
     scratch_count: Vec<u32>,
     scratch_offsets: Vec<u32>,
     scratch_csr: Vec<u32>,
-    scratch_frozen: Vec<bool>,
+    scratch_active: Vec<u32>,
+    /// Per-slot rate sums (utilization samples only).
     scratch_rate: Vec<f64>,
-    /// Per-flow projected finish instants (windowed stamping only).
-    scratch_finish: Vec<f64>,
 }
 
 impl<'a> FluidSim<'a, NoopRecorder> {
@@ -155,27 +187,31 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         }
         Self {
             topo,
+            residual: capacity.clone(),
             capacity,
             slot_tx,
             flows: Vec::new(),
+            flow_level: Vec::new(),
+            levels: Vec::new(),
             slot_arena: Vec::new(),
             now_ns: 0.0,
-            dirty: false,
+            restart_level: NO_LEVEL,
+            next_finish_ns: f64::NAN,
             finish_window_rel: 0.0,
             recomputes: 0,
+            flows_resolved: 0,
             guard: RunGuard::default(),
             guard_active: false,
             guard_recompute_origin: 0,
             guard_time_origin_ns: 0.0,
             stopped: None,
             recorder,
-            scratch_residual: Vec::new(),
+            scratch_tail: Vec::new(),
             scratch_count: Vec::new(),
             scratch_offsets: Vec::new(),
             scratch_csr: Vec::new(),
-            scratch_frozen: Vec::new(),
+            scratch_active: Vec::new(),
             scratch_rate: Vec::new(),
-            scratch_finish: Vec::new(),
         }
     }
 
@@ -212,11 +248,29 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.flows.len()
     }
 
-    /// Number of full max-min rate recomputations performed so far — the
-    /// dominant cost of a fluid run (each is `O(total hops)`). Exposed so
-    /// benches and telemetry can report solver effort alongside wall time.
+    /// Number of max-min rate solves performed so far, full or restarted.
+    /// Exposed so benches and telemetry can report solver effort alongside
+    /// wall time; the guard's event budget counts these.
     pub fn recomputes(&self) -> u64 {
         self.recomputes
+    }
+
+    /// Lifetime sum, over those solves, of the flows each one re-solved
+    /// (its tail): the solver's actual work, `recomputes × flows` at worst.
+    pub fn flows_resolved(&self) -> u64 {
+        self.flows_resolved
+    }
+
+    /// Fair share (bytes/second) of each bottleneck level of the last
+    /// solve, in saturation order.
+    pub fn level_shares(&self) -> &[f64] {
+        &self.levels
+    }
+
+    /// `(tag, rate)` of every flow in flight at the current max-min rates.
+    pub fn rates(&mut self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.ensure_rates();
+        self.flows.iter().map(|f| (f.tag, f.rate))
     }
 
     /// The attached recorder.
@@ -295,60 +349,79 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             rate: 0.0,
             tag,
         });
-        self.dirty = true;
+        self.flow_level.push(NO_LEVEL);
+        self.restart_level = 0;
+        self.next_finish_ns = f64::NAN;
     }
 
     fn flow_slots(flow: &FlowState) -> std::ops::Range<usize> {
         flow.span_start as usize..(flow.span_start + flow.span_len) as usize
     }
 
-    /// Progressive filling in bottleneck-saturation order. `O(total hops)`
-    /// for freezing plus one active-slot scan per bottleneck level.
+    /// Progressive filling in bottleneck-saturation order, restarted from
+    /// `restart_level`: levels below it stand, the flows frozen at or above
+    /// it (the tail — every flow when it is 0) are re-solved. `O(tail
+    /// hops)` for freezing plus one active-slot scan per new level.
     fn recompute_rates(&mut self) {
         self.recomputes += 1;
+        let from = self.restart_level;
         let n_slots = self.capacity.len();
-        self.scratch_residual.clone_from(&self.capacity);
         self.scratch_count.clear();
         self.scratch_count.resize(n_slots, 0);
-        for flow in &self.flows {
-            for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                self.scratch_count[s as usize] += 1;
+        // The tail gives its bandwidth back and is counted per slot.
+        self.scratch_tail.clear();
+        for (fi, level) in self.flow_level.iter_mut().enumerate() {
+            if *level >= from {
+                *level = NO_LEVEL;
+                self.scratch_tail.push(fi as u32);
+                let flow = &self.flows[fi];
+                for &s in &self.slot_arena[Self::flow_slots(flow)] {
+                    self.scratch_count[s as usize] += 1;
+                    self.residual[s as usize] += flow.rate;
+                }
             }
         }
-        // CSR: per-slot list of flow indices.
+        if from == 0 {
+            // From scratch: shed the rounding the add-backs accumulated.
+            self.residual.clone_from(&self.capacity);
+        }
+        self.levels.truncate(from as usize);
+        self.flows_resolved += self.scratch_tail.len() as u64;
+        if R::ENABLED {
+            self.recorder
+                .on_fluid_solve(self.flows.len(), self.scratch_tail.len());
+        }
+        // CSR: per-slot list of tail flow indices. `offsets[s + 1]` starts
+        // as slot `s`'s fill cursor and so ends as its end offset.
         self.scratch_offsets.clear();
-        self.scratch_offsets.resize(n_slots + 1, 0);
+        self.scratch_offsets.resize(n_slots + 2, 0);
         for s in 0..n_slots {
-            self.scratch_offsets[s + 1] = self.scratch_offsets[s] + self.scratch_count[s];
+            self.scratch_offsets[s + 2] = self.scratch_offsets[s + 1] + self.scratch_count[s];
         }
-        let total = self.scratch_offsets[n_slots] as usize;
         self.scratch_csr.clear();
-        self.scratch_csr.resize(total, 0);
-        let mut cursor: Vec<u32> = self.scratch_offsets[..n_slots].to_vec();
-        for (fi, flow) in self.flows.iter().enumerate() {
-            for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                self.scratch_csr[cursor[s as usize] as usize] = fi as u32;
-                cursor[s as usize] += 1;
+        self.scratch_csr
+            .resize(self.scratch_offsets[n_slots + 1] as usize, 0);
+        for &fi in &self.scratch_tail {
+            for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi as usize])] {
+                let cursor = &mut self.scratch_offsets[s as usize + 1];
+                self.scratch_csr[*cursor as usize] = fi;
+                *cursor += 1;
             }
         }
-        let active: Vec<u32> = (0..n_slots as u32)
-            .filter(|&s| self.scratch_count[s as usize] > 0)
-            .collect();
+        self.scratch_active.clear();
+        self.scratch_active
+            .extend((0..n_slots as u32).filter(|&s| self.scratch_count[s as usize] > 0));
 
-        self.scratch_frozen.clear();
-        self.scratch_frozen.resize(self.flows.len(), false);
-        self.scratch_rate.clear();
-        self.scratch_rate.resize(self.flows.len(), 0.0);
-        let mut remaining_flows = self.flows.len();
+        let mut remaining_flows = self.scratch_tail.len();
         while remaining_flows > 0 {
             // Find the bottleneck slot: smallest fair share among slots
             // still carrying unfrozen flows.
             let mut best_share = f64::INFINITY;
             let mut best_slot = usize::MAX;
-            for &s in &active {
+            for &s in &self.scratch_active {
                 let s = s as usize;
                 if self.scratch_count[s] > 0 {
-                    let share = self.scratch_residual[s] / self.scratch_count[s] as f64;
+                    let share = self.residual[s] / self.scratch_count[s] as f64;
                     if share < best_share {
                         best_share = share;
                         best_slot = s;
@@ -356,6 +429,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 }
             }
             assert!(best_slot != usize::MAX, "active flow without a bottleneck");
+            let below = self.levels.last().copied().unwrap_or(0.0);
+            debug_assert!(best_share >= below * (1.0 - 1e-9), "level shares fell");
+            let level = self.levels.len() as u32;
+            self.levels.push(best_share);
             // Freeze every unfrozen flow crossing the bottleneck at the
             // bottleneck's fair share.
             let (lo, hi) = (
@@ -364,35 +441,31 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             );
             for idx in lo..hi {
                 let fi = self.scratch_csr[idx] as usize;
-                if self.scratch_frozen[fi] {
+                if self.flow_level[fi] != NO_LEVEL {
                     continue;
                 }
-                self.scratch_frozen[fi] = true;
-                self.scratch_rate[fi] = best_share;
+                self.flow_level[fi] = level;
+                self.flows[fi].rate = best_share;
                 remaining_flows -= 1;
-                let flow = self.flows[fi];
-                for &s in &self.slot_arena[Self::flow_slots(&flow)] {
+                for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
                     let s = s as usize;
-                    self.scratch_residual[s] -= best_share;
+                    self.residual[s] -= best_share;
                     // Numerical guard: residuals may dip epsilon-negative.
-                    if self.scratch_residual[s] < 0.0 {
-                        self.scratch_residual[s] = 0.0;
+                    if self.residual[s] < 0.0 {
+                        self.residual[s] = 0.0;
                     }
                     self.scratch_count[s] -= 1;
                 }
             }
         }
-        for (fi, flow) in self.flows.iter_mut().enumerate() {
-            flow.rate = self.scratch_rate[fi];
-        }
     }
 
     fn ensure_rates(&mut self) {
-        if self.dirty {
+        if self.restart_level != NO_LEVEL {
             if !self.flows.is_empty() {
                 self.recompute_rates();
             }
-            self.dirty = false;
+            self.restart_level = NO_LEVEL;
         }
     }
 
@@ -400,42 +473,36 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// finishes at current rates, or `None` when no flow is in flight.
     pub fn next_finish_ns(&mut self) -> Option<f64> {
         self.ensure_rates();
-        self.flows
-            .iter()
-            .map(|f| self.now_ns + (f.remaining_bytes / f.rate) * 1e9)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.min(t)))
-            })
+        if self.next_finish_ns.is_nan() {
+            let next = self
+                .flows
+                .iter()
+                .map(|f| (f.remaining_bytes / f.rate) * 1e9)
+                .fold(f64::INFINITY, f64::min);
+            self.next_finish_ns = self.now_ns + next;
+        }
+        (!self.flows.is_empty()).then_some(self.next_finish_ns)
     }
 
-    /// Drains `dt_secs` of fluid at current rates and emits one
-    /// utilization sample per busy slot when the recorder is enabled.
-    fn drain(&mut self, dt_secs: f64, from_ns: f64, to_ns: f64) {
-        if dt_secs <= 0.0 {
-            return;
-        }
-        if R::ENABLED {
-            let n_slots = self.capacity.len();
-            self.scratch_rate.clear();
-            self.scratch_rate.resize(n_slots, 0.0);
-            for flow in &self.flows {
-                for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                    self.scratch_rate[s as usize] += flow.rate;
-                }
-            }
-            for (s, &rate) in self.scratch_rate.iter().enumerate() {
-                if rate > 0.0 {
-                    self.recorder.on_tx_busy(
-                        self.slot_tx[s],
-                        from_ns.round() as u64,
-                        to_ns.round() as u64,
-                        (rate * dt_secs).round() as u64,
-                    );
-                }
+    /// Emits one utilization sample per busy slot for `dt_secs` of fluid
+    /// at current rates.
+    fn record_busy(&mut self, dt_secs: f64, from_ns: f64, to_ns: f64) {
+        self.scratch_rate.clear();
+        self.scratch_rate.resize(self.capacity.len(), 0.0);
+        for flow in &self.flows {
+            for &s in &self.slot_arena[Self::flow_slots(flow)] {
+                self.scratch_rate[s as usize] += flow.rate;
             }
         }
-        for flow in &mut self.flows {
-            flow.remaining_bytes -= flow.rate * dt_secs;
+        for (s, &rate) in self.scratch_rate.iter().enumerate() {
+            if rate > 0.0 {
+                self.recorder.on_tx_busy(
+                    self.slot_tx[s],
+                    from_ns.round() as u64,
+                    to_ns.round() as u64,
+                    (rate * dt_secs).round() as u64,
+                );
+            }
         }
     }
 
@@ -461,62 +528,55 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             if self.guard_active && self.guard_stop().is_some() {
                 return;
             }
-            self.ensure_rates();
-            let next = self
-                .flows
-                .iter()
-                .map(|f| (f.remaining_bytes / f.rate) * 1e9)
-                .fold(f64::INFINITY, f64::min);
-            let next_ns = self.now_ns + next;
-            if self.flows.is_empty() || next_ns > target_ns {
-                let dt = (target_ns - self.now_ns) / 1e9;
-                let from = self.now_ns;
-                self.drain(dt, from, target_ns);
-                self.now_ns = target_ns;
-                return;
-            }
-            // Windowed mode drains through the whole coalescing span at the
+            // Short of the target, drain through the earliest finish and
+            // its whole coalescing window (empty in exact mode) at the
             // current rates; every flow finishing inside it goes ≤ 0
             // remaining and completes below, stamped at its exact projected
-            // finish. Exact mode (window 0) stops at the earliest finish.
-            let windowed = self.finish_window_rel > 0.0;
-            let stop_ns = if windowed {
-                (next_ns * (1.0 + self.finish_window_rel)).min(target_ns)
-            } else {
-                next_ns
-            };
-            if windowed {
-                self.scratch_finish.clear();
-                self.scratch_finish.extend(
-                    self.flows
-                        .iter()
-                        .map(|f| self.now_ns + (f.remaining_bytes / f.rate) * 1e9),
-                );
-            }
-            let dt = (stop_ns - self.now_ns) / 1e9;
-            let from = self.now_ns;
-            self.drain(dt, from, stop_ns);
+            // finish.
+            let next_ns = self.next_finish_ns().filter(|&t| t <= target_ns);
+            let finishing = next_ns.is_some();
+            let stop_ns = next_ns.map_or(target_ns, |t| {
+                (t * (1.0 + self.finish_window_rel)).min(target_ns)
+            });
+            let from_ns = self.now_ns;
+            let dt = (stop_ns - from_ns) / 1e9;
             self.now_ns = stop_ns;
-            let at = SimTime(self.now_ns.round() as u64);
+            if dt > 0.0 {
+                if R::ENABLED {
+                    self.record_busy(dt, from_ns, stop_ns);
+                }
+                self.next_finish_ns = f64::NAN;
+            } else if !finishing {
+                return;
+            }
+            // One pass drains every flow and, short of the target, completes
+            // the finished ones.
             let mut i = 0;
             while i < self.flows.len() {
-                if self.flows[i].remaining_bytes <= DONE_TOLERANCE_BYTES {
-                    completions.push(FluidCompletion {
-                        tag: self.flows[i].tag,
-                        at: if windowed {
-                            SimTime(self.scratch_finish[i].min(stop_ns).round() as u64)
-                        } else {
-                            at
-                        },
-                    });
-                    self.flows.swap_remove(i);
-                    if windowed {
-                        self.scratch_finish.swap_remove(i);
-                    }
-                    self.dirty = true;
-                } else {
+                let flow = &mut self.flows[i];
+                let before = flow.remaining_bytes;
+                flow.remaining_bytes -= flow.rate * dt;
+                if !finishing || flow.remaining_bytes > DONE_TOLERANCE_BYTES {
                     i += 1;
+                    continue;
                 }
+                let finish_ns = from_ns + (before / flow.rate) * 1e9;
+                let flow = self.flows.swap_remove(i);
+                completions.push(FluidCompletion {
+                    tag: flow.tag,
+                    at: SimTime(finish_ns.min(stop_ns).round() as u64),
+                });
+                // The freed bandwidth goes back; the next solve restarts
+                // no higher than the level this flow was frozen at.
+                for &s in &self.slot_arena[Self::flow_slots(&flow)] {
+                    self.residual[s as usize] += flow.rate;
+                }
+                let level = self.flow_level.swap_remove(i);
+                self.restart_level = self.restart_level.min(level);
+                self.next_finish_ns = f64::NAN;
+            }
+            if !finishing {
+                return;
             }
         }
     }
@@ -635,16 +695,19 @@ mod tests {
     #[test]
     fn short_flow_releases_bandwidth_to_long_flow() {
         let (topo, hosts) = star(3);
-        let mut net = FluidNet::new(&topo);
-        net.start_flow(hosts[0], hosts[2], 125_000_000, 1); // long
-        net.start_flow(hosts[1], hosts[2], 62_500_000, 2); // half the size
-        let done = net.run_to_completion();
+        let mut sim = FluidSim::new(&topo);
+        sim.start_flow(hosts[0], hosts[2], 125_000_000, 1); // long
+        sim.start_flow(hosts[1], hosts[2], 62_500_000, 2); // half the size
+        let done = sim.run_to_completion();
         let short = done.iter().find(|c| c.tag == 2).unwrap();
         let long = done.iter().find(|c| c.tag == 1).unwrap();
         // Short: 62.5 MB at 62.5 MB/s = 1 s. Long: 62.5 MB in that first
         // second, then the remaining 62.5 MB at full 125 MB/s = 0.5 s.
         assert!((short.at.as_secs_f64() - 1.0).abs() < 1e-6);
         assert!((long.at.as_secs_f64() - 1.5).abs() < 1e-6);
+        // Both froze at the one level, so the finish restarts from level 0:
+        // a full re-solve of the survivor.
+        assert_eq!((sim.recomputes(), sim.flows_resolved()), (2, 2 + 1));
     }
 
     #[test]
@@ -729,15 +792,36 @@ mod tests {
 
     #[test]
     fn churn_late_flow_shares_from_its_start_instant() {
-        let (topo, hosts) = star(3);
+        // Hosts 3 and 4 sit on double-rate links, so a flow between them
+        // freezes at a level of its own above the gigabit one.
+        let mut b = TopologyBuilder::new();
+        let hosts = b.add_hosts(5);
+        let sw = b.add_switch(SwitchConfig::lossless_fabric());
+        for (i, &h) in hosts.iter().enumerate() {
+            let mut link = LinkConfig::gigabit_ethernet();
+            link.bandwidth_bytes_per_sec *= if i >= 3 { 2.0 } else { 1.0 };
+            b.link_host(h, sw, link);
+        }
+        let topo = b.build(&SimConfig::default()).unwrap();
         let mut sim = FluidSim::new(&topo);
         let mut done = Vec::new();
         // 125 MB alone for 0.4 s (50 MB through), then a second flow into
         // the same sink: remaining 75 MB at 62.5 MB/s = 1.2 s more.
         sim.start_flow(hosts[0], hosts[2], 125_000_000, 1);
+        // A bystander on the fast links finishes at 0.2 s: its level is the
+        // top one, so that solve restarts above flow 1 and re-solves nobody.
+        sim.start_flow(hosts[3], hosts[4], 50_000_000, 3);
         sim.advance_to(0.4e9, &mut done);
-        assert!(done.is_empty());
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].tag, 3);
+        assert!((done[0].at.as_secs_f64() - 0.2).abs() < 1e-6);
+        assert_eq!((sim.recomputes(), sim.flows_resolved()), (2, 2));
+        // A start after that incremental solve resets to level 0: both
+        // flows in flight are re-solved.
         sim.start_flow(hosts[1], hosts[2], 125_000_000, 2);
+        let halved: Vec<_> = sim.rates().collect();
+        assert_eq!(halved, vec![(1, 62.5e6), (2, 62.5e6)]);
+        assert_eq!((sim.recomputes(), sim.flows_resolved()), (3, 2 + 2));
         while let Some(t) = sim.next_finish_ns() {
             sim.advance_to(t, &mut done);
         }
@@ -755,6 +839,83 @@ mod tests {
             "{:?}",
             second.at
         );
+    }
+
+    #[test]
+    fn finish_above_a_kept_level_lowers_a_third_flows_rate() {
+        let (topo, hosts) = star(10);
+        let start_survivors = |sim: &mut FluidSim| {
+            // Level 0, kept throughout: four flows into host 5 at C/4.
+            for (i, &h) in hosts[6..].iter().enumerate() {
+                sim.start_flow(h, hosts[5], 100_000_000, 10 + i as u64);
+            }
+            // Level 1: A, A' and B share host 3's downlink at C/3. Level 2:
+            // C shares host 1's uplink with B and takes the 2C/3 B leaves.
+            sim.start_flow(hosts[2], hosts[3], 100_000_000, 2); // A'
+            sim.start_flow(hosts[1], hosts[3], 100_000_000, 3); // B
+            sim.start_flow(hosts[1], hosts[4], 100_000_000, 4); // C
+        };
+        let mut sim = FluidSim::new(&topo);
+        start_survivors(&mut sim);
+        sim.start_flow(hosts[0], hosts[3], 1_000_000, 1); // A, finishes first
+        let c = 125e6;
+        let rate_of = |sim: &mut FluidSim, tag| sim.rates().find(|r| r.0 == tag).unwrap().1;
+        assert!((rate_of(&mut sim, 4) - 2.0 * c / 3.0).abs() < 1e-3);
+        assert_eq!(sim.level_shares().len(), 3);
+        let mut done = Vec::new();
+        let t = sim.next_finish_ns().unwrap();
+        sim.advance_to(t, &mut done);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].tag, 1);
+        // With A gone B rises to C/2 on both its links, which *lowers* C to
+        // C/2. The restart re-solved A', B and C only (8 flows, then 3) and
+        // lands on what a from-scratch solve of the survivors gives.
+        let mut incremental: Vec<_> = sim.rates().collect();
+        assert_eq!((sim.recomputes(), sim.flows_resolved()), (2, 8 + 3));
+        assert!((rate_of(&mut sim, 4) - c / 2.0).abs() < 1e-3);
+        assert!((rate_of(&mut sim, 10) - c / 4.0).abs() < 1e-3);
+        let mut fresh = FluidSim::new(&topo);
+        start_survivors(&mut fresh);
+        let mut scratch: Vec<_> = fresh.rates().collect();
+        incremental.sort_by_key(|r| r.0);
+        scratch.sort_by_key(|r| r.0);
+        for (a, b) in incremental.iter().zip(&scratch) {
+            assert_eq!(a.0, b.0);
+            assert!((a.1 - b.1).abs() <= 1e-12 * b.1, "{a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn recorder_sees_one_full_solve_then_tail_sized_ones() {
+        #[derive(Default)]
+        struct SolveLog(Vec<(usize, usize)>);
+        impl Recorder for SolveLog {
+            fn on_fluid_solve(&mut self, active_flows: usize, resolved_flows: usize) {
+                self.0.push((active_flows, resolved_flows));
+            }
+        }
+        // Star all-to-all whose message size shrinks with the source:
+        // every link runs at C/3 throughout, and each source's three flows
+        // finish together, one wave per source.
+        let (topo, hosts) = star(4);
+        let mut sim = FluidSim::with_recorder(&topo, SolveLog::default());
+        for (s, &src) in hosts.iter().enumerate() {
+            for (d, &dst) in hosts.iter().enumerate() {
+                if s != d {
+                    sim.start_flow(src, dst, (4 - s as u64) * 1_000_000, (4 * s + d) as u64);
+                }
+            }
+        }
+        assert_eq!(sim.run_to_completion().len(), 12);
+        let (recomputes, resolved) = (sim.recomputes(), sim.flows_resolved());
+        let log = sim.into_recorder().0;
+        // One full solve, then one per finish wave over the survivors whose
+        // level is not below the finished flows' — fewer than all of them.
+        assert_eq!(log[0], (12, 12));
+        assert_eq!(log.iter().map(|l| l.0).collect::<Vec<_>>(), [12, 9, 6, 3]);
+        assert!(log[1..].iter().map(|l| l.1).sum::<usize>() < 9 + 6 + 3);
+        assert_eq!(log.len() as u64, recomputes);
+        assert_eq!(log.iter().map(|l| l.1 as u64).sum::<u64>(), resolved);
     }
 
     #[test]

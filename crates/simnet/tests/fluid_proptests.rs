@@ -6,10 +6,15 @@
 //! * under a randomized flow start/finish churn sequence, simulated time
 //!   must advance monotonically and every serializer slot must conserve
 //!   capacity (sum of flow rates ≤ link capacity at all times), audited
-//!   through the `on_tx_busy` recorder samples the fluid drain emits.
+//!   through the `on_tx_busy` recorder samples the fluid drain emits;
+//! * on multi-bottleneck fabrics, under random interleavings of starts,
+//!   partial advances and exact or windowed finishes, the level-restart
+//!   solver's rates must equal a naive from-scratch water-filling after
+//!   every step.
 
 use proptest::prelude::*;
 use simnet::fluid::FluidSim;
+use simnet::generate::{fat_tree, two_level_tree, FatTreeParams, TreeParams};
 use simnet::obs::Recorder;
 use simnet::prelude::*;
 
@@ -53,8 +58,161 @@ impl Recorder for CapacityAudit {
     }
 }
 
+/// A 3:1 oversubscribed two-level tree (12 hosts) or a 4-ary fat-tree (16
+/// hosts): several bottleneck levels, multi-hop routes, ECMP collisions.
+fn multi_bottleneck_fabric(fat: bool) -> (Topology, Vec<HostId>) {
+    let (link, switch) = (
+        LinkConfig::gigabit_ethernet(),
+        SwitchConfig::lossless_fabric(),
+    );
+    let g = if fat {
+        fat_tree(&FatTreeParams {
+            k: 4,
+            hosts_per_edge: 2,
+            link,
+            switch,
+        })
+    } else {
+        two_level_tree(&TreeParams {
+            leaves: 3,
+            hosts_per_leaf: 4,
+            edge_link: link,
+            uplinks_per_leaf: 1,
+            oversubscription: 3.0,
+            uplink_latency_ns: 1_000,
+            edge_switch: switch,
+            core_switch: switch,
+        })
+    };
+    let topo = g
+        .builder
+        .build(&SimConfig::default())
+        .expect("fabric builds");
+    (topo, g.hosts)
+}
+
+/// The serializer slots a `src → dst` flow occupies, deduplicated.
+fn route_slots(topo: &Topology, src: HostId, dst: HostId) -> Vec<usize> {
+    let mut slots: Vec<usize> = topo
+        .route(src, dst)
+        .iter()
+        .map(|tx| topo.tx_params[tx.index()].serializer as usize)
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots
+}
+
+/// Reference max-min allocation: naive water-filling from scratch, every
+/// level rescanning every flow. Returns each flow's rate, in order.
+fn water_filling(capacity: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
+    let mut residual = capacity.to_vec();
+    let mut rate = vec![f64::NAN; flows.len()];
+    while rate.iter().any(|r| r.is_nan()) {
+        let mut unfrozen = vec![0usize; capacity.len()];
+        for (slots, r) in flows.iter().zip(&rate) {
+            if r.is_nan() {
+                slots.iter().for_each(|&s| unfrozen[s] += 1);
+            }
+        }
+        let (bottleneck, share) = (0..capacity.len())
+            .filter(|&s| unfrozen[s] > 0)
+            .map(|s| (s, residual[s] / unfrozen[s] as f64))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("an unfrozen flow crosses some slot");
+        for (slots, r) in flows.iter().zip(&mut rate) {
+            if r.is_nan() && slots.contains(&bottleneck) {
+                *r = share;
+                slots.iter().for_each(|&s| residual[s] -= share);
+            }
+        }
+    }
+    rate
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential test of the level-restart solver: whatever mix of
+    /// starts (restart from level 0), partial advances (no solve) and
+    /// finish waves (restart from the lowest finished level; a wide window
+    /// finishes flows of several levels at once) came before, the rates in
+    /// force must be the max-min allocation of the flows now in flight.
+    #[test]
+    fn restarted_rates_equal_a_from_scratch_water_filling(
+        fat in any::<bool>(),
+        window in prop::sample::select(vec![0.0, 1e-2, 0.5]),
+        steps in prop::collection::vec(
+            (0u8..8, 0usize..16, 0usize..16, 1u64..2_048, 1u32..100),
+            12..60,
+        ),
+    ) {
+        let (topo, hosts) = multi_bottleneck_fabric(fat);
+        let mut capacity = vec![0.0; topo.n_serializers];
+        for tx in &topo.tx_params {
+            capacity[tx.serializer as usize] = 1e9 / tx.ns_per_byte;
+        }
+        let mut sim = FluidSim::new(&topo);
+        sim.set_finish_window(window);
+        let mut in_flight: Vec<(u64, Vec<usize>)> = Vec::new();
+        let mut done = Vec::new();
+        for (step, &(kind, src, dst_off, kib, percent)) in steps.iter().enumerate() {
+            match sim.next_finish_ns() {
+                Some(t) if step >= 12 && kind != 0 => {
+                    let now = sim.now_ns();
+                    let to = match kind {
+                        // Part of the way to the next finish: drains,
+                        // never solves.
+                        1 => now + (t - now) * f64::from(percent) / 100.0,
+                        // Exactly to the next finish ...
+                        2..=4 => t,
+                        // ... or through its whole window.
+                        _ => t * (1.0 + window),
+                    };
+                    sim.advance_to(to, &mut done);
+                }
+                // An opening burst, then one step in eight (and any step
+                // with nothing in flight) starts a flow.
+                _ => {
+                    let n = hosts.len();
+                    let (src, dst) = (src % n, (src + 1 + dst_off % (n - 1)) % n);
+                    sim.start_flow(hosts[src], hosts[dst], kib * 1024, step as u64);
+                    in_flight.push((step as u64, route_slots(&topo, hosts[src], hosts[dst])));
+                }
+            }
+            for c in done.drain(..) {
+                in_flight.retain(|(tag, _)| *tag != c.tag);
+            }
+
+            let rates: Vec<(u64, f64)> = sim.rates().collect();
+            prop_assert_eq!(rates.len(), in_flight.len());
+            let slots: Vec<Vec<usize>> = rates
+                .iter()
+                .map(|(tag, _)| in_flight.iter().find(|f| f.0 == *tag).unwrap().1.clone())
+                .collect();
+            let reference = water_filling(&capacity, &slots);
+            let mut load = vec![0.0; capacity.len()];
+            for ((&(tag, rate), want), slots) in rates.iter().zip(&reference).zip(&slots) {
+                prop_assert!(
+                    (rate - want).abs() <= 1e-9 * want,
+                    "step {}: flow {} runs at {} B/s, from scratch {} B/s",
+                    step, tag, rate, want
+                );
+                slots.iter().for_each(|&s| load[s] += rate);
+            }
+            for (s, (&l, &c)) in load.iter().zip(&capacity).enumerate() {
+                prop_assert!(l <= c * (1.0 + 1e-9), "slot {}: {} B/s over capacity {}", s, l, c);
+            }
+            let shares = sim.level_shares();
+            for pair in shares.windows(2) {
+                prop_assert!(
+                    pair[1] >= pair[0] * (1.0 - 1e-9),
+                    "level shares decrease: {:?}",
+                    shares
+                );
+            }
+        }
+    }
 
     /// Incast onto one host: the receiver's downlink is the single
     /// bottleneck, so max-min fair sharing degenerates to the analytic
