@@ -12,7 +12,7 @@ fn star(n: usize, sw: SwitchConfig) -> (Simulator, Vec<HostId>) {
         b.link_host(h, s, LinkConfig::gigabit_ethernet());
     }
     let cfg = SimConfig::default();
-    (Simulator::new(b.build(&cfg).unwrap(), cfg), hosts)
+    (Simulator::new(b.build().unwrap(), cfg), hosts)
 }
 
 fn bench_bulk_transfer(c: &mut Criterion) {

@@ -303,7 +303,7 @@ pub mod hotpath {
             }
         };
         let hosts_out = hosts;
-        (builder.build(&SimConfig::default()).unwrap(), hosts_out)
+        (builder.build().unwrap(), hosts_out)
     }
 
     /// Packet-engine event-equivalents of a full all-to-all: each

@@ -392,6 +392,15 @@ fn metrics_aggregate_sessions_and_expose_cache_hit_rate() {
         "aggregated SessionMetrics document keeps its schema: {}",
         resp.body
     );
+    // One fabric per run, cache hit or not: builds are counted beside
+    // the calibration-cache counters, never in them.
+    assert_eq!(
+        sessions.get("fabric_builds").and_then(|v| v.as_u64()),
+        Some(2),
+        "{}",
+        resp.body
+    );
+    assert!(sessions.get("fabric_build_secs").is_some(), "{}", resp.body);
     d.shutdown();
 }
 

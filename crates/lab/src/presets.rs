@@ -229,7 +229,7 @@ impl ClusterPreset {
         seed: u64,
         recorder: R,
     ) -> World<R> {
-        let (topo, hosts) = self.build_fabric(n, seed);
+        let (topo, hosts) = self.build_fabric(n);
         let sim_config = SimConfig {
             seed,
             ..SimConfig::default()
@@ -245,11 +245,12 @@ impl ClusterPreset {
     /// Builds just the cluster's wiring for `n` ranks — the [`Topology`]
     /// plus the round-robin host assignment — without instantiating a
     /// packet simulator. The fluid (flow-level) backend runs directly over
-    /// this fabric.
+    /// this fabric. The wiring depends on `n` (only as many edge switches
+    /// as the job footprint needs) but on no seed.
     ///
     /// # Panics
     /// Panics if `n` is zero or exceeds [`ClusterPreset::max_hosts`].
-    pub fn build_fabric(&self, n: usize, seed: u64) -> (Topology, Vec<HostId>) {
+    pub fn build_fabric(&self, n: usize) -> (Topology, Vec<HostId>) {
         assert!(n > 0, "need at least one node");
         assert!(
             n <= self.max_hosts(),
@@ -278,11 +279,7 @@ impl ClusterPreset {
         if let Some((bus_bw, bus_latency)) = self.host_bus {
             b.host_io_bus(bus_bw, bus_latency);
         }
-        let sim_config = SimConfig {
-            seed,
-            ..SimConfig::default()
-        };
-        let topo = b.build(&sim_config).expect("preset topologies are valid");
+        let topo = b.build().expect("preset topologies are valid");
         (topo, hosts)
     }
 }

@@ -9,7 +9,7 @@
 //! reports. The work queue is one flat LIFO across *all* scenarios of a
 //! batch, so a wide scenario cannot serialize a narrow one behind it.
 //!
-//! Two schedule-level optimizations ride on top of that contract (neither
+//! Three schedule-level optimizations ride on top of that contract (none
 //! can change a single output byte):
 //!
 //! * **cost-aware ordering** — cells vary ~100× in simulation cost, so the
@@ -24,6 +24,20 @@
 //!   repeated runs over the same specs fit each fabric once. The cache is
 //!   *session-owned* (see [`crate::session`]); the process-global memo of
 //!   earlier releases survives only behind the deprecated free functions.
+//! * **one fabric per scenario** — a generated topology is a pure function
+//!   of its spec (the seed enters through placement and the MPI/transport
+//!   streams, never the wiring or the routes), and building it — BFS plus
+//!   the all-pairs route table — used to be repeated by the Hockney fit,
+//!   every sample All-to-All and every cell (45 % of a 192-cell sweep on a
+//!   128-host dragonfly). Each scenario of a batch now has one lazily
+//!   built [`Fabric`] slot that all of them share *by reference*: packet
+//!   simulators clone the `Arc<Topology>`, fluid worlds borrow it, nothing
+//!   copies the route table. Lifetime rule: the slot fills on first use
+//!   and is released when the scenario's last cell has reported, so a
+//!   batch of large fabrics keeps only the ones still in use; nothing
+//!   outlives the batch — a longer-lived fabric cache would need a size
+//!   bound someone has to tune. Presets wire a handful of switches as a
+//!   function of the rank count and keep doing so per cell.
 //!
 //! This module keeps the cell-level machinery and the legacy free-function
 //! entry points; the public face of execution is
@@ -33,7 +47,8 @@ use crate::error::CtnError;
 use crate::metrics::{CellMetrics, SessionMetrics, WorkerMetrics};
 use crate::session::{CalibrationCache, CancelToken, RunEvent};
 use crate::spec::{Backend, ScenarioSpec, SpecError};
-use crate::{topology, workload};
+use crate::topology::{self, Fabric};
+use crate::workload;
 use contention_lab::runner::parallel_map;
 use contention_model::hockney::HockneyParams;
 use contention_model::metrics::estimation_error_percent;
@@ -45,7 +60,8 @@ use simnet::guard::{GuardStop, RunGuard};
 use simnet::obs::{EngineRecorder, EngineTelemetry, NoopRecorder, Recorder, TelemetryConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which completion-time predictor fills the `model_secs` column.
@@ -429,14 +445,85 @@ fn spec_error_detail(e: SpecError) -> String {
     }
 }
 
+/// One batch's scenarios and their shared fabrics: a lazily built slot
+/// per scenario, next to `hockneys[spec_idx]` / `ctxs[spec_idx]`.
+///
+/// Lifetime rule: a slot fills on first use — the Hockney fit on a cache
+/// miss, else the scenario's first cell — and is released when the
+/// scenario's last cell has reported, so a batch of several large fabrics
+/// holds only those with cells still outstanding. Workers hold an `Arc`
+/// for the duration of a cell; nothing outlives the batch.
+pub(crate) struct BatchFabrics<'a> {
+    specs: &'a [ScenarioSpec],
+    slots: Vec<Mutex<Option<Arc<Fabric>>>>,
+    /// Routed topologies built (presets wire per cell and do not count).
+    builds: AtomicU64,
+    build_nanos: AtomicU64,
+}
+
+impl<'a> BatchFabrics<'a> {
+    pub(crate) fn new(specs: &'a [ScenarioSpec]) -> Self {
+        Self {
+            specs,
+            slots: specs.iter().map(|_| Mutex::new(None)).collect(),
+            builds: AtomicU64::new(0),
+            build_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// The fabric of scenario `spec_idx`, built on first use. Concurrent
+    /// first users of one scenario serialize on its slot — one builds, the
+    /// rest wait for it — while other scenarios' slots stay independent.
+    pub(crate) fn get(&self, spec_idx: usize) -> Result<Arc<Fabric>, SpecError> {
+        let mut slot = self.slot(spec_idx);
+        if let Some(fabric) = slot.as_ref() {
+            return Ok(Arc::clone(fabric));
+        }
+        let start = Instant::now();
+        let fabric = Arc::new(Fabric::build(&self.specs[spec_idx])?);
+        if fabric.shared_topology().is_some() {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            self.build_nanos
+                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        *slot = Some(Arc::clone(&fabric));
+        Ok(fabric)
+    }
+
+    /// Drops the batch's reference to scenario `spec_idx`'s fabric.
+    fn release(&self, spec_idx: usize) {
+        self.slot(spec_idx).take();
+    }
+
+    /// A slot is written in one assignment, so it is valid even if a
+    /// build panicked under the lock: a poisoned slot is still empty, and
+    /// the next cell retries the build inside its own panic isolation
+    /// (and reports the build's panic, not a lock error).
+    fn slot(&self, spec_idx: usize) -> std::sync::MutexGuard<'_, Option<Arc<Fabric>>> {
+        self.slots[spec_idx]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// The fabric source of a calibration outside any batch: built from
+/// scratch if the fit misses the cache, dropped with the fit's world.
+pub(crate) fn fresh_fabric(
+    spec: &ScenarioSpec,
+) -> impl FnOnce() -> Result<Arc<Fabric>, SpecError> + '_ {
+    move || Fabric::build(spec).map(Arc::new)
+}
+
 /// Measures the scenario's Hockney parameters: a 2-rank ping-pong on the
 /// scenario's own fabric across the standard fit sizes. Cheap (seconds of
 /// simulated time on two hosts) and faithful to the paper's procedure.
-/// Fits are memoized per (fabric fingerprint, seed) in `cache`.
+/// Fits are memoized per (fabric fingerprint, seed) in `cache`; `fabric`
+/// is only called on a miss.
 pub(crate) fn hockney_fit(
     cache: &CalibrationCache,
     spec: &ScenarioSpec,
     base_seed: u64,
+    fabric: impl FnOnce() -> Result<Arc<Fabric>, SpecError>,
 ) -> Result<HockneyParams, CtnError> {
     let seed = mix(base_seed ^ name_hash(&spec.name));
     let key = (spec.fabric_fingerprint(), seed);
@@ -446,8 +533,8 @@ pub(crate) fn hockney_fit(
     }
     cache.note_miss();
     let sizes = [1024u64, 16 * 1024, 131_072, 524_288, 1_048_576];
-    let mut world = topology::build_world(spec, 2, seed)
-        .map_err(|e| CtnError::calibration(&spec.name, spec_error_detail(e)))?;
+    let fabric = fabric().map_err(|e| CtnError::calibration(&spec.name, spec_error_detail(e)))?;
+    let mut world = fabric.world_with(spec, 2, seed, NoopRecorder);
     let points: Vec<(u64, f64)> = ping_pong(&mut world, 0, 1, &sizes, 3)
         .into_iter()
         .map(|p| (p.size, p.half_rtt_secs))
@@ -474,17 +561,17 @@ pub(crate) enum ModelCtx {
 /// it is always fitted on the uniform exchange).
 fn sample_alltoall(
     spec: &ScenarioSpec,
+    fabric: &Fabric,
     n: usize,
     sizes: &[u64],
     seed: u64,
-) -> Result<Vec<(u64, f64)>, CtnError> {
+) -> Vec<(u64, f64)> {
     let algo = workload::algorithm_by_name("direct").expect("built-in algorithm");
-    let mut world = topology::build_world(spec, n, seed)
-        .map_err(|e| CtnError::calibration(&spec.name, spec_error_detail(e)))?;
-    Ok(sizes
+    let mut world = fabric.world_with(spec, n, seed, NoopRecorder);
+    sizes
         .iter()
         .map(|&m| (m, world.run(algo.programs(n, m)).duration_secs()))
-        .collect())
+        .collect()
 }
 
 /// Fits (or recalls) the extra calibration the selected model needs. The
@@ -492,13 +579,14 @@ fn sample_alltoall(
 /// ping-pong), so the memo in `cache` matters even more than for the
 /// Hockney fit. Sound because the fit depends only on the fabric (its
 /// capacity-derived sample sizes included) and the derived seed — never
-/// on the sweep grid.
+/// on the sweep grid. `fabric` is only called on a miss.
 pub(crate) fn model_ctx(
     cache: &CalibrationCache,
     spec: &ScenarioSpec,
     hockney: HockneyParams,
     base_seed: u64,
     model: ModelKind,
+    fabric: impl FnOnce() -> Result<Arc<Fabric>, SpecError>,
 ) -> Result<ModelCtx, CtnError> {
     if matches!(model, ModelKind::Med) {
         return Ok(ModelCtx::Med);
@@ -514,6 +602,7 @@ pub(crate) fn model_ctx(
         CtnError::calibration(&spec.name, format!("{} fit failed: {e}", model.name()))
     };
     let capacity = topology::capacity(&spec.topology).map_err(CtnError::Spec)?;
+    let fabric = fabric().map_err(|e| CtnError::calibration(&spec.name, spec_error_detail(e)))?;
     let ctx = match model {
         ModelKind::Med => unreachable!("handled above"),
         ModelKind::Signature => {
@@ -523,7 +612,7 @@ pub(crate) fn model_ctx(
             // same prediction no matter what else the grid contains.
             let sample_n = capacity.clamp(2, 8);
             let sizes = [64 * 1024u64, 128 * 1024, 256 * 1024, 512 * 1024, 1_048_576];
-            let samples = sample_alltoall(spec, sample_n, &sizes, seed)?;
+            let samples = sample_alltoall(spec, &fabric, sample_n, &sizes, seed);
             ContentionSignature::fit(hockney, sample_n, &samples)
                 .map(ModelCtx::Signature)
                 .map_err(fit_err)?
@@ -548,7 +637,7 @@ pub(crate) fn model_ctx(
             let sizes = [128 * 1024u64, 512 * 1024, 1_048_576];
             let mut samples = Vec::with_capacity(ladder.len() * sizes.len());
             for &n in &ladder {
-                for (m, t) in sample_alltoall(spec, n, &sizes, mix(seed ^ n as u64))? {
+                for (m, t) in sample_alltoall(spec, &fabric, n, &sizes, mix(seed ^ n as u64)) {
                     samples.push((n, m, t));
                 }
             }
@@ -602,59 +691,66 @@ fn stopped_cell(spec: &ScenarioSpec, cell: &Cell, status: CellStatus) -> CellRes
     }
 }
 
+/// What every cell of one scenario runs on: the spec, its shared fabric
+/// and its calibration.
+#[derive(Clone, Copy)]
+struct Scenario<'a> {
+    spec: &'a ScenarioSpec,
+    fabric: &'a Fabric,
+    hockney: &'a HockneyParams,
+    ctx: &'a ModelCtx,
+}
+
 /// Simulates one cell, dispatching on the spec's backend and on whether
 /// telemetry is wanted. The packet/`None` arm runs the no-op recorder —
 /// the exact engine the goldens pin — and both telemetry arms produce
 /// byte-identical [`CellResult`]s. A cell an engine guard stops (or the
-/// stall detector flags) comes back as `Ok` with a non-`Ok`
-/// [`CellStatus`]; `Err` is reserved for hard failures (invalid builds),
-/// which still fail the whole run.
+/// stall detector flags) comes back with a non-`Ok` [`CellStatus`].
 fn run_cell(
-    spec: &ScenarioSpec,
+    scenario: Scenario<'_>,
     cell: &Cell,
-    hockney: &HockneyParams,
-    ctx: &ModelCtx,
     telemetry: Option<&TelemetryConfig>,
     limits: &GuardLimits,
     cancel: &CancelToken,
-) -> Result<(CellResult, Option<EngineTelemetry>), CtnError> {
-    if spec.backend == Backend::Fluid {
-        return run_cell_fluid(spec, cell, hockney, ctx, telemetry, limits, cancel);
+) -> (CellResult, Option<EngineTelemetry>) {
+    if scenario.spec.backend == Backend::Fluid {
+        return run_cell_fluid(scenario, cell, telemetry, limits, cancel);
     }
     match telemetry {
         None => {
-            let (result, _world) =
-                run_cell_in(spec, cell, hockney, ctx, NoopRecorder, limits, cancel)?;
-            Ok((result, None))
+            let (result, _world) = run_cell_in(scenario, cell, NoopRecorder, limits, cancel);
+            (result, None)
         }
         Some(cfg) => {
             let recorder = EngineRecorder::new(cfg.clone());
-            let (result, mut world) =
-                run_cell_in(spec, cell, hockney, ctx, recorder, limits, cancel)?;
+            let (result, mut world) = run_cell_in(scenario, cell, recorder, limits, cancel);
             let engine = world.sim_mut().recorder_mut().take_telemetry();
-            Ok((result, Some(engine)))
+            (result, Some(engine))
         }
     }
 }
 
-/// The fluid-tier cell path: builds the bare fabric once and interprets
-/// the cell's programs flow-by-flow. The fluid interpreter is fully
+/// The fluid-tier cell path: borrows the scenario's routed topology and
+/// interprets the cell's programs flow-by-flow. The fluid interpreter is fully
 /// deterministic and stateless across repetitions (no queues or
 /// transport windows survive a run), so warmup and repeated measurements
 /// would reproduce the same number — one run fills mean = min = max.
 /// Model columns are computed exactly as on the packet path, so the
 /// error column reads as distance-from-bound in both tiers.
 fn run_cell_fluid(
-    spec: &ScenarioSpec,
+    scenario: Scenario<'_>,
     cell: &Cell,
-    hockney: &HockneyParams,
-    ctx: &ModelCtx,
     telemetry: Option<&TelemetryConfig>,
     limits: &GuardLimits,
     cancel: &CancelToken,
-) -> Result<(CellResult, Option<EngineTelemetry>), CtnError> {
-    let (topo, hosts, mpi) = topology::build_fluid_fabric(spec, cell.n, cell.seed)
-        .map_err(|e| CtnError::execution(&spec.name, spec_error_detail(e)))?;
+) -> (CellResult, Option<EngineTelemetry>) {
+    let Scenario {
+        spec,
+        fabric,
+        hockney,
+        ctx,
+    } = scenario;
+    let (topo, hosts, mpi) = fabric.fluid_cell(spec, cell.n, cell.seed);
     let world = simmpi::FluidWorld::new(&topo, hosts, mpi);
     let programs = workload::programs(&spec.workload, cell.n, cell.message_bytes, cell.seed);
     let guard = limits.guard(cancel);
@@ -669,10 +765,10 @@ fn run_cell_fluid(
     let result = match outcome {
         Ok(r) => r,
         Err(interrupt) => {
-            return Ok((
+            return (
                 stopped_cell(spec, cell, limits.status_of(interrupt)),
                 engine,
-            ));
+            );
         }
     };
     let secs = result.duration_secs();
@@ -698,20 +794,23 @@ fn run_cell_fluid(
         error_percent: estimation_error_percent(secs, model),
         status: CellStatus::Ok,
     };
-    Ok((result, engine))
+    (result, engine)
 }
 
 fn run_cell_in<R: Recorder>(
-    spec: &ScenarioSpec,
+    scenario: Scenario<'_>,
     cell: &Cell,
-    hockney: &HockneyParams,
-    ctx: &ModelCtx,
     recorder: R,
     limits: &GuardLimits,
     cancel: &CancelToken,
-) -> Result<(CellResult, World<R>), CtnError> {
-    let mut world = topology::build_world_with(spec, cell.n, cell.seed, recorder)
-        .map_err(|e| CtnError::execution(&spec.name, spec_error_detail(e)))?;
+) -> (CellResult, World<R>) {
+    let Scenario {
+        spec,
+        fabric,
+        hockney,
+        ctx,
+    } = scenario;
+    let mut world = fabric.world_with(spec, cell.n, cell.seed, recorder);
     // One guard installation spans the whole cell: budgets and the
     // horizon accumulate across warmup and every repetition.
     world.sim_mut().set_guard(limits.guard(cancel));
@@ -736,7 +835,7 @@ fn run_cell_in<R: Recorder>(
         }
     }
     if let Some(interrupt) = interrupted {
-        return Ok((stopped_cell(spec, cell, limits.status_of(interrupt)), world));
+        return (stopped_cell(spec, cell, limits.status_of(interrupt)), world);
     }
     let mean = times.iter().sum::<f64>() / times.len() as f64;
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -763,7 +862,7 @@ fn run_cell_in<R: Recorder>(
         error_percent: estimation_error_percent(mean, model),
         status: CellStatus::Ok,
     };
-    Ok((result, world))
+    (result, world)
 }
 
 /// The injected-stall cell body: parks the worker until the cell's
@@ -839,9 +938,13 @@ struct CellReport {
 /// `telemetry` is set (the `None` path runs the no-op recorder the
 /// goldens pin).
 ///
+/// Every scenario's fabric is built once per batch and shared by its
+/// calibrations and cells (see [`BatchFabrics`], which also carries the
+/// batch's specs).
+///
 /// [`Session`]: crate::session::Session
 pub(crate) fn execute(
-    specs: &[ScenarioSpec],
+    fabrics: &BatchFabrics<'_>,
     cfg: &BatchConfig,
     cache: &CalibrationCache,
     telemetry: Option<&TelemetryConfig>,
@@ -849,6 +952,7 @@ pub(crate) fn execute(
     observer: &mut dyn FnMut(RunEvent<'_>),
     cancel: &CancelToken,
 ) -> Result<(Vec<BatchResult>, SessionMetrics), CtnError> {
+    let specs = fabrics.specs;
     assert!(cfg.workers > 0, "need at least one worker");
     let run_start = Instant::now();
     let cache_before = cache.stats();
@@ -871,20 +975,21 @@ pub(crate) fn execute(
     // order.
     let hockneys: Vec<HockneyParams> = specs
         .iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(i, s)| {
             check_cancel()?;
-            hockney_fit(cache, s, cfg.base_seed)
+            hockney_fit(cache, s, cfg.base_seed, || fabrics.get(i))
         })
         .collect::<Result<_, _>>()?;
     // Model calibrations run whole sample All-to-Alls (unlike the cheap
     // ping-pongs above), so uncached fits shard across the workers; the
     // memo cache covers repeated runs over the same specs.
     let ctxs: Vec<ModelCtx> = parallel_map(
-        specs.iter().zip(&hockneys).collect::<Vec<_>>(),
+        specs.iter().zip(&hockneys).enumerate().collect::<Vec<_>>(),
         cfg.workers,
-        |(s, &h)| {
+        |(i, (s, &h))| {
             check_cancel()?;
-            model_ctx(cache, s, h, cfg.base_seed, cfg.model)
+            model_ctx(cache, s, h, cfg.base_seed, cfg.model, || fabrics.get(i))
         },
     )
     .into_iter()
@@ -974,35 +1079,28 @@ pub(crate) fn execute(
                 // Panic isolation: a panicking cell (injected or real)
                 // becomes a `panicked` status row; its siblings keep
                 // running on the surviving workers.
-                let caught = catch_unwind(AssertUnwindSafe(|| match fault {
-                    Some(Fault::Panic) => panic!(
-                        "injected fault: forced panic in cell {} n={} m={}",
-                        spec.name, cell.n, cell.message_bytes
-                    ),
-                    Some(Fault::Stall) => {
-                        Ok((stalled_cell(spec, &cell, &cfg.limits, cancel), None))
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    match fault {
+                        Some(Fault::Panic) => panic!(
+                            "injected fault: forced panic in cell {} n={} m={}",
+                            spec.name, cell.n, cell.message_bytes
+                        ),
+                        Some(Fault::Stall) => {
+                            return Ok((stalled_cell(spec, &cell, &cfg.limits, cancel), None));
+                        }
+                        Some(Fault::Slow(delay)) => std::thread::sleep(delay),
+                        None => {}
                     }
-                    Some(Fault::Slow(delay)) => {
-                        std::thread::sleep(delay);
-                        run_cell(
-                            spec,
-                            &cell,
-                            &hockneys[cell.spec_idx],
-                            &ctxs[cell.spec_idx],
-                            telemetry,
-                            &cfg.limits,
-                            cancel,
-                        )
-                    }
-                    None => run_cell(
+                    let fabric = fabrics
+                        .get(cell.spec_idx)
+                        .map_err(|e| CtnError::execution(&spec.name, spec_error_detail(e)))?;
+                    let scenario = Scenario {
                         spec,
-                        &cell,
-                        &hockneys[cell.spec_idx],
-                        &ctxs[cell.spec_idx],
-                        telemetry,
-                        &cfg.limits,
-                        cancel,
-                    ),
+                        fabric: &fabric,
+                        hockney: &hockneys[cell.spec_idx],
+                        ctx: &ctxs[cell.spec_idx],
+                    };
+                    Ok(run_cell(scenario, &cell, telemetry, &cfg.limits, cancel))
                 }));
                 let outcome = match caught {
                     Ok(outcome) => outcome,
@@ -1070,8 +1168,10 @@ pub(crate) fn execute(
             }
             if completed[spec_idx] == grid_sizes[spec_idx] {
                 // Every cell of this scenario produced a row (measured
-                // or status): assemble the batch in grid order and
-                // announce it.
+                // or status): nothing will ask for its fabric again, so
+                // let it go before the rest of the batch runs on. Then
+                // assemble the batch in grid order and announce it.
+                fabrics.release(spec_idx);
                 let cells: Vec<CellResult> = slots[spec_idx]
                     .iter_mut()
                     .map(|s| {
@@ -1159,6 +1259,8 @@ pub(crate) fn execute(
         wall_secs: run_start.elapsed().as_secs_f64(),
         workers: worker_metrics,
         cache: cache.stats().since(&cache_before),
+        fabric_builds: fabrics.builds.load(Ordering::Relaxed),
+        fabric_build_secs: fabrics.build_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
         cells: cell_metrics,
     };
     Ok((batches, metrics))
@@ -1178,7 +1280,8 @@ fn legacy_cache() -> &'static CalibrationCache {
     note = "use Session::calibrate_hockney, which owns its calibration cache"
 )]
 pub fn calibrate_hockney(spec: &ScenarioSpec, base_seed: u64) -> Result<HockneyParams, SpecError> {
-    hockney_fit(legacy_cache(), spec, base_seed).map_err(CtnError::into_spec_error)
+    hockney_fit(legacy_cache(), spec, base_seed, fresh_fabric(spec))
+        .map_err(CtnError::into_spec_error)
 }
 
 /// Runs one scenario's full grid. Legacy shim over the session executor.
@@ -1205,7 +1308,7 @@ pub fn run_batches(
 ) -> Result<Vec<BatchResult>, SpecError> {
     let mut ignore = |_event: RunEvent<'_>| {};
     execute(
-        specs,
+        &BatchFabrics::new(specs),
         cfg,
         legacy_cache(),
         None,
@@ -1274,6 +1377,88 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_scenarios_fabric_is_released_before_the_batch_ends() {
+        // Two generated fabrics in one batch on one worker. Whichever
+        // scenario reports its last cell first must have given its
+        // fabric back by the time its `BatchFinished` goes out — while
+        // the other still has cells to run — and every slot is empty at
+        // the end.
+        let trimmed = |name: &str| {
+            let mut spec = by_name(name).unwrap();
+            spec.sweep.nodes.truncate(2);
+            spec.sweep.message_bytes.truncate(1);
+            spec.sweep.reps = 1;
+            spec.sweep.warmup = 0;
+            spec.backend = Backend::Fluid;
+            spec
+        };
+        let specs = [
+            trimmed("dragonfly-adversarial-uniform"),
+            trimmed("torus-neighbor-exchange"),
+        ];
+        let fabrics = BatchFabrics::new(&specs);
+        let built = |i: usize| fabrics.slot(i).is_some();
+        let cfg = BatchConfig {
+            workers: 1,
+            ..BatchConfig::default()
+        };
+        let mut finished: Vec<String> = Vec::new();
+        let mut observer = |event: RunEvent<'_>| {
+            if let RunEvent::BatchFinished { scenario, .. } = event {
+                let idx = specs.iter().position(|s| s.name == scenario).unwrap();
+                assert!(!built(idx), "{scenario}: fabric outlived its last cell");
+                if finished.is_empty() {
+                    assert!(
+                        built(1 - idx),
+                        "the other scenario still has cells, hence a fabric"
+                    );
+                }
+                finished.push(scenario.to_string());
+            }
+        };
+        let (batches, metrics) = execute(
+            &fabrics,
+            &cfg,
+            &CalibrationCache::new(),
+            None,
+            None,
+            &mut observer,
+            &CancelToken::new(),
+        )
+        .unwrap();
+        assert_eq!(finished.len(), 2);
+        assert_eq!(batches.len(), 2);
+        assert_eq!(metrics.fabric_builds, 2);
+        assert!(!built(0) && !built(1));
+    }
+
+    #[test]
+    fn concurrent_first_users_of_a_scenario_build_its_fabric_once() {
+        let specs = [by_name("fat-tree-uniform").unwrap()];
+        let fabrics = BatchFabrics::new(&specs);
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<Arc<Fabric>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        fabrics.get(0).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(fabrics.builds.load(Ordering::Relaxed), 1);
+        for fabric in &got[1..] {
+            assert!(Arc::ptr_eq(fabric, &got[0]));
+        }
+        // The slot and the four users hold the only references, and the
+        // routed topology itself is never copied.
+        assert_eq!(Arc::strong_count(&got[0]), 5);
+        assert_eq!(Arc::strong_count(got[0].shared_topology().unwrap()), 1);
+    }
+
+    #[test]
     fn legacy_entry_points_match_the_session_byte_for_byte() {
         // Exercises the un-deprecated legacy surface only (run_batches and
         // the shared fit procedure); the #[deprecated] run_batch /
@@ -1298,7 +1483,7 @@ mod tests {
         .unwrap()
         .remove(0);
         assert_eq!(report.batches[0], shim);
-        let a = hockney_fit(legacy_cache(), &spec, 123).unwrap();
+        let a = hockney_fit(legacy_cache(), &spec, 123, fresh_fabric(&spec)).unwrap();
         let b = session.calibrate_hockney(&spec).unwrap();
         assert_eq!(a, b, "legacy cache and session share the fit procedure");
     }
@@ -1307,10 +1492,10 @@ mod tests {
     fn calibration_cache_is_transparent() {
         let spec = by_name("incast-burst").unwrap();
         let cache = CalibrationCache::new();
-        let a = hockney_fit(&cache, &spec, 123).unwrap();
-        let b = hockney_fit(&cache, &spec, 123).unwrap();
+        let a = hockney_fit(&cache, &spec, 123, fresh_fabric(&spec)).unwrap();
+        let b = hockney_fit(&cache, &spec, 123, fresh_fabric(&spec)).unwrap();
         assert_eq!(a, b, "memoized fit must equal the fresh fit");
-        let c = hockney_fit(&cache, &spec, 124).unwrap();
+        let c = hockney_fit(&cache, &spec, 124, fresh_fabric(&spec)).unwrap();
         assert_ne!(a, c, "different seed must not hit the same cache entry");
         assert_eq!(cache.hockney_entries(), 2);
     }

@@ -13,8 +13,9 @@
 //! * [`spec`] — [`ScenarioSpec`](spec::ScenarioSpec): topology, transport,
 //!   MPI overrides, workload and sweep grid as one declarative value, with
 //!   a TOML round-trip (see [`toml`], a dependency-free subset parser);
-//! * [`topology`] — spec → [`simmpi::World`], via the parameterized
-//!   generators in [`simnet::generate`];
+//! * [`topology`] — spec → [`Fabric`](topology::Fabric) (one routed
+//!   topology per scenario, shared by every cell) → [`simmpi::World`],
+//!   via the parameterized generators in [`simnet::generate`];
 //! * [`workload`] — spec → per-rank programs, each with its MED lower
 //!   bound for the model-error column;
 //! * [`executor`] — the parallel batch executor: one flat cell queue

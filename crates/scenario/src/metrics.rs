@@ -130,6 +130,16 @@ pub struct SessionMetrics {
     pub workers: Vec<WorkerMetrics>,
     /// Calibration-cache activity during this run.
     pub cache: CacheStats,
+    /// Routed topologies built during this run — exact: one per scenario
+    /// with a generated topology, shared by its calibrations and every
+    /// cell (presets wire a few switches per cell and are not counted).
+    /// Deliberately not a [`CacheStats`] counter: a fabric is built once
+    /// per batch whatever the calibration cache holds, and `hit_rate`
+    /// keeps meaning "fits answered from the memo".
+    pub fabric_builds: u64,
+    /// Wall-clock seconds spent in those builds (generation, BFS and the
+    /// all-pairs route table).
+    pub fabric_build_secs: f64,
     /// One entry per finished cell, in LPT schedule order.
     pub cells: Vec<CellMetrics>,
 }
@@ -145,6 +155,7 @@ impl SessionMetrics {
     /// * `cache` counters sum (feed per-run *deltas* from
     ///   [`CacheStats::since`] when runs share one cache, or the
     ///   per-run snapshots when each session owns its cache);
+    /// * `fabric_builds` / `fabric_build_secs` sum;
     /// * `cells` append in merge order.
     ///
     /// Merging is associative — any fold order over the same snapshots
@@ -163,6 +174,8 @@ impl SessionMetrics {
         }
         self.workers.sort_by_key(|w| w.worker);
         self.cache = self.cache.merged(&other.cache);
+        self.fabric_builds += other.fabric_builds;
+        self.fabric_build_secs += other.fabric_build_secs;
         self.cells.extend(other.cells.iter().cloned());
     }
 
@@ -198,6 +211,11 @@ impl SessionMetrics {
             self.cache.misses,
             self.cache.inserts,
             json::number(self.cache.hit_rate())
+        ));
+        out.push_str(&format!(
+            "\"fabric_builds\": {},\n\"fabric_build_secs\": {},\n",
+            self.fabric_builds,
+            json::number(self.fabric_build_secs)
         ));
         out.push_str("\"workers\": [");
         for (i, w) in self.workers.iter().enumerate() {
@@ -445,6 +463,8 @@ mod tests {
                 misses: 1,
                 inserts: 1,
             },
+            fabric_builds: 1,
+            fabric_build_secs: 0.25,
             cells: vec![CellMetrics {
                 scenario: "quote\"me".to_string(),
                 n: 4,
@@ -498,6 +518,8 @@ mod tests {
                 misses: 1,
                 inserts: 1,
             },
+            fabric_builds: 1,
+            fabric_build_secs: wall / 4.0,
             cells: vec![CellMetrics {
                 scenario: scenario.to_string(),
                 n: 2,
@@ -557,6 +579,8 @@ mod tests {
         assert_eq!(total.workers[1].cells, 2);
         assert_eq!(total.workers[1].busy_secs, 0.25 + 0.0625);
         assert_eq!(total.wall_secs, 0.875);
+        assert_eq!(total.fabric_builds, 3);
+        assert_eq!(total.fabric_build_secs, 0.875 / 4.0);
         assert_eq!(total.cells.len(), 3);
         assert_eq!(total.cells[0].scenario, "x");
         assert_eq!(total.cells[2].scenario, "z");
@@ -599,6 +623,7 @@ mod tests {
         assert!(doc.contains(r#""scenario": "quote\"me""#));
         assert!(doc.contains("\"metrics_schema_version\": 1"));
         assert!(doc.contains("\"hit_rate\": 0.75"));
+        assert!(doc.contains("\"fabric_builds\": 1,\n\"fabric_build_secs\": 0.25,"));
         assert!(doc.contains(r#""status": "ok""#));
         assert!(doc.contains("[1000, 990, 1500]"), "sample triplet: {doc}");
         assert!(doc.contains(r#""kind": "timeout""#));

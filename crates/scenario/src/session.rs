@@ -46,7 +46,8 @@
 
 use crate::error::CtnError;
 use crate::executor::{
-    self, BatchConfig, BatchResult, CellResult, FaultPlan, GuardLimits, ModelCtx, ModelKind,
+    self, BatchConfig, BatchFabrics, BatchResult, CellResult, FaultPlan, GuardLimits, ModelCtx,
+    ModelKind,
 };
 use crate::metrics::{CacheStats, CellMetrics, SessionMetrics};
 use crate::report::Report;
@@ -455,7 +456,7 @@ impl Session {
     ) -> Result<Report, CtnError> {
         let mut sink = |event: RunEvent<'_>| observer.on_event(event);
         let (batches, metrics) = executor::execute(
-            specs,
+            &BatchFabrics::new(specs),
             &self.cfg,
             &self.cache,
             self.telemetry.as_ref(),
@@ -488,7 +489,12 @@ impl Session {
     /// Measures (or recalls from the cache) the scenario fabric's Hockney
     /// parameters — the paper's 2-rank ping-pong fit.
     pub fn calibrate_hockney(&self, spec: &ScenarioSpec) -> Result<HockneyParams, CtnError> {
-        executor::hockney_fit(&self.cache, spec, self.cfg.base_seed)
+        executor::hockney_fit(
+            &self.cache,
+            spec,
+            self.cfg.base_seed,
+            executor::fresh_fabric(spec),
+        )
     }
 
     /// Fits (or recalls) the fabric's contention signature `(γ, δ, M)`:
@@ -498,14 +504,7 @@ impl Session {
         &self,
         spec: &ScenarioSpec,
     ) -> Result<ContentionSignature, CtnError> {
-        let hockney = self.calibrate_hockney(spec)?;
-        match executor::model_ctx(
-            &self.cache,
-            spec,
-            hockney,
-            self.cfg.base_seed,
-            ModelKind::Signature,
-        )? {
+        match self.calibrate_model(spec, ModelKind::Signature)? {
             ModelCtx::Signature(sig) => Ok(sig),
             _ => unreachable!("signature calibration returns a signature context"),
         }
@@ -513,17 +512,21 @@ impl Session {
 
     /// Fits (or recalls) the fabric's saturation-ramp model `γ(n)`.
     pub fn calibrate_saturation(&self, spec: &ScenarioSpec) -> Result<SaturationModel, CtnError> {
-        let hockney = self.calibrate_hockney(spec)?;
-        match executor::model_ctx(
-            &self.cache,
-            spec,
-            hockney,
-            self.cfg.base_seed,
-            ModelKind::Saturation,
-        )? {
+        match self.calibrate_model(spec, ModelKind::Saturation)? {
             ModelCtx::Saturation(sat) => Ok(sat),
             _ => unreachable!("saturation calibration returns a saturation context"),
         }
+    }
+
+    /// The Hockney fit plus `model`'s extra calibration, on one fabric
+    /// built at most once (and only if either fit misses the cache).
+    fn calibrate_model(&self, spec: &ScenarioSpec, model: ModelKind) -> Result<ModelCtx, CtnError> {
+        let fabrics = BatchFabrics::new(std::slice::from_ref(spec));
+        let base_seed = self.cfg.base_seed;
+        let hockney = executor::hockney_fit(&self.cache, spec, base_seed, || fabrics.get(0))?;
+        executor::model_ctx(&self.cache, spec, hockney, base_seed, model, || {
+            fabrics.get(0)
+        })
     }
 }
 

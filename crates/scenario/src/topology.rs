@@ -1,10 +1,18 @@
 //! Turns a [`TopologySpec`] into a runnable [`World`].
+//!
+//! The unit of work is the [`Fabric`]: a scenario's network resolved
+//! once. [`Fabric::world_with`] / [`Fabric::fluid_cell`] then produce one
+//! cell's packet world or fluid inputs on it; [`build_world`],
+//! [`build_world_with`] and [`build_fluid_fabric`] are the from-scratch
+//! conveniences (fresh fabric, one use) for tests, examples and one-off
+//! callers.
 
 use crate::spec::{ScenarioSpec, SpecError, TopologySpec};
 use contention_lab::presets::ClusterPreset;
 use simmpi::prelude::*;
 use simnet::generate::{self, DragonflyParams, FatTreeParams, Generated, TorusParams, TreeParams};
 use simnet::prelude::*;
+use std::sync::Arc;
 
 fn preset_by_name(name: &str) -> Result<ClusterPreset, SpecError> {
     ClusterPreset::all()
@@ -164,11 +172,141 @@ fn generated(t: &TopologySpec) -> Result<Generated, SpecError> {
     })
 }
 
-/// Builds an `n`-rank world for the scenario, with every stochastic
-/// element seeded from `seed`. Ranks map onto hosts through the spec's
-/// [`Placement`](simnet::generate::Placement) policy — scatter (the
-/// presets' round-robin, and the default), pack, or a seeded random
-/// partial permutation.
+/// One scenario's network, resolved once and shared — immutably, by
+/// reference — by everything that runs on it: the Hockney ping-pong, the
+/// signature/saturation sample All-to-Alls and every `(n, m)` cell.
+///
+/// A generated topology is a pure function of its [`TopologySpec`]
+/// (nothing about it is seeded: ECMP spreading is a fixed hash of the
+/// flow's endpoints, and the seed only enters through rank placement and
+/// the MPI/transport streams, which are per cell), and building it — BFS
+/// plus the all-pairs route table — dwarfs everything else a small cell
+/// does. So the routed [`Topology`] is built exactly once per fabric and
+/// handed out as an `Arc`: packet simulators hold a clone of the `Arc`,
+/// fluid worlds borrow the topology, nobody copies the route table. The
+/// generator's host layout rides along because
+/// [`Placement::place`](simnet::generate::Placement::place) needs it for
+/// every cell.
+///
+/// A preset's wiring depends on the rank count (only as many edge
+/// switches as the job needs) and costs microseconds, so the preset
+/// variant just carries the resolved preset and wires it per cell.
+pub struct Fabric(Wiring);
+
+enum Wiring {
+    /// A paper cluster with the spec's MPI overrides applied.
+    Preset(ClusterPreset),
+    Generated {
+        topo: Arc<Topology>,
+        /// The generator's output the topology was built from; placement
+        /// reads its host groups.
+        layout: Generated,
+    },
+}
+
+/// The effective MPI stack of one cell: `base` with the cell's seed.
+fn seeded_mpi(base: simmpi::MpiConfig, seed: u64) -> simmpi::MpiConfig {
+    simmpi::MpiConfig {
+        seed: seed ^ 0x5A5A_5A5A,
+        ..base
+    }
+}
+
+impl Fabric {
+    /// Resolves the spec's topology: generates and routes a generated
+    /// fabric (the expensive step — do it once), looks a preset up.
+    pub fn build(spec: &ScenarioSpec) -> Result<Self, SpecError> {
+        if let TopologySpec::Preset { preset } = &spec.topology {
+            // Presets carry their own MPI stack; apply the spec's
+            // overrides on top.
+            let mut preset = preset_by_name(preset)?;
+            preset.mpi = spec.mpi.apply(preset.mpi);
+            return Ok(Fabric(Wiring::Preset(preset)));
+        }
+        let layout = generated(&spec.topology)?;
+        let topo = layout
+            .builder
+            .build()
+            .map_err(|e| SpecError::Invalid(format!("topology failed to build: {e}")))?;
+        Ok(Fabric(Wiring::Generated {
+            topo: Arc::new(topo),
+            layout,
+        }))
+    }
+
+    /// The routed topology every cell of the scenario shares; `None` for
+    /// presets, which wire a fresh one per cell.
+    pub fn shared_topology(&self) -> Option<&Arc<Topology>> {
+        match &self.0 {
+            Wiring::Preset(_) => None,
+            Wiring::Generated { topo, .. } => Some(topo),
+        }
+    }
+
+    /// An `n`-rank packet world on this fabric with a telemetry recorder
+    /// attached to the simulator, every stochastic element seeded from
+    /// `seed`. Ranks map onto hosts through the spec's
+    /// [`Placement`](simnet::generate::Placement) policy — scatter (the
+    /// presets' round-robin, and the default), pack, or a seeded random
+    /// partial permutation. `spec` must be the spec the fabric was built
+    /// from.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the spec's capacity (callers validate first).
+    pub fn world_with<R: Recorder>(
+        &self,
+        spec: &ScenarioSpec,
+        n: usize,
+        seed: u64,
+        recorder: R,
+    ) -> World<R> {
+        match &self.0 {
+            Wiring::Preset(preset) => preset.build_world_with(n, seed, recorder),
+            Wiring::Generated { topo, layout } => {
+                let ranks = spec.placement.place(layout, n, seed);
+                let sim_config = SimConfig {
+                    seed,
+                    ..SimConfig::default()
+                };
+                let sim = Simulator::with_recorder(Arc::clone(topo), sim_config, recorder);
+                let mpi = seeded_mpi(spec.mpi.apply(simmpi::MpiConfig::default()), seed);
+                World::new(sim, ranks, mpi, spec.transport.to_kind())
+            }
+        }
+    }
+
+    /// What the fluid backend runs one `n`-rank cell on: the routed
+    /// topology (the shared one, or a preset's fresh wiring), the
+    /// rank→host map and the effective MPI stack, seeded exactly as
+    /// [`Fabric::world_with`] seeds the packet path (same placement, same
+    /// `seed ^ 0x5A5A_5A5A` MPI seed). The caller lends the topology to a
+    /// [`simmpi::FluidWorld`].
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the spec's capacity (callers validate first).
+    pub fn fluid_cell(
+        &self,
+        spec: &ScenarioSpec,
+        n: usize,
+        seed: u64,
+    ) -> (Arc<Topology>, Vec<HostId>, simmpi::MpiConfig) {
+        match &self.0 {
+            Wiring::Preset(preset) => {
+                let (topo, hosts) = preset.build_fabric(n);
+                (Arc::new(topo), hosts, seeded_mpi(preset.mpi, seed))
+            }
+            Wiring::Generated { topo, layout } => (
+                Arc::clone(topo),
+                spec.placement.place(layout, n, seed),
+                seeded_mpi(spec.mpi.apply(simmpi::MpiConfig::default()), seed),
+            ),
+        }
+    }
+}
+
+/// Builds an `n`-rank world for the scenario from scratch: a fresh
+/// [`Fabric`] used once. Sessions build the fabric once per scenario and
+/// call [`Fabric::world_with`] per cell instead.
 ///
 /// # Panics
 /// Panics if `n` exceeds the spec's capacity (callers validate first).
@@ -188,37 +326,12 @@ pub fn build_world_with<R: Recorder>(
     seed: u64,
     recorder: R,
 ) -> Result<World<R>, SpecError> {
-    if let TopologySpec::Preset { preset } = &spec.topology {
-        // Presets carry their own MPI stack; apply the spec's overrides on
-        // top before building.
-        let mut preset = preset_by_name(preset)?;
-        preset.mpi = spec.mpi.apply(preset.mpi);
-        return Ok(preset.build_world_with(n, seed, recorder));
-    }
-    let g = generated(&spec.topology)?;
-    let ranks = spec.placement.place(&g, n, seed);
-    let sim_config = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    let topo = g
-        .builder
-        .build(&sim_config)
-        .map_err(|e| SpecError::Invalid(format!("topology failed to build: {e}")))?;
-    let sim = Simulator::with_recorder(topo, sim_config, recorder);
-    let mpi = simmpi::MpiConfig {
-        seed: seed ^ 0x5A5A_5A5A,
-        ..spec.mpi.apply(simmpi::MpiConfig::default())
-    };
-    Ok(World::new(sim, ranks, mpi, spec.transport.to_kind()))
+    Ok(Fabric::build(spec)?.world_with(spec, n, seed, recorder))
 }
 
-/// Builds the bare fabric for the fluid backend: the routed
-/// [`Topology`] plus the rank→host map and the effective MPI stack, with
-/// every stochastic element seeded from `seed` exactly as
-/// [`build_world`] seeds the packet path (same placement, same
-/// `seed ^ 0x5A5A_5A5A` MPI seed). The caller owns the topology and
-/// lends it to a [`simmpi::FluidWorld`].
+/// Builds the bare fabric for the fluid backend from scratch:
+/// [`Fabric::fluid_cell`] on a fresh [`Fabric`], with the topology handed
+/// over by value.
 ///
 /// # Panics
 /// Panics if `n` exceeds the spec's capacity (callers validate first).
@@ -227,31 +340,11 @@ pub fn build_fluid_fabric(
     n: usize,
     seed: u64,
 ) -> Result<(Topology, Vec<HostId>, simmpi::MpiConfig), SpecError> {
-    if let TopologySpec::Preset { preset } = &spec.topology {
-        let mut preset = preset_by_name(preset)?;
-        preset.mpi = spec.mpi.apply(preset.mpi);
-        let (topo, hosts) = preset.build_fabric(n, seed);
-        let mpi = simmpi::MpiConfig {
-            seed: seed ^ 0x5A5A_5A5A,
-            ..preset.mpi
-        };
-        return Ok((topo, hosts, mpi));
-    }
-    let g = generated(&spec.topology)?;
-    let ranks = spec.placement.place(&g, n, seed);
-    let sim_config = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    let topo = g
-        .builder
-        .build(&sim_config)
-        .map_err(|e| SpecError::Invalid(format!("topology failed to build: {e}")))?;
-    let mpi = simmpi::MpiConfig {
-        seed: seed ^ 0x5A5A_5A5A,
-        ..spec.mpi.apply(simmpi::MpiConfig::default())
-    };
-    Ok((topo, ranks, mpi))
+    let fabric = Fabric::build(spec)?;
+    let (topo, hosts, mpi) = fabric.fluid_cell(spec, n, seed);
+    drop(fabric);
+    let topo = Arc::into_inner(topo).expect("the fabric was this function's own");
+    Ok((topo, hosts, mpi))
 }
 
 #[cfg(test)]
@@ -278,6 +371,30 @@ mod tests {
             let world = build_world(&spec, n, 7).unwrap();
             assert_eq!(world.n_ranks(), n, "{}", spec.name);
         }
+    }
+
+    #[test]
+    fn a_fabric_lends_one_topology_to_every_cell() {
+        let spec = crate::registry::by_name("fat-tree-uniform").unwrap();
+        let fabric = Fabric::build(&spec).unwrap();
+        let topo = Arc::clone(fabric.shared_topology().expect("generated"));
+        let a = fabric.world_with(&spec, 8, 1, NoopRecorder);
+        let b = fabric.world_with(&spec, 16, 2, NoopRecorder);
+        let (fluid_topo, hosts, _) = fabric.fluid_cell(&spec, 8, 1);
+        for lent in [a.sim().topology(), b.sim().topology(), &*fluid_topo] {
+            assert!(std::ptr::eq(lent, &*topo), "a cell got a copy");
+        }
+        assert_eq!(hosts.len(), 8);
+        // Same placement on both tiers, and nothing seeded in the fabric.
+        let from_scratch = build_world(&spec, 8, 1).unwrap();
+        for (s, d) in [(hosts[0], hosts[7]), (hosts[3], hosts[1])] {
+            assert_eq!(from_scratch.sim().topology().route(s, d), topo.route(s, d));
+        }
+
+        let preset = crate::registry::by_name("paper-myrinet").unwrap();
+        let fabric = Fabric::build(&preset).unwrap();
+        assert!(fabric.shared_topology().is_none(), "presets wire per cell");
+        assert_eq!(fabric.world_with(&preset, 4, 1, NoopRecorder).n_ranks(), 4);
     }
 
     #[test]

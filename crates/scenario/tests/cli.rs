@@ -267,6 +267,10 @@ fn metrics_and_trace_flags_write_valid_json_files() {
         metrics.contains("\"engine\": {"),
         "telemetry attached: {metrics}"
     );
+    assert!(
+        metrics.contains("\"fabric_builds\": 1,"),
+        "one shared fabric for the fit and the cell: {metrics}"
+    );
 
     let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
     validate_json(&trace).expect("--trace emits valid JSON");

@@ -75,9 +75,45 @@ struct Transfer {
 #[derive(Debug)]
 enum PairQueue {
     /// Issued sends (transfer ids) with no matching receive yet.
-    Sends(VecDeque<u64>),
+    Sends(Waiters<u64>),
     /// Posted receives (post instants) with no matching send yet.
-    Recvs(VecDeque<f64>),
+    Recvs(Waiters<f64>),
+}
+
+/// A never-empty FIFO whose head lives inline. Almost every pair queue of
+/// an all-to-all holds exactly one waiter for its whole life, so the heap
+/// is touched only when a second one arrives (an empty `VecDeque` owns no
+/// allocation).
+#[derive(Debug)]
+struct Waiters<T> {
+    head: T,
+    rest: VecDeque<T>,
+}
+
+impl<T: Copy> Waiters<T> {
+    fn new(head: T) -> Self {
+        Self {
+            head,
+            rest: VecDeque::new(),
+        }
+    }
+
+    fn push_back(&mut self, waiter: T) {
+        self.rest.push_back(waiter);
+    }
+
+    /// Removes the head; `true` when that was the last waiter and the
+    /// queue must be dropped.
+    fn pop_front(&mut self) -> (T, bool) {
+        let head = self.head;
+        match self.rest.pop_front() {
+            Some(next) => {
+                self.head = next;
+                (head, false)
+            }
+            None => (head, true),
+        }
+    }
 }
 
 /// A heap event: something a rank waits on resolves at `at_ns`.
@@ -208,6 +244,14 @@ impl<'a> FluidWorld<'a> {
         guard: RunGuard,
     ) -> (Result<RunResult, RunInterrupt>, R) {
         assert_eq!(programs.len(), self.n, "one program per rank");
+        let sends: usize = programs
+            .iter()
+            .flatten()
+            .map(|op| match op {
+                Op::Transfer { sends, .. } => sends.len(),
+                Op::Barrier => 0,
+            })
+            .sum();
         let mut net = FluidSim::with_recorder(self.topo, recorder);
         net.set_finish_window(FINISH_WINDOW_REL);
         net.set_guard(guard);
@@ -226,7 +270,7 @@ impl<'a> FluidWorld<'a> {
                     finished: None,
                 })
                 .collect(),
-            transfers: Vec::new(),
+            transfers: Vec::with_capacity(sends),
             pair_queues: HashMap::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -420,14 +464,15 @@ impl<R: Recorder> Interp<'_, '_, R> {
             Entry::Occupied(mut e) => match e.get_mut() {
                 PairQueue::Sends(q) => q.push_back(tid),
                 PairQueue::Recvs(q) => {
-                    tr.post_ns = q.pop_front().expect("queues are never left empty");
-                    if q.is_empty() {
+                    let (post_ns, last) = q.pop_front();
+                    tr.post_ns = post_ns;
+                    if last {
                         e.remove();
                     }
                 }
             },
             Entry::Vacant(e) => {
-                e.insert(PairQueue::Sends(VecDeque::from([tid])));
+                e.insert(PairQueue::Sends(Waiters::new(tid)));
             }
         }
         let matched = !tr.post_ns.is_nan();
@@ -455,15 +500,15 @@ impl<R: Recorder> Interp<'_, '_, R> {
             Entry::Occupied(mut e) => match e.get_mut() {
                 PairQueue::Recvs(q) => return q.push_back(now_ns),
                 PairQueue::Sends(q) => {
-                    let tid = q.pop_front().expect("queues are never left empty");
-                    if q.is_empty() {
+                    let (tid, last) = q.pop_front();
+                    if last {
                         e.remove();
                     }
                     tid
                 }
             },
             Entry::Vacant(e) => {
-                e.insert(PairQueue::Recvs(VecDeque::from([now_ns])));
+                e.insert(PairQueue::Recvs(Waiters::new(now_ns)));
                 return;
             }
         };
@@ -524,7 +569,7 @@ impl<R: Recorder> Interp<'_, '_, R> {
 mod tests {
     use super::*;
     use crate::alltoall::AllToAllAlgorithm;
-    use simnet::config::{LinkConfig, SimConfig, SwitchConfig};
+    use simnet::config::{LinkConfig, SwitchConfig};
     use simnet::topology::TopologyBuilder;
 
     fn star(n: usize) -> (Topology, Vec<HostId>) {
@@ -534,11 +579,39 @@ mod tests {
         for &h in &hosts {
             b.link_host(h, sw, LinkConfig::gigabit_ethernet());
         }
-        (b.build(&SimConfig::default()).unwrap(), hosts)
+        (b.build().unwrap(), hosts)
     }
 
     fn world<'a>(topo: &'a Topology, hosts: &'a [HostId]) -> FluidWorld<'a> {
         FluidWorld::new(topo, hosts.to_vec(), MpiConfig::default())
+    }
+
+    #[test]
+    fn waiters_pop_in_arrival_order_and_flag_the_last() {
+        let mut q = Waiters::new(7u64);
+        q.push_back(8);
+        q.push_back(9);
+        assert_eq!(q.pop_front(), (7, false));
+        q.push_back(10);
+        assert_eq!(q.pop_front(), (8, false));
+        assert_eq!(q.pop_front(), (9, false));
+        assert_eq!(q.pop_front(), (10, true));
+    }
+
+    #[test]
+    fn two_sends_queued_behind_one_peer_both_match() {
+        // Both eager sends issue before rank 1 posts a receive for them
+        // (it is still receiving from rank 2), so they wait in one pair
+        // queue — head inline, the second behind it — and both must be
+        // matched by the two receives that follow.
+        let (topo, hosts) = star(3);
+        let w = world(&topo, &hosts);
+        let r = w.run(vec![
+            vec![Op::send(1, 100), Op::send(1, 200)],
+            vec![Op::recv(2), Op::recv(0), Op::recv(0)],
+            vec![Op::send(1, 4_000_000)],
+        ]);
+        assert!(r.finished[0] < r.finished[1], "receiver drains last");
     }
 
     #[test]

@@ -146,7 +146,7 @@ mod tests {
             b.link_host(h, sw, LinkConfig::gigabit_ethernet());
         }
         let cfg = SimConfig::default();
-        let sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+        let sim = Simulator::new(b.build().unwrap(), cfg);
         World::new(
             sim,
             hosts,

@@ -25,7 +25,7 @@
 //!     b.link_host(h, sw, LinkConfig::gigabit_ethernet());
 //! }
 //! let cfg = SimConfig::default();
-//! let sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+//! let sim = Simulator::new(b.build().unwrap(), cfg);
 //! let mut world = World::new(sim, hosts, MpiConfig::default(),
 //!                            TransportKind::Tcp(TcpConfig::default()));
 //! let times = alltoall_times(&mut world, AllToAllAlgorithm::DirectExchange,

@@ -577,7 +577,7 @@ mod tests {
             b.link_host(h, sw, LinkConfig::gigabit_ethernet());
         }
         let cfg = SimConfig::default();
-        let sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+        let sim = Simulator::new(b.build().unwrap(), cfg);
         World::new(sim, hosts, mpi, TransportKind::Tcp(TcpConfig::default()))
     }
 
@@ -749,7 +749,7 @@ mod tests {
             b.link_host(h, sw, LinkConfig::gigabit_ethernet());
         }
         let cfg = SimConfig::default();
-        let sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+        let sim = Simulator::new(b.build().unwrap(), cfg);
         let _ = World::new(
             sim,
             vec![hosts[0], hosts[0]],

@@ -18,7 +18,7 @@ fn star_world(n: usize, mpi: MpiConfig, seed: u64) -> World {
         seed,
         ..SimConfig::default()
     };
-    let sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+    let sim = Simulator::new(b.build().unwrap(), cfg);
     World::new(sim, hosts, mpi, TransportKind::Tcp(TcpConfig::default()))
 }
 

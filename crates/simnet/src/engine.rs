@@ -45,6 +45,7 @@ use contention_obs::{NoopRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Freelist/band terminator for the pooled packet chunks.
 const NIL: u32 = u32::MAX;
@@ -225,7 +226,9 @@ impl SerializerState {
 /// engines are the same machine code. Attach a recording implementation
 /// with [`Simulator::with_recorder`].
 pub struct Simulator<R: Recorder = NoopRecorder> {
-    topo: Topology,
+    /// Shared and immutable: many simulators (one per measurement cell)
+    /// can run over one built fabric without copying its route table.
+    topo: Arc<Topology>,
     config: SimConfig,
     time: SimTime,
     queue: EventQueue,
@@ -282,15 +285,17 @@ pub struct Simulator<R: Recorder = NoopRecorder> {
 
 impl Simulator {
     /// Creates a simulator over a built topology with telemetry disabled
-    /// (the zero-cost [`NoopRecorder`]).
-    pub fn new(topo: Topology, config: SimConfig) -> Self {
+    /// (the zero-cost [`NoopRecorder`]). Pass an owned [`Topology`] or an
+    /// `Arc<Topology>` shared with other simulators.
+    pub fn new(topo: impl Into<Arc<Topology>>, config: SimConfig) -> Self {
         Self::with_recorder(topo, config, NoopRecorder)
     }
 }
 
 impl<R: Recorder> Simulator<R> {
     /// Creates a simulator that reports engine events to `recorder`.
-    pub fn with_recorder(topo: Topology, config: SimConfig, recorder: R) -> Self {
+    pub fn with_recorder(topo: impl Into<Arc<Topology>>, config: SimConfig, recorder: R) -> Self {
+        let topo: Arc<Topology> = topo.into();
         let n_serializers = topo.n_serializers;
         let n_tx = topo.tx_params.len();
         let n_pools = topo.pool_capacity.len();
@@ -951,7 +956,7 @@ mod tests {
         for &h in &hosts {
             b.link_host(h, switch, link);
         }
-        let topo = b.build(&cfg).unwrap();
+        let topo = b.build().unwrap();
         (Simulator::new(topo, cfg), hosts)
     }
 
@@ -1300,7 +1305,7 @@ mod tests {
                 b.host_io_bus(250e6, 500);
             }
             let cfg = quiet_config();
-            let mut sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+            let mut sim = Simulator::new(b.build().unwrap(), cfg);
             let c0 =
                 sim.open_connection(hosts[0], hosts[1], TransportKind::Gm(GmConfig::default()));
             let c1 =
@@ -1406,7 +1411,7 @@ mod tests {
         for &h in &hosts {
             b.link_host(h, s, LinkConfig::gigabit_ethernet());
         }
-        let mut sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+        let mut sim = Simulator::new(b.build().unwrap(), cfg);
         for i in 0..12 {
             let c = sim.open_connection(
                 hosts[i],
@@ -1458,7 +1463,7 @@ mod tests {
             for &h in &hosts {
                 b.link_host(h, s, LinkConfig::gigabit_ethernet());
             }
-            (b.build(&cfg).unwrap(), cfg, hosts)
+            (b.build().unwrap(), cfg, hosts)
         };
         let drive = |sim: &mut Simulator<EngineRecorder>, hosts: &[HostId]| {
             for &h in &hosts[..4] {

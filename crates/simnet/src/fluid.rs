@@ -655,7 +655,7 @@ impl<'a> FluidNet<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LinkConfig, SimConfig, SwitchConfig};
+    use crate::config::{LinkConfig, SwitchConfig};
     use crate::topology::TopologyBuilder;
 
     fn star(n: usize) -> (Topology, Vec<HostId>) {
@@ -665,7 +665,7 @@ mod tests {
         for &h in &hosts {
             b.link_host(h, sw, LinkConfig::gigabit_ethernet());
         }
-        (b.build(&SimConfig::default()).unwrap(), hosts)
+        (b.build().unwrap(), hosts)
     }
 
     #[test]
@@ -750,7 +750,7 @@ mod tests {
             );
         }
         b.link_switches(e0, e1, LinkConfig::gigabit_ethernet());
-        let topo = b.build(&SimConfig::default()).unwrap();
+        let topo = b.build().unwrap();
         let m = 1_000_000u64;
         let t = FluidNet::alltoall_estimate(&topo, &hosts, m);
         // Cross traffic: 4×4 MB each way over one 125 MB/s trunk = 128 ms
@@ -771,7 +771,7 @@ mod tests {
             if bus {
                 b.host_io_bus(250e6, 500);
             }
-            (b.build(&SimConfig::default()).unwrap(), hosts)
+            (b.build().unwrap(), hosts)
         };
         let (t0, h0) = build(false);
         let (t1, h1) = build(true);
@@ -802,7 +802,7 @@ mod tests {
             link.bandwidth_bytes_per_sec *= if i >= 3 { 2.0 } else { 1.0 };
             b.link_host(h, sw, link);
         }
-        let topo = b.build(&SimConfig::default()).unwrap();
+        let topo = b.build().unwrap();
         let mut sim = FluidSim::new(&topo);
         let mut done = Vec::new();
         // 125 MB alone for 0.4 s (50 MB through), then a second flow into

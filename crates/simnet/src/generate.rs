@@ -610,7 +610,6 @@ pub fn dragonfly(p: &DragonflyParams) -> Generated {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
     use crate::topology::Endpoint;
 
     fn gbe() -> LinkConfig {
@@ -625,7 +624,7 @@ mod tests {
     fn single_switch_is_a_star() {
         let g = single_switch(5, gbe(), sw());
         assert_eq!(g.capacity(), 5);
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         assert_eq!(topo.hop_count(g.hosts[0], g.hosts[4]), 2);
     }
 
@@ -635,7 +634,7 @@ mod tests {
         assert_eq!(g.capacity(), 12);
         assert_eq!(g.host_groups.len(), 3);
         let (h0, h1, h4) = (g.hosts[0], g.hosts[1], g.hosts[4]);
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         assert_eq!(topo.hop_count(h0, h1), 2, "same leaf");
         assert_eq!(topo.hop_count(h0, h4), 4, "via core");
     }
@@ -656,7 +655,7 @@ mod tests {
         // over 2 uplinks → 125 MB/s each.
         assert!((p.uplink_bandwidth() - 125e6).abs() < 1.0);
         let g = two_level_tree(&p);
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         assert_eq!(topo.hop_count(g.hosts[0], g.hosts[31]), 4);
     }
 
@@ -674,7 +673,7 @@ mod tests {
         assert_eq!(g.agg_switches.len(), 8);
         assert_eq!(g.core_switches.len(), 4);
         let hosts = g.hosts.clone();
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         assert_eq!(topo.hop_count(hosts[0], hosts[1]), 2, "same edge");
         assert_eq!(topo.hop_count(hosts[0], hosts[2]), 4, "same pod");
         assert_eq!(topo.hop_count(hosts[0], hosts[15]), 6, "cross pod");
@@ -720,7 +719,7 @@ mod tests {
         assert_eq!(g.capacity(), 24);
         assert_eq!(g.edge_switches.len(), 12);
         let hosts = g.hosts.clone();
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         // Same switch: host → switch → host.
         assert_eq!(topo.hop_count(hosts[0], hosts[1]), 2);
         // Switch (0,0) → (2,1): ring distances 2 + 1, plus the two host
@@ -753,7 +752,7 @@ mod tests {
     fn torus_wrap_links_take_the_short_way() {
         let g = torus_2d(4, 1, 1, gbe(), sw());
         let hosts = g.hosts.clone();
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         // 0 → 3 wraps backwards: one switch hop, not three.
         assert_eq!(topo.hop_count(hosts[0], hosts[3]), 3);
         assert_eq!(topo.hop_count(hosts[0], hosts[2]), 4, "true diameter");
@@ -764,7 +763,7 @@ mod tests {
         let g = torus_3d(3, 3, 3, 1, gbe(), sw());
         assert_eq!(g.capacity(), 27);
         let hosts = g.hosts.clone();
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         // (0,0,0) → (1,1,1): three unit corrections + host hops.
         let dst = hosts[1 + 3 * (1 + 3)];
         assert_eq!(topo.hop_count(hosts[0], dst), 1 + 3 + 1);
@@ -785,7 +784,7 @@ mod tests {
         assert_eq!(g.capacity(), 32);
         assert_eq!(g.edge_switches.len(), 16);
         let hosts = g.hosts.clone();
-        let topo = g.builder.build(&SimConfig::default()).unwrap();
+        let topo = g.builder.build().unwrap();
         for &a in &hosts {
             for &b in &hosts {
                 if a != b {

@@ -28,7 +28,7 @@
 //!     b.link_host(h, sw, LinkConfig::gigabit_ethernet());
 //! }
 //! let cfg = SimConfig::default();
-//! let mut sim = Simulator::new(b.build(&cfg).unwrap(), cfg);
+//! let mut sim = Simulator::new(b.build().unwrap(), cfg);
 //! let conn = sim.open_connection(hosts[0], hosts[1], TransportKind::Tcp(TcpConfig::default()));
 //! sim.send(conn, 1_000_000, 42);
 //! while let Some(n) = sim.poll() {

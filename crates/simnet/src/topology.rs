@@ -13,7 +13,7 @@
 //! dimension-ordered (e-cube) selection for mesh/torus fabrics whose
 //! generators supply per-switch coordinates.
 
-use crate::config::{LinkConfig, SimConfig, SwitchConfig};
+use crate::config::{LinkConfig, SwitchConfig};
 use crate::ids::{HostId, PoolId, RouteId, SwitchId, TxId};
 
 /// How the builder resolves equal-cost next-hop choices when several
@@ -280,7 +280,15 @@ impl TopologyBuilder {
 
     /// Builds the fabric: creates transmitters and pools, verifies
     /// connectivity, and computes all host-pair routes.
-    pub fn build(self, _sim: &SimConfig) -> Result<Topology, TopologyError> {
+    ///
+    /// A topology is a **pure function of the builder**: nothing here is
+    /// seeded or randomized (ECMP spreading is a fixed hash of the flow's
+    /// endpoints), so two builds of one builder — or of two builders
+    /// assembled the same way — yield identical transmitters and route
+    /// tables. Callers that run many simulations over one fabric should
+    /// build it once and share it (`Arc<Topology>`); the all-pairs route
+    /// table is by far the most expensive part of setting a run up.
+    pub fn build(&self) -> Result<Topology, TopologyError> {
         if self.hosts == 0 {
             return Err(TopologyError::Empty);
         }
@@ -418,11 +426,20 @@ impl TopologyBuilder {
         // BFS distance-to-destination per destination host, then greedy
         // next-hop walks with hashed tie-breaking. Routes intern into one
         // flat arena so the engine can address them by `RouteId`.
+        //
+        // The next-hop candidates toward a destination depend on the node
+        // a walk stands on, never on where it started, so they are
+        // tabulated once per destination (`cand`, CSR over nodes) instead
+        // of being re-filtered — and re-allocated — on every hop of every
+        // source's walk.
+        let dimension_ordered = self.routing == RoutingPolicy::DimensionOrdered;
         let mut route_arena: Vec<TxId> = Vec::new();
         let mut route_spans: Vec<RouteSpan> = Vec::with_capacity(n_hosts * (n_hosts - 1));
         let mut route_ids: Vec<u32> = vec![u32::MAX; n_hosts * n_hosts];
         let mut dist = vec![u32::MAX; n_nodes];
         let mut queue = std::collections::VecDeque::new();
+        let mut cand: Vec<(TxId, usize)> = Vec::new();
+        let mut cand_start: Vec<usize> = vec![0; n_nodes + 1];
         for dst in 0..n_hosts {
             dist.iter_mut().for_each(|d| *d = u32::MAX);
             dist[dst] = 0;
@@ -436,6 +453,45 @@ impl TopologyBuilder {
                     }
                 }
             }
+            cand.clear();
+            for at in 0..n_nodes {
+                cand_start[at] = cand.len();
+                if at == dst || dist[at] == u32::MAX {
+                    continue;
+                }
+                // Every neighbour of a reached node is reached, so the
+                // `+ 1` cannot overflow.
+                cand.extend(
+                    adjacency[at]
+                        .iter()
+                        .filter(|&&(_, v)| dist[v] + 1 == dist[at]),
+                );
+                debug_assert!(cand.len() > cand_start[at], "BFS guarantees progress");
+                if !dimension_ordered {
+                    continue;
+                }
+                let Some(a) = coord_of(at) else { continue };
+                // Correct the lowest mismatched dimension first (BFS
+                // already restricted candidates to minimal moves);
+                // creation order breaks exact-midpoint wrap ties. Hops
+                // off the coordinate grid (the final descent into a
+                // host) sort after every real dimension. The pick is the
+                // node's only candidate from here on.
+                let pick = cand[cand_start[at]..]
+                    .iter()
+                    .copied()
+                    .min_by_key(|&(tx, v)| {
+                        let dim = match coord_of(v) {
+                            Some(c) => (0..3).find(|&d| a[d] != c[d]).unwrap_or(3),
+                            None => 3,
+                        };
+                        (dim, tx.index())
+                    })
+                    .expect("BFS guarantees progress");
+                cand.truncate(cand_start[at]);
+                cand.push(pick);
+            }
+            cand_start[n_nodes] = cand.len();
             for src in 0..n_hosts {
                 if src == dst {
                     continue;
@@ -449,38 +505,14 @@ impl TopologyBuilder {
                 let start = route_arena.len() as u32;
                 let mut at = src;
                 while at != dst {
-                    let candidates: Vec<&(TxId, usize)> = adjacency[at]
-                        .iter()
-                        .filter(|&&(_, v)| dist[v] + 1 == dist[at])
-                        .collect();
-                    debug_assert!(!candidates.is_empty(), "BFS guarantees progress");
-                    let dor_pick = || -> Option<&(TxId, usize)> {
-                        if self.routing != RoutingPolicy::DimensionOrdered {
-                            return None;
-                        }
-                        let a = coord_of(at)?;
-                        // Correct the lowest mismatched dimension first
-                        // (BFS already restricted candidates to minimal
-                        // moves); creation order breaks exact-midpoint
-                        // wrap ties. Hops off the coordinate grid (the
-                        // final descent into a host) sort after every
-                        // real dimension.
-                        candidates.iter().copied().min_by_key(|&&(tx, v)| {
-                            let dim = match coord_of(v) {
-                                Some(c) => (0..3).find(|&d| a[d] != c[d]).unwrap_or(3),
-                                None => 3,
-                            };
-                            (dim, tx.index())
-                        })
-                    };
-                    let &(tx, next) = match dor_pick() {
-                        Some(pick) => pick,
-                        None => {
-                            // ECMP-style deterministic spreading over
-                            // equal-cost next hops and parallel links.
-                            let h = fxhash(src as u64, dst as u64, at as u64);
-                            candidates[(h % candidates.len() as u64) as usize]
-                        }
+                    let choices = &cand[cand_start[at]..cand_start[at + 1]];
+                    let (tx, next) = if let [only] = choices {
+                        *only
+                    } else {
+                        // ECMP-style deterministic spreading over
+                        // equal-cost next hops and parallel links.
+                        let h = fxhash(src as u64, dst as u64, at as u64);
+                        choices[(h % choices.len() as u64) as usize]
                     };
                     route_arena.push(tx);
                     at = next;
@@ -529,7 +561,7 @@ mod tests {
         for &h in &hosts {
             b.link_host(h, sw, LinkConfig::gigabit_ethernet());
         }
-        (b.build(&SimConfig::default()).unwrap(), hosts)
+        (b.build().unwrap(), hosts)
     }
 
     #[test]
@@ -572,7 +604,7 @@ mod tests {
         }
         b.link_switches(edge0, core, LinkConfig::gigabit_ethernet());
         b.link_switches(edge1, core, LinkConfig::gigabit_ethernet());
-        let topo = b.build(&SimConfig::default()).unwrap();
+        let topo = b.build().unwrap();
         assert_eq!(topo.hop_count(hosts[0], hosts[1]), 2); // same edge
         assert_eq!(topo.hop_count(hosts[0], hosts[15]), 4); // via core
     }
@@ -591,7 +623,7 @@ mod tests {
         }
         b.link_switches(edge0, edge1, LinkConfig::gigabit_ethernet());
         b.link_switches(edge0, edge1, LinkConfig::gigabit_ethernet());
-        let topo = b.build(&SimConfig::default()).unwrap();
+        let topo = b.build().unwrap();
         // Cross-tree flows should not all use the same uplink transmitter.
         let used: std::collections::HashSet<TxId> = hosts[..4]
             .iter()
@@ -606,7 +638,7 @@ mod tests {
         let mut b = TopologyBuilder::new();
         let _lonely = b.add_host();
         assert_eq!(
-            b.build(&SimConfig::default()).unwrap_err(),
+            b.build().unwrap_err(),
             TopologyError::DisconnectedHost(HostId::from_index(0))
         );
     }
@@ -619,18 +651,13 @@ mod tests {
         let s1 = b.add_switch(SwitchConfig::commodity_ethernet());
         b.link_host(h[0], s0, LinkConfig::gigabit_ethernet());
         b.link_host(h[1], s1, LinkConfig::gigabit_ethernet());
-        assert!(matches!(
-            b.build(&SimConfig::default()),
-            Err(TopologyError::Unreachable(..))
-        ));
+        assert!(matches!(b.build(), Err(TopologyError::Unreachable(..))));
     }
 
     #[test]
     fn empty_topology_is_an_error() {
         assert_eq!(
-            TopologyBuilder::new()
-                .build(&SimConfig::default())
-                .unwrap_err(),
+            TopologyBuilder::new().build().unwrap_err(),
             TopologyError::Empty
         );
     }
@@ -651,7 +678,7 @@ mod tests {
             b.link_host(h, sw, LinkConfig::myrinet_2000());
         }
         b.host_io_bus(250e6, 500);
-        let topo = b.build(&SimConfig::default()).unwrap();
+        let topo = b.build().unwrap();
         // host → bus → switch → bus' → host': 4 transmitters.
         assert_eq!(topo.hop_count(hosts[0], hosts[1]), 4);
         let fwd = topo.route(hosts[0], hosts[1]);

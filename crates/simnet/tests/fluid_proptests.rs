@@ -33,8 +33,7 @@ fn star(n: usize, bandwidth: f64) -> (Topology, Vec<HostId>) {
             },
         );
     }
-    let cfg = SimConfig::default();
-    (b.build(&cfg).expect("star builds"), hosts)
+    (b.build().expect("star builds"), hosts)
 }
 
 /// Recorder that audits capacity conservation: every utilization sample
@@ -84,10 +83,7 @@ fn multi_bottleneck_fabric(fat: bool) -> (Topology, Vec<HostId>) {
             core_switch: switch,
         })
     };
-    let topo = g
-        .builder
-        .build(&SimConfig::default())
-        .expect("fabric builds");
+    let topo = g.builder.build().expect("fabric builds");
     (topo, g.hosts)
 }
 

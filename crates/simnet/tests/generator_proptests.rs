@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 use simnet::generate::{
-    dragonfly, fat_tree, torus, two_level_tree, DragonflyParams, FatTreeParams, Placement,
-    TorusParams, TreeParams,
+    dragonfly, fat_tree, single_switch, star_of_switches, torus, two_level_tree, DragonflyParams,
+    FatTreeParams, Generated, Placement, TorusParams, TreeParams,
 };
-use simnet::ids::HostId;
+use simnet::ids::{HostId, TxId};
 use simnet::prelude::*;
 use simnet::topology::Endpoint;
 
@@ -29,8 +29,242 @@ fn bandwidth_into(topo: &Topology, pool: usize, to: Endpoint) -> f64 {
         .sum()
 }
 
+/// One fabric of generator family `family` (0..6), sized by three small
+/// knobs, plus its per-switch coordinates when the family routes
+/// dimension-ordered. Every family offers equal-cost choices for some
+/// sizes: parallel uplinks, fat-tree aggregation/core fan-out, torus
+/// midpoints, dragonfly local detours.
+fn generate_family(
+    family: usize,
+    a: usize,
+    b: usize,
+    c: usize,
+) -> (Generated, Option<Vec<[u16; 3]>>) {
+    match family {
+        0 => (single_switch(a * b + 1, gbe(), sw()), None),
+        1 => (
+            star_of_switches(a + 1, b, gbe(), gbe(), c, sw(), sw()),
+            None,
+        ),
+        2 => {
+            let p = TreeParams {
+                leaves: a + 1,
+                hosts_per_leaf: b,
+                edge_link: gbe(),
+                uplinks_per_leaf: c,
+                oversubscription: 2.0,
+                uplink_latency_ns: 5_000,
+                edge_switch: sw(),
+                core_switch: sw(),
+            };
+            (two_level_tree(&p), None)
+        }
+        3 => {
+            let p = FatTreeParams {
+                k: 2 * (1 + a % 2),
+                hosts_per_edge: b,
+                link: gbe(),
+                switch: sw(),
+            };
+            (fat_tree(&p), None)
+        }
+        4 => {
+            let dims = [a + 1, b, c];
+            let p = TorusParams {
+                dims,
+                hosts_per_switch: 1 + (a + b) % 2,
+                link: gbe(),
+                switch: sw(),
+            };
+            // Switch s sits at (x, y, z) with x fastest — the generator's
+            // own numbering.
+            let coords = (0..dims.iter().product::<usize>())
+                .map(|s| {
+                    [
+                        (s % dims[0]) as u16,
+                        ((s / dims[0]) % dims[1]) as u16,
+                        (s / (dims[0] * dims[1])) as u16,
+                    ]
+                })
+                .collect();
+            (torus(&p), Some(coords))
+        }
+        _ => {
+            let p = DragonflyParams {
+                groups: a + 1,
+                routers_per_group: b,
+                hosts_per_router: c,
+                host_link: gbe(),
+                local_link: gbe(),
+                global_link: gbe(),
+                switch: sw(),
+            };
+            (dragonfly(&p), None)
+        }
+    }
+}
+
+/// The builder's ECMP mixing hash, restated.
+fn ecmp_hash(a: u64, b: u64, c: u64) -> u64 {
+    let mut x = a
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+        .wrapping_add(c.wrapping_mul(0x1656_67B1_9E37_79F9));
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    x
+}
+
+/// Reference route construction: the per-hop algorithm the builder used
+/// before it tabulated next-hop candidates per destination. For every
+/// ordered host pair it walks from the source, at each node filtering
+/// the adjacency down to the neighbours one BFS step closer to the
+/// destination, then picking dimension-ordered (when the node has
+/// coordinates) or by the ECMP hash of `(src, dst, node)`.
+///
+/// Works from the built topology alone: transmitters are created in
+/// pairs (`2k` = a→b, `2k+1` = b→a) in link order, so the sender of
+/// transmitter `i` is the receiver of `i ^ 1`, and listing transmitters
+/// by sender in index order reproduces the builder's adjacency order.
+fn reference_routes(topo: &Topology, coords: Option<&[[u16; 3]]>) -> Vec<Vec<TxId>> {
+    let n_hosts = topo.n_hosts;
+    let n_switches = topo.pool_capacity.len() - n_hosts;
+    let node_of = |e: Endpoint| match e {
+        Endpoint::Host(h) => h.index(),
+        Endpoint::Switch(s) => n_hosts + s.index(),
+        Endpoint::Bus(h) => n_hosts + n_switches + h.index(),
+    };
+    let has_bus = topo
+        .tx_params
+        .iter()
+        .any(|tx| matches!(tx.to, Endpoint::Bus(_)));
+    let n_nodes = n_hosts + n_switches + if has_bus { n_hosts } else { 0 };
+    let mut adjacency: Vec<Vec<(TxId, usize)>> = vec![Vec::new(); n_nodes];
+    for (i, tx) in topo.tx_params.iter().enumerate() {
+        let from = node_of(topo.tx_params[i ^ 1].to);
+        adjacency[from].push((TxId::new(i), node_of(tx.to)));
+    }
+    let coord_of = |node: usize| -> Option<[u16; 3]> {
+        let coords = coords?;
+        (node >= n_hosts && node < n_hosts + n_switches).then(|| coords[node - n_hosts])
+    };
+
+    let mut routes = vec![Vec::new(); n_hosts * n_hosts];
+    for dst in 0..n_hosts {
+        let mut dist = vec![u32::MAX; n_nodes];
+        dist[dst] = 0;
+        let mut queue = std::collections::VecDeque::from([dst]);
+        while let Some(u) = queue.pop_front() {
+            for &(_, v) in &adjacency[u] {
+                if dist[v] == u32::MAX {
+                    dist[v] = dist[u] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        for src in (0..n_hosts).filter(|&src| src != dst) {
+            let mut at = src;
+            while at != dst {
+                let candidates: Vec<(TxId, usize)> = adjacency[at]
+                    .iter()
+                    .copied()
+                    .filter(|&(_, v)| dist[v] + 1 == dist[at])
+                    .collect();
+                let dimension_ordered = coord_of(at).map(|a| {
+                    *candidates
+                        .iter()
+                        .min_by_key(|&&(tx, v)| {
+                            let dim = match coord_of(v) {
+                                Some(c) => (0..3).find(|&d| a[d] != c[d]).unwrap_or(3),
+                                None => 3,
+                            };
+                            (dim, tx.index())
+                        })
+                        .expect("BFS guarantees progress")
+                });
+                let (tx, next) = dimension_ordered.unwrap_or_else(|| {
+                    let h = ecmp_hash(src as u64, dst as u64, at as u64);
+                    candidates[(h % candidates.len() as u64) as usize]
+                });
+                routes[src * n_hosts + dst].push(tx);
+                at = next;
+            }
+        }
+    }
+    routes
+}
+
+fn assert_routes_match_reference(topo: &Topology, coords: Option<&[[u16; 3]]>) {
+    let reference = reference_routes(topo, coords);
+    for src in 0..topo.n_hosts {
+        for dst in (0..topo.n_hosts).filter(|&dst| dst != src) {
+            assert_eq!(
+                topo.route(HostId::new(src), HostId::new(dst)),
+                &reference[src * topo.n_hosts + dst][..],
+                "route {src} -> {dst}"
+            );
+        }
+    }
+}
+
+/// Presets put a shared-serializer I/O bus between every host and its
+/// NIC; the generators never do, so the bus-node numbering of the route
+/// construction gets its own fixed case: parallel uplinks behind buses.
+#[test]
+fn bus_fabric_routes_match_the_per_hop_reference() {
+    let mut g = star_of_switches(3, 4, gbe(), gbe(), 3, sw(), sw());
+    g.builder.host_io_bus(250e6, 500);
+    let topo = g.builder.build().unwrap();
+    assert_eq!(topo.hop_count(g.hosts[0], g.hosts[11]), 6);
+    assert_routes_match_reference(&topo, None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A topology is a pure function of its builder: for all six
+    /// generator families, generating the same fabric twice — and
+    /// building one builder twice — yields identical transmitters and
+    /// identical route tables.
+    #[test]
+    fn builds_are_pure_functions_of_the_generator_parameters(
+        family in 0usize..6,
+        a in 1usize..4,
+        b in 1usize..4,
+        c in 1usize..4,
+    ) {
+        let (g1, _) = generate_family(family, a, b, c);
+        let (g2, _) = generate_family(family, a, b, c);
+        let first = g1.builder.build().unwrap();
+        for other in [g1.builder.build().unwrap(), g2.builder.build().unwrap()] {
+            prop_assert_eq!(
+                format!("{:?}", first.tx_params),
+                format!("{:?}", other.tx_params)
+            );
+            prop_assert_eq!(&first.pool_capacity, &other.pool_capacity);
+            for &s in &g1.hosts {
+                for &d in g1.hosts.iter().filter(|&&d| d != s) {
+                    prop_assert_eq!(first.route(s, d), other.route(s, d), "{} -> {}", s, d);
+                }
+            }
+        }
+    }
+
+    /// The tabulated route construction picks, hop for hop, what the
+    /// per-hop reference picks — ECMP-hashed families and the
+    /// dimension-ordered torus alike, at random sizes.
+    #[test]
+    fn tabulated_routes_match_the_per_hop_reference(
+        family in 0usize..6,
+        a in 1usize..5,
+        b in 1usize..5,
+        c in 1usize..4,
+    ) {
+        let (g, coords) = generate_family(family, a, b, c);
+        let topo = g.builder.build().unwrap();
+        assert_routes_match_reference(&topo, coords.as_deref());
+    }
 
     /// Fat-trees for k ∈ {2, 4} and 2–8 hosts per edge: every pair routes,
     /// route lengths are symmetric, and hop counts land exactly in the
@@ -39,7 +273,6 @@ proptest! {
     fn fat_tree_routes_respect_depth_classes(
         k_half in 1usize..3,       // k ∈ {2, 4}
         hosts_per_edge in 2usize..9,
-        seed in 0u64..100,
     ) {
         let k = 2 * k_half;
         let p = FatTreeParams { k, hosts_per_edge, link: gbe(), switch: sw() };
@@ -49,8 +282,7 @@ proptest! {
         prop_assert_eq!(g.agg_switches.len(), k * k / 2);
         prop_assert_eq!(g.core_switches.len(), (k / 2) * (k / 2));
         let hosts = g.hosts.clone();
-        let cfg = SimConfig { seed, ..SimConfig::default() };
-        let topo = g.builder.build(&cfg).unwrap();
+        let topo = g.builder.build().unwrap();
         let edge_of = |h: HostId| h.index() / hosts_per_edge;
         let pod_of = |h: HostId| edge_of(h) / (k / 2);
         for &a in &hosts {
@@ -82,7 +314,6 @@ proptest! {
         hosts_per_leaf in 2usize..9,
         uplinks_per_leaf in 1usize..4,
         oversub_x4 in 2u32..33,    // ratio ∈ [0.5, 8.25) in 0.25 steps
-        seed in 0u64..100,
     ) {
         let oversubscription = oversub_x4 as f64 / 4.0;
         let p = TreeParams {
@@ -100,8 +331,7 @@ proptest! {
         let n_hosts = hosts.len();
         let core = *g.core_switches.first().unwrap();
         let leaf_switches = g.edge_switches.clone();
-        let cfg = SimConfig { seed, ..SimConfig::default() };
-        let topo = g.builder.build(&cfg).unwrap();
+        let topo = g.builder.build().unwrap();
 
         // Hop classes and symmetry.
         let leaf_of = |h: HostId| h.index() / hosts_per_leaf;
@@ -146,7 +376,6 @@ proptest! {
         ny in 1usize..5,
         nz in 1usize..4,
         hosts_per_switch in 1usize..4,
-        seed in 0u64..100,
     ) {
         prop_assume!(nx * ny * nz >= 2);
         let p = TorusParams {
@@ -158,10 +387,9 @@ proptest! {
         let g = torus(&p);
         prop_assert_eq!(g.capacity(), nx * ny * nz * hosts_per_switch);
         let hosts = g.hosts.clone();
-        let cfg = SimConfig { seed, ..SimConfig::default() };
         // Connectivity: build() errors on any unreachable pair, so a
         // successful build *is* the route-between-every-pair proof.
-        let topo = g.builder.build(&cfg).unwrap();
+        let topo = g.builder.build().unwrap();
         let coord_of = |h: HostId| {
             let s = h.index() / hosts_per_switch;
             [s % nx, (s / nx) % ny, s / (nx * ny)]
@@ -194,7 +422,6 @@ proptest! {
         groups in 1usize..6,
         routers in 1usize..5,
         hosts_per_router in 1usize..4,
-        seed in 0u64..100,
     ) {
         prop_assume!(groups * routers >= 2);
         let p = DragonflyParams {
@@ -210,8 +437,7 @@ proptest! {
         prop_assert_eq!(g.capacity(), groups * routers * hosts_per_router);
         prop_assert_eq!(g.edge_switches.len(), groups * routers);
         let hosts = g.hosts.clone();
-        let cfg = SimConfig { seed, ..SimConfig::default() };
-        let topo = g.builder.build(&cfg).unwrap();
+        let topo = g.builder.build().unwrap();
         let router_of = |h: HostId| h.index() / hosts_per_router;
         let group_of = |h: HostId| router_of(h) / routers;
         for &a in &hosts {

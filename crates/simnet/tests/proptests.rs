@@ -35,7 +35,7 @@ fn build_topology(n: usize, two_tier: bool, buffer_kb: u64, seed: u64) -> (Simul
         seed,
         ..SimConfig::default()
     };
-    let topo = b.build(&cfg).unwrap();
+    let topo = b.build().unwrap();
     (Simulator::new(topo, cfg), hosts)
 }
 
