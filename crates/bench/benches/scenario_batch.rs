@@ -7,8 +7,7 @@
 //!
 //! The harness drives the library the way embedders do: specs come from
 //! the fluent `ScenarioBuilder`, execution goes through a `Session` per
-//! worker count, and all sessions share one `CalibrationCache` (the
-//! session-owned replacement for the old process-global memo), so the
+//! worker count, and all sessions share one `CalibrationCache`, so the
 //! measured loop is pure executor — fits happen once, outside the timer.
 
 use contention_scenario::prelude::*;

@@ -48,6 +48,7 @@
 
 use contention_bench::hotpath::{build_alltoall, cases, drive_alltoall};
 use simnet::guard::RunGuard;
+use simnet::obs::json::{self, Value};
 use simnet::obs::{EngineRecorder, NoopRecorder, Recorder, TelemetryConfig};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -104,18 +105,18 @@ fn measure_pair(a: impl Fn() -> u64, b: impl Fn() -> u64) -> (u64, u64, f64) {
     (best_a, best_b, median)
 }
 
-/// The snapshot's `median_ns` for a benchmark name, scanned from the
-/// save-json format (`{"name": …, "median_ns": …}` entries).
-fn snapshot_median_ns(json: &str, bench: &str) -> Option<u64> {
-    let needle = format!("\"name\": \"{bench}\"");
-    let entry = &json[json.find(&needle)? + needle.len()..];
-    let entry = &entry[entry.find("\"median_ns\":")? + "\"median_ns\":".len()..];
-    let digits: String = entry
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// The snapshot's `median_ns` for a benchmark name (`None` also when the
+/// snapshot is not the `{"benchmarks": [{"name": …, "median_ns": …}]}`
+/// document `--save-json` writes).
+fn snapshot_median_ns(text: &str, bench: &str) -> Option<u64> {
+    let doc = json::parse(text).ok()?;
+    let Value::Array(rows) = doc.get("benchmarks")? else {
+        return None;
+    };
+    rows.iter()
+        .find(|row| row.get("name").and_then(Value::as_str) == Some(bench))?
+        .get("median_ns")?
+        .as_u64()
 }
 
 fn tolerance_pct(flag: &str, env: &str, args: &[String], default: f64) -> f64 {

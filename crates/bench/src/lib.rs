@@ -1,17 +1,14 @@
 //! # contention-bench
 //!
-//! Benchmark targets (Criterion) and the `repro` binary that regenerates
-//! every table and figure of the paper. See `benches/` for:
+//! Benchmark targets (Criterion), the `repro` binary that regenerates
+//! every table and figure of the paper, the `overhead_gate` CI gate and
+//! `ctnbench` (`src/bin/ctnbench/`, the end-to-end + per-layer benchmark
+//! `BENCHMARK.json` declares). See `benches/` for:
 //!
-//! * `engine` — event-engine throughput under lossless bulk, lossy incast
-//!   and GM transfers;
 //! * `engine_hotpath` — the tracked hot-path benchmark whose results are
 //!   snapshotted in `BENCH_engine.json` (see [`hotpath`]);
-//! * `alltoall_algos` — the algorithm ablation (Direct Exchange blocking vs
-//!   nonblocking vs Bruck/pairwise/ring) and the eager-threshold ablation;
-//! * `model_fit` — Hockney/signature/GLS fitting costs (the "small
-//!   overhead" the paper advertises);
-//! * `figures` — one reduced-scale benchmark per paper figure.
+//! * `scenario_batch` — one builtin batch through `Session` at 1/2/4/8
+//!   workers.
 //!
 //! Run `cargo run --release -p contention-bench --bin repro -- all` to
 //! regenerate the paper's data series at quick scale, or `--full` for the

@@ -7,26 +7,30 @@
 //! cargo bench -p contention-bench --bench engine_hotpath -- --save-json ../../BENCH_engine.json
 //! ```
 
+use simnet::obs::json::{self, Value};
 use std::collections::BTreeSet;
 
-/// Pulls every `"name": "..."` value out of the snapshot. The file is
-/// written by the in-repo criterion stub's `--save-json`, one benchmark
-/// object per line, so plain string scanning is faithful to its format
-/// (no JSON dependency in the workspace).
-fn snapshot_names(json: &str) -> BTreeSet<String> {
-    json.split("\"name\": \"")
-        .skip(1)
-        .filter_map(|rest| rest.split('"').next())
-        .map(str::to_owned)
+/// Every `name` in the snapshot's `benchmarks` array (the document the
+/// in-repo criterion stub's `--save-json` writes).
+fn snapshot_names(text: &str) -> BTreeSet<String> {
+    let doc = json::parse(text).expect("bench snapshot is valid JSON");
+    let Some(Value::Array(rows)) = doc.get("benchmarks") else {
+        panic!("bench snapshot has no \"benchmarks\" array");
+    };
+    rows.iter()
+        .map(|row| {
+            let name = row.get("name").and_then(Value::as_str);
+            name.expect("every benchmark row has a name").to_owned()
+        })
         .collect()
 }
 
 #[test]
 fn bench_snapshot_names_match_the_bench_targets() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    let json = std::fs::read_to_string(path)
+    let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read bench snapshot {path}: {e}"));
-    let in_snapshot = snapshot_names(&json);
+    let in_snapshot = snapshot_names(&text);
     let expected: BTreeSet<String> = contention_bench::hotpath::expected_snapshot_names()
         .into_iter()
         .collect();

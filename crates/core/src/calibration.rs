@@ -11,10 +11,9 @@
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
 use crate::signature::ContentionSignature;
-use serde::{Deserialize, Serialize};
 
 /// Raw measurements feeding a calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationInput {
     /// Ping-pong one-way times: `(payload bytes, seconds)`.
     pub pingpong: Vec<(u64, f64)>,
@@ -25,7 +24,7 @@ pub struct CalibrationInput {
 }
 
 /// A completed calibration: Hockney parameters plus the fitted signature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Point-to-point parameters from step 1.
     pub hockney: HockneyParams,

@@ -10,10 +10,9 @@
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
 use contention_stats::regression::simple_proportional;
-use serde::{Deserialize, Serialize};
 
 /// The collective shapes we can bound and fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveShape {
     /// One-to-all, same payload (tree forwarding allowed).
     Broadcast,
@@ -65,7 +64,7 @@ impl CollectiveShape {
 }
 
 /// A fitted contention ratio for one collective on one network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveSignature {
     /// Which collective.
     pub shape: CollectiveShape,

@@ -10,10 +10,9 @@
 
 use crate::error::ModelError;
 use contention_stats::regression::simple_affine;
-use serde::{Deserialize, Serialize};
 
 /// Hockney parameters: start-up `α` (seconds) and gap `β` (seconds/byte).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HockneyParams {
     /// Per-message start-up latency in seconds.
     pub alpha_secs: f64,

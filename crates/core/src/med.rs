@@ -15,14 +15,13 @@
 //! Proposition 1 specializes this to the uniform All-to-All.
 
 use crate::hockney::HockneyParams;
-use serde::{Deserialize, Serialize};
 
 /// A message exchange digraph: `n` processes and weighted arcs.
 ///
 /// Arc weights accumulate: adding `(i, j, w)` twice yields one logical
 /// message stream of `2w` bytes for the bandwidth bounds, but counts as two
 /// start-ups for the degree bounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Med {
     n: usize,
     /// Arc list: (source, destination, bytes).

@@ -4,8 +4,6 @@
 //! (Figs. 8, 11, 14) and claims errors "usually smaller than 10 % when
 //! there are enough processes to saturate the network".
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's estimation error in percent: `(measured/estimated − 1)·100`.
 /// Positive means the model was optimistic (reality slower than predicted).
 pub fn estimation_error_percent(measured: f64, estimated: f64) -> f64 {
@@ -27,7 +25,7 @@ pub fn mape(measured: &[f64], estimated: &[f64]) -> f64 {
 
 /// One point of an accuracy report: a `(n, m)` cell with measured and
 /// predicted times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyPoint {
     /// Process count.
     pub n: usize,

@@ -2,13 +2,12 @@
 
 use super::CompletionModel;
 use crate::hockney::HockneyParams;
-use serde::{Deserialize, Serialize};
 
 /// Bruck et al. "suggested the use of a slowdown factor to correct the
 /// performance predictions" (§2): an empirically measured multiplier on the
 /// contention-free model. Structurally this is the paper's γ without the
 /// affine δ refinement — the signature model strictly generalizes it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BruckSlowdownModel {
     params: HockneyParams,
     /// The measured slowdown multiplier (≥ 1 in practice).

@@ -1,7 +1,6 @@
 //! Chun's size-dependent latency model.
 
 use super::CompletionModel;
-use serde::{Deserialize, Serialize};
 
 /// Chun treats contention as a component of latency: the per-message
 /// latency `L(m)` takes different values for different message-size classes
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper's criticism (§2, §6): `L(m)` ignores *how many* messages are in
 /// flight and the link capacity, both of which drive real contention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunModel {
     /// Size classes as `(upper_bound_inclusive, latency_secs)`, sorted by
     /// bound; the last entry should use `u64::MAX` as a catch-all.

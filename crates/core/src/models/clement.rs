@@ -2,7 +2,6 @@
 //! (paper eq. 2).
 
 use super::CompletionModel;
-use serde::{Deserialize, Serialize};
 
 /// Clement et al. model a transmission on a shared (non-switched) network
 /// as `T = l + b·γ/W` with the contention factor `γ` equal to the number of
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Accurate on hubs and bus networks; pessimistic on switched fabrics,
 /// which is exactly the gap the paper's measured signature closes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClementModel {
     /// Link latency `l` in seconds.
     pub latency_secs: f64,

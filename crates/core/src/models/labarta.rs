@@ -2,7 +2,6 @@
 
 use super::CompletionModel;
 use crate::hockney::HockneyParams;
-use serde::{Deserialize, Serialize};
 
 /// Labarta et al. approximate contention by assuming that when `k` messages
 /// are ready and only `b` "buses" exist, the messages serialize into
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// With `b ≥ n` this degenerates to the naive linear model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabartaModel {
     params: HockneyParams,
     /// Number of simultaneously usable "buses" (crossbar paths).

@@ -1,7 +1,6 @@
 //! A LogGP-based All-to-All model (related work: LoGPC's base model).
 
 use super::CompletionModel;
-use serde::{Deserialize, Serialize};
 
 /// LogGP parameters: latency `L`, per-message overhead `o`, per-message gap
 /// `g`, per-byte gap `G`. The direct-exchange All-to-All under 1-port
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// Like the Hockney-based eq. 1, this is contention-blind (LoGPC's
 /// contention extension required a k-ary n-cube analysis the paper deems
 /// impractical, which motivates the measured-signature approach).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogGpModel {
     /// Network latency `L` in seconds.
     pub latency_secs: f64,

@@ -2,13 +2,12 @@
 
 use super::CompletionModel;
 use crate::hockney::HockneyParams;
-use serde::{Deserialize, Serialize};
 
 /// Christara / Pjesivac-Grbovic-style model: the All-to-All as `n−1`
 /// parallel scatters, `T = (n−1)·(α + β·m)` — identical to the Proposition 1
 /// lower bound, and therefore systematically optimistic once the network
 /// saturates. This is the model the contention signature corrects.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NaiveLinearModel {
     params: HockneyParams,
 }

@@ -20,10 +20,9 @@
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
 use crate::models::CompletionModel;
-use serde::{Deserialize, Serialize};
 
 /// A saturation-aware contention model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaturationModel {
     /// Contention-free point-to-point parameters.
     pub hockney: HockneyParams,

@@ -21,10 +21,9 @@ use crate::error::ModelError;
 use crate::hockney::HockneyParams;
 use crate::models::CompletionModel;
 use contention_stats::piecewise::{fit_piecewise, PiecewiseSpec};
-use serde::{Deserialize, Serialize};
 
 /// A fitted contention signature `(γ, δ, M)` over Hockney parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionSignature {
     /// Contention-free point-to-point parameters the bound is built on.
     pub hockney: HockneyParams,

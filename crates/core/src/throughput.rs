@@ -17,10 +17,9 @@
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
 use crate::models::CompletionModel;
-use serde::{Deserialize, Serialize};
 
 /// The throughput-under-contention model (paper §6, eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputModel {
     /// Start-up latency α in seconds (from an uncontended ping-pong).
     pub alpha_secs: f64,

@@ -136,9 +136,9 @@ pub fn read_request<S: Read + Write>(
 
     let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
         None => 0usize,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("bad Content-Length {v:?}")))?,
+        Some((_, v)) => decimal_u64(v)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| HttpError::BadRequest(format!("bad Content-Length {v:?}")))?,
     };
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge);
@@ -192,6 +192,14 @@ pub fn read_request<S: Read + Write>(
     })
 }
 
+/// A decimal integer off the wire (`Content-Length`, a run id, a query
+/// value): digits only. `str::parse` alone would also take a leading `+`.
+pub(crate) fn decimal_u64(raw: &str) -> Option<u64> {
+    raw.parse()
+        .ok()
+        .filter(|_| raw.bytes().all(|b| b.is_ascii_digit()))
+}
+
 /// Index of the `\r\n\r\n` separating headers from body, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
@@ -206,9 +214,10 @@ fn percent_decode(input: &str) -> Option<String> {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3)?;
-                let hex = std::str::from_utf8(hex).ok()?;
-                out.push(u8::from_str_radix(hex, 16).ok()?);
+                // Two hex digits (`from_str_radix` would also take `+5`).
+                let hi = (*bytes.get(i + 1)? as char).to_digit(16)?;
+                let lo = (*bytes.get(i + 2)? as char).to_digit(16)?;
+                out.push((hi * 16 + lo) as u8);
                 i += 3;
             }
             b'+' => {
@@ -426,8 +435,10 @@ mod tests {
             "GET /x HTTP/2\r\n\r\n",
             "GET /x HTTP/1.1\r\nNo-colon-here\r\n\r\n",
             "GET /x%GG HTTP/1.1\r\n\r\n",
+            "GET /x%+5 HTTP/1.1\r\n\r\n",
             "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
             "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
         ] {
             let mut s = Fake::new(bad);
             assert!(

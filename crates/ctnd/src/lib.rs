@@ -49,7 +49,6 @@
 pub mod client;
 mod exec;
 pub mod http;
-pub mod json;
 mod registry;
 mod server;
 pub mod signal;

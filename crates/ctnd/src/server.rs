@@ -18,13 +18,14 @@
 //! `event_budget`, `sim_horizon_ms`, `seed`, `model` and `backend`. A
 //! raw TOML body takes the same options as query parameters. Unknown
 //! JSON fields are rejected — admission control starts with the
-//! envelope.
+//! envelope — and so are envelope integers of 2^53 or more, which a JSON
+//! number cannot carry exactly (the query string takes the full `u64`
+//! range).
 
 use crate::exec::{AdmitError, Executive};
-use crate::http::{self, ChunkedWriter, HttpError, Request, Response};
-use crate::json::{self, Value};
+use crate::http::{self, decimal_u64, ChunkedWriter, HttpError, Request, Response};
 use crate::registry::Run;
-use contention_obs::json as emit;
+use contention_obs::json::{self, Value};
 use contention_scenario::prelude::*;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -147,7 +148,7 @@ fn serve_connection(mut stream: TcpStream, exec: &Arc<Executive>) {
 
 /// `{"error": "..."}` with a trailing newline (curl-friendly).
 fn error_body(detail: &str) -> String {
-    format!("{{\"error\": {}}}\n", emit::string(detail))
+    format!("{{\"error\": {}}}\n", json::string(detail))
 }
 
 fn route(req: Request, stream: &mut TcpStream, exec: &Arc<Executive>) {
@@ -182,7 +183,7 @@ fn route(req: Request, stream: &mut TcpStream, exec: &Arc<Executive>) {
                 format!(
                     "{{\"run_id\": \"{}\", \"status\": {}, \"cancelling\": true}}\n",
                     run.id,
-                    emit::string(phase.name())
+                    json::string(phase.name())
                 ),
             )
         }),
@@ -196,9 +197,8 @@ fn route(req: Request, stream: &mut TcpStream, exec: &Arc<Executive>) {
 
 /// Parses `{id}` and looks the run up; `Err` carries the 400/404.
 fn lookup(exec: &Arc<Executive>, id: &str) -> Result<Arc<Run>, Response> {
-    let id: u64 = id
-        .parse()
-        .map_err(|_| Response::json(400, error_body("run id must be a decimal integer")))?;
+    let id = decimal_u64(id)
+        .ok_or_else(|| Response::json(400, error_body("run id must be a decimal integer")))?;
     exec.registry
         .get(id)
         .ok_or_else(|| Response::json(404, error_body("no such run (completed runs expire)")))
@@ -217,15 +217,15 @@ fn status_response(run: &Run) -> Response {
     let st = run.state();
     let mut body = String::from("{");
     body.push_str(&format!("\"run_id\": \"{}\", ", run.id));
-    body.push_str(&format!("\"scenario\": {}, ", emit::string(&run.spec.name)));
-    body.push_str(&format!("\"status\": {}, ", emit::string(st.phase.name())));
+    body.push_str(&format!("\"scenario\": {}, ", json::string(&run.spec.name)));
+    body.push_str(&format!("\"status\": {}, ", json::string(st.phase.name())));
     body.push_str(&format!("\"events\": {}, ", st.events.len()));
     match &st.outcome {
         None => body.push_str("\"outcome\": null, \"report\": null"),
         Some(outcome) => {
-            body.push_str(&format!("\"outcome\": {}, ", emit::string(outcome.name())));
+            body.push_str(&format!("\"outcome\": {}, ", json::string(outcome.name())));
             if let crate::registry::RunOutcome::Failed { error } = outcome {
-                body.push_str(&format!("\"error\": {}, ", emit::string(error)));
+                body.push_str(&format!("\"error\": {}, ", json::string(error)));
             }
             match outcome.report_json() {
                 Some(json) => body.push_str(&format!("\"report\": {json}")),
@@ -289,7 +289,7 @@ fn stream_events(run: &Run, stream: &mut TcpStream) {
     let _ = writer.chunk(
         format!(
             "{{\"event\": \"run-finished\", \"outcome\": {}}}\n",
-            emit::string(outcome)
+            json::string(outcome)
         )
         .as_bytes(),
     );
@@ -462,7 +462,7 @@ fn field_u64(doc: &Value, key: &str) -> Result<Option<u64>, String> {
         Some(v) => v
             .as_u64()
             .map(Some)
-            .ok_or_else(|| format!("{key:?} must be a non-negative integer")),
+            .ok_or_else(|| format!("{key:?} must be a non-negative integer below 2^53")),
     }
 }
 
@@ -473,10 +473,9 @@ fn field_ms(doc: &Value, key: &str) -> Result<Option<Duration>, String> {
 fn query_u64(req: &Request, key: &str) -> Result<Option<u64>, String> {
     match req.query_param(key) {
         None => Ok(None),
-        Some(raw) => raw
-            .parse::<u64>()
+        Some(raw) => decimal_u64(raw)
             .map(Some)
-            .map_err(|_| format!("query parameter {key:?} must be a non-negative integer")),
+            .ok_or_else(|| format!("query parameter {key:?} must be a non-negative integer")),
     }
 }
 

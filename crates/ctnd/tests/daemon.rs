@@ -3,13 +3,9 @@
 //! of served reports against the `ctnsim` CLI, admission control
 //! (429/503), mid-run cancellation, TTL eviction and `/metrics`.
 
-#[path = "../../scenario/tests/common/json_lint.rs"]
-mod json_lint;
-
+use contention_obs::json;
 use ctnd::client::{request, HttpResponse};
-use ctnd::json;
 use ctnd::{Daemon, DaemonConfig};
-use json_lint::validate_json;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -359,8 +355,7 @@ fn metrics_aggregate_sessions_and_expose_cache_hit_rate() {
     }
     let resp = request(addr, "GET", "/metrics", None, b"").unwrap();
     assert_eq!(resp.status, 200);
-    validate_json(&resp.body).expect("/metrics emits strictly valid JSON");
-    let doc = json::parse(&resp.body).expect("metrics parse");
+    let doc = json::parse(&resp.body).expect("/metrics emits strictly valid JSON");
     assert_eq!(
         doc.get("ctnd_metrics_schema_version")
             .and_then(|v| v.as_u64()),
@@ -417,7 +412,11 @@ fn protocol_errors_answer_with_typed_json() {
     assert_eq!(resp.status, 405);
     let resp = request(addr, "GET", "/v1/runs/999", None, b"").unwrap();
     assert_eq!(resp.status, 404, "{}", resp.body);
-    let resp = request(addr, "GET", "/v1/runs/not-a-number", None, b"").unwrap();
+    for not_an_id in ["not-a-number", "%2B1"] {
+        let resp = request(addr, "GET", &format!("/v1/runs/{not_an_id}"), None, b"").unwrap();
+        assert_eq!(resp.status, 400, "{not_an_id}: {}", resp.body);
+    }
+    let resp = post_toml(addr, TINY_SPEC, "?seed=%2B5");
     assert_eq!(resp.status, 400, "{}", resp.body);
 
     let resp = request(
@@ -465,5 +464,39 @@ fn protocol_errors_answer_with_typed_json() {
             resp.body
         );
     }
+
+    // JSON numbers are exact only below 2^53: an envelope seed beyond that
+    // is refused by name, never run as a neighbouring seed. The query
+    // string of a TOML body carries the full u64 range.
+    for seed in [
+        "9007199254740993",
+        "18446744073709551615",
+        "18446744073709551616",
+    ] {
+        let body = format!("{{\"scenario\": \"incast-burst\", \"seed\": {seed}}}");
+        let resp = request(
+            addr,
+            "POST",
+            "/v1/runs",
+            Some("application/json"),
+            body.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(resp.status, 400, "seed {seed}: {}", resp.body);
+        assert!(resp.body.contains("\\\"seed\\\""), "{}", resp.body);
+    }
+    let resp = post_toml(addr, TINY_SPEC, "?seed=18446744073709551615");
+    let id = run_id(&resp);
+    let doc = wait_done(addr, &id);
+    assert_eq!(status_field(&doc, "outcome"), "ok");
+    let report = request(addr, "GET", &format!("/v1/runs/{id}/report"), None, b"").unwrap();
+    let expected_seed = contention_scenario::executor::cell_seed("ctnd-smoke", u64::MAX, 4, 16384);
+    assert!(
+        report
+            .body
+            .contains(&format!("\"cell_seed\": {expected_seed}")),
+        "{}",
+        report.body
+    );
     d.shutdown();
 }

@@ -11,12 +11,11 @@
 //! round-robin across edge switches the way a batch scheduler scatters a
 //! job.
 
-use serde::{Deserialize, Serialize};
 use simmpi::prelude::*;
 use simnet::prelude::*;
 
 /// Which physical network a preset models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkKind {
     /// 100 Mb/s switched Ethernet, TCP.
     FastEthernet,
@@ -27,7 +26,7 @@ pub enum NetworkKind {
 }
 
 /// A reproducible cluster description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterPreset {
     /// Human-readable name used in reports.
     pub name: &'static str,

@@ -1,4 +1,4 @@
-//! Experiment output: tables (CSV / markdown / aligned text) and a small
+//! Experiment output: tables (CSV / aligned text) and a small
 //! ASCII chart for terminal inspection of the figure shapes.
 
 use std::fmt::Write as _;
@@ -35,11 +35,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Appends a row of floats, formatted with 6 significant digits.
-    pub fn push_floats(&mut self, cells: &[f64]) {
-        self.push_row(cells.iter().map(|v| format!("{v:.6}")).collect());
-    }
-
     /// Renders as CSV (title as a `#` comment line).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -57,26 +52,6 @@ impl Table {
             std::fs::create_dir_all(parent)?;
         }
         std::fs::write(path, self.to_csv())
-    }
-
-    /// Renders as a GitHub-flavored markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "**{}**\n", self.title);
-        let _ = writeln!(out, "| {} |", self.columns.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.columns
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
     }
 
     /// Renders as an aligned, human-readable text table.
@@ -186,13 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn markdown_is_pipe_formatted() {
-        let md = sample().to_markdown();
-        assert!(md.contains("| n | time |"));
-        assert!(md.contains("|---|---|"));
-    }
-
-    #[test]
     fn aligned_output_pads_columns() {
         let text = sample().to_aligned();
         assert!(text.contains("== demo =="));
@@ -221,12 +189,5 @@ mod tests {
     #[test]
     fn chart_handles_empty() {
         assert_eq!(ascii_chart(&[], 40, 10), "(no data)\n");
-    }
-
-    #[test]
-    fn floats_row_formatting() {
-        let mut t = Table::new("f", &["a"]);
-        t.push_floats(&[1.5]);
-        assert_eq!(t.rows[0][0], "1.500000");
     }
 }

@@ -21,8 +21,9 @@
 //!
 //! The harvested [`EngineTelemetry`] is a plain-old-data snapshot the
 //! scenario layer aggregates into its per-run metrics document. Export
-//! helpers live in [`json`] (hand-rolled, vendored-deps-compatible JSON
-//! emission) and [`trace`] (Chrome trace-event / Perfetto timelines).
+//! helpers live in [`json`] (the workspace's one hand-rolled JSON module:
+//! emitters and parser) and [`trace`] (Chrome trace-event / Perfetto
+//! timelines).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,25 +59,6 @@ impl CtnError {
             detail: detail.into(),
         }
     }
-
-    /// Flattens back to the legacy [`SpecError`] the deprecated free
-    /// functions still return; every non-spec variant collapses into
-    /// [`SpecError::Invalid`] with the same message the pre-session code
-    /// produced (calibration failures regain their `scenario:` prefix —
-    /// the structured variant carries the name separately, the legacy
-    /// string carried it inline).
-    pub(crate) fn into_spec_error(self) -> SpecError {
-        match self {
-            CtnError::Spec(e) => e,
-            CtnError::Calibration { scenario, detail } => {
-                SpecError::Invalid(format!("{scenario}: {detail}"))
-            }
-            CtnError::Execution { detail, .. } | CtnError::Config { detail } => {
-                SpecError::Invalid(detail)
-            }
-            CtnError::Cancelled => SpecError::Invalid("run cancelled".to_string()),
-        }
-    }
 }
 
 impl std::fmt::Display for CtnError {
@@ -126,12 +107,6 @@ mod tests {
             cal.to_string(),
             "calibration failed for \"s\": Hockney fit failed"
         );
-        // The legacy flattening reconstructs the pre-session inline-name
-        // message format.
-        assert!(matches!(
-            cal.into_spec_error(),
-            SpecError::Invalid(m) if m == "s: Hockney fit failed"
-        ));
 
         let exec = CtnError::execution("s", "boom");
         assert!(exec.to_string().contains("execution failed"));

@@ -22,8 +22,8 @@
 //!   (topology + transport + MPI overrides) and its derived seed, so a
 //!   [`CalibrationCache`] keyed by (fabric fingerprint, seed) means
 //!   repeated runs over the same specs fit each fabric once. The cache is
-//!   *session-owned* (see [`crate::session`]); the process-global memo of
-//!   earlier releases survives only behind the deprecated free functions.
+//!   *session-owned* (see [`crate::session`]); nothing in this crate is
+//!   process-global.
 //! * **one fabric per scenario** — a generated topology is a pure function
 //!   of its spec (the seed enters through placement and the MPI/transport
 //!   streams, never the wiring or the routes), and building it — BFS plus
@@ -39,8 +39,7 @@
 //!   bound someone has to tune. Presets wire a handful of switches as a
 //!   function of the rank count and keep doing so per cell.
 //!
-//! This module keeps the cell-level machinery and the legacy free-function
-//! entry points; the public face of execution is
+//! This module is the cell-level machinery; the one way to run it is a
 //! [`Session`](crate::session::Session).
 
 use crate::error::CtnError;
@@ -61,7 +60,7 @@ use simnet::obs::{EngineRecorder, EngineTelemetry, NoopRecorder, Recorder, Telem
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which completion-time predictor fills the `model_secs` column.
@@ -435,9 +434,10 @@ fn cell_cost(spec: &ScenarioSpec, cell: &Cell) -> u128 {
     rounds * (cell.n as u128) * (cell.n as u128) * packets as u128 * reps
 }
 
-/// The message carried by every legacy [`SpecError`], without the
-/// `invalid scenario:` display prefix — keeps error text stable when the
-/// typed hierarchy round-trips back through the deprecated shims.
+/// The message of a fabric-build [`SpecError`] without its `invalid
+/// scenario:` display prefix: it becomes the `detail` of a
+/// [`CtnError::Calibration`] / [`CtnError::Execution`], whose own display
+/// already says which phase failed and for which scenario.
 fn spec_error_detail(e: SpecError) -> String {
     match e {
         SpecError::Invalid(m) => m,
@@ -1266,64 +1266,11 @@ pub(crate) fn execute(
     Ok((batches, metrics))
 }
 
-/// The process-wide cache behind the legacy free functions; sessions own
-/// their caches instead.
-fn legacy_cache() -> &'static CalibrationCache {
-    static CACHE: OnceLock<CalibrationCache> = OnceLock::new();
-    CACHE.get_or_init(CalibrationCache::default)
-}
-
-/// Measures the scenario's Hockney parameters through the legacy
-/// process-wide cache.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Session::calibrate_hockney, which owns its calibration cache"
-)]
-pub fn calibrate_hockney(spec: &ScenarioSpec, base_seed: u64) -> Result<HockneyParams, SpecError> {
-    hockney_fit(legacy_cache(), spec, base_seed, fresh_fabric(spec))
-        .map_err(CtnError::into_spec_error)
-}
-
-/// Runs one scenario's full grid. Legacy shim over the session executor.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Session::run, which returns a versioned Report"
-)]
-pub fn run_batch(spec: &ScenarioSpec, cfg: &BatchConfig) -> Result<BatchResult, SpecError> {
-    run_batches(std::slice::from_ref(spec), cfg).map(|mut v| v.remove(0))
-}
-
-/// Runs several scenarios as **one** flat cell queue over `cfg.workers`
-/// threads. Results come back grouped per scenario, each grid in
-/// deterministic nodes-major order regardless of worker count or the
-/// cost-aware execution schedule.
-///
-/// Legacy wrapper over the session executor, kept callable (and
-/// un-deprecated for one release) because the byte-identity determinism
-/// goldens pin it; new code should use
-/// [`Session::run_many`](crate::session::Session::run_many).
-pub fn run_batches(
-    specs: &[ScenarioSpec],
-    cfg: &BatchConfig,
-) -> Result<Vec<BatchResult>, SpecError> {
-    let mut ignore = |_event: RunEvent<'_>| {};
-    execute(
-        &BatchFabrics::new(specs),
-        cfg,
-        legacy_cache(),
-        None,
-        None,
-        &mut ignore,
-        &CancelToken::new(),
-    )
-    .map(|(batches, _metrics)| batches)
-    .map_err(CtnError::into_spec_error)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::by_name;
+    use crate::report::ReportFormat;
     use crate::session::Session;
 
     #[test]
@@ -1334,8 +1281,8 @@ mod tests {
         let r1 = s1.run(&spec).unwrap();
         let r4 = s4.run(&spec).unwrap();
         assert_eq!(r1.batches, r4.batches);
-        let csv1 = crate::report::to_csv(&r1.batches);
-        let csv4 = crate::report::to_csv(&r4.batches);
+        let csv1 = r1.render(ReportFormat::Csv);
+        let csv4 = r4.render(ReportFormat::Csv);
         assert_eq!(csv1, csv4, "CSV must be byte-identical across workers");
     }
 
@@ -1456,36 +1403,6 @@ mod tests {
         // routed topology itself is never copied.
         assert_eq!(Arc::strong_count(&got[0]), 5);
         assert_eq!(Arc::strong_count(got[0].shared_topology().unwrap()), 1);
-    }
-
-    #[test]
-    fn legacy_entry_points_match_the_session_byte_for_byte() {
-        // Exercises the un-deprecated legacy surface only (run_batches and
-        // the shared fit procedure); the #[deprecated] run_batch /
-        // calibrate_hockney shims no longer have internal callers, so
-        // their warnings can graduate to hard errors next release.
-        let spec = by_name("incast-burst").unwrap();
-        let session = Session::builder()
-            .workers(2)
-            .base_seed(123)
-            .build()
-            .unwrap();
-        let report = session.run(&spec).unwrap();
-        let shim = run_batches(
-            std::slice::from_ref(&spec),
-            &BatchConfig {
-                workers: 2,
-                base_seed: 123,
-                model: ModelKind::Med,
-                limits: GuardLimits::default(),
-            },
-        )
-        .unwrap()
-        .remove(0);
-        assert_eq!(report.batches[0], shim);
-        let a = hockney_fit(legacy_cache(), &spec, 123, fresh_fabric(&spec)).unwrap();
-        let b = session.calibrate_hockney(&spec).unwrap();
-        assert_eq!(a, b, "legacy cache and session share the fit procedure");
     }
 
     #[test]

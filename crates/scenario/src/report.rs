@@ -25,6 +25,7 @@
 //!   text.
 
 use crate::executor::BatchResult;
+use simnet::obs::json;
 use std::fmt::Write as _;
 
 /// The schema version stamped on every unsupervised [`Report`] this
@@ -190,51 +191,22 @@ fn csv_of(results: &[BatchResult], supervised: bool) -> String {
     out
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON numbers cannot be bare `inf`/`NaN`; non-finite values render as
-/// `null` (finite values are fine as Rust prints them).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn json_of(schema_version: u32, results: &[BatchResult], supervised: bool) -> String {
     let mut out = format!("{{\n\"schema_version\": {schema_version},\n\"scenarios\": [\n");
     for (bi, batch) in results.iter().enumerate() {
         let _ = writeln!(
             out,
             "  {{\"scenario\": {}, \"alpha_secs\": {}, \"beta_secs_per_byte\": {}, \"cells\": [",
-            json_str(&batch.scenario),
-            json_f64(batch.alpha_secs),
-            json_f64(batch.beta_secs_per_byte)
+            json::string(&batch.scenario),
+            json::number(batch.alpha_secs),
+            json::number(batch.beta_secs_per_byte)
         );
         for (ci, c) in batch.cells.iter().enumerate() {
             let status = if supervised {
                 format!(
                     ", \"status\": {}, \"status_detail\": {}",
-                    json_str(c.status.name()),
-                    json_str(&c.status.detail())
+                    json::string(c.status.name()),
+                    json::string(&c.status.detail())
                 )
             } else {
                 String::new()
@@ -244,16 +216,16 @@ fn json_of(schema_version: u32, results: &[BatchResult], supervised: bool) -> St
                 "    {{\"topology\": {}, \"workload\": {}, \"n\": {}, \"message_bytes\": {}, \
                  \"cell_seed\": {}, \"mean_secs\": {}, \"min_secs\": {}, \"max_secs\": {}, \
                  \"model_secs\": {}, \"error_percent\": {}{}}}{}",
-                json_str(&c.topology),
-                json_str(&c.workload),
+                json::string(&c.topology),
+                json::string(&c.workload),
                 c.n,
                 c.message_bytes,
                 c.cell_seed,
-                json_f64(c.mean_secs),
-                json_f64(c.min_secs),
-                json_f64(c.max_secs),
-                json_f64(c.model_secs),
-                json_f64(c.error_percent),
+                json::number(c.mean_secs),
+                json::number(c.min_secs),
+                json::number(c.max_secs),
+                json::number(c.model_secs),
+                json::number(c.error_percent),
                 status,
                 if ci + 1 < batch.cells.len() { "," } else { "" }
             );
@@ -324,24 +296,6 @@ fn text_of(schema_version: u32, results: &[BatchResult], supervised: bool) -> St
     out
 }
 
-/// CSV with one row per cell and a fixed header.
-///
-/// Legacy wrapper over the [`Report`] render path, kept callable (and
-/// un-deprecated for one release) because the byte-identity determinism
-/// goldens pin it; new code should render a [`Report`].
-pub fn to_csv(results: &[BatchResult]) -> String {
-    csv_of(results, false)
-}
-
-/// JSON under the v1 schema (the legacy emitters predate supervision, so
-/// they always render the unsupervised column set).
-///
-/// Legacy wrapper over the [`Report`] render path; new code should render
-/// a [`Report`].
-pub fn to_json(results: &[BatchResult]) -> String {
-    json_of(SCHEMA_VERSION, results, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,14 +352,13 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("scenario,topology,workload,n,"));
         assert!(lines[1].starts_with("s,single-switch,uniform,4,65536,99,0.0125,"));
-        assert_eq!(csv, to_csv(&sample()), "wrapper shares the render path");
     }
 
     #[test]
     fn csv_quotes_hostile_scenario_names() {
         let mut results = sample();
         results[0].cells[0].scenario = "a,b \"c\"".into();
-        let csv = to_csv(&results);
+        let csv = Report::new(results).render(ReportFormat::Csv);
         let row = csv.lines().nth(1).unwrap();
         assert!(row.starts_with("\"a,b \"\"c\"\"\",single-switch,"));
         // Field count is preserved: count commas outside quotes.
@@ -436,7 +389,6 @@ mod tests {
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();
         assert_eq!(opens, closes);
-        assert_eq!(json, to_json(&sample()), "wrapper shares the render path");
     }
 
     #[test]
@@ -510,16 +462,5 @@ mod tests {
         assert!(text.contains("deadlocked"));
         // Stopped measurements render as placeholders, not NaN.
         assert!(!text.contains("NaN"));
-    }
-
-    #[test]
-    fn legacy_wrappers_always_render_v1() {
-        // Even over batches with stopped cells, the legacy emitters keep
-        // the v1 column set (their consumers predate supervision).
-        let csv = to_csv(&supervised_sample());
-        assert!(csv.lines().next().unwrap().ends_with("error_percent"));
-        let json = to_json(&supervised_sample());
-        assert!(json.starts_with("{\n\"schema_version\": 1,\n"));
-        assert!(!json.contains("\"status\""));
     }
 }

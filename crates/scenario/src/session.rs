@@ -1,16 +1,14 @@
 //! The owned [`Session`] facade: the embeddable, concurrency-safe entry
 //! point to the simulate → calibrate → predict → score workflow.
 //!
-//! A session owns three things the old free functions kept implicit or
-//! process-global:
+//! A session owns three things, none of them process-global:
 //!
 //! * an **execution policy** (worker count, base seed, predictor model),
 //! * an **instance-owned [`CalibrationCache`]** — the Hockney and
-//!   signature/saturation memo that used to live in a process-wide
-//!   `static`. Each session defaults to a private cache; embedders that
-//!   want sharing pass the same [`Arc`] to several sessions via
-//!   [`SessionBuilder::shared_cache`], and drop it when they are done —
-//!   lifetime and sharing are theirs to control,
+//!   signature/saturation memo. Each session defaults to a private cache;
+//!   embedders that want sharing pass the same [`Arc`] to several sessions
+//!   via [`SessionBuilder::shared_cache`], and drop it when they are done
+//!   — lifetime and sharing are theirs to control,
 //! * a **[`CancelToken`]** that aborts a sweep between cells.
 //!
 //! Execution streams: [`Session::run_with`] delivers [`RunEvent`]s to a
@@ -540,7 +538,6 @@ impl Default for Session {
 mod tests {
     use super::*;
     use crate::registry::by_name;
-    use crate::report::{to_csv, ReportFormat};
 
     fn trimmed(name: &str) -> ScenarioSpec {
         let mut spec = by_name(name).expect("built-in");
@@ -549,25 +546,6 @@ mod tests {
         spec.sweep.reps = 1;
         spec.sweep.warmup = 0;
         spec
-    }
-
-    #[test]
-    fn session_report_matches_legacy_free_function_bytes() {
-        let spec = by_name("incast-burst").unwrap();
-        let session = Session::builder().workers(2).base_seed(7).build().unwrap();
-        let report = session.run(&spec).unwrap();
-        let legacy = crate::executor::run_batches(
-            std::slice::from_ref(&spec),
-            &BatchConfig {
-                workers: 2,
-                base_seed: 7,
-                model: ModelKind::Med,
-                limits: GuardLimits::default(),
-            },
-        )
-        .unwrap();
-        assert_eq!(report.batches, legacy);
-        assert_eq!(report.render(ReportFormat::Csv), to_csv(&legacy));
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! [`crate::workload`].
 
 use crate::toml::{self, TomlError, Value};
-use serde::{Deserialize, Serialize};
 use simnet::generate::Placement;
 use simnet::prelude::*;
 use std::collections::BTreeMap;
 
 /// A link description (bandwidth + latency).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Bytes per second.
     pub bandwidth_bytes_per_sec: f64,
@@ -42,7 +41,7 @@ impl Default for LinkSpec {
 }
 
 /// Switch buffering description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchSpec {
     /// Shared buffer pool in bytes.
     pub shared_buffer_bytes: u64,
@@ -71,7 +70,7 @@ impl Default for SwitchSpec {
 }
 
 /// Which fabric family a scenario runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// One of the paper's calibrated clusters, by preset name
     /// (`fast-ethernet`, `gigabit-ethernet`, `myrinet`).
@@ -201,7 +200,7 @@ impl TopologySpec {
 }
 
 /// Transport every connection uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportSpec {
     /// TCP-like lossy transport with the given window.
     Tcp {
@@ -242,7 +241,7 @@ impl Default for TransportSpec {
 /// Optional overrides of the MPI protocol stack; unset fields keep the
 /// topology's defaults (the preset's values on preset topologies,
 /// [`simmpi::MpiConfig::default`] otherwise).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MpiSpec {
     /// Eager/rendezvous threshold in bytes.
     pub eager_threshold: Option<u64>,
@@ -278,7 +277,7 @@ impl MpiSpec {
 }
 
 /// Traffic pattern of one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// The paper's uniform All-to-All under a named algorithm
     /// (`direct`, `direct-nb`, `bruck`, `pairwise`, `ring`).
@@ -341,7 +340,7 @@ impl WorkloadSpec {
 }
 
 /// The sweep grid and repetition policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSpec {
     /// Node counts to run.
     pub nodes: Vec<usize>,
@@ -374,7 +373,7 @@ impl Default for SweepSpec {
 /// per-packet effects (buffer occupancy, drops, retransmits) for
 /// orders-of-magnitude more hosts. See the README "Backends" section for
 /// the measured per-scenario error bands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Per-packet discrete-event engine (the calibrated reference).
     #[default]
@@ -404,7 +403,7 @@ impl Backend {
 }
 
 /// A complete, runnable scenario description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Unique name (registry key, report column).
     pub name: String,

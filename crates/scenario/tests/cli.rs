@@ -8,10 +8,7 @@
 //! report was emitted but some cells carry a non-ok supervision
 //! status).
 
-#[path = "common/json_lint.rs"]
-mod json_lint;
-
-use json_lint::validate_json;
+use simnet::obs::json;
 use std::process::{Command, Output};
 
 fn ctnsim(args: &[&str]) -> Output {
@@ -173,8 +170,8 @@ fn list_flags_backend_restricted_builtins() {
     );
 }
 
-/// One tiny real run per format: the json output must satisfy the strict
-/// validity lint, the csv output the fixed header, the text output the
+/// One tiny real run per format: the json output must parse as strict
+/// JSON, the csv output carry the fixed header, the text output the
 /// version banner; `--progress` streams cell lines to stderr without
 /// touching stdout.
 #[test]
@@ -196,7 +193,7 @@ fn run_emits_all_three_formats_and_streams_progress() {
     let json = ctnsim(&[&base[..], &["--format", "json"]].concat());
     assert_eq!(code(&json), 0, "{}", stderr(&json));
     let json_text = stdout(&json);
-    validate_json(&json_text).expect("ctnsim --format json emits valid JSON");
+    json::parse(&json_text).expect("ctnsim --format json emits valid JSON");
     assert!(json_text.contains("\"schema_version\": 1"), "{json_text}");
 
     let csv = ctnsim(&[&base[..], &["--format", "csv"]].concat());
@@ -223,7 +220,7 @@ fn run_emits_all_three_formats_and_streams_progress() {
     );
 }
 
-/// `--metrics` and `--trace` write lint-clean JSON next to an unchanged
+/// `--metrics` and `--trace` write valid JSON next to an unchanged
 /// report: the metrics document carries its schema version and the cell
 /// list, the trace file is Chrome trace-event JSON with span events.
 #[test]
@@ -258,7 +255,7 @@ fn metrics_and_trace_flags_write_valid_json_files() {
     );
 
     let metrics = std::fs::read_to_string(&metrics_path).expect("metrics file written");
-    validate_json(&metrics).expect("--metrics emits valid JSON");
+    json::parse(&metrics).expect("--metrics emits valid JSON");
     assert!(
         metrics.contains("\"metrics_schema_version\": 1"),
         "{metrics}"
@@ -273,7 +270,7 @@ fn metrics_and_trace_flags_write_valid_json_files() {
     );
 
     let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
-    validate_json(&trace).expect("--trace emits valid JSON");
+    json::parse(&trace).expect("--trace emits valid JSON");
     assert!(trace.contains("\"traceEvents\""), "{trace}");
     assert!(
         trace.contains("\"ph\":\"X\""),
@@ -335,7 +332,7 @@ receivers = 1
     ]);
     assert_eq!(code(&out), 3, "stderr: {}", stderr(&out));
     let json = stdout(&out);
-    validate_json(&json).expect("partial-failure report is still valid JSON");
+    json::parse(&json).expect("partial-failure report is still valid JSON");
     assert!(json.contains("\"schema_version\": 2"), "{json}");
     assert!(json.contains("\"status\": \"deadlocked\""), "{json}");
     std::fs::remove_dir_all(&dir).ok();

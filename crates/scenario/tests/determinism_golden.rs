@@ -1,42 +1,11 @@
-//! Scheduler-determinism goldens: `run_batches` output must be
-//! byte-identical across worker counts *and* match a report captured from
-//! the engine before the hot-path overhaul (interned routes, lane-heap
-//! event queue, pooled bands, cost-aware scheduling). The golden file is
-//! the regression oracle for the refactor's "no behavioral change"
-//! guarantee — regenerate it only for an *intentional* semantic change:
-//!
-//! ```text
-//! ctnsim run incast-burst --workers 1 \
-//!     --out crates/scenario/tests/golden/incast-burst_seed42_workers_any.csv
-//! ```
+//! Scheduler-determinism oracle for the non-tree fabrics: a `Session`
+//! report must be byte-identical across worker counts under every model.
+//! (The pre-refactor capture `golden/incast-burst_seed42_workers_any.csv`
+//! is pinned through the same path by
+//! `session_determinism::incast_full_grid_through_the_session_matches_the_prerefactor_golden`.)
 
-use contention_scenario::executor::{run_batches, BatchConfig, GuardLimits, ModelKind};
-use contention_scenario::registry::by_name;
-use contention_scenario::report::to_csv;
-
-/// Captured at the pre-refactor engine (seed 42, any worker count).
-const GOLDEN: &str = include_str!("golden/incast-burst_seed42_workers_any.csv");
-
-#[test]
-fn report_is_byte_identical_across_workers_and_to_prerefactor_capture() {
-    let spec = by_name("incast-burst").expect("built-in scenario");
-    let mut reports = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let cfg = BatchConfig {
-            workers,
-            base_seed: 42,
-            ..Default::default()
-        };
-        let results = run_batches(std::slice::from_ref(&spec), &cfg).expect("scenario runs");
-        reports.push((workers, to_csv(&results)));
-    }
-    for (workers, report) in &reports {
-        assert_eq!(
-            report, GOLDEN,
-            "workers={workers}: report diverged from the pre-refactor golden"
-        );
-    }
-}
+use contention_scenario::prelude::*;
+use std::sync::Arc;
 
 /// The non-tree fabrics (torus, dragonfly) and non-scatter placements
 /// obey the same determinism contract: one trimmed cell of each new
@@ -50,26 +19,31 @@ fn new_fabric_scenarios_are_deterministic_across_workers_and_models() {
         "dragonfly-adversarial-uniform",
         "packed-vs-scattered-fattree",
     ] {
-        let mut spec = by_name(name).expect("built-in scenario");
+        let mut spec = registry::by_name(name).expect("built-in scenario");
         // One cheap cell: enough to cross the whole engine, small enough
-        // for CI (model calibrations dominate and are memoized).
+        // for CI (model calibrations dominate, so the three worker counts
+        // share one cache and each fit runs once).
         spec.sweep.nodes = vec![*spec.sweep.nodes.first().unwrap()];
         spec.sweep.message_bytes = vec![*spec.sweep.message_bytes.first().unwrap()];
         spec.sweep.reps = 1;
         spec.sweep.warmup = 0;
+        let cache = Arc::new(CalibrationCache::new());
         for model in [ModelKind::Med, ModelKind::Signature, ModelKind::Saturation] {
-            let mut reports = Vec::new();
-            for workers in [1usize, 2, 8] {
-                let cfg = BatchConfig {
-                    workers,
-                    base_seed: 42,
-                    model,
-                    limits: GuardLimits::default(),
-                };
-                let results =
-                    run_batches(std::slice::from_ref(&spec), &cfg).expect("scenario runs");
-                reports.push(to_csv(&results));
-            }
+            let reports: Vec<String> = [1usize, 2, 8]
+                .into_iter()
+                .map(|workers| {
+                    Session::builder()
+                        .workers(workers)
+                        .base_seed(42)
+                        .model(model)
+                        .shared_cache(Arc::clone(&cache))
+                        .build()
+                        .expect("session builds")
+                        .run(&spec)
+                        .expect("scenario runs")
+                        .render(ReportFormat::Csv)
+                })
+                .collect();
             assert_eq!(reports[0], reports[1], "{name}/{}: w1 vs w2", model.name());
             assert_eq!(reports[0], reports[2], "{name}/{}: w1 vs w8", model.name());
         }

@@ -1,8 +1,15 @@
-//! Session-facade determinism: every one of the 13 builtin scenarios,
-//! produced *through the new `Session` API*, must be byte-identical
-//! across worker counts 1/2/8 — and the incast-burst full grid must
-//! reproduce the pre-refactor golden capture exactly (the same oracle
-//! `determinism_golden.rs` pins through the legacy free functions).
+//! Session determinism: every one of the 13 packet builtin scenarios
+//! must be byte-identical across worker counts 1/2/8 — and the
+//! incast-burst full grid must reproduce the golden captured before the
+//! hot-path overhaul (interned routes, lane-heap event queue, pooled
+//! bands, cost-aware scheduling) exactly. That golden is the regression
+//! oracle for every engine refactor's "no behavioral change" guarantee;
+//! regenerate it only for an *intentional* semantic change:
+//!
+//! ```text
+//! ctnsim run incast-burst --workers 1 \
+//!     --out crates/scenario/tests/golden/incast-burst_seed42_workers_any.csv
+//! ```
 //!
 //! Together with the per-cell determinism contract (a cell depends only
 //! on `(scenario, seed, n, m)`, never on its grid neighbours), the

@@ -5,13 +5,10 @@
 //! reproduce the pre-refactor golden capture. On top of the byte
 //! contract, the [`SessionMetrics`] snapshot and its two export formats
 //! (metrics JSON, Chrome trace-event JSON) are checked for shape and
-//! JSON validity with the lint the report goldens share.
-
-#[path = "common/json_lint.rs"]
-mod json_lint;
+//! JSON validity (`simnet::obs::json::parse` accepts them).
 
 use contention_scenario::prelude::*;
-use json_lint::validate_json;
+use simnet::obs::json;
 use std::sync::Arc;
 
 /// Captured at the pre-refactor engine (seed 42, any worker count).
@@ -142,12 +139,12 @@ fn metrics_and_trace_exports_pass_the_shared_json_lint() {
     let metrics = s.metrics().expect("snapshot");
 
     let doc = metrics.render_json();
-    validate_json(&doc).unwrap_or_else(|e| panic!("metrics JSON invalid: {e}\n{doc}"));
+    json::parse(&doc).unwrap_or_else(|e| panic!("metrics JSON invalid: {e}\n{doc}"));
     assert!(doc.contains("\"metrics_schema_version\": 1"));
     assert!(doc.contains("\"cells\""));
 
     let trace = metrics.render_chrome_trace();
-    validate_json(&trace).unwrap_or_else(|e| panic!("trace JSON invalid: {e}\n{trace}"));
+    json::parse(&trace).unwrap_or_else(|e| panic!("trace JSON invalid: {e}\n{trace}"));
     assert!(trace.contains("\"traceEvents\""));
     assert!(trace.contains("\"ph\":\"X\""), "cell spans present");
     assert!(trace.contains("\"ph\":\"M\""), "metadata records present");
@@ -163,7 +160,7 @@ fn disabled_telemetry_still_snapshots_wall_clock_and_schedule() {
     assert_eq!(metrics.cells.len(), 1);
     assert!(metrics.cells[0].engine.is_none(), "no recorder attached");
     assert!(metrics.wall_secs > 0.0);
-    // The no-engine document still lints.
-    validate_json(&metrics.render_json()).expect("valid JSON");
-    validate_json(&metrics.render_chrome_trace()).expect("valid trace JSON");
+    // The no-engine document still parses.
+    json::parse(&metrics.render_json()).expect("valid JSON");
+    json::parse(&metrics.render_chrome_trace()).expect("valid trace JSON");
 }

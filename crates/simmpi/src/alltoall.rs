@@ -12,10 +12,9 @@
 //! pass.
 
 use crate::ops::{Op, Rank};
-use serde::{Deserialize, Serialize};
 
 /// Selectable All-to-All implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllToAllAlgorithm {
     /// Algorithm 1 of the paper: blocking sendrecv rounds with rotating
     /// destinations.

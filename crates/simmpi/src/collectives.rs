@@ -8,10 +8,9 @@
 //! (see `contention-model::collective`).
 
 use crate::ops::{Op, Rank};
-use serde::{Deserialize, Serialize};
 
 /// A collective operation with per-block payload `m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Collective {
     /// Root sends the same `m` bytes to everyone (binomial tree).
     Broadcast {

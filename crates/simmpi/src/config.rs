@@ -1,7 +1,5 @@
 //! MPI-layer configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated MPI point-to-point protocol stack.
 ///
 /// These model a LAM-MPI-era TCP RPI: messages at or below the eager
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// a rendezvous (RTS envelope → CTS → data). Per-message host overheads
 /// carry uniform jitter, which is what lets simulated rounds drift out of
 /// phase the way real clusters do.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpiConfig {
     /// Largest payload (bytes) sent eagerly; above this, rendezvous.
     pub eager_threshold: u64,

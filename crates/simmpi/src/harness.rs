@@ -4,11 +4,10 @@
 use crate::alltoall::AllToAllAlgorithm;
 use crate::ops::{Op, Rank};
 use crate::world::World;
-use serde::{Deserialize, Serialize};
 use simnet::obs::Recorder;
 
 /// One ping-pong measurement point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PingPongPoint {
     /// Payload size in bytes.
     pub size: u64,
@@ -70,7 +69,7 @@ pub fn alltoall_times<R: Recorder>(
 }
 
 /// Result of one stress run (paper §3, Figs. 2–3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StressResult {
     /// Bytes each connection transferred.
     pub bytes: u64,

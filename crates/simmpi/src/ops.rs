@@ -1,7 +1,5 @@
 //! Per-rank operations with blocking-MPI semantics.
 
-use serde::{Deserialize, Serialize};
-
 /// A rank index within a world.
 pub type Rank = usize;
 
@@ -11,7 +9,7 @@ pub type Rank = usize;
 /// (each preceded by the sender CPU overhead), and completes when every
 /// half has completed — covering `MPI_Send`/`MPI_Recv` (one entry),
 /// `MPI_Sendrecv` (one of each) and a post-all + waitall (many of each).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Exchange messages: `sends` are `(destination, payload bytes)`;
     /// `recvs` name expected source ranks.

@@ -1,9 +1,7 @@
 //! Configuration types: links, switches, transports.
 
-use serde::{Deserialize, Serialize};
-
 /// One physical link (both directions get the same parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Raw bandwidth in bytes per second (e.g. Fast Ethernet = 12.5e6).
     pub bandwidth_bytes_per_sec: f64,
@@ -45,7 +43,7 @@ impl LinkConfig {
 /// tail-dropped. That drop is the contention mechanism the paper identifies
 /// (§3, citing Grove: "contention originates mostly because of network
 /// overload, which forces message drops on bottleneck devices").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchConfig {
     /// Shared buffer pool in bytes across all output ports.
     pub shared_buffer_bytes: u64,
@@ -79,7 +77,7 @@ impl SwitchConfig {
 
 /// TCP-like transport parameters (LAM-MPI over TCP on Linux 2.4/2.6-era
 /// defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment payload in bytes.
     pub mss: u32,
@@ -113,7 +111,7 @@ impl Default for TcpConfig {
 
 /// GM-like transport parameters (Myrinet): reliable in hardware, no
 /// congestion control, fixed window, larger MTU, no retransmission timer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GmConfig {
     /// Maximum packet payload (gm uses up to 4 KiB frames).
     pub mtu: u32,
@@ -131,7 +129,7 @@ impl Default for GmConfig {
 }
 
 /// Which transport a connection runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransportKind {
     /// Lossy network, TCP-like loss recovery and congestion control.
     Tcp(TcpConfig),
@@ -158,7 +156,7 @@ impl TransportKind {
 }
 
 /// Simulator-global knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Per-packet header overhead on the wire (Ethernet + IP + TCP ≈ 66 B
     /// with preamble and inter-frame gap amortized).

@@ -401,11 +401,6 @@ impl<R: Recorder> Simulator<R> {
         self.topo.n_hosts
     }
 
-    /// Number of events currently pending in the queue (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Opens a unidirectional connection `src → dst`.
     ///
     /// # Panics

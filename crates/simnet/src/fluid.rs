@@ -9,16 +9,11 @@
 //! of billions of per-packet events, which is what makes 1k–4k-host
 //! fabrics simulable at all.
 //!
-//! Two entry points:
-//!
-//! * [`FluidSim`] — the churn-capable event engine behind the scenario
-//!   layer's `backend = "fluid"` tier: flows start and finish at arbitrary
-//!   instants, rates are recomputed on every churn event (bottleneck-link
-//!   saturation order), and an attached [`Recorder`] receives
-//!   link-utilization samples integrated from the fluid rates;
-//! * [`FluidNet`] — the original batch facade (start everything, run to
-//!   completion), now a thin wrapper over [`FluidSim`] kept for estimate
-//!   call sites and tests.
+//! The entry point is [`FluidSim`], the churn-capable event engine behind
+//! the scenario layer's `backend = "fluid"` tier: flows start and finish at
+//! arbitrary instants, rates are recomputed on every churn event
+//! (bottleneck-link saturation order), and an attached [`Recorder`]
+//! receives link-utilization samples integrated from the fluid rates.
 //!
 //! Uses:
 //!
@@ -102,8 +97,8 @@ const NO_LEVEL: u32 = u32::MAX;
 /// Churn-capable max-min fair flow-level simulator over a built
 /// [`Topology`].
 ///
-/// Unlike [`FluidNet`], flows may start and finish at arbitrary simulated
-/// instants: the caller interleaves [`FluidSim::start_flow`] with
+/// Flows may start and finish at arbitrary simulated instants: the caller
+/// interleaves [`FluidSim::start_flow`] with
 /// [`FluidSim::advance_to`] / [`FluidSim::next_finish_ns`], and rates are
 /// lazily recomputed whenever the flow set changed. Simulated time is a
 /// monotone `f64` nanosecond clock; completions are reported with rounded
@@ -168,6 +163,26 @@ impl<'a> FluidSim<'a, NoopRecorder> {
     /// Creates an empty fluid simulation over `topo` with no telemetry.
     pub fn new(topo: &'a Topology) -> Self {
         Self::with_recorder(topo, NoopRecorder)
+    }
+
+    /// Convenience: the fluid completion time (seconds) of a uniform
+    /// All-to-All of `m` bytes per ordered pair among `hosts`, all flows
+    /// started at time zero.
+    pub fn alltoall_estimate(topo: &Topology, hosts: &[HostId], m: u64) -> f64 {
+        let mut sim = FluidSim::new(topo);
+        let mut tag = 0;
+        for &a in hosts {
+            for &b in hosts {
+                if a != b {
+                    sim.start_flow(a, b, m, tag);
+                    tag += 1;
+                }
+            }
+        }
+        sim.run_to_completion()
+            .last()
+            .map(|c| c.at.as_secs_f64())
+            .unwrap_or(0.0)
     }
 }
 
@@ -598,60 +613,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     }
 }
 
-/// Batch max-min fair flow-level facade over a built [`Topology`]: start
-/// all flows at time zero, run to completion. A thin wrapper over
-/// [`FluidSim`] kept for estimate call sites; use [`FluidSim`] directly
-/// when flows churn.
-pub struct FluidNet<'a> {
-    sim: FluidSim<'a, NoopRecorder>,
-}
-
-impl<'a> FluidNet<'a> {
-    /// Creates an empty fluid network over `topo`.
-    pub fn new(topo: &'a Topology) -> Self {
-        Self {
-            sim: FluidSim::new(topo),
-        }
-    }
-
-    /// Starts a flow of `bytes` from `src` to `dst` at the current time.
-    ///
-    /// # Panics
-    /// Panics if `src == dst` or `bytes == 0`.
-    pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) {
-        self.sim.start_flow(src, dst, bytes, tag);
-    }
-
-    /// Number of flows still active.
-    pub fn active_flows(&self) -> usize {
-        self.sim.active_flows()
-    }
-
-    /// Runs all flows to completion, returning completions in time order.
-    pub fn run_to_completion(&mut self) -> Vec<FluidCompletion> {
-        self.sim.run_to_completion()
-    }
-
-    /// Convenience: the fluid completion time (seconds) of a uniform
-    /// All-to-All of `m` bytes per ordered pair among `hosts`.
-    pub fn alltoall_estimate(topo: &Topology, hosts: &[HostId], m: u64) -> f64 {
-        let mut net = FluidNet::new(topo);
-        let mut tag = 0;
-        for &a in hosts {
-            for &b in hosts {
-                if a != b {
-                    net.start_flow(a, b, m, tag);
-                    tag += 1;
-                }
-            }
-        }
-        net.run_to_completion()
-            .last()
-            .map(|c| c.at.as_secs_f64())
-            .unwrap_or(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,7 +632,7 @@ mod tests {
     #[test]
     fn single_flow_runs_at_line_rate() {
         let (topo, hosts) = star(2);
-        let mut net = FluidNet::new(&topo);
+        let mut net = FluidSim::new(&topo);
         net.start_flow(hosts[0], hosts[1], 125_000_000, 1);
         let done = net.run_to_completion();
         assert_eq!(done.len(), 1);
@@ -682,7 +643,7 @@ mod tests {
     #[test]
     fn two_flows_into_one_sink_halve() {
         let (topo, hosts) = star(3);
-        let mut net = FluidNet::new(&topo);
+        let mut net = FluidSim::new(&topo);
         net.start_flow(hosts[0], hosts[2], 125_000_000, 1);
         net.start_flow(hosts[1], hosts[2], 125_000_000, 2);
         let done = net.run_to_completion();
@@ -713,7 +674,7 @@ mod tests {
     #[test]
     fn max_min_protects_disjoint_flows() {
         let (topo, hosts) = star(4);
-        let mut net = FluidNet::new(&topo);
+        let mut net = FluidSim::new(&topo);
         net.start_flow(hosts[0], hosts[1], 125_000_000, 1);
         net.start_flow(hosts[2], hosts[3], 125_000_000, 2);
         let done = net.run_to_completion();
@@ -729,7 +690,7 @@ mod tests {
     fn alltoall_estimate_matches_receiver_bottleneck() {
         let (topo, hosts) = star(8);
         let m = 1_000_000u64;
-        let t = FluidNet::alltoall_estimate(&topo, &hosts, m);
+        let t = FluidSim::alltoall_estimate(&topo, &hosts, m);
         // Every host receives 7 MB through a 125 MB/s downlink: 56 ms.
         let ideal = 7.0 * m as f64 / 125e6;
         assert!((t - ideal).abs() < ideal * 0.01, "{t} vs {ideal}");
@@ -752,7 +713,7 @@ mod tests {
         b.link_switches(e0, e1, LinkConfig::gigabit_ethernet());
         let topo = b.build().unwrap();
         let m = 1_000_000u64;
-        let t = FluidNet::alltoall_estimate(&topo, &hosts, m);
+        let t = FluidSim::alltoall_estimate(&topo, &hosts, m);
         // Cross traffic: 4×4 MB each way over one 125 MB/s trunk = 128 ms
         // per direction — far above the 56 ms receiver bound.
         let trunk_bound = 16.0 * m as f64 / 125e6;
@@ -776,8 +737,8 @@ mod tests {
         let (t0, h0) = build(false);
         let (t1, h1) = build(true);
         let m = 1_000_000;
-        let duplex = FluidNet::alltoall_estimate(&t0, &h0, m);
-        let half = FluidNet::alltoall_estimate(&t1, &h1, m);
+        let duplex = FluidSim::alltoall_estimate(&t0, &h0, m);
+        let half = FluidSim::alltoall_estimate(&t1, &h1, m);
         let ratio = half / duplex;
         assert!((ratio - 2.0).abs() < 0.05, "bus ratio = {ratio}");
     }
@@ -786,7 +747,7 @@ mod tests {
     #[should_panic(expected = "empty fluid flow")]
     fn zero_byte_flow_rejected() {
         let (topo, hosts) = star(2);
-        let mut net = FluidNet::new(&topo);
+        let mut net = FluidSim::new(&topo);
         net.start_flow(hosts[0], hosts[1], 0, 1);
     }
 

@@ -37,7 +37,6 @@ use crate::topology::{RoutingPolicy, TopologyBuilder};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A generator's output: the builder (not yet built, so callers can still
 /// attach a host I/O bus or extra links) plus structural metadata.
@@ -133,7 +132,7 @@ impl Generated {
 /// How scenario ranks map onto a generated fabric's hosts. Replaces the
 /// scatter rule previously hard-coded into every caller; threaded through
 /// the scenario spec, the TOML format and the `ctnsim` CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
     /// Round-robin across edge groups ([`Generated::scattered_hosts`]) —
     /// the historical default every pre-existing scenario keeps.

@@ -1,11 +1,9 @@
 //! Aggregate counters collected during a simulation run.
 
-use serde::{Deserialize, Serialize};
-
 /// Network-wide counters. Cheap to copy out after a run; used by tests to
 /// assert on mechanisms (e.g. "the lossless fabric really dropped nothing")
 /// and by experiments to report loss rates alongside completion times.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Data segments injected by senders (including retransmissions).
     pub data_packets_sent: u64,

@@ -5,14 +5,11 @@
 //! floating-point drift in the clock itself; rates are converted to integer
 //! nanoseconds at the point of use).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point on the simulation timeline, in nanoseconds since start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -77,12 +74,6 @@ impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
     }
-}
-
-/// Converts a duration in seconds to integer nanoseconds, rounding.
-pub fn secs_to_nanos(secs: f64) -> u64 {
-    debug_assert!(secs >= 0.0 && secs.is_finite());
-    (secs * 1e9).round() as u64
 }
 
 #[cfg(test)]

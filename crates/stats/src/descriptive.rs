@@ -9,10 +9,9 @@
 //! counters.
 
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// One-pass summary of a sample: count, mean, variance, extrema.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

@@ -4,13 +4,11 @@
 //! around the mean with a long straggler tail; the experiment code uses this
 //! histogram to report that distribution in text form.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over a fixed `[lo, hi)` range with equal-width bins.
 ///
 /// Out-of-range samples are counted in saturating underflow/overflow buckets
 /// rather than dropped, so the total count is always the number of pushes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

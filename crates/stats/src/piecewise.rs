@@ -18,7 +18,6 @@
 use crate::error::StatsError;
 use crate::matrix::Matrix;
 use crate::regression::ols;
-use serde::{Deserialize, Serialize};
 
 /// Inputs for the piecewise fit. All slices are indexed per observation.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +33,7 @@ pub struct PiecewiseSpec<'a> {
 }
 
 /// Result of the piecewise fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseAffineFit {
     /// Slope coefficient (the contention ratio γ).
     pub gamma: f64,

@@ -8,10 +8,9 @@
 
 use crate::error::StatsError;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Result of a linear least-squares fit `y ≈ X·coef`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearFit {
     /// Fitted coefficients, one per design-matrix column.
     pub coefficients: Vec<f64>,

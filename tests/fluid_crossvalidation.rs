@@ -7,7 +7,7 @@
 
 use alltoall_contention::prelude::*;
 use simmpi::harness::alltoall_times;
-use simnet::fluid::FluidNet;
+use simnet::fluid::FluidSim;
 use simnet::ids::HostId;
 
 fn fluid_alltoall(preset: &ClusterPreset, n: usize, m: u64) -> f64 {
@@ -16,7 +16,7 @@ fn fluid_alltoall(preset: &ClusterPreset, n: usize, m: u64) -> f64 {
     let world = preset.build_world(n, 1);
     let topo = world.sim().topology();
     let hosts: Vec<HostId> = (0..n).map(HostId::new).collect();
-    FluidNet::alltoall_estimate(topo, &hosts, m)
+    FluidSim::alltoall_estimate(topo, &hosts, m)
 }
 
 #[test]
