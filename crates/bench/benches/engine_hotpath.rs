@@ -185,12 +185,16 @@ fn bench_guard_overhead(c: &mut Criterion) {
 /// the pair's trajectory so the tax cannot creep silently.
 fn bench_daemon_overhead(c: &mut Criterion) {
     use contention_scenario::prelude::{
-        CalibrationCache, LinkSpec, ScenarioBuilder, Session, SwitchSpec,
+        CalibrationCache, LinkConfig, ScenarioBuilder, Session, SwitchConfig,
     };
     use std::sync::Arc;
 
     let spec = ScenarioBuilder::new("bench-daemon-overhead")
-        .single_switch(4, LinkSpec::default(), SwitchSpec::default())
+        .single_switch(
+            4,
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig::commodity_ethernet(),
+        )
         .incast(1)
         .nodes([4])
         .message_bytes([16 * 1024])

@@ -19,7 +19,11 @@ use std::sync::Arc;
 fn small_grid() -> ScenarioSpec {
     ScenarioBuilder::new("bench-small-grid")
         .description("executor scaling benchmark")
-        .single_switch(8, LinkSpec::default(), SwitchSpec::default())
+        .single_switch(
+            8,
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig::commodity_ethernet(),
+        )
         .uniform("direct")
         .nodes([4, 5, 6, 8])
         .message_bytes([16 * 1024, 64 * 1024])
@@ -33,7 +37,13 @@ fn small_grid() -> ScenarioSpec {
 fn torus_grid() -> ScenarioSpec {
     ScenarioBuilder::new("bench-torus-grid")
         .description("executor scaling benchmark, torus fabric")
-        .torus_2d(3, 3, 1, LinkSpec::default(), SwitchSpec::default())
+        .torus_2d(
+            3,
+            3,
+            1,
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig::commodity_ethernet(),
+        )
         .placement(Placement::Pack)
         .uniform("direct")
         .nodes([4, 6, 8])
@@ -48,15 +58,15 @@ fn torus_grid() -> ScenarioSpec {
 fn dragonfly_grid() -> ScenarioSpec {
     ScenarioBuilder::new("bench-dragonfly-grid")
         .description("executor scaling benchmark, dragonfly fabric")
-        .topology(TopologySpec::Dragonfly {
+        .topology(TopologySpec::Dragonfly(DragonflyParams {
             groups: 3,
             routers_per_group: 3,
             hosts_per_router: 1,
-            host_link: LinkSpec::default(),
-            local_link: LinkSpec::default(),
-            global_link: LinkSpec::default(),
-            switch: SwitchSpec::default(),
-        })
+            host_link: LinkConfig::gigabit_ethernet(),
+            local_link: LinkConfig::gigabit_ethernet(),
+            global_link: LinkConfig::gigabit_ethernet(),
+            switch: SwitchConfig::commodity_ethernet(),
+        }))
         .placement(Placement::Pack)
         .uniform("direct")
         .nodes([4, 6, 8])

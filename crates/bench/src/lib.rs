@@ -257,7 +257,9 @@ pub mod hotpath {
     /// [`build_alltoall`]) and the fluid tier of `fluid_vs_packet`, so
     /// both engines run over byte-identical topologies.
     pub fn build_fabric(fabric: Fabric, n_hosts: usize) -> (Topology, Vec<HostId>) {
-        use simnet::generate::{dragonfly, fat_tree, torus_2d, DragonflyParams, FatTreeParams};
+        use simnet::generate::{
+            dragonfly, fat_tree, torus, DragonflyParams, FatTreeParams, TorusParams,
+        };
         let link = LinkConfig::gigabit_ethernet();
         let lossless = SwitchConfig::lossless_fabric();
         let (builder, hosts) = match fabric {
@@ -272,7 +274,12 @@ pub mod hotpath {
             }
             Fabric::Torus2d { x, y } => {
                 assert_eq!(n_hosts % (x * y), 0, "hosts must fill the torus evenly");
-                let g = torus_2d(x, y, n_hosts / (x * y), link, lossless);
+                let g = torus(&TorusParams {
+                    dims: [x, y, 1],
+                    hosts_per_switch: n_hosts / (x * y),
+                    link,
+                    switch: lossless,
+                });
                 (g.builder, g.hosts)
             }
             Fabric::Dragonfly { groups, routers } => {

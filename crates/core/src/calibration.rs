@@ -5,8 +5,8 @@
 //! process count `n′` across message sizes; (3) regress `(γ, δ, M)` from
 //! the gap between measurement and lower bound. This module performs steps
 //! 1 and 3 from plain data, so the crate stays independent of any
-//! particular measurement source; `contention-lab` supplies the simulator
-//! driver that produces the inputs.
+//! particular measurement source; the paper-figure drivers and the
+//! scenario engine run the simulator that produces the inputs.
 
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;

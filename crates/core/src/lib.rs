@@ -17,8 +17,8 @@
 //! * [`metrics`] — the paper's `(measured/estimated − 1)·100 %` error.
 //!
 //! The crate is measurement-source-agnostic: it fits from plain
-//! `(size, time)` data. The `contention-lab` crate supplies the simulator
-//! drivers that generate those inputs.
+//! `(size, time)` data. The crates above it (the paper-figure drivers,
+//! the scenario engine) run the simulator to produce those inputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -397,7 +397,11 @@ mod tests {
 
     fn tiny_spec(name: &str) -> ScenarioSpec {
         ScenarioBuilder::new(name)
-            .single_switch(2, LinkSpec::default(), SwitchSpec::default())
+            .single_switch(
+                2,
+                LinkConfig::gigabit_ethernet(),
+                SwitchConfig::commodity_ethernet(),
+            )
             .uniform("direct")
             .nodes([2])
             .message_bytes([1024])

@@ -294,7 +294,11 @@ mod tests {
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioBuilder::new("reg-test")
-            .single_switch(2, LinkSpec::default(), SwitchSpec::default())
+            .single_switch(
+                2,
+                LinkConfig::gigabit_ethernet(),
+                SwitchConfig::commodity_ethernet(),
+            )
             .uniform("direct")
             .nodes([2])
             .message_bytes([1024])

@@ -4,6 +4,7 @@
 //! (429/503), mid-run cancellation, TTL eviction and `/metrics`.
 
 use contention_obs::json;
+use contention_scenario::prelude::{LinkConfig, ScenarioBuilder, SwitchConfig};
 use ctnd::client::{request, HttpResponse};
 use ctnd::{Daemon, DaemonConfig};
 use std::net::SocketAddr;
@@ -402,6 +403,48 @@ fn metrics_aggregate_sessions_and_expose_cache_hit_rate() {
 /// Protocol edges: unknown paths, wrong methods, malformed bodies and
 /// unknown envelope fields all answer with typed JSON errors.
 #[test]
+fn a_deadlock_during_calibration_fails_the_run_and_spares_the_worker() {
+    // The signature fit's sample All-to-Alls run before any cell, outside
+    // the per-cell panic isolation: their deadlock has to come back as the
+    // run's error, and the one run worker has to survive it.
+    // CI's robustness trap: a GM window far beyond an 8 KiB / 16 KiB
+    // switch. GM never retransmits, so every contended exchange stalls.
+    let trap = ScenarioBuilder::new("gm-finite-buffer-trap")
+        .single_switch(
+            4,
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig {
+                shared_buffer_bytes: 16 * 1024,
+                per_port_cap_bytes: 8 * 1024,
+            },
+        )
+        .gm(1 << 20)
+        .incast(1)
+        .nodes([4])
+        .message_bytes([256 * 1024])
+        .build()
+        .expect("valid spec")
+        .to_toml_string();
+    let d = daemon(DaemonConfig {
+        run_workers: 1,
+        ..DaemonConfig::default()
+    });
+    let addr = d.addr();
+    let id = run_id(&post_toml(addr, &trap, "?model=signature"));
+    let doc = wait_done(addr, &id);
+    assert_eq!(status_field(&doc, "outcome"), "failed");
+    let error = status_field(&doc, "error");
+    assert!(
+        error.contains("calibration") && error.contains("deadlock"),
+        "{error}"
+    );
+
+    let id = run_id(&post_toml(addr, TINY_SPEC, ""));
+    assert_eq!(status_field(&wait_done(addr, &id), "outcome"), "ok");
+    d.shutdown();
+}
+
+#[test]
 fn protocol_errors_answer_with_typed_json() {
     let d = daemon(DaemonConfig::default());
     let addr = d.addr();
@@ -418,6 +461,22 @@ fn protocol_errors_answer_with_typed_json() {
     }
     let resp = post_toml(addr, TINY_SPEC, "?seed=%2B5");
     assert_eq!(resp.status, 400, "{}", resp.body);
+    // Parameters no generator accepts are refused at the door, by field
+    // name (they used to be queued and then panic the run worker).
+    for builtin in ["sparse-star", "mixed-phases-tree"] {
+        let shown = contention_scenario::registry::by_name(builtin)
+            .expect("registered")
+            .to_toml_string();
+        let unwired = shown.replace("uplinks_per_leaf = 2", "uplinks_per_leaf = 0");
+        assert_ne!(shown, unwired, "{builtin} has two uplinks per leaf");
+        let resp = post_toml(addr, &unwired, "");
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body.contains("topology.uplinks_per_leaf"),
+            "{}",
+            resp.body
+        );
+    }
 
     let resp = request(
         addr,

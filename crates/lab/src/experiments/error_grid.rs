@@ -4,8 +4,8 @@
 //! saturate the network").
 
 use super::{surface, ExperimentOutput, Profile};
-use crate::presets::ClusterPreset;
 use crate::report::{ascii_chart, Series, Table};
+use simmpi::presets::ClusterPreset;
 
 fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -> ExperimentOutput {
     let (points, cal) = match surface::measure_surface(preset, sample_n, profile) {

@@ -3,9 +3,9 @@
 //! paper's sample node count.
 
 use super::{ExperimentOutput, Profile, Scale};
-use crate::presets::ClusterPreset;
 use crate::report::{ascii_chart, Series, Table};
 use crate::runner::{calibrate_report, default_sample_sizes};
+use simmpi::presets::ClusterPreset;
 
 /// Paper-reported signature values for the comparison notes.
 pub struct PaperSignature {

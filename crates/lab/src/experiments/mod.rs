@@ -44,7 +44,7 @@ impl Default for Profile {
             scale: Scale::Quick,
             seed: 42,
             out_dir: PathBuf::from("results"),
-            workers: crate::runner::default_workers(),
+            workers: simmpi::runner::default_workers(),
         }
     }
 }

@@ -3,13 +3,13 @@
 //! §8's per-network (γ, δ, M).
 
 use super::{fit, ExperimentOutput, Profile};
-use crate::presets::ClusterPreset;
 use crate::report::Table;
 use crate::runner::{calibrate_report, default_sample_sizes};
 use contention_model::throughput::ThroughputModel;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use simmpi::harness::stress_run;
+use simmpi::presets::ClusterPreset;
 
 /// Runs the parameter reproduction table.
 pub fn run(profile: &Profile) -> ExperimentOutput {

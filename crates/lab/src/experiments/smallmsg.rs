@@ -4,9 +4,10 @@
 //! switching, per-message overheads, ACK dynamics).
 
 use super::{ExperimentOutput, Profile, Scale};
-use crate::presets::ClusterPreset;
 use crate::report::{ascii_chart, Series, Table};
-use crate::runner::{fit_cfg_for, measure_alltoall_curve, parallel_map, SweepConfig};
+use crate::runner::{fit_cfg_for, measure_alltoall_curve, SweepConfig};
+use simmpi::presets::ClusterPreset;
+use simmpi::runner::parallel_map;
 
 /// Node counts (the paper's fig. 5 spans 4–16).
 fn nodes(scale: Scale) -> Vec<usize> {

@@ -7,12 +7,12 @@
 //! fingerprint the whole paper builds on.
 
 use super::{ExperimentOutput, Profile, Scale};
-use crate::presets::ClusterPreset;
 use crate::report::{ascii_chart, Series, Table};
 use contention_stats::descriptive::Summary;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use simmpi::harness::{stress_run, StressResult};
+use simmpi::presets::ClusterPreset;
 
 /// Connection counts swept (the paper samples 1..60).
 pub fn connection_counts(scale: Scale) -> Vec<usize> {

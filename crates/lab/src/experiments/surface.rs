@@ -3,10 +3,11 @@
 //! fitted once at the paper's sample node count.
 
 use super::{ExperimentOutput, Profile, Scale};
-use crate::presets::ClusterPreset;
 use crate::report::Table;
-use crate::runner::{calibrate_report, fit_cfg_for, measure_alltoall_curve, parallel_map};
+use crate::runner::{calibrate_report, fit_cfg_for, measure_alltoall_curve};
 use contention_model::metrics::AccuracyPoint;
+use simmpi::presets::ClusterPreset;
+use simmpi::runner::parallel_map;
 
 /// Node-count grids per figure.
 pub fn surface_nodes(preset: &ClusterPreset, scale: Scale) -> Vec<usize> {

@@ -7,7 +7,6 @@
 //! wrong below ~64 KiB, motivating the §7 signature model.
 
 use super::{ExperimentOutput, Profile, Scale};
-use crate::presets::ClusterPreset;
 use crate::report::{ascii_chart, Series, Table};
 use crate::runner::{fit_cfg_for, measure_alltoall_curve, measure_hockney};
 use contention_model::models::CompletionModel;
@@ -15,6 +14,7 @@ use contention_model::throughput::ThroughputModel;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use simmpi::harness::stress_run;
+use simmpi::presets::ClusterPreset;
 
 /// Message sizes, deliberately including the small range where the
 /// synthetic-β model misses.

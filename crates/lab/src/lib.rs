@@ -1,11 +1,11 @@
-//! # contention-lab — presets, measurement drivers and paper experiments
+//! # contention-lab — measurement drivers and paper experiments
 //!
-//! Binds the simulator stack to the paper's experimental procedure:
+//! Binds the simulator stack to the paper's experimental procedure, on
+//! the three clusters of [`simmpi::presets`]. A leaf crate: only the
+//! `repro` binary, the root facade and the examples use it.
 //!
-//! * [`presets`] — the three clusters (Fast Ethernet, Gigabit Ethernet,
-//!   Myrinet) as reproducible topology + protocol descriptions;
-//! * [`runner`] — ping-pong/Hockney measurement, All-to-All sweeps, the
-//!   full §8 calibration pipeline, and a parallel sweep helper;
+//! * [`runner`] — ping-pong/Hockney measurement, All-to-All sweeps and
+//!   the full §8 calibration pipeline;
 //! * [`experiments`] — one module per paper figure (2–14) plus the fitted
 //!   parameter table, all registered for the `repro` binary;
 //! * [`report`] — CSV/markdown tables and ASCII charts.
@@ -14,6 +14,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod presets;
 pub mod report;
 pub mod runner;

@@ -17,7 +17,7 @@
 //!
 //! let spec = ScenarioBuilder::new("doc-builder")
 //!     .description("4 hosts on one switch, direct exchange")
-//!     .single_switch(4, LinkSpec::default(), SwitchSpec::default())
+//!     .single_switch(4, LinkConfig::gigabit_ethernet(), SwitchConfig::commodity_ethernet())
 //!     .tcp(64 * 1024)
 //!     .uniform("direct")
 //!     .nodes([2, 4])
@@ -32,10 +32,10 @@
 //! ```
 
 use crate::spec::{
-    Backend, LinkSpec, MpiSpec, ScenarioSpec, SpecError, SweepSpec, SwitchSpec, TopologySpec,
-    TransportSpec, WorkloadSpec,
+    Backend, MpiSpec, ScenarioSpec, SpecError, SweepSpec, TopologySpec, TransportSpec, WorkloadSpec,
 };
-use simnet::generate::Placement;
+use simnet::config::{LinkConfig, SwitchConfig};
+use simnet::generate::{FatTreeParams, Placement, SingleSwitchParams, TorusParams};
 
 /// Fluent constructor of validated [`ScenarioSpec`]s.
 ///
@@ -90,12 +90,12 @@ impl ScenarioBuilder {
     }
 
     /// `hosts` hosts on one switch.
-    pub fn single_switch(self, hosts: usize, link: LinkSpec, switch: SwitchSpec) -> Self {
-        self.topology(TopologySpec::SingleSwitch {
+    pub fn single_switch(self, hosts: usize, link: LinkConfig, switch: SwitchConfig) -> Self {
+        self.topology(TopologySpec::SingleSwitch(SingleSwitchParams {
             hosts,
             link,
             switch,
-        })
+        }))
     }
 
     /// k-ary fat-tree.
@@ -103,15 +103,15 @@ impl ScenarioBuilder {
         self,
         k: usize,
         hosts_per_edge: usize,
-        link: LinkSpec,
-        switch: SwitchSpec,
+        link: LinkConfig,
+        switch: SwitchConfig,
     ) -> Self {
-        self.topology(TopologySpec::FatTree {
+        self.topology(TopologySpec::FatTree(FatTreeParams {
             k,
             hosts_per_edge,
             link,
             switch,
-        })
+        }))
     }
 
     /// 2-D torus of switches, dimension-ordered routing.
@@ -120,16 +120,15 @@ impl ScenarioBuilder {
         x: usize,
         y: usize,
         hosts_per_switch: usize,
-        link: LinkSpec,
-        switch: SwitchSpec,
+        link: LinkConfig,
+        switch: SwitchConfig,
     ) -> Self {
-        self.topology(TopologySpec::Torus2d {
-            x,
-            y,
+        self.topology(TopologySpec::Torus2d(TorusParams {
+            dims: [x, y, 1],
             hosts_per_switch,
             link,
             switch,
-        })
+        }))
     }
 
     /// 3-D torus of switches, dimension-ordered routing.
@@ -139,17 +138,15 @@ impl ScenarioBuilder {
         y: usize,
         z: usize,
         hosts_per_switch: usize,
-        link: LinkSpec,
-        switch: SwitchSpec,
+        link: LinkConfig,
+        switch: SwitchConfig,
     ) -> Self {
-        self.topology(TopologySpec::Torus3d {
-            x,
-            y,
-            z,
+        self.topology(TopologySpec::Torus3d(TorusParams {
+            dims: [x, y, z],
             hosts_per_switch,
             link,
             switch,
-        })
+        }))
     }
 
     // ---- placement / transport / MPI ----------------------------------
@@ -330,7 +327,11 @@ mod tests {
     #[test]
     fn builder_defaults_match_an_omitted_toml_section() {
         let spec = ScenarioBuilder::new("b")
-            .single_switch(8, LinkSpec::default(), SwitchSpec::default())
+            .single_switch(
+                8,
+                LinkConfig::gigabit_ethernet(),
+                SwitchConfig::commodity_ethernet(),
+            )
             .uniform("direct")
             .build()
             .unwrap();
@@ -346,7 +347,11 @@ mod tests {
         let no_topo = ScenarioBuilder::new("x").uniform("direct").build();
         assert!(matches!(no_topo, Err(SpecError::Invalid(m)) if m.contains("topology")));
         let no_workload = ScenarioBuilder::new("x")
-            .single_switch(4, LinkSpec::default(), SwitchSpec::default())
+            .single_switch(
+                4,
+                LinkConfig::gigabit_ethernet(),
+                SwitchConfig::commodity_ethernet(),
+            )
             .build();
         assert!(matches!(no_workload, Err(SpecError::Invalid(m)) if m.contains("workload")));
     }
@@ -354,13 +359,21 @@ mod tests {
     #[test]
     fn build_runs_full_validation() {
         let over_capacity = ScenarioBuilder::new("x")
-            .single_switch(4, LinkSpec::default(), SwitchSpec::default())
+            .single_switch(
+                4,
+                LinkConfig::gigabit_ethernet(),
+                SwitchConfig::commodity_ethernet(),
+            )
             .uniform("direct")
             .nodes([64])
             .build();
         assert!(matches!(over_capacity, Err(SpecError::Invalid(_))));
         let bad_algo = ScenarioBuilder::new("x")
-            .single_switch(4, LinkSpec::default(), SwitchSpec::default())
+            .single_switch(
+                4,
+                LinkConfig::gigabit_ethernet(),
+                SwitchConfig::commodity_ethernet(),
+            )
             .uniform("quantum")
             .build();
         assert!(matches!(bad_algo, Err(SpecError::Invalid(_))));
@@ -370,7 +383,11 @@ mod tests {
     fn later_setters_win() {
         let spec = ScenarioBuilder::new("x")
             .preset("fast-ethernet")
-            .single_switch(8, LinkSpec::default(), SwitchSpec::default())
+            .single_switch(
+                8,
+                LinkConfig::gigabit_ethernet(),
+                SwitchConfig::commodity_ethernet(),
+            )
             .incast(1)
             .uniform("direct")
             .tcp(1024)
@@ -381,7 +398,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             spec.topology,
-            TopologySpec::SingleSwitch { hosts: 8, .. }
+            TopologySpec::SingleSwitch(SingleSwitchParams { hosts: 8, .. })
         ));
         assert!(matches!(spec.workload, WorkloadSpec::Uniform { .. }));
         assert_eq!(spec.transport, TransportSpec::Gm { window_bytes: 2048 });

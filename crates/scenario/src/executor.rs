@@ -48,12 +48,12 @@ use crate::session::{CalibrationCache, CancelToken, RunEvent};
 use crate::spec::{Backend, ScenarioSpec, SpecError};
 use crate::topology::{self, Fabric};
 use crate::workload;
-use contention_lab::runner::parallel_map;
 use contention_model::hockney::HockneyParams;
 use contention_model::metrics::estimation_error_percent;
 use contention_model::saturation::SaturationModel;
 use contention_model::signature::ContentionSignature;
-use simmpi::harness::ping_pong;
+use simmpi::harness::try_ping_pong;
+use simmpi::runner::parallel_map;
 use simmpi::world::{RunInterrupt, World};
 use simnet::guard::{GuardStop, RunGuard};
 use simnet::obs::{EngineRecorder, EngineTelemetry, NoopRecorder, Recorder, TelemetryConfig};
@@ -333,7 +333,7 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         Self {
-            workers: contention_lab::runner::default_workers(),
+            workers: simmpi::runner::default_workers(),
             base_seed: 42,
             model: ModelKind::Med,
             limits: GuardLimits::default(),
@@ -534,8 +534,9 @@ pub(crate) fn hockney_fit(
     cache.note_miss();
     let sizes = [1024u64, 16 * 1024, 131_072, 524_288, 1_048_576];
     let fabric = fabric().map_err(|e| CtnError::calibration(&spec.name, spec_error_detail(e)))?;
-    let mut world = fabric.world_with(spec, 2, seed, NoopRecorder);
-    let points: Vec<(u64, f64)> = ping_pong(&mut world, 0, 1, &sizes, 3)
+    let mut world = fabric.world_with(2, seed, NoopRecorder);
+    let points: Vec<(u64, f64)> = try_ping_pong(&mut world, 0, 1, &sizes, 3)
+        .map_err(|i| CtnError::calibration(&spec.name, format!("Hockney ping-pong: {i}")))?
         .into_iter()
         .map(|p| (p.size, p.half_rtt_secs))
         .collect();
@@ -558,19 +559,27 @@ pub(crate) enum ModelCtx {
 /// Uniform direct All-to-All completion times on the scenario's fabric —
 /// the sample measurements the signature and saturation fits regress on
 /// (the paper's §8 procedure: the signature belongs to the *network*, so
-/// it is always fitted on the uniform exchange).
+/// it is always fitted on the uniform exchange). A sample that stalls — GM
+/// on a finite-buffer fabric never retransmits — is the calibration's
+/// failure, carrying the stall diagnostic; it runs outside any cell's
+/// panic isolation, so it must not panic.
 fn sample_alltoall(
     spec: &ScenarioSpec,
     fabric: &Fabric,
     n: usize,
     sizes: &[u64],
     seed: u64,
-) -> Vec<(u64, f64)> {
+) -> Result<Vec<(u64, f64)>, CtnError> {
     let algo = workload::algorithm_by_name("direct").expect("built-in algorithm");
-    let mut world = fabric.world_with(spec, n, seed, NoopRecorder);
+    let mut world = fabric.world_with(n, seed, NoopRecorder);
     sizes
         .iter()
-        .map(|&m| (m, world.run(algo.programs(n, m)).duration_secs()))
+        .map(|&m| {
+            let run = world.try_run(algo.programs(n, m)).map_err(|i| {
+                CtnError::calibration(&spec.name, format!("sample All-to-All ({n} x {m} B): {i}"))
+            })?;
+            Ok((m, run.duration_secs()))
+        })
         .collect()
 }
 
@@ -612,7 +621,7 @@ pub(crate) fn model_ctx(
             // same prediction no matter what else the grid contains.
             let sample_n = capacity.clamp(2, 8);
             let sizes = [64 * 1024u64, 128 * 1024, 256 * 1024, 512 * 1024, 1_048_576];
-            let samples = sample_alltoall(spec, &fabric, sample_n, &sizes, seed);
+            let samples = sample_alltoall(spec, &fabric, sample_n, &sizes, seed)?;
             ContentionSignature::fit(hockney, sample_n, &samples)
                 .map(ModelCtx::Signature)
                 .map_err(fit_err)?
@@ -637,7 +646,7 @@ pub(crate) fn model_ctx(
             let sizes = [128 * 1024u64, 512 * 1024, 1_048_576];
             let mut samples = Vec::with_capacity(ladder.len() * sizes.len());
             for &n in &ladder {
-                for (m, t) in sample_alltoall(spec, &fabric, n, &sizes, mix(seed ^ n as u64)) {
+                for (m, t) in sample_alltoall(spec, &fabric, n, &sizes, mix(seed ^ n as u64))? {
                     samples.push((n, m, t));
                 }
             }
@@ -750,7 +759,7 @@ fn run_cell_fluid(
         hockney,
         ctx,
     } = scenario;
-    let (topo, hosts, mpi) = fabric.fluid_cell(spec, cell.n, cell.seed);
+    let (topo, hosts, mpi) = fabric.fluid_cell(cell.n, cell.seed);
     let world = simmpi::FluidWorld::new(&topo, hosts, mpi);
     let programs = workload::programs(&spec.workload, cell.n, cell.message_bytes, cell.seed);
     let guard = limits.guard(cancel);
@@ -810,7 +819,7 @@ fn run_cell_in<R: Recorder>(
         hockney,
         ctx,
     } = scenario;
-    let mut world = fabric.world_with(spec, cell.n, cell.seed, recorder);
+    let mut world = fabric.world_with(cell.n, cell.seed, recorder);
     // One guard installation spans the whole cell: budgets and the
     // horizon accumulate across warmup and every repetition.
     world.sim_mut().set_guard(limits.guard(cancel));
@@ -1284,6 +1293,41 @@ mod tests {
         let csv1 = r1.render(ReportFormat::Csv);
         let csv4 = r4.render(ReportFormat::Csv);
         assert_eq!(csv1, csv4, "CSV must be byte-identical across workers");
+    }
+
+    #[test]
+    fn a_deadlock_during_calibration_is_a_typed_error() {
+        // CI's robustness trap: GM never retransmits, so a window larger
+        // than an 8 KiB / 16 KiB switch stalls any contended exchange —
+        // including the signature fit's sample All-to-Alls, which run
+        // before (and outside the panic isolation of) every cell.
+        let trap = crate::builder::ScenarioBuilder::new("gm-finite-buffer-trap")
+            .single_switch(
+                4,
+                simnet::config::LinkConfig::gigabit_ethernet(),
+                simnet::config::SwitchConfig {
+                    shared_buffer_bytes: 16 * 1024,
+                    per_port_cap_bytes: 8 * 1024,
+                },
+            )
+            .gm(1 << 20)
+            .incast(1)
+            .nodes([4])
+            .message_bytes([256 * 1024])
+            .build()
+            .unwrap();
+        let session = Session::builder()
+            .workers(1)
+            .model(ModelKind::Signature)
+            .build()
+            .unwrap();
+        match session.run(&trap) {
+            Err(CtnError::Calibration { scenario, detail }) => {
+                assert_eq!(scenario, "gm-finite-buffer-trap");
+                assert!(detail.contains("deadlock"), "{detail}");
+            }
+            other => panic!("expected a calibration error, got {other:?}"),
+        }
     }
 
     #[test]

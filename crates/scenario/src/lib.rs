@@ -42,7 +42,7 @@
 //! use contention_scenario::prelude::*;
 //!
 //! let spec = ScenarioBuilder::new("quick")
-//!     .single_switch(8, LinkSpec::default(), SwitchSpec::default())
+//!     .single_switch(8, LinkConfig::gigabit_ethernet(), SwitchConfig::commodity_ethernet())
 //!     .incast(1)
 //!     .nodes([4])
 //!     .message_bytes([32 * 1024])
@@ -83,8 +83,12 @@ pub mod prelude {
         CalibrationCache, CancelToken, RunEvent, RunObserver, Session, SessionBuilder,
     };
     pub use crate::spec::{
-        Backend, LinkSpec, MpiSpec, ScenarioSpec, SpecError, SweepSpec, SwitchSpec, TopologySpec,
-        TransportSpec, WorkloadSpec,
+        Backend, MpiSpec, ScenarioSpec, SpecError, SweepSpec, TopologySpec, TransportSpec,
+        WorkloadSpec,
     };
-    pub use simnet::generate::Placement;
+    pub use simnet::config::{LinkConfig, SwitchConfig};
+    pub use simnet::generate::{
+        DragonflyParams, FatTreeParams, Placement, SingleSwitchParams, StarParams, TorusParams,
+        TreeParams,
+    };
 }

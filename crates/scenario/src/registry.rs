@@ -10,8 +10,9 @@
 //! API expresses everything the engine can run.
 
 use crate::builder::ScenarioBuilder;
-use crate::spec::{Backend, LinkSpec, ScenarioSpec, SwitchSpec, TopologySpec, WorkloadSpec};
-use simnet::generate::Placement;
+use crate::spec::{Backend, ScenarioSpec, TopologySpec, WorkloadSpec};
+use simnet::config::{LinkConfig, SwitchConfig};
+use simnet::generate::{DragonflyParams, Placement, StarParams, TreeParams};
 
 fn kib(n: u64) -> u64 {
     n * 1024
@@ -34,19 +35,19 @@ fn paper_cluster(preset: &str, description: &str, nodes: Vec<usize>) -> Scenario
 
 /// All built-in scenarios, in presentation order.
 pub fn builtin() -> Vec<ScenarioSpec> {
-    let fast_link = LinkSpec {
+    let fast_link = LinkConfig {
         bandwidth_bytes_per_sec: 125e6,
         latency_ns: 20_000,
     };
-    let small_switch = SwitchSpec {
+    let small_switch = SwitchConfig {
         shared_buffer_bytes: 256 * 1024,
         per_port_cap_bytes: 64 * 1024,
     };
-    let deep_switch = SwitchSpec {
+    let deep_switch = SwitchConfig {
         shared_buffer_bytes: 4 * 1024 * 1024,
         per_port_cap_bytes: 1024 * 1024,
     };
-    let lossless_switch = SwitchSpec {
+    let lossless_switch = SwitchConfig {
         shared_buffer_bytes: u64::MAX / 4,
         per_port_cap_bytes: u64::MAX / 8,
     };
@@ -88,7 +89,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                     "Skewed irregular exchange over a 4:1 oversubscribed two-level tree \
                      (the Oltchik-style partitioning stress: hot senders share thin uplinks)",
                 )
-                .topology(TopologySpec::Tree {
+                .topology(TopologySpec::Tree(TreeParams {
                     leaves: 4,
                     hosts_per_leaf: 6,
                     edge_link: fast_link,
@@ -97,7 +98,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                     uplink_latency_ns: 10_000,
                     edge_switch: small_switch,
                     core_switch: small_switch,
-                })
+                }))
                 .tcp(kib(64))
                 .skewed(2, 4.0, true)
                 .nodes([8, 16, 24])
@@ -125,18 +126,18 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                     "Sparse (40%) irregular exchange over a star of switches — the Bienz \
                      irregular-communication regime single-switch models miss",
                 )
-                .topology(TopologySpec::StarOfSwitches {
+                .topology(TopologySpec::StarOfSwitches(StarParams {
                     leaves: 3,
                     hosts_per_leaf: 8,
                     edge_link: fast_link,
-                    uplink: LinkSpec {
+                    uplink: LinkConfig {
                         bandwidth_bytes_per_sec: 250e6,
                         latency_ns: 10_000,
                     },
                     uplinks_per_leaf: 2,
                     edge_switch: small_switch,
                     core_switch: deep_switch,
-                })
+                }))
                 .tcp(kib(64))
                 .sparse(0.4, true)
                 .nodes([8, 16, 24])
@@ -152,7 +153,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                 )
                 .single_switch(
                     24,
-                    LinkSpec {
+                    LinkConfig {
                         bandwidth_bytes_per_sec: 250e6,
                         latency_ns: 4_000,
                     },
@@ -173,7 +174,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                      oversubscribed tree — the shifting-bottleneck case single-pattern \
                      models cannot fit",
                 )
-                .topology(TopologySpec::Tree {
+                .topology(TopologySpec::Tree(TreeParams {
                     leaves: 2,
                     hosts_per_leaf: 8,
                     edge_link: fast_link,
@@ -182,7 +183,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                     uplink_latency_ns: 10_000,
                     edge_switch: small_switch,
                     core_switch: deep_switch,
-                })
+                }))
                 .tcp(kib(64))
                 .phases([
                     WorkloadSpec::Permutation,
@@ -239,18 +240,18 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                      byte funnels through single global links — the adversarial pattern \
                      minimal routing cannot dodge",
                 )
-                .topology(TopologySpec::Dragonfly {
+                .topology(TopologySpec::Dragonfly(DragonflyParams {
                     groups: 4,
                     routers_per_group: 4,
                     hosts_per_router: 2,
                     host_link: fast_link,
                     local_link: fast_link,
-                    global_link: LinkSpec {
+                    global_link: LinkConfig {
                         bandwidth_bytes_per_sec: 250e6,
                         latency_ns: 40_000,
                     },
                     switch: small_switch,
-                })
+                }))
                 .placement(Placement::Pack)
                 .tcp(kib(64))
                 .uniform("direct")
@@ -298,18 +299,18 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                      hosts): packing fills whole groups, so the permutation's cross-group \
                      bytes all funnel through single global links — fluid tier only",
                 )
-                .topology(TopologySpec::Dragonfly {
+                .topology(TopologySpec::Dragonfly(DragonflyParams {
                     groups: 16,
                     routers_per_group: 16,
                     hosts_per_router: 16,
                     host_link: fast_link,
                     local_link: fast_link,
-                    global_link: LinkSpec {
+                    global_link: LinkConfig {
                         bandwidth_bytes_per_sec: 250e6,
                         latency_ns: 40_000,
                     },
                     switch: lossless_switch,
-                })
+                }))
                 .placement(Placement::Pack)
                 .gm(kib(1024))
                 .permutation()

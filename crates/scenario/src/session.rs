@@ -22,7 +22,7 @@
 //! use contention_scenario::prelude::*;
 //!
 //! let spec = ScenarioBuilder::new("doc-session")
-//!     .single_switch(4, LinkSpec::default(), SwitchSpec::default())
+//!     .single_switch(4, LinkConfig::gigabit_ethernet(), SwitchConfig::commodity_ethernet())
 //!     .uniform("direct")
 //!     .nodes([2])
 //!     .message_bytes([16 * 1024])
@@ -339,9 +339,7 @@ impl SessionBuilder {
     /// Builds the session. Fails with [`CtnError::Config`] when `workers`
     /// was set to zero.
     pub fn build(self) -> Result<Session, CtnError> {
-        let workers = self
-            .workers
-            .unwrap_or_else(contention_lab::runner::default_workers);
+        let workers = self.workers.unwrap_or_else(simmpi::runner::default_workers);
         if workers == 0 {
             return Err(CtnError::Config {
                 detail: "session needs at least one worker".to_string(),

@@ -7,69 +7,19 @@
 //! [`crate::workload`].
 
 use crate::toml::{self, TomlError, Value};
-use simnet::generate::Placement;
+use simnet::generate::{
+    DragonflyParams, FatTreeParams, Placement, SingleSwitchParams, StarParams, TorusParams,
+    TreeParams,
+};
 use simnet::prelude::*;
 use std::collections::BTreeMap;
 
-/// A link description (bandwidth + latency).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkSpec {
-    /// Bytes per second.
-    pub bandwidth_bytes_per_sec: f64,
-    /// One-way latency in nanoseconds.
-    pub latency_ns: u64,
-}
-
-impl LinkSpec {
-    /// Conversion to the simulator type.
-    pub fn to_config(self) -> LinkConfig {
-        LinkConfig {
-            bandwidth_bytes_per_sec: self.bandwidth_bytes_per_sec,
-            latency_ns: self.latency_ns,
-        }
-    }
-}
-
-impl Default for LinkSpec {
-    fn default() -> Self {
-        let l = LinkConfig::gigabit_ethernet();
-        Self {
-            bandwidth_bytes_per_sec: l.bandwidth_bytes_per_sec,
-            latency_ns: l.latency_ns,
-        }
-    }
-}
-
-/// Switch buffering description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwitchSpec {
-    /// Shared buffer pool in bytes.
-    pub shared_buffer_bytes: u64,
-    /// Per-port cap within the pool, bytes.
-    pub per_port_cap_bytes: u64,
-}
-
-impl SwitchSpec {
-    /// Conversion to the simulator type.
-    pub fn to_config(self) -> SwitchConfig {
-        SwitchConfig {
-            shared_buffer_bytes: self.shared_buffer_bytes,
-            per_port_cap_bytes: self.per_port_cap_bytes,
-        }
-    }
-}
-
-impl Default for SwitchSpec {
-    fn default() -> Self {
-        let s = SwitchConfig::commodity_ethernet();
-        Self {
-            shared_buffer_bytes: s.shared_buffer_bytes,
-            per_port_cap_bytes: s.per_port_cap_bytes,
-        }
-    }
-}
-
-/// Which fabric family a scenario runs on.
+/// Which fabric family a scenario runs on. A generated family *holds*
+/// its generator's own parameters: what they mean, which combinations are
+/// valid and how many hosts they make are facts of
+/// [`simnet::generate`], not of this crate (see "One owner per family"
+/// there). What this enum adds per family is the variant, its report
+/// [`kind`](TopologySpec::kind) and its TOML key list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// One of the paper's calibrated clusters, by preset name
@@ -78,109 +28,23 @@ pub enum TopologySpec {
         /// Preset name.
         preset: String,
     },
-    /// `hosts` hosts on one switch.
-    SingleSwitch {
-        /// Host count (capacity).
-        hosts: usize,
-        /// Host link.
-        link: LinkSpec,
-        /// The switch.
-        switch: SwitchSpec,
-    },
+    /// Hosts on one switch.
+    SingleSwitch(SingleSwitchParams),
     /// Leaf switches around a core with explicit uplink parameters.
-    StarOfSwitches {
-        /// Leaf switch count.
-        leaves: usize,
-        /// Hosts per leaf.
-        hosts_per_leaf: usize,
-        /// Host ↔ leaf link.
-        edge_link: LinkSpec,
-        /// Leaf ↔ core link.
-        uplink: LinkSpec,
-        /// Parallel uplinks per leaf.
-        uplinks_per_leaf: usize,
-        /// Leaf switch buffering.
-        edge_switch: SwitchSpec,
-        /// Core switch buffering.
-        core_switch: SwitchSpec,
-    },
+    StarOfSwitches(StarParams),
     /// Two-level tree whose uplink bandwidth derives from an
     /// oversubscription ratio.
-    Tree {
-        /// Leaf switch count.
-        leaves: usize,
-        /// Hosts per leaf.
-        hosts_per_leaf: usize,
-        /// Host ↔ leaf link.
-        edge_link: LinkSpec,
-        /// Total host bandwidth per leaf ÷ total uplink bandwidth.
-        oversubscription: f64,
-        /// Parallel uplinks per leaf.
-        uplinks_per_leaf: usize,
-        /// Uplink one-way latency, nanoseconds.
-        uplink_latency_ns: u64,
-        /// Leaf switch buffering.
-        edge_switch: SwitchSpec,
-        /// Core switch buffering.
-        core_switch: SwitchSpec,
-    },
+    Tree(TreeParams),
     /// k-ary fat-tree.
-    FatTree {
-        /// Pod arity (even).
-        k: usize,
-        /// Hosts per edge switch.
-        hosts_per_edge: usize,
-        /// Uniform link.
-        link: LinkSpec,
-        /// Uniform switch buffering.
-        switch: SwitchSpec,
-    },
-    /// 2-D torus of switches, dimension-ordered routing.
-    Torus2d {
-        /// Ring length along x.
-        x: usize,
-        /// Ring length along y.
-        y: usize,
-        /// Hosts per switch.
-        hosts_per_switch: usize,
-        /// Uniform link.
-        link: LinkSpec,
-        /// Uniform switch buffering.
-        switch: SwitchSpec,
-    },
+    FatTree(FatTreeParams),
+    /// 2-D torus of switches, dimension-ordered routing: `dims` is
+    /// `[x, y, 1]`.
+    Torus2d(TorusParams),
     /// 3-D torus of switches, dimension-ordered routing.
-    Torus3d {
-        /// Ring length along x.
-        x: usize,
-        /// Ring length along y.
-        y: usize,
-        /// Ring length along z.
-        z: usize,
-        /// Hosts per switch.
-        hosts_per_switch: usize,
-        /// Uniform link.
-        link: LinkSpec,
-        /// Uniform switch buffering.
-        switch: SwitchSpec,
-    },
+    Torus3d(TorusParams),
     /// Dragonfly: fully-meshed router groups joined by single global
     /// links, minimal-path routed.
-    Dragonfly {
-        /// Number of groups.
-        groups: usize,
-        /// Routers per group (local full mesh).
-        routers_per_group: usize,
-        /// Hosts per router.
-        hosts_per_router: usize,
-        /// Host ↔ router link.
-        host_link: LinkSpec,
-        /// Intra-group link.
-        local_link: LinkSpec,
-        /// Inter-group (global) link.
-        global_link: LinkSpec,
-        /// Uniform router buffering.
-        switch: SwitchSpec,
-    },
+    Dragonfly(DragonflyParams),
 }
 
 impl TopologySpec {
@@ -188,13 +52,47 @@ impl TopologySpec {
     pub fn kind(&self) -> &'static str {
         match self {
             TopologySpec::Preset { .. } => "preset",
-            TopologySpec::SingleSwitch { .. } => "single-switch",
-            TopologySpec::StarOfSwitches { .. } => "star-of-switches",
-            TopologySpec::Tree { .. } => "tree",
-            TopologySpec::FatTree { .. } => "fat-tree",
-            TopologySpec::Torus2d { .. } => "torus-2d",
-            TopologySpec::Torus3d { .. } => "torus-3d",
-            TopologySpec::Dragonfly { .. } => "dragonfly",
+            TopologySpec::SingleSwitch(_) => "single-switch",
+            TopologySpec::StarOfSwitches(_) => "star-of-switches",
+            TopologySpec::Tree(_) => "tree",
+            TopologySpec::FatTree(_) => "fat-tree",
+            TopologySpec::Torus2d(_) => "torus-2d",
+            TopologySpec::Torus3d(_) => "torus-3d",
+            TopologySpec::Dragonfly(_) => "dragonfly",
+        }
+    }
+
+    /// The generator's own preconditions for a generated family (presets
+    /// are looked up by name when their capacity is read).
+    pub(crate) fn check(&self) -> Result<(), SpecError> {
+        if matches!(self, TopologySpec::Torus2d(p) if p.dims[2] != 1) {
+            // The torus-2d TOML form has no `z` key to carry it.
+            return Err(invalid("a torus-2d topology takes dims [x, y, 1]"));
+        }
+        match self {
+            TopologySpec::Preset { .. } => Ok(()),
+            TopologySpec::SingleSwitch(p) => p.check(),
+            TopologySpec::StarOfSwitches(p) => p.check(),
+            TopologySpec::Tree(p) => p.check(),
+            TopologySpec::FatTree(p) => p.check(),
+            TopologySpec::Torus2d(p) | TopologySpec::Torus3d(p) => p.check(),
+            TopologySpec::Dragonfly(p) => p.check(),
+        }
+        .map_err(|m| invalid(format!("topology.{m}")))
+    }
+
+    /// The fabric's switches by TOML name. Empty for presets: they carry
+    /// the paper's calibrated fabrics, which are known to drain under the
+    /// packet engine's GM flow control.
+    fn switches(&self) -> Vec<(&'static str, SwitchConfig)> {
+        match self {
+            TopologySpec::Preset { .. } => Vec::new(),
+            TopologySpec::SingleSwitch(p) => p.switches(),
+            TopologySpec::StarOfSwitches(p) => p.switches(),
+            TopologySpec::Tree(p) => p.switches(),
+            TopologySpec::FatTree(p) => p.switches(),
+            TopologySpec::Torus2d(p) | TopologySpec::Torus3d(p) => p.switches(),
+            TopologySpec::Dragonfly(p) => p.switches(),
         }
     }
 }
@@ -472,23 +370,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn validate_link(l: &LinkSpec, what: &str) -> Result<(), SpecError> {
-    if !(l.bandwidth_bytes_per_sec.is_finite() && l.bandwidth_bytes_per_sec > 0.0) {
-        return Err(invalid(format!(
-            "{what}.bandwidth_bytes_per_sec must be positive and finite, got {}",
-            l.bandwidth_bytes_per_sec
-        )));
-    }
-    Ok(())
-}
-
-fn validate_switch(s: &SwitchSpec, what: &str) -> Result<(), SpecError> {
-    if s.shared_buffer_bytes == 0 || s.per_port_cap_bytes == 0 {
-        return Err(invalid(format!("{what} buffer sizes must be positive")));
-    }
-    Ok(())
-}
-
 impl ScenarioSpec {
     /// Validates internal consistency (positive grids, ratios, known
     /// algorithm names, capacity respected).
@@ -508,6 +389,7 @@ impl ScenarioSpec {
         if self.sweep.nodes.iter().any(|&n| n < 2) {
             return Err(invalid("every node count must be at least 2"));
         }
+        self.topology.check()?;
         let capacity = crate::topology::capacity(&self.topology)?;
         if let Some(&too_big) = self.sweep.nodes.iter().find(|&&n| n > capacity) {
             return Err(invalid(format!(
@@ -523,96 +405,6 @@ impl ScenarioSpec {
                 self.placement.name()
             )));
         }
-        match &self.topology {
-            TopologySpec::Preset { .. } => {}
-            TopologySpec::SingleSwitch { link, switch, .. } => {
-                validate_link(link, "topology.link")?;
-                validate_switch(switch, "topology.switch")?;
-            }
-            TopologySpec::StarOfSwitches {
-                edge_link,
-                uplink,
-                edge_switch,
-                core_switch,
-                ..
-            } => {
-                validate_link(edge_link, "topology.edge_link")?;
-                validate_link(uplink, "topology.uplink")?;
-                validate_switch(edge_switch, "topology.edge_switch")?;
-                validate_switch(core_switch, "topology.core_switch")?;
-            }
-            TopologySpec::Tree {
-                edge_link,
-                oversubscription,
-                edge_switch,
-                core_switch,
-                ..
-            } => {
-                validate_link(edge_link, "topology.edge_link")?;
-                validate_switch(edge_switch, "topology.edge_switch")?;
-                validate_switch(core_switch, "topology.core_switch")?;
-                if !(oversubscription.is_finite() && *oversubscription > 0.0) {
-                    return Err(invalid("tree oversubscription must be positive"));
-                }
-            }
-            TopologySpec::FatTree {
-                k, link, switch, ..
-            } => {
-                validate_link(link, "topology.link")?;
-                validate_switch(switch, "topology.switch")?;
-                if *k < 2 || *k % 2 != 0 {
-                    return Err(invalid(format!("fat-tree arity {k} must be even and >= 2")));
-                }
-            }
-            TopologySpec::Torus2d {
-                x,
-                y,
-                hosts_per_switch,
-                link,
-                switch,
-            } => {
-                validate_link(link, "topology.link")?;
-                validate_switch(switch, "topology.switch")?;
-                if *x == 0 || *y == 0 || *x * *y < 2 || *hosts_per_switch == 0 {
-                    return Err(invalid("torus needs ≥ 2 switches and ≥ 1 host each"));
-                }
-            }
-            TopologySpec::Torus3d {
-                x,
-                y,
-                z,
-                hosts_per_switch,
-                link,
-                switch,
-            } => {
-                validate_link(link, "topology.link")?;
-                validate_switch(switch, "topology.switch")?;
-                if *x == 0 || *y == 0 || *z == 0 || *x * *y * *z < 2 || *hosts_per_switch == 0 {
-                    return Err(invalid("torus needs ≥ 2 switches and ≥ 1 host each"));
-                }
-            }
-            TopologySpec::Dragonfly {
-                groups,
-                routers_per_group,
-                hosts_per_router,
-                host_link,
-                local_link,
-                global_link,
-                switch,
-            } => {
-                validate_link(host_link, "topology.host_link")?;
-                validate_link(local_link, "topology.local_link")?;
-                validate_link(global_link, "topology.global_link")?;
-                validate_switch(switch, "topology.switch")?;
-                if *groups == 0
-                    || *routers_per_group == 0
-                    || *hosts_per_router == 0
-                    || *groups * *routers_per_group < 2
-                {
-                    return Err(invalid("dragonfly needs ≥ 2 routers and ≥ 1 host each"));
-                }
-            }
-        }
         if let Some(p) = self.mpi.hiccup_probability {
             if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
                 return Err(invalid(format!(
@@ -620,55 +412,31 @@ impl ScenarioSpec {
                 )));
             }
         }
-        if self.backend == Backend::Fluid
-            && matches!(self.transport, TransportSpec::Gm { .. })
-            && self.finite_buffer_switch().is_some()
-        {
-            let what = self.finite_buffer_switch().expect("checked");
-            return Err(invalid(format!(
-                "backend = \"fluid\" cannot combine a GM transport with the \
-                 finite-buffer switch {what}: the fluid tier's packet-engine \
-                 calibration run can deadlock when lossless backpressure \
-                 exhausts a finite shared buffer (GM never retransmits). Use \
-                 lossless-grade buffers (>= 2^60 bytes) or a TCP transport"
-            )));
+        if self.backend == Backend::Fluid && matches!(self.transport, TransportSpec::Gm { .. }) {
+            if let Some(what) = self.finite_buffer_switch() {
+                return Err(invalid(format!(
+                    "backend = \"fluid\" cannot combine a GM transport with the \
+                     finite-buffer switch topology.{what}: the fluid tier's packet-engine \
+                     calibration run can deadlock when lossless backpressure \
+                     exhausts a finite shared buffer (GM never retransmits). Use \
+                     lossless-grade buffers (>= 2^60 bytes) or a TCP transport"
+                )));
+            }
         }
         Ok(())
     }
 
     /// The first topology switch whose buffering is not lossless-grade
-    /// (either field below [`LOSSLESS_BUFFER_FLOOR`]), with its TOML path.
+    /// (either field below [`LOSSLESS_BUFFER_FLOOR`]), by TOML name.
     fn finite_buffer_switch(&self) -> Option<&'static str> {
-        let finite = |s: &SwitchSpec| {
-            s.shared_buffer_bytes < LOSSLESS_BUFFER_FLOOR
-                || s.per_port_cap_bytes < LOSSLESS_BUFFER_FLOOR
-        };
-        match &self.topology {
-            // Presets carry the paper's calibrated fabrics, which are known
-            // to drain under the packet engine's GM flow control.
-            TopologySpec::Preset { .. } => None,
-            TopologySpec::SingleSwitch { switch, .. }
-            | TopologySpec::FatTree { switch, .. }
-            | TopologySpec::Torus2d { switch, .. }
-            | TopologySpec::Torus3d { switch, .. }
-            | TopologySpec::Dragonfly { switch, .. } => finite(switch).then_some("topology.switch"),
-            TopologySpec::StarOfSwitches {
-                edge_switch,
-                core_switch,
-                ..
-            }
-            | TopologySpec::Tree {
-                edge_switch,
-                core_switch,
-                ..
-            } => {
-                if finite(edge_switch) {
-                    Some("topology.edge_switch")
-                } else {
-                    finite(core_switch).then_some("topology.core_switch")
-                }
-            }
-        }
+        self.topology
+            .switches()
+            .into_iter()
+            .find(|(_, s)| {
+                s.shared_buffer_bytes < LOSSLESS_BUFFER_FLOOR
+                    || s.per_port_cap_bytes < LOSSLESS_BUFFER_FLOOR
+            })
+            .map(|(name, _)| name)
     }
 
     fn validate_workload(&self, w: &WorkloadSpec) -> Result<(), SpecError> {
@@ -905,15 +673,17 @@ fn opt_bool(v: &Value, key: &str, default: bool) -> Result<bool, SpecError> {
     }
 }
 
-fn decode_link(v: &Value) -> Result<LinkSpec, SpecError> {
-    Ok(LinkSpec {
+fn decode_link(v: &Value, key: &str) -> Result<LinkConfig, SpecError> {
+    let v = sub(v, key)?;
+    Ok(LinkConfig {
         bandwidth_bytes_per_sec: req_f64(v, "bandwidth_bytes_per_sec")?,
         latency_ns: req_u64(v, "latency_ns")?,
     })
 }
 
-fn decode_switch(v: &Value) -> Result<SwitchSpec, SpecError> {
-    Ok(SwitchSpec {
+fn decode_switch(v: &Value, key: &str) -> Result<SwitchConfig, SpecError> {
+    let v = sub(v, key)?;
+    Ok(SwitchConfig {
         shared_buffer_bytes: req_u64(v, "shared_buffer_bytes")?,
         per_port_cap_bytes: req_u64(v, "per_port_cap_bytes")?,
     })
@@ -924,66 +694,62 @@ fn sub<'v>(v: &'v Value, key: &str) -> Result<&'v Value, SpecError> {
         .ok_or_else(|| invalid(format!("missing [{key}] table")))
 }
 
+fn decode_torus(v: &Value, z: usize) -> Result<TorusParams, SpecError> {
+    Ok(TorusParams {
+        dims: [req_usize(v, "x")?, req_usize(v, "y")?, z],
+        hosts_per_switch: req_usize(v, "hosts_per_switch")?,
+        link: decode_link(v, "link")?,
+        switch: decode_switch(v, "switch")?,
+    })
+}
+
 fn decode_topology(v: &Value) -> Result<TopologySpec, SpecError> {
     let kind = req_str(v, "kind")?;
     match kind.as_str() {
         "preset" => Ok(TopologySpec::Preset {
             preset: req_str(v, "preset")?,
         }),
-        "single-switch" => Ok(TopologySpec::SingleSwitch {
+        "single-switch" => Ok(TopologySpec::SingleSwitch(SingleSwitchParams {
             hosts: req_usize(v, "hosts")?,
-            link: decode_link(sub(v, "link")?)?,
-            switch: decode_switch(sub(v, "switch")?)?,
-        }),
-        "star-of-switches" => Ok(TopologySpec::StarOfSwitches {
+            link: decode_link(v, "link")?,
+            switch: decode_switch(v, "switch")?,
+        })),
+        "star-of-switches" => Ok(TopologySpec::StarOfSwitches(StarParams {
             leaves: req_usize(v, "leaves")?,
             hosts_per_leaf: req_usize(v, "hosts_per_leaf")?,
-            edge_link: decode_link(sub(v, "edge_link")?)?,
-            uplink: decode_link(sub(v, "uplink")?)?,
+            edge_link: decode_link(v, "edge_link")?,
+            uplink: decode_link(v, "uplink")?,
             uplinks_per_leaf: req_usize(v, "uplinks_per_leaf")?,
-            edge_switch: decode_switch(sub(v, "edge_switch")?)?,
-            core_switch: decode_switch(sub(v, "core_switch")?)?,
-        }),
-        "tree" => Ok(TopologySpec::Tree {
+            edge_switch: decode_switch(v, "edge_switch")?,
+            core_switch: decode_switch(v, "core_switch")?,
+        })),
+        "tree" => Ok(TopologySpec::Tree(TreeParams {
             leaves: req_usize(v, "leaves")?,
             hosts_per_leaf: req_usize(v, "hosts_per_leaf")?,
-            edge_link: decode_link(sub(v, "edge_link")?)?,
+            edge_link: decode_link(v, "edge_link")?,
+            uplinks_per_leaf: req_usize(v, "uplinks_per_leaf")?,
             oversubscription: req_f64(v, "oversubscription")?,
-            uplinks_per_leaf: req_usize(v, "uplinks_per_leaf")?,
             uplink_latency_ns: req_u64(v, "uplink_latency_ns")?,
-            edge_switch: decode_switch(sub(v, "edge_switch")?)?,
-            core_switch: decode_switch(sub(v, "core_switch")?)?,
-        }),
-        "fat-tree" => Ok(TopologySpec::FatTree {
+            edge_switch: decode_switch(v, "edge_switch")?,
+            core_switch: decode_switch(v, "core_switch")?,
+        })),
+        "fat-tree" => Ok(TopologySpec::FatTree(FatTreeParams {
             k: req_usize(v, "k")?,
             hosts_per_edge: req_usize(v, "hosts_per_edge")?,
-            link: decode_link(sub(v, "link")?)?,
-            switch: decode_switch(sub(v, "switch")?)?,
-        }),
-        "torus-2d" => Ok(TopologySpec::Torus2d {
-            x: req_usize(v, "x")?,
-            y: req_usize(v, "y")?,
-            hosts_per_switch: req_usize(v, "hosts_per_switch")?,
-            link: decode_link(sub(v, "link")?)?,
-            switch: decode_switch(sub(v, "switch")?)?,
-        }),
-        "torus-3d" => Ok(TopologySpec::Torus3d {
-            x: req_usize(v, "x")?,
-            y: req_usize(v, "y")?,
-            z: req_usize(v, "z")?,
-            hosts_per_switch: req_usize(v, "hosts_per_switch")?,
-            link: decode_link(sub(v, "link")?)?,
-            switch: decode_switch(sub(v, "switch")?)?,
-        }),
-        "dragonfly" => Ok(TopologySpec::Dragonfly {
+            link: decode_link(v, "link")?,
+            switch: decode_switch(v, "switch")?,
+        })),
+        "torus-2d" => Ok(TopologySpec::Torus2d(decode_torus(v, 1)?)),
+        "torus-3d" => Ok(TopologySpec::Torus3d(decode_torus(v, req_usize(v, "z")?)?)),
+        "dragonfly" => Ok(TopologySpec::Dragonfly(DragonflyParams {
             groups: req_usize(v, "groups")?,
             routers_per_group: req_usize(v, "routers_per_group")?,
             hosts_per_router: req_usize(v, "hosts_per_router")?,
-            host_link: decode_link(sub(v, "host_link")?)?,
-            local_link: decode_link(sub(v, "local_link")?)?,
-            global_link: decode_link(sub(v, "global_link")?)?,
-            switch: decode_switch(sub(v, "switch")?)?,
-        }),
+            host_link: decode_link(v, "host_link")?,
+            local_link: decode_link(v, "local_link")?,
+            global_link: decode_link(v, "global_link")?,
+            switch: decode_switch(v, "switch")?,
+        })),
         other => Err(invalid(format!("unknown topology kind {other:?}"))),
     }
 }
@@ -1098,7 +864,7 @@ fn table(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn encode_link(l: &LinkSpec) -> Value {
+fn encode_link(l: &LinkConfig) -> Value {
     table(vec![
         (
             "bandwidth_bytes_per_sec",
@@ -1108,7 +874,7 @@ fn encode_link(l: &LinkSpec) -> Value {
     ])
 }
 
-fn encode_switch(s: &SwitchSpec) -> Value {
+fn encode_switch(s: &SwitchConfig) -> Value {
     table(vec![
         (
             "shared_buffer_bytes",
@@ -1122,120 +888,64 @@ fn encode_switch(s: &SwitchSpec) -> Value {
 }
 
 fn encode_topology(t: &TopologySpec) -> Value {
-    match t {
-        TopologySpec::Preset { preset } => table(vec![
-            ("kind", Value::Str("preset".into())),
-            ("preset", Value::Str(preset.clone())),
-        ]),
-        TopologySpec::SingleSwitch {
-            hosts,
-            link,
-            switch,
-        } => table(vec![
-            ("kind", Value::Str("single-switch".into())),
-            ("hosts", Value::Int(*hosts as i64)),
-            ("link", encode_link(link)),
-            ("switch", encode_switch(switch)),
-        ]),
-        TopologySpec::StarOfSwitches {
-            leaves,
-            hosts_per_leaf,
-            edge_link,
-            uplink,
-            uplinks_per_leaf,
-            edge_switch,
-            core_switch,
-        } => table(vec![
-            ("kind", Value::Str("star-of-switches".into())),
-            ("leaves", Value::Int(*leaves as i64)),
-            ("hosts_per_leaf", Value::Int(*hosts_per_leaf as i64)),
-            ("edge_link", encode_link(edge_link)),
-            ("uplink", encode_link(uplink)),
-            ("uplinks_per_leaf", Value::Int(*uplinks_per_leaf as i64)),
-            ("edge_switch", encode_switch(edge_switch)),
-            ("core_switch", encode_switch(core_switch)),
-        ]),
-        TopologySpec::Tree {
-            leaves,
-            hosts_per_leaf,
-            edge_link,
-            oversubscription,
-            uplinks_per_leaf,
-            uplink_latency_ns,
-            edge_switch,
-            core_switch,
-        } => table(vec![
-            ("kind", Value::Str("tree".into())),
-            ("leaves", Value::Int(*leaves as i64)),
-            ("hosts_per_leaf", Value::Int(*hosts_per_leaf as i64)),
-            ("edge_link", encode_link(edge_link)),
-            ("oversubscription", Value::Float(*oversubscription)),
-            ("uplinks_per_leaf", Value::Int(*uplinks_per_leaf as i64)),
-            ("uplink_latency_ns", Value::Int(*uplink_latency_ns as i64)),
-            ("edge_switch", encode_switch(edge_switch)),
-            ("core_switch", encode_switch(core_switch)),
-        ]),
-        TopologySpec::FatTree {
-            k,
-            hosts_per_edge,
-            link,
-            switch,
-        } => table(vec![
-            ("kind", Value::Str("fat-tree".into())),
-            ("k", Value::Int(*k as i64)),
-            ("hosts_per_edge", Value::Int(*hosts_per_edge as i64)),
-            ("link", encode_link(link)),
-            ("switch", encode_switch(switch)),
-        ]),
-        TopologySpec::Torus2d {
-            x,
-            y,
-            hosts_per_switch,
-            link,
-            switch,
-        } => table(vec![
-            ("kind", Value::Str("torus-2d".into())),
-            ("x", Value::Int(*x as i64)),
-            ("y", Value::Int(*y as i64)),
-            ("hosts_per_switch", Value::Int(*hosts_per_switch as i64)),
-            ("link", encode_link(link)),
-            ("switch", encode_switch(switch)),
-        ]),
-        TopologySpec::Torus3d {
-            x,
-            y,
-            z,
-            hosts_per_switch,
-            link,
-            switch,
-        } => table(vec![
-            ("kind", Value::Str("torus-3d".into())),
-            ("x", Value::Int(*x as i64)),
-            ("y", Value::Int(*y as i64)),
-            ("z", Value::Int(*z as i64)),
-            ("hosts_per_switch", Value::Int(*hosts_per_switch as i64)),
-            ("link", encode_link(link)),
-            ("switch", encode_switch(switch)),
-        ]),
-        TopologySpec::Dragonfly {
-            groups,
-            routers_per_group,
-            hosts_per_router,
-            host_link,
-            local_link,
-            global_link,
-            switch,
-        } => table(vec![
-            ("kind", Value::Str("dragonfly".into())),
-            ("groups", Value::Int(*groups as i64)),
-            ("routers_per_group", Value::Int(*routers_per_group as i64)),
-            ("hosts_per_router", Value::Int(*hosts_per_router as i64)),
-            ("host_link", encode_link(host_link)),
-            ("local_link", encode_link(local_link)),
-            ("global_link", encode_link(global_link)),
-            ("switch", encode_switch(switch)),
-        ]),
-    }
+    let count = |n: usize| Value::Int(n as i64);
+    let mut entries = vec![("kind", Value::Str(t.kind().into()))];
+    entries.extend(match t {
+        TopologySpec::Preset { preset } => vec![("preset", Value::Str(preset.clone()))],
+        TopologySpec::SingleSwitch(p) => vec![
+            ("hosts", count(p.hosts)),
+            ("link", encode_link(&p.link)),
+            ("switch", encode_switch(&p.switch)),
+        ],
+        TopologySpec::StarOfSwitches(p) => vec![
+            ("leaves", count(p.leaves)),
+            ("hosts_per_leaf", count(p.hosts_per_leaf)),
+            ("edge_link", encode_link(&p.edge_link)),
+            ("uplink", encode_link(&p.uplink)),
+            ("uplinks_per_leaf", count(p.uplinks_per_leaf)),
+            ("edge_switch", encode_switch(&p.edge_switch)),
+            ("core_switch", encode_switch(&p.core_switch)),
+        ],
+        TopologySpec::Tree(p) => vec![
+            ("leaves", count(p.leaves)),
+            ("hosts_per_leaf", count(p.hosts_per_leaf)),
+            ("edge_link", encode_link(&p.edge_link)),
+            ("oversubscription", Value::Float(p.oversubscription)),
+            ("uplinks_per_leaf", count(p.uplinks_per_leaf)),
+            ("uplink_latency_ns", Value::Int(p.uplink_latency_ns as i64)),
+            ("edge_switch", encode_switch(&p.edge_switch)),
+            ("core_switch", encode_switch(&p.core_switch)),
+        ],
+        TopologySpec::FatTree(p) => vec![
+            ("k", count(p.k)),
+            ("hosts_per_edge", count(p.hosts_per_edge)),
+            ("link", encode_link(&p.link)),
+            ("switch", encode_switch(&p.switch)),
+        ],
+        TopologySpec::Torus2d(p) | TopologySpec::Torus3d(p) => {
+            let mut torus = vec![
+                ("x", count(p.dims[0])),
+                ("y", count(p.dims[1])),
+                ("hosts_per_switch", count(p.hosts_per_switch)),
+                ("link", encode_link(&p.link)),
+                ("switch", encode_switch(&p.switch)),
+            ];
+            if matches!(t, TopologySpec::Torus3d(_)) {
+                torus.push(("z", count(p.dims[2])));
+            }
+            torus
+        }
+        TopologySpec::Dragonfly(p) => vec![
+            ("groups", count(p.groups)),
+            ("routers_per_group", count(p.routers_per_group)),
+            ("hosts_per_router", count(p.hosts_per_router)),
+            ("host_link", encode_link(&p.host_link)),
+            ("local_link", encode_link(&p.local_link)),
+            ("global_link", encode_link(&p.global_link)),
+            ("switch", encode_switch(&p.switch)),
+        ],
+    });
+    table(entries)
 }
 
 fn encode_transport(t: &TransportSpec) -> Value {
@@ -1360,23 +1070,26 @@ mod tests {
     fn physically_impossible_parameters_are_rejected() {
         let mut spec = crate::registry::by_name("incast-burst").expect("registered");
         spec.validate().unwrap();
-        if let TopologySpec::SingleSwitch { ref mut link, .. } = spec.topology {
-            link.bandwidth_bytes_per_sec = 0.0;
+        let TopologySpec::SingleSwitch(valid) = spec.topology else {
+            panic!("incast-burst runs on a single switch");
+        };
+        for bandwidth_bytes_per_sec in [0.0, f64::INFINITY] {
+            spec.topology = TopologySpec::SingleSwitch(SingleSwitchParams {
+                link: LinkConfig {
+                    bandwidth_bytes_per_sec,
+                    ..valid.link
+                },
+                ..valid
+            });
+            assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
         }
-        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
-        if let TopologySpec::SingleSwitch { ref mut link, .. } = spec.topology {
-            link.bandwidth_bytes_per_sec = f64::INFINITY;
-        }
-        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
-        if let TopologySpec::SingleSwitch {
-            ref mut link,
-            ref mut switch,
-            ..
-        } = spec.topology
-        {
-            link.bandwidth_bytes_per_sec = 125e6;
-            switch.shared_buffer_bytes = 0;
-        }
+        spec.topology = TopologySpec::SingleSwitch(SingleSwitchParams {
+            switch: SwitchConfig {
+                shared_buffer_bytes: 0,
+                ..valid.switch
+            },
+            ..valid
+        });
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
 
         let mut spec = crate::registry::by_name("incast-burst").expect("registered");

@@ -1,4 +1,6 @@
-//! Turns a [`TopologySpec`] into a runnable [`World`].
+//! Turns a [`TopologySpec`] into a runnable [`World`]. What a family's
+//! parameters mean is [`simnet::generate`]'s business; this module only
+//! dispatches to it.
 //!
 //! The unit of work is the [`Fabric`]: a scenario's network resolved
 //! once. [`Fabric::world_with`] / [`Fabric::fluid_cell`] then produce one
@@ -8,9 +10,9 @@
 //! callers.
 
 use crate::spec::{ScenarioSpec, SpecError, TopologySpec};
-use contention_lab::presets::ClusterPreset;
 use simmpi::prelude::*;
-use simnet::generate::{self, DragonflyParams, FatTreeParams, Generated, TorusParams, TreeParams};
+use simmpi::presets::ClusterPreset;
+use simnet::generate::{self, Generated, Placement};
 use simnet::prelude::*;
 use std::sync::Arc;
 
@@ -26,150 +28,19 @@ fn preset_by_name(name: &str) -> Result<ClusterPreset, SpecError> {
         })
 }
 
-/// Host capacity of a topology spec.
+/// Host capacity of a topology spec (the generator's own count for a
+/// generated family, in checked arithmetic).
 pub fn capacity(t: &TopologySpec) -> Result<usize, SpecError> {
-    Ok(match t {
-        TopologySpec::Preset { preset } => preset_by_name(preset)?.max_hosts(),
-        TopologySpec::SingleSwitch { hosts, .. } => *hosts,
-        TopologySpec::StarOfSwitches {
-            leaves,
-            hosts_per_leaf,
-            ..
-        }
-        | TopologySpec::Tree {
-            leaves,
-            hosts_per_leaf,
-            ..
-        } => leaves * hosts_per_leaf,
-        TopologySpec::FatTree {
-            k, hosts_per_edge, ..
-        } => FatTreeParams {
-            k: *k,
-            hosts_per_edge: *hosts_per_edge,
-            link: LinkConfig::gigabit_ethernet(),
-            switch: SwitchConfig::commodity_ethernet(),
-        }
-        .capacity(),
-        TopologySpec::Torus2d {
-            x,
-            y,
-            hosts_per_switch,
-            ..
-        } => x * y * hosts_per_switch,
-        TopologySpec::Torus3d {
-            x,
-            y,
-            z,
-            hosts_per_switch,
-            ..
-        } => x * y * z * hosts_per_switch,
-        TopologySpec::Dragonfly {
-            groups,
-            routers_per_group,
-            hosts_per_router,
-            ..
-        } => groups * routers_per_group * hosts_per_router,
-    })
-}
-
-fn generated(t: &TopologySpec) -> Result<Generated, SpecError> {
-    Ok(match t {
-        TopologySpec::Preset { .. } => unreachable!("presets build through ClusterPreset"),
-        TopologySpec::SingleSwitch {
-            hosts,
-            link,
-            switch,
-        } => generate::single_switch(*hosts, link.to_config(), switch.to_config()),
-        TopologySpec::StarOfSwitches {
-            leaves,
-            hosts_per_leaf,
-            edge_link,
-            uplink,
-            uplinks_per_leaf,
-            edge_switch,
-            core_switch,
-        } => generate::star_of_switches(
-            *leaves,
-            *hosts_per_leaf,
-            edge_link.to_config(),
-            uplink.to_config(),
-            *uplinks_per_leaf,
-            edge_switch.to_config(),
-            core_switch.to_config(),
-        ),
-        TopologySpec::Tree {
-            leaves,
-            hosts_per_leaf,
-            edge_link,
-            oversubscription,
-            uplinks_per_leaf,
-            uplink_latency_ns,
-            edge_switch,
-            core_switch,
-        } => generate::two_level_tree(&TreeParams {
-            leaves: *leaves,
-            hosts_per_leaf: *hosts_per_leaf,
-            edge_link: edge_link.to_config(),
-            uplinks_per_leaf: *uplinks_per_leaf,
-            oversubscription: *oversubscription,
-            uplink_latency_ns: *uplink_latency_ns,
-            edge_switch: edge_switch.to_config(),
-            core_switch: core_switch.to_config(),
-        }),
-        TopologySpec::FatTree {
-            k,
-            hosts_per_edge,
-            link,
-            switch,
-        } => generate::fat_tree(&FatTreeParams {
-            k: *k,
-            hosts_per_edge: *hosts_per_edge,
-            link: link.to_config(),
-            switch: switch.to_config(),
-        }),
-        TopologySpec::Torus2d {
-            x,
-            y,
-            hosts_per_switch,
-            link,
-            switch,
-        } => generate::torus(&TorusParams {
-            dims: [*x, *y, 1],
-            hosts_per_switch: *hosts_per_switch,
-            link: link.to_config(),
-            switch: switch.to_config(),
-        }),
-        TopologySpec::Torus3d {
-            x,
-            y,
-            z,
-            hosts_per_switch,
-            link,
-            switch,
-        } => generate::torus(&TorusParams {
-            dims: [*x, *y, *z],
-            hosts_per_switch: *hosts_per_switch,
-            link: link.to_config(),
-            switch: switch.to_config(),
-        }),
-        TopologySpec::Dragonfly {
-            groups,
-            routers_per_group,
-            hosts_per_router,
-            host_link,
-            local_link,
-            global_link,
-            switch,
-        } => generate::dragonfly(&DragonflyParams {
-            groups: *groups,
-            routers_per_group: *routers_per_group,
-            hosts_per_router: *hosts_per_router,
-            host_link: host_link.to_config(),
-            local_link: local_link.to_config(),
-            global_link: global_link.to_config(),
-            switch: switch.to_config(),
-        }),
-    })
+    match t {
+        TopologySpec::Preset { preset } => return Ok(preset_by_name(preset)?.max_hosts()),
+        TopologySpec::SingleSwitch(p) => p.capacity(),
+        TopologySpec::StarOfSwitches(p) => p.capacity(),
+        TopologySpec::Tree(p) => p.capacity(),
+        TopologySpec::FatTree(p) => p.capacity(),
+        TopologySpec::Torus2d(p) | TopologySpec::Torus3d(p) => p.capacity(),
+        TopologySpec::Dragonfly(p) => p.capacity(),
+    }
+    .ok_or_else(|| SpecError::Invalid("topology host count overflows".into()))
 }
 
 /// One scenario's network, resolved once and shared — immutably, by
@@ -201,6 +72,13 @@ enum Wiring {
         /// The generator's output the topology was built from; placement
         /// reads its host groups.
         layout: Generated,
+        /// What every cell on the fabric shares besides the wiring, read
+        /// from the spec once so a cell cannot be built with another
+        /// spec's: the rank→host policy, the MPI stack (defaults plus the
+        /// spec's overrides; seeded per cell) and the transport.
+        placement: Placement,
+        mpi: simmpi::MpiConfig,
+        transport: TransportKind,
     },
 }
 
@@ -215,15 +93,26 @@ fn seeded_mpi(base: simmpi::MpiConfig, seed: u64) -> simmpi::MpiConfig {
 impl Fabric {
     /// Resolves the spec's topology: generates and routes a generated
     /// fabric (the expensive step — do it once), looks a preset up.
+    /// Parameters no generator accepts are an error here too, so a spec
+    /// that never went through [`ScenarioSpec::validate`] cannot panic a
+    /// generator.
     pub fn build(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        if let TopologySpec::Preset { preset } = &spec.topology {
-            // Presets carry their own MPI stack; apply the spec's
-            // overrides on top.
-            let mut preset = preset_by_name(preset)?;
-            preset.mpi = spec.mpi.apply(preset.mpi);
-            return Ok(Fabric(Wiring::Preset(preset)));
-        }
-        let layout = generated(&spec.topology)?;
+        spec.topology.check()?;
+        let layout = match &spec.topology {
+            TopologySpec::Preset { preset } => {
+                // Presets carry their own MPI stack; apply the spec's
+                // overrides on top.
+                let mut preset = preset_by_name(preset)?;
+                preset.mpi = spec.mpi.apply(preset.mpi);
+                return Ok(Fabric(Wiring::Preset(preset)));
+            }
+            TopologySpec::SingleSwitch(p) => generate::single_switch(p),
+            TopologySpec::StarOfSwitches(p) => generate::star_of_switches(p),
+            TopologySpec::Tree(p) => generate::two_level_tree(p),
+            TopologySpec::FatTree(p) => generate::fat_tree(p),
+            TopologySpec::Torus2d(p) | TopologySpec::Torus3d(p) => generate::torus(p),
+            TopologySpec::Dragonfly(p) => generate::dragonfly(p),
+        };
         let topo = layout
             .builder
             .build()
@@ -231,6 +120,9 @@ impl Fabric {
         Ok(Fabric(Wiring::Generated {
             topo: Arc::new(topo),
             layout,
+            placement: spec.placement,
+            mpi: spec.mpi.apply(simmpi::MpiConfig::default()),
+            transport: spec.transport.to_kind(),
         }))
     }
 
@@ -245,32 +137,29 @@ impl Fabric {
 
     /// An `n`-rank packet world on this fabric with a telemetry recorder
     /// attached to the simulator, every stochastic element seeded from
-    /// `seed`. Ranks map onto hosts through the spec's
-    /// [`Placement`](simnet::generate::Placement) policy — scatter (the
-    /// presets' round-robin, and the default), pack, or a seeded random
-    /// partial permutation. `spec` must be the spec the fabric was built
-    /// from.
+    /// `seed`. Ranks map onto hosts through the spec's [`Placement`]
+    /// policy — scatter (the presets' round-robin, and the default), pack,
+    /// or a seeded random partial permutation.
     ///
     /// # Panics
     /// Panics if `n` exceeds the spec's capacity (callers validate first).
-    pub fn world_with<R: Recorder>(
-        &self,
-        spec: &ScenarioSpec,
-        n: usize,
-        seed: u64,
-        recorder: R,
-    ) -> World<R> {
+    pub fn world_with<R: Recorder>(&self, n: usize, seed: u64, recorder: R) -> World<R> {
         match &self.0 {
             Wiring::Preset(preset) => preset.build_world_with(n, seed, recorder),
-            Wiring::Generated { topo, layout } => {
-                let ranks = spec.placement.place(layout, n, seed);
+            Wiring::Generated {
+                topo,
+                layout,
+                placement,
+                mpi,
+                transport,
+            } => {
+                let ranks = placement.place(layout, n, seed);
                 let sim_config = SimConfig {
                     seed,
                     ..SimConfig::default()
                 };
                 let sim = Simulator::with_recorder(Arc::clone(topo), sim_config, recorder);
-                let mpi = seeded_mpi(spec.mpi.apply(simmpi::MpiConfig::default()), seed);
-                World::new(sim, ranks, mpi, spec.transport.to_kind())
+                World::new(sim, ranks, seeded_mpi(*mpi, seed), *transport)
             }
         }
     }
@@ -286,7 +175,6 @@ impl Fabric {
     /// Panics if `n` exceeds the spec's capacity (callers validate first).
     pub fn fluid_cell(
         &self,
-        spec: &ScenarioSpec,
         n: usize,
         seed: u64,
     ) -> (Arc<Topology>, Vec<HostId>, simmpi::MpiConfig) {
@@ -295,10 +183,16 @@ impl Fabric {
                 let (topo, hosts) = preset.build_fabric(n);
                 (Arc::new(topo), hosts, seeded_mpi(preset.mpi, seed))
             }
-            Wiring::Generated { topo, layout } => (
+            Wiring::Generated {
+                topo,
+                layout,
+                placement,
+                mpi,
+                ..
+            } => (
                 Arc::clone(topo),
-                spec.placement.place(layout, n, seed),
-                seeded_mpi(spec.mpi.apply(simmpi::MpiConfig::default()), seed),
+                placement.place(layout, n, seed),
+                seeded_mpi(*mpi, seed),
             ),
         }
     }
@@ -326,7 +220,7 @@ pub fn build_world_with<R: Recorder>(
     seed: u64,
     recorder: R,
 ) -> Result<World<R>, SpecError> {
-    Ok(Fabric::build(spec)?.world_with(spec, n, seed, recorder))
+    Ok(Fabric::build(spec)?.world_with(n, seed, recorder))
 }
 
 /// Builds the bare fabric for the fluid backend from scratch:
@@ -341,7 +235,7 @@ pub fn build_fluid_fabric(
     seed: u64,
 ) -> Result<(Topology, Vec<HostId>, simmpi::MpiConfig), SpecError> {
     let fabric = Fabric::build(spec)?;
-    let (topo, hosts, mpi) = fabric.fluid_cell(spec, n, seed);
+    let (topo, hosts, mpi) = fabric.fluid_cell(n, seed);
     drop(fabric);
     let topo = Arc::into_inner(topo).expect("the fabric was this function's own");
     Ok((topo, hosts, mpi))
@@ -378,9 +272,9 @@ mod tests {
         let spec = crate::registry::by_name("fat-tree-uniform").unwrap();
         let fabric = Fabric::build(&spec).unwrap();
         let topo = Arc::clone(fabric.shared_topology().expect("generated"));
-        let a = fabric.world_with(&spec, 8, 1, NoopRecorder);
-        let b = fabric.world_with(&spec, 16, 2, NoopRecorder);
-        let (fluid_topo, hosts, _) = fabric.fluid_cell(&spec, 8, 1);
+        let a = fabric.world_with(8, 1, NoopRecorder);
+        let b = fabric.world_with(16, 2, NoopRecorder);
+        let (fluid_topo, hosts, _) = fabric.fluid_cell(8, 1);
         for lent in [a.sim().topology(), b.sim().topology(), &*fluid_topo] {
             assert!(std::ptr::eq(lent, &*topo), "a cell got a copy");
         }
@@ -394,7 +288,7 @@ mod tests {
         let preset = crate::registry::by_name("paper-myrinet").unwrap();
         let fabric = Fabric::build(&preset).unwrap();
         assert!(fabric.shared_topology().is_none(), "presets wire per cell");
-        assert_eq!(fabric.world_with(&preset, 4, 1, NoopRecorder).n_ranks(), 4);
+        assert_eq!(fabric.world_with(4, 1, NoopRecorder).n_ranks(), 4);
     }
 
     #[test]

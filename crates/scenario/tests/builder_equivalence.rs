@@ -6,7 +6,9 @@
 
 use contention_scenario::builder::ScenarioBuilder;
 use contention_scenario::registry::builtin;
-use contention_scenario::spec::{Backend, ScenarioSpec, TopologySpec, TransportSpec, WorkloadSpec};
+use contention_scenario::spec::{
+    Backend, ScenarioSpec, SpecError, TopologySpec, TransportSpec, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 /// Reassembles a spec through the builder's shape-specific sugar (falling
@@ -17,32 +19,15 @@ fn rebuild(spec: &ScenarioSpec) -> ScenarioSpec {
     let mut b = ScenarioBuilder::new(spec.name.clone()).description(spec.description.clone());
     b = match &spec.topology {
         TopologySpec::Preset { preset } => b.preset(preset.clone()),
-        TopologySpec::SingleSwitch {
-            hosts,
-            link,
-            switch,
-        } => b.single_switch(*hosts, *link, *switch),
-        TopologySpec::FatTree {
-            k,
-            hosts_per_edge,
-            link,
-            switch,
-        } => b.fat_tree(*k, *hosts_per_edge, *link, *switch),
-        TopologySpec::Torus2d {
-            x,
-            y,
-            hosts_per_switch,
-            link,
-            switch,
-        } => b.torus_2d(*x, *y, *hosts_per_switch, *link, *switch),
-        TopologySpec::Torus3d {
-            x,
-            y,
-            z,
-            hosts_per_switch,
-            link,
-            switch,
-        } => b.torus_3d(*x, *y, *z, *hosts_per_switch, *link, *switch),
+        TopologySpec::SingleSwitch(p) => b.single_switch(p.hosts, p.link, p.switch),
+        TopologySpec::FatTree(p) => b.fat_tree(p.k, p.hosts_per_edge, p.link, p.switch),
+        TopologySpec::Torus2d(p) => {
+            b.torus_2d(p.dims[0], p.dims[1], p.hosts_per_switch, p.link, p.switch)
+        }
+        TopologySpec::Torus3d(p) => {
+            let [x, y, z] = p.dims;
+            b.torus_3d(x, y, z, p.hosts_per_switch, p.link, p.switch)
+        }
         other => b.topology(other.clone()),
     };
     b = b.placement(spec.placement).mpi(spec.mpi);
@@ -73,6 +58,51 @@ fn rebuild(spec: &ScenarioSpec) -> ScenarioSpec {
         .reps(spec.sweep.reps)
         .build()
         .expect("rebuilt builtin validates")
+}
+
+#[test]
+fn validation_is_sufficient_for_construction() {
+    // The builder and the TOML front-end refuse the same fabrics with the
+    // same message. Both of these used to validate and then die in a generator
+    // assert (exit 101 from ctnsim, a lost run worker in ctnd).
+    for name in ["sparse-star", "mixed-phases-tree"] {
+        let mut spec = contention_scenario::registry::by_name(name).expect("registered");
+        match &mut spec.topology {
+            TopologySpec::StarOfSwitches(p) => p.uplinks_per_leaf = 0,
+            TopologySpec::Tree(p) => p.uplinks_per_leaf = 0,
+            other => panic!("unexpected fabric {}", other.kind()),
+        }
+        let built = ScenarioBuilder::new("x")
+            .topology(spec.topology.clone())
+            .uniform("direct")
+            .build();
+        let parsed = ScenarioSpec::from_toml_str(&spec.to_toml_string());
+        for err in [built.unwrap_err(), parsed.unwrap_err()] {
+            assert!(
+                matches!(&err, SpecError::Invalid(m) if m.contains("topology.uplinks_per_leaf")),
+                "{err}"
+            );
+        }
+    }
+
+    // Host capacity is checked arithmetic in its one home: this torus
+    // used to overflow (debug panic / release wrap to a tiny fabric).
+    let torus =
+        contention_scenario::registry::by_name("torus-neighbor-exchange").expect("registered");
+    let with_dims = |dims| {
+        let mut spec = torus.clone();
+        match &mut spec.topology {
+            TopologySpec::Torus2d(p) => p.dims = dims,
+            other => panic!("unexpected fabric {}", other.kind()),
+        }
+        spec
+    };
+    let huge = with_dims([8_589_934_592, 2_147_483_649, 1]);
+    assert!(matches!(huge.validate(), Err(SpecError::Invalid(_))));
+    assert!(contention_scenario::topology::capacity(&huge.topology).is_err());
+    // A 2-D torus has no z to serialize.
+    let deep = with_dims([2, 2, 3]).validate();
+    assert!(matches!(deep, Err(SpecError::Invalid(m)) if m.contains("torus-2d")));
 }
 
 proptest! {

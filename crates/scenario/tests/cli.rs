@@ -335,6 +335,42 @@ receivers = 1
     json::parse(&json).expect("partial-failure report is still valid JSON");
     assert!(json.contains("\"schema_version\": 2"), "{json}");
     assert!(json.contains("\"status\": \"deadlocked\""), "{json}");
+
+    // Under `--model signature` the same trap springs earlier, in the
+    // fit's sample All-to-Alls, before any cell exists to carry a status:
+    // a runtime error with the stall diagnostic, not a panic (exit 101).
+    let out = ctnsim(&["run", spec_path.to_str().unwrap(), "--model", "signature"]);
+    assert_eq!(code(&out), 1, "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("calibration") && err.contains("deadlock"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Parameters no generator accepts are a spec error naming the field
+/// (they used to pass validation and panic in the generator, exit 101).
+#[test]
+fn a_fabric_no_generator_accepts_exits_1_naming_the_field() {
+    let dir = std::env::temp_dir().join(format!("ctnsim-unwired-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec_path = dir.join("unwired.toml");
+    for builtin in ["sparse-star", "mixed-phases-tree"] {
+        let shown = stdout(&ctnsim(&["show", builtin]));
+        let unwired = shown.replace("uplinks_per_leaf = 2", "uplinks_per_leaf = 0");
+        assert_ne!(shown, unwired, "{builtin} has two uplinks per leaf");
+        std::fs::write(&spec_path, unwired).expect("write spec");
+        let out = ctnsim(&["run", spec_path.to_str().unwrap()]);
+        assert_eq!(code(&out), 1, "{builtin}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains("topology.uplinks_per_leaf"),
+            "{builtin}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{builtin}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

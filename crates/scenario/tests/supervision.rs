@@ -20,8 +20,8 @@ fn deadlocking_spec() -> ScenarioSpec {
     ScenarioBuilder::new("gm-finite-buffer-trap")
         .single_switch(
             4,
-            LinkSpec::default(),
-            SwitchSpec {
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig {
                 shared_buffer_bytes: 16 * 1024,
                 per_port_cap_bytes: 8 * 1024,
             },
@@ -39,7 +39,11 @@ fn deadlocking_spec() -> ScenarioSpec {
 /// A small, healthy 2x2 grid used by the fault-injection tests.
 fn healthy_spec() -> ScenarioSpec {
     ScenarioBuilder::new("supervised-grid")
-        .single_switch(8, LinkSpec::default(), SwitchSpec::default())
+        .single_switch(
+            8,
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig::commodity_ethernet(),
+        )
         .uniform("direct")
         .nodes([2, 4])
         .message_bytes([1024, 4096])
@@ -169,7 +173,11 @@ fn injected_stall_trips_the_wall_clock_deadline() {
 #[test]
 fn tiny_event_budget_stops_cells_as_budget_exceeded() {
     let spec = ScenarioBuilder::new("budgeted")
-        .single_switch(8, LinkSpec::default(), SwitchSpec::default())
+        .single_switch(
+            8,
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig::commodity_ethernet(),
+        )
         .uniform("direct")
         .nodes([8])
         .message_bytes([256 * 1024])

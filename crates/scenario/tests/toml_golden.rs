@@ -2,10 +2,10 @@
 //! decode to exactly the expected spec, re-encode, and decode back equal.
 
 use contention_scenario::spec::{
-    Backend, LinkSpec, MpiSpec, ScenarioSpec, SweepSpec, SwitchSpec, TopologySpec, TransportSpec,
-    WorkloadSpec,
+    Backend, MpiSpec, ScenarioSpec, SweepSpec, TopologySpec, TransportSpec, WorkloadSpec,
 };
-use simnet::generate::Placement;
+use simnet::config::{LinkConfig, SwitchConfig};
+use simnet::generate::{Placement, TreeParams};
 
 const GOLDEN: &str = include_str!("golden/oversubscribed_tree.toml");
 
@@ -13,25 +13,25 @@ fn expected() -> ScenarioSpec {
     ScenarioSpec {
         name: "golden-oversubscribed-tree".into(),
         description: "Skewed exchange over a 4:1 oversubscribed tree (golden file)".into(),
-        topology: TopologySpec::Tree {
+        topology: TopologySpec::Tree(TreeParams {
             leaves: 4,
             hosts_per_leaf: 6,
-            edge_link: LinkSpec {
+            edge_link: LinkConfig {
                 bandwidth_bytes_per_sec: 125e6,
                 latency_ns: 20_000,
             },
             oversubscription: 4.0,
             uplinks_per_leaf: 2,
             uplink_latency_ns: 10_000,
-            edge_switch: SwitchSpec {
+            edge_switch: SwitchConfig {
                 shared_buffer_bytes: 262_144,
                 per_port_cap_bytes: 65_536,
             },
-            core_switch: SwitchSpec {
+            core_switch: SwitchConfig {
                 shared_buffer_bytes: 1_048_576,
                 per_port_cap_bytes: 131_072,
             },
-        },
+        }),
         placement: Placement::Scatter,
         transport: TransportSpec::Tcp {
             window_bytes: 65_536,

@@ -3,7 +3,7 @@
 
 use crate::alltoall::AllToAllAlgorithm;
 use crate::ops::{Op, Rank};
-use crate::world::World;
+use crate::world::{RunInterrupt, World};
 use simnet::obs::Recorder;
 
 /// One ping-pong measurement point.
@@ -19,6 +19,10 @@ pub struct PingPongPoint {
 /// Measures one-way point-to-point times between two ranks across `sizes`,
 /// with `round_trips` ping-pongs per size. This is the paper's "simple
 /// point-to-point measure" from which the Hockney `α` and `β` are fitted.
+///
+/// # Panics
+/// Panics where [`World::run`] does (deadlock, tripped guard); use
+/// [`try_ping_pong`] to receive those as values.
 pub fn ping_pong<R: Recorder>(
     world: &mut World<R>,
     a: Rank,
@@ -26,6 +30,18 @@ pub fn ping_pong<R: Recorder>(
     sizes: &[u64],
     round_trips: usize,
 ) -> Vec<PingPongPoint> {
+    try_ping_pong(world, a, b, sizes, round_trips).unwrap_or_else(|interrupt| panic!("{interrupt}"))
+}
+
+/// [`ping_pong`] on [`World::try_run`]: a stall or a tripped guard comes
+/// back as the [`RunInterrupt`] instead of a panic.
+pub fn try_ping_pong<R: Recorder>(
+    world: &mut World<R>,
+    a: Rank,
+    b: Rank,
+    sizes: &[u64],
+    round_trips: usize,
+) -> Result<Vec<PingPongPoint>, RunInterrupt> {
     assert_ne!(a, b, "ping-pong needs two distinct ranks");
     assert!(round_trips > 0);
     sizes
@@ -38,11 +54,11 @@ pub fn ping_pong<R: Recorder>(
                 programs[b].push(Op::recv(a));
                 programs[b].push(Op::send(a, size));
             }
-            let result = world.run(programs);
-            PingPongPoint {
+            let result = world.try_run(programs)?;
+            Ok(PingPongPoint {
                 size,
                 half_rtt_secs: result.rank_duration_secs(a) / (2.0 * round_trips as f64),
-            }
+            })
         })
         .collect()
 }

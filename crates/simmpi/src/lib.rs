@@ -10,7 +10,10 @@
 //! * the paper's **Direct Exchange** All-to-All (Algorithm 1) plus baseline
 //!   algorithms (Bruck, pairwise, ring, nonblocking post-all);
 //! * measurement harnesses: ping-pong (Hockney α/β), timed All-to-All
-//!   repetitions, and the §3 network stress test.
+//!   repetitions, and the §3 network stress test;
+//! * the paper's three clusters as [`presets`] (a topology + transport +
+//!   [`MpiConfig`] that builds a [`World`]), and the [`runner`] sweep
+//!   helper every driver above this crate parallelizes with.
 //!
 //! ## Example: time one All-to-All
 //!
@@ -43,6 +46,8 @@ pub mod fluid;
 pub mod harness;
 pub mod irregular;
 pub mod ops;
+pub mod presets;
+pub mod runner;
 pub mod world;
 
 /// Commonly used items.

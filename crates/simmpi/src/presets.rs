@@ -11,7 +11,7 @@
 //! round-robin across edge switches the way a batch scheduler scatters a
 //! job.
 
-use simmpi::prelude::*;
+use crate::prelude::*;
 use simnet::prelude::*;
 
 /// Which physical network a preset models.
@@ -286,7 +286,6 @@ impl ClusterPreset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simmpi::harness::alltoall_times;
 
     #[test]
     fn presets_have_expected_capacities() {

@@ -18,7 +18,7 @@
 //! * [`fat_tree`] — a k-ary fat-tree (k pods of k/2 edge + k/2 aggregation
 //!   switches, (k/2)² cores) with a configurable number of hosts per edge
 //!   switch;
-//! * [`torus_2d`] / [`torus_3d`] — wrap-around switch meshes with
+//! * [`torus`] — wrap-around 2-D / 3-D switch meshes with
 //!   dimension-ordered (e-cube) routing, the HPC fabrics where partition
 //!   shape decides which contention is avoidable at all (Oltchik &
 //!   Toledo 2020);
@@ -30,6 +30,28 @@
 //! scatter (round-robin across edge groups), pack (fill groups in order)
 //! or a seeded random partial permutation — instead of the scatter rule
 //! being hard-coded into every caller.
+//!
+//! ## One owner per family
+//!
+//! Everything that is a *fact about a family* lives on its `*Params`
+//! struct, here and nowhere else: the parameters themselves, `check()`
+//! (every precondition of the generator, each failure naming the
+//! offending field — the generator asserts through it, and the scenario
+//! tier surfaces the same message as a spec error, so a parameter set
+//! that validates is one that generates; links and switches go by the
+//! names the TOML format spells them with), `capacity()` (the host count,
+//! in checked arithmetic) and `switches()` (the named buffers).
+//!
+//! Adding a fabric family therefore has three edit sites:
+//!
+//! 1. this module — the `*Params` struct with `check`, `capacity`,
+//!    `switches`, and the generator function;
+//! 2. `contention_scenario::spec::TopologySpec` — a variant holding the
+//!    params, its report `kind` string, and one delegating arm in each of
+//!    `TopologySpec::{check, switches}`,
+//!    `contention_scenario::topology::capacity` and `Fabric::build`;
+//! 3. `contention_scenario::spec::{decode_topology, encode_topology}` —
+//!    the variant's TOML key list.
 
 use crate::config::{LinkConfig, SwitchConfig};
 use crate::ids::{HostId, SwitchId};
@@ -178,17 +200,85 @@ impl Placement {
     }
 }
 
-/// `n` hosts on a single switch.
+/// Every named count must be at least 1.
+fn check_counts(counts: &[(&str, usize)]) -> Result<(), String> {
+    match counts.iter().find(|(_, count)| *count == 0) {
+        Some((name, _)) => Err(format!("{name} must be at least 1")),
+        None => Ok(()),
+    }
+}
+
+/// Every named link needs a positive finite bandwidth and every named
+/// switch non-empty buffers — the conditions the engine divides by.
+fn check_wires(
+    links: &[(&str, LinkConfig)],
+    switches: &[(&str, SwitchConfig)],
+) -> Result<(), String> {
+    for (name, l) in links {
+        if !(l.bandwidth_bytes_per_sec.is_finite() && l.bandwidth_bytes_per_sec > 0.0) {
+            return Err(format!(
+                "{name}.bandwidth_bytes_per_sec must be positive and finite, got {}",
+                l.bandwidth_bytes_per_sec
+            ));
+        }
+    }
+    for (name, s) in switches {
+        if s.shared_buffer_bytes == 0 || s.per_port_cap_bytes == 0 {
+            return Err(format!(
+                "{name}.shared_buffer_bytes and {name}.per_port_cap_bytes must be positive"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The product of `factors` as a host count, `None` on overflow.
+fn checked_product(factors: &[usize]) -> Option<usize> {
+    factors
+        .iter()
+        .try_fold(1usize, |acc, &f| acc.checked_mul(f))
+}
+
+/// Parameters of a single-switch fabric (see [`single_switch`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SingleSwitchParams {
+    /// Host count (capacity).
+    pub hosts: usize,
+    /// Host ↔ switch link.
+    pub link: LinkConfig,
+    /// The switch.
+    pub switch: SwitchConfig,
+}
+
+impl SingleSwitchParams {
+    /// Total host capacity.
+    pub fn capacity(&self) -> Option<usize> {
+        Some(self.hosts)
+    }
+
+    /// The named switches, as the TOML format spells them.
+    pub fn switches(&self) -> Vec<(&'static str, SwitchConfig)> {
+        vec![("switch", self.switch)]
+    }
+
+    /// Every precondition of [`single_switch`]; a failure names the field.
+    pub fn check(&self) -> Result<(), String> {
+        check_counts(&[("hosts", self.hosts)])?;
+        check_wires(&[("link", self.link)], &self.switches())
+    }
+}
+
+/// `p.hosts` hosts on a single switch.
 ///
 /// # Panics
-/// Panics if `n == 0`.
-pub fn single_switch(n: usize, link: LinkConfig, switch: SwitchConfig) -> Generated {
-    assert!(n > 0, "single_switch needs at least one host");
+/// Panics if [`SingleSwitchParams::check`] fails.
+pub fn single_switch(p: &SingleSwitchParams) -> Generated {
+    p.check().unwrap_or_else(|e| panic!("single_switch: {e}"));
     let mut b = TopologyBuilder::new();
-    let hosts = b.add_hosts(n);
-    let sw = b.add_switch(switch);
+    let hosts = b.add_hosts(p.hosts);
+    let sw = b.add_switch(p.switch);
     for &h in &hosts {
-        b.link_host(h, sw, link);
+        b.link_host(h, sw, p.link);
     }
     Generated {
         builder: b,
@@ -200,35 +290,78 @@ pub fn single_switch(n: usize, link: LinkConfig, switch: SwitchConfig) -> Genera
     }
 }
 
+/// Parameters of a star of switches (see [`star_of_switches`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StarParams {
+    /// Number of leaf switches.
+    pub leaves: usize,
+    /// Hosts attached to each leaf.
+    pub hosts_per_leaf: usize,
+    /// Host ↔ leaf link.
+    pub edge_link: LinkConfig,
+    /// Leaf ↔ core link.
+    pub uplink: LinkConfig,
+    /// Parallel uplinks from each leaf to the core.
+    pub uplinks_per_leaf: usize,
+    /// Leaf switch buffering.
+    pub edge_switch: SwitchConfig,
+    /// Core switch buffering.
+    pub core_switch: SwitchConfig,
+}
+
+impl StarParams {
+    /// Total host capacity: `leaves · hosts_per_leaf`.
+    pub fn capacity(&self) -> Option<usize> {
+        checked_product(&[self.leaves, self.hosts_per_leaf])
+    }
+
+    /// The named switches, as the TOML format spells them.
+    pub fn switches(&self) -> Vec<(&'static str, SwitchConfig)> {
+        vec![
+            ("edge_switch", self.edge_switch),
+            ("core_switch", self.core_switch),
+        ]
+    }
+
+    /// Every precondition of [`star_of_switches`]; a failure names the
+    /// field.
+    pub fn check(&self) -> Result<(), String> {
+        check_counts(&[
+            ("leaves", self.leaves),
+            ("hosts_per_leaf", self.hosts_per_leaf),
+            ("uplinks_per_leaf", self.uplinks_per_leaf),
+        ])?;
+        self.capacity()
+            .ok_or("leaves * hosts_per_leaf overflows the host count")?;
+        check_wires(
+            &[("edge_link", self.edge_link), ("uplink", self.uplink)],
+            &self.switches(),
+        )
+    }
+}
+
 /// `leaves` leaf switches of `hosts_per_leaf` hosts each around one core
 /// switch, `uplinks_per_leaf` parallel uplinks per leaf with explicit
 /// `uplink` parameters.
 ///
 /// # Panics
-/// Panics if any count is zero.
-pub fn star_of_switches(
-    leaves: usize,
-    hosts_per_leaf: usize,
-    edge_link: LinkConfig,
-    uplink: LinkConfig,
-    uplinks_per_leaf: usize,
-    edge_switch: SwitchConfig,
-    core_switch: SwitchConfig,
-) -> Generated {
-    assert!(leaves > 0 && hosts_per_leaf > 0 && uplinks_per_leaf > 0);
+/// Panics if [`StarParams::check`] fails.
+pub fn star_of_switches(p: &StarParams) -> Generated {
+    p.check()
+        .unwrap_or_else(|e| panic!("star_of_switches: {e}"));
     let mut b = TopologyBuilder::new();
-    let hosts = b.add_hosts(leaves * hosts_per_leaf);
-    let edges: Vec<SwitchId> = (0..leaves).map(|_| b.add_switch(edge_switch)).collect();
-    let core = b.add_switch(core_switch);
-    let mut host_groups = vec![Vec::with_capacity(hosts_per_leaf); leaves];
+    let hosts = b.add_hosts(p.leaves * p.hosts_per_leaf);
+    let edges: Vec<SwitchId> = (0..p.leaves).map(|_| b.add_switch(p.edge_switch)).collect();
+    let core = b.add_switch(p.core_switch);
+    let mut host_groups = vec![Vec::with_capacity(p.hosts_per_leaf); p.leaves];
     for (i, &h) in hosts.iter().enumerate() {
-        let leaf = i / hosts_per_leaf;
-        b.link_host(h, edges[leaf], edge_link);
+        let leaf = i / p.hosts_per_leaf;
+        b.link_host(h, edges[leaf], p.edge_link);
         host_groups[leaf].push(h);
     }
     for &e in &edges {
-        for _ in 0..uplinks_per_leaf {
-            b.link_switches(e, core, uplink);
+        for _ in 0..p.uplinks_per_leaf {
+            b.link_switches(e, core, p.uplink);
         }
     }
     Generated {
@@ -270,33 +403,57 @@ impl TreeParams {
         self.hosts_per_leaf as f64 * self.edge_link.bandwidth_bytes_per_sec
             / (self.oversubscription * self.uplinks_per_leaf as f64)
     }
+
+    /// The star of switches this tree is: same shape, with the uplink
+    /// derived from the oversubscription ratio.
+    pub fn star(&self) -> StarParams {
+        StarParams {
+            leaves: self.leaves,
+            hosts_per_leaf: self.hosts_per_leaf,
+            edge_link: self.edge_link,
+            uplink: LinkConfig {
+                bandwidth_bytes_per_sec: self.uplink_bandwidth(),
+                latency_ns: self.uplink_latency_ns,
+            },
+            uplinks_per_leaf: self.uplinks_per_leaf,
+            edge_switch: self.edge_switch,
+            core_switch: self.core_switch,
+        }
+    }
+
+    /// Total host capacity: `leaves · hosts_per_leaf`.
+    pub fn capacity(&self) -> Option<usize> {
+        self.star().capacity()
+    }
+
+    /// The named switches, as the TOML format spells them.
+    pub fn switches(&self) -> Vec<(&'static str, SwitchConfig)> {
+        self.star().switches()
+    }
+
+    /// Every precondition of [`two_level_tree`]; a failure names the
+    /// field. Beyond the ratio itself these are the star's, checked on
+    /// the derived star (so a ratio that drives the uplink bandwidth to
+    /// zero or infinity is caught as `uplink`).
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.oversubscription.is_finite() && self.oversubscription > 0.0) {
+            return Err(format!(
+                "oversubscription must be positive and finite, got {}",
+                self.oversubscription
+            ));
+        }
+        self.star().check()
+    }
 }
 
 /// A two-level tree whose uplink capacity is derived from
 /// [`TreeParams::oversubscription`].
 ///
 /// # Panics
-/// Panics if any count is zero or the ratio is not a positive finite
-/// number.
+/// Panics if [`TreeParams::check`] fails.
 pub fn two_level_tree(p: &TreeParams) -> Generated {
-    assert!(p.leaves > 0 && p.hosts_per_leaf > 0 && p.uplinks_per_leaf > 0);
-    assert!(
-        p.oversubscription.is_finite() && p.oversubscription > 0.0,
-        "oversubscription must be positive and finite"
-    );
-    let uplink = LinkConfig {
-        bandwidth_bytes_per_sec: p.uplink_bandwidth(),
-        latency_ns: p.uplink_latency_ns,
-    };
-    star_of_switches(
-        p.leaves,
-        p.hosts_per_leaf,
-        p.edge_link,
-        uplink,
-        p.uplinks_per_leaf,
-        p.edge_switch,
-        p.core_switch,
-    )
+    p.check().unwrap_or_else(|e| panic!("two_level_tree: {e}"));
+    star_of_switches(&p.star())
 }
 
 /// Parameters of a k-ary fat-tree (see [`fat_tree`]).
@@ -315,8 +472,24 @@ pub struct FatTreeParams {
 
 impl FatTreeParams {
     /// Total host capacity: `k · (k/2) · hosts_per_edge`.
-    pub fn capacity(&self) -> usize {
-        self.k * (self.k / 2) * self.hosts_per_edge
+    pub fn capacity(&self) -> Option<usize> {
+        checked_product(&[self.k, self.k / 2, self.hosts_per_edge])
+    }
+
+    /// The named switches, as the TOML format spells them.
+    pub fn switches(&self) -> Vec<(&'static str, SwitchConfig)> {
+        vec![("switch", self.switch)]
+    }
+
+    /// Every precondition of [`fat_tree`]; a failure names the field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.k < 2 || !self.k.is_multiple_of(2) {
+            return Err(format!("k must be even and at least 2, got {}", self.k));
+        }
+        check_counts(&[("hosts_per_edge", self.hosts_per_edge)])?;
+        self.capacity()
+            .ok_or("k * k/2 * hosts_per_edge overflows the host count")?;
+        check_wires(&[("link", self.link)], &self.switches())
     }
 }
 
@@ -327,17 +500,12 @@ impl FatTreeParams {
 /// spread by the builder's deterministic ECMP hashing.
 ///
 /// # Panics
-/// Panics if `k` is odd or zero, or `hosts_per_edge == 0`.
+/// Panics if [`FatTreeParams::check`] fails.
 pub fn fat_tree(p: &FatTreeParams) -> Generated {
-    assert!(
-        p.k >= 2 && p.k.is_multiple_of(2),
-        "fat-tree arity must be even, got {}",
-        p.k
-    );
-    assert!(p.hosts_per_edge > 0);
+    p.check().unwrap_or_else(|e| panic!("fat_tree: {e}"));
     let half = p.k / 2;
     let mut b = TopologyBuilder::new();
-    let hosts = b.add_hosts(p.capacity());
+    let hosts = b.add_hosts(p.k * half * p.hosts_per_edge);
 
     let mut edge_switches = Vec::with_capacity(p.k * half);
     let mut agg_switches = Vec::with_capacity(p.k * half);
@@ -406,8 +574,34 @@ pub struct TorusParams {
 
 impl TorusParams {
     /// Total host capacity: `x · y · z · hosts_per_switch`.
-    pub fn capacity(&self) -> usize {
-        self.dims.iter().product::<usize>() * self.hosts_per_switch
+    pub fn capacity(&self) -> Option<usize> {
+        let [x, y, z] = self.dims;
+        checked_product(&[x, y, z, self.hosts_per_switch])
+    }
+
+    /// The named switches, as the TOML format spells them.
+    pub fn switches(&self) -> Vec<(&'static str, SwitchConfig)> {
+        vec![("switch", self.switch)]
+    }
+
+    /// Every precondition of [`torus`]; a failure names the field (the
+    /// dimensions by their TOML names `x`, `y`, `z`).
+    pub fn check(&self) -> Result<(), String> {
+        let [x, y, z] = self.dims;
+        let dims = [("x", x), ("y", y), ("z", z)];
+        check_counts(&dims)?;
+        check_counts(&[("hosts_per_switch", self.hosts_per_switch)])?;
+        // Switch coordinates are stored as u16.
+        if let Some((name, d)) = dims.into_iter().find(|&(_, d)| d > u16::MAX as usize) {
+            return Err(format!("{name} must be at most {}, got {d}", u16::MAX));
+        }
+        let hosts = self
+            .capacity()
+            .ok_or("x * y * z * hosts_per_switch overflows the host count")?;
+        if hosts / self.hosts_per_switch < 2 {
+            return Err("x * y * z must be at least 2 switches".into());
+        }
+        check_wires(&[("link", self.link)], &self.switches())
     }
 }
 
@@ -428,13 +622,10 @@ impl TorusParams {
 /// [dimension-ordered]: crate::topology::RoutingPolicy::DimensionOrdered
 ///
 /// # Panics
-/// Panics if any dimension is 0, the switch count is below 2, or
-/// `hosts_per_switch == 0`.
+/// Panics if [`TorusParams::check`] fails.
 pub fn torus(p: &TorusParams) -> Generated {
+    p.check().unwrap_or_else(|e| panic!("torus: {e}"));
     let [nx, ny, nz] = p.dims;
-    assert!(nx > 0 && ny > 0 && nz > 0, "torus dimensions must be ≥ 1");
-    assert!(nx * ny * nz >= 2, "a torus needs at least two switches");
-    assert!(p.hosts_per_switch > 0);
     let n_switches = nx * ny * nz;
     let mut b = TopologyBuilder::new();
     let hosts = b.add_hosts(n_switches * p.hosts_per_switch);
@@ -485,41 +676,6 @@ pub fn torus(p: &TorusParams) -> Generated {
     }
 }
 
-/// A 2-D torus: `x · y` switches, `hosts_per_switch` hosts each. See
-/// [`torus`].
-pub fn torus_2d(
-    x: usize,
-    y: usize,
-    hosts_per_switch: usize,
-    link: LinkConfig,
-    switch: SwitchConfig,
-) -> Generated {
-    torus(&TorusParams {
-        dims: [x, y, 1],
-        hosts_per_switch,
-        link,
-        switch,
-    })
-}
-
-/// A 3-D torus: `x · y · z` switches, `hosts_per_switch` hosts each. See
-/// [`torus`].
-pub fn torus_3d(
-    x: usize,
-    y: usize,
-    z: usize,
-    hosts_per_switch: usize,
-    link: LinkConfig,
-    switch: SwitchConfig,
-) -> Generated {
-    torus(&TorusParams {
-        dims: [x, y, z],
-        hosts_per_switch,
-        link,
-        switch,
-    })
-}
-
 /// Parameters of a dragonfly fabric (see [`dragonfly`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DragonflyParams {
@@ -541,8 +697,34 @@ pub struct DragonflyParams {
 
 impl DragonflyParams {
     /// Total host capacity: `g · a · h`.
-    pub fn capacity(&self) -> usize {
-        self.groups * self.routers_per_group * self.hosts_per_router
+    pub fn capacity(&self) -> Option<usize> {
+        checked_product(&[self.groups, self.routers_per_group, self.hosts_per_router])
+    }
+
+    /// The named switches, as the TOML format spells them.
+    pub fn switches(&self) -> Vec<(&'static str, SwitchConfig)> {
+        vec![("switch", self.switch)]
+    }
+
+    /// Every precondition of [`dragonfly`]; a failure names the field.
+    pub fn check(&self) -> Result<(), String> {
+        check_counts(&[
+            ("groups", self.groups),
+            ("routers_per_group", self.routers_per_group),
+            ("hosts_per_router", self.hosts_per_router),
+        ])?;
+        let hosts = self
+            .capacity()
+            .ok_or("groups * routers_per_group * hosts_per_router overflows the host count")?;
+        if hosts / self.hosts_per_router < 2 {
+            return Err("groups * routers_per_group must be at least 2 routers".into());
+        }
+        let links = [
+            ("host_link", self.host_link),
+            ("local_link", self.local_link),
+            ("global_link", self.global_link),
+        ];
+        check_wires(&links, &self.switches())
     }
 }
 
@@ -562,11 +744,10 @@ impl DragonflyParams {
 /// ```
 ///
 /// # Panics
-/// Panics if any count is zero or the fabric has fewer than two routers.
+/// Panics if [`DragonflyParams::check`] fails.
 pub fn dragonfly(p: &DragonflyParams) -> Generated {
+    p.check().unwrap_or_else(|e| panic!("dragonfly: {e}"));
     let (g, a, h) = (p.groups, p.routers_per_group, p.hosts_per_router);
-    assert!(g > 0 && a > 0 && h > 0, "dragonfly counts must be positive");
-    assert!(g * a >= 2, "a dragonfly needs at least two routers");
     let mut b = TopologyBuilder::new();
     let hosts = b.add_hosts(g * a * h);
     let routers: Vec<SwitchId> = (0..g * a).map(|_| b.add_switch(p.switch)).collect();
@@ -619,9 +800,25 @@ mod tests {
         SwitchConfig::commodity_ethernet()
     }
 
+    fn star(leaves: usize, hosts_per_leaf: usize, uplinks_per_leaf: usize) -> StarParams {
+        StarParams {
+            leaves,
+            hosts_per_leaf,
+            edge_link: gbe(),
+            uplink: gbe(),
+            uplinks_per_leaf,
+            edge_switch: sw(),
+            core_switch: sw(),
+        }
+    }
+
     #[test]
     fn single_switch_is_a_star() {
-        let g = single_switch(5, gbe(), sw());
+        let g = single_switch(&SingleSwitchParams {
+            hosts: 5,
+            link: gbe(),
+            switch: sw(),
+        });
         assert_eq!(g.capacity(), 5);
         let topo = g.builder.build().unwrap();
         assert_eq!(topo.hop_count(g.hosts[0], g.hosts[4]), 2);
@@ -629,7 +826,7 @@ mod tests {
 
     #[test]
     fn star_of_switches_routes_via_core() {
-        let g = star_of_switches(3, 4, gbe(), gbe(), 2, sw(), sw());
+        let g = star_of_switches(&star(3, 4, 2));
         assert_eq!(g.capacity(), 12);
         assert_eq!(g.host_groups.len(), 3);
         let (h0, h1, h4) = (g.hosts[0], g.hosts[1], g.hosts[4]);
@@ -686,7 +883,7 @@ mod tests {
 
     #[test]
     fn scattered_hosts_interleave_groups() {
-        let g = star_of_switches(3, 4, gbe(), gbe(), 1, sw(), sw());
+        let g = star_of_switches(&star(3, 4, 1));
         let picked = g.scattered_hosts(5);
         // Round-robin over leaves: leaf0[0], leaf1[0], leaf2[0], leaf0[1], leaf1[1].
         assert_eq!(
@@ -702,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity must be even")]
+    #[should_panic(expected = "k must be even")]
     fn odd_fat_tree_rejected() {
         let _ = fat_tree(&FatTreeParams {
             k: 3,
@@ -712,9 +909,18 @@ mod tests {
         });
     }
 
+    fn torus_of(dims: [usize; 3], hosts_per_switch: usize) -> Generated {
+        torus(&TorusParams {
+            dims,
+            hosts_per_switch,
+            link: gbe(),
+            switch: sw(),
+        })
+    }
+
     #[test]
     fn torus_2d_routes_dimension_ordered() {
-        let g = torus_2d(4, 3, 2, gbe(), sw());
+        let g = torus_of([4, 3, 1], 2);
         assert_eq!(g.capacity(), 24);
         assert_eq!(g.edge_switches.len(), 12);
         let hosts = g.hosts.clone();
@@ -749,7 +955,7 @@ mod tests {
 
     #[test]
     fn torus_wrap_links_take_the_short_way() {
-        let g = torus_2d(4, 1, 1, gbe(), sw());
+        let g = torus_of([4, 1, 1], 1);
         let hosts = g.hosts.clone();
         let topo = g.builder.build().unwrap();
         // 0 → 3 wraps backwards: one switch hop, not three.
@@ -759,7 +965,7 @@ mod tests {
 
     #[test]
     fn torus_3d_hop_counts_sum_ring_distances() {
-        let g = torus_3d(3, 3, 3, 1, gbe(), sw());
+        let g = torus_of([3, 3, 3], 1);
         assert_eq!(g.capacity(), 27);
         let hosts = g.hosts.clone();
         let topo = g.builder.build().unwrap();
@@ -800,7 +1006,7 @@ mod tests {
 
     #[test]
     fn placements_cover_scatter_pack_random() {
-        let g = star_of_switches(3, 4, gbe(), gbe(), 1, sw(), sw());
+        let g = star_of_switches(&star(3, 4, 1));
         let scatter = Placement::Scatter.place(&g, 6, 9);
         assert_eq!(scatter, g.scattered_hosts(6));
         let pack = Placement::Pack.place(&g, 6, 9);

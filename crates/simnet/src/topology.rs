@@ -177,7 +177,7 @@ enum Node {
     Bus(usize),
 }
 
-struct LinkSpec {
+struct Wire {
     a: Node,
     b: Node,
     config: LinkConfig,
@@ -187,7 +187,7 @@ struct LinkSpec {
 pub struct TopologyBuilder {
     hosts: usize,
     switches: Vec<SwitchConfig>,
-    links: Vec<LinkSpec>,
+    links: Vec<Wire>,
     host_bus: Option<(f64, u64)>,
     routing: RoutingPolicy,
     /// Per-switch coordinates (parallel to `switches`) for
@@ -261,7 +261,7 @@ impl TopologyBuilder {
 
     /// Connects a host to a switch with a full-duplex link.
     pub fn link_host(&mut self, host: HostId, switch: SwitchId, config: LinkConfig) {
-        self.links.push(LinkSpec {
+        self.links.push(Wire {
             a: Node::Host(host),
             b: Node::Switch(switch),
             config,
@@ -271,7 +271,7 @@ impl TopologyBuilder {
     /// Connects two switches. Call repeatedly for parallel uplinks; flows
     /// are spread across them deterministically.
     pub fn link_switches(&mut self, a: SwitchId, b: SwitchId, config: LinkConfig) {
-        self.links.push(LinkSpec {
+        self.links.push(Wire {
             a: Node::Switch(a),
             b: Node::Switch(b),
             config,

@@ -2,10 +2,13 @@
 //! fabric must be a valid routable topology with the structural invariants
 //! its parameters promise.
 
+use contention_scenario::builder::ScenarioBuilder;
+use contention_scenario::spec::{SpecError, TopologySpec};
+use contention_scenario::topology::{self, Fabric};
 use proptest::prelude::*;
 use simnet::generate::{
     dragonfly, fat_tree, single_switch, star_of_switches, torus, two_level_tree, DragonflyParams,
-    FatTreeParams, Generated, Placement, TorusParams, TreeParams,
+    FatTreeParams, Generated, Placement, SingleSwitchParams, StarParams, TorusParams, TreeParams,
 };
 use simnet::ids::{HostId, TxId};
 use simnet::prelude::*;
@@ -29,79 +32,126 @@ fn bandwidth_into(topo: &Topology, pool: usize, to: Endpoint) -> f64 {
         .sum()
 }
 
-/// One fabric of generator family `family` (0..6), sized by three small
+/// The family table: generator family `family` (0..6) with its counts
+/// taken *as given* from `n` (zeros included) and every link / switch set
+/// to `link` / `switch` — as the scenario tier holds the parameters, and
+/// as the generator applied to the very same parameters. A 2-D torus is
+/// the 3-D one with `n[2] == 1`.
+fn family(
+    family: usize,
+    n: [usize; 4],
+    link: LinkConfig,
+    switch: SwitchConfig,
+) -> (TopologySpec, Box<dyn FnOnce() -> Generated>) {
+    match family {
+        0 => {
+            let p = SingleSwitchParams {
+                hosts: n[0],
+                link,
+                switch,
+            };
+            (
+                TopologySpec::SingleSwitch(p),
+                Box::new(move || single_switch(&p)),
+            )
+        }
+        1 => {
+            let p = StarParams {
+                leaves: n[0],
+                hosts_per_leaf: n[1],
+                edge_link: link,
+                uplink: link,
+                uplinks_per_leaf: n[2],
+                edge_switch: switch,
+                core_switch: switch,
+            };
+            (
+                TopologySpec::StarOfSwitches(p),
+                Box::new(move || star_of_switches(&p)),
+            )
+        }
+        2 => {
+            let p = TreeParams {
+                leaves: n[0],
+                hosts_per_leaf: n[1],
+                edge_link: link,
+                uplinks_per_leaf: n[2],
+                oversubscription: 2.0,
+                uplink_latency_ns: 5_000,
+                edge_switch: switch,
+                core_switch: switch,
+            };
+            (TopologySpec::Tree(p), Box::new(move || two_level_tree(&p)))
+        }
+        3 => {
+            let p = FatTreeParams {
+                k: n[0],
+                hosts_per_edge: n[1],
+                link,
+                switch,
+            };
+            (TopologySpec::FatTree(p), Box::new(move || fat_tree(&p)))
+        }
+        4 => {
+            let p = TorusParams {
+                dims: [n[0], n[1], n[2]],
+                hosts_per_switch: n[3],
+                link,
+                switch,
+            };
+            (TopologySpec::Torus3d(p), Box::new(move || torus(&p)))
+        }
+        _ => {
+            let p = DragonflyParams {
+                groups: n[0],
+                routers_per_group: n[1],
+                hosts_per_router: n[2],
+                host_link: link,
+                local_link: link,
+                global_link: link,
+                switch,
+            };
+            (TopologySpec::Dragonfly(p), Box::new(move || dragonfly(&p)))
+        }
+    }
+}
+
+/// One valid fabric of family `family`, sized by three small positive
 /// knobs, plus its per-switch coordinates when the family routes
 /// dimension-ordered. Every family offers equal-cost choices for some
 /// sizes: parallel uplinks, fat-tree aggregation/core fan-out, torus
 /// midpoints, dragonfly local detours.
 fn generate_family(
-    family: usize,
+    family_index: usize,
     a: usize,
     b: usize,
     c: usize,
 ) -> (Generated, Option<Vec<[u16; 3]>>) {
-    match family {
-        0 => (single_switch(a * b + 1, gbe(), sw()), None),
-        1 => (
-            star_of_switches(a + 1, b, gbe(), gbe(), c, sw(), sw()),
-            None,
-        ),
-        2 => {
-            let p = TreeParams {
-                leaves: a + 1,
-                hosts_per_leaf: b,
-                edge_link: gbe(),
-                uplinks_per_leaf: c,
-                oversubscription: 2.0,
-                uplink_latency_ns: 5_000,
-                edge_switch: sw(),
-                core_switch: sw(),
-            };
-            (two_level_tree(&p), None)
-        }
-        3 => {
-            let p = FatTreeParams {
-                k: 2 * (1 + a % 2),
-                hosts_per_edge: b,
-                link: gbe(),
-                switch: sw(),
-            };
-            (fat_tree(&p), None)
-        }
-        4 => {
-            let dims = [a + 1, b, c];
-            let p = TorusParams {
-                dims,
-                hosts_per_switch: 1 + (a + b) % 2,
-                link: gbe(),
-                switch: sw(),
-            };
-            // Switch s sits at (x, y, z) with x fastest — the generator's
-            // own numbering.
-            let coords = (0..dims.iter().product::<usize>())
+    // At least two switches everywhere; the fat-tree's first count is its
+    // (even) arity.
+    let first = if family_index == 3 {
+        2 * (1 + a % 2)
+    } else {
+        a + 1
+    };
+    let (spec, generate) = family(family_index, [first, b, c, 1 + (a + b) % 2], gbe(), sw());
+    // Switch s sits at (x, y, z) with x fastest — the generator's own
+    // numbering.
+    let coords = match spec {
+        TopologySpec::Torus3d(p) => Some(
+            (0..p.dims.iter().product::<usize>())
                 .map(|s| {
                     [
-                        (s % dims[0]) as u16,
-                        ((s / dims[0]) % dims[1]) as u16,
-                        (s / (dims[0] * dims[1])) as u16,
+                        (s % p.dims[0]) as u16,
+                        ((s / p.dims[0]) % p.dims[1]) as u16,
+                        (s / (p.dims[0] * p.dims[1])) as u16,
                     ]
                 })
-                .collect();
-            (torus(&p), Some(coords))
-        }
-        _ => {
-            let p = DragonflyParams {
-                groups: a + 1,
-                routers_per_group: b,
-                hosts_per_router: c,
-                host_link: gbe(),
-                local_link: gbe(),
-                global_link: gbe(),
-                switch: sw(),
-            };
-            (dragonfly(&p), None)
-        }
-    }
+                .collect(),
+        ),
+        _ => None,
+    };
+    (generate(), coords)
 }
 
 /// The builder's ECMP mixing hash, restated.
@@ -208,16 +258,129 @@ fn assert_routes_match_reference(topo: &Topology, coords: Option<&[[u16; 3]]>) {
     }
 }
 
+#[test]
+fn checks_name_the_offending_field() {
+    // The generators assert through `check`, so a parameter set that
+    // checks is one that generates; what fails says which field.
+    let err = |r: Result<(), String>| r.unwrap_err();
+    let star = StarParams {
+        leaves: 3,
+        hosts_per_leaf: 4,
+        edge_link: gbe(),
+        uplink: gbe(),
+        uplinks_per_leaf: 0,
+        edge_switch: sw(),
+        core_switch: sw(),
+    };
+    assert!(err(star.check()).contains("uplinks_per_leaf"));
+    let tree = TreeParams {
+        leaves: 2,
+        hosts_per_leaf: 2,
+        edge_link: gbe(),
+        uplinks_per_leaf: 0,
+        oversubscription: 2.0,
+        uplink_latency_ns: 0,
+        edge_switch: sw(),
+        core_switch: SwitchConfig {
+            shared_buffer_bytes: 0,
+            ..sw()
+        },
+    };
+    assert!(err(tree.check()).contains("uplinks_per_leaf"));
+    let wired = TreeParams {
+        uplinks_per_leaf: 1,
+        ..tree
+    };
+    assert!(err(wired.check()).contains("core_switch.shared_buffer_bytes"));
+    let no_ratio = TreeParams {
+        oversubscription: f64::NAN,
+        ..wired
+    };
+    assert!(err(no_ratio.check()).contains("oversubscription"));
+    // A ratio small enough to push the derived uplink to infinity.
+    let runaway = TreeParams {
+        oversubscription: f64::MIN_POSITIVE,
+        core_switch: sw(),
+        ..wired
+    };
+    assert!(err(runaway.check()).contains("uplink.bandwidth_bytes_per_sec"));
+
+    let torus = |dims, hosts_per_switch| TorusParams {
+        dims,
+        hosts_per_switch,
+        link: gbe(),
+        switch: sw(),
+    };
+    assert!(err(torus([1, 1, 1], 2).check()).contains("at least 2 switches"));
+    assert!(err(torus([2, 0, 1], 2).check()).contains("y must be"));
+    // Coordinates are u16; beyond that `as u16` would alias switches.
+    assert!(err(torus([70_000, 1, 1], 1).check()).contains("x must be at most"));
+    let huge = torus([60_000, 60_000, 60_000], usize::MAX / 2);
+    assert_eq!(huge.capacity(), None);
+    assert!(err(huge.check()).contains("overflows"));
+}
+
 /// Presets put a shared-serializer I/O bus between every host and its
 /// NIC; the generators never do, so the bus-node numbering of the route
 /// construction gets its own fixed case: parallel uplinks behind buses.
 #[test]
 fn bus_fabric_routes_match_the_per_hop_reference() {
-    let mut g = star_of_switches(3, 4, gbe(), gbe(), 3, sw(), sw());
+    let (_, generate) = family(1, [3, 4, 3, 0], gbe(), sw());
+    let mut g = generate();
     g.builder.host_io_bus(250e6, 500);
     let topo = g.builder.build().unwrap();
     assert_eq!(topo.hop_count(g.hosts[0], g.hosts[11]), 6);
     assert_routes_match_reference(&topo, None);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Validation is sufficient for construction, for all six families
+    /// with every count from 0 up and every link / switch valid, dead
+    /// (zero bandwidth) or bufferless: a spec that validates builds its
+    /// fabric without a panic and with exactly the capacity validation
+    /// computed; one that does not says which field is at fault. (Most
+    /// draws are invalid and cost microseconds; the valid ones build
+    /// fabrics of at most 256 hosts.)
+    #[test]
+    fn a_spec_that_validates_builds_the_fabric_it_promised(
+        family_index in 0usize..6,
+        n in (0usize..=4, 0usize..=4, 0usize..=4, 0usize..=4),
+        wires in 0usize..3,
+    ) {
+        let mut link = gbe();
+        let mut switch = sw();
+        match wires {
+            0 => {}
+            1 => link.bandwidth_bytes_per_sec = 0.0,
+            _ => switch.shared_buffer_bytes = 0,
+        }
+        let (spec, _) = family(family_index, [n.0, n.1, n.2, n.3], link, switch);
+        let built = ScenarioBuilder::new("drawn")
+            .topology(spec)
+            .uniform("direct")
+            .nodes([2])
+            .message_bytes([1024])
+            .build();
+        match built {
+            Ok(spec) => {
+                let fabric = std::panic::catch_unwind(|| Fabric::build(&spec));
+                prop_assert!(fabric.is_ok(), "{:?} validated, then panicked", spec.topology);
+                let fabric = fabric.unwrap();
+                prop_assert!(fabric.is_ok(), "{:?}: {:?}", spec.topology, fabric.err());
+                let hosts = fabric.unwrap().shared_topology().expect("generated").n_hosts;
+                prop_assert_eq!(hosts, topology::capacity(&spec.topology).unwrap());
+            }
+            // The grid's two ranks not fitting is the one failure here
+            // that is not about a topology field.
+            Err(SpecError::Invalid(m)) => prop_assert!(
+                m.starts_with("topology.") || m.contains("-host capacity"),
+                "{}", m
+            ),
+            Err(other) => prop_assert!(false, "{}", other),
+        }
+    }
 }
 
 proptest! {

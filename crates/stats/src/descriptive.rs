@@ -1,12 +1,9 @@
-//! Batch and streaming descriptive statistics.
+//! Descriptive statistics.
 //!
 //! The experiment harness repeats every (message size, process count) point
 //! many times and reports means; the stress-test figures additionally need
 //! minima, maxima and quantiles to expose the straggler connections of
-//! Fig. 3. [`Summary`] computes all of that in one pass over a slice, and
-//! [`OnlineStats`] (Welford's algorithm) accumulates the same moments without
-//! storing samples, which the simulator uses for per-link utilisation
-//! counters.
+//! Fig. 3. [`Summary`] computes all of that in one pass over a slice.
 
 use crate::error::StatsError;
 
@@ -37,16 +34,26 @@ impl Summary {
         if values.iter().any(|v| !v.is_finite()) {
             return Err(StatsError::NonFiniteInput);
         }
-        let mut online = OnlineStats::new();
-        for &v in values {
-            online.push(v);
+        // Welford's update: one pass, numerically stable.
+        let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, &v) in values.iter().enumerate() {
+            let delta = v - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (v - mean);
+            min = min.min(v);
+            max = max.max(v);
         }
         Ok(Self {
-            count: online.count(),
-            mean: online.mean(),
-            variance: online.variance(),
-            min: online.min(),
-            max: online.max(),
+            count: values.len(),
+            mean,
+            variance: if values.len() < 2 {
+                0.0
+            } else {
+                m2 / (values.len() - 1) as f64
+            },
+            min,
+            max,
         })
     }
 
@@ -62,97 +69,6 @@ impl Summary {
         } else {
             self.std_dev() / (self.count as f64).sqrt()
         }
-    }
-}
-
-/// Welford's online mean/variance accumulator with extrema tracking.
-///
-/// Numerically stable for long streams (per-packet link occupancy samples can
-/// run into the millions), and mergeable so the parallel sweep runner can
-/// combine per-thread accumulators.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = value - self.mean;
-        self.m2 += delta * delta2;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Merges another accumulator into this one (Chan et al. parallel update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations pushed so far.
-    pub fn count(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Current mean; zero for an empty accumulator.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance; zero when fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation; `+inf` for an empty accumulator.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation; `-inf` for an empty accumulator.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -222,40 +138,6 @@ mod tests {
             Summary::of(&[1.0, f64::NAN]),
             Err(StatsError::NonFiniteInput)
         ));
-    }
-
-    #[test]
-    fn online_merge_equals_batch() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &v in &data[..37] {
-            left.push(v);
-        }
-        for &v in &data[37..] {
-            right.push(v);
-        }
-        left.merge(&right);
-        let batch = Summary::of(&data).unwrap();
-        assert_eq!(left.count(), 100);
-        assert!((left.mean() - batch.mean).abs() < 1e-10);
-        assert!((left.variance() - batch.variance).abs() < 1e-10);
-        assert_eq!(left.min(), batch.min);
-        assert_eq!(left.max(), batch.max);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

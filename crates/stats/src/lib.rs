@@ -4,8 +4,7 @@
 //! the Generalized Least Squares method, comparing at least four measurement
 //! points" (§8). This crate provides that machinery from scratch:
 //!
-//! * [`descriptive`] — batch and online (Welford) summaries, quantiles;
-//! * [`histogram`] — fixed-bin histograms for transmission-time distributions;
+//! * [`descriptive`] — one-pass summaries and quantiles;
 //! * [`matrix`] — a small dense matrix with Cholesky and LU solves;
 //! * [`regression`] — ordinary, weighted and generalized least squares;
 //! * [`piecewise`] — the piecewise-affine fit with breakpoint search used to
@@ -19,14 +18,12 @@
 
 pub mod descriptive;
 pub mod error;
-pub mod histogram;
 pub mod matrix;
 pub mod piecewise;
 pub mod regression;
 
-pub use descriptive::{OnlineStats, Summary};
+pub use descriptive::Summary;
 pub use error::StatsError;
-pub use histogram::Histogram;
 pub use matrix::Matrix;
 pub use piecewise::{PiecewiseAffineFit, PiecewiseSpec};
 pub use regression::{gls, ols, wls, LinearFit};

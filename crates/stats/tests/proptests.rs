@@ -1,6 +1,6 @@
 //! Property-based tests for the statistics and fitting machinery.
 
-use contention_stats::descriptive::{quantile, OnlineStats, Summary};
+use contention_stats::descriptive::{quantile, Summary};
 use contention_stats::matrix::Matrix;
 use contention_stats::piecewise::{fit_piecewise, PiecewiseSpec};
 use contention_stats::regression::{ols, simple_affine, wls};
@@ -11,22 +11,6 @@ fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// Welford accumulation equals the two-pass batch computation for any
-    /// split point.
-    #[test]
-    fn welford_merge_equals_batch(data in finite_vec(1..200), split in 0usize..200) {
-        let split = split.min(data.len());
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &v in &data[..split] { left.push(v); }
-        for &v in &data[split..] { right.push(v); }
-        left.merge(&right);
-        let batch = Summary::of(&data).unwrap();
-        prop_assert_eq!(left.count(), data.len());
-        prop_assert!((left.mean() - batch.mean).abs() < 1e-6 * (1.0 + batch.mean.abs()));
-        prop_assert!((left.variance() - batch.variance).abs() < 1e-4 * (1.0 + batch.variance));
-    }
-
     /// Quantiles are bounded by the extremes and monotone in q.
     #[test]
     fn quantiles_bounded_and_monotone(data in finite_vec(1..100), qa in 0.0f64..1.0, qb in 0.0f64..1.0) {

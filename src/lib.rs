@@ -9,12 +9,14 @@
 //!   TCP-like (lossy, retransmitting) and GM-like (lossless, backpressured)
 //!   transports, finite-buffer switches and oversubscribable uplinks;
 //! * [`simmpi`] — an MPI-like layer (eager/rendezvous point-to-point,
-//!   Direct Exchange and baseline All-to-All algorithms, timing harnesses);
+//!   Direct Exchange and baseline All-to-All algorithms, timing harnesses)
+//!   and the paper's three clusters as presets (Fast Ethernet, Gigabit
+//!   Ethernet, Myrinet);
 //! * [`contention_model`] — the paper's contribution: Hockney parameters,
 //!   total-exchange lower bounds, the §6 throughput-under-contention model
 //!   and the §7 contention-signature model `(γ, δ, M)`;
-//! * [`contention_lab`] — cluster presets (Fast Ethernet, Gigabit Ethernet,
-//!   Myrinet) and one experiment module per paper figure;
+//! * [`contention_lab`] — the paper's §8 measurement procedure and one
+//!   experiment module per paper figure;
 //! * [`contention_stats`] — the statistics and GLS machinery underneath.
 //!
 //! ## Quickstart
@@ -48,7 +50,6 @@ pub use simnet;
 
 /// Commonly used items, re-exported for examples and downstream users.
 pub mod prelude {
-    pub use contention_lab::presets::ClusterPreset;
     pub use contention_lab::runner::{
         calibrate_report, calibrate_signature, default_sample_sizes, measure_alltoall_curve,
         measure_hockney, SweepConfig,
@@ -64,6 +65,8 @@ pub mod prelude {
         RunEvent, RunObserver, ScenarioBuilder, ScenarioSpec, Session, SessionBuilder,
     };
     pub use contention_scenario::registry;
-    pub use contention_scenario::spec::{LinkSpec, SwitchSpec, TopologySpec, WorkloadSpec};
+    pub use contention_scenario::spec::{TopologySpec, WorkloadSpec};
     pub use simmpi::alltoall::AllToAllAlgorithm;
+    pub use simmpi::presets::ClusterPreset;
+    pub use simnet::config::{LinkConfig, SwitchConfig};
 }
