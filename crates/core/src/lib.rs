@@ -7,9 +7,8 @@
 //!   All-to-All lower bound;
 //! * [`med`] — the message exchange digraph with the Claims 1–3 start-up
 //!   and bandwidth bounds for arbitrary total-exchange instances;
-//! * [`models`] — the related-work baselines (eq. 1 naive linear, Clement's
-//!   shared-medium factor, Labarta's bus waves, Chun's size-dependent
-//!   latency, Bruck's slowdown factor, LogGP);
+//! * [`models`] — the [`CompletionModel`] interface of the throughput,
+//!   signature and saturation predictors;
 //! * [`throughput`] — §6: the `βF`/`βC`/`ρ` synthetic-gap model;
 //! * [`signature`] — §7: the contention signature `(γ, δ, M)` with GLS
 //!   fitting and breakpoint selection;
@@ -42,10 +41,7 @@ pub mod prelude {
     pub use crate::hockney::HockneyParams;
     pub use crate::med::Med;
     pub use crate::metrics::{estimation_error_percent, mape, AccuracyPoint};
-    pub use crate::models::{
-        BruckSlowdownModel, ChunModel, ClementModel, CompletionModel, LabartaModel, LogGpModel,
-        NaiveLinearModel,
-    };
+    pub use crate::models::CompletionModel;
     pub use crate::saturation::SaturationModel;
     pub use crate::signature::ContentionSignature;
     pub use crate::throughput::ThroughputModel;

@@ -16,6 +16,7 @@ use crate::registry::{Run, RunOutcome, RunRegistry};
 use contention_obs::CounterSet;
 use contention_scenario::prelude::*;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -234,8 +235,26 @@ impl Executive {
                 }
             };
             self.running.fetch_add(1, Ordering::Relaxed);
-            self.execute(&run);
+            self.isolated(&run, |run| self.execute(run));
             self.running.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Runs `body` on `run` inside a panic boundary. A session isolates
+    /// panics per cell, but calibration and the first fabric build run
+    /// outside that, and a run worker that unwinds is lost for good with
+    /// its run stranded as `running` (at `--run-workers 1` every later run
+    /// stays `queued`). A panic here finishes the run as `failed` with the
+    /// panic message instead, and the worker keeps looping.
+    fn isolated(&self, run: &Run, body: impl FnOnce(&Run)) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(run))) {
+            let message = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            self.counters.runs_failed.fetch_add(1, Ordering::Relaxed);
+            run.finish(RunOutcome::Failed {
+                error: format!("run worker panicked: {message}"),
+            });
         }
     }
 
@@ -487,6 +506,39 @@ mod tests {
         let doc = exec.metrics_json();
         assert!(doc.contains("\"runs_ok\": 2"), "metrics: {doc}");
         assert!(doc.contains("\"metrics_schema_version\": 1"));
+        exec.begin_drain();
+        for w in workers {
+            w.join().expect("worker joins");
+        }
+    }
+
+    #[test]
+    fn a_panicking_run_fails_and_its_worker_serves_the_next_run() {
+        let exec = Executive::new(test_cfg());
+        let submit = |name: &str| {
+            exec.submit(tiny_spec(name), GuardLimits::default(), 42, ModelKind::Med)
+                .expect("admitted")
+                .0
+        };
+        // Take the doomed run off the queue the way a worker would, and
+        // give it a body that panics the way an unforeseen bug in
+        // calibration or a fabric build would.
+        let doomed = submit("doomed");
+        exec.queue.lock().unwrap().pop_front();
+        exec.isolated(&doomed, |run| {
+            run.mark_running();
+            panic!("boom in calibration");
+        });
+        match doomed.wait_done() {
+            RunOutcome::Failed { error } => assert!(error.contains("panicked: boom"), "{error}"),
+            other => panic!("expected a failed run, got {}", other.name()),
+        }
+        assert!(doomed.state().events_closed);
+        assert!(exec.metrics_json().contains("\"runs_failed\": 1"));
+        // `isolated` returned instead of unwinding — what keeps the loop
+        // around it alive — so the executive's one worker serves the next run.
+        let workers = exec.spawn_workers();
+        assert_eq!(submit("healthy").wait_done().name(), "ok");
         exec.begin_drain();
         for w in workers {
             w.join().expect("worker joins");

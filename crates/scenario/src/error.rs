@@ -4,8 +4,10 @@
 //! TOML document or a builder chain that does not describe a runnable
 //! scenario); [`CtnError`] is what the [`Session`](crate::session::Session)
 //! facade returns, classifying every failure by the *phase* it happened
-//! in — spec construction, calibration, or cell execution — so embedders
-//! can branch on the variant instead of parsing strings.
+//! in — spec construction, session configuration, or calibration — so
+//! embedders can branch on the variant instead of parsing strings. A cell
+//! that fails is not an error: it is a status row in the report (see
+//! [`CellStatus`](crate::executor::CellStatus)).
 
 use crate::spec::SpecError;
 
@@ -30,13 +32,6 @@ pub enum CtnError {
         /// What went wrong, human-readable.
         detail: String,
     },
-    /// A grid cell's simulation failed after calibration succeeded.
-    Execution {
-        /// Scenario whose cell failed.
-        scenario: String,
-        /// What went wrong, human-readable.
-        detail: String,
-    },
     /// The run was aborted through its
     /// [`CancelToken`](crate::session::CancelToken) before every cell
     /// finished.
@@ -51,14 +46,6 @@ impl CtnError {
             detail: detail.into(),
         }
     }
-
-    /// Convenience constructor for [`CtnError::Execution`].
-    pub(crate) fn execution(scenario: &str, detail: impl Into<String>) -> Self {
-        CtnError::Execution {
-            scenario: scenario.to_string(),
-            detail: detail.into(),
-        }
-    }
 }
 
 impl std::fmt::Display for CtnError {
@@ -68,9 +55,6 @@ impl std::fmt::Display for CtnError {
             CtnError::Config { detail } => write!(f, "invalid session config: {detail}"),
             CtnError::Calibration { scenario, detail } => {
                 write!(f, "calibration failed for {scenario:?}: {detail}")
-            }
-            CtnError::Execution { scenario, detail } => {
-                write!(f, "execution failed for {scenario:?}: {detail}")
             }
             CtnError::Cancelled => write!(f, "run cancelled"),
         }
@@ -108,8 +92,6 @@ mod tests {
             "calibration failed for \"s\": Hockney fit failed"
         );
 
-        let exec = CtnError::execution("s", "boom");
-        assert!(exec.to_string().contains("execution failed"));
         let cfg = CtnError::Config {
             detail: "zero workers".into(),
         };

@@ -1,6 +1,18 @@
-//! The parallel batch executor: expands scenario × grid products into
-//! cells, shards them across worker threads, and attaches model-error
-//! columns.
+//! The batch executor: a grid of cells, a schedule over it, and the one
+//! path a cell takes from simulation to report row.
+//!
+//! What this file owns, in order: the row and status types
+//! ([`CellResult`], [`BatchResult`], [`CellStatus`], [`ModelKind`]);
+//! supervision ([`GuardLimits`], and the test-only [`FaultPlan`]);
+//! `BatchFabrics`, the one routed fabric per scenario; the cell path
+//! (`simulate` → `run_cell` → `Scenario::row`, the only place a report row
+//! is made); and `execute`, which keeps the grid and the schedule. It is
+//! still the crate's largest file because those five share one contract
+//! that is easiest to audit in one place: the public row types are what
+//! the cell path fills, supervision is what stops it, and the schedule is
+//! only correct because rows are a pure function of their cell.
+//! Calibration (the paper's §8 sequence) lives in `calibrate.rs`; the one
+//! way to run any of it is a [`Session`].
 //!
 //! Determinism contract: a cell's result depends only on `(scenario name,
 //! base seed, n, message bytes)` — never on the worker count, the
@@ -16,14 +28,14 @@
 //!   queue is sorted by a predicted cost key (`rounds · n² ·
 //!   ceil(m/mtu) · reps`) and the workers start the most expensive cells
 //!   first. The classic LPT heuristic: the makespan is no longer hostage
-//!   to a megabyte-grid cell popping last. Results are regrouped into
-//!   grid order afterwards.
+//!   to a megabyte-grid cell popping last. Rows land in a flat vector
+//!   indexed like the grid, so grid order needs no regrouping.
 //! * **calibration caching** — every fit is a pure function of the fabric
 //!   (topology + transport + MPI overrides) and its derived seed, so a
-//!   [`CalibrationCache`] keyed by (fabric fingerprint, seed) means
-//!   repeated runs over the same specs fit each fabric once. The cache is
-//!   *session-owned* (see [`crate::session`]); nothing in this crate is
-//!   process-global.
+//!   [`CalibrationCache`](crate::session::CalibrationCache) keyed by
+//!   (fabric fingerprint, seed) means repeated runs over the same specs
+//!   fit each fabric once. The cache is *session-owned*; nothing in this
+//!   crate is process-global.
 //! * **one fabric per scenario** — a generated topology is a pure function
 //!   of its spec (the seed enters through placement and the MPI/transport
 //!   streams, never the wiring or the routes), and building it — BFS plus
@@ -38,26 +50,22 @@
 //!   outlives the batch — a longer-lived fabric cache would need a size
 //!   bound someone has to tune. Presets wire a handful of switches as a
 //!   function of the rank count and keep doing so per cell.
-//!
-//! This module is the cell-level machinery; the one way to run it is a
-//! [`Session`](crate::session::Session).
 
+use crate::calibrate::{calibrate, Calibration};
 use crate::error::CtnError;
 use crate::metrics::{CellMetrics, SessionMetrics, WorkerMetrics};
-use crate::session::{CalibrationCache, CancelToken, RunEvent};
-use crate::spec::{Backend, ScenarioSpec, SpecError};
-use crate::topology::{self, Fabric};
+use crate::session::{CancelToken, RunEvent, Session};
+use crate::spec::{fnv1a, Backend, ScenarioSpec, SpecError};
+use crate::topology::Fabric;
 use crate::workload;
-use contention_model::hockney::HockneyParams;
 use contention_model::metrics::estimation_error_percent;
-use contention_model::saturation::SaturationModel;
-use contention_model::signature::ContentionSignature;
-use simmpi::harness::try_ping_pong;
 use simmpi::runner::parallel_map;
-use simmpi::world::{RunInterrupt, World};
+use simmpi::world::RunInterrupt;
 use simnet::guard::{GuardStop, RunGuard};
-use simnet::obs::{EngineRecorder, EngineTelemetry, NoopRecorder, Recorder, TelemetryConfig};
+use simnet::obs::{EngineRecorder, EngineTelemetry, NoopRecorder, Recorder};
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -125,7 +133,8 @@ impl GuardLimits {
     }
 
     /// The engine guard for one cell. The deadline is anchored at the
-    /// call (`now + deadline`), so build the guard when the cell starts.
+    /// call (`now + deadline`), so `run_cell` builds the guard first: the
+    /// limit covers program generation and placement too.
     /// The session's cancellation flag is always wired in — that is what
     /// makes cancellation preempt a cell *mid-run* at the engine's check
     /// points instead of only between cells.
@@ -316,31 +325,6 @@ impl FaultPlan {
     }
 }
 
-/// Executor configuration: the policy a
-/// [`Session`](crate::session::Session) is built around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Worker threads sharing the cell queue.
-    pub workers: usize,
-    /// Base seed; every cell derives its own stream.
-    pub base_seed: u64,
-    /// Predictor behind the `model_secs` / `error_percent` columns.
-    pub model: ModelKind,
-    /// Per-cell supervision limits (default unlimited).
-    pub limits: GuardLimits,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            workers: simmpi::runner::default_workers(),
-            base_seed: 42,
-            model: ModelKind::Med,
-            limits: GuardLimits::default(),
-        }
-    }
-}
-
 /// One grid cell's measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
@@ -386,14 +370,10 @@ pub struct BatchResult {
 }
 
 /// SplitMix64-style mixing for per-cell seeds.
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn name_hash(name: &str) -> u64 {
-    crate::spec::fnv1a(name.as_bytes())
 }
 
 /// The deterministic seed of one cell: a pure function of scenario name,
@@ -401,19 +381,15 @@ fn name_hash(name: &str) -> u64 {
 /// adding grid points does not reseed existing ones).
 pub fn cell_seed(scenario: &str, base_seed: u64, n: usize, message_bytes: u64) -> u64 {
     mix(base_seed
-        .wrapping_add(name_hash(scenario))
+        .wrapping_add(fnv1a(scenario.as_bytes()))
         .wrapping_add(mix(n as u64).rotate_left(17))
         .wrapping_add(mix(message_bytes).rotate_left(31)))
 }
 
+/// One point of the batch's grid.
 struct Cell {
-    spec_idx: usize,
-    /// Position in the deterministic nodes-major output order, across the
-    /// whole batch.
-    flat_idx: usize,
-    /// Position in the cost-aware execution schedule (0 pops first);
-    /// assigned after the LPT sort. Telemetry only — never affects output.
-    schedule_index: usize,
+    /// Index of the cell's scenario in the batch.
+    scenario: usize,
     n: usize,
     message_bytes: u64,
     seed: u64,
@@ -434,21 +410,10 @@ fn cell_cost(spec: &ScenarioSpec, cell: &Cell) -> u128 {
     rounds * (cell.n as u128) * (cell.n as u128) * packets as u128 * reps
 }
 
-/// The message of a fabric-build [`SpecError`] without its `invalid
-/// scenario:` display prefix: it becomes the `detail` of a
-/// [`CtnError::Calibration`] / [`CtnError::Execution`], whose own display
-/// already says which phase failed and for which scenario.
-fn spec_error_detail(e: SpecError) -> String {
-    match e {
-        SpecError::Invalid(m) => m,
-        other => other.to_string(),
-    }
-}
-
 /// One batch's scenarios and their shared fabrics: a lazily built slot
-/// per scenario, next to `hockneys[spec_idx]` / `ctxs[spec_idx]`.
+/// per scenario.
 ///
-/// Lifetime rule: a slot fills on first use — the Hockney fit on a cache
+/// Lifetime rule: a slot fills on first use — a calibration fit on a cache
 /// miss, else the scenario's first cell — and is released when the
 /// scenario's last cell has reported, so a batch of several large fabrics
 /// holds only those with cells still outstanding. Workers hold an `Arc`
@@ -506,399 +471,157 @@ impl<'a> BatchFabrics<'a> {
     }
 }
 
-/// The fabric source of a calibration outside any batch: built from
-/// scratch if the fit misses the cache, dropped with the fit's world.
-pub(crate) fn fresh_fabric(
-    spec: &ScenarioSpec,
-) -> impl FnOnce() -> Result<Arc<Fabric>, SpecError> + '_ {
-    move || Fabric::build(spec).map(Arc::new)
-}
-
-/// Measures the scenario's Hockney parameters: a 2-rank ping-pong on the
-/// scenario's own fabric across the standard fit sizes. Cheap (seconds of
-/// simulated time on two hosts) and faithful to the paper's procedure.
-/// Fits are memoized per (fabric fingerprint, seed) in `cache`; `fabric`
-/// is only called on a miss.
-pub(crate) fn hockney_fit(
-    cache: &CalibrationCache,
-    spec: &ScenarioSpec,
-    base_seed: u64,
-    fabric: impl FnOnce() -> Result<Arc<Fabric>, SpecError>,
-) -> Result<HockneyParams, CtnError> {
-    let seed = mix(base_seed ^ name_hash(&spec.name));
-    let key = (spec.fabric_fingerprint(), seed);
-    if let Some(hit) = cache.hockney.lock().expect("cache lock").get(&key) {
-        cache.note_hit();
-        return Ok(*hit);
-    }
-    cache.note_miss();
-    let sizes = [1024u64, 16 * 1024, 131_072, 524_288, 1_048_576];
-    let fabric = fabric().map_err(|e| CtnError::calibration(&spec.name, spec_error_detail(e)))?;
-    let mut world = fabric.world_with(2, seed, NoopRecorder);
-    let points: Vec<(u64, f64)> = try_ping_pong(&mut world, 0, 1, &sizes, 3)
-        .map_err(|i| CtnError::calibration(&spec.name, format!("Hockney ping-pong: {i}")))?
-        .into_iter()
-        .map(|p| (p.size, p.half_rtt_secs))
-        .collect();
-    let fit = HockneyParams::fit(&points)
-        .map_err(|e| CtnError::calibration(&spec.name, format!("Hockney fit failed: {e}")))?;
-    cache.hockney.lock().expect("cache lock").insert(key, fit);
-    cache.note_insert();
-    Ok(fit)
-}
-
-/// A per-scenario prediction context: the Hockney fit plus whatever extra
-/// calibration the selected model needs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ModelCtx {
-    Med,
-    Signature(ContentionSignature),
-    Saturation(SaturationModel),
-}
-
-/// Uniform direct All-to-All completion times on the scenario's fabric —
-/// the sample measurements the signature and saturation fits regress on
-/// (the paper's §8 procedure: the signature belongs to the *network*, so
-/// it is always fitted on the uniform exchange). A sample that stalls — GM
-/// on a finite-buffer fabric never retransmits — is the calibration's
-/// failure, carrying the stall diagnostic; it runs outside any cell's
-/// panic isolation, so it must not panic.
-fn sample_alltoall(
-    spec: &ScenarioSpec,
-    fabric: &Fabric,
-    n: usize,
-    sizes: &[u64],
-    seed: u64,
-) -> Result<Vec<(u64, f64)>, CtnError> {
-    let algo = workload::algorithm_by_name("direct").expect("built-in algorithm");
-    let mut world = fabric.world_with(n, seed, NoopRecorder);
-    sizes
-        .iter()
-        .map(|&m| {
-            let run = world.try_run(algo.programs(n, m)).map_err(|i| {
-                CtnError::calibration(&spec.name, format!("sample All-to-All ({n} x {m} B): {i}"))
-            })?;
-            Ok((m, run.duration_secs()))
-        })
-        .collect()
-}
-
-/// Fits (or recalls) the extra calibration the selected model needs. The
-/// signature and saturation fits run whole sample All-to-Alls (~100× a
-/// ping-pong), so the memo in `cache` matters even more than for the
-/// Hockney fit. Sound because the fit depends only on the fabric (its
-/// capacity-derived sample sizes included) and the derived seed — never
-/// on the sweep grid. `fabric` is only called on a miss.
-pub(crate) fn model_ctx(
-    cache: &CalibrationCache,
-    spec: &ScenarioSpec,
-    hockney: HockneyParams,
-    base_seed: u64,
-    model: ModelKind,
-    fabric: impl FnOnce() -> Result<Arc<Fabric>, SpecError>,
-) -> Result<ModelCtx, CtnError> {
-    if matches!(model, ModelKind::Med) {
-        return Ok(ModelCtx::Med);
-    }
-    let seed = mix(base_seed ^ name_hash(&spec.name) ^ 0x5160_2A7E);
-    let key = (spec.fabric_fingerprint(), seed, model.name());
-    if let Some(hit) = cache.model.lock().expect("cache lock").get(&key) {
-        cache.note_hit();
-        return Ok(*hit);
-    }
-    cache.note_miss();
-    let fit_err = |e: contention_model::error::ModelError| {
-        CtnError::calibration(&spec.name, format!("{} fit failed: {e}", model.name()))
-    };
-    let capacity = topology::capacity(&spec.topology).map_err(CtnError::Spec)?;
-    let fabric = fabric().map_err(|e| CtnError::calibration(&spec.name, spec_error_detail(e)))?;
-    let ctx = match model {
-        ModelKind::Med => unreachable!("handled above"),
-        ModelKind::Signature => {
-            // One sample node count (the paper's n′), ≥4 message sizes.
-            // Derived from the fabric's capacity — never from the sweep
-            // grid — so the same (scenario, seed, n, m) cell keeps the
-            // same prediction no matter what else the grid contains.
-            let sample_n = capacity.clamp(2, 8);
-            let sizes = [64 * 1024u64, 128 * 1024, 256 * 1024, 512 * 1024, 1_048_576];
-            let samples = sample_alltoall(spec, &fabric, sample_n, &sizes, seed)?;
-            ContentionSignature::fit(hockney, sample_n, &samples)
-                .map(ModelCtx::Signature)
-                .map_err(fit_err)?
-        }
-        ModelKind::Saturation => {
-            // Several node counts so the γ(n) ramp is identifiable. On
-            // tiny fabrics the standard rungs collapse to [2]; fall back
-            // to the capacity itself so any ≥3-host topology still fits.
-            let mut ladder: Vec<usize> = [2usize, 4, 8]
-                .into_iter()
-                .filter(|&n| n <= capacity)
-                .collect();
-            if ladder.len() < 2 && capacity >= 3 && !ladder.contains(&capacity) {
-                ladder.push(capacity);
-            }
-            if ladder.len() < 2 {
-                return Err(CtnError::calibration(
-                    &spec.name,
-                    format!("topology capacity {capacity} too small for a saturation fit"),
-                ));
-            }
-            let sizes = [128 * 1024u64, 512 * 1024, 1_048_576];
-            let mut samples = Vec::with_capacity(ladder.len() * sizes.len());
-            for &n in &ladder {
-                for (m, t) in sample_alltoall(spec, &fabric, n, &sizes, mix(seed ^ n as u64))? {
-                    samples.push((n, m, t));
-                }
-            }
-            SaturationModel::fit(hockney, &samples)
-                .map(ModelCtx::Saturation)
-                .map_err(fit_err)?
-        }
-    };
-    cache.model.lock().expect("cache lock").insert(key, ctx);
-    cache.note_insert();
-    Ok(ctx)
-}
-
-impl ModelCtx {
-    /// The selected model's completion-time prediction for one cell. Every
-    /// predictor scales the workload's MED bound, so irregular exchanges
-    /// are handled uniformly; for the uniform All-to-All the signature
-    /// form reduces exactly to the paper's eq. 5.
-    fn predict(&self, med_bound: f64, n: usize, m: u64) -> f64 {
-        match self {
-            ModelCtx::Med => med_bound,
-            ModelCtx::Signature(sig) => {
-                let delta = if sig.delta_active(m) {
-                    (n.saturating_sub(1)) as f64 * sig.delta_secs
-                } else {
-                    0.0
-                };
-                med_bound * sig.gamma + delta
-            }
-            ModelCtx::Saturation(sat) => med_bound * sat.gamma_at(n),
-        }
-    }
-}
-
-/// The report row of a cell the supervision layer stopped: coordinates
-/// and status only, `NaN` measurements.
-fn stopped_cell(spec: &ScenarioSpec, cell: &Cell, status: CellStatus) -> CellResult {
-    CellResult {
-        scenario: spec.name.clone(),
-        workload: spec.workload.kind().to_string(),
-        topology: spec.topology.kind().to_string(),
-        n: cell.n,
-        message_bytes: cell.message_bytes,
-        cell_seed: cell.seed,
-        mean_secs: f64::NAN,
-        min_secs: f64::NAN,
-        max_secs: f64::NAN,
-        model_secs: f64::NAN,
-        error_percent: f64::NAN,
-        status,
-    }
-}
-
-/// What every cell of one scenario runs on: the spec, its shared fabric
-/// and its calibration.
-#[derive(Clone, Copy)]
+/// What every cell of one scenario is scored against, and where its rows
+/// sit in the batch's grid.
 struct Scenario<'a> {
     spec: &'a ScenarioSpec,
-    fabric: &'a Fabric,
-    hockney: &'a HockneyParams,
-    ctx: &'a ModelCtx,
+    calibration: Calibration,
+    /// The scenario's cells: a contiguous, nodes-major run of the grid.
+    cells: Range<usize>,
 }
 
-/// Simulates one cell, dispatching on the spec's backend and on whether
-/// telemetry is wanted. The packet/`None` arm runs the no-op recorder —
-/// the exact engine the goldens pin — and both telemetry arms produce
-/// byte-identical [`CellResult`]s. A cell an engine guard stops (or the
-/// stall detector flags) comes back with a non-`Ok` [`CellStatus`].
-fn run_cell(
-    scenario: Scenario<'_>,
-    cell: &Cell,
-    telemetry: Option<&TelemetryConfig>,
-    limits: &GuardLimits,
-    cancel: &CancelToken,
-) -> (CellResult, Option<EngineTelemetry>) {
-    if scenario.spec.backend == Backend::Fluid {
-        return run_cell_fluid(scenario, cell, telemetry, limits, cancel);
+impl Scenario<'_> {
+    /// The report row of one cell — the only place one is made. `Ok`
+    /// carries the measured repetitions' completion times in seconds;
+    /// `Err` the status of a cell that produced none (stopped by a guard,
+    /// stalled, panicked, or never started), whose row is coordinates and
+    /// status with `NaN` measurements. The model columns are computed the
+    /// same way for both backends, so the error column reads as
+    /// distance-from-bound in both tiers.
+    fn row(&self, cell: &Cell, outcome: Result<&[f64], CellStatus>) -> CellResult {
+        let (status, [mean, min, max, model, error]) = match outcome {
+            Err(status) => (status, [f64::NAN; 5]),
+            Ok(times) => {
+                let mean = times.iter().sum::<f64>() / times.len() as f64;
+                let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
+                let max = times.iter().cloned().fold(0.0f64, f64::max);
+                let bound = workload::model_bound(
+                    &self.spec.workload,
+                    cell.n,
+                    cell.message_bytes,
+                    cell.seed,
+                    &self.calibration.hockney,
+                );
+                let model = self
+                    .calibration
+                    .ctx
+                    .predict(bound, cell.n, cell.message_bytes);
+                // The mean of k equal times may round an ulp or so past
+                // them, hence the slack.
+                let slack = max * f64::EPSILON * times.len() as f64;
+                debug_assert!(
+                    !times.is_empty()
+                        && times.iter().all(|t| t.is_finite() && *t > 0.0)
+                        && min - slack <= mean
+                        && mean <= max + slack
+                        && model.is_finite()
+                        && model > 0.0,
+                    "{} n={} m={}: times {times:?}, model {model}",
+                    self.spec.name,
+                    cell.n,
+                    cell.message_bytes,
+                );
+                let error = estimation_error_percent(mean, model);
+                (CellStatus::Ok, [mean, min, max, model, error])
+            }
+        };
+        CellResult {
+            scenario: self.spec.name.clone(),
+            workload: self.spec.workload.kind().to_string(),
+            topology: self.spec.topology.kind().to_string(),
+            n: cell.n,
+            message_bytes: cell.message_bytes,
+            cell_seed: cell.seed,
+            mean_secs: mean,
+            min_secs: min,
+            max_secs: max,
+            model_secs: model,
+            error_percent: error,
+            status,
+        }
     }
-    match telemetry {
-        None => {
-            let (result, _world) = run_cell_in(scenario, cell, NoopRecorder, limits, cancel);
-            (result, None)
-        }
-        Some(cfg) => {
-            let recorder = EngineRecorder::new(cfg.clone());
-            let (result, mut world) = run_cell_in(scenario, cell, recorder, limits, cancel);
-            let engine = world.sim_mut().recorder_mut().take_telemetry();
-            (result, Some(engine))
-        }
-    }
 }
 
-/// The fluid-tier cell path: borrows the scenario's routed topology and
-/// interprets the cell's programs flow-by-flow. The fluid interpreter is fully
-/// deterministic and stateless across repetitions (no queues or
-/// transport windows survive a run), so warmup and repeated measurements
-/// would reproduce the same number — one run fills mean = min = max.
-/// Model columns are computed exactly as on the packet path, so the
-/// error column reads as distance-from-bound in both tiers.
-fn run_cell_fluid(
-    scenario: Scenario<'_>,
-    cell: &Cell,
-    telemetry: Option<&TelemetryConfig>,
-    limits: &GuardLimits,
-    cancel: &CancelToken,
-) -> (CellResult, Option<EngineTelemetry>) {
-    let Scenario {
-        spec,
-        fabric,
-        hockney,
-        ctx,
-    } = scenario;
-    let (topo, hosts, mpi) = fabric.fluid_cell(cell.n, cell.seed);
-    let world = simmpi::FluidWorld::new(&topo, hosts, mpi);
-    let programs = workload::programs(&spec.workload, cell.n, cell.message_bytes, cell.seed);
-    let guard = limits.guard(cancel);
-    let (outcome, engine) = match telemetry {
-        None => (world.try_run(programs, guard), None),
-        Some(cfg) => {
-            let (outcome, mut recorder) =
-                world.try_run_with(programs, EngineRecorder::new(cfg.clone()), guard);
-            (outcome, Some(recorder.take_telemetry()))
-        }
-    };
-    let result = match outcome {
-        Ok(r) => r,
-        Err(interrupt) => {
-            return (
-                stopped_cell(spec, cell, limits.status_of(interrupt)),
-                engine,
-            );
-        }
-    };
-    let secs = result.duration_secs();
-    let med_bound = workload::model_bound(
-        &spec.workload,
-        cell.n,
-        cell.message_bytes,
-        cell.seed,
-        hockney,
-    );
-    let model = ctx.predict(med_bound, cell.n, cell.message_bytes);
-    let result = CellResult {
-        scenario: spec.name.clone(),
-        workload: spec.workload.kind().to_string(),
-        topology: spec.topology.kind().to_string(),
-        n: cell.n,
-        message_bytes: cell.message_bytes,
-        cell_seed: cell.seed,
-        mean_secs: secs,
-        min_secs: secs,
-        max_secs: secs,
-        model_secs: model,
-        error_percent: estimation_error_percent(secs, model),
-        status: CellStatus::Ok,
-    };
-    (result, engine)
-}
-
-fn run_cell_in<R: Recorder>(
-    scenario: Scenario<'_>,
+/// Simulates one cell and returns its measured completion times, or the
+/// interrupt that stopped it, plus the recorder. Generic over the recorder
+/// so the `NoopRecorder` instance is the exact engine the goldens pin.
+///
+/// The packet engine runs warmup plus every repetition on one world under
+/// one guard — budgets and the horizon accumulate across them — and stops
+/// at the first interrupt. The fluid interpreter is fully deterministic
+/// and stateless across repetitions (no queues or transport windows
+/// survive a run), so warmup and repeats would reproduce the same number:
+/// it runs once.
+fn simulate<R: Recorder>(
+    spec: &ScenarioSpec,
+    fabric: &Fabric,
     cell: &Cell,
     recorder: R,
-    limits: &GuardLimits,
-    cancel: &CancelToken,
-) -> (CellResult, World<R>) {
-    let Scenario {
-        spec,
-        fabric,
-        hockney,
-        ctx,
-    } = scenario;
-    let mut world = fabric.world_with(cell.n, cell.seed, recorder);
-    // One guard installation spans the whole cell: budgets and the
-    // horizon accumulate across warmup and every repetition.
-    world.sim_mut().set_guard(limits.guard(cancel));
+    guard: RunGuard,
+) -> (Result<Vec<f64>, RunInterrupt>, R) {
     let programs = workload::programs(&spec.workload, cell.n, cell.message_bytes, cell.seed);
-    let mut interrupted = None;
-    for _ in 0..spec.sweep.warmup {
-        if let Err(i) = world.try_run(programs.clone()) {
-            interrupted = Some(i);
-            break;
+    match spec.backend {
+        Backend::Fluid => {
+            let (topo, hosts, mpi) = fabric.fluid_cell(cell.n, cell.seed);
+            let (run, recorder) =
+                simmpi::FluidWorld::new(&topo, hosts, mpi).try_run_with(programs, recorder, guard);
+            (run.map(|r| vec![r.duration_secs()]), recorder)
+        }
+        Backend::Packet => {
+            let mut world = fabric.world_with(cell.n, cell.seed, recorder);
+            world.sim_mut().set_guard(guard);
+            let mut run = || world.try_run(programs.clone()).map(|r| r.duration_secs());
+            let times = (0..spec.sweep.warmup)
+                .try_for_each(|_| run().map(drop))
+                .and_then(|()| (0..spec.sweep.reps).map(|_| run()).collect());
+            (times, world.into_recorder())
         }
     }
-    let mut times: Vec<f64> = Vec::with_capacity(spec.sweep.reps);
-    if interrupted.is_none() {
-        for _ in 0..spec.sweep.reps {
-            match world.try_run(programs.clone()) {
-                Ok(r) => times.push(r.duration_secs()),
-                Err(i) => {
-                    interrupted = Some(i);
-                    break;
-                }
-            }
+}
+
+/// Runs one cell to its report row, picking the recorder: none wanted is
+/// the no-op recorder, and both choices produce byte-identical rows. A
+/// cell an engine guard stops (or the stall detector flags) comes back
+/// with a non-`Ok` [`CellStatus`].
+fn run_cell(
+    scenario: &Scenario<'_>,
+    fabric: &Fabric,
+    cell: &Cell,
+    session: &Session,
+) -> (CellResult, Option<EngineTelemetry>) {
+    let guard = session.limits.guard(&session.cancel);
+    let (times, engine) = match &session.telemetry {
+        None => (
+            simulate(scenario.spec, fabric, cell, NoopRecorder, guard).0,
+            None,
+        ),
+        Some(cfg) => {
+            let recorder = EngineRecorder::new(cfg.clone());
+            let (times, mut recorder) = simulate(scenario.spec, fabric, cell, recorder, guard);
+            (times, Some(recorder.take_telemetry()))
         }
-    }
-    if let Some(interrupt) = interrupted {
-        return (stopped_cell(spec, cell, limits.status_of(interrupt)), world);
-    }
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = times.iter().cloned().fold(0.0f64, f64::max);
-    let med_bound = workload::model_bound(
-        &spec.workload,
-        cell.n,
-        cell.message_bytes,
-        cell.seed,
-        hockney,
-    );
-    let model = ctx.predict(med_bound, cell.n, cell.message_bytes);
-    let result = CellResult {
-        scenario: spec.name.clone(),
-        workload: spec.workload.kind().to_string(),
-        topology: spec.topology.kind().to_string(),
-        n: cell.n,
-        message_bytes: cell.message_bytes,
-        cell_seed: cell.seed,
-        mean_secs: mean,
-        min_secs: min,
-        max_secs: max,
-        model_secs: model,
-        error_percent: estimation_error_percent(mean, model),
-        status: CellStatus::Ok,
     };
-    (result, world)
+    let row = match times {
+        Ok(times) => scenario.row(cell, Ok(&times)),
+        Err(interrupt) => scenario.row(cell, Err(session.limits.status_of(interrupt))),
+    };
+    (row, engine)
 }
 
 /// The injected-stall cell body: parks the worker until the cell's
 /// deadline or the session's cancellation fires, then reports the
 /// corresponding status — the analogue of host-side code hanging
 /// *outside* the engine, where no event-loop preemption point can reach.
-fn stalled_cell(
-    spec: &ScenarioSpec,
-    cell: &Cell,
-    limits: &GuardLimits,
-    cancel: &CancelToken,
-) -> CellResult {
+fn stall(limits: &GuardLimits, cancel: &CancelToken) -> CellStatus {
     let deadline = limits.deadline.map(|d| Instant::now() + d);
     loop {
         if cancel.is_cancelled() {
-            return stopped_cell(spec, cell, CellStatus::Cancelled);
+            return CellStatus::Cancelled;
         }
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return stopped_cell(
-                    spec,
-                    cell,
-                    CellStatus::TimedOut {
-                        limit: limits.deadline_limit(),
-                    },
-                );
-            }
+        if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return CellStatus::TimedOut {
+                limit: limits.deadline_limit(),
+            };
         }
         std::thread::sleep(Duration::from_micros(200));
     }
@@ -915,225 +638,189 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker's report of one simulated cell: the measurement plus the
-/// telemetry meta the collector folds into [`SessionMetrics`].
-struct CellReport {
-    spec_idx: usize,
-    flat_idx: usize,
-    worker: usize,
-    schedule_index: usize,
-    start_secs: f64,
-    wall_secs: f64,
-    outcome: Result<(CellResult, Option<EngineTelemetry>), CtnError>,
-}
-
-/// The streaming executor core behind every [`Session`] run: calibrates,
-/// queues the flat LPT-ordered cell list, shards it over `cfg.workers`
-/// scoped threads, forwards [`RunEvent`]s to `observer` (on the calling
-/// thread, in completion order) as results land, and reassembles batches
-/// in deterministic nodes-major order.
+/// The streaming executor core behind every [`Session`] run: calibrates
+/// each scenario, lays the batch's cells out once in grid order, shards an
+/// LPT-ordered queue of their indices over `session.workers` scoped
+/// threads, forwards [`RunEvent`]s to `observer` (on the calling thread,
+/// in completion order) as rows land, and assembles each batch from the
+/// grid-indexed rows.
 ///
-/// Supervision: each cell runs under `cfg.limits` (engine guard) inside
-/// a `catch_unwind` isolation boundary, so a cell that times out,
+/// Supervision: each cell runs under `session.limits` (engine guard)
+/// inside a `catch_unwind` isolation boundary, so a cell that times out,
 /// exhausts its budget, deadlocks, panics or is cancelled becomes a
-/// status row in its batch while its siblings complete normally. Hard
-/// failures (invalid builds, calibration errors) still fail the whole
-/// run with a [`CtnError`]; a run cancelled before anything started
-/// still returns [`CtnError::Cancelled`].
+/// status row in its batch while its siblings complete normally. Invalid
+/// specs and calibration errors fail the whole run with a [`CtnError`],
+/// the first in spec order; a run cancelled before any cell started
+/// returns [`CtnError::Cancelled`].
 ///
 /// Alongside the batches it returns the run's [`SessionMetrics`] — wall
 /// clock, worker occupancy, cache-counter deltas and per-cell spans are
-/// always collected; per-cell engine telemetry is attached only when
-/// `telemetry` is set (the `None` path runs the no-op recorder the
-/// goldens pin).
+/// always collected; per-cell engine telemetry is attached only when the
+/// session records it.
 ///
 /// Every scenario's fabric is built once per batch and shared by its
-/// calibrations and cells (see [`BatchFabrics`], which also carries the
+/// calibration and cells (see [`BatchFabrics`], which also carries the
 /// batch's specs).
-///
-/// [`Session`]: crate::session::Session
 pub(crate) fn execute(
+    session: &Session,
     fabrics: &BatchFabrics<'_>,
-    cfg: &BatchConfig,
-    cache: &CalibrationCache,
-    telemetry: Option<&TelemetryConfig>,
-    faults: Option<&FaultPlan>,
     observer: &mut dyn FnMut(RunEvent<'_>),
-    cancel: &CancelToken,
 ) -> Result<(Vec<BatchResult>, SessionMetrics), CtnError> {
     let specs = fabrics.specs;
-    assert!(cfg.workers > 0, "need at least one worker");
+    let cancel = &session.cancel;
     let run_start = Instant::now();
-    let cache_before = cache.stats();
+    let cache_before = session.cache.stats();
     for spec in specs {
         spec.validate().map_err(CtnError::Spec)?;
     }
-    // Cancellation covers the calibration phase too — uncached model fits
-    // run whole sample All-to-Alls, so "prompt" must not mean "after tens
-    // of seconds of fitting a run nobody wants anymore".
-    let check_cancel = || {
-        if cancel.is_cancelled() {
-            Err(CtnError::Cancelled)
-        } else {
-            Ok(())
-        }
-    };
-    check_cancel()?;
-    // Hockney calibrations are tiny 2-rank sims (and memoized); folding
-    // them into the parallel queue would be overkill — run them first, in
-    // order.
-    let hockneys: Vec<HockneyParams> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            check_cancel()?;
-            hockney_fit(cache, s, cfg.base_seed, || fabrics.get(i))
-        })
-        .collect::<Result<_, _>>()?;
-    // Model calibrations run whole sample All-to-Alls (unlike the cheap
-    // ping-pongs above), so uncached fits shard across the workers; the
-    // memo cache covers repeated runs over the same specs.
-    let ctxs: Vec<ModelCtx> = parallel_map(
-        specs.iter().zip(&hockneys).enumerate().collect::<Vec<_>>(),
-        cfg.workers,
-        |(i, (s, &h))| {
-            check_cancel()?;
-            model_ctx(cache, s, h, cfg.base_seed, cfg.model, || fabrics.get(i))
+    // Uncached fits shard across the workers; errors surface in spec order.
+    // Cancellation covers this phase too — an uncached model fit runs
+    // whole sample All-to-Alls, so "prompt" must not mean "after tens of
+    // seconds of fitting a run nobody wants anymore".
+    let calibrations: Vec<Calibration> = parallel_map(
+        specs.iter().enumerate().collect(),
+        session.workers,
+        |(i, spec)| {
+            if cancel.is_cancelled() {
+                return Err(CtnError::Cancelled);
+            }
+            let fabric = || fabrics.get(i);
+            calibrate(
+                &session.cache,
+                spec,
+                session.base_seed,
+                session.model,
+                fabric,
+            )
         },
     )
     .into_iter()
     .collect::<Result<_, _>>()?;
 
-    let grid_sizes: Vec<usize> = specs
-        .iter()
-        .map(|s| s.sweep.nodes.len() * s.sweep.message_bytes.len())
-        .collect();
-    let mut offsets = Vec::with_capacity(specs.len());
-    let mut flat_idx = 0usize;
-    let mut cells = Vec::new();
-    for (spec_idx, spec) in specs.iter().enumerate() {
-        offsets.push(flat_idx);
+    let mut grid: Vec<Cell> = Vec::new();
+    let mut scenarios: Vec<Scenario<'_>> = Vec::with_capacity(specs.len());
+    for (scenario, (spec, calibration)) in specs.iter().zip(calibrations).enumerate() {
+        let first = grid.len();
         for &n in &spec.sweep.nodes {
-            for &m in &spec.sweep.message_bytes {
-                cells.push(Cell {
-                    spec_idx,
-                    flat_idx,
-                    schedule_index: 0,
+            for &message_bytes in &spec.sweep.message_bytes {
+                grid.push(Cell {
+                    scenario,
                     n,
-                    message_bytes: m,
-                    seed: cell_seed(&spec.name, cfg.base_seed, n, m),
+                    message_bytes,
+                    seed: cell_seed(&spec.name, session.base_seed, n, message_bytes),
                 });
-                flat_idx += 1;
             }
         }
-    }
-    let total = cells.len();
-    for (spec, &cells_of) in specs.iter().zip(&grid_sizes) {
+        let cells = first..grid.len();
         observer(RunEvent::BatchStarted {
             scenario: &spec.name,
-            cells: cells_of,
+            cells: cells.len(),
+        });
+        scenarios.push(Scenario {
+            spec,
+            calibration,
+            cells,
         });
     }
 
-    // Cost-aware schedule: the shared queue pops from the *end* of the
-    // vector, so sorting by ascending cost hands workers the most
-    // expensive cells first (longest-processing-time order). Ties keep
-    // descending flat order so equal-cost cells still pop in grid order.
-    // Purely a schedule change: results are re-scattered into grid order
-    // below, so output bytes cannot depend on it.
-    cells.sort_by(|a, b| {
-        cell_cost(&specs[a.spec_idx], a)
-            .cmp(&cell_cost(&specs[b.spec_idx], b))
-            .then(b.flat_idx.cmp(&a.flat_idx))
-    });
-    // Workers pop from the end, so the last element is schedule slot 0.
-    for (i, cell) in cells.iter_mut().rev().enumerate() {
-        cell.schedule_index = i;
-    }
+    // Cost-aware schedule: workers pop from the *end* of the queue, so
+    // ascending cost hands them the most expensive cells first
+    // (longest-processing-time order); equal-cost cells pop in grid order.
+    // Purely a schedule: rows are stored by grid index, so output bytes
+    // cannot depend on it.
+    let mut queue: Vec<usize> = (0..grid.len()).collect();
+    queue.sort_by_cached_key(|&i| (cell_cost(&specs[grid[i].scenario], &grid[i]), Reverse(i)));
+    let queue = Mutex::new(queue);
 
-    let mut slots: Vec<Vec<Option<Result<CellResult, CtnError>>>> = grid_sizes
-        .iter()
-        .map(|&c| (0..c).map(|_| None).collect())
-        .collect();
-    let mut batches: Vec<Option<BatchResult>> = (0..specs.len()).map(|_| None).collect();
-    let mut received = 0usize;
-    let mut completed: Vec<usize> = vec![0; specs.len()];
-    let spawned = cfg.workers.min(total);
+    let mut rows: Vec<Option<CellResult>> = grid.iter().map(|_| None).collect();
+    let mut batches: Vec<Option<BatchResult>> = specs.iter().map(|_| None).collect();
+    // A row still missing when its batch is assembled belongs to a cell a
+    // mid-run cancellation left unpopped: it reads `cancelled`, so the
+    // partial report still covers the full grid.
+    let assemble = |scenario: &Scenario<'_>, rows: &mut [Option<CellResult>]| BatchResult {
+        scenario: scenario.spec.name.clone(),
+        alpha_secs: scenario.calibration.hockney.alpha_secs,
+        beta_secs_per_byte: scenario.calibration.hockney.beta_secs_per_byte,
+        cells: (scenario.cells.clone())
+            .map(|i| {
+                let never_started = || scenario.row(&grid[i], Err(CellStatus::Cancelled));
+                rows[i].take().unwrap_or_else(never_started)
+            })
+            .collect(),
+    };
+    let spawned = session.workers.min(grid.len());
     let mut worker_metrics: Vec<WorkerMetrics> = (0..spawned)
         .map(|worker| WorkerMetrics {
             worker,
             ..WorkerMetrics::default()
         })
         .collect();
-    let mut cell_metrics: Vec<CellMetrics> = Vec::with_capacity(total);
+    let mut cell_metrics: Vec<CellMetrics> = Vec::with_capacity(grid.len());
 
-    let queue = Mutex::new(cells);
-    let (sender, receiver) = mpsc::channel::<CellReport>();
+    let (sender, receiver) = mpsc::channel::<(usize, CellResult, CellMetrics)>();
     std::thread::scope(|scope| {
         for worker in 0..spawned {
             let sender = sender.clone();
-            let queue = &queue;
-            let hockneys = &hockneys;
-            let ctxs = &ctxs;
+            let (queue, grid, scenarios) = (&queue, &grid, &scenarios);
             scope.spawn(move || loop {
                 if cancel.is_cancelled() {
                     break;
                 }
-                let cell = queue.lock().expect("queue lock").pop();
-                let Some(cell) = cell else { break };
-                let spec = &specs[cell.spec_idx];
+                // The popped cell's distance from the end of the schedule
+                // is its schedule index (0 popped first). Telemetry only.
+                let (index, schedule_index) = {
+                    let mut queue = queue.lock().expect("queue lock");
+                    let Some(index) = queue.pop() else { break };
+                    (index, grid.len() - 1 - queue.len())
+                };
+                let cell = &grid[index];
+                let scenario = &scenarios[cell.scenario];
+                let name = &scenario.spec.name;
                 let start_secs = run_start.elapsed().as_secs_f64();
-                let fault =
-                    faults.and_then(|f| f.fault_for(&spec.name, cell.n, cell.message_bytes));
+                let fault = (session.faults.as_ref())
+                    .and_then(|f| f.fault_for(name, cell.n, cell.message_bytes));
                 // Panic isolation: a panicking cell (injected or real)
                 // becomes a `panicked` status row; its siblings keep
                 // running on the surviving workers.
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     match fault {
                         Some(Fault::Panic) => panic!(
-                            "injected fault: forced panic in cell {} n={} m={}",
-                            spec.name, cell.n, cell.message_bytes
+                            "injected fault: forced panic in cell {name} n={} m={}",
+                            cell.n, cell.message_bytes
                         ),
                         Some(Fault::Stall) => {
-                            return Ok((stalled_cell(spec, &cell, &cfg.limits, cancel), None));
+                            let status = stall(&session.limits, cancel);
+                            return (scenario.row(cell, Err(status)), None);
                         }
                         Some(Fault::Slow(delay)) => std::thread::sleep(delay),
                         None => {}
                     }
+                    // `execute` validated the spec, and a spec that
+                    // validates builds (generator_proptests pins it).
                     let fabric = fabrics
-                        .get(cell.spec_idx)
-                        .map_err(|e| CtnError::execution(&spec.name, spec_error_detail(e)))?;
-                    let scenario = Scenario {
-                        spec,
-                        fabric: &fabric,
-                        hockney: &hockneys[cell.spec_idx],
-                        ctx: &ctxs[cell.spec_idx],
-                    };
-                    Ok(run_cell(scenario, &cell, telemetry, &cfg.limits, cancel))
+                        .get(cell.scenario)
+                        .unwrap_or_else(|e| panic!("validated spec failed to build: {e}"));
+                    run_cell(scenario, &fabric, cell, session)
                 }));
-                let outcome = match caught {
-                    Ok(outcome) => outcome,
-                    Err(payload) => Ok((
-                        stopped_cell(
-                            spec,
-                            &cell,
-                            CellStatus::Panicked {
-                                detail: panic_detail(payload.as_ref()),
-                            },
-                        ),
+                let (row, engine) = caught.unwrap_or_else(|payload| {
+                    let detail = panic_detail(payload.as_ref());
+                    (
+                        scenario.row(cell, Err(CellStatus::Panicked { detail })),
                         None,
-                    )),
-                };
-                let report = CellReport {
-                    spec_idx: cell.spec_idx,
-                    flat_idx: cell.flat_idx,
+                    )
+                });
+                let metrics = CellMetrics {
+                    scenario: name.clone(),
+                    n: cell.n,
+                    message_bytes: cell.message_bytes,
                     worker,
-                    schedule_index: cell.schedule_index,
+                    schedule_index,
                     start_secs,
                     wall_secs: run_start.elapsed().as_secs_f64() - start_secs,
-                    outcome,
+                    status: row.status.name().to_string(),
+                    engine,
                 };
-                if sender.send(report).is_err() {
+                if sender.send((index, row, metrics)).is_err() {
                     break;
                 }
             });
@@ -1141,125 +828,43 @@ pub(crate) fn execute(
         drop(sender);
         // The calling thread is the collector: events stream to the
         // observer while workers are still simulating.
-        for report in receiver {
-            let spec_idx = report.spec_idx;
-            let spec = &specs[spec_idx];
-            received += 1;
-            let slot = &mut slots[spec_idx][report.flat_idx - offsets[spec_idx]];
-            match report.outcome {
-                Err(e) => *slot = Some(Err(e)),
-                Ok((cell, engine)) => {
-                    completed[spec_idx] += 1;
-                    let metrics = CellMetrics {
-                        scenario: spec.name.clone(),
-                        n: cell.n,
-                        message_bytes: cell.message_bytes,
-                        worker: report.worker,
-                        schedule_index: report.schedule_index,
-                        start_secs: report.start_secs,
-                        wall_secs: report.wall_secs,
-                        status: cell.status.name().to_string(),
-                        engine,
-                    };
-                    observer(RunEvent::CellFinished {
-                        scenario: &spec.name,
-                        cell: &cell,
-                        metrics: &metrics,
-                        completed: completed[spec_idx],
-                        total: grid_sizes[spec_idx],
-                    });
-                    let w = &mut worker_metrics[report.worker];
-                    w.cells += 1;
-                    w.busy_secs += report.wall_secs;
-                    cell_metrics.push(metrics);
-                    *slot = Some(Ok(cell));
-                }
-            }
-            if completed[spec_idx] == grid_sizes[spec_idx] {
-                // Every cell of this scenario produced a row (measured
-                // or status): nothing will ask for its fabric again, so
-                // let it go before the rest of the batch runs on. Then
-                // assemble the batch in grid order and announce it.
-                fabrics.release(spec_idx);
-                let cells: Vec<CellResult> = slots[spec_idx]
-                    .iter_mut()
-                    .map(|s| {
-                        s.take()
-                            .expect("completed batch has every slot filled")
-                            .expect("completed batch has no failed cells")
-                    })
-                    .collect();
-                batches[spec_idx] = Some(BatchResult {
-                    scenario: spec.name.clone(),
-                    alpha_secs: hockneys[spec_idx].alpha_secs,
-                    beta_secs_per_byte: hockneys[spec_idx].beta_secs_per_byte,
-                    cells,
-                });
+        for (index, row, metrics) in receiver {
+            let batch = grid[index].scenario;
+            let scenario = &scenarios[batch];
+            let name = &scenario.spec.name;
+            let total = scenario.cells.len();
+            let completed = 1 + rows[scenario.cells.clone()].iter().flatten().count();
+            observer(RunEvent::CellFinished {
+                scenario: name,
+                cell: &row,
+                metrics: &metrics,
+                completed,
+                total,
+            });
+            rows[index] = Some(row);
+            let w = &mut worker_metrics[metrics.worker];
+            w.cells += 1;
+            w.busy_secs += metrics.wall_secs;
+            cell_metrics.push(metrics);
+            if completed == total {
+                // Nothing will ask for this scenario's fabric again, so
+                // let it go before the rest of the batch runs on.
+                fabrics.release(batch);
                 observer(RunEvent::BatchFinished {
-                    scenario: &spec.name,
-                    batch: batches[spec_idx].as_ref().expect("just assembled"),
+                    scenario: name,
+                    batch: batches[batch].insert(assemble(scenario, &mut rows)),
                 });
             }
         }
     });
 
-    // Hard failures (invalid builds, calibration errors surfacing at
-    // cell level) still fail the whole run, in deterministic grid order.
-    // By this point assembled batches have already taken their slots, so
-    // only incomplete batches' slots remain.
-    for spec_slots in &mut slots {
-        for slot in spec_slots.iter_mut() {
-            if matches!(slot, Some(Err(_))) {
-                match slot.take() {
-                    Some(Err(e)) => return Err(e),
-                    _ => unreachable!("just matched an Err slot"),
-                }
-            }
-        }
-    }
-    if received < total {
-        // Only a mid-run cancellation leaves cells unpopped (a run
-        // cancelled before anything started returned CtnError::Cancelled
-        // above). The unstarted cells become `cancelled` status rows so
-        // the partial-failure report still covers the full grid.
-        debug_assert!(cancel.is_cancelled(), "only cancellation drops cells");
-        for (spec_idx, spec) in specs.iter().enumerate() {
-            if batches[spec_idx].is_some() {
-                continue;
-            }
-            let sizes = spec.sweep.message_bytes.len();
-            let cells: Vec<CellResult> = slots[spec_idx]
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| match slot.take() {
-                    Some(Ok(cell)) => cell,
-                    Some(Err(_)) => unreachable!("hard failures returned above"),
-                    None => {
-                        let n = spec.sweep.nodes[i / sizes];
-                        let m = spec.sweep.message_bytes[i % sizes];
-                        let cell = Cell {
-                            spec_idx,
-                            flat_idx: offsets[spec_idx] + i,
-                            schedule_index: 0,
-                            n,
-                            message_bytes: m,
-                            seed: cell_seed(&spec.name, cfg.base_seed, n, m),
-                        };
-                        stopped_cell(spec, &cell, CellStatus::Cancelled)
-                    }
-                })
-                .collect();
-            batches[spec_idx] = Some(BatchResult {
-                scenario: spec.name.clone(),
-                alpha_secs: hockneys[spec_idx].alpha_secs,
-                beta_secs_per_byte: hockneys[spec_idx].beta_secs_per_byte,
-                cells,
-            });
-        }
-    }
-    let batches = batches
-        .into_iter()
-        .map(|b| b.expect("complete run assembles every batch"))
+    let batches = (batches.into_iter().zip(&scenarios))
+        .map(|(batch, scenario)| {
+            batch.unwrap_or_else(|| {
+                debug_assert!(cancel.is_cancelled(), "only cancellation drops cells");
+                assemble(scenario, &mut rows)
+            })
+        })
         .collect();
     // Cells arrived in completion order; report them in schedule order so
     // the LPT decisions read straight off the snapshot.
@@ -1267,7 +872,7 @@ pub(crate) fn execute(
     let metrics = SessionMetrics {
         wall_secs: run_start.elapsed().as_secs_f64(),
         workers: worker_metrics,
-        cache: cache.stats().since(&cache_before),
+        cache: session.cache.stats().since(&cache_before),
         fabric_builds: fabrics.builds.load(Ordering::Relaxed),
         fabric_build_secs: fabrics.build_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
         cells: cell_metrics,
@@ -1389,10 +994,7 @@ mod tests {
         ];
         let fabrics = BatchFabrics::new(&specs);
         let built = |i: usize| fabrics.slot(i).is_some();
-        let cfg = BatchConfig {
-            workers: 1,
-            ..BatchConfig::default()
-        };
+        let session = Session::builder().workers(1).build().unwrap();
         let mut finished: Vec<String> = Vec::new();
         let mut observer = |event: RunEvent<'_>| {
             if let RunEvent::BatchFinished { scenario, .. } = event {
@@ -1407,16 +1009,7 @@ mod tests {
                 finished.push(scenario.to_string());
             }
         };
-        let (batches, metrics) = execute(
-            &fabrics,
-            &cfg,
-            &CalibrationCache::new(),
-            None,
-            None,
-            &mut observer,
-            &CancelToken::new(),
-        )
-        .unwrap();
+        let (batches, metrics) = execute(&session, &fabrics, &mut observer).unwrap();
         assert_eq!(finished.len(), 2);
         assert_eq!(batches.len(), 2);
         assert_eq!(metrics.fabric_builds, 2);
@@ -1452,11 +1045,19 @@ mod tests {
     #[test]
     fn calibration_cache_is_transparent() {
         let spec = by_name("incast-burst").unwrap();
-        let cache = CalibrationCache::new();
-        let a = hockney_fit(&cache, &spec, 123, fresh_fabric(&spec)).unwrap();
-        let b = hockney_fit(&cache, &spec, 123, fresh_fabric(&spec)).unwrap();
+        let cache = Arc::new(crate::session::CalibrationCache::new());
+        let fit = |seed: u64| {
+            let session = Session::builder()
+                .base_seed(seed)
+                .shared_cache(Arc::clone(&cache));
+            session.build().unwrap().calibrate_hockney(&spec).unwrap()
+        };
+        let a = fit(123);
+        let b = fit(123);
         assert_eq!(a, b, "memoized fit must equal the fresh fit");
-        let c = hockney_fit(&cache, &spec, 124, fresh_fabric(&spec)).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
+        let c = fit(124);
         assert_ne!(a, c, "different seed must not hit the same cache entry");
         assert_eq!(cache.hockney_entries(), 2);
     }
@@ -1464,23 +1065,13 @@ mod tests {
     #[test]
     fn cost_key_orders_big_cells_first() {
         let spec = by_name("incast-burst").unwrap();
-        let small = Cell {
-            spec_idx: 0,
-            flat_idx: 0,
-            schedule_index: 0,
-            n: 4,
-            message_bytes: 128 * 1024,
+        let cell = |n: usize, message_bytes: u64| Cell {
+            scenario: 0,
+            n,
+            message_bytes,
             seed: 0,
         };
-        let big = Cell {
-            spec_idx: 0,
-            flat_idx: 1,
-            schedule_index: 0,
-            n: 16,
-            message_bytes: 512 * 1024,
-            seed: 0,
-        };
-        assert!(cell_cost(&spec, &big) > cell_cost(&spec, &small));
+        assert!(cell_cost(&spec, &cell(16, 512 * 1024)) > cell_cost(&spec, &cell(4, 128 * 1024)));
     }
 
     #[test]

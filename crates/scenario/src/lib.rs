@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+mod calibrate;
 pub mod error;
 pub mod executor;
 pub mod metrics;
@@ -74,14 +75,12 @@ pub mod prelude {
     pub use crate::builder::ScenarioBuilder;
     pub use crate::error::CtnError;
     pub use crate::executor::{
-        BatchConfig, BatchResult, CellResult, CellStatus, FaultPlan, GuardLimits, ModelKind,
+        BatchResult, CellResult, CellStatus, FaultPlan, GuardLimits, ModelKind,
     };
     pub use crate::metrics::{CacheStats, CellMetrics, SessionMetrics, WorkerMetrics};
     pub use crate::registry;
     pub use crate::report::{Report, ReportFormat, SCHEMA_VERSION, SUPERVISED_SCHEMA_VERSION};
-    pub use crate::session::{
-        CalibrationCache, CancelToken, RunEvent, RunObserver, Session, SessionBuilder,
-    };
+    pub use crate::session::{CalibrationCache, CancelToken, RunEvent, Session, SessionBuilder};
     pub use crate::spec::{
         Backend, MpiSpec, ScenarioSpec, SpecError, SweepSpec, TopologySpec, TransportSpec,
         WorkloadSpec,

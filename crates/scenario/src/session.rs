@@ -11,10 +11,10 @@
 //!   — lifetime and sharing are theirs to control,
 //! * a **[`CancelToken`]** that aborts a sweep between cells.
 //!
-//! Execution streams: [`Session::run_with`] delivers [`RunEvent`]s to a
-//! [`RunObserver`] as cells finish (live progress for `ctnsim`, early
-//! abort for sweeps, the hook a future daemon multiplexes on), while the
-//! final [`Report`] stays byte-identical for any worker count.
+//! Execution streams: [`Session::run_with`] delivers [`RunEvent`]s to an
+//! observer closure as cells finish (live progress for `ctnsim`, early
+//! abort for sweeps, the hook `ctnd` multiplexes on), while the final
+//! [`Report`] stays byte-identical for any worker count.
 //!
 //! ## Example
 //!
@@ -42,10 +42,10 @@
 //! assert_eq!(report.batches[0].cells.len(), 1);
 //! ```
 
+use crate::calibrate::{self, Calibration, ModelCtx};
 use crate::error::CtnError;
 use crate::executor::{
-    self, BatchConfig, BatchFabrics, BatchResult, CellResult, FaultPlan, GuardLimits, ModelCtx,
-    ModelKind,
+    self, BatchFabrics, BatchResult, CellResult, FaultPlan, GuardLimits, ModelKind,
 };
 use crate::metrics::{CacheStats, CellMetrics, SessionMetrics};
 use crate::report::Report;
@@ -55,6 +55,7 @@ use contention_model::saturation::SaturationModel;
 use contention_model::signature::ContentionSignature;
 use simnet::obs::TelemetryConfig;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -70,8 +71,8 @@ use std::time::Duration;
 /// several builders to share fits across sessions.
 #[derive(Debug, Default)]
 pub struct CalibrationCache {
-    pub(crate) hockney: Mutex<HashMap<(u64, u64), HockneyParams>>,
-    pub(crate) model: Mutex<HashMap<(u64, u64, &'static str), ModelCtx>>,
+    hockney: Mutex<HashMap<(u64, u64), HockneyParams>>,
+    model: Mutex<HashMap<(u64, u64, &'static str), ModelCtx>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -111,16 +112,44 @@ impl CalibrationCache {
         }
     }
 
-    pub(crate) fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    /// The memoized Hockney fit under `key`, else `fit`'s — see
+    /// [`CalibrationCache::memo`].
+    pub(crate) fn hockney(
+        &self,
+        key: (u64, u64),
+        fit: impl FnOnce() -> Result<HockneyParams, CtnError>,
+    ) -> Result<HockneyParams, CtnError> {
+        self.memo(&self.hockney, key, fit)
     }
 
-    pub(crate) fn note_miss(&self) {
+    /// The memoized signature/saturation fit under `key`, else `fit`'s.
+    pub(crate) fn model(
+        &self,
+        key: (u64, u64, &'static str),
+        fit: impl FnOnce() -> Result<ModelCtx, CtnError>,
+    ) -> Result<ModelCtx, CtnError> {
+        self.memo(&self.model, key, fit)
+    }
+
+    /// Looks `key` up; on a miss runs `fit` *outside* the lock (a fit is
+    /// whole simulations — other scenarios' lookups must not queue behind
+    /// it) and memoizes a success. Two threads missing on one key both
+    /// fit; the fits are equal, so the second insert changes nothing.
+    fn memo<K: Hash + Eq, V: Copy>(
+        &self,
+        map: &Mutex<HashMap<K, V>>,
+        key: K,
+        fit: impl FnOnce() -> Result<V, CtnError>,
+    ) -> Result<V, CtnError> {
+        if let Some(hit) = map.lock().expect("cache lock").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(*hit);
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_insert(&self) {
+        let value = fit()?;
+        map.lock().expect("cache lock").insert(key, value);
         self.inserts.fetch_add(1, Ordering::Relaxed);
+        Ok(value)
     }
 }
 
@@ -204,28 +233,6 @@ pub enum RunEvent<'a> {
         /// The assembled, grid-ordered result.
         batch: &'a BatchResult,
     },
-}
-
-/// Receives [`RunEvent`]s while a session runs.
-///
-/// Implemented for any `FnMut(RunEvent<'_>)` closure, so ad-hoc progress
-/// hooks need no named type.
-pub trait RunObserver {
-    /// Called on the thread that invoked the run, once per event.
-    fn on_event(&mut self, event: RunEvent<'_>);
-}
-
-impl<F: FnMut(RunEvent<'_>)> RunObserver for F {
-    fn on_event(&mut self, event: RunEvent<'_>) {
-        self(event)
-    }
-}
-
-/// The no-op observer behind [`Session::run`].
-pub(crate) struct NullObserver;
-
-impl RunObserver for NullObserver {
-    fn on_event(&mut self, _event: RunEvent<'_>) {}
 }
 
 /// Configures and builds a [`Session`].
@@ -346,12 +353,10 @@ impl SessionBuilder {
             });
         }
         Ok(Session {
-            cfg: BatchConfig {
-                workers,
-                base_seed: self.base_seed.unwrap_or(42),
-                model: self.model,
-                limits: self.limits,
-            },
+            workers,
+            base_seed: self.base_seed.unwrap_or(42),
+            model: self.model,
+            limits: self.limits,
             cache: self.cache.unwrap_or_default(),
             cancel: self.cancel.unwrap_or_default(),
             telemetry: self.telemetry,
@@ -370,11 +375,14 @@ impl SessionBuilder {
 /// never on workers or cache state) holds either way.
 #[derive(Debug)]
 pub struct Session {
-    cfg: BatchConfig,
-    cache: Arc<CalibrationCache>,
-    cancel: CancelToken,
-    telemetry: Option<TelemetryConfig>,
-    faults: Option<FaultPlan>,
+    pub(crate) workers: usize,
+    pub(crate) base_seed: u64,
+    pub(crate) model: ModelKind,
+    pub(crate) limits: GuardLimits,
+    pub(crate) cache: Arc<CalibrationCache>,
+    pub(crate) cancel: CancelToken,
+    pub(crate) telemetry: Option<TelemetryConfig>,
+    pub(crate) faults: Option<FaultPlan>,
     metrics: Mutex<Option<SessionMetrics>>,
 }
 
@@ -392,22 +400,22 @@ impl Session {
 
     /// Worker threads this session runs with.
     pub fn workers(&self) -> usize {
-        self.cfg.workers
+        self.workers
     }
 
     /// The session's base seed.
     pub fn base_seed(&self) -> u64 {
-        self.cfg.base_seed
+        self.base_seed
     }
 
     /// The session's predictor model.
     pub fn model(&self) -> ModelKind {
-        self.cfg.model
+        self.model
     }
 
     /// The session's supervision limits (unlimited by default).
     pub fn limits(&self) -> GuardLimits {
-        self.cfg.limits
+        self.limits
     }
 
     /// The session's calibration cache, shareable with other builders.
@@ -431,42 +439,33 @@ impl Session {
     /// Runs several scenarios as one flat cell queue (a wide scenario
     /// cannot serialize a narrow one behind it).
     pub fn run_many(&self, specs: &[ScenarioSpec]) -> Result<Report, CtnError> {
-        self.run_many_with(specs, &mut NullObserver)
+        self.run_many_with(specs, &mut |_| {})
     }
 
-    /// Like [`Session::run`], streaming [`RunEvent`]s to `observer` as the
-    /// run progresses.
-    pub fn run_with<O: RunObserver + ?Sized>(
+    /// Like [`Session::run`], streaming [`RunEvent`]s to `observer` — on
+    /// the calling thread, once per event — as the run progresses.
+    pub fn run_with(
         &self,
         spec: &ScenarioSpec,
-        observer: &mut O,
+        observer: &mut dyn FnMut(RunEvent<'_>),
     ) -> Result<Report, CtnError> {
         self.run_many_with(std::slice::from_ref(spec), observer)
     }
 
     /// Like [`Session::run_many`], streaming [`RunEvent`]s to `observer`.
-    pub fn run_many_with<O: RunObserver + ?Sized>(
+    pub fn run_many_with(
         &self,
         specs: &[ScenarioSpec],
-        observer: &mut O,
+        observer: &mut dyn FnMut(RunEvent<'_>),
     ) -> Result<Report, CtnError> {
-        let mut sink = |event: RunEvent<'_>| observer.on_event(event);
-        let (batches, metrics) = executor::execute(
-            &BatchFabrics::new(specs),
-            &self.cfg,
-            &self.cache,
-            self.telemetry.as_ref(),
-            self.faults.as_ref(),
-            &mut sink,
-            &self.cancel,
-        )?;
+        let (batches, metrics) = executor::execute(self, &BatchFabrics::new(specs), observer)?;
         *self.metrics.lock().expect("metrics lock") = Some(metrics);
         // A session with supervision limits stamps the supervised schema
         // even when every cell passed (the consumer asked for the status
         // column); an unlimited session's report upgrades only when a
         // fault actually produced a non-Ok row, so default runs stay
         // byte-identical to the v1 goldens.
-        if self.cfg.limits.is_unlimited() {
+        if self.limits.is_unlimited() {
             Ok(Report::new(batches))
         } else {
             Ok(Report::supervised(batches))
@@ -485,12 +484,7 @@ impl Session {
     /// Measures (or recalls from the cache) the scenario fabric's Hockney
     /// parameters — the paper's 2-rank ping-pong fit.
     pub fn calibrate_hockney(&self, spec: &ScenarioSpec) -> Result<HockneyParams, CtnError> {
-        executor::hockney_fit(
-            &self.cache,
-            spec,
-            self.cfg.base_seed,
-            executor::fresh_fabric(spec),
-        )
+        Ok(self.calibration(spec, ModelKind::Med)?.hockney)
     }
 
     /// Fits (or recalls) the fabric's contention signature `(γ, δ, M)`:
@@ -500,7 +494,7 @@ impl Session {
         &self,
         spec: &ScenarioSpec,
     ) -> Result<ContentionSignature, CtnError> {
-        match self.calibrate_model(spec, ModelKind::Signature)? {
+        match self.calibration(spec, ModelKind::Signature)?.ctx {
             ModelCtx::Signature(sig) => Ok(sig),
             _ => unreachable!("signature calibration returns a signature context"),
         }
@@ -508,21 +502,17 @@ impl Session {
 
     /// Fits (or recalls) the fabric's saturation-ramp model `γ(n)`.
     pub fn calibrate_saturation(&self, spec: &ScenarioSpec) -> Result<SaturationModel, CtnError> {
-        match self.calibrate_model(spec, ModelKind::Saturation)? {
+        match self.calibration(spec, ModelKind::Saturation)?.ctx {
             ModelCtx::Saturation(sat) => Ok(sat),
             _ => unreachable!("saturation calibration returns a saturation context"),
         }
     }
 
-    /// The Hockney fit plus `model`'s extra calibration, on one fabric
-    /// built at most once (and only if either fit misses the cache).
-    fn calibrate_model(&self, spec: &ScenarioSpec, model: ModelKind) -> Result<ModelCtx, CtnError> {
+    /// `model`'s calibration outside any batch, on one fabric built at
+    /// most once (and only if a fit misses the cache).
+    fn calibration(&self, spec: &ScenarioSpec, model: ModelKind) -> Result<Calibration, CtnError> {
         let fabrics = BatchFabrics::new(std::slice::from_ref(spec));
-        let base_seed = self.cfg.base_seed;
-        let hockney = executor::hockney_fit(&self.cache, spec, base_seed, || fabrics.get(0))?;
-        executor::model_ctx(&self.cache, spec, hockney, base_seed, model, || {
-            fabrics.get(0)
-        })
+        calibrate::calibrate(&self.cache, spec, self.base_seed, model, || fabrics.get(0))
     }
 }
 

@@ -253,6 +253,85 @@ fn mid_run_cancellation_is_honored_mid_cell_and_fills_the_rest() {
     assert!(report.has_failures());
 }
 
+#[test]
+fn mid_run_cancellation_of_two_scenarios_keeps_both_grids_whole() {
+    // One worker, two scenarios in one queue, cancelled from the observer
+    // on the first finished cell. Every cell but the one the schedule pops
+    // first (the costliest, first in grid order) is stalled, so whether or
+    // not the worker reaches a second cell before the token is raised,
+    // exactly one row is measured — and both batches are put together
+    // from a grid that is mostly cells nobody ever started.
+    let specs = ["first", "second"].map(|name| ScenarioSpec {
+        name: name.to_string(),
+        ..healthy_spec()
+    });
+    let grid = [(2, 1024), (2, 4096), (4, 1024), (4, 4096)];
+    let mut plan = FaultPlan::new();
+    for (spec, &(n, m)) in specs.iter().flat_map(|s| grid.iter().map(move |c| (s, c))) {
+        if (spec.name.as_str(), n, m) != ("first", 4, 4096) {
+            plan = plan.stall_cell(&spec.name, n, m);
+        }
+    }
+    let token = CancelToken::new();
+    let session = Session::builder()
+        .workers(1)
+        .base_seed(5)
+        .cancel_token(token.clone())
+        .inject_faults(plan)
+        // Only so that a schedule change fails this test instead of
+        // hanging it on a stalled first cell.
+        .deadline(Duration::from_secs(30))
+        .build()
+        .unwrap();
+    let report = session
+        .run_many_with(&specs, &mut |event: RunEvent<'_>| {
+            if let RunEvent::CellFinished { .. } = event {
+                token.cancel();
+            }
+        })
+        .expect("mid-run cancel returns a partial report, not an error");
+    assert_eq!(report.batches.len(), 2);
+    for (spec, batch) in specs.iter().zip(&report.batches) {
+        assert_eq!(batch.scenario, spec.name);
+        let rows: Vec<(usize, u64)> = batch.cells.iter().map(|c| (c.n, c.message_bytes)).collect();
+        assert_eq!(rows, grid, "{}: full grid, nodes-major", spec.name);
+        for cell in &batch.cells {
+            let (n, m) = (cell.n, cell.message_bytes);
+            let seed = contention_scenario::executor::cell_seed(&spec.name, 5, n, m);
+            assert_eq!(cell.cell_seed, seed, "{} n={n} m={m}", spec.name);
+            if (spec.name.as_str(), n, m) == ("first", 4, 4096) {
+                assert!(cell.status.is_ok() && cell.mean_secs > 0.0, "{cell:?}");
+            } else {
+                assert_eq!(cell.status.name(), "cancelled", "{} n={n} m={m}", spec.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn calibration_failures_are_reported_in_spec_order_at_any_worker_count() {
+    // Both traps stall in the signature fit's sample All-to-Alls; the run
+    // must name the first in spec order however the fits were scheduled.
+    let traps = ["a", "b"].map(|name| ScenarioSpec {
+        name: name.to_string(),
+        ..deadlocking_spec()
+    });
+    for workers in [1, 4] {
+        let session = Session::builder()
+            .workers(workers)
+            .model(ModelKind::Signature)
+            .build()
+            .unwrap();
+        match session.run_many(&traps) {
+            Err(CtnError::Calibration { scenario, detail }) => {
+                assert_eq!(scenario, "a", "workers={workers}");
+                assert!(detail.contains("deadlock"), "{detail}");
+            }
+            other => panic!("workers={workers}: expected a calibration error, got {other:?}"),
+        }
+    }
+}
+
 /// The unsupervised baseline the proptest compares against, computed
 /// once: same spec, same seed, no limits, no faults.
 fn baseline() -> &'static Vec<CellResult> {

@@ -221,6 +221,11 @@ impl<R: Recorder> World<R> {
         &mut self.sim
     }
 
+    /// Consumes the world and returns its simulator's recorder.
+    pub fn into_recorder(self) -> R {
+        self.sim.into_recorder()
+    }
+
     /// MPI-layer configuration in force.
     pub fn mpi_config(&self) -> &MpiConfig {
         &self.mpi

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use contention_model::throughput::ThroughputModel;
     pub use contention_scenario::prelude::{
         CalibrationCache, CancelToken, CtnError, ModelKind, Placement, Report, ReportFormat,
-        RunEvent, RunObserver, ScenarioBuilder, ScenarioSpec, Session, SessionBuilder,
+        RunEvent, ScenarioBuilder, ScenarioSpec, Session, SessionBuilder,
     };
     pub use contention_scenario::registry;
     pub use contention_scenario::spec::{TopologySpec, WorkloadSpec};
