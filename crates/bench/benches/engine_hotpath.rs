@@ -6,10 +6,8 @@
 //! benchmarks defined here. Two MTU regimes bracket the engine's per-event
 //! overhead: 1460-byte TCP segments (many small events) and 4096-byte GM
 //! frames (fewer, larger ones). Host counts 8–64 scale the event-queue
-//! depth and the number of live transmitter bands, which is exactly what
-//! the packed-packet / 16-byte-node / pooled-band hot path is built for.
-//! The fabric is lossless so every run measures pure forwarding cost, not
-//! loss recovery.
+//! depth and the number of live transmitter bands. The fabric is lossless
+//! so every run measures pure forwarding cost, not loss recovery.
 //!
 //! `BENCH_engine.json` at the repo root records this bench's trajectory.
 //! Regenerate (the bench binary runs with the package as its working
@@ -32,11 +30,8 @@ use contention_bench::hotpath::{
     GUARD_OVERHEAD_BENCHES, RECORDER_OVERHEAD_BENCHES,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use simnet::event::{Event, EventQueue, RunTemplate};
-use simnet::ids::TxId;
 use simnet::obs::{EngineRecorder, TelemetryConfig};
 use simnet::prelude::*;
-use simnet::time::SimTime;
 
 fn bench_hotpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_hotpath");
@@ -275,215 +270,9 @@ fn bench_daemon_overhead(c: &mut Criterion) {
     daemon.shutdown();
 }
 
-// ---- event-queue structure benchmark ----------------------------------
-//
-// The injection pattern of a large All-to-All cell, isolated: every
-// connection pumps its whole window as a monotone run of events (the
-// burst), then the drain interleaves pops with steady re-pushes. This is
-// the trace the lane-structured queue is built for — pushes to non-empty
-// lanes are O(1) appends — and the in-file binary-heap reference is the
-// seed engine's original queue, kept here so the structural ratio stays
-// continuously measured instead of folklore. `lane_queue_runs` drives the
-// same burst shape through `push_run`: one ~40-byte descriptor per
-// injection burst instead of 256 nodes, the zero-jitter engine path.
-
-/// Lanes × entries ≈ the injection burst of a 64-host × 1 MiB GM cell
-/// (4032 connections × 256 segments).
-const BURST_LANES: usize = 4032;
-const BURST_PER_LANE: usize = 256;
-/// Steady-state churn pushes interleaved into the drain.
-const BURST_CHURN_EVERY: u64 = 4;
-
-fn burst_ops() -> u64 {
-    let pushes = (BURST_LANES * BURST_PER_LANE) as u64;
-    // Every event is pushed once and popped once; churn adds both.
-    2 * (pushes + pushes.div_ceil(BURST_CHURN_EVERY))
-}
-
-fn xorshift(x: &mut u64) -> u64 {
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    *x
-}
-
-fn bench_lane_queue() -> u64 {
-    let mut rng = 0x5EED_u64;
-    let mut q = EventQueue::new();
-    let lanes: Vec<_> = (0..BURST_LANES).map(|_| q.alloc_lane()).collect();
-    for (i, &lane) in lanes.iter().enumerate() {
-        let mut t = xorshift(&mut rng) % 2_000;
-        for _ in 0..BURST_PER_LANE {
-            q.push(lane, SimTime(t), Event::AppWakeup { token: i as u64 });
-            t += xorshift(&mut rng) % 64;
-        }
-    }
-    // Per-lane monotone clamp for churn re-pushes, mirroring the engine's
-    // `last_*_inject` discipline (jittered times must never run a lane
-    // backwards).
-    let mut lane_floor = vec![0u64; BURST_LANES];
-    let mut popped = 0u64;
-    while let Some((t, e)) = q.pop() {
-        popped += 1;
-        if popped.is_multiple_of(BURST_CHURN_EVERY)
-            && (popped / BURST_CHURN_EVERY) as usize
-                <= BURST_LANES * BURST_PER_LANE / BURST_CHURN_EVERY as usize
-        {
-            let Event::AppWakeup { token } = e else {
-                unreachable!()
-            };
-            let lane = token as usize;
-            let at = (t.0 + 33_000 + xorshift(&mut rng) % 2_000).max(lane_floor[lane]);
-            lane_floor[lane] = at;
-            q.push(lanes[lane], SimTime(at), Event::AppWakeup { token });
-        }
-    }
-    popped
-}
-
-/// The same burst/drain/churn trace shape, with each lane's injection
-/// burst entering as one run node (`push_run`) instead of
-/// `BURST_PER_LANE` individual events — the engine's zero-jitter
-/// injection path. Burst element times are arithmetic (stride = the mean
-/// increment of the random trace) because that is precisely the shape
-/// runs compress; churn re-pushes stay individual.
-fn bench_lane_queue_runs() -> u64 {
-    let mut rng = 0x5EED_u64;
-    let mut q = EventQueue::new();
-    let lanes: Vec<_> = (0..BURST_LANES).map(|_| q.alloc_lane()).collect();
-    for (i, &lane) in lanes.iter().enumerate() {
-        let base = xorshift(&mut rng) % 2_000;
-        q.push_run(
-            lane,
-            SimTime(base),
-            32,
-            BURST_PER_LANE as u32,
-            RunTemplate {
-                tx: TxId::new(i),
-                pkt: PackedPacket::data(ConnId::new(i), 0, 4096, false),
-                seq_stride: 4096,
-            },
-        );
-    }
-    let mut lane_floor = vec![0u64; BURST_LANES];
-    let mut popped = 0u64;
-    while let Some((t, e)) = q.pop() {
-        popped += 1;
-        if popped.is_multiple_of(BURST_CHURN_EVERY)
-            && (popped / BURST_CHURN_EVERY) as usize
-                <= BURST_LANES * BURST_PER_LANE / BURST_CHURN_EVERY as usize
-        {
-            let lane = match e {
-                Event::Arrival { tx, .. } => tx.index(),
-                Event::AppWakeup { token } => token as usize,
-                _ => unreachable!(),
-            };
-            let at = (t.0 + 33_000 + xorshift(&mut rng) % 2_000).max(lane_floor[lane]);
-            lane_floor[lane] = at;
-            q.push(
-                lanes[lane],
-                SimTime(at),
-                Event::AppWakeup { token: lane as u64 },
-            );
-        }
-    }
-    popped
-}
-
-/// The seed engine's queue, verbatim in spirit: one `BinaryHeap` over
-/// whole events with an insertion-order tie-break.
-mod heap_ref {
-    use simnet::event::Event;
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    struct Entry {
-        at: u64,
-        seq: u64,
-        event: Event,
-    }
-    impl PartialEq for Entry {
-        fn eq(&self, o: &Self) -> bool {
-            self.at == o.at && self.seq == o.seq
-        }
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, o: &Self) -> Ordering {
-            o.at.cmp(&self.at).then_with(|| o.seq.cmp(&self.seq))
-        }
-    }
-
-    #[derive(Default)]
-    pub struct RefQueue {
-        heap: BinaryHeap<Entry>,
-        next_seq: u64,
-    }
-
-    impl RefQueue {
-        pub fn push(&mut self, at: u64, event: Event) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { at, seq, event });
-        }
-
-        pub fn pop(&mut self) -> Option<(u64, Event)> {
-            self.heap.pop().map(|e| (e.at, e.event))
-        }
-    }
-}
-
-fn bench_heap_ref() -> u64 {
-    let mut rng = 0x5EED_u64;
-    let mut q = heap_ref::RefQueue::default();
-    for i in 0..BURST_LANES {
-        let mut t = xorshift(&mut rng) % 2_000;
-        for _ in 0..BURST_PER_LANE {
-            q.push(t, Event::AppWakeup { token: i as u64 });
-            t += xorshift(&mut rng) % 64;
-        }
-    }
-    // Same trace as the lane benchmark, clamp included, so the two
-    // structures are timed on identical push/pop sequences.
-    let mut lane_floor = vec![0u64; BURST_LANES];
-    let mut popped = 0u64;
-    while let Some((t, e)) = q.pop() {
-        popped += 1;
-        if popped.is_multiple_of(BURST_CHURN_EVERY)
-            && (popped / BURST_CHURN_EVERY) as usize
-                <= BURST_LANES * BURST_PER_LANE / BURST_CHURN_EVERY as usize
-        {
-            let Event::AppWakeup { token } = e else {
-                unreachable!()
-            };
-            let lane = token as usize;
-            let at = (t + 33_000 + xorshift(&mut rng) % 2_000).max(lane_floor[lane]);
-            lane_floor[lane] = at;
-            q.push(at, Event::AppWakeup { token });
-        }
-    }
-    popped
-}
-
-fn bench_queue_burst(c: &mut Criterion) {
-    let mut group = c.benchmark_group("queue_burst");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(burst_ops()));
-    group.bench_function("lane_queue", |b| b.iter(bench_lane_queue));
-    group.bench_function("lane_queue_runs", |b| b.iter(bench_lane_queue_runs));
-    group.bench_function("binary_heap_reference", |b| b.iter(bench_heap_ref));
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_hotpath,
-    bench_queue_burst,
     bench_recorder_overhead,
     bench_guard_overhead,
     bench_daemon_overhead,

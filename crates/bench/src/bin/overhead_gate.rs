@@ -18,10 +18,18 @@
 //!    above that, without tripping on epoch drift; the tight
 //!    single-digit claims live in the per-run ratio checks below).
 //! 2. **Recording overhead** — `EngineRecorder` against `NoopRecorder`.
-//!    Recording costs ~15-20% on this most-event-dense case (two
-//!    histogram updates plus link accounting per event); tolerance:
-//!    `--recording-pct` / `OVERHEAD_GATE_RECORDING_PCT` (default 25, the
-//!    measured tax plus CI headroom).
+//!    Recording adds ~23 ns per event on this most-event-dense case (two
+//!    histogram updates plus link accounting per event), which is ~25%
+//!    of the no-op engine; tolerance: `--recording-pct` /
+//!    `OVERHEAD_GATE_RECORDING_PCT` (default 30: the median of 51 gate
+//!    runs at PR 18, 25.2%, plus five points of CI headroom). The
+//!    check is a ratio over the no-op engine, so a *faster engine* raises
+//!    it with an unchanged recorder — the gate also prints what the
+//!    recorder adds in absolute ns per event, and that is the number to
+//!    compare before touching this default (PR 18, 29 alternating
+//!    parent/change gate runs: 22.1 → 23.3 ns/event, inside a 9 ns
+//!    interquartile spread, while the ratio went 21.7% → 25.2% because
+//!    the no-op engine under it went 2.1 → 1.9 ms).
 //! 3. **Guard overhead** — the engine with the supervision guard a
 //!    `Session` installs by default (a cancel-flag-only `RunGuard`,
 //!    polled at the preemption point every `GUARD_CHECK_INTERVAL`
@@ -56,22 +64,23 @@ use std::time::Instant;
 
 const WARMUP_ITERS: usize = 3;
 /// Iterations per side of each interleaved pair. The ratio tolerances
-/// (2% guard, 25% recording) sit close to the box's per-iteration
+/// (2% guard, 30% recording) sit close to the box's per-iteration
 /// jitter, and each extra pair costs only ~5 ms, so buying down the
 /// variance of the two minimums is cheap.
 const SAMPLE_ITERS: usize = 40;
 
 /// One timed build-and-drive of the gate case with the given recorder
 /// and (optionally) the cancel-flag-only guard a `Session` installs.
-fn one_iter<R: Recorder>(recorder: R, guarded: bool) -> u64 {
+/// Returns `(elapsed_ns, events_processed)`.
+fn one_iter<R: Recorder>(recorder: R, guarded: bool) -> (u64, u64) {
     let case = &cases()[0];
     let (mut sim, conns) = build_alltoall(case, recorder);
     if guarded {
         sim.set_guard(RunGuard::unlimited().with_cancel_flag(Arc::new(AtomicBool::new(false))));
     }
     let start = Instant::now();
-    drive_alltoall(case, &mut sim, &conns);
-    start.elapsed().as_nanos() as u64
+    let events = drive_alltoall(case, &mut sim, &conns);
+    (start.elapsed().as_nanos() as u64, events)
 }
 
 /// Interleaved pair measurement for the ratio checks. The two sides
@@ -81,28 +90,50 @@ fn one_iter<R: Recorder>(recorder: R, guarded: bool) -> u64 {
 /// per-pair ratios then discards the pairs a burst did land inside.
 /// A min-vs-min ratio is not robust here: one lucky iteration on a
 /// single side skews it by the full jitter magnitude.
-/// Returns `(min_a, min_b, median_ratio)`.
-fn measure_pair(a: impl Fn() -> u64, b: impl Fn() -> u64) -> (u64, u64, f64) {
+fn measure_pair(a: impl Fn() -> (u64, u64), b: impl Fn() -> (u64, u64)) -> Pair {
     for _ in 0..WARMUP_ITERS {
         a();
         b();
     }
-    let (mut best_a, mut best_b) = (u64::MAX, u64::MAX);
+    let (mut min_a, mut min_b) = (u64::MAX, u64::MAX);
     let mut ratios = Vec::with_capacity(SAMPLE_ITERS);
+    let mut added = Vec::with_capacity(SAMPLE_ITERS);
     for _ in 0..SAMPLE_ITERS {
-        let (na, nb) = (a(), b());
-        best_a = best_a.min(na);
-        best_b = best_b.min(nb);
+        let ((na, _), (nb, events)) = (a(), b());
+        min_a = min_a.min(na);
+        min_b = min_b.min(nb);
         ratios.push(nb as f64 / na as f64);
+        added.push((nb as f64 - na as f64) / events as f64);
     }
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    let mid = SAMPLE_ITERS / 2;
-    let median = if SAMPLE_ITERS.is_multiple_of(2) {
-        (ratios[mid - 1] + ratios[mid]) / 2.0
+    Pair {
+        min_a,
+        min_b,
+        ratio: median(ratios),
+        added_ns_per_event: median(added),
+    }
+}
+
+/// What [`measure_pair`] reads off its interleaved samples.
+struct Pair {
+    /// Fastest iteration of each side, nanoseconds.
+    min_a: u64,
+    min_b: u64,
+    /// Median of the per-pair `b / a` ratios — what the tolerances gate.
+    ratio: f64,
+    /// Median of the per-pair `(b − a) / events_processed`: what side `b`
+    /// adds in absolute terms. A ratio moves when its denominator does, so
+    /// this is the number to compare across engine changes.
+    added_ns_per_event: f64,
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|x, y| x.total_cmp(y));
+    let mid = samples.len() / 2;
+    if samples.len().is_multiple_of(2) {
+        (samples[mid - 1] + samples[mid]) / 2.0
     } else {
-        ratios[mid]
-    };
-    (best_a, best_b, median)
+        samples[mid]
+    }
 }
 
 /// The snapshot's `median_ns` for a benchmark name (`None` also when the
@@ -143,7 +174,7 @@ fn main() -> std::process::ExitCode {
         "--recording-pct",
         "OVERHEAD_GATE_RECORDING_PCT",
         &args,
-        25.0,
+        30.0,
     );
     let guard_pct = tolerance_pct("--guard-pct", "OVERHEAD_GATE_GUARD_PCT", &args, 2.0);
     if cfg!(debug_assertions) {
@@ -163,18 +194,20 @@ fn main() -> std::process::ExitCode {
         return std::process::ExitCode::FAILURE;
     };
 
-    let (noop_ns, recording_ns, recording_ratio) = measure_pair(
+    let recording = measure_pair(
         || one_iter(NoopRecorder, false),
         || one_iter(EngineRecorder::new(TelemetryConfig::default()), false),
     );
-    let (unguarded_ns, guarded_ns, guard_ratio) = measure_pair(
+    let guard = measure_pair(
         || one_iter(NoopRecorder, false),
         || one_iter(NoopRecorder, true),
     );
+    let (noop_ns, recording_ns) = (recording.min_a, recording.min_b);
+    let (unguarded_ns, guarded_ns) = (guard.min_a, guard.min_b);
 
     let noop_vs_snapshot = noop_ns as f64 / snapshot_ns as f64 - 1.0;
-    let recording_vs_noop = recording_ratio - 1.0;
-    let guarded_vs_unguarded = guard_ratio - 1.0;
+    let recording_vs_noop = recording.ratio - 1.0;
+    let guarded_vs_unguarded = guard.ratio - 1.0;
     println!("overhead_gate: case {bench}");
     println!("  snapshot median:  {snapshot_ns} ns");
     println!(
@@ -184,6 +217,10 @@ fn main() -> std::process::ExitCode {
     println!(
         "  engine recorder:  {recording_ns} ns  ({:+.2}% vs noop, median of per-pair ratios, tolerance {recording_pct}%)",
         recording_vs_noop * 100.0
+    );
+    println!(
+        "  recorder adds:    {:.2} ns/event  (median of per-pair (recording - noop) / events)",
+        recording.added_ns_per_event
     );
     println!("  unguarded engine: {unguarded_ns} ns  (guard-pair baseline, interleaved)",);
     println!(

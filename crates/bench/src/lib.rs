@@ -127,11 +127,6 @@ pub mod hotpath {
         ]
     }
 
-    /// Benchmark ids of the `queue_burst` group (event-queue structure in
-    /// isolation), in declaration order.
-    pub const QUEUE_BURST_BENCHES: &[&str] =
-        &["lane_queue", "lane_queue_runs", "binary_heap_reference"];
-
     /// Benchmark ids of the `recorder_overhead` group: the first hot-path
     /// case run with the default no-op recorder (the exact engine every
     /// other benchmark measures) and with a recording `EngineRecorder`
@@ -221,11 +216,6 @@ pub mod hotpath {
         cases()
             .iter()
             .map(|c| format!("engine_hotpath/{}", c.name))
-            .chain(
-                QUEUE_BURST_BENCHES
-                    .iter()
-                    .map(|b| format!("queue_burst/{b}")),
-            )
             .chain(
                 RECORDER_OVERHEAD_BENCHES
                     .iter()

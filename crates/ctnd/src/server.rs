@@ -27,6 +27,7 @@ use crate::http::{self, decimal_u64, ChunkedWriter, HttpError, Request, Response
 use crate::registry::Run;
 use contention_obs::json::{self, Value};
 use contention_scenario::prelude::*;
+use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -41,10 +42,12 @@ const CONN_BACKLOG: usize = 128;
 /// chunk, so a live stream never trips this).
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The bounded pool of connection-serving threads.
+/// The bounded pool of connection-serving threads. Waiting connections
+/// are served oldest first, so a client's wait is bounded by the work
+/// ahead of it at arrival, not by what arrives after.
 #[derive(Debug)]
 pub struct ConnPool {
-    queue: Mutex<Vec<TcpStream>>,
+    queue: Mutex<VecDeque<TcpStream>>,
     available: Condvar,
     stop: AtomicBool,
 }
@@ -53,7 +56,7 @@ impl ConnPool {
     /// A pool with empty backlog.
     pub fn new() -> Arc<Self> {
         Arc::new(ConnPool {
-            queue: Mutex::new(Vec::new()),
+            queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             stop: AtomicBool::new(false),
         })
@@ -91,7 +94,7 @@ impl ConnPool {
             .write_to(&mut stream);
             return;
         }
-        queue.push(stream);
+        queue.push_back(stream);
         drop(queue);
         self.available.notify_one();
     }
@@ -102,24 +105,27 @@ impl ConnPool {
         self.available.notify_all();
     }
 
-    fn worker_loop(self: Arc<Self>, exec: &Arc<Executive>) {
+    /// The longest-waiting connection, blocking while the backlog is
+    /// empty; `None` once the pool is stopped and drained.
+    fn next_connection(&self) -> Option<TcpStream> {
+        let mut queue = self.queue.lock().expect("conn queue lock");
         loop {
-            let stream = {
-                let mut queue = self.queue.lock().expect("conn queue lock");
-                loop {
-                    if let Some(stream) = queue.pop() {
-                        break stream;
-                    }
-                    if self.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let (next, _timeout) = self
-                        .available
-                        .wait_timeout(queue, Duration::from_millis(200))
-                        .expect("conn queue lock");
-                    queue = next;
-                }
-            };
+            if let Some(stream) = queue.pop_front() {
+                return Some(stream);
+            }
+            if self.stop.load(Ordering::Acquire) {
+                return None;
+            }
+            let (next, _timeout) = self
+                .available
+                .wait_timeout(queue, Duration::from_millis(200))
+                .expect("conn queue lock");
+            queue = next;
+        }
+    }
+
+    fn worker_loop(self: Arc<Self>, exec: &Arc<Executive>) {
+        while let Some(stream) = self.next_connection() {
             serve_connection(stream, exec);
         }
     }
@@ -515,5 +521,36 @@ pub fn accept_loop(
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn waiting_connections_are_handed_out_in_arrival_order() {
+        // No workers: the three connections wait in the backlog, as they
+        // do in production while every worker is held by an event stream.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("listener address");
+        let pool = ConnPool::new();
+        let mut clients = Vec::new();
+        for _ in 0..3 {
+            let client = TcpStream::connect(addr).expect("connect");
+            let (accepted, _) = listener.accept().expect("accept");
+            pool.dispatch(accepted);
+            clients.push(client);
+        }
+        pool.stop();
+        for client in &clients {
+            let served = pool.next_connection().expect("a waiting connection");
+            assert_eq!(
+                served.peer_addr().expect("peer address"),
+                client.local_addr().expect("client address")
+            );
+        }
+        assert!(pool.next_connection().is_none(), "stopped and drained");
     }
 }

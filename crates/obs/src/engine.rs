@@ -332,7 +332,7 @@ pub struct EngineTelemetry {
     pub sample_interval_ns: u64,
     /// Events popped from the queue.
     pub events: u64,
-    /// Push hook invocations (run nodes count once).
+    /// Events pushed onto the queue.
     pub pushes: u64,
     /// Timestamp of the first event, nanoseconds.
     pub first_event_ns: u64,

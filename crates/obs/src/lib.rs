@@ -63,8 +63,8 @@ pub trait Recorder {
         let _ = (now_ns, queue_len);
     }
 
-    /// An event (or run node) was pushed; `queue_len` counts pending
-    /// events after the push.
+    /// An event was pushed; `queue_len` counts pending events after the
+    /// push.
     fn on_event_push(&mut self, queue_len: usize) {
         let _ = queue_len;
     }

@@ -1,9 +1,10 @@
 //! Session determinism: every one of the 13 packet builtin scenarios
 //! must be byte-identical across worker counts 1/2/8 — and the
 //! incast-burst full grid must reproduce the golden captured before the
-//! hot-path overhaul (interned routes, lane-heap event queue, pooled
-//! bands, cost-aware scheduling) exactly. That golden is the regression
-//! oracle for every engine refactor's "no behavioral change" guarantee;
+//! hot-path overhaul (interned routes, packed packets, cost-aware
+//! scheduling) exactly. That golden is the regression oracle for every
+//! engine refactor's "no behavioral change" guarantee — the event queue
+//! and the transmitter bands have been rebuilt twice under it;
 //! regenerate it only for an *intentional* semantic change:
 //!
 //! ```text

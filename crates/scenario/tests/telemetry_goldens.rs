@@ -75,7 +75,8 @@ fn all_thirteen_packet_builtins_are_byte_identical_with_a_recording_recorder() {
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
             .render(ReportFormat::Csv);
         for workers in [1usize, 2, 8] {
-            let report = session(workers, true, &telem_cache)
+            let s = session(workers, true, &telem_cache);
+            let report = s
                 .run(&spec)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert_eq!(
@@ -84,6 +85,27 @@ fn all_thirteen_packet_builtins_are_byte_identical_with_a_recording_recorder() {
                 "{}: workers={workers} with telemetry diverged from the plain session",
                 spec.name
             );
+            // The verified traffic the engine's event queue is sized for
+            // (`simnet::event` is a plain binary heap). Bucket k ≥ 1 of the
+            // log2 histogram counts pops that left [2^(k-1), 2^k) events
+            // pending. Measured at the *full* default grids: twelve of the
+            // thirteen packet builtins never leave 2 048 pending (bucket
+            // 11 at most: 5–9 % of pops on the two Ethernet presets, 0.2 %
+            // on paper-myrinet, 30 % on oversubscribed-tree-skewed, under
+            // 0.1 % on fat-tree-uniform and sparse-star; buckets 7–10 top
+            // the rest), and the deepest, permutation-lossless, spends
+            // 3.4 % of its pops in bucket 12 and none above. A workload
+            // that breaks this bound is the evidence a deeper-queue
+            // structure would need — shown on `ctnbench`'s end-to-end
+            // metrics, not on a queue micro-benchmark.
+            for cell in &s.metrics().expect("snapshot after the run").cells {
+                let hist = &cell.engine.as_ref().expect("telemetry").pop_queue_hist;
+                assert!(
+                    hist.len() <= 13,
+                    "{}: a pop left 4 096 or more events pending: {hist:?}",
+                    spec.name
+                );
+            }
         }
     }
 }

@@ -14,11 +14,11 @@
 //!
 //! # Data representation
 //!
-//! The hot loop is memory-bound, so everything it moves is packed: packets
-//! are 16-byte [`PackedPacket`]s (band and event-payload bytes scale with
-//! this), queued events are 16-byte nodes (see [`crate::event`]), and a
-//! zero-jitter injection burst of `k` same-size segments collapses into
-//! one run node via [`EventQueue::push_run`]. Routes live in the topology's
+//! Packets are 16-byte [`PackedPacket`]s, and the two containers the hot
+//! loop moves them through are the standard library's: pending events sit
+//! in one `BinaryHeap` ordered by `(time, push order)` (see
+//! [`crate::event`] for why that is deep enough), and each transmitter's
+//! control and bulk bands are `VecDeque`s. Routes live in the topology's
 //! interned arena; a packet names its route implicitly through its *flow*
 //! (`conn·2 + direction`), resolved per hop through the engine's flat
 //! `flow → RouteId` table.
@@ -31,7 +31,7 @@
 //! models host software overheads.
 
 use crate::config::{SimConfig, TransportKind};
-use crate::event::{Event, EventQueue, LaneId, RunTemplate};
+use crate::event::{Event, EventQueue};
 use crate::guard::{GuardStop, RunGuard, GUARD_CHECK_INTERVAL};
 use crate::ids::{ConnId, HostId, RouteId, TxId};
 use crate::packet::{Notification, PackedPacket, PacketKind};
@@ -47,137 +47,14 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Freelist/band terminator for the pooled packet chunks.
-const NIL: u32 = u32::MAX;
-
-/// Packets per pooled chunk. A deep band (a NIC draining a send burst)
-/// walks its packets out of contiguous memory ~`CHUNK` at a time instead
-/// of chasing one pointer per packet through an interleaved arena — band
-/// pops are where a large All-to-All spends its cache misses. With 16-byte
-/// packed packets a chunk is 512 bytes of payload: eight cache lines.
-const CHUNK: usize = 32;
-
-/// A pooled ring segment: a fixed block of packets consumed front to back,
-/// linked to the band's next block.
-#[derive(Debug, Clone, Copy)]
-struct Chunk {
-    pkts: [PackedPacket; CHUNK],
-    /// Next unread slot.
-    read: u16,
-    /// Next unwritten slot.
-    write: u16,
-    /// Next chunk of the band, or the freelist link while unused.
-    next: u32,
-}
-
-/// One shared arena of ring chunks for *every* transmitter band. Per-Tx
-/// `VecDeque`s each kept (and grew) a private buffer; a fabric has
-/// thousands of transmitters, so steady state reallocated constantly. The
-/// pool grows to the simulation's true high-water mark once and then
-/// recycles chunks through a freelist.
-#[derive(Debug)]
-struct PacketPool {
-    chunks: Vec<Chunk>,
-    free_head: u32,
-}
-
-/// A FIFO band over pooled chunks (head pops, tail pushes).
-#[derive(Debug, Clone, Copy)]
-struct Band {
-    head: u32,
-    tail: u32,
-}
-
-impl Default for Band {
-    fn default() -> Self {
-        Self {
-            head: NIL,
-            tail: NIL,
-        }
-    }
-}
-
-impl PacketPool {
-    fn new() -> Self {
-        Self {
-            chunks: Vec::new(),
-            free_head: NIL,
-        }
-    }
-
-    fn alloc_chunk(&mut self) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let chunk = &mut self.chunks[idx as usize];
-            self.free_head = chunk.next;
-            // Reset metadata only; the stale packets are dead data that
-            // push_back overwrites before pop_front can read them.
-            chunk.read = 0;
-            chunk.write = 0;
-            chunk.next = NIL;
-            idx
-        } else {
-            self.chunks.push(Chunk {
-                pkts: [PackedPacket::PLACEHOLDER; CHUNK],
-                read: 0,
-                write: 0,
-                next: NIL,
-            });
-            (self.chunks.len() - 1) as u32
-        }
-    }
-
-    fn push_back(&mut self, band: &mut Band, pkt: PackedPacket) {
-        if band.tail == NIL {
-            let idx = self.alloc_chunk();
-            band.head = idx;
-            band.tail = idx;
-        } else if self.chunks[band.tail as usize].write as usize == CHUNK {
-            let idx = self.alloc_chunk();
-            self.chunks[band.tail as usize].next = idx;
-            band.tail = idx;
-        }
-        let chunk = &mut self.chunks[band.tail as usize];
-        chunk.pkts[chunk.write as usize] = pkt;
-        chunk.write += 1;
-    }
-
-    fn pop_front(&mut self, band: &mut Band) -> Option<PackedPacket> {
-        if band.head == NIL {
-            return None;
-        }
-        let chunk = &mut self.chunks[band.head as usize];
-        if chunk.read == chunk.write {
-            // Only possible when head == tail (a fully-read non-tail chunk
-            // is retired eagerly below): the band is empty.
-            debug_assert_eq!(band.head, band.tail);
-            return None;
-        }
-        let pkt = chunk.pkts[chunk.read as usize];
-        chunk.read += 1;
-        if chunk.read as usize == CHUNK || (band.head == band.tail && chunk.read == chunk.write) {
-            // Chunk consumed (or band drained): retire it to the freelist.
-            let next = chunk.next;
-            let retired = band.head;
-            self.chunks[retired as usize].next = self.free_head;
-            self.free_head = retired;
-            band.head = next;
-            if next == NIL {
-                band.tail = NIL;
-            }
-        }
-        Some(pkt)
-    }
-}
-
 /// Per-transmitter packet bands: a control band (small packets — ACKs,
 /// envelopes — which real host qdiscs and short device rings never bury
 /// behind megabytes of bulk data) and a bulk FIFO. Control priority is
 /// honoured only at host-owned transmitters; switches serve strict FIFO.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone)]
 struct TxQueue {
-    control: Band,
-    bulk: Band,
+    control: VecDeque<PackedPacket>,
+    bulk: VecDeque<PackedPacket>,
 }
 
 /// A serialization slot: usually one per transmitter, but a host I/O bus
@@ -232,22 +109,11 @@ pub struct Simulator<R: Recorder = NoopRecorder> {
     config: SimConfig,
     time: SimTime,
     queue: EventQueue,
-    /// Queue lane per transmitter: carries the arrivals/deliveries this
-    /// transmitter's departures produce (monotone: pop time + fixed
-    /// latency).
-    tx_out_lane: Vec<LaneId>,
-    /// Queue lane per serializer slot: carries its departure chain
-    /// (monotone: `busy_until` only advances).
-    ser_lane: Vec<LaneId>,
-    /// Queue lanes per connection, (data, ack): injections are clamped
-    /// monotone by `last_data_inject` / `last_ack_inject`.
-    conn_lanes: Vec<(LaneId, LaneId)>,
     /// Interned route per flow (`conn·2` = forward/data, `conn·2 + 1` =
     /// reverse/ACK). Packets carry the flow word, not the route, so this
     /// flat table is the only per-hop indirection.
     flow_routes: Vec<RouteId>,
     serializers: Vec<SerializerState>,
-    pkt_pool: PacketPool,
     tx_queues: Vec<TxQueue>,
     tx_host_owned: Vec<bool>,
     /// Transmitters whose pool and port caps are effectively infinite
@@ -316,20 +182,13 @@ impl<R: Recorder> Simulator<R> {
             );
         }
         let tx_queues = vec![TxQueue::default(); n_tx];
-        let mut queue = EventQueue::new();
-        let tx_out_lane = (0..n_tx).map(|_| queue.alloc_lane()).collect();
-        let ser_lane = (0..n_serializers).map(|_| queue.alloc_lane()).collect();
         Self {
             topo,
             config,
             time: SimTime::ZERO,
-            queue,
-            tx_out_lane,
-            ser_lane,
-            conn_lanes: Vec::new(),
+            queue: EventQueue::new(),
             flow_routes: Vec::new(),
             serializers,
-            pkt_pool: PacketPool::new(),
             tx_queues,
             tx_host_owned,
             tx_unbounded,
@@ -410,8 +269,6 @@ impl<R: Recorder> Simulator<R> {
         let id = ConnId::from_index(self.conn_hot.len());
         let fwd = self.topo.route_id(src, dst);
         let rev = self.topo.route_id(dst, src);
-        self.conn_lanes
-            .push((self.queue.alloc_lane(), self.queue.alloc_lane()));
         // Flow table rows in PackedPacket::flow_index order: forward
         // (data) on the even row, reverse (ACK) on the odd row.
         self.flow_routes.push(fwd);
@@ -442,7 +299,7 @@ impl<R: Recorder> Simulator<R> {
     /// Schedules [`Notification::Wakeup`] with `token` at absolute time `at`.
     pub fn schedule_wakeup(&mut self, at: SimTime, token: u64) {
         debug_assert!(at >= self.time, "wakeups cannot be scheduled in the past");
-        self.queue.push_once(at, Event::AppWakeup { token });
+        self.queue.push(at, Event::AppWakeup { token });
         self.note_push();
     }
 
@@ -534,9 +391,9 @@ impl<R: Recorder> Simulator<R> {
         }
         let q = &mut self.tx_queues[tx.index()];
         if self.tx_host_owned[tx.index()] && wire <= Self::CONTROL_BAND_WIRE {
-            self.pkt_pool.push_back(&mut q.control, pkt);
+            q.control.push_back(pkt);
         } else {
-            self.pkt_pool.push_back(&mut q.bulk, pkt);
+            q.bulk.push_back(pkt);
         }
         let slot = params.serializer as usize;
         if !self.serializers[slot].busy {
@@ -565,11 +422,8 @@ impl<R: Recorder> Simulator<R> {
                 wire,
             );
         }
-        self.queue.push(
-            self.ser_lane[slot],
-            self.time + serialization,
-            Event::Departure { tx, pkt },
-        );
+        self.queue
+            .push(self.time + serialization, Event::Departure { tx, pkt });
         self.note_push();
     }
 
@@ -581,10 +435,8 @@ impl<R: Recorder> Simulator<R> {
             // probe, one bulk probe, no round-robin bookkeeping.
             let tx = self.serializers[slot].members[0];
             let q = &mut self.tx_queues[tx.index()];
-            match self.pkt_pool.pop_front(&mut q.control) {
-                some @ Some(_) => some.map(|pkt| (tx, pkt)),
-                None => self.pkt_pool.pop_front(&mut q.bulk).map(|pkt| (tx, pkt)),
-            }
+            let pkt = q.control.pop_front().or_else(|| q.bulk.pop_front())?;
+            Some((tx, pkt))
         } else {
             self.pick_shared(slot)
         }
@@ -599,20 +451,14 @@ impl<R: Recorder> Simulator<R> {
         for i in 0..n {
             let idx = (cursor + i) % n;
             let tx = self.serializers[slot].members[idx];
-            if let Some(pkt) = self
-                .pkt_pool
-                .pop_front(&mut self.tx_queues[tx.index()].control)
-            {
+            if let Some(pkt) = self.tx_queues[tx.index()].control.pop_front() {
                 return Some((tx, pkt));
             }
         }
         for i in 0..n {
             let idx = (cursor + i) % n;
             let tx = self.serializers[slot].members[idx];
-            if let Some(pkt) = self
-                .pkt_pool
-                .pop_front(&mut self.tx_queues[tx.index()].bulk)
-            {
+            if let Some(pkt) = self.tx_queues[tx.index()].bulk.pop_front() {
                 self.serializers[slot].rr_cursor = ((idx + 1) % n) as u8;
                 return Some((tx, pkt));
             }
@@ -633,29 +479,28 @@ impl<R: Recorder> Simulator<R> {
         if R::ENABLED {
             self.recorder.on_queue_dequeue(tx.index() as u32, wire);
         }
-        self.advance(tx, pkt, self.time + params.latency_ns);
+        self.advance(pkt, self.time + params.latency_ns);
         // Keep the wire busy: serve the next queued packet on this slot.
         self.begin_service(params.serializer as usize);
     }
 
     /// Moves a serialized packet to its next hop (or its destination
     /// host), arriving at `arrive_at`.
-    fn advance(&mut self, tx: TxId, pkt: PackedPacket, arrive_at: SimTime) {
+    fn advance(&mut self, pkt: PackedPacket, arrive_at: SimTime) {
         // The packet's route: one flow-table row, then one flat slice.
         let route_id = self.flow_routes[pkt.flow_index()];
         let route = self.topo.route_slice(route_id);
-        let lane = self.tx_out_lane[tx.index()];
         let hop = pkt.hop() as usize;
         if hop + 1 == route.len() {
             let host = self.topo.route_dst(route_id);
             self.queue
-                .push(lane, arrive_at, Event::HostDelivery { host, pkt });
+                .push(arrive_at, Event::HostDelivery { host, pkt });
         } else {
             let next_tx = route[hop + 1];
             let mut pkt = pkt;
             pkt.advance_hop();
             self.queue
-                .push(lane, arrive_at, Event::Arrival { tx: next_tx, pkt });
+                .push(arrive_at, Event::Arrival { tx: next_tx, pkt });
         }
         self.note_push();
     }
@@ -712,7 +557,7 @@ impl<R: Recorder> Simulator<R> {
                 // The deadline moved forward since this event was pushed
                 // (ACKs restarted the timer); chase it with one event.
                 c.timer_pushed = true;
-                self.queue.push_once(deadline, Event::RtoTimer { conn });
+                self.queue.push(deadline, Event::RtoTimer { conn });
                 self.note_push();
             }
             Some(_) => {
@@ -765,7 +610,7 @@ impl<R: Recorder> Simulator<R> {
                 c.timer_deadline = Some(deadline);
                 if !c.timer_pushed {
                     c.timer_pushed = true;
-                    self.queue.push_once(deadline, Event::RtoTimer { conn });
+                    self.queue.push(deadline, Event::RtoTimer { conn });
                     self.note_push();
                 }
                 // If an event is already pushed (necessarily at an earlier
@@ -783,12 +628,9 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// Injects a run of data segments on a connection's forward route.
-    ///
-    /// With injection jitter disabled, the whole burst clamps to one
-    /// timestamp and enters the queue as a single run node. With jitter
-    /// enabled each segment draws its own offset — the per-segment RNG
-    /// stream is part of the simulation's observable behavior, so the
-    /// fallback path reproduces it draw for draw.
+    /// Each segment draws its own jitter offset — the per-segment RNG
+    /// stream is part of the simulation's observable behavior — and is
+    /// clamped so a connection never injects out of stream order.
     fn inject_data(&mut self, conn: ConnId, run: SegmentRun) {
         debug_assert!(run.count > 0);
         self.stats.data_packets_sent += run.count as u64;
@@ -802,29 +644,14 @@ impl<R: Recorder> Simulator<R> {
         }
         let flow = conn.index() * 2;
         let first_hop = self.topo.first_hop(self.flow_routes[flow]);
-        let lane = self.conn_lanes[conn.index()].0;
-        if self.config.injection_jitter_ns == 0 {
+        for (seq, len) in run.iter() {
+            let jitter = self.jitter();
             let c = &mut self.conn_cold[conn.index()];
-            let at = self.time.max(c.last_data_inject);
+            let at = (self.time + jitter).max(c.last_data_inject);
             c.last_data_inject = at;
-            let template = RunTemplate {
-                tx: first_hop,
-                pkt: PackedPacket::data(conn, run.seq, run.len, run.retransmit),
-                seq_stride: run.len as u64,
-            };
-            self.queue.push_run(lane, at, 0, run.count, template);
+            let pkt = PackedPacket::data(conn, seq, len, run.retransmit);
+            self.queue.push(at, Event::Arrival { tx: first_hop, pkt });
             self.note_push();
-        } else {
-            for (seq, len) in run.iter() {
-                let jitter = self.jitter();
-                let c = &mut self.conn_cold[conn.index()];
-                let at = (self.time + jitter).max(c.last_data_inject);
-                c.last_data_inject = at;
-                let pkt = PackedPacket::data(conn, seq, len, run.retransmit);
-                self.queue
-                    .push(lane, at, Event::Arrival { tx: first_hop, pkt });
-                self.note_push();
-            }
         }
     }
 
@@ -837,9 +664,7 @@ impl<R: Recorder> Simulator<R> {
         let first_hop = self.topo.first_hop(self.flow_routes[flow]);
         let pkt = PackedPacket::ack(conn, ack);
         self.stats.ack_packets_sent += 1;
-        let lane = self.conn_lanes[conn.index()].1;
-        self.queue
-            .push(lane, at, Event::Arrival { tx: first_hop, pkt });
+        self.queue.push(at, Event::Arrival { tx: first_hop, pkt });
         self.note_push();
     }
 
@@ -1501,8 +1326,8 @@ mod tests {
 
     #[test]
     fn jittered_and_quiet_runs_agree_on_totals() {
-        // The run-compressed (jitter 0) and per-segment (jitter on) inject
-        // paths must account identically: same packets, same bytes.
+        // Injection jitter moves event times, never the accounting: same
+        // packets, same bytes, same messages with it off and on.
         let totals = |jitter: u64| {
             let cfg = SimConfig {
                 injection_jitter_ns: jitter,

@@ -1,75 +1,52 @@
-//! The event queue: lane-structured, time-ordered, FIFO tie-broken, with
-//! 16-byte nodes and run-length-compressed injection bursts.
+//! The event queue: a `std::collections::BinaryHeap` keyed by
+//! `(time, push order)`.
 //!
-//! # Why lanes
+//! # What it guarantees
 //!
-//! A discrete-event network simulator does not schedule events in random
-//! time order: almost every producer emits them *monotonically*. A
-//! serializer's departures form a non-decreasing chain (`busy_until` only
-//! advances); a transmitter's wire arrivals are its departures plus a
-//! constant latency; a connection's injections are clamped monotone by the
-//! engine. A global `BinaryHeap<Event>` ignores this structure and pays
-//! `O(log n_events)` per operation over tens of thousands of pending
-//! events.
+//! Events pop in non-decreasing time, and events scheduled for the same
+//! nanosecond pop in the order they were pushed. Every push takes the next
+//! value of a strictly increasing `u64` counter, so `(at, seq)` is a total
+//! order and the pop sequence is a pure function of the push sequence —
+//! which is what keeps a simulation reproducible draw for draw and every
+//! report byte-identical across runs and worker counts. A `u64` counter
+//! cannot wrap in any run a machine can finish.
 //!
-//! This queue exploits it. Every producer pushes into a **lane** — a
-//! pooled FIFO ring whose entries are non-decreasing in `(time, seq)` —
-//! and an **indexed d-ary heap** orders only the lane *heads*. A push to a
-//! non-empty lane is O(1) (append to the ring; the head is unchanged); a
-//! pop sifts over the active lanes, of which there are orders of magnitude
-//! fewer than pending events.
+//! # Why a binary heap is enough
 //!
-//! # Why 16-byte nodes
+//! The step-wise exchanges this simulator runs keep each rank talking to
+//! one partner per round, so the events pending at once are bounded by
+//! `ranks × window / MTU`, not by the traffic matrix. Measured with the
+//! engine's own pending-events-at-pop histogram (`ctnsim run … --metrics`,
+//! `pop_queue_hist`): the three paper presets and the seven multi-hop
+//! builtins never reach 2 048 pending events at their full default grids;
+//! the deepest of the 13 packet builtins stays below 4 096;
+//! `paper-gigabit-ethernet` at 64 ranks × 1 MiB stays ≤ 1 023;
+//! `paper-myrinet` at 64 × 1 MiB exceeds 2 048 on 0.6 % of pops (never
+//! 16 384) with 93.6 % of them at 128–255. At those depths a sift is about
+//! ten comparisons, and `scenario/tests/telemetry_goldens.rs` pins the
+//! bound so a workload that breaks it is noticed.
 //!
-//! The end-to-end engine is memory-bound: its cost is dominated by moving
-//! event payloads through this queue, so a queued event is stored as a
-//! 16-byte `Node` — `(SimTime, u32 seq, u32 payload)` — not as a ~56-byte
-//! inline `Event`. The payload word packs a 3-bit event tag with 29 handle
-//! bits: a timer's connection index rides the word itself, while packet
-//! events put their [`PackedPacket`] plus location in the chunk's
-//! *parallel payload array* at the node's own index — written beside the
-//! node at push, read beside it at pop, no slab, no freelist, no extra
-//! cache miss. Lanes are rings of pooled 16-entry chunks, so the per-node
-//! `next` pointer of a linked design is amortized away and a drain walks
-//! contiguous memory. Compile-time assertions pin `Node` and the heap's
-//! `TopKey` at ≤ 16 bytes so a layout regression fails the build, not a
-//! benchmark.
+//! # What was tried
 //!
-//! # Run-length injection lanes
-//!
-//! An injection burst — a window's worth of same-size segments entering one
-//! connection's lane at one clamped time — is an arithmetic progression in
-//! `(time, seq)`. [`EventQueue::push_run`] stores the whole burst as *one*
-//! ring node referencing a run descriptor (template packet, element count,
-//! time/stream strides) and materializes packets lazily at pop: ~40 bytes
-//! per burst instead of 16 bytes plus a slab slot per segment.
-//!
-//! # Determinism
-//!
-//! `seq` is assigned globally in push order, every lane is non-decreasing
-//! in `(time, seq)`, and the heap pops the minimum lane head — so the pop
-//! sequence is *exactly* the global `(time, seq)` order a single heap
-//! would produce: time-ordered, FIFO among equal timestamps. Runs preserve
-//! this bit-for-bit: `push_run` reserves the `count` consecutive seq values
-//! the equivalent individual pushes would have consumed, element `i`
-//! surfaces with key `(base_time + i·stride, base_seq + i)`, and after each
-//! materialized pop the lane head is re-keyed to element `i+1` before the
-//! heap sifts — indistinguishable, pop by pop, from the uncompressed burst.
-//! `seq` is a *wrapping* `u32` compared with two's-complement distance
-//! (`seq_before`); the order is exact as long as fewer than 2³¹ events
-//! are pending at once, which the engine's bounded transport windows keep
-//! many orders of magnitude away.
-//!
-//! Events with no monotone producer (application wakeups, RTO timers) use
-//! [`EventQueue::push_once`]: a transient single-entry lane, trivially
-//! ordered, whose slot is recycled as soon as it pops.
+//! PRs 2–3 replaced the heap with one pooled FIFO per monotone producer
+//! under a d-ary heap of FIFO heads, 16-byte nodes with side payload
+//! arrays, and run-length descriptors for zero-jitter injection bursts.
+//! That structure won ~2.5× on a synthetic trace holding a million events
+//! pending — five hundred times deeper than any run the product makes —
+//! and measured parity to a few percent end to end; every shipped
+//! configuration injects with jitter, so the run-length path executed only
+//! in tests. PR 18 removed it: see CHANGES.md for the `ctnbench` pairs
+//! (both packet workloads no slower, a quarter less peak memory). A deeper
+//! structure needs an end-to-end win on those workloads first.
 
 use crate::ids::{ConnId, HostId, TxId};
 use crate::packet::PackedPacket;
 use crate::time::SimTime;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// A scheduled simulator event, reassembled at pop time. `Copy` — the
-/// 16-byte packet travels by value; nothing here owns heap memory.
+/// A scheduled simulator event. `Copy` — the 16-byte packet travels by
+/// value; nothing here owns heap memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A packet arrives at a transmitter's input and must be admitted to its
@@ -106,615 +83,74 @@ pub enum Event {
     },
 }
 
-/// A push lane: an ordering claim that every event pushed through it
-/// carries a time no earlier than the lane's current tail. Allocated once
-/// per monotone producer via [`EventQueue::alloc_lane`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneId(u32);
-
-/// The template of a run-length-compressed injection burst: `count`
-/// arrival events at one transmitter, whose packets differ only in their
-/// stream offset (element `i` carries `pkt.seq + i·seq_stride`).
-#[derive(Debug, Clone, Copy)]
-pub struct RunTemplate {
-    /// Transmitter every element arrives at (the route's injection point).
-    pub tx: TxId,
-    /// The first element's packet.
-    pub pkt: PackedPacket,
-    /// Stream-offset increment between consecutive elements (the segment
-    /// length for a data burst).
-    pub seq_stride: u64,
-}
-
-/// Freelist / ring terminator.
-const NIL: u32 = u32::MAX;
-
-/// Arity of the lane-head heap: shallow, and the keys of all four children
-/// of a node sit in adjacent memory.
-const D: usize = 4;
-
-/// Event tags packed into the top bits of a node's payload word.
-const TAG_ARRIVAL: u32 = 0;
-const TAG_DEPARTURE: u32 = 1;
-const TAG_DELIVERY: u32 = 2;
-const TAG_TIMER: u32 = 3;
-const TAG_WAKEUP: u32 = 4;
-const TAG_RUN: u32 = 5;
-/// Low 29 bits of the payload word: a slab/run handle or a connection
-/// index, depending on the tag.
-const TAG_SHIFT: u32 = 29;
-const HANDLE_MASK: u32 = (1 << TAG_SHIFT) - 1;
-
-/// Wrap-safe push-order comparison: `a` precedes `b` iff the wrapping
-/// distance from `b` to `a` is negative. Exact while fewer than 2³¹ events
-/// are pending simultaneously.
-#[inline]
-fn seq_before(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) < 0
-}
-
-/// One queued event: fire time, global push order, and a tagged payload
-/// handle. This — not a fat `Event` — is what every ring append, heap move
-/// and pop touches, so it is pinned at 16 bytes.
-#[derive(Debug, Clone, Copy)]
-struct Node {
+/// One pending event: fire time, global push order, payload.
+#[derive(Debug)]
+struct Entry {
     at: SimTime,
-    seq: u32,
-    /// `tag << 29 | handle`; see the `TAG_*` constants.
-    payload: u32,
+    seq: u64,
+    event: Event,
 }
 
-const _: () = assert!(
-    std::mem::size_of::<Node>() <= 16,
-    "lane-ring nodes must stay within 16 bytes: every queued event moves through them"
-);
-
-impl Node {
-    const EMPTY: Node = Node {
-        at: SimTime::ZERO,
-        seq: 0,
-        payload: 0,
-    };
-}
-
-/// Nodes per pooled lane chunk: a drained lane walks its events out of
-/// contiguous blocks instead of chasing one link per node.
-const LANE_CHUNK: usize = 16;
-
-/// A fixed block of a lane's FIFO ring, consumed front to back. The fat
-/// part of an event's payload (its packet and location) lives in the
-/// *parallel* `payloads` array at the node's own index — written next to
-/// the node at push, read next to it at pop — so there is no separate
-/// slab to allocate from, free to, or cache-miss into: payload locality
-/// is node locality by construction.
-#[derive(Debug, Clone, Copy)]
-struct LaneChunk {
-    nodes: [Node; LANE_CHUNK],
-    payloads: [Payload; LANE_CHUNK],
-    /// Next unread slot.
-    read: u16,
-    /// Next unwritten slot.
-    write: u16,
-    /// Next chunk of the lane, or the freelist link while unused.
-    next: u32,
-}
-
-/// A FIFO ring of pooled chunks. While a lane slot is free, `head` threads
-/// the lane freelist.
-#[derive(Debug, Clone, Copy)]
-struct Lane {
-    head: u32,
-    tail: u32,
-    /// Recycle the lane slot once it drains (see `push_once`).
-    transient: bool,
-}
-
-/// A lane-head key in the d-ary heap.
-#[derive(Debug, Clone, Copy)]
-struct TopKey {
-    at: SimTime,
-    seq: u32,
-    lane: u32,
-}
-
-const _: () = assert!(
-    std::mem::size_of::<TopKey>() <= 16,
-    "heap entries must stay within 16 bytes: every sift moves them"
-);
-
-impl TopKey {
-    /// Min-heap order: earliest time first, global push order (`seq`)
-    /// breaking ties so equal timestamps process FIFO (deterministic).
-    #[inline]
-    fn before(&self, other: &Self) -> bool {
-        self.at < other.at || (self.at == other.at && seq_before(self.seq, other.seq))
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-/// The fat part of one pending event: the packet plus its location
-/// (transmitter or host index), or a wakeup token stored in the
-/// placeholder packet's `seq` field. Timer and run nodes leave their
-/// payload slot untouched (their whole payload fits the node's handle
-/// bits or a run descriptor).
-#[derive(Debug, Clone, Copy)]
-struct Payload {
-    pkt: PackedPacket,
-    /// Arrival/Departure: transmitter index. Delivery: host index.
-    /// Wakeup/timer/run: unused.
-    loc: u32,
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-impl Payload {
-    const EMPTY: Payload = Payload {
-        pkt: PackedPacket::PLACEHOLDER,
-        loc: 0,
-    };
-}
-
-/// A pending run: the next unmaterialized element's packet plus the
-/// remaining element count and strides. ~40 bytes for a whole burst.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    /// Next element's packet; `seq` advances by `seq_stride` per pop.
-    pkt: PackedPacket,
-    /// Arrival transmitter of every element; freelist link while free.
-    tx: u32,
-    /// Elements not yet popped (> 0 while the run is queued).
-    remaining: u32,
-    /// Nanoseconds between consecutive elements' fire times.
-    time_stride: u64,
-    /// Stream-offset increment between consecutive elements' packets.
-    seq_stride: u64,
+impl Ord for Entry {
+    /// Reversed `(at, seq)`: `BinaryHeap` is a max-heap, and the earliest
+    /// time — then the earliest push — must surface first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
 
 /// Time-ordered event queue with deterministic FIFO tie-breaking.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    chunks: Vec<LaneChunk>,
-    free_chunk: u32,
-    lanes: Vec<Lane>,
-    free_lane: u32,
-    runs: Vec<Run>,
-    free_run: u32,
-    /// Active lane heads, d-ary min-heap by `(at, seq)`.
-    top: Vec<TopKey>,
-    next_seq: u32,
-    len: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        // Not derivable: the freelist heads must start at NIL, not 0.
-        Self::new()
-    }
+    heap: BinaryHeap<Entry>,
+    next_seq: u64,
 }
 
 impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self {
-            chunks: Vec::new(),
-            free_chunk: NIL,
-            lanes: Vec::new(),
-            free_lane: NIL,
-            runs: Vec::new(),
-            free_run: NIL,
-            top: Vec::new(),
-            next_seq: 0,
-            len: 0,
-        }
+        Self::default()
     }
 
-    /// Allocates a persistent lane for a monotone event producer.
-    pub fn alloc_lane(&mut self) -> LaneId {
-        LaneId(self.alloc_lane_slot(false))
-    }
-
-    fn alloc_lane_slot(&mut self, transient: bool) -> u32 {
-        let lane = Lane {
-            head: NIL,
-            tail: NIL,
-            transient,
-        };
-        if self.free_lane != NIL {
-            let idx = self.free_lane;
-            self.free_lane = self.lanes[idx as usize].head;
-            self.lanes[idx as usize] = lane;
-            idx
-        } else {
-            self.lanes.push(lane);
-            (self.lanes.len() - 1) as u32
-        }
-    }
-
-    fn alloc_chunk(&mut self) -> u32 {
-        if self.free_chunk != NIL {
-            let idx = self.free_chunk;
-            let chunk = &mut self.chunks[idx as usize];
-            self.free_chunk = chunk.next;
-            // Reset metadata only; the stale nodes are dead data that the
-            // ring append overwrites before any read can reach them.
-            chunk.read = 0;
-            chunk.write = 0;
-            chunk.next = NIL;
-            idx
-        } else {
-            self.chunks.push(LaneChunk {
-                nodes: [Node::EMPTY; LANE_CHUNK],
-                payloads: [Payload::EMPTY; LANE_CHUNK],
-                read: 0,
-                write: 0,
-                next: NIL,
-            });
-            (self.chunks.len() - 1) as u32
-        }
-    }
-
-    fn alloc_run(&mut self, run: Run) -> u32 {
-        let idx = if self.free_run != NIL {
-            let idx = self.free_run;
-            self.free_run = self.runs[idx as usize].tx;
-            self.runs[idx as usize] = run;
-            idx
-        } else {
-            self.runs.push(run);
-            (self.runs.len() - 1) as u32
-        };
-        assert!(idx <= HANDLE_MASK, "more than 2^29 pending runs");
-        idx
-    }
-
-    /// Splits an event into its node payload word and its fat payload.
-    /// Timers fit entirely in the word (the connection index rides the
-    /// handle bits); everything else parks its packet and location in the
-    /// node's parallel payload slot.
-    fn split(event: Event) -> (u32, Payload) {
-        match event {
-            Event::Arrival { tx, pkt } => (
-                TAG_ARRIVAL << TAG_SHIFT,
-                Payload {
-                    pkt,
-                    loc: tx.index() as u32,
-                },
-            ),
-            Event::Departure { tx, pkt } => (
-                TAG_DEPARTURE << TAG_SHIFT,
-                Payload {
-                    pkt,
-                    loc: tx.index() as u32,
-                },
-            ),
-            Event::HostDelivery { host, pkt } => (
-                TAG_DELIVERY << TAG_SHIFT,
-                Payload {
-                    pkt,
-                    loc: host.index() as u32,
-                },
-            ),
-            Event::RtoTimer { conn } => {
-                let idx = conn.index() as u32;
-                debug_assert!(idx <= HANDLE_MASK, "connection index overflows the handle");
-                (TAG_TIMER << TAG_SHIFT | idx, Payload::EMPTY)
-            }
-            Event::AppWakeup { token } => {
-                // The payload slot's packet field doubles as token
-                // storage: a placeholder whose full-width `seq` carries it.
-                let mut pkt = PackedPacket::PLACEHOLDER;
-                pkt.seq = token;
-                (TAG_WAKEUP << TAG_SHIFT, Payload { pkt, loc: 0 })
-            }
-        }
-    }
-
-    /// Reassembles the event behind a node's payload word and slot.
-    fn assemble(word: u32, payload: Payload) -> Event {
-        let Payload { pkt, loc } = payload;
-        match word >> TAG_SHIFT {
-            TAG_ARRIVAL => Event::Arrival {
-                tx: TxId::from_index(loc as usize),
-                pkt,
-            },
-            TAG_DEPARTURE => Event::Departure {
-                tx: TxId::from_index(loc as usize),
-                pkt,
-            },
-            TAG_DELIVERY => Event::HostDelivery {
-                host: HostId::from_index(loc as usize),
-                pkt,
-            },
-            TAG_TIMER => Event::RtoTimer {
-                conn: ConnId::from_index((word & HANDLE_MASK) as usize),
-            },
-            TAG_WAKEUP => Event::AppWakeup { token: pkt.seq },
-            _ => unreachable!("runs are materialized in pop, not assembled"),
-        }
-    }
-
-    /// The fire time of the last entry queued on a lane (the lane's
-    /// monotonicity floor). For a run node this is the *last* element's
-    /// time, not the next one's.
-    fn lane_tail_time(&self, lane: usize) -> SimTime {
-        let tail = self.lanes[lane].tail;
-        debug_assert_ne!(tail, NIL);
-        let chunk = &self.chunks[tail as usize];
-        debug_assert!(chunk.write > chunk.read, "tail chunks are never empty");
-        let node = chunk.nodes[chunk.write as usize - 1];
-        if node.payload >> TAG_SHIFT == TAG_RUN {
-            let run = &self.runs[(node.payload & HANDLE_MASK) as usize];
-            node.at + (run.remaining as u64 - 1) * run.time_stride
-        } else {
-            node.at
-        }
-    }
-
-    /// Appends a prepared node and its fat payload to a lane's ring,
-    /// keying the heap if the lane was empty.
-    fn append(&mut self, lane: LaneId, node: Node, payload: Payload) {
-        let tail = self.lanes[lane.0 as usize].tail;
-        if tail == NIL {
-            let idx = self.alloc_chunk();
-            let chunk = &mut self.chunks[idx as usize];
-            chunk.nodes[0] = node;
-            chunk.payloads[0] = payload;
-            chunk.write = 1;
-            self.lanes[lane.0 as usize].head = idx;
-            self.lanes[lane.0 as usize].tail = idx;
-            self.top.push(TopKey {
-                at: node.at,
-                seq: node.seq,
-                lane: lane.0,
-            });
-            self.sift_up(self.top.len() - 1);
-        } else {
-            debug_assert!(
-                self.lane_tail_time(lane.0 as usize) <= node.at,
-                "lane pushed out of order: {} after {}",
-                node.at,
-                self.lane_tail_time(lane.0 as usize)
-            );
-            let tail = if self.chunks[tail as usize].write as usize == LANE_CHUNK {
-                let idx = self.alloc_chunk();
-                self.chunks[tail as usize].next = idx;
-                self.lanes[lane.0 as usize].tail = idx;
-                idx
-            } else {
-                tail
-            };
-            let chunk = &mut self.chunks[tail as usize];
-            let w = chunk.write as usize;
-            chunk.nodes[w] = node;
-            chunk.payloads[w] = payload;
-            chunk.write += 1;
-        }
-    }
-
-    /// Schedules `event` at time `at` on a lane.
-    ///
-    /// Lane discipline (debug-asserted): `at` must be no earlier than the
-    /// last event still queued on the same lane.
-    pub fn push(&mut self, lane: LaneId, at: SimTime, event: Event) {
+    /// Schedules `event` at time `at`.
+    pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        self.len += 1;
-        let (word, payload) = Self::split(event);
-        self.append(
-            lane,
-            Node {
-                at,
-                seq,
-                payload: word,
-            },
-            payload,
-        );
-    }
-
-    /// Schedules a whole injection burst as one ring node: `count` arrival
-    /// events at `template.tx`, element `i` firing at `base_at +
-    /// i·time_stride` with packet stream offset advanced by
-    /// `i·template.seq_stride`. Pops identically — event by event, byte by
-    /// byte — to the `count` individual [`EventQueue::push`] calls it
-    /// replaces (it reserves the same `count` consecutive seq values), but
-    /// stores one ~40-byte descriptor instead of `count` nodes and slots.
-    ///
-    /// Lane discipline applies to the whole run: `base_at` must be no
-    /// earlier than the lane's tail, and the next push to the lane must not
-    /// precede the run's *last* element.
-    pub fn push_run(
-        &mut self,
-        lane: LaneId,
-        base_at: SimTime,
-        time_stride: u64,
-        count: u32,
-        template: RunTemplate,
-    ) {
-        assert!(count > 0, "empty runs are not representable");
-        if count == 1 {
-            // A degenerate run is an ordinary event; skip the descriptor.
-            self.push(
-                lane,
-                base_at,
-                Event::Arrival {
-                    tx: template.tx,
-                    pkt: template.pkt,
-                },
-            );
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(count);
-        self.len += count as usize;
-        let handle = self.alloc_run(Run {
-            pkt: template.pkt,
-            tx: template.tx.index() as u32,
-            remaining: count,
-            time_stride,
-            seq_stride: template.seq_stride,
-        });
-        self.append(
-            lane,
-            Node {
-                at: base_at,
-                seq,
-                payload: TAG_RUN << TAG_SHIFT | handle,
-            },
-            Payload::EMPTY,
-        );
-    }
-
-    /// Schedules a single event at an arbitrary time: a transient lane that
-    /// exists only while the event is pending. For producers with no
-    /// monotone structure (wakeups, retransmission timers).
-    pub fn push_once(&mut self, at: SimTime, event: Event) {
-        let lane = LaneId(self.alloc_lane_slot(true));
-        self.push(lane, at, event);
+        self.next_seq += 1;
+        self.heap.push(Entry { at, seq, event });
     }
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let root = *self.top.first()?;
-        let lane = root.lane as usize;
-        let head = self.lanes[lane].head;
-        let chunk = &self.chunks[head as usize];
-        let node = chunk.nodes[chunk.read as usize];
-        self.len -= 1;
-        if node.payload >> TAG_SHIFT == TAG_RUN {
-            let handle = (node.payload & HANDLE_MASK) as usize;
-            let run = &mut self.runs[handle];
-            let event = Event::Arrival {
-                tx: TxId::from_index(run.tx as usize),
-                pkt: run.pkt,
-            };
-            run.remaining -= 1;
-            if run.remaining > 0 {
-                // Materialize in place: the same ring node becomes the
-                // run's next element, and the lane head re-keys the heap.
-                run.pkt.seq = run.pkt.seq.wrapping_add(run.seq_stride);
-                let stride = run.time_stride;
-                let chunk = &mut self.chunks[head as usize];
-                let n = &mut chunk.nodes[chunk.read as usize];
-                n.at += stride;
-                n.seq = n.seq.wrapping_add(1);
-                self.top[0] = TopKey {
-                    at: n.at,
-                    seq: n.seq,
-                    lane: root.lane,
-                };
-                self.sift_down(0);
-                return Some((root.at, event));
-            }
-            // Run exhausted: recycle its descriptor and fall through to
-            // consume the ring node (freelist threads through `tx`).
-            self.runs[handle].tx = self.free_run;
-            self.free_run = handle as u32;
-            self.consume_head(root.lane);
-            return Some((root.at, event));
-        }
-        let event = Self::assemble(node.payload, chunk.payloads[chunk.read as usize]);
-        self.consume_head(root.lane);
-        Some((root.at, event))
-    }
-
-    /// Consumes the head node of the heap-root lane, retiring drained
-    /// chunks, re-keying the heap with the lane's next node or removing
-    /// the lane if it drained.
-    fn consume_head(&mut self, lane_u32: u32) {
-        let lane = lane_u32 as usize;
-        let head = self.lanes[lane].head;
-        let chunk = &mut self.chunks[head as usize];
-        chunk.read += 1;
-        if chunk.read as usize == LANE_CHUNK
-            || (head == self.lanes[lane].tail && chunk.read == chunk.write)
-        {
-            // Chunk consumed (or lane drained): retire it to the freelist.
-            // A consumed *tail* chunk ends the lane; a consumed interior
-            // chunk (always full) hands over to its successor.
-            let next = if head == self.lanes[lane].tail {
-                NIL
-            } else {
-                chunk.next
-            };
-            chunk.next = self.free_chunk;
-            self.free_chunk = head;
-            self.lanes[lane].head = next;
-            if next == NIL {
-                self.lanes[lane].tail = NIL;
-            }
-        }
-        let head = self.lanes[lane].head;
-        if head != NIL {
-            // The lane's new head re-keys the heap root and sifts down.
-            let chunk = &self.chunks[head as usize];
-            let n = chunk.nodes[chunk.read as usize];
-            self.top[0] = TopKey {
-                at: n.at,
-                seq: n.seq,
-                lane: lane_u32,
-            };
-            self.sift_down(0);
-        } else {
-            // Lane drained: remove it from the heap.
-            if self.lanes[lane].transient {
-                // Thread the slot onto the lane freelist via `head`.
-                self.lanes[lane].head = self.free_lane;
-                self.free_lane = lane_u32;
-            }
-            let last = self.top.pop().expect("root exists");
-            if !self.top.is_empty() {
-                self.top[0] = last;
-                self.sift_down(0);
-            }
-        }
+        self.heap.pop().map(|e| (e.at, e.event))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.top.first().map(|k| k.at)
+        self.heap.peek().map(|e| e.at)
     }
 
-    /// Number of pending events (run elements counted individually).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let key = self.top[i];
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if !key.before(&self.top[parent]) {
-                break;
-            }
-            self.top[i] = self.top[parent];
-            i = parent;
-        }
-        self.top[i] = key;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.top.len();
-        let key = self.top[i];
-        loop {
-            let first = D * i + 1;
-            if first >= len {
-                break;
-            }
-            let mut best = first;
-            for child in (first + 1)..(first + D).min(len) {
-                if self.top[child].before(&self.top[best]) {
-                    best = child;
-                }
-            }
-            if !self.top[best].before(&key) {
-                break;
-            }
-            self.top[i] = self.top[best];
-            i = best;
-        }
-        self.top[i] = key;
+        self.heap.is_empty()
     }
 }
 
@@ -722,12 +158,21 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    fn tokens(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::AppWakeup { token } => token,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push_once(SimTime(30), Event::AppWakeup { token: 3 });
-        q.push_once(SimTime(10), Event::AppWakeup { token: 1 });
-        q.push_once(SimTime(20), Event::AppWakeup { token: 2 });
+        q.push(SimTime(30), Event::AppWakeup { token: 3 });
+        q.push(SimTime(10), Event::AppWakeup { token: 1 });
+        q.push(SimTime(20), Event::AppWakeup { token: 2 });
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(t, _)| t.as_nanos())
             .collect();
@@ -738,57 +183,28 @@ mod tests {
     fn equal_times_are_fifo() {
         let mut q = EventQueue::new();
         for token in 0..10 {
-            q.push_once(SimTime(5), Event::AppWakeup { token });
+            q.push(SimTime(5), Event::AppWakeup { token });
         }
-        let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::AppWakeup { token } => token,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tokens, (0..10).collect::<Vec<_>>());
+        assert_eq!(tokens(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn equal_times_are_fifo_across_lanes() {
-        // Interleave two monotone lanes and singletons at one timestamp:
-        // pops must follow global push order.
+    fn interleaved_producers_merge_in_global_time_order() {
+        // Three monotone producers with interleaved times plus a batch of
+        // out-of-order singletons: the pop sequence must be globally
+        // sorted by (time, push order).
         let mut q = EventQueue::new();
-        let a = q.alloc_lane();
-        let b = q.alloc_lane();
-        q.push(a, SimTime(5), Event::AppWakeup { token: 0 });
-        q.push(b, SimTime(5), Event::AppWakeup { token: 1 });
-        q.push_once(SimTime(5), Event::AppWakeup { token: 2 });
-        q.push(a, SimTime(5), Event::AppWakeup { token: 3 });
-        q.push(b, SimTime(5), Event::AppWakeup { token: 4 });
-        let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::AppWakeup { token } => token,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tokens, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn lanes_merge_in_global_time_order() {
-        // Three monotone lanes with interleaved times plus out-of-order
-        // singletons: the pop sequence must be globally sorted by
-        // (time, push order).
-        let mut q = EventQueue::new();
-        let lanes: Vec<LaneId> = (0..3).map(|_| q.alloc_lane()).collect();
         let mut expected = Vec::new();
         let mut token = 0u64;
         for step in 0..50u64 {
-            let lane = lanes[(step % 3) as usize];
             let at = SimTime(step / 3 * 7 + (step % 3));
-            q.push(lane, at, Event::AppWakeup { token });
+            q.push(at, Event::AppWakeup { token });
             expected.push((at, token));
             token += 1;
         }
         for step in (0..20u64).rev() {
             let at = SimTime(step * 9 + 1);
-            q.push_once(at, Event::AppWakeup { token });
+            q.push(at, Event::AppWakeup { token });
             expected.push((at, token));
             token += 1;
         }
@@ -812,7 +228,7 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            q.push_once(SimTime(x % 97), Event::AppWakeup { token: round });
+            q.push(SimTime(x % 97), Event::AppWakeup { token: round });
             if round % 3 == 0 {
                 q.pop().unwrap();
             }
@@ -827,206 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn chunks_slots_and_transient_lanes_recycle() {
-        let mut q = EventQueue::new();
-        for token in 0..64 {
-            q.push_once(SimTime(token), Event::AppWakeup { token });
-        }
-        while q.pop().is_some() {}
-        let chunk_high_water = q.chunks.len();
-        let lane_high_water = q.lanes.len();
-        assert_eq!(chunk_high_water, 64, "one chunk per concurrent singleton");
-        // A steady push-one-pop-one cycle must not grow any arena.
-        for token in 0..10_000 {
-            q.push_once(SimTime(token), Event::AppWakeup { token });
-            q.pop().unwrap();
-        }
-        assert_eq!(q.chunks.len(), chunk_high_water, "chunk churn must recycle");
-        assert_eq!(q.lanes.len(), lane_high_water, "lane churn must recycle");
-    }
-
-    #[test]
-    fn runs_recycle_their_descriptors() {
-        let mut q = EventQueue::new();
-        let lane = q.alloc_lane();
-        let template = RunTemplate {
-            tx: TxId::from_index(0),
-            pkt: PackedPacket::data(ConnId::from_index(0), 0, 100, false),
-            seq_stride: 100,
-        };
-        q.push_run(lane, SimTime(0), 10, 8, template);
-        while q.pop().is_some() {}
-        let runs_high_water = q.runs.len();
-        assert_eq!(runs_high_water, 1);
-        for i in 0..1_000u64 {
-            q.push_run(lane, SimTime(i * 1_000), 10, 8, template);
-            while q.pop().is_some() {}
-        }
-        assert_eq!(q.runs.len(), runs_high_water, "run churn must recycle");
-    }
-
-    #[test]
-    fn persistent_lane_push_is_queue_append() {
-        // A monotone lane accumulating many pending events keeps exactly
-        // one heap entry (its head) — the O(1)-push property the engine's
-        // hot path relies on.
-        let mut q = EventQueue::new();
-        let lane = q.alloc_lane();
-        for i in 0..1_000u64 {
-            q.push(lane, SimTime(i), Event::AppWakeup { token: i });
-        }
-        assert_eq!(q.len(), 1_000);
-        assert_eq!(q.top.len(), 1, "one heap key per active lane");
-        for i in 0..1_000u64 {
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t, SimTime(i));
-        }
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn run_pops_equal_individual_pushes() {
-        // The core run-lane claim, in miniature: a run interleaved with
-        // another lane and singletons pops exactly like the individual
-        // pushes it replaces.
-        let template = |seq| RunTemplate {
-            tx: TxId::from_index(7),
-            pkt: PackedPacket::data(ConnId::from_index(3), seq, 512, false),
-            seq_stride: 512,
-        };
-        let mut compact = EventQueue::new();
-        let mut reference = EventQueue::new();
-        let (cl, rl) = (compact.alloc_lane(), reference.alloc_lane());
-        let (co, ro) = (compact.alloc_lane(), reference.alloc_lane());
-        compact.push_run(cl, SimTime(100), 10, 5, template(0));
-        for i in 0..5u64 {
-            reference.push(
-                rl,
-                SimTime(100 + 10 * i),
-                Event::Arrival {
-                    tx: TxId::from_index(7),
-                    pkt: PackedPacket::data(ConnId::from_index(3), 512 * i, 512, false),
-                },
-            );
-        }
-        for (q, other_lane) in [(&mut compact, co), (&mut reference, ro)] {
-            q.push(other_lane, SimTime(105), Event::AppWakeup { token: 1 });
-            q.push(other_lane, SimTime(120), Event::AppWakeup { token: 2 });
-            q.push_once(SimTime(100), Event::AppWakeup { token: 3 });
-        }
-        assert_eq!(compact.len(), reference.len());
-        loop {
-            let (a, b) = (compact.pop(), reference.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn run_count_one_degenerates_to_push() {
-        let mut q = EventQueue::new();
-        let lane = q.alloc_lane();
-        let pkt = PackedPacket::data(ConnId::from_index(1), 42, 64, true);
-        q.push_run(
-            lane,
-            SimTime(9),
-            0,
-            1,
-            RunTemplate {
-                tx: TxId::from_index(2),
-                pkt,
-                seq_stride: 64,
-            },
-        );
-        assert_eq!(q.runs.len(), 0, "no descriptor for a single event");
-        assert_eq!(
-            q.pop(),
-            Some((
-                SimTime(9),
-                Event::Arrival {
-                    tx: TxId::from_index(2),
-                    pkt,
-                }
-            ))
-        );
-    }
-
-    #[test]
-    fn zero_stride_run_is_fifo_against_later_pushes() {
-        // An injection burst (stride 0) shares its timestamp with an event
-        // pushed *after* the run: every run element must pop first (smaller
-        // reserved seqs), exactly as k pushes would have.
-        let mut q = EventQueue::new();
-        let lane = q.alloc_lane();
-        q.push_run(
-            lane,
-            SimTime(5),
-            0,
-            3,
-            RunTemplate {
-                tx: TxId::from_index(0),
-                pkt: PackedPacket::data(ConnId::from_index(0), 0, 8, false),
-                seq_stride: 8,
-            },
-        );
-        q.push_once(SimTime(5), Event::AppWakeup { token: 99 });
-        let mut kinds = Vec::new();
-        while let Some((t, e)) = q.pop() {
-            assert_eq!(t, SimTime(5));
-            kinds.push(matches!(e, Event::Arrival { .. }));
-        }
-        assert_eq!(kinds, vec![true, true, true, false]);
-    }
-
-    #[test]
-    fn run_elements_carry_strided_stream_offsets() {
-        let mut q = EventQueue::new();
-        let lane = q.alloc_lane();
-        q.push_run(
-            lane,
-            SimTime(0),
-            1,
-            4,
-            RunTemplate {
-                tx: TxId::from_index(0),
-                pkt: PackedPacket::data(ConnId::from_index(0), 1_000, 250, false),
-                seq_stride: 250,
-            },
-        );
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Arrival { pkt, .. } => pkt.seq,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(seqs, vec![1_000, 1_250, 1_500, 1_750]);
-    }
-
-    #[test]
-    fn seq_wraparound_keeps_fifo_order() {
-        // Push the global seq counter to the wrap boundary: FIFO ordering
-        // among equal timestamps must survive the u32 wrap because the
-        // tie-break compares wrapping distance, not magnitude.
-        let mut q = EventQueue::new();
-        q.next_seq = u32::MAX - 2;
-        for token in 0..6 {
-            q.push_once(SimTime(1), Event::AppWakeup { token });
-        }
-        let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::AppWakeup { token } => token,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tokens, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
-        q.push_once(SimTime(1), Event::AppWakeup { token: 0 });
+        q.push(SimTime(1), Event::AppWakeup { token: 0 });
         assert_eq!(q.peek_time(), Some(SimTime(1)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -1035,31 +254,14 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
-    /// Satellite guard: the hot-loop types' sizes, surfaced in test output
-    /// (run `cargo test -p simnet layout -- --nocapture` to see them) and
-    /// pinned by the `const` assertions next to each type.
+    /// The packed packet's size, surfaced in test output (run `cargo test
+    /// -p simnet layout -- --nocapture`) and pinned by the `const`
+    /// assertion next to the type.
     #[test]
     fn layout_sizes_are_compact() {
         use std::mem::size_of;
-        let sizes = [
-            ("PackedPacket", size_of::<PackedPacket>()),
-            ("event::Node (lane-ring node)", size_of::<Node>()),
-            ("event::TopKey (heap entry)", size_of::<TopKey>()),
-            ("event::Run (burst descriptor)", size_of::<Run>()),
-            ("event::Payload (parallel slot)", size_of::<Payload>()),
-            (
-                "event::LaneChunk (pooled ring block)",
-                size_of::<LaneChunk>(),
-            ),
-            ("Event (pop-time view)", size_of::<Event>()),
-        ];
-        for (name, bytes) in sizes {
-            println!("layout: {name} = {bytes} bytes");
-        }
+        println!("layout: PackedPacket = {} bytes", size_of::<PackedPacket>());
+        println!("layout: Event = {} bytes", size_of::<Event>());
         assert_eq!(size_of::<PackedPacket>(), 16);
-        assert_eq!(size_of::<Node>(), 16);
-        assert_eq!(size_of::<TopKey>(), 16);
-        assert!(size_of::<Run>() <= 40);
-        assert!(size_of::<Payload>() <= 24);
     }
 }

@@ -66,17 +66,10 @@ pub struct PackedPacket {
 
 const _: () = assert!(
     std::mem::size_of::<PackedPacket>() == 16,
-    "PackedPacket must stay 16 bytes: bands, slab slots and event traffic scale with it"
+    "PackedPacket must stay 16 bytes: bands and event traffic scale with it"
 );
 
 impl PackedPacket {
-    /// Filler for pooled buffers; never observed by the simulation.
-    pub(crate) const PLACEHOLDER: PackedPacket = PackedPacket {
-        seq: 0,
-        flow: 0,
-        meta: 0,
-    };
-
     /// Packs a fresh data segment at hop 0.
     ///
     /// # Panics

@@ -56,10 +56,10 @@ use std::collections::{BTreeMap, VecDeque};
 ///
 /// A window fill emits dozens to hundreds of contiguous same-size
 /// segments; representing them as one run keeps the action vector at a
-/// handful of entries and hands the engine exactly the shape
-/// `EventQueue::push_run` compresses. `ConnView::pump` coalesces as it
-/// emits, so a run never mixes lengths or retransmit flags — a trailing
-/// partial segment or a Karn-boundary crossing starts a new run.
+/// handful of entries, and the engine expands it segment by segment with
+/// [`SegmentRun::iter`]. `ConnView::pump` coalesces as it emits, so a run
+/// never mixes lengths or retransmit flags — a trailing partial segment
+/// or a Karn-boundary crossing starts a new run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentRun {
     /// First stream byte of the run's first segment.

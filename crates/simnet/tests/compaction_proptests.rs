@@ -1,14 +1,28 @@
-//! Property tests for the compact hot-loop representation: the
-//! `Packet` ↔ `PackedPacket` encoding must be lossless across the full
-//! documented field ranges, and a run-compressed injection burst must pop
-//! exactly like the individual pushes it replaces, however lanes and pops
-//! interleave.
+//! Property tests for the hot loop's data: the `Packet` ↔ `PackedPacket`
+//! encoding must be lossless across the full documented field ranges, and
+//! the event queue must pop in exact `(time, push order)` however pushes
+//! and pops interleave.
 
 use proptest::prelude::*;
-use simnet::event::{Event, EventQueue, RunTemplate};
-use simnet::ids::{ConnId, TxId};
+use simnet::event::{Event, EventQueue};
+use simnet::ids::ConnId;
 use simnet::packet::{PackedPacket, Packet, PacketKind, MAX_HOP, MAX_LEN};
 use simnet::time::SimTime;
+
+/// Removes and returns the model's next pop: the earliest time, and among
+/// equal times the earliest push (`pending` is in push order, and
+/// `min_by_key` keeps the first minimum).
+fn pop_model(pending: &mut Vec<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+    let first = (0..pending.len()).min_by_key(|&i| pending[i].0)?;
+    Some(pending.remove(first))
+}
+
+fn pop_token(q: &mut EventQueue) -> Option<(SimTime, u64)> {
+    q.pop().map(|(at, e)| match e {
+        Event::AppWakeup { token } => (at, token),
+        other => panic!("unexpected event {other:?}"),
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -70,93 +84,30 @@ proptest! {
         prop_assert_eq!(p.conn().index(), conn as usize);
     }
 
-    /// `push_run` pops identically to the equivalent individual `push`
-    /// calls: a compact queue (runs) and a reference queue (expanded
-    /// pushes) driven through one randomized schedule of run pushes,
-    /// singleton pushes and interleaved pops must agree on every popped
-    /// `(time, event)` — including pops that land mid-run.
+    /// The queue's whole contract: a random schedule of pushes (times from
+    /// a small range, so ties are the common case) and interleaved pops
+    /// must surface, pop by pop, the earliest pending time and — among
+    /// equal times — the earliest push: what a stable sort by time of the
+    /// still-pending pushes puts first.
     #[test]
-    fn push_run_pops_like_individual_pushes(
-        ops in prop::collection::vec(
-            (any::<u8>(), 0u64..5_000, 1u32..9, 0u64..80),
-            1..80,
-        ),
+    fn queue_pops_in_time_then_push_order(
+        ops in prop::collection::vec((any::<u8>(), 0u64..8), 1..200),
     ) {
-        const N_LANES: usize = 3;
-        let mut compact = EventQueue::new();
-        let mut reference = EventQueue::new();
-        let c_lanes: Vec<_> = (0..N_LANES).map(|_| compact.alloc_lane()).collect();
-        let r_lanes: Vec<_> = (0..N_LANES).map(|_| reference.alloc_lane()).collect();
-        // Per-lane monotonicity floors (the engine's `last_*_inject` role).
-        let mut floor = [0u64; N_LANES];
-        let mut stream_seq = 0u64;
-        for (sel, dt, count, stride) in ops {
-            let lane = sel as usize % N_LANES;
-            let at = floor[lane] + dt;
-            match sel / 86 {
-                0 => {
-                    // A run of `count` same-size segments.
-                    let len = 64 * (1 + (sel as u32 & 3));
-                    let template = RunTemplate {
-                        tx: TxId::new(lane),
-                        pkt: PackedPacket::data(
-                            ConnId::new(lane),
-                            stream_seq,
-                            len,
-                            sel & 8 != 0,
-                        ),
-                        seq_stride: len as u64,
-                    };
-                    compact.push_run(
-                        c_lanes[lane],
-                        SimTime(at),
-                        stride,
-                        count,
-                        template,
-                    );
-                    for i in 0..count as u64 {
-                        reference.push(
-                            r_lanes[lane],
-                            SimTime(at + i * stride),
-                            Event::Arrival {
-                                tx: template.tx,
-                                pkt: PackedPacket::data(
-                                    ConnId::new(lane),
-                                    stream_seq + i * len as u64,
-                                    len,
-                                    sel & 8 != 0,
-                                ),
-                            },
-                        );
-                    }
-                    floor[lane] = at + (count as u64 - 1) * stride;
-                    stream_seq += count as u64 * len as u64;
-                }
-                1 => {
-                    // A singleton event on the same lane discipline.
-                    let ev = Event::AppWakeup { token: stream_seq };
-                    compact.push(c_lanes[lane], SimTime(at), ev);
-                    reference.push(r_lanes[lane], SimTime(at), ev);
-                    floor[lane] = at;
-                    stream_seq += 1;
-                }
-                _ => {
-                    // Interleaved pops: `count` of them, possibly landing
-                    // mid-run in the compact queue.
-                    for _ in 0..count {
-                        prop_assert_eq!(compact.pop(), reference.pop());
-                    }
-                }
+        let mut q = EventQueue::new();
+        let mut pending: Vec<(SimTime, u64)> = Vec::new();
+        for (token, (sel, at)) in ops.into_iter().enumerate() {
+            if sel % 3 == 0 {
+                prop_assert_eq!(pop_token(&mut q), pop_model(&mut pending));
+            } else {
+                q.push(SimTime(at), Event::AppWakeup { token: token as u64 });
+                pending.push((SimTime(at), token as u64));
             }
-            prop_assert_eq!(compact.len(), reference.len());
+            prop_assert_eq!(q.len(), pending.len());
+            prop_assert_eq!(q.peek_time(), pending.iter().map(|&(at, _)| at).min());
         }
-        // Drain both and compare the tails.
-        loop {
-            let (a, b) = (compact.pop(), reference.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
+        while !pending.is_empty() {
+            prop_assert_eq!(pop_token(&mut q), pop_model(&mut pending));
         }
+        prop_assert!(q.pop().is_none());
     }
 }
