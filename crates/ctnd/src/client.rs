@@ -45,17 +45,19 @@ pub fn request(
     // quiet for a while; the daemon's own keep-alive is the 1s condvar
     // recheck, so a healthy stream never stays silent longer than that.
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    write!(
-        stream,
+    // Head and body leave in one write: on a `TCP_NODELAY` stream each
+    // write is a segment, and a read on the daemon's side.
+    let mut wire = format!(
         "{method} {path} HTTP/1.1\r\nHost: ctnd\r\nContent-Length: {}\r\n",
         body.len()
-    )?;
+    );
     if let Some(ct) = content_type {
-        write!(stream, "Content-Type: {ct}\r\n")?;
+        wire.push_str(&format!("Content-Type: {ct}\r\n"));
     }
-    stream.write_all(b"Connection: close\r\n\r\n")?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    wire.push_str("Connection: close\r\n\r\n");
+    let mut wire = wire.into_bytes();
+    wire.extend_from_slice(body);
+    stream.write_all(&wire)?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;

@@ -12,7 +12,7 @@
 //! the same spec because limits, seed and model are the only knobs a
 //! request can turn and each is part of the determinism contract's key.
 
-use crate::registry::{Run, RunOutcome, RunRegistry};
+use crate::registry::{Run, RunOutcome, RunRegistry, RETAINED_RUNS_LIMIT};
 use contention_obs::CounterSet;
 use contention_scenario::prelude::*;
 use std::collections::VecDeque;
@@ -106,7 +106,9 @@ pub struct Executive {
     pub cfg: DaemonConfig,
     /// Every submitted run.
     pub registry: RunRegistry,
-    queue: Mutex<VecDeque<Arc<Run>>>,
+    /// Admitted runs, each with the spec its worker will execute and
+    /// drop: the spec is not part of what the registry retains.
+    queue: Mutex<VecDeque<(Arc<Run>, ScenarioSpec)>>,
     queue_cv: Condvar,
     cache: Arc<CalibrationCache>,
     draining: AtomicBool,
@@ -174,8 +176,8 @@ impl Executive {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(AdmitError::QueueFull { depth: queue.len() });
         }
-        let run = self.registry.create(spec, limits, seed, model);
-        queue.push_back(Arc::clone(&run));
+        let run = self.registry.create(spec.name.clone(), limits, seed, model);
+        queue.push_back((Arc::clone(&run), spec));
         let depth = queue.len();
         drop(queue);
         self.counters.runs_admitted.fetch_add(1, Ordering::Relaxed);
@@ -196,19 +198,13 @@ impl Executive {
             .collect()
     }
 
-    /// Stops admitting, cancels every queued and in-flight run, and
-    /// wakes the workers so they drain the queue (each cancelled run
-    /// still flushes its partial report through the normal completion
-    /// path).
+    /// Stops admitting, cancels every queued and in-flight run (the
+    /// registry never evicts either, so it knows them all), and wakes
+    /// the workers so they drain the queue (each cancelled run still
+    /// flushes its partial report through the normal completion path).
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::Release);
         for run in self.registry.all() {
-            run.cancel.cancel();
-        }
-        // Runs still in the queue belong to the registry too, but the
-        // registry may have evicted nothing-in-common entries; cancel
-        // the queue's view as well for good measure.
-        for run in self.queue.lock().expect("run queue lock").iter() {
             run.cancel.cancel();
         }
         self.queue_cv.notify_all();
@@ -218,11 +214,11 @@ impl Executive {
     /// empty.
     fn worker_loop(self: Arc<Self>) {
         loop {
-            let run = {
+            let (run, spec) = {
                 let mut queue = self.queue.lock().expect("run queue lock");
                 loop {
-                    if let Some(run) = queue.pop_front() {
-                        break run;
+                    if let Some(job) = queue.pop_front() {
+                        break job;
                     }
                     if self.is_draining() {
                         return;
@@ -235,7 +231,7 @@ impl Executive {
                 }
             };
             self.running.fetch_add(1, Ordering::Relaxed);
-            self.isolated(&run, |run| self.execute(run));
+            self.isolated(&run, |run| self.execute(run, &spec));
             self.running.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -252,14 +248,17 @@ impl Executive {
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("non-string panic payload");
             self.counters.runs_failed.fetch_add(1, Ordering::Relaxed);
-            run.finish(RunOutcome::Failed {
-                error: format!("run worker panicked: {message}"),
-            });
+            self.registry.finish(
+                run,
+                RunOutcome::Failed {
+                    error: format!("run worker panicked: {message}"),
+                },
+            );
         }
     }
 
     /// Executes one run in a fresh session sharing the daemon cache.
-    fn execute(&self, run: &Run) {
+    fn execute(&self, run: &Run, spec: &ScenarioSpec) {
         run.mark_running();
         let session = Session::builder()
             .workers(self.cfg.session_workers)
@@ -273,9 +272,12 @@ impl Executive {
             Ok(s) => s,
             Err(e) => {
                 self.counters.runs_failed.fetch_add(1, Ordering::Relaxed);
-                run.finish(RunOutcome::Failed {
-                    error: e.to_string(),
-                });
+                self.registry.finish(
+                    run,
+                    RunOutcome::Failed {
+                        error: e.to_string(),
+                    },
+                );
                 return;
             }
         };
@@ -283,7 +285,7 @@ impl Executive {
         let mut observer = |event: RunEvent<'_>| {
             run.push_event(event_line(&event));
         };
-        let result = session.run_with(&run.spec, &mut observer);
+        let result = session.run_with(spec, &mut observer);
 
         if let Some(metrics) = session.metrics() {
             let mut agg = self.agg.lock().expect("metrics aggregate lock");
@@ -322,7 +324,7 @@ impl Executive {
                 }
             }
         };
-        run.finish(outcome);
+        self.registry.finish(run, outcome);
     }
 
     /// The `/metrics` document: daemon counters, lifetime cache
@@ -338,7 +340,11 @@ impl Executive {
         daemon.count("queue_depth", queue_len as u64);
         daemon.count("queue_capacity", self.cfg.queue_depth as u64);
         daemon.count("runs_active", self.running.load(Ordering::Relaxed));
-        daemon.count("runs_registered", self.registry.len() as u64);
+        let registry = self.registry.stats();
+        daemon.count("runs_registered", registry.registered as u64);
+        daemon.count("runs_retained_limit", RETAINED_RUNS_LIMIT as u64);
+        daemon.count("runs_evicted_ttl", registry.evicted_ttl);
+        daemon.count("runs_evicted_capacity", registry.evicted_capacity);
         let c = &self.counters;
         daemon.count("http_requests", c.http_requests.load(Ordering::Relaxed));
         daemon.count("runs_submitted", c.runs_submitted.load(Ordering::Relaxed));
@@ -543,6 +549,71 @@ mod tests {
         for w in workers {
             w.join().expect("worker joins");
         }
+    }
+
+    /// The `daemon` section of `/metrics`, by counter name.
+    fn daemon_counter(exec: &Executive, name: &str) -> u64 {
+        let doc = contention_obs::json::parse(&exec.metrics_json()).expect("valid JSON");
+        let section = doc.get("daemon").expect("daemon section");
+        (section.get(name).and_then(|v| v.as_u64())).unwrap_or_else(|| panic!("no {name}"))
+    }
+
+    #[test]
+    fn retention_counters_account_for_every_admitted_run() {
+        let accounted = |exec: &Executive| {
+            assert_eq!(
+                daemon_counter(exec, "runs_admitted")
+                    - daemon_counter(exec, "runs_evicted_ttl")
+                    - daemon_counter(exec, "runs_evicted_capacity"),
+                daemon_counter(exec, "runs_registered")
+            );
+        };
+        let over = 4;
+        let admit_and_finish = |ttl: Duration| {
+            // No workers: this test is the one taking runs off the queue.
+            let exec = Executive::new(DaemonConfig {
+                ttl,
+                queue_depth: RETAINED_RUNS_LIMIT + over,
+                ..test_cfg()
+            });
+            for _ in 0..RETAINED_RUNS_LIMIT + over {
+                exec.submit(tiny_spec("r"), GuardLimits::default(), 42, ModelKind::Med)
+                    .expect("admitted");
+            }
+            accounted(&exec);
+            let admitted = std::mem::take(&mut *exec.queue.lock().unwrap());
+            for (run, _spec) in admitted.iter().skip(1) {
+                exec.registry
+                    .finish(run, RunOutcome::Cancelled { json: None });
+            }
+            exec
+        };
+
+        let exec = admit_and_finish(Duration::from_secs(600));
+        assert_eq!(
+            daemon_counter(&exec, "runs_evicted_capacity"),
+            over as u64 - 1
+        );
+        assert_eq!(daemon_counter(&exec, "runs_evicted_ttl"), 0);
+        assert_eq!(
+            daemon_counter(&exec, "runs_retained_limit"),
+            RETAINED_RUNS_LIMIT as u64
+        );
+        // The limit's worth of completed runs, and the one still queued.
+        assert_eq!(
+            daemon_counter(&exec, "runs_registered"),
+            RETAINED_RUNS_LIMIT as u64 + 1
+        );
+        accounted(&exec);
+
+        // TTL zero: `runs_registered` sweeps before it counts.
+        let exec = admit_and_finish(Duration::ZERO);
+        assert_eq!(daemon_counter(&exec, "runs_registered"), 1);
+        assert_eq!(
+            daemon_counter(&exec, "runs_evicted_ttl"),
+            RETAINED_RUNS_LIMIT as u64
+        );
+        accounted(&exec);
     }
 
     #[test]

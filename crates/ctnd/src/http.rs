@@ -5,9 +5,17 @@
 //! `Content-Length` body), write one response, and stream progress with
 //! chunked transfer encoding. Every connection is single-shot — the
 //! daemon answers with `Connection: close` and closes, which keeps the
-//! connection pool's bookkeeping trivial and is plenty for a simulation
-//! service whose responses take milliseconds to minutes, not
-//! microseconds.
+//! connection pool's bookkeeping trivial.
+//!
+//! The callers are sweep scripts submitting runs that simulate in a
+//! tenth of a millisecond, so a response costs what its bytes cost and
+//! no more: the sockets are `TCP_NODELAY` and unbuffered, where every
+//! `write` is a system call and a segment, so whatever goes out
+//! together — a response's head and body, a stream's head, one chunk
+//! with its framing — is assembled in one buffer and leaves in one
+//! `write`. (Keep-alive would save the two reconnects an operation
+//! still pays; it waits for a benchmark client that can hold a
+//! connection.)
 //!
 //! The parser is strict where it is cheap to be (CRLF line endings, one
 //! space between request-line tokens, `HTTP/1.x` versions only) and
@@ -282,10 +290,11 @@ impl Response {
     }
 
     /// Writes the response with `Content-Length` framing and
-    /// `Connection: close`.
+    /// `Connection: close`, head and body in one `write`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut wire = Vec::with_capacity(128 + self.body.len());
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             reason(self.status),
@@ -293,17 +302,19 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.extra_headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
 
 /// Writes a `Transfer-Encoding: chunked` response incrementally — the
 /// transport behind `GET /v1/runs/{id}/events`. Each [`ChunkedWriter::chunk`]
-/// flushes, so the client sees progress lines as they happen.
+/// is one `write` and flushes, so the client sees progress lines as they
+/// happen.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     w: W,
@@ -312,13 +323,13 @@ pub struct ChunkedWriter<W: Write> {
 impl<W: Write> ChunkedWriter<W> {
     /// Writes the response head and returns the chunk writer.
     pub fn start(mut w: W, status: u16, content_type: &str) -> io::Result<Self> {
-        write!(
-            w,
+        let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
             reason(status),
             content_type
-        )?;
+        );
+        w.write_all(head.as_bytes())?;
         w.flush()?;
         Ok(ChunkedWriter { w })
     }
@@ -329,9 +340,11 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut wire = Vec::with_capacity(data.len() + 20);
+        write!(wire, "{:x}\r\n", data.len())?;
+        wire.extend_from_slice(data);
+        wire.extend_from_slice(b"\r\n");
+        self.w.write_all(&wire)?;
         self.w.flush()
     }
 
@@ -353,6 +366,7 @@ mod tests {
     struct Fake {
         segments: Vec<Vec<u8>>,
         output: Vec<u8>,
+        writes: usize,
     }
 
     impl Fake {
@@ -364,6 +378,7 @@ mod tests {
             Fake {
                 segments: parts.iter().map(|p| p.to_vec()).collect(),
                 output: Vec::new(),
+                writes: 0,
             }
         }
     }
@@ -387,6 +402,7 @@ mod tests {
     impl Write for Fake {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             self.output.extend_from_slice(buf);
+            self.writes += 1;
             Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
@@ -455,27 +471,38 @@ mod tests {
 
     #[test]
     fn response_and_chunked_writer_frame_correctly() {
-        let mut out = Vec::new();
+        // The bytes are pinned verbatim, and each call is one `write`:
+        // on the daemon's unbuffered `TCP_NODELAY` sockets a `write` is
+        // a system call and a segment.
+        let mut out = Fake::new("");
         Response::json(429, "{\"error\": \"queue full\"}".to_string())
             .with_header("Retry-After", "1")
             .write_to(&mut out)
             .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
-        assert!(text.contains("Content-Length: 23\r\n"));
-        assert!(text.contains("Retry-After: 1\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"error\": \"queue full\"}"));
+        assert_eq!(
+            String::from_utf8(out.output).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+             Content-Length: 23\r\nConnection: close\r\nRetry-After: 1\r\n\r\n\
+             {\"error\": \"queue full\"}"
+        );
+        assert_eq!(out.writes, 1);
 
-        let mut out = Vec::new();
-        {
-            let mut cw = ChunkedWriter::start(&mut out, 200, "application/x-ndjson").unwrap();
-            cw.chunk(b"{\"event\":\"x\"}\n").unwrap();
-            cw.chunk(b"").unwrap(); // skipped, not a terminator
-            cw.finish().unwrap();
+        let mut out = Fake::new("");
+        let mut cw = ChunkedWriter::start(&mut out, 200, "application/x-ndjson").unwrap();
+        let mut writes = vec![cw.w.writes];
+        for data in [&b"{\"event\":\"x\"}\n"[..], b"", b"0123456789abcdefg", b"z"] {
+            cw.chunk(data).unwrap();
+            writes.push(cw.w.writes);
         }
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(text.ends_with("\r\n\r\ne\r\n{\"event\":\"x\"}\n\r\n0\r\n\r\n"));
+        cw.finish().unwrap();
+        // The empty chunk is skipped, not written as a terminator.
+        assert_eq!(writes, [1, 2, 2, 3, 4]);
+        assert_eq!(out.writes, 5);
+        assert_eq!(
+            String::from_utf8(out.output).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+             e\r\n{\"event\":\"x\"}\n\r\n11\r\n0123456789abcdefg\r\n1\r\nz\r\n0\r\n\r\n"
+        );
     }
 }

@@ -20,8 +20,9 @@
 //! * **aggregated metrics** — `GET /metrics` merges every session's
 //!   `SessionMetrics` (via `SessionMetrics::merge`) and adds daemon
 //!   counters (queue depth, rejections, cache hit rate);
-//! * **TTL retention** — completed reports stay queryable for a
-//!   configurable window, then evict;
+//! * **bounded retention** — completed reports stay queryable for a
+//!   configurable TTL or as the most recent [`RETAINED_RUNS_LIMIT`],
+//!   then evict (and `/metrics` counts which bound took them);
 //! * **graceful shutdown** — SIGTERM/ctrl-c stops admission, cancels
 //!   in-flight runs, flushes their partial reports and exits 0.
 //!
@@ -54,7 +55,7 @@ mod server;
 pub mod signal;
 
 pub use exec::{AdmitError, DaemonConfig, Executive};
-pub use registry::{Run, RunOutcome, RunPhase, RunRegistry};
+pub use registry::{RegistryStats, Run, RunOutcome, RunPhase, RunRegistry, RETAINED_RUNS_LIMIT};
 
 use server::ConnPool;
 use std::io;
@@ -106,11 +107,10 @@ impl Daemon {
         let accept_stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let pool = Arc::clone(&pool);
-            let exec = Arc::clone(&exec);
             let stop = Arc::clone(&accept_stop);
             std::thread::Builder::new()
                 .name("ctnd-accept".to_string())
-                .spawn(move || server::accept_loop(listener, pool, exec, stop))
+                .spawn(move || server::accept_loop(listener, pool, stop))
                 .expect("spawn acceptor")
         };
         Ok(Daemon {
@@ -145,14 +145,18 @@ impl Daemon {
 
     /// Graceful shutdown: drain (stop admitting, cancel in-flight runs),
     /// wait for the workers to flush every partial report, then stop
-    /// the listener and connection pool.
+    /// the listener and connection pool. The acceptor blocks in
+    /// `accept`, so it is told to stop and then handed one last
+    /// connection to notice it by.
     pub fn shutdown(self) {
         self.exec.begin_drain();
         for w in self.run_workers {
             let _ = w.join();
         }
         self.accept_stop.store(true, Ordering::Release);
-        let _ = self.acceptor.join();
+        if server::wake_acceptor(self.addr) {
+            let _ = self.acceptor.join();
+        }
         self.pool.stop();
         for w in self.conn_workers {
             let _ = w.join();

@@ -28,19 +28,25 @@ use crate::registry::Run;
 use contention_obs::json::{self, Value};
 use contention_scenario::prelude::*;
 use std::collections::VecDeque;
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Pending (accepted, unserved) connections beyond this are answered
 /// 503 by the acceptor itself.
 const CONN_BACKLOG: usize = 128;
 
-/// Per-connection socket timeouts (event streams re-arm on every
-/// chunk, so a live stream never trips this).
+/// Per-connection socket timeouts: a request has this long to arrive in
+/// full, and so has each write (an event stream re-arms on every chunk,
+/// so a live stream never trips this).
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a connection worker with nothing to serve waits before it
+/// sweeps the registry and looks again.
+const IDLE_WAKE: Duration = Duration::from_millis(200);
 
 /// The bounded pool of connection-serving threads. Waiting connections
 /// are served oldest first, so a client's wait is bounded by the work
@@ -106,8 +112,9 @@ impl ConnPool {
     }
 
     /// The longest-waiting connection, blocking while the backlog is
-    /// empty; `None` once the pool is stopped and drained.
-    fn next_connection(&self) -> Option<TcpStream> {
+    /// empty and calling `on_idle` each [`IDLE_WAKE`] that passes so;
+    /// `None` once the pool is stopped and drained.
+    fn wait_connection(&self, on_idle: impl Fn()) -> Option<TcpStream> {
         let mut queue = self.queue.lock().expect("conn queue lock");
         loop {
             if let Some(stream) = queue.pop_front() {
@@ -116,27 +123,80 @@ impl ConnPool {
             if self.stop.load(Ordering::Acquire) {
                 return None;
             }
-            let (next, _timeout) = self
+            let (next, wait) = self
                 .available
-                .wait_timeout(queue, Duration::from_millis(200))
+                .wait_timeout(queue, IDLE_WAKE)
                 .expect("conn queue lock");
             queue = next;
+            if wait.timed_out() {
+                drop(queue);
+                on_idle();
+                queue = self.queue.lock().expect("conn queue lock");
+            }
         }
     }
 
+    /// Serves connections oldest first. An idle worker is also what
+    /// lets completed runs go when no request comes to do it: submits
+    /// and lookups sweep the registry as they pass.
     fn worker_loop(self: Arc<Self>, exec: &Arc<Executive>) {
-        while let Some(stream) = self.next_connection() {
+        while let Some(stream) = self.wait_connection(|| {
+            exec.registry.sweep();
+        }) {
             serve_connection(stream, exec);
         }
     }
 }
 
+/// A connection whose reads share one deadline. A socket read timeout
+/// alone re-arms on every `read`, so a peer trickling one byte at a time
+/// could hold a connection worker for the timeout times the bytes in a
+/// request; here each read gets only what is left of the whole budget.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl<'a> Deadlined<'a> {
+    fn new(stream: &'a TcpStream, budget: Duration) -> Self {
+        Deadlined {
+            stream,
+            deadline: Instant::now() + budget,
+        }
+    }
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf).map_err(|e| match e.kind() {
+            // How a lapsed socket timeout reads on Unix.
+            io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut.into(),
+            _ => e,
+        })
+    }
+}
+
+impl Write for Deadlined<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Serves one connection: parse, route, respond, close.
 fn serve_connection(mut stream: TcpStream, exec: &Arc<Executive>) {
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let request = match http::read_request(&mut stream, exec.cfg.max_body_bytes) {
+    let mut deadlined = Deadlined::new(&stream, SOCKET_TIMEOUT);
+    let request = match http::read_request(&mut deadlined, exec.cfg.max_body_bytes) {
         Ok(req) => req,
         Err(HttpError::BadRequest(detail)) => {
             let _ = Response::json(400, error_body(&detail)).write_to(&mut stream);
@@ -223,7 +283,7 @@ fn status_response(run: &Run) -> Response {
     let st = run.state();
     let mut body = String::from("{");
     body.push_str(&format!("\"run_id\": \"{}\", ", run.id));
-    body.push_str(&format!("\"scenario\": {}, ", json::string(&run.spec.name)));
+    body.push_str(&format!("\"scenario\": {}, ", json::string(&run.scenario)));
     body.push_str(&format!("\"status\": {}, ", json::string(st.phase.name())));
     body.push_str(&format!("\"events\": {}, ", st.events.len()));
     match &st.outcome {
@@ -265,7 +325,8 @@ fn report_response(run: &Run) -> Response {
 
 /// `GET /v1/runs/{id}/events` — replays the progress log, then follows
 /// it live until the run completes; chunked so each line is visible as
-/// it happens.
+/// it happens. Every line that is ready goes out in one chunk, and the
+/// closing `run-finished` line rides with the last of them.
 fn stream_events(run: &Run, stream: &mut TcpStream) {
     let mut writer = match ChunkedWriter::start(stream, 200, "application/x-ndjson") {
         Ok(w) => w,
@@ -274,31 +335,28 @@ fn stream_events(run: &Run, stream: &mut TcpStream) {
     let mut from = 0usize;
     loop {
         let (lines, closed) = run.wait_events(from);
-        for line in &lines {
-            let mut framed = line.clone();
-            framed.push('\n');
-            if writer.chunk(framed.as_bytes()).is_err() {
-                return; // subscriber went away
-            }
-        }
         from += lines.len();
-        if closed && lines.is_empty() {
+        let mut batch = String::new();
+        for line in &lines {
+            batch.push_str(line);
+            batch.push('\n');
+        }
+        if closed {
+            // The outcome is set in the same critical section that
+            // closes the log.
+            let outcome = run.state().outcome.as_ref().map_or("unknown", |o| o.name());
+            batch.push_str(&format!(
+                "{{\"event\": \"run-finished\", \"outcome\": {}}}\n",
+                json::string(outcome)
+            ));
+        }
+        if writer.chunk(batch.as_bytes()).is_err() {
+            return; // subscriber went away
+        }
+        if closed {
             break;
         }
     }
-    let outcome = run
-        .state()
-        .outcome
-        .as_ref()
-        .map(|o| o.name())
-        .unwrap_or("unknown");
-    let _ = writer.chunk(
-        format!(
-            "{{\"event\": \"run-finished\", \"outcome\": {}}}\n",
-            json::string(outcome)
-        )
-        .as_bytes(),
-    );
     let _ = writer.finish();
 }
 
@@ -489,45 +547,50 @@ fn query_ms(req: &Request, key: &str) -> Result<Option<Duration>, String> {
     Ok(query_u64(req, key)?.map(Duration::from_millis))
 }
 
-/// The acceptor loop: non-blocking accept so it can poll the stop flag,
-/// sweep expired runs while idle, and hand live connections to the
-/// pool.
-pub fn accept_loop(
-    listener: std::net::TcpListener,
-    pool: Arc<ConnPool>,
-    exec: Arc<Executive>,
-    stop: Arc<AtomicBool>,
-) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
+/// The acceptor loop: blocks in `accept` and hands each connection to
+/// the pool, so a request waits for a thread wake-up, not for a poll
+/// interval, and an idle daemon costs nothing. It sees the stop flag
+/// when the next connection arrives, which [`wake_acceptor`] makes sure
+/// one does. The only sleep is the back-off after a failed `accept`
+/// (out of descriptors, say), which would otherwise spin.
+pub fn accept_loop(listener: TcpListener, pool: Arc<ConnPool>, stop: Arc<AtomicBool>) {
     loop {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => pool.dispatch(stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                exec.registry.evict_expired();
-                // 1ms poll: bounds idle accept latency (three round
-                // trips — submit, events, report — pay it each) while
-                // keeping the idle loop negligible.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
+}
+
+/// Gets an acceptor whose stop flag was just set out of `accept`, with
+/// one connection to its own port — on loopback when the daemon listens
+/// on the unspecified address, which is not one to connect to. `false`
+/// if that connection could not be made (the acceptor is then still
+/// blocked and must not be joined).
+pub fn wake_acceptor(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use crate::exec::DaemonConfig;
+
+    impl ConnPool {
+        fn next_connection(&self) -> Option<TcpStream> {
+            self.wait_connection(|| {})
+        }
+    }
 
     #[test]
     fn waiting_connections_are_handed_out_in_arrival_order() {
@@ -552,5 +615,91 @@ mod tests {
             );
         }
         assert!(pool.next_connection().is_none(), "stopped and drained");
+    }
+
+    #[test]
+    fn an_evicted_run_answers_the_same_404_whichever_bound_took_it() {
+        let finish_one = |exec: &Arc<Executive>| {
+            let run = exec.registry.create(
+                "gone".to_string(),
+                GuardLimits::default(),
+                42,
+                ModelKind::Med,
+            );
+            (exec.registry).finish(&run, crate::registry::RunOutcome::Cancelled { json: None });
+        };
+        let not_found = |exec: &Arc<Executive>| {
+            let resp = lookup(exec, "1").expect_err("run 1 is gone");
+            assert_eq!(resp.status, 404);
+            String::from_utf8(resp.body).unwrap()
+        };
+        let lapsed = Executive::new(DaemonConfig {
+            ttl: Duration::ZERO,
+            ..DaemonConfig::default()
+        });
+        finish_one(&lapsed);
+        let crowded_out = Executive::new(DaemonConfig::default());
+        for _ in 0..=crate::registry::RETAINED_RUNS_LIMIT {
+            finish_one(&crowded_out);
+        }
+        assert!(lookup(&crowded_out, "2").is_ok());
+        assert_eq!(not_found(&crowded_out), not_found(&lapsed));
+        assert_eq!(
+            not_found(&lapsed),
+            "{\"error\": \"no such run (completed runs expire)\"}\n"
+        );
+    }
+
+    #[test]
+    fn a_trickling_peer_runs_out_of_request_time_not_just_read_time() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (served, _) = listener.accept().expect("accept");
+        // A byte every 5 ms never trips a 50 ms *read* timeout; the
+        // request as a whole must still be over 50 ms after it began.
+        let trickle = std::thread::spawn(move || {
+            for byte in b"GET /healthz HTTP/1.1\r\nHost: a-very-patient-peer\r\n"
+                .iter()
+                .cycle()
+            {
+                if client.write_all(&[*byte]).is_err() {
+                    break; // the server hung up
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let began = Instant::now();
+        let mut deadlined = Deadlined::new(&served, Duration::from_millis(50));
+        match http::read_request(&mut deadlined, 1024) {
+            Err(HttpError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+        let took = began.elapsed();
+        assert!(took >= Duration::from_millis(50), "gave up early: {took:?}");
+        assert!(took < Duration::from_secs(2), "deadline re-armed: {took:?}");
+        drop(served);
+        trickle.join().expect("trickling peer");
+    }
+
+    #[test]
+    fn a_request_inside_its_deadline_is_read_and_answered_through_the_wrapper() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (served, _) = listener.accept().expect("accept");
+        client
+            .write_all(
+                b"POST /v1/runs HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-continue\r\n\r\n",
+            )
+            .unwrap();
+        let body = std::thread::spawn(move || {
+            let mut interim = [0u8; 25];
+            client.read_exact(&mut interim).expect("interim response");
+            assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n");
+            client.write_all(b"ok").unwrap();
+        });
+        let mut deadlined = Deadlined::new(&served, SOCKET_TIMEOUT);
+        let request = http::read_request(&mut deadlined, 1024).expect("a whole request");
+        assert_eq!(request.body, b"ok");
+        body.join().expect("client");
     }
 }

@@ -340,6 +340,23 @@ fn completed_runs_expire_after_ttl() {
     d.shutdown();
 }
 
+/// The acceptor blocks in `accept`; shutdown has to get it out, also
+/// when the listener is on an address nobody can connect *to*.
+#[test]
+fn an_idle_daemon_shuts_down_at_once() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let d = Daemon::spawn(DaemonConfig {
+            addr: addr.to_string(),
+            ..DaemonConfig::default()
+        })
+        .expect("daemon binds an ephemeral port");
+        let began = Instant::now();
+        d.shutdown();
+        let took = began.elapsed();
+        assert!(took < Duration::from_secs(1), "{addr}: {took:?}");
+    }
+}
+
 /// `/metrics` is strictly valid JSON and shows both the daemon counters
 /// and the shared-cache effect of multiplexing identical runs: the
 /// second run's calibration hits the cache the first one filled.
