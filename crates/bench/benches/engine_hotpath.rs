@@ -1,56 +1,40 @@
-//! Hot-path throughput of the packet engine: data packets per second
-//! pushed through a star fabric under a full all-to-all send pattern.
+//! The criterion groups `ctnbench` has no equivalent for, all driving
+//! `simnet::Simulator` (or the fluid solver, or an in-process `ctnd`)
+//! directly, below the scenario layer's `Session` facade:
 //!
-//! The case grid lives in `contention_bench::hotpath` so the
-//! snapshot-freshness test can hold `BENCH_engine.json` to exactly the
-//! benchmarks defined here. Two MTU regimes bracket the engine's per-event
-//! overhead: 1460-byte TCP segments (many small events) and 4096-byte GM
-//! frames (fewer, larger ones). Host counts 8–64 scale the event-queue
-//! depth and the number of live transmitter bands. The fabric is lossless
-//! so every run measures pure forwarding cost, not loss recovery.
+//! * `recorder_overhead` / `guard_overhead` — the telemetry and
+//!   supervision taxes as pairs on one event-dense case
+//!   (`hotpath::gate_case`), the pairs `overhead_gate` gates in CI;
+//! * `daemon_overhead` — one small cell through a `Session` and through
+//!   an in-process daemon;
+//! * `fluid_vs_packet` — fluid solver vs packet engine on the same
+//!   all-to-all, in packet-engine event-equivalents.
 //!
-//! `BENCH_engine.json` at the repo root records this bench's trajectory.
-//! Regenerate (the bench binary runs with the package as its working
-//! directory, hence the `../..`):
+//! There is no packet-engine throughput grid here: what the engine costs
+//! per event is `simnet.engine.ns_per_event` on `ctnbench`'s
+//! `paper_presets` / `multihop_mix`, measured on runs a user waits on
+//! (the synthetic rows this file used to carry started every connection
+//! at once and read parity while the product moved 13–17 %).
+//!
+//! The ids live in `contention_bench::hotpath` so the snapshot-freshness
+//! test can hold `BENCH_engine.json` at the repo root to exactly the
+//! benchmarks defined here. Regenerate it with (the bench binary runs
+//! with the package as its working directory, hence the `../..`):
 //!
 //! ```text
 //! cargo bench -p contention-bench --bench engine_hotpath -- --save-json ../../BENCH_engine.json
 //! ```
 //!
-//! This harness deliberately sits *below* the scenario layer's `Session`
-//! facade: it drives `simnet::Simulator` connections directly so the
-//! tracked numbers isolate the packet engine from calibration, workload
-//! generation and executor scheduling (which `scenario_batch` measures
-//! end-to-end through `Session`). It has no scenario-crate call sites,
-//! deprecated or otherwise.
+//! Ratios are comparable only inside one run on one box.
 
 use contention_bench::hotpath::{
-    build_alltoall, build_fabric, cases, drive_alltoall, drive_fluid, event_equivalents,
-    fluid_cases, Case, Fabric, DAEMON_OVERHEAD_BENCHES, FLUID_VS_PACKET_BASELINE,
+    build_alltoall, build_fabric, drive_alltoall, drive_fluid, event_equivalents, fluid_cases,
+    gate_case, Case, Fabric, DAEMON_OVERHEAD_BENCHES, FLUID_VS_PACKET_BASELINE,
     GUARD_OVERHEAD_BENCHES, RECORDER_OVERHEAD_BENCHES,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use simnet::obs::{EngineRecorder, TelemetryConfig};
 use simnet::prelude::*;
-
-fn bench_hotpath(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_hotpath");
-    group.sample_size(10);
-    for case in cases() {
-        let mtu = case.transport.mtu() as u64;
-        let data_packets =
-            (case.hosts * (case.hosts - 1)) as u64 * case.message_bytes.div_ceil(mtu);
-        group.throughput(Throughput::Elements(data_packets));
-        group.bench_function(case.name, |b| {
-            b.iter_batched(
-                || build_alltoall(&case, NoopRecorder),
-                |(mut sim, conns)| drive_alltoall(&case, &mut sim, &conns),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
 
 /// The fluid-vs-packet throughput gap, measured in packet-engine
 /// event-equivalents (`hotpath::event_equivalents`: MTU-sized packets ×
@@ -68,12 +52,11 @@ fn bench_fluid_vs_packet(c: &mut Criterion) {
 
     let baseline = Case {
         name: FLUID_VS_PACKET_BASELINE,
-        fabric: Fabric::Star,
         hosts: 32,
         message_bytes: 64 * 1024,
         transport: TransportKind::Tcp(TcpConfig::default()),
     };
-    let (topo, hosts) = build_fabric(baseline.fabric, baseline.hosts);
+    let (topo, hosts) = build_fabric(Fabric::Star, baseline.hosts);
     let equiv = event_equivalents(
         &topo,
         &hosts,
@@ -101,13 +84,11 @@ fn bench_fluid_vs_packet(c: &mut Criterion) {
     group.finish();
 }
 
-/// The telemetry tax, measured: the first hot-path case with the default
-/// no-op recorder (identical to `engine_hotpath/tcp_mtu1460_8hosts_64KiB`
-/// — the zero-cost-when-disabled claim rides on the pair staying equal)
-/// and with a recording `EngineRecorder`. The `overhead_gate` binary
-/// enforces both deltas in CI; the snapshot keeps their trajectory.
+/// The telemetry tax, measured: the gate case with the default no-op
+/// recorder and with a recording `EngineRecorder`. The `overhead_gate`
+/// binary enforces the ratio in CI; the snapshot keeps its trajectory.
 fn bench_recorder_overhead(c: &mut Criterion) {
-    let case = &cases()[0];
+    let case = &gate_case();
     let mtu = case.transport.mtu() as u64;
     let data_packets = (case.hosts * (case.hosts - 1)) as u64 * case.message_bytes.div_ceil(mtu);
     let mut group = c.benchmark_group("recorder_overhead");
@@ -130,8 +111,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The supervision tax, measured: the first hot-path case with no guard
-/// installed (identical to `engine_hotpath/tcp_mtu1460_8hosts_64KiB`)
+/// The supervision tax, measured: the gate case with no guard installed
 /// and with the guard every `Session` cell runs under by default — a
 /// cancel-flag-only `RunGuard`, which makes the engine poll its
 /// preemption point every `GUARD_CHECK_INTERVAL` events. The
@@ -141,7 +121,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    let case = &cases()[0];
+    let case = &gate_case();
     let mtu = case.transport.mtu() as u64;
     let data_packets = (case.hosts * (case.hosts - 1)) as u64 * case.message_bytes.div_ceil(mtu);
     let mut group = c.benchmark_group("guard_overhead");
@@ -272,7 +252,6 @@ fn bench_daemon_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_hotpath,
     bench_recorder_overhead,
     bench_guard_overhead,
     bench_daemon_overhead,

@@ -1,22 +1,21 @@
 //! # contention-bench
 //!
-//! Benchmark targets (Criterion), the `repro` binary that regenerates
-//! every table and figure of the paper, the `overhead_gate` CI gate and
-//! `ctnbench` (`src/bin/ctnbench/`, the end-to-end + per-layer benchmark
-//! `BENCHMARK.json` declares). See `benches/` for:
-//!
-//! * `engine_hotpath` — the tracked hot-path benchmark whose results are
-//!   snapshotted in `BENCH_engine.json` (see [`hotpath`]);
-//! * `scenario_batch` — one builtin batch through `Session` at 1/2/4/8
-//!   workers.
+//! The `repro` binary that regenerates every table and figure of the
+//! paper, the `overhead_gate` CI gate, `ctnbench` (`src/bin/ctnbench/`,
+//! the end-to-end + per-layer benchmark `BENCHMARK.json` declares — what
+//! every performance claim is made with) and one Criterion target,
+//! `benches/engine_hotpath.rs`: the four groups `ctnbench` has no
+//! equivalent for (recorder, guard and daemon overhead pairs,
+//! fluid-vs-packet throughput), snapshotted in `BENCH_engine.json` (see
+//! [`hotpath`]).
 //!
 //! Run `cargo run --release -p contention-bench --bin repro -- all` to
 //! regenerate the paper's data series at quick scale, or `--full` for the
 //! paper's grids.
 
 pub mod hotpath {
-    //! The `engine_hotpath` benchmark's case grid and the authoritative
-    //! list of benchmark ids the `BENCH_engine.json` snapshot must carry.
+    //! The `engine_hotpath` benchmark's cases and the authoritative list
+    //! of benchmark ids the `BENCH_engine.json` snapshot must carry.
     //!
     //! The bench target and the snapshot-freshness test
     //! (`tests/snapshot_freshness.rs`) both read this module, so renaming
@@ -25,26 +24,12 @@ pub mod hotpath {
 
     use simnet::prelude::*;
 
-    /// The fabric an `engine_hotpath` case runs on. Everything is built
-    /// lossless so runs measure pure forwarding cost, not loss recovery.
+    /// The fabric a case runs on. Everything is built lossless so runs
+    /// measure pure forwarding cost, not loss recovery.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Fabric {
-        /// `hosts` hosts on one switch (the historical grid).
+        /// `hosts` hosts on one switch.
         Star,
-        /// `x·y` switches, dimension-ordered routing; hosts spread evenly.
-        Torus2d {
-            /// Ring length along x.
-            x: usize,
-            /// Ring length along y.
-            y: usize,
-        },
-        /// `groups · routers` routers, minimal-path routing.
-        Dragonfly {
-            /// Group count.
-            groups: usize,
-            /// Routers per group.
-            routers: usize,
-        },
         /// Three-level `k`-ary fat-tree, ECMP routing (the fluid tier's
         /// capacity-planning scale).
         FatTree {
@@ -55,12 +40,11 @@ pub mod hotpath {
         },
     }
 
-    /// One cell of the engine hot-path grid.
+    /// One packet-engine workload: a full all-to-all round on a lossless
+    /// single-switch star.
     pub struct Case {
-        /// Benchmark id within the `engine_hotpath` group.
+        /// Name used in benchmark ids and failure messages.
         pub name: &'static str,
-        /// Fabric shape.
-        pub fabric: Fabric,
         /// Total host count.
         pub hosts: usize,
         /// Per-pair message size of the all-to-all round.
@@ -69,67 +53,22 @@ pub mod hotpath {
         pub transport: TransportKind,
     }
 
-    /// Two MTU regimes bracket the engine's per-event overhead: 1460-byte
-    /// TCP segments (many small events) and 4096-byte GM frames (fewer,
-    /// larger ones). Host counts 8–64 scale the event-queue depth and the
-    /// number of live transmitter bands. The torus and dragonfly cases
-    /// exercise multi-hop forwarding (4–5 transmitters per packet instead
-    /// of the star's 2) through the same hot path.
-    pub fn cases() -> Vec<Case> {
-        let tcp = TransportKind::Tcp(TcpConfig::default()); // 1460 B MSS
-        let gm = TransportKind::Gm(GmConfig::default()); // 4096 B MTU
-        vec![
-            Case {
-                name: "tcp_mtu1460_8hosts_64KiB",
-                fabric: Fabric::Star,
-                hosts: 8,
-                message_bytes: 64 * 1024,
-                transport: tcp,
-            },
-            Case {
-                name: "tcp_mtu1460_32hosts_64KiB",
-                fabric: Fabric::Star,
-                hosts: 32,
-                message_bytes: 64 * 1024,
-                transport: tcp,
-            },
-            Case {
-                name: "gm_mtu4096_32hosts_256KiB",
-                fabric: Fabric::Star,
-                hosts: 32,
-                message_bytes: 256 * 1024,
-                transport: gm,
-            },
-            Case {
-                name: "gm_mtu4096_64hosts_256KiB",
-                fabric: Fabric::Star,
-                hosts: 64,
-                message_bytes: 256 * 1024,
-                transport: gm,
-            },
-            Case {
-                name: "tcp_mtu1460_torus4x4_32hosts_64KiB",
-                fabric: Fabric::Torus2d { x: 4, y: 4 },
-                hosts: 32,
-                message_bytes: 64 * 1024,
-                transport: tcp,
-            },
-            Case {
-                name: "gm_mtu4096_dragonfly4x4_32hosts_256KiB",
-                fabric: Fabric::Dragonfly {
-                    groups: 4,
-                    routers: 4,
-                },
-                hosts: 32,
-                message_bytes: 256 * 1024,
-                transport: gm,
-            },
-        ]
+    /// The case the `recorder_overhead` / `guard_overhead` pairs and the
+    /// `overhead_gate` binary time: 8 hosts, TCP (1460-byte segments),
+    /// 64 KiB per pair — the most event-dense regime per byte, so a
+    /// per-event tax shows largest here.
+    pub fn gate_case() -> Case {
+        Case {
+            name: "tcp_8hosts_64KiB",
+            hosts: 8,
+            message_bytes: 64 * 1024,
+            transport: TransportKind::Tcp(TcpConfig::default()),
+        }
     }
 
-    /// Benchmark ids of the `recorder_overhead` group: the first hot-path
-    /// case run with the default no-op recorder (the exact engine every
-    /// other benchmark measures) and with a recording `EngineRecorder`
+    /// Benchmark ids of the `recorder_overhead` group: [`gate_case`] run
+    /// with the default no-op recorder (the exact engine every other
+    /// benchmark measures) and with a recording `EngineRecorder`
     /// attached. Their ratio is the live telemetry tax; the `overhead_gate`
     /// binary holds both within tolerance in CI.
     pub const RECORDER_OVERHEAD_BENCHES: &[&str] =
@@ -148,8 +87,8 @@ pub mod hotpath {
         "daemon_roundtrip_incast4_16KiB",
     ];
 
-    /// Benchmark ids of the `guard_overhead` group: the first hot-path
-    /// case run with no guard installed and with the supervision guard a
+    /// Benchmark ids of the `guard_overhead` group: [`gate_case`] run
+    /// with no guard installed and with the supervision guard a
     /// `Session` wires by default (a cancel-flag-only `RunGuard`, polled
     /// every `GUARD_CHECK_INTERVAL` events). Their ratio is the
     /// preemption-point tax; the `overhead_gate` binary holds it within
@@ -213,14 +152,9 @@ pub mod hotpath {
     /// Every benchmark id the `BENCH_engine.json` snapshot must name —
     /// exactly these, no more, no fewer.
     pub fn expected_snapshot_names() -> Vec<String> {
-        cases()
+        RECORDER_OVERHEAD_BENCHES
             .iter()
-            .map(|c| format!("engine_hotpath/{}", c.name))
-            .chain(
-                RECORDER_OVERHEAD_BENCHES
-                    .iter()
-                    .map(|b| format!("recorder_overhead/{b}")),
-            )
+            .map(|b| format!("recorder_overhead/{b}"))
             .chain(
                 GUARD_OVERHEAD_BENCHES
                     .iter()
@@ -247,9 +181,7 @@ pub mod hotpath {
     /// [`build_alltoall`]) and the fluid tier of `fluid_vs_packet`, so
     /// both engines run over byte-identical topologies.
     pub fn build_fabric(fabric: Fabric, n_hosts: usize) -> (Topology, Vec<HostId>) {
-        use simnet::generate::{
-            dragonfly, fat_tree, torus, DragonflyParams, FatTreeParams, TorusParams,
-        };
+        use simnet::generate::{fat_tree, FatTreeParams};
         let link = LinkConfig::gigabit_ethernet();
         let lossless = SwitchConfig::lossless_fabric();
         let (builder, hosts) = match fabric {
@@ -262,29 +194,6 @@ pub mod hotpath {
                 }
                 (b, hosts)
             }
-            Fabric::Torus2d { x, y } => {
-                assert_eq!(n_hosts % (x * y), 0, "hosts must fill the torus evenly");
-                let g = torus(&TorusParams {
-                    dims: [x, y, 1],
-                    hosts_per_switch: n_hosts / (x * y),
-                    link,
-                    switch: lossless,
-                });
-                (g.builder, g.hosts)
-            }
-            Fabric::Dragonfly { groups, routers } => {
-                assert_eq!(n_hosts % (groups * routers), 0);
-                let g = dragonfly(&DragonflyParams {
-                    groups,
-                    routers_per_group: routers,
-                    hosts_per_router: n_hosts / (groups * routers),
-                    host_link: link,
-                    local_link: link,
-                    global_link: link,
-                    switch: lossless,
-                });
-                (g.builder, g.hosts)
-            }
             Fabric::FatTree { k, hosts_per_edge } => {
                 let g = fat_tree(&FatTreeParams {
                     k,
@@ -296,8 +205,7 @@ pub mod hotpath {
                 (g.builder, g.hosts)
             }
         };
-        let hosts_out = hosts;
-        (builder.build().unwrap(), hosts_out)
+        (builder.build().unwrap(), hosts)
     }
 
     /// Packet-engine event-equivalents of a full all-to-all: each
@@ -350,7 +258,7 @@ pub mod hotpath {
         done.len()
     }
 
-    /// A primed simulator on the case's lossless fabric with `recorder`
+    /// A primed simulator on the case's lossless star with `recorder`
     /// attached, one connection per ordered host pair. Shared by the
     /// `engine_hotpath` benchmark and the `overhead_gate` binary so both
     /// time exactly the same workload.
@@ -358,7 +266,7 @@ pub mod hotpath {
         case: &Case,
         recorder: R,
     ) -> (Simulator<R>, Vec<ConnId>) {
-        let (topology, hosts) = build_fabric(case.fabric, case.hosts);
+        let (topology, hosts) = build_fabric(Fabric::Star, case.hosts);
         let mut sim = Simulator::with_recorder(topology, SimConfig::default(), recorder);
         let mut conns = Vec::with_capacity(case.hosts * (case.hosts - 1));
         for &src in &hosts {
@@ -372,8 +280,7 @@ pub mod hotpath {
     }
 
     /// One timed iteration of a case: inject the full all-to-all, run to
-    /// idle, return events processed. The workload every `engine_hotpath`
-    /// and `recorder_overhead` sample times.
+    /// idle, return events processed.
     pub fn drive_alltoall<R: simnet::obs::Recorder>(
         case: &Case,
         sim: &mut Simulator<R>,

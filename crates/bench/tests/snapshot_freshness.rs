@@ -1,7 +1,8 @@
 //! Bench-snapshot freshness: `BENCH_engine.json` at the repo root must
-//! name exactly the benchmarks the `engine_hotpath` target defines. A
-//! renamed, added or removed benchmark therefore fails CI until the
-//! snapshot is regenerated:
+//! name exactly the benchmarks the `engine_hotpath` target defines (the
+//! recorder, guard and daemon overhead pairs and the `fluid_vs_packet`
+//! rows — nine in all). A renamed, added or removed benchmark therefore
+//! fails CI until the snapshot is regenerated:
 //!
 //! ```text
 //! cargo bench -p contention-bench --bench engine_hotpath -- --save-json ../../BENCH_engine.json

@@ -10,8 +10,8 @@
 //! * [`models`] — the [`CompletionModel`] interface of the throughput,
 //!   signature and saturation predictors;
 //! * [`throughput`] — §6: the `βF`/`βC`/`ρ` synthetic-gap model;
-//! * [`signature`] — §7: the contention signature `(γ, δ, M)` with GLS
-//!   fitting and breakpoint selection;
+//! * [`signature`] — §7: the contention signature `(γ, δ, M)` with
+//!   least-squares fitting and breakpoint selection;
 //! * [`calibration`] — §8's measurement pipeline, data side;
 //! * [`metrics`] — the paper's `(measured/estimated − 1)·100 %` error.
 //!
@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod calibration;
-pub mod collective;
 pub mod error;
 pub mod hockney;
 pub mod med;
@@ -36,11 +35,10 @@ pub mod throughput;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::calibration::{Calibration, CalibrationInput};
-    pub use crate::collective::{CollectiveShape, CollectiveSignature};
     pub use crate::error::ModelError;
     pub use crate::hockney::HockneyParams;
     pub use crate::med::Med;
-    pub use crate::metrics::{estimation_error_percent, mape, AccuracyPoint};
+    pub use crate::metrics::{estimation_error_percent, AccuracyPoint};
     pub use crate::models::CompletionModel;
     pub use crate::saturation::SaturationModel;
     pub use crate::signature::ContentionSignature;

@@ -11,18 +11,6 @@ pub fn estimation_error_percent(measured: f64, estimated: f64) -> f64 {
     (measured / estimated - 1.0) * 100.0
 }
 
-/// Mean absolute percentage error over paired observations.
-pub fn mape(measured: &[f64], estimated: &[f64]) -> f64 {
-    assert_eq!(measured.len(), estimated.len());
-    assert!(!measured.is_empty());
-    let sum: f64 = measured
-        .iter()
-        .zip(estimated)
-        .map(|(&m, &e)| estimation_error_percent(m, e).abs())
-        .sum();
-    sum / measured.len() as f64
-}
-
 /// One point of an accuracy report: a `(n, m)` cell with measured and
 /// predicted times.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,13 +52,6 @@ mod tests {
     }
 
     #[test]
-    fn mape_averages_absolute_errors() {
-        let measured = [1.1, 0.9];
-        let estimated = [1.0, 1.0];
-        assert!((mape(&measured, &estimated) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn accuracy_point_roundtrip() {
         let p = AccuracyPoint {
             n: 24,
@@ -81,11 +62,5 @@ mod tests {
         assert!((p.error_percent() - 5.0).abs() < 1e-9);
         assert!(p.within(10.0));
         assert!(!p.within(1.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn mape_requires_matching_lengths() {
-        let _ = mape(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -153,32 +153,6 @@ pub fn calibrate_signature(
     calibrate_report(preset, sample_n, sizes, seed).map(|r| r.calibration)
 }
 
-/// Mean completion time of an arbitrary collective at each block size
-/// (the future-work extension: signatures beyond the All-to-All).
-pub fn measure_collective_curve(
-    preset: &ClusterPreset,
-    collective: simmpi::collectives::Collective,
-    n: usize,
-    sizes: &[u64],
-    cfg: &SweepConfig,
-) -> Vec<(u64, f64)> {
-    let mut world = preset.build_world(n, cfg.seed);
-    sizes
-        .iter()
-        .map(|&m| {
-            let programs = collective.programs(n, m);
-            for _ in 0..cfg.warmup {
-                let _ = world.run(programs.clone());
-            }
-            let mean = (0..cfg.reps.max(1))
-                .map(|_| world.run(programs.clone()).duration_secs())
-                .sum::<f64>()
-                / cfg.reps.max(1) as f64;
-            (m, mean)
-        })
-        .collect()
-}
-
 /// A default [`SweepConfig`] with the given seed.
 pub fn fit_cfg_for(seed: u64) -> SweepConfig {
     SweepConfig {

@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod alltoall;
-pub mod collectives;
 pub mod config;
 pub mod fluid;
 pub mod harness;
@@ -53,7 +52,6 @@ pub mod world;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::alltoall::AllToAllAlgorithm;
-    pub use crate::collectives::Collective;
     pub use crate::config::MpiConfig;
     pub use crate::fluid::FluidWorld;
     pub use crate::harness::{alltoall_times, ping_pong, stress_run, PingPongPoint, StressResult};

@@ -1,7 +1,7 @@
 //! Property-based tests of the MPI executor: random matched programs
-//! complete without deadlock; collectives deliver the right message count;
-//! protocol choice (eager vs rendezvous) never changes outcomes, only
-//! timing.
+//! complete without deadlock; All-to-All algorithms deliver the right
+//! message count; protocol choice (eager vs rendezvous) never changes
+//! outcomes, only timing.
 
 use proptest::prelude::*;
 use simmpi::prelude::*;

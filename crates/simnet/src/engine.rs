@@ -21,7 +21,10 @@
 //! control and bulk bands are `VecDeque`s. Routes live in the topology's
 //! interned arena; a packet names its route implicitly through its *flow*
 //! (`conn·2 + direction`), resolved per hop through the engine's flat
-//! `flow → RouteId` table.
+//! `flow → RouteId` table. Connections are one `Vec` of plain
+//! [`Connection`] structs indexed by [`ConnId`]: every host event ends in
+//! an injection that writes the connection's injection clamp, so there is
+//! no rarely-touched half worth storing apart.
 //!
 //! # Driving the simulator
 //!
@@ -38,9 +41,7 @@ use crate::packet::{Notification, PackedPacket, PacketKind};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::topology::Topology;
-use crate::transport::{
-    ConnCold, ConnHot, ConnView, Connection, SegmentRun, SendActions, TimerCmd,
-};
+use crate::transport::{Connection, SegmentRun, SendActions, TimerCmd};
 use contention_obs::{NoopRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,12 +124,9 @@ pub struct Simulator<R: Recorder = NoopRecorder> {
     pool_occupancy: Vec<u64>,
     port_occupancy: Vec<u64>,
     pool_drops: Vec<u64>,
-    /// Columnar connection state: the dense hot column (one 64-byte line
-    /// per connection — what every delivery/ACK touches) …
-    conn_hot: Vec<ConnHot>,
-    /// … and the parallel cold column (identity, RTT estimation, timer and
-    /// framing bookkeeping), touched only at protocol boundaries.
-    conn_cold: Vec<ConnCold>,
+    /// Every open connection, indexed by [`ConnId`]: both endpoints'
+    /// transport state plus this engine's timer and injection bookkeeping.
+    conns: Vec<Connection>,
     notifications: VecDeque<Notification>,
     stats: NetStats,
     rng: StdRng,
@@ -195,8 +193,7 @@ impl<R: Recorder> Simulator<R> {
             port_occupancy: vec![0; n_tx],
             pool_occupancy: vec![0; n_pools],
             pool_drops: vec![0; n_pools],
-            conn_hot: Vec::new(),
-            conn_cold: Vec::new(),
+            conns: Vec::new(),
             notifications: VecDeque::new(),
             stats: NetStats::default(),
             rng: StdRng::seed_from_u64(config.seed),
@@ -266,25 +263,15 @@ impl<R: Recorder> Simulator<R> {
     /// Panics if `src == dst` (self-messages never touch the network; the
     /// MPI layer handles them locally).
     pub fn open_connection(&mut self, src: HostId, dst: HostId, kind: TransportKind) -> ConnId {
-        let id = ConnId::from_index(self.conn_hot.len());
+        let id = ConnId::from_index(self.conns.len());
         let fwd = self.topo.route_id(src, dst);
         let rev = self.topo.route_id(dst, src);
         // Flow table rows in PackedPacket::flow_index order: forward
         // (data) on the even row, reverse (ACK) on the odd row.
         self.flow_routes.push(fwd);
         self.flow_routes.push(rev);
-        let (hot, cold) = Connection::columns(id, src, dst, kind);
-        self.conn_hot.push(hot);
-        self.conn_cold.push(cold);
+        self.conns.push(Connection::new(id, src, dst, kind));
         id
-    }
-
-    /// The full hot+cold state-machine view of one connection.
-    fn conn(&mut self, conn: ConnId) -> ConnView<'_> {
-        ConnView {
-            hot: &mut self.conn_hot[conn.index()],
-            cold: &mut self.conn_cold[conn.index()],
-        }
     }
 
     /// Queues `bytes` of application payload tagged `tag` on a connection.
@@ -292,7 +279,7 @@ impl<R: Recorder> Simulator<R> {
     /// [`Notification::SendDone`] (sender).
     pub fn send(&mut self, conn: ConnId, bytes: u64, tag: u64) {
         let now = self.time;
-        let actions = self.conn(conn).on_app_send(bytes, tag, now);
+        let actions = self.conns[conn.index()].on_app_send(bytes, tag, now);
         self.apply_send_actions(conn, actions);
     }
 
@@ -342,7 +329,24 @@ impl<R: Recorder> Simulator<R> {
         match event {
             Event::Arrival { tx, pkt } => self.handle_arrival(tx, pkt),
             Event::Departure { tx, pkt } => self.handle_departure(tx, pkt),
-            Event::HostDelivery { host, pkt } => self.handle_delivery(host, pkt),
+            Event::HostDelivery { host, pkt } => {
+                self.handle_delivery(host, pkt);
+                // Conservation, checked here rather than inside
+                // `Connection` (whose unit tests legitimately drive one
+                // half alone): the sender never believes more than the
+                // receiver holds, nor the receiver more than was queued.
+                if cfg!(debug_assertions) {
+                    let c = &self.conns[pkt.conn().index()];
+                    assert!(
+                        c.snd_una <= c.rcv_nxt && c.rcv_nxt <= c.stream_len,
+                        "{:?}: snd_una {} / rcv_nxt {} / stream_len {}",
+                        c.id,
+                        c.snd_una,
+                        c.rcv_nxt,
+                        c.stream_len
+                    );
+                }
+            }
             Event::RtoTimer { conn } => self.handle_rto(conn),
             Event::AppWakeup { token } => {
                 self.notifications.push_back(Notification::Wakeup {
@@ -508,22 +512,23 @@ impl<R: Recorder> Simulator<R> {
     fn handle_delivery(&mut self, host: HostId, pkt: PackedPacket) {
         let now = self.time;
         let conn = pkt.conn();
+        let c = &mut self.conns[conn.index()];
         match pkt.kind() {
             PacketKind::Data => {
-                debug_assert_eq!(self.conn_cold[conn.index()].dst, host);
-                // Steady-state deliveries (in-order, mid-message, nothing
-                // buffered out of order) resolve against the hot line
-                // alone; boundaries fall through to the full view.
-                if let Some(ack) = self.conn_hot[conn.index()].on_data_fast(pkt.seq, pkt.len()) {
+                debug_assert_eq!(c.dst, host);
+                // Steady-state deliveries (duplicate, or in-order,
+                // mid-message, nothing buffered out of order) end here;
+                // boundaries and gaps fall through to the full path.
+                if let Some(ack) = c.on_data_fast(pkt.seq, pkt.len()) {
                     self.inject_ack(conn, ack);
                     return;
                 }
-                if pkt.seq > self.conn_hot[conn.index()].rcv_nxt {
+                if pkt.seq > c.rcv_nxt {
                     // A gap: this segment arrived ahead of the next
                     // expected byte (the fast path above never sees one).
                     self.stats.ooo_segments += 1;
                 }
-                let recv = self.conn(conn).on_data(pkt.seq, pkt.len(), now);
+                let recv = c.on_data(pkt.seq, pkt.len(), now);
                 for tag in recv.delivered {
                     self.stats.messages_delivered += 1;
                     self.notifications
@@ -534,13 +539,12 @@ impl<R: Recorder> Simulator<R> {
                 }
             }
             PacketKind::Ack => {
-                debug_assert_eq!(self.conn_cold[conn.index()].src, host);
+                debug_assert_eq!(c.src, host);
                 self.stats.acks_received += 1;
-                let actions = self.conn(conn).on_ack(pkt.seq, now);
+                let actions = c.on_ack(pkt.seq, now);
                 if R::ENABLED {
-                    let cwnd = self.conn_hot[conn.index()].cwnd_bytes();
                     self.recorder
-                        .on_cwnd(conn.index() as u32, now.as_nanos(), cwnd);
+                        .on_cwnd(conn.index() as u32, now.as_nanos(), c.cwnd_bytes());
                 }
                 self.apply_send_actions(conn, actions);
             }
@@ -549,7 +553,7 @@ impl<R: Recorder> Simulator<R> {
 
     fn handle_rto(&mut self, conn: ConnId) {
         let now = self.time;
-        let c = &mut self.conn_cold[conn.index()];
+        let c = &mut self.conns[conn.index()];
         c.timer_pushed = false;
         match c.timer_deadline {
             None => {}
@@ -561,7 +565,7 @@ impl<R: Recorder> Simulator<R> {
                 self.note_push();
             }
             Some(_) => {
-                let actions = self.conn(conn).on_rto(now);
+                let actions = c.on_rto(now);
                 self.apply_send_actions(conn, actions);
             }
         }
@@ -601,7 +605,7 @@ impl<R: Recorder> Simulator<R> {
         } else {
             self.rng.gen_range(0..=self.config.rto_jitter_ns)
         };
-        let c = &mut self.conn_cold[conn.index()];
+        let c = &mut self.conns[conn.index()];
         match cmd {
             TimerCmd::Keep => {}
             TimerCmd::Disarm => c.timer_deadline = None,
@@ -646,7 +650,7 @@ impl<R: Recorder> Simulator<R> {
         let first_hop = self.topo.first_hop(self.flow_routes[flow]);
         for (seq, len) in run.iter() {
             let jitter = self.jitter();
-            let c = &mut self.conn_cold[conn.index()];
+            let c = &mut self.conns[conn.index()];
             let at = (self.time + jitter).max(c.last_data_inject);
             c.last_data_inject = at;
             let pkt = PackedPacket::data(conn, seq, len, run.retransmit);
@@ -657,7 +661,7 @@ impl<R: Recorder> Simulator<R> {
 
     fn inject_ack(&mut self, conn: ConnId, ack: u64) {
         let jitter = self.jitter();
-        let c = &mut self.conn_cold[conn.index()];
+        let c = &mut self.conns[conn.index()];
         let at = (self.time + jitter).max(c.last_ack_inject);
         c.last_ack_inject = at;
         let flow = conn.index() * 2 + 1;
@@ -670,10 +674,7 @@ impl<R: Recorder> Simulator<R> {
 
     /// True when every connection has acknowledged all queued bytes.
     pub fn all_quiescent(&self) -> bool {
-        self.conn_hot
-            .iter()
-            .zip(&self.conn_cold)
-            .all(|(hot, cold)| hot.snd_una == cold.stream_len())
+        self.conns.iter().all(Connection::quiescent)
     }
 
     /// Installs supervision limits, replacing any previous guard and
@@ -729,15 +730,14 @@ impl<R: Recorder> Simulator<R> {
     /// the connections whose in-flight data was tail-dropped with no
     /// retransmission timer to recover it: the GM-on-finite-buffer trap.
     pub fn blocked_connections(&self) -> Vec<BlockedConn> {
-        self.conn_hot
+        self.conns
             .iter()
-            .zip(&self.conn_cold)
-            .filter(|(hot, cold)| hot.snd_una < cold.stream_len())
-            .map(|(hot, cold)| BlockedConn {
-                conn: cold.id,
-                src: cold.src,
-                dst: cold.dst,
-                unacked_bytes: cold.stream_len() - hot.snd_una,
+            .filter(|c| !c.quiescent())
+            .map(|c| BlockedConn {
+                conn: c.id,
+                src: c.src,
+                dst: c.dst,
+                unacked_bytes: c.stream_len - c.snd_una,
             })
             .collect()
     }
@@ -991,6 +991,37 @@ mod tests {
         );
         assert!(sim.stats().retransmissions > 0);
         assert_eq!(sim.stats().messages_delivered, 8);
+    }
+
+    #[test]
+    fn lossy_incast_conserves_bytes_on_every_connection() {
+        // Shallow buffers under incast make RTO, go-back-N and fast
+        // retransmit all fire; `step` checks `snd_una ≤ rcv_nxt ≤
+        // stream_len` after every delivery along the way (debug builds),
+        // and at quiescence the three must coincide on every connection.
+        let sw = SwitchConfig {
+            shared_buffer_bytes: 32 * 1024,
+            per_port_cap_bytes: 16 * 1024,
+        };
+        let (mut sim, hosts) =
+            star_sim(9, LinkConfig::gigabit_ethernet(), sw, SimConfig::default());
+        for &h in &hosts[..8] {
+            let conn = sim.open_connection(h, hosts[8], TransportKind::Tcp(TcpConfig::default()));
+            sim.send(conn, 1_500_000, 0);
+            sim.send(conn, 500_000, 1);
+        }
+        sim.run_until_idle();
+        let stats = sim.stats();
+        assert!(stats.timeouts > 0, "no RTO fired: {stats:?}");
+        assert!(stats.fast_retransmits > 0, "no fast retransmit: {stats:?}");
+        assert!(
+            stats.retransmissions > stats.fast_retransmits,
+            "no go-back-N resend: {stats:?}"
+        );
+        for c in &sim.conns {
+            assert_eq!(c.stream_len, 2_000_000);
+            assert_eq!((c.snd_una, c.rcv_nxt), (c.stream_len, c.stream_len));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Per-connection transport state machines, stored columnar.
+//! Per-connection transport state machines.
 //!
 //! Two transports share one skeleton (a reliable, windowed byte stream with
 //! message framing):
@@ -15,30 +15,13 @@
 //!   control and no retransmission timer — the network is configured
 //!   lossless, as Myrinet's link-level backpressure guarantees.
 //!
-//! # Hot/cold state split
-//!
-//! The engine processes one delivery or ACK per host event, across
-//! thousands of connections, so per-connection state is split into two
-//! columns the engine stores in parallel arenas:
-//!
-//! * [`ConnHot`] — the 64-byte block (one cache line, compile-time
-//!   asserted) holding every field the steady-state delivery/ACK
-//!   arithmetic touches: `snd_una`, `snd_nxt`, `rcv_nxt`, the delivery
-//!   boundary, `cwnd`/`ssthresh`/window/MTU, the duplicate-ACK counter and
-//!   the recovery/OOO flags.
-//! * [`ConnCold`] — everything else: identity, RTT estimation, timer and
-//!   injection bookkeeping, the message-boundary queues and the
-//!   out-of-order reassembly map. Its POD front (`stream_len`, Karn
-//!   fields, `rto_ns`, `recover`) is laid out first so the paths that do
-//!   spill read one predictable line.
-//!
-//! The common-case *data delivery* — in-order, mid-message, nothing
-//! buffered out of order — is handled entirely by
-//! [`ConnHot::on_data_fast`], an inherent method on the hot block that by
-//! construction cannot read or write a cold field: one cache line per
-//! delivery. ACK processing reads [`ConnHot`] for all congestion/window
-//! arithmetic and spills to the cold front only for what genuinely lives
-//! there (the Karn probe check, message-completion pops, the RTO re-arm).
+//! A [`Connection`] is one plain struct holding both endpoints' state (the
+//! simulator is omniscient): the sender half lives at `src`, the receiver
+//! half at `dst`, and the engine keeps its per-connection timer and
+//! injection bookkeeping in the same struct. The common-case *data
+//! delivery* — wholly duplicate, or in-order, mid-message, nothing buffered
+//! out of order — is [`Connection::on_data_fast`], an early return the
+//! engine tries before the full [`Connection::on_data`].
 //!
 //! Methods mutate the connection and return [`SendActions`]/[`RecvActions`]
 //! describing packets to inject and notifications to raise; the engine
@@ -57,7 +40,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// A window fill emits dozens to hundreds of contiguous same-size
 /// segments; representing them as one run keeps the action vector at a
 /// handful of entries, and the engine expands it segment by segment with
-/// [`SegmentRun::iter`]. `ConnView::pump` coalesces as it emits, so a run
+/// [`SegmentRun::iter`]. `Connection::pump` coalesces as it emits, so a run
 /// never mixes lengths or retransmit flags — a trailing partial segment
 /// or a Karn-boundary crossing starts a new run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,35 +130,23 @@ pub struct RecvActions {
     pub delivered: Vec<u64>,
 }
 
-/// `ConnHot::flags`: the transport runs TCP congestion control (else GM).
-const FLAG_TCP: u16 = 1 << 0;
-/// `ConnHot::flags`: the sender is inside NewReno fast recovery.
-const FLAG_RECOVERY: u16 = 1 << 1;
-/// `ConnHot::flags`: the receiver holds buffered out-of-order runs
-/// (`ConnCold::ooo` is non-empty), so an in-order arrival must attempt a
-/// merge on the slow path.
-const FLAG_OOO: u16 = 1 << 2;
-
-/// Sentinel for [`ConnHot::next_delivery`] when no message is in flight.
+/// Sentinel for `Connection::next_delivery` when no message is in flight.
 const NO_BOUNDARY: u64 = u64::MAX;
 
-/// The hot column of one connection: the fields the per-delivery / per-ACK
-/// state machine reads and writes in steady state, packed into one cache
-/// line. The engine keeps one dense `Vec<ConnHot>` so a delivery touches
-/// this line instead of scattering across a ~350-byte struct.
+/// One unidirectional transport connection between two hosts.
 ///
-/// The `const` assertion below makes any regrowth (a new field, a widened
-/// one) a compile error instead of a silent hot-loop slowdown — the same
-/// discipline as `PackedPacket` and the event-queue nodes.
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-pub struct ConnHot {
+/// Holds both endpoints' state (the simulator is omniscient): the sender
+/// half lives at `src`, the receiver half at `dst`. Routes are not held
+/// here: the engine resolves a packet's route through its own
+/// `flow → RouteId` table.
+#[derive(Debug)]
+pub struct Connection {
     /// First unacknowledged stream byte (sender half).
-    pub snd_una: u64,
+    pub(crate) snd_una: u64,
     /// Transmission frontier: next stream byte to send.
-    pub snd_nxt: u64,
+    pub(crate) snd_nxt: u64,
     /// Receiver half: next in-order byte expected.
-    pub rcv_nxt: u64,
+    pub(crate) rcv_nxt: u64,
     /// Stream offset at which the oldest undelivered incoming message
     /// completes ([`NO_BOUNDARY`] when none): the delivery fast-path gate.
     /// Invariant: strictly greater than `rcv_nxt` while messages are
@@ -191,103 +162,10 @@ pub struct ConnHot {
     mtu: u32,
     /// Duplicate-ACK counter.
     dupacks: u16,
-    /// `FLAG_*` bits.
-    flags: u16,
-}
-
-const _: () = assert!(
-    std::mem::size_of::<ConnHot>() <= 64,
-    "ConnHot must stay within one 64-byte cache line: every delivery and ACK touches it"
-);
-
-impl ConnHot {
-    fn new(kind: TransportKind) -> Self {
-        let mtu = kind.mtu();
-        let max_window = kind.window_bytes().max(mtu as u64);
-        let (cwnd, flags) = match kind {
-            TransportKind::Tcp(c) => (
-                (c.initial_cwnd_segments as u64 * mtu as u64) as f64,
-                FLAG_TCP,
-            ),
-            TransportKind::Gm(_) => (max_window as f64, 0),
-        };
-        Self {
-            snd_una: 0,
-            snd_nxt: 0,
-            rcv_nxt: 0,
-            next_delivery: NO_BOUNDARY,
-            cwnd,
-            ssthresh: max_window as f64,
-            max_window,
-            mtu,
-            dupacks: 0,
-            flags,
-        }
-    }
-
-    #[inline]
-    fn is_tcp(&self) -> bool {
-        self.flags & FLAG_TCP != 0
-    }
-
-    #[inline]
-    fn in_recovery(&self) -> bool {
-        self.flags & FLAG_RECOVERY != 0
-    }
-
-    /// Bytes in flight (sent but unacknowledged).
-    #[inline]
-    pub fn flight(&self) -> u64 {
-        debug_assert!(self.snd_nxt >= self.snd_una, "frontier behind ack point");
-        self.snd_nxt.saturating_sub(self.snd_una)
-    }
-
-    /// Current congestion window in bytes (diagnostics).
-    pub fn cwnd_bytes(&self) -> u64 {
-        self.cwnd as u64
-    }
-
-    #[inline]
-    fn effective_window(&self) -> u64 {
-        (self.cwnd as u64).min(self.max_window)
-    }
-
-    /// The delivery fast path: handles a data segment touching **only this
-    /// hot line** when it is either wholly duplicate or an in-order,
-    /// mid-message advance with nothing buffered out of order. Returns the
-    /// cumulative ACK to emit, or `None` when the slow path (out-of-order
-    /// bookkeeping or a message completion — both cold-store territory) is
-    /// required.
-    ///
-    /// Being an inherent method on [`ConnHot`], this path *cannot* read or
-    /// write a cold-store field; the borrow checker enforces the
-    /// one-cache-line claim.
-    #[inline]
-    pub fn on_data_fast(&mut self, seq: u64, len: u32) -> Option<u64> {
-        let end = seq + len as u64;
-        if end <= self.rcv_nxt {
-            // Wholly duplicate data: re-ACK, deliver nothing (completed
-            // messages were popped when rcv_nxt first passed them).
-            return Some(self.rcv_nxt);
-        }
-        if self.flags & FLAG_OOO == 0 && seq <= self.rcv_nxt && end < self.next_delivery {
-            // In-order, mid-message, no reassembly pending: pure advance.
-            self.rcv_nxt = end;
-            return Some(end);
-        }
-        None
-    }
-}
-
-/// The cold column of one connection: identity, RTT estimation, timer and
-/// injection bookkeeping, message framing queues and out-of-order
-/// reassembly. POD fields that the ACK path can still touch (Karn probe,
-/// `stream_len`, `rto_ns`, `recover`) lead the layout so a spill reads one
-/// predictable line; the heap-backed containers trail.
-#[derive(Debug)]
-pub struct ConnCold {
+    /// The sender is inside NewReno fast recovery.
+    in_recovery: bool,
     /// Total bytes handed to `on_app_send`.
-    stream_len: u64,
+    pub(crate) stream_len: u64,
     /// Karn's rule across go-back-N: no RTT sampling below this sequence
     /// (bytes that may have been transmitted more than once).
     probe_floor: u64,
@@ -306,18 +184,19 @@ pub struct ConnCold {
     has_rtt: bool,
     /// Transport parameters (thresholds, RTO clamps).
     kind: TransportKind,
-    /// Connection id (index in the engine's arenas).
-    pub id: ConnId,
+    /// Connection id (index in the engine's connection table).
+    pub(crate) id: ConnId,
     /// Sending host.
-    pub src: HostId,
+    pub(crate) src: HostId,
     /// Receiving host.
-    pub dst: HostId,
+    pub(crate) dst: HostId,
     /// Sender message boundaries: `(stream end offset, tag)`.
     msgs_out: VecDeque<(u64, u64)>,
     /// Receiver message boundaries, same framing (shared out of band —
     /// the simulator is omniscient; this stands in for the MPI envelope).
     msgs_in: VecDeque<(u64, u64)>,
-    /// Out-of-order received runs: `start → end`, coalesced lazily.
+    /// Out-of-order received runs: `start → end`, coalesced lazily. While
+    /// non-empty, an in-order arrival must attempt a merge in `on_data`.
     ooo: BTreeMap<u64, u64>,
     /// Engine bookkeeping: current timer deadline, if armed.
     pub(crate) timer_deadline: Option<SimTime>,
@@ -329,19 +208,29 @@ pub struct ConnCold {
     pub(crate) last_ack_inject: SimTime,
 }
 
-impl ConnCold {
-    /// Total bytes handed to `on_app_send` (the quiescence target for
-    /// `snd_una`).
-    pub fn stream_len(&self) -> u64 {
-        self.stream_len
-    }
-
-    fn new(id: ConnId, src: HostId, dst: HostId, kind: TransportKind) -> Self {
-        let rto_ns = match kind {
-            TransportKind::Tcp(c) => c.initial_rto_ns,
-            TransportKind::Gm(_) => u64::MAX,
+impl Connection {
+    /// Creates an idle connection.
+    pub fn new(id: ConnId, src: HostId, dst: HostId, kind: TransportKind) -> Self {
+        let mtu = kind.mtu();
+        let max_window = kind.window_bytes().max(mtu as u64);
+        let (cwnd, rto_ns) = match kind {
+            TransportKind::Tcp(c) => (
+                (c.initial_cwnd_segments as u64 * mtu as u64) as f64,
+                c.initial_rto_ns,
+            ),
+            TransportKind::Gm(_) => (max_window as f64, u64::MAX),
         };
         Self {
+            snd_una: 0,
+            snd_nxt: 0,
+            rcv_nxt: 0,
+            next_delivery: NO_BOUNDARY,
+            cwnd,
+            ssthresh: max_window as f64,
+            max_window,
+            mtu,
+            dupacks: 0,
+            in_recovery: false,
             stream_len: 0,
             probe_floor: 0,
             rtt_probe: None,
@@ -363,47 +252,52 @@ impl ConnCold {
             last_ack_inject: SimTime::ZERO,
         }
     }
-}
 
-/// A mutable view pairing one connection's hot and cold columns: the full
-/// state machine lives here. The engine materializes one per event from
-/// its parallel arenas; the owned [`Connection`] wraps the same pair for
-/// unit tests and standalone use.
-#[derive(Debug)]
-pub struct ConnView<'a> {
-    /// The hot cache-line column.
-    pub hot: &'a mut ConnHot,
-    /// The cold column.
-    pub cold: &'a mut ConnCold,
-}
+    /// The transport runs TCP congestion control (else GM).
+    #[inline]
+    fn is_tcp(&self) -> bool {
+        matches!(self.kind, TransportKind::Tcp(_))
+    }
 
-impl ConnView<'_> {
+    /// Bytes in flight (sent but unacknowledged).
+    #[inline]
+    pub fn flight(&self) -> u64 {
+        debug_assert!(self.snd_nxt >= self.snd_una, "frontier behind ack point");
+        self.snd_nxt.saturating_sub(self.snd_una)
+    }
+
     /// True when every byte handed to `on_app_send` has been acknowledged.
     pub fn quiescent(&self) -> bool {
-        self.hot.snd_una == self.cold.stream_len
+        self.snd_una == self.stream_len
+    }
+
+    /// Current congestion window in bytes (diagnostics).
+    pub fn cwnd_bytes(&self) -> u64 {
+        self.cwnd as u64
     }
 
     /// Current retransmission timeout in nanoseconds (diagnostics).
     pub fn rto_nanos(&self) -> u64 {
-        self.cold.rto_ns
+        self.rto_ns
     }
 
-    /// Refreshes the hot delivery boundary after `msgs_in` changed.
+    #[inline]
+    fn effective_window(&self) -> u64 {
+        (self.cwnd as u64).min(self.max_window)
+    }
+
+    /// Refreshes the delivery boundary after `msgs_in` changed.
     fn refresh_delivery_boundary(&mut self) {
-        self.hot.next_delivery = self
-            .cold
-            .msgs_in
-            .front()
-            .map_or(NO_BOUNDARY, |&(end, _)| end);
+        self.next_delivery = self.msgs_in.front().map_or(NO_BOUNDARY, |&(end, _)| end);
     }
 
     /// Application queues `len` bytes tagged `tag` on the stream.
     pub fn on_app_send(&mut self, len: u64, tag: u64, now: SimTime) -> SendActions {
         assert!(len > 0, "zero-length messages are framed by the MPI layer");
-        self.cold.stream_len += len;
-        self.cold.msgs_out.push_back((self.cold.stream_len, tag));
-        self.cold.msgs_in.push_back((self.cold.stream_len, tag));
-        if self.hot.next_delivery == NO_BOUNDARY {
+        self.stream_len += len;
+        self.msgs_out.push_back((self.stream_len, tag));
+        self.msgs_in.push_back((self.stream_len, tag));
+        if self.next_delivery == NO_BOUNDARY {
             self.refresh_delivery_boundary();
         }
         let mut actions = SendActions::default();
@@ -413,69 +307,86 @@ impl ConnView<'_> {
 
     /// Fills the window with new segments.
     fn pump(&mut self, now: SimTime, actions: &mut SendActions) {
-        let hot = &mut *self.hot;
-        let had_flight = hot.flight() > 0;
+        let had_flight = self.flight() > 0;
         loop {
-            let remaining = self.cold.stream_len - hot.snd_nxt;
+            let remaining = self.stream_len - self.snd_nxt;
             if remaining == 0 {
                 break;
             }
-            let seg = remaining.min(hot.mtu as u64);
-            let flight = hot.flight();
+            let seg = remaining.min(self.mtu as u64);
+            let flight = self.flight();
             // A whole segment must fit in the window — except that an idle
             // sender may always emit one segment, so a post-RTO congestion
             // window below one MTU cannot deadlock the stream.
-            if flight > 0 && flight + seg > hot.effective_window() {
+            if flight > 0 && flight + seg > self.effective_window() {
                 break;
             }
             let len = seg as u32;
-            let seq = hot.snd_nxt;
-            let retransmit = seq < self.cold.probe_floor; // go-back-N resend
-            hot.snd_nxt += len as u64;
-            if self.cold.rtt_probe.is_none() && seq >= self.cold.probe_floor {
-                self.cold.rtt_probe = Some((hot.snd_nxt, now));
+            let seq = self.snd_nxt;
+            let retransmit = seq < self.probe_floor; // go-back-N resend
+            self.snd_nxt += len as u64;
+            if self.rtt_probe.is_none() && seq >= self.probe_floor {
+                self.rtt_probe = Some((self.snd_nxt, now));
             }
             actions.emit_segment(seq, len, retransmit);
         }
-        if !had_flight && hot.flight() > 0 && hot.is_tcp() {
-            actions.timer = TimerCmd::Arm(now + self.cold.rto_ns);
+        if !had_flight && self.flight() > 0 && self.is_tcp() {
+            actions.timer = TimerCmd::Arm(now + self.rto_ns);
         }
     }
 
-    /// Receiver half: a data segment arrived at `dst`. The engine calls
-    /// [`ConnHot::on_data_fast`] first; this is the full path covering
-    /// out-of-order arrivals and message completions.
+    /// The delivery fast path: handles a data segment that is either
+    /// wholly duplicate or an in-order, mid-message advance with nothing
+    /// buffered out of order. Returns the cumulative ACK to emit, or `None`
+    /// when [`Connection::on_data`] (out-of-order bookkeeping or a message
+    /// completion) is required. The engine tries this first; `on_data`
+    /// alone gives the same ACKs and deliveries.
+    #[inline]
+    pub fn on_data_fast(&mut self, seq: u64, len: u32) -> Option<u64> {
+        let end = seq + len as u64;
+        if end <= self.rcv_nxt {
+            // Wholly duplicate data: re-ACK, deliver nothing (completed
+            // messages were popped when rcv_nxt first passed them).
+            return Some(self.rcv_nxt);
+        }
+        if self.ooo.is_empty() && seq <= self.rcv_nxt && end < self.next_delivery {
+            // In-order, mid-message, no reassembly pending: pure advance.
+            self.rcv_nxt = end;
+            return Some(end);
+        }
+        None
+    }
+
+    /// Receiver half: a data segment arrived at `dst`. The full path,
+    /// covering out-of-order arrivals and message completions as well as
+    /// everything [`Connection::on_data_fast`] accepts.
     pub fn on_data(&mut self, seq: u64, len: u32, _now: SimTime) -> RecvActions {
         let end = seq + len as u64;
-        if end > self.hot.rcv_nxt {
-            if seq <= self.hot.rcv_nxt {
+        if end > self.rcv_nxt {
+            if seq <= self.rcv_nxt {
                 // In-order (possibly partially duplicate): advance.
-                self.hot.rcv_nxt = end;
+                self.rcv_nxt = end;
                 // Merge any out-of-order runs now contiguous.
-                while let Some((&start, &run_end)) = self.cold.ooo.iter().next() {
-                    if start > self.hot.rcv_nxt {
+                while let Some((&start, &run_end)) = self.ooo.iter().next() {
+                    if start > self.rcv_nxt {
                         break;
                     }
-                    self.cold.ooo.remove(&start);
-                    self.hot.rcv_nxt = self.hot.rcv_nxt.max(run_end);
-                }
-                if self.cold.ooo.is_empty() {
-                    self.hot.flags &= !FLAG_OOO;
+                    self.ooo.remove(&start);
+                    self.rcv_nxt = self.rcv_nxt.max(run_end);
                 }
             } else {
                 // Out of order: record the run, coalescing overlaps lazily.
-                let entry = self.cold.ooo.entry(seq).or_insert(end);
+                let entry = self.ooo.entry(seq).or_insert(end);
                 *entry = (*entry).max(end);
-                self.hot.flags |= FLAG_OOO;
             }
         }
         let mut actions = RecvActions {
-            ack: Some(self.hot.rcv_nxt),
+            ack: Some(self.rcv_nxt),
             delivered: Vec::new(),
         };
-        while let Some(&(msg_end, tag)) = self.cold.msgs_in.front() {
-            if msg_end <= self.hot.rcv_nxt {
-                self.cold.msgs_in.pop_front();
+        while let Some(&(msg_end, tag)) = self.msgs_in.front() {
+            if msg_end <= self.rcv_nxt {
+                self.msgs_in.pop_front();
                 actions.delivered.push(tag);
             } else {
                 break;
@@ -490,87 +401,84 @@ impl ConnView<'_> {
     /// Sender half: a cumulative ACK arrived back at `src`.
     pub fn on_ack(&mut self, ack: u64, now: SimTime) -> SendActions {
         let mut actions = SendActions::default();
-        let hot = &mut *self.hot;
-        if ack > hot.snd_una {
-            let bytes_acked = ack - hot.snd_una;
-            hot.snd_una = ack;
+        if ack > self.snd_una {
+            let bytes_acked = ack - self.snd_una;
+            self.snd_una = ack;
             // After a go-back-N rewind, ACKs for the pre-timeout flight can
             // overtake the rewound frontier; transmission resumes from the
             // acknowledged point.
-            if hot.snd_nxt < hot.snd_una {
-                hot.snd_nxt = hot.snd_una;
+            if self.snd_nxt < self.snd_una {
+                self.snd_nxt = self.snd_una;
             }
-            hot.dupacks = 0;
+            self.dupacks = 0;
             // Karn-compliant RTT sample.
-            if let Some((probe_end, sent_at)) = self.cold.rtt_probe {
+            if let Some((probe_end, sent_at)) = self.rtt_probe {
                 if ack >= probe_end {
                     self.rtt_sample(now.since(sent_at));
-                    self.cold.rtt_probe = None;
+                    self.rtt_probe = None;
                 }
             }
-            let hot = &mut *self.hot;
-            while let Some(&(msg_end, tag)) = self.cold.msgs_out.front() {
-                if msg_end <= hot.snd_una {
-                    self.cold.msgs_out.pop_front();
+            while let Some(&(msg_end, tag)) = self.msgs_out.front() {
+                if msg_end <= self.snd_una {
+                    self.msgs_out.pop_front();
                     actions.send_done.push(tag);
                 } else {
                     break;
                 }
             }
-            if hot.is_tcp() {
-                if hot.in_recovery() {
-                    if ack >= self.cold.recover {
-                        hot.flags &= !FLAG_RECOVERY;
-                        hot.cwnd = hot.ssthresh;
+            if self.is_tcp() {
+                let mtu = self.mtu as f64;
+                if self.in_recovery {
+                    if ack >= self.recover {
+                        self.in_recovery = false;
+                        self.cwnd = self.ssthresh;
                     } else {
                         // NewReno partial ACK: retransmit the next hole,
                         // deflate by the acked amount, inflate by one MTU.
-                        let len = (hot.snd_nxt - hot.snd_una).min(hot.mtu as u64) as u32;
+                        let len = (self.snd_nxt - self.snd_una).min(self.mtu as u64) as u32;
                         if len > 0 {
-                            actions.emit_segment(hot.snd_una, len, true);
-                            self.cold.rtt_probe = None;
+                            actions.emit_segment(self.snd_una, len, true);
+                            self.rtt_probe = None;
                         }
-                        hot.cwnd =
-                            (hot.cwnd - bytes_acked as f64 + hot.mtu as f64).max(hot.mtu as f64);
+                        self.cwnd = (self.cwnd - bytes_acked as f64 + mtu).max(mtu);
                     }
-                } else if hot.cwnd < hot.ssthresh {
+                } else if self.cwnd < self.ssthresh {
                     // Slow start.
-                    hot.cwnd = (hot.cwnd + bytes_acked as f64).min(hot.max_window as f64);
+                    self.cwnd = (self.cwnd + bytes_acked as f64).min(self.max_window as f64);
                 } else {
                     // Congestion avoidance: one MTU per window's worth.
-                    hot.cwnd = (hot.cwnd + hot.mtu as f64 * hot.mtu as f64 / hot.cwnd)
-                        .min(hot.max_window as f64);
+                    self.cwnd = (self.cwnd + mtu * mtu / self.cwnd).min(self.max_window as f64);
                 }
-                actions.timer = if hot.snd_una == hot.snd_nxt {
+                actions.timer = if self.snd_una == self.snd_nxt {
                     TimerCmd::Disarm
                 } else {
-                    TimerCmd::Arm(now + self.cold.rto_ns)
+                    TimerCmd::Arm(now + self.rto_ns)
                 };
             }
             self.pump(now, &mut actions);
-        } else if ack == hot.snd_una && hot.flight() > 0 && hot.is_tcp() {
+        } else if ack == self.snd_una && self.flight() > 0 && self.is_tcp() {
             // Saturating: the window cap bounds genuine dup-ACK streaks to
             // ~window/MTU, far below u16::MAX; saturation only matters for
             // absurd (> 65535) thresholds, which then simply never fire.
-            hot.dupacks = hot.dupacks.saturating_add(1);
-            let threshold = match self.cold.kind {
+            self.dupacks = self.dupacks.saturating_add(1);
+            let threshold = match self.kind {
                 TransportKind::Tcp(c) => c.dupack_threshold,
                 TransportKind::Gm(_) => u32::MAX,
             };
-            if hot.dupacks as u32 == threshold && !hot.in_recovery() {
+            if self.dupacks as u32 == threshold && !self.in_recovery {
                 // Fast retransmit + NewReno recovery.
-                let flight = hot.flight() as f64;
-                hot.ssthresh = (flight / 2.0).max(2.0 * hot.mtu as f64);
-                hot.cwnd = hot.ssthresh + 3.0 * hot.mtu as f64;
-                hot.flags |= FLAG_RECOVERY;
-                self.cold.recover = hot.snd_nxt;
-                let len = (hot.snd_nxt - hot.snd_una).min(hot.mtu as u64) as u32;
-                actions.emit_segment(hot.snd_una, len, true);
-                self.cold.rtt_probe = None;
+                let flight = self.flight() as f64;
+                self.ssthresh = (flight / 2.0).max(2.0 * self.mtu as f64);
+                self.cwnd = self.ssthresh + 3.0 * self.mtu as f64;
+                self.in_recovery = true;
+                self.recover = self.snd_nxt;
+                let len = (self.snd_nxt - self.snd_una).min(self.mtu as u64) as u32;
+                actions.emit_segment(self.snd_una, len, true);
+                self.rtt_probe = None;
                 actions.fast_retransmit = true;
-                actions.timer = TimerCmd::Arm(now + self.cold.rto_ns);
-            } else if hot.in_recovery() {
-                hot.cwnd += hot.mtu as f64;
+                actions.timer = TimerCmd::Arm(now + self.rto_ns);
+            } else if self.in_recovery {
+                self.cwnd += self.mtu as f64;
                 self.pump(now, &mut actions);
             }
         }
@@ -580,134 +488,48 @@ impl ConnView<'_> {
     /// The retransmission timer fired.
     pub fn on_rto(&mut self, now: SimTime) -> SendActions {
         let mut actions = SendActions::default();
-        let hot = &mut *self.hot;
-        if hot.flight() == 0 || !hot.is_tcp() {
-            actions.timer = TimerCmd::Disarm;
-            return actions;
-        }
-        let (min_rto, max_rto) = match self.cold.kind {
-            TransportKind::Tcp(c) => (c.min_rto_ns, c.max_rto_ns),
-            TransportKind::Gm(_) => unreachable!("GM never arms the timer"),
+        let tcp = match self.kind {
+            TransportKind::Tcp(c) if self.flight() > 0 => c,
+            // Nothing outstanding, or GM (which never arms the timer).
+            _ => {
+                actions.timer = TimerCmd::Disarm;
+                return actions;
+            }
         };
-        hot.ssthresh = (hot.flight() as f64 / 2.0).max(2.0 * hot.mtu as f64);
-        hot.cwnd = hot.mtu as f64;
-        hot.flags &= !FLAG_RECOVERY;
-        hot.dupacks = 0;
+        self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * self.mtu as f64);
+        self.cwnd = self.mtu as f64;
+        self.in_recovery = false;
+        self.dupacks = 0;
         // Karn: no RTT samples from anything at or below the old frontier —
         // those bytes may now be transmitted twice.
-        self.cold.rtt_probe = None;
-        self.cold.probe_floor = self.cold.probe_floor.max(hot.snd_nxt);
-        self.cold.rto_ns = (self.cold.rto_ns.saturating_mul(2)).clamp(min_rto, max_rto);
+        self.rtt_probe = None;
+        self.probe_floor = self.probe_floor.max(self.snd_nxt);
+        self.rto_ns = (self.rto_ns.saturating_mul(2)).clamp(tcp.min_rto_ns, tcp.max_rto_ns);
         // Go-back-N: resume transmission from the first unacknowledged
         // byte. Cumulative ACKs skip whatever the receiver already holds,
         // and slow start refills the window without requiring a separate
         // timeout per hole (serial-RTO starvation is not how TCP behaves).
-        hot.snd_nxt = hot.snd_una;
+        self.snd_nxt = self.snd_una;
         self.pump(now, &mut actions);
         actions.timeout = true;
-        actions.timer = TimerCmd::Arm(now + self.cold.rto_ns);
+        actions.timer = TimerCmd::Arm(now + self.rto_ns);
         actions
     }
 
     fn rtt_sample(&mut self, sample_ns: u64) {
-        let cold = &mut *self.cold;
         let sample = sample_ns as f64;
-        if !cold.has_rtt {
-            cold.srtt_ns = sample;
-            cold.rttvar_ns = sample / 2.0;
-            cold.has_rtt = true;
+        if !self.has_rtt {
+            self.srtt_ns = sample;
+            self.rttvar_ns = sample / 2.0;
+            self.has_rtt = true;
         } else {
-            cold.rttvar_ns = 0.75 * cold.rttvar_ns + 0.25 * (cold.srtt_ns - sample).abs();
-            cold.srtt_ns = 0.875 * cold.srtt_ns + 0.125 * sample;
+            self.rttvar_ns = 0.75 * self.rttvar_ns + 0.25 * (self.srtt_ns - sample).abs();
+            self.srtt_ns = 0.875 * self.srtt_ns + 0.125 * sample;
         }
-        if let TransportKind::Tcp(c) = cold.kind {
-            let rto = cold.srtt_ns + 4.0 * cold.rttvar_ns;
-            cold.rto_ns = (rto as u64).clamp(c.min_rto_ns, c.max_rto_ns);
+        if let TransportKind::Tcp(c) = self.kind {
+            let rto = self.srtt_ns + 4.0 * self.rttvar_ns;
+            self.rto_ns = (rto as u64).clamp(c.min_rto_ns, c.max_rto_ns);
         }
-    }
-}
-
-/// One unidirectional transport connection between two hosts, owning its
-/// [`ConnHot`]/[`ConnCold`] pair. The engine stores the two columns in
-/// separate arenas instead; this owned form serves unit tests and
-/// standalone state-machine use through the same [`ConnView`] methods.
-///
-/// Holds both endpoints' state (the simulator is omniscient): the sender
-/// half lives at `src`, the receiver half at `dst`.
-#[derive(Debug)]
-pub struct Connection {
-    /// The hot cache-line column.
-    pub hot: ConnHot,
-    /// The cold column.
-    pub cold: ConnCold,
-}
-
-impl Connection {
-    /// Creates an idle connection. Routes are not held here: the engine
-    /// resolves a packet's route through its own `flow → RouteId` table.
-    pub fn new(id: ConnId, src: HostId, dst: HostId, kind: TransportKind) -> Self {
-        Self {
-            hot: ConnHot::new(kind),
-            cold: ConnCold::new(id, src, dst, kind),
-        }
-    }
-
-    /// Splits the owned pair into the columnar state-machine view.
-    pub fn view(&mut self) -> ConnView<'_> {
-        ConnView {
-            hot: &mut self.hot,
-            cold: &mut self.cold,
-        }
-    }
-
-    /// Creates the hot/cold columns directly (the engine's arena form).
-    pub fn columns(
-        id: ConnId,
-        src: HostId,
-        dst: HostId,
-        kind: TransportKind,
-    ) -> (ConnHot, ConnCold) {
-        (ConnHot::new(kind), ConnCold::new(id, src, dst, kind))
-    }
-
-    /// Bytes in flight (sent but unacknowledged).
-    pub fn flight(&self) -> u64 {
-        self.hot.flight()
-    }
-
-    /// True when every byte handed to `on_app_send` has been acknowledged.
-    pub fn quiescent(&self) -> bool {
-        self.hot.snd_una == self.cold.stream_len
-    }
-
-    /// Current congestion window in bytes (diagnostics).
-    pub fn cwnd_bytes(&self) -> u64 {
-        self.hot.cwnd_bytes()
-    }
-
-    /// Current retransmission timeout in nanoseconds (diagnostics).
-    pub fn rto_nanos(&self) -> u64 {
-        self.cold.rto_ns
-    }
-
-    /// Application queues `len` bytes tagged `tag` on the stream.
-    pub fn on_app_send(&mut self, len: u64, tag: u64, now: SimTime) -> SendActions {
-        self.view().on_app_send(len, tag, now)
-    }
-
-    /// Receiver half: a data segment arrived at `dst`.
-    pub fn on_data(&mut self, seq: u64, len: u32, now: SimTime) -> RecvActions {
-        self.view().on_data(seq, len, now)
-    }
-
-    /// Sender half: a cumulative ACK arrived back at `src`.
-    pub fn on_ack(&mut self, ack: u64, now: SimTime) -> SendActions {
-        self.view().on_ack(ack, now)
-    }
-
-    /// The retransmission timer fired.
-    pub fn on_rto(&mut self, now: SimTime) -> SendActions {
-        self.view().on_rto(now)
     }
 }
 
@@ -741,7 +563,7 @@ mod tests {
     /// Drives a data segment the way the engine does: fast path first,
     /// slow path on fallback — and asserts the two agree where both apply.
     fn on_data_like_engine(c: &mut Connection, seq: u64, len: u32, now: SimTime) -> RecvActions {
-        match c.hot.on_data_fast(seq, len) {
+        match c.on_data_fast(seq, len) {
             Some(ack) => RecvActions {
                 ack: Some(ack),
                 delivered: Vec::new(),
@@ -923,7 +745,7 @@ mod tests {
         let mut c = tcp();
         let _ = c.on_app_send(100_000, 1, SimTime::ZERO);
         let _ = c.on_ack(2920, SimTime(100)); // window opens, more in flight
-        let frontier = c.hot.snd_nxt;
+        let frontier = c.snd_nxt;
         assert!(frontier > 2920);
         // Timeout rewinds the frontier to snd_una.
         let a = c.on_rto(SimTime(1_000_000_000));
@@ -988,29 +810,29 @@ mod tests {
         for i in 0..3 {
             let _ = c.on_ack(2920, SimTime(200 + i));
         }
-        assert!(c.hot.in_recovery());
-        let recover = c.cold.recover;
+        assert!(c.in_recovery);
+        let recover = c.recover;
         let _ = c.on_ack(recover, SimTime(400));
-        assert!(!c.hot.in_recovery());
-        assert_eq!(c.cwnd_bytes() as f64, c.hot.ssthresh);
+        assert!(!c.in_recovery);
+        assert_eq!(c.cwnd_bytes() as f64, c.ssthresh);
     }
 
-    // ---- hot/cold split invariants ------------------------------------
+    // ---- delivery fast path --------------------------------------------
 
     #[test]
     fn fast_path_handles_in_order_mid_message_data() {
         let mut c = tcp();
         let _ = c.on_app_send(10_000, 1, SimTime::ZERO);
-        // Mid-message in-order segment: pure hot.
-        assert_eq!(c.hot.on_data_fast(0, 1460), Some(1460));
-        assert_eq!(c.hot.rcv_nxt, 1460);
-        // Duplicate: pure hot re-ACK, no state change.
-        assert_eq!(c.hot.on_data_fast(0, 1460), Some(1460));
-        assert_eq!(c.hot.rcv_nxt, 1460);
+        // Mid-message in-order segment: pure advance.
+        assert_eq!(c.on_data_fast(0, 1460), Some(1460));
+        assert_eq!(c.rcv_nxt, 1460);
+        // Duplicate: re-ACK, no state change.
+        assert_eq!(c.on_data_fast(0, 1460), Some(1460));
+        assert_eq!(c.rcv_nxt, 1460);
         // Message-completing segment must fall to the slow path.
-        assert_eq!(c.hot.on_data_fast(1460, 10_000 - 1460), None);
+        assert_eq!(c.on_data_fast(1460, 10_000 - 1460), None);
         // Out-of-order segment must fall to the slow path.
-        assert_eq!(c.hot.on_data_fast(5000, 100), None);
+        assert_eq!(c.on_data_fast(5000, 100), None);
     }
 
     #[test]
@@ -1018,14 +840,15 @@ mod tests {
         let mut c = tcp();
         let _ = c.on_app_send(10_000, 1, SimTime::ZERO);
         let _ = c.on_data(2920, 1460, SimTime(10)); // hole at [0, 2920)
-        assert!(c.hot.flags & FLAG_OOO != 0);
+        assert!(!c.ooo.is_empty());
         // An in-order arrival must not bypass the merge.
-        assert_eq!(c.hot.on_data_fast(0, 1460), None);
+        assert_eq!(c.on_data_fast(0, 1460), None);
         let r = c.on_data(0, 1460, SimTime(20));
         assert_eq!(r.ack, Some(1460), "no merge yet: hole at [1460, 2920)");
         let r = c.on_data(1460, 1460, SimTime(30));
         assert_eq!(r.ack, Some(4380), "merge consumed the buffered run");
-        assert!(c.hot.flags & FLAG_OOO == 0, "OOO flag clears on drain");
+        assert!(c.ooo.is_empty(), "reassembly map drains");
+        assert_eq!(c.on_data_fast(4380, 1460), Some(5840), "fast path resumes");
     }
 
     #[test]
@@ -1053,30 +876,5 @@ mod tests {
             (acks, delivered)
         };
         assert_eq!(drive(true), drive(false));
-    }
-
-    /// Satellite guard: the hot column's size, surfaced in test output
-    /// (run `cargo test -p simnet layout -- --nocapture` to see it) and
-    /// pinned by the `const` assertion next to the type.
-    #[test]
-    fn conn_layout_is_columnar() {
-        use std::mem::size_of;
-        let sizes = [
-            ("ConnHot (per-delivery/ACK line)", size_of::<ConnHot>()),
-            ("ConnCold (cold column)", size_of::<ConnCold>()),
-            ("Connection (owned pair)", size_of::<Connection>()),
-        ];
-        for (name, bytes) in sizes {
-            println!("layout: {name} = {bytes} bytes");
-        }
-        assert_eq!(
-            size_of::<ConnHot>(),
-            64,
-            "ConnHot is exactly one cache line"
-        );
-        assert!(
-            size_of::<ConnCold>() > 64,
-            "the cold column holds everything the hot line excludes"
-        );
     }
 }

@@ -27,11 +27,6 @@ pub enum StatsError {
     /// The normal-equations matrix was singular (collinear regressors,
     /// a zero-variance column, or duplicated abscissae).
     SingularMatrix,
-    /// An observation weight or covariance entry was non-positive or NaN.
-    InvalidWeight {
-        /// Index of the offending weight.
-        index: usize,
-    },
     /// Input contained NaN or infinite values.
     NonFiniteInput,
 }
@@ -52,9 +47,6 @@ impl fmt::Display for StatsError {
                 write!(f, "dimension mismatch: {context}")
             }
             StatsError::SingularMatrix => write!(f, "singular matrix in least-squares solve"),
-            StatsError::InvalidWeight { index } => {
-                write!(f, "invalid (non-positive or NaN) weight at index {index}")
-            }
             StatsError::NonFiniteInput => write!(f, "input contains NaN or infinite values"),
         }
     }

@@ -2,11 +2,12 @@
 //!
 //! The paper fits its contention signature "through a linear regression with
 //! the Generalized Least Squares method, comparing at least four measurement
-//! points" (§8). This crate provides that machinery from scratch:
+//! points" (§8). This crate provides the equal-weight case every fit here
+//! runs, from scratch:
 //!
 //! * [`descriptive`] — one-pass summaries and quantiles;
 //! * [`matrix`] — a small dense matrix with Cholesky and LU solves;
-//! * [`regression`] — ordinary, weighted and generalized least squares;
+//! * [`regression`] — ordinary least squares;
 //! * [`piecewise`] — the piecewise-affine fit with breakpoint search used to
 //!   recover the paper's `(γ, δ, M)` signature.
 //!
@@ -26,4 +27,4 @@ pub use descriptive::Summary;
 pub use error::StatsError;
 pub use matrix::Matrix;
 pub use piecewise::{PiecewiseAffineFit, PiecewiseSpec};
-pub use regression::{gls, ols, wls, LinearFit};
+pub use regression::{ols, LinearFit};

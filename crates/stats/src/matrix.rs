@@ -166,8 +166,8 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Solves `self * x = b` by LU decomposition with partial pivoting.
-    /// Used where symmetry is not guaranteed (GLS whitening).
+    /// Solves `self * x = b` by LU decomposition with partial pivoting,
+    /// for systems whose symmetry is not guaranteed.
     pub fn lu_solve(&self, b: &[f64]) -> Result<Vec<f64>, StatsError> {
         let n = self.rows;
         if self.cols != n {

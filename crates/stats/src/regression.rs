@@ -1,10 +1,10 @@
-//! Ordinary, weighted and generalized least squares.
+//! Ordinary least squares.
 //!
 //! The paper obtains its contention parameters "through a linear regression
 //! with the Generalized Least Squares method, comparing at least four
-//! measurement points" (§8). [`gls`] implements exactly that; [`ols`] and
-//! [`wls`] are the standard special cases (identity / diagonal covariance),
-//! used for the Hockney α/β fit and for repetition-count-weighted fits.
+//! measurement points" (§8). Every fit in this workspace — the Hockney α/β
+//! fit and each candidate breakpoint of the signature fit — weights its
+//! points equally, i.e. runs the identity-covariance special case, [`ols`].
 
 use crate::error::StatsError;
 use crate::matrix::Matrix;
@@ -80,66 +80,6 @@ pub fn ols(design: &Matrix, y: &[f64]) -> Result<LinearFit, StatsError> {
     Ok(LinearFit::from_solution(design, y, coef))
 }
 
-/// Weighted least squares with per-observation weights `w_i > 0`
-/// (equivalent to a diagonal covariance `Σ = diag(1/w_i)`).
-pub fn wls(design: &Matrix, y: &[f64], weights: &[f64]) -> Result<LinearFit, StatsError> {
-    validate(design, y)?;
-    if weights.len() != y.len() {
-        return Err(StatsError::LengthMismatch {
-            left: weights.len(),
-            right: y.len(),
-        });
-    }
-    for (i, &w) in weights.iter().enumerate() {
-        if !w.is_finite() || w <= 0.0 {
-            return Err(StatsError::InvalidWeight { index: i });
-        }
-    }
-    // Whiten: multiply each row and observation by sqrt(w).
-    let mut wdesign = Matrix::zeros(design.rows(), design.cols());
-    let mut wy = vec![0.0; y.len()];
-    for i in 0..design.rows() {
-        let s = weights[i].sqrt();
-        for j in 0..design.cols() {
-            wdesign[(i, j)] = design[(i, j)] * s;
-        }
-        wy[i] = y[i] * s;
-    }
-    let fit = ols(&wdesign, &wy)?;
-    // Report residuals/R² in the original (unweighted) space.
-    Ok(LinearFit::from_solution(design, y, fit.coefficients))
-}
-
-/// Generalized least squares with a full observation covariance matrix `Σ`:
-/// solves `XᵀΣ⁻¹X c = XᵀΣ⁻¹y`.
-///
-/// `sigma` must be symmetric positive-definite. With `Σ = I` this reduces to
-/// [`ols`]; with diagonal `Σ` it reduces to [`wls`].
-pub fn gls(design: &Matrix, y: &[f64], sigma: &Matrix) -> Result<LinearFit, StatsError> {
-    validate(design, y)?;
-    let n = y.len();
-    if sigma.rows() != n || sigma.cols() != n {
-        return Err(StatsError::DimensionMismatch {
-            context: "gls: covariance must be n×n",
-        });
-    }
-    // Σ⁻¹X column by column, and Σ⁻¹y, via Cholesky solves.
-    let mut sinv_x = Matrix::zeros(n, design.cols());
-    for j in 0..design.cols() {
-        let col: Vec<f64> = (0..n).map(|i| design[(i, j)]).collect();
-        let solved = sigma.cholesky_solve(&col)?;
-        for i in 0..n {
-            sinv_x[(i, j)] = solved[i];
-        }
-    }
-    let sinv_y = sigma.cholesky_solve(y)?;
-    let xt = design.transpose();
-    let lhs = xt.mul(&sinv_x)?;
-    let rhs = xt.mul_vec(&sinv_y)?;
-    let coef = lhs.cholesky_solve(&rhs).or_else(|_| lhs.lu_solve(&rhs))?;
-    Ok(LinearFit::from_solution(design, y, coef))
-}
-
 /// Convenience: fits `y = a + b·x` and returns `(a, b, fit)`.
 pub fn simple_affine(x: &[f64], y: &[f64]) -> Result<(f64, f64, LinearFit), StatsError> {
     if x.len() != y.len() {
@@ -152,20 +92,6 @@ pub fn simple_affine(x: &[f64], y: &[f64]) -> Result<(f64, f64, LinearFit), Stat
     let design = Matrix::from_rows(&rows)?;
     let fit = ols(&design, y)?;
     Ok((fit.coefficients[0], fit.coefficients[1], fit))
-}
-
-/// Convenience: fits `y = b·x` through the origin and returns `(b, fit)`.
-pub fn simple_proportional(x: &[f64], y: &[f64]) -> Result<(f64, LinearFit), StatsError> {
-    if x.len() != y.len() {
-        return Err(StatsError::LengthMismatch {
-            left: x.len(),
-            right: y.len(),
-        });
-    }
-    let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-    let design = Matrix::from_rows(&rows)?;
-    let fit = ols(&design, y)?;
-    Ok((fit.coefficients[0], fit))
 }
 
 #[cfg(test)]
@@ -197,58 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn proportional_fit_through_origin() {
-        let x = [1.0, 2.0, 4.0];
-        let y = [2.5, 5.0, 10.0];
-        let (b, _) = simple_proportional(&x, &y).unwrap();
-        assert!((b - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wls_downweights_outlier() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut y: Vec<f64> = x.iter().map(|v| 1.0 * v).collect();
-        y[4] = 100.0; // gross outlier
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let design = Matrix::from_rows(&rows).unwrap();
-        let heavy = wls(&design, &y, &[1.0, 1.0, 1.0, 1.0, 1e-9]).unwrap();
-        assert!((heavy.coefficients[0] - 1.0).abs() < 1e-3);
-        let uniform = ols(&design, &y).unwrap();
-        assert!(uniform.coefficients[0] > 2.0); // outlier drags OLS away
-    }
-
-    #[test]
-    fn gls_with_identity_matches_ols() {
-        let x = [1.0, 2.0, 3.0, 5.0, 8.0];
-        let y = [2.0, 4.1, 5.9, 10.2, 16.1];
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![1.0, v]).collect();
-        let design = Matrix::from_rows(&rows).unwrap();
-        let fit_ols = ols(&design, &y).unwrap();
-        let fit_gls = gls(&design, &y, &Matrix::identity(5)).unwrap();
-        for (a, b) in fit_ols.coefficients.iter().zip(&fit_gls.coefficients) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn gls_with_correlated_noise_still_recovers_signal() {
-        // y = 3x with an AR-like covariance; GLS should land near 3.
-        let x: Vec<f64> = (1..=8).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| 3.0 * v).collect();
-        let n = x.len();
-        let mut sigma = Matrix::identity(n);
-        for i in 0..n {
-            for j in 0..n {
-                sigma[(i, j)] = 0.5f64.powi((i as i32 - j as i32).abs()) * 2.0;
-            }
-        }
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let design = Matrix::from_rows(&rows).unwrap();
-        let fit = gls(&design, &y, &sigma).unwrap();
-        assert!((fit.coefficients[0] - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn underdetermined_system_rejected() {
         let design = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
         assert!(matches!(
@@ -265,19 +139,6 @@ mod tests {
             ols(&design, &[1.0, 2.0, 3.0]),
             Err(StatsError::SingularMatrix)
         );
-    }
-
-    #[test]
-    fn invalid_weights_rejected() {
-        let design = Matrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
-        assert!(matches!(
-            wls(&design, &[1.0, 2.0], &[1.0, 0.0]),
-            Err(StatsError::InvalidWeight { index: 1 })
-        ));
-        assert!(matches!(
-            wls(&design, &[1.0, 2.0], &[1.0, f64::NAN]),
-            Err(StatsError::InvalidWeight { index: 1 })
-        ));
     }
 
     #[test]

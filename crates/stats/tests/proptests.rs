@@ -3,7 +3,7 @@
 use contention_stats::descriptive::{quantile, Summary};
 use contention_stats::matrix::Matrix;
 use contention_stats::piecewise::{fit_piecewise, PiecewiseSpec};
-use contention_stats::regression::{ols, simple_affine, wls};
+use contention_stats::regression::{ols, simple_affine};
 use proptest::prelude::*;
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -57,26 +57,6 @@ proptest! {
             let dot: f64 = (0..n).map(|i| design[(i, j)] * fit.residuals[i]).sum();
             let scale: f64 = (0..n).map(|i| design[(i, j)].abs()).sum::<f64>() + 1.0;
             prop_assert!(dot.abs() / scale < 1e-6, "column {} dot {}", j, dot);
-        }
-    }
-
-    /// WLS with equal weights equals OLS.
-    #[test]
-    fn wls_uniform_weights_is_ols(
-        xs in prop::collection::btree_set(-1000i64..1000, 3..20),
-        noise in finite_vec(3..20),
-        w in 0.1f64..10.0,
-    ) {
-        let xs: Vec<f64> = xs.into_iter().map(|v| v as f64).collect();
-        let n = xs.len().min(noise.len());
-        if n < 3 { return Ok(()); }
-        let ys: Vec<f64> = xs[..n].iter().zip(&noise[..n]).map(|(&x, &e)| 2.0 * x + e * 1e-3).collect();
-        let rows: Vec<Vec<f64>> = xs[..n].iter().map(|&x| vec![1.0, x]).collect();
-        let design = Matrix::from_rows(&rows).unwrap();
-        let f1 = ols(&design, &ys).unwrap();
-        let f2 = wls(&design, &ys, &vec![w; n]).unwrap();
-        for (c1, c2) in f1.coefficients.iter().zip(&f2.coefficients) {
-            prop_assert!((c1 - c2).abs() < 1e-6 * (1.0 + c1.abs()));
         }
     }
 

@@ -17,7 +17,7 @@
 //!   and the §7 contention-signature model `(γ, δ, M)`;
 //! * [`contention_lab`] — the paper's §8 measurement procedure and one
 //!   experiment module per paper figure;
-//! * [`contention_stats`] — the statistics and GLS machinery underneath.
+//! * [`contention_stats`] — the statistics and least-squares machinery underneath.
 //!
 //! ## Quickstart
 //!
