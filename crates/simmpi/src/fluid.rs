@@ -30,9 +30,15 @@
 //! framing bytes, control round-trips, serialized receiver overheads,
 //! TCP loss recovery — is exactly the per-scenario error band the
 //! scenario layer's `fluid_validation` test documents.
+//!
+//! The rank program counter is the one the packet world drives too
+//! (`program.rs`); this module is the protocol half — FIFO matching, flow
+//! starts, the event heap — and the driver that steps [`FluidSim`] through
+//! each finish window ([`FluidSim::window_end`]).
 
 use crate::config::MpiConfig;
 use crate::ops::{Op, Rank};
+use crate::program::{check_hosts, Next, ProgramCounter};
 use crate::world::{RunInterrupt, RunResult};
 use simnet::fluid::{FluidCompletion, FluidSim};
 use simnet::guard::RunGuard;
@@ -40,17 +46,18 @@ use simnet::ids::HostId;
 use simnet::obs::Recorder;
 use simnet::time::SimTime;
 use simnet::topology::Topology;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-/// Relative finish-coalescing window handed to [`FluidSim`]: flow finishes
-/// within 1 % of the earliest one complete under a single rate
-/// recomputation, stamped at their exact projected instants. The solver
-/// slack errs completion times late by at most 1 % — small next to the
-/// packet-vs-fluid model error bands this tier documents — and is what
-/// keeps the staggered ECMP finish waves of 1k–4k-host fabrics from
-/// costing one full max-min recomputation each (measured: ~10× fewer
-/// recomputations on the 1024-host fat-tree all-to-all).
+/// Relative finish-coalescing window handed to [`FluidSim`]: finishes
+/// within 1 % of the time since the latest flow start complete under one
+/// rate recomputation. That slack defers a redistribution, or a flow a
+/// rank starts inside the window, by at most 1 % of the time its
+/// competitors have been flowing, so it does not compound over rounds —
+/// small next to the packet-vs-fluid error bands this tier documents —
+/// and it saves ~10× the recomputations of the staggered ECMP finish
+/// waves on the 1024-host fat-tree all-to-all.
 const FINISH_WINDOW_REL: f64 = 1e-2;
 
 /// One pending point-to-point message (identified by its index in
@@ -116,37 +123,14 @@ impl<T: Copy> Waiters<T> {
     }
 }
 
-/// A heap event: something a rank waits on resolves at `at_ns`.
-#[derive(Debug, Clone, Copy)]
+/// A heap event: a part `rank` waits on resolves at instant `at_bits`
+/// (f64 bits: time order for non-negative instants); the unique `seq`
+/// breaks ties in insertion order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Pending {
     at_bits: u64,
     seq: u64,
     rank: Rank,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_bits == other.at_bits && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap via reversal: earliest time, then insertion order.
-        (other.at_bits, other.seq).cmp(&(self.at_bits, self.seq))
-    }
-}
-
-struct RankState {
-    program: Vec<Op>,
-    pc: usize,
-    outstanding: usize,
-    finished: Option<f64>,
 }
 
 /// A set of MPI ranks mapped onto fabric hosts, executed fluidly.
@@ -160,22 +144,18 @@ pub struct FluidWorld<'a> {
     topo: &'a Topology,
     hosts: Vec<HostId>,
     mpi: MpiConfig,
-    n: usize,
 }
 
 struct Interp<'w, 'a, R: Recorder> {
     topo: &'a Topology,
     hosts: &'w [HostId],
     mpi: &'w MpiConfig,
-    n: usize,
     net: FluidSim<'a, R>,
-    ranks: Vec<RankState>,
+    ranks: ProgramCounter<f64>,
     transfers: Vec<Transfer>,
     pair_queues: HashMap<u64, PairQueue>,
-    heap: BinaryHeap<Pending>,
+    heap: BinaryHeap<Reverse<Pending>>,
     next_seq: u64,
-    barrier_waiting: usize,
-    unfinished: usize,
     finish_buf: Vec<FluidCompletion>,
 }
 
@@ -186,48 +166,13 @@ impl<'a> FluidWorld<'a> {
     /// Panics if `hosts` is empty, repeats a host, or references hosts
     /// outside the topology.
     pub fn new(topo: &'a Topology, hosts: Vec<HostId>, mpi: MpiConfig) -> Self {
-        assert!(!hosts.is_empty(), "a world needs at least one rank");
-        let mut seen = vec![false; topo.n_hosts];
-        for &h in &hosts {
-            assert!(h.index() < topo.n_hosts, "host outside topology");
-            assert!(!seen[h.index()], "one rank per host");
-            seen[h.index()] = true;
-        }
-        let n = hosts.len();
-        Self {
-            topo,
-            hosts,
-            mpi,
-            n,
-        }
-    }
-
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.n
-    }
-
-    /// MPI-layer configuration in force (jitter/hiccup fields ignored).
-    pub fn mpi_config(&self) -> &MpiConfig {
-        &self.mpi
+        check_hosts(&hosts, topo.n_hosts);
+        Self { topo, hosts, mpi }
     }
 
     /// Runs one program per rank to completion and returns per-rank
     /// finish times, with `recorder` receiving link-utilization samples
-    /// integrated from the fluid rates.
-    ///
-    /// # Panics
-    /// Panics if `programs.len()` differs from the rank count or the
-    /// programs deadlock (a rank blocked with no flow or event pending).
-    pub fn run_with<R: Recorder>(&self, programs: Vec<Vec<Op>>, recorder: R) -> (RunResult, R) {
-        let (result, recorder) = self.try_run_with(programs, recorder, RunGuard::unlimited());
-        match result {
-            Ok(r) => (r, recorder),
-            Err(interrupt) => panic!("{interrupt}"),
-        }
-    }
-
-    /// Like [`FluidWorld::run_with`], but supervised: `guard` limits are
+    /// integrated from the fluid rates. Supervised: `guard` limits are
     /// polled at the fluid engine's preemption points (each advance
     /// iteration and each driver-loop boundary), and interruptions come
     /// back as values — a tripped limit as [`RunInterrupt::Guard`], a
@@ -243,7 +188,7 @@ impl<'a> FluidWorld<'a> {
         recorder: R,
         guard: RunGuard,
     ) -> (Result<RunResult, RunInterrupt>, R) {
-        assert_eq!(programs.len(), self.n, "one program per rank");
+        assert_eq!(programs.len(), self.hosts.len(), "one program per rank");
         let sends: usize = programs
             .iter()
             .flatten()
@@ -259,23 +204,12 @@ impl<'a> FluidWorld<'a> {
             topo: self.topo,
             hosts: &self.hosts,
             mpi: &self.mpi,
-            n: self.n,
             net,
-            ranks: programs
-                .into_iter()
-                .map(|program| RankState {
-                    program,
-                    pc: 0,
-                    outstanding: 0,
-                    finished: None,
-                })
-                .collect(),
+            ranks: ProgramCounter::new(programs),
             transfers: Vec::with_capacity(sends),
             pair_queues: HashMap::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
-            barrier_waiting: 0,
-            unfinished: self.n,
             finish_buf: Vec::new(),
         };
         let result = interp.execute();
@@ -292,51 +226,44 @@ impl<'a> FluidWorld<'a> {
             .0
     }
 
-    /// [`FluidWorld::run_with`] without telemetry.
+    /// [`FluidWorld::try_run`] without a guard; panics on a deadlock.
     pub fn run(&self, programs: Vec<Vec<Op>>) -> RunResult {
-        self.run_with(programs, simnet::obs::NoopRecorder).0
+        self.try_run(programs, RunGuard::unlimited())
+            .unwrap_or_else(|stop| panic!("{stop}"))
     }
 }
 
 impl<R: Recorder> Interp<'_, '_, R> {
     fn execute(&mut self) -> Result<RunResult, RunInterrupt> {
-        for rank in 0..self.n {
+        for rank in 0..self.hosts.len() {
             self.issue_current_op(rank, 0.0);
         }
-        while self.unfinished > 0 {
+        while self.ranks.unfinished() > 0 {
             // Poll the guard at the driver boundary too: a pure-event
             // phase (no fluid in flight) must still honor deadlines and
             // cancellation.
             if let Some(stop) = self.net.guard_stop() {
                 return Err(RunInterrupt::Guard(stop));
             }
-            let t_event = self.heap.peek().map(|p| f64::from_bits(p.at_bits));
-            let t_flow = self.net.next_finish_ns();
-            let t = match (t_event, t_flow) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => {
-                    let ranks: Vec<usize> = self
-                        .ranks
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.finished.is_none())
-                        .map(|(i, _)| i)
-                        .collect();
-                    let detail = format!("ranks {ranks:?} blocked with no pending events or flows");
-                    return Err(RunInterrupt::Deadlocked { ranks, detail });
-                }
-            };
+            let event = self
+                .heap
+                .peek()
+                .map_or(f64::INFINITY, |Reverse(p)| f64::from_bits(p.at_bits));
+            let flow = self.net.next_finish_ns().unwrap_or(f64::INFINITY);
+            let t = event.min(flow);
+            if t == f64::INFINITY {
+                let ranks = self.ranks.blocked();
+                let detail = format!("ranks {ranks:?} blocked with no pending events or flows");
+                return Err(RunInterrupt::Deadlocked { ranks, detail });
+            }
             // When the next boundary is a flow finish, advance through its
             // whole coalescing window (clamped to the next rank event) so
             // the engine can batch the finish wave under one rate
             // recomputation. Rank events stay exact boundaries.
-            let t_adv = match (t_event, t_flow) {
-                (event, Some(flow)) if flow <= event.unwrap_or(f64::INFINITY) => {
-                    (flow * (1.0 + FINISH_WINDOW_REL)).min(event.unwrap_or(f64::INFINITY))
-                }
-                _ => t,
+            let t_adv = if flow <= event {
+                self.net.window_end(flow).min(event)
+            } else {
+                event
             }
             .max(self.net.now_ns());
             let mut finishes = std::mem::take(&mut self.finish_buf);
@@ -349,20 +276,20 @@ impl<R: Recorder> Interp<'_, '_, R> {
                 self.on_flow_finish(c.tag, (c.at.0 as f64).clamp(t, t_adv));
             }
             self.finish_buf = finishes;
-            while let Some(p) = self.heap.peek() {
-                if f64::from_bits(p.at_bits) > t_adv {
+            while let Some(&Reverse(Pending { at_bits, rank, .. })) = self.heap.peek() {
+                if f64::from_bits(at_bits) > t_adv {
                     break;
                 }
-                let p = self.heap.pop().unwrap();
-                self.complete_part(p.rank, f64::from_bits(p.at_bits));
+                self.heap.pop();
+                self.complete_part(rank, f64::from_bits(at_bits));
             }
         }
         Ok(RunResult {
             start: SimTime(0),
             finished: self
                 .ranks
-                .iter()
-                .map(|r| SimTime(r.finished.unwrap().round() as u64))
+                .finish_times()
+                .map(|t| SimTime(t.round() as u64))
                 .collect(),
         })
     }
@@ -370,15 +297,15 @@ impl<R: Recorder> Interp<'_, '_, R> {
     fn schedule(&mut self, rank: Rank, at_ns: f64) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Pending {
+        self.heap.push(Reverse(Pending {
             at_bits: at_ns.to_bits(),
             seq,
             rank,
-        });
+        }));
     }
 
     fn pair_key(&self, src: Rank, dst: Rank) -> u64 {
-        (src * self.n + dst) as u64
+        (src * self.hosts.len() + dst) as u64
     }
 
     /// One-way wire latency of the src → dst route in nanoseconds.
@@ -391,53 +318,35 @@ impl<R: Recorder> Interp<'_, '_, R> {
     }
 
     fn issue_current_op(&mut self, rank: Rank, now_ns: f64) {
-        loop {
-            let state = &self.ranks[rank];
-            if state.pc >= state.program.len() {
-                self.ranks[rank].finished = Some(now_ns);
-                self.unfinished -= 1;
-                return;
+        match self.ranks.next(rank, now_ns) {
+            Next::Idle => {}
+            Next::Release => {
+                for r in 0..self.hosts.len() {
+                    self.schedule(r, now_ns);
+                }
             }
-            let op = state.program[state.pc].clone();
-            match op {
-                Op::Transfer { sends, recvs } => {
-                    if sends.is_empty() && recvs.is_empty() {
-                        self.ranks[rank].pc += 1;
-                        continue;
-                    }
-                    let rendezvous = sends
-                        .iter()
-                        .filter(|(_, b)| *b > self.mpi.eager_threshold)
-                        .count();
-                    let cpu_parts = usize::from(!sends.is_empty());
-                    self.ranks[rank].outstanding = cpu_parts + rendezvous + recvs.len();
-                    // Receives post first (instantaneous state change) so a
-                    // sendrecv against the same peer cannot deadlock.
-                    for from in recvs {
-                        assert_ne!(from, rank, "self-receives are local copies");
-                        self.post_recv(from, rank, now_ns);
-                    }
-                    if cpu_parts > 0 {
-                        let cpu_ns = sends.len() as u64 * self.mpi.send_overhead_ns;
-                        self.schedule(rank, now_ns + cpu_ns as f64);
-                    }
-                    for (to, bytes) in sends {
-                        assert_ne!(to, rank, "self-sends are local copies");
-                        self.issue_send(rank, to, bytes, now_ns);
-                    }
-                    return;
+            Next::Transfer { sends, recvs } => {
+                let rendezvous = sends
+                    .iter()
+                    .filter(|(_, b)| *b > self.mpi.eager_threshold)
+                    .count();
+                let cpu_parts = usize::from(!sends.is_empty());
+                // Receives post first (instantaneous state change) so a
+                // sendrecv against the same peer cannot deadlock.
+                for &from in &recvs {
+                    assert_ne!(from, rank, "self-receives are local copies");
+                    self.post_recv(from, rank, now_ns);
                 }
-                Op::Barrier => {
-                    self.ranks[rank].outstanding = 1;
-                    self.barrier_waiting += 1;
-                    if self.barrier_waiting == self.n {
-                        self.barrier_waiting = 0;
-                        for r in 0..self.n {
-                            self.schedule(r, now_ns);
-                        }
-                    }
-                    return;
+                if cpu_parts > 0 {
+                    let cpu_ns = sends.len() as u64 * self.mpi.send_overhead_ns;
+                    self.schedule(rank, now_ns + cpu_ns as f64);
                 }
+                for &(to, bytes) in &sends {
+                    assert_ne!(to, rank, "self-sends are local copies");
+                    self.issue_send(rank, to, bytes, now_ns);
+                }
+                let parts = cpu_parts + rendezvous + recvs.len();
+                self.ranks.wait(rank, parts, Op::Transfer { sends, recvs });
             }
         }
     }
@@ -555,11 +464,7 @@ impl<R: Recorder> Interp<'_, '_, R> {
     }
 
     fn complete_part(&mut self, rank: Rank, now_ns: f64) {
-        let state = &mut self.ranks[rank];
-        debug_assert!(state.outstanding > 0, "completion without a pending op");
-        state.outstanding -= 1;
-        if state.outstanding == 0 {
-            state.pc += 1;
+        if self.ranks.complete(rank) {
             self.issue_current_op(rank, now_ns);
         }
     }
@@ -729,5 +634,71 @@ mod tests {
         let w = world(&topo, &hosts);
         let r = w.run(vec![vec![Op::send(1, 0)], vec![Op::recv(0)]]);
         assert!(r.duration_secs() < 1e-3);
+    }
+
+    /// Closed form (ROADMAP 1a): on a lossless star every round of
+    /// `direct` and `pairwise` is a permutation at line rate, so with
+    /// rendezvous-size messages n ranks take exactly n−1 two-rank
+    /// exchanges; the finish window may only add its bounded lateness.
+    #[test]
+    fn permutation_rounds_take_n_minus_one_two_rank_exchanges() {
+        let time = |algo: AllToAllAlgorithm, n: usize, m: u64| {
+            let (topo, hosts) = star(n);
+            world(&topo, &hosts)
+                .run(algo.programs(n, m))
+                .duration_secs()
+        };
+        for algo in [
+            AllToAllAlgorithm::DirectExchange,
+            AllToAllAlgorithm::PairwiseExchange,
+        ] {
+            for m in [64 * 1024, 1_000_000] {
+                let t2 = time(algo, 2, m);
+                for n in [4, 8, 16, 32] {
+                    let ratio = time(algo, n, m) / ((n - 1) as f64 * t2);
+                    // The low end allows for finish times in whole ns.
+                    assert!(
+                        (1.0 - 1e-9..=1.0 + FINISH_WINDOW_REL).contains(&ratio),
+                        "{} n={n} m={m}: T(n)/((n-1)·T(2)) = {ratio}",
+                        algo.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Metamorphic (ROADMAP 1f): a barrier releases every rank onto an
+    /// idle fabric at once, so `A ++ [Barrier] ++ B` takes T(A) + T(B).
+    #[test]
+    fn a_barrier_separated_sequence_takes_the_sum_of_its_parts() {
+        for n in [2, 4, 8, 16] {
+            let (topo, hosts) = star(n);
+            let w = world(&topo, &hosts);
+            for (ma, mb) in [(1024, 1_000_000), (64 * 1024, 4096), (1_000_000, 1_000_000)] {
+                for a in AllToAllAlgorithm::all() {
+                    for b in AllToAllAlgorithm::all() {
+                        let (pa, pb) = (a.programs(n, ma), b.programs(n, mb));
+                        let parts =
+                            w.run(pa.clone()).duration_secs() + w.run(pb.clone()).duration_secs();
+                        let joined = pa
+                            .into_iter()
+                            .zip(pb)
+                            .map(|(mut p, q)| {
+                                p.push(Op::Barrier);
+                                p.extend(q);
+                                p
+                            })
+                            .collect();
+                        let whole = w.run(joined).duration_secs();
+                        assert!(
+                            (whole - parts).abs() <= FINISH_WINDOW_REL * parts,
+                            "{}({ma}) ++ {}({mb}), n={n}: {whole} vs {parts}",
+                            a.name(),
+                            b.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! Stands in for LAM-MPI/MPICH in the paper's experiments. It provides:
 //!
-//! * ranks mapped onto simulator hosts ([`world::World`]);
+//! * ranks mapped onto hosts by two worlds, the packet [`world::World`]
+//!   and the flow-level [`fluid::FluidWorld`], which share one rank
+//!   program counter (next op, outstanding parts, barriers, finish times,
+//!   the host-set check) and keep only their own protocols;
 //! * blocking point-to-point semantics with an **eager/rendezvous**
 //!   protocol (envelope overheads, unexpected-message queueing, RTS/CTS
 //!   handshakes) — the source of the paper's small-message non-linearity
@@ -46,6 +49,7 @@ pub mod harness;
 pub mod irregular;
 pub mod ops;
 pub mod presets;
+mod program;
 pub mod runner;
 pub mod world;
 

@@ -49,14 +49,6 @@ impl Op {
             recvs: vec![from],
         }
     }
-
-    /// Number of sub-completions this operation waits on.
-    pub fn pending_parts(&self) -> usize {
-        match self {
-            Op::Transfer { sends, recvs } => sends.len() + recvs.len(),
-            Op::Barrier => 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -65,9 +57,9 @@ mod tests {
 
     #[test]
     fn constructors_shape_ops() {
-        assert_eq!(Op::send(3, 10).pending_parts(), 1);
-        assert_eq!(Op::recv(2).pending_parts(), 1);
-        assert_eq!(Op::sendrecv(1, 5, 2).pending_parts(), 2);
-        assert_eq!(Op::Barrier.pending_parts(), 1);
+        let transfer = |sends: Vec<(Rank, u64)>, recvs: Vec<Rank>| Op::Transfer { sends, recvs };
+        assert_eq!(Op::send(3, 10), transfer(vec![(3, 10)], vec![]));
+        assert_eq!(Op::recv(2), transfer(vec![], vec![2]));
+        assert_eq!(Op::sendrecv(1, 5, 2), transfer(vec![(1, 5)], vec![2]));
     }
 }

@@ -16,9 +16,15 @@
 //! rounds re-synchronize every pair each round, so per-round costs — control
 //! round-trips and OS scheduling hiccups — accumulate into the affine `δ`
 //! term only above the threshold.
+//!
+//! The rank program counter is shared with
+//! [`FluidWorld`](crate::fluid::FluidWorld) (`program.rs`); this module is
+//! the protocol half: connections, envelope matching and the jittered CPU
+//! overheads, drawn from the world's RNG in issue order.
 
 use crate::config::MpiConfig;
 use crate::ops::{Op, Rank};
+use crate::program::{check_hosts, Next, ProgramCounter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::prelude::*;
@@ -77,15 +83,6 @@ struct PairState {
     posted: usize,
     /// Envelopes arrived at the destination, not yet matched, by sequence.
     arrived: BTreeMap<u64, ArrivedMsg>,
-}
-
-#[derive(Debug)]
-struct RankState {
-    program: Vec<Op>,
-    pc: usize,
-    outstanding: usize,
-    cpu_free: SimTime,
-    finished: Option<SimTime>,
 }
 
 /// Result of one program run.
@@ -154,14 +151,13 @@ pub struct World<R: Recorder = NoopRecorder> {
     hosts: Vec<HostId>,
     mpi: MpiConfig,
     transport: TransportKind,
-    n: usize,
     pairs: Vec<PairState>,
     conn_pair: Vec<(Rank, Rank)>,
     rendezvous: HashMap<(usize, u64), u64>,
     actions: Vec<WakeupAction>,
-    ranks: Vec<RankState>,
-    barrier_waiting: usize,
-    unfinished: usize,
+    ranks: ProgramCounter<SimTime>,
+    /// Per rank, the instant its CPU finishes the overheads charged so far.
+    cpu_free: Vec<SimTime>,
     rng: StdRng,
 }
 
@@ -178,13 +174,7 @@ impl<R: Recorder> World<R> {
         mpi: MpiConfig,
         transport: TransportKind,
     ) -> Self {
-        assert!(!hosts.is_empty(), "a world needs at least one rank");
-        let mut seen = vec![false; sim.n_hosts()];
-        for &h in &hosts {
-            assert!(h.index() < sim.n_hosts(), "host outside topology");
-            assert!(!seen[h.index()], "one rank per host");
-            seen[h.index()] = true;
-        }
+        check_hosts(&hosts, sim.n_hosts());
         let n = hosts.len();
         let mut pairs = Vec::with_capacity(n * n);
         pairs.resize_with(n * n, PairState::default);
@@ -194,21 +184,19 @@ impl<R: Recorder> World<R> {
             hosts,
             mpi,
             transport,
-            n,
             pairs,
             conn_pair: Vec::new(),
             rendezvous: HashMap::new(),
             actions: Vec::new(),
-            ranks: Vec::new(),
-            barrier_waiting: 0,
-            unfinished: 0,
+            ranks: ProgramCounter::new(Vec::new()),
+            cpu_free: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
     /// Number of ranks.
     pub fn n_ranks(&self) -> usize {
-        self.n
+        self.hosts.len()
     }
 
     /// The underlying simulator (counters, current time).
@@ -226,11 +214,6 @@ impl<R: Recorder> World<R> {
         self.sim.into_recorder()
     }
 
-    /// MPI-layer configuration in force.
-    pub fn mpi_config(&self) -> &MpiConfig {
-        &self.mpi
-    }
-
     /// Runs one program per rank to completion and returns per-rank finish
     /// times. Programs start simultaneously after an idle gap (the paper's
     /// synchronization model: "all processes start the algorithm
@@ -242,10 +225,8 @@ impl<R: Recorder> World<R> {
     /// if a guard installed on the simulator trips — use
     /// [`World::try_run`] to receive those outcomes as values.
     pub fn run(&mut self, programs: Vec<Vec<Op>>) -> RunResult {
-        match self.try_run(programs) {
-            Ok(r) => r,
-            Err(interrupt) => panic!("{interrupt}"),
-        }
+        self.try_run(programs)
+            .unwrap_or_else(|stop| panic!("{stop}"))
     }
 
     /// Like [`World::run`], but interruptions come back as values: a
@@ -259,31 +240,21 @@ impl<R: Recorder> World<R> {
     /// # Panics
     /// Panics if `programs.len()` differs from the rank count.
     pub fn try_run(&mut self, programs: Vec<Vec<Op>>) -> Result<RunResult, RunInterrupt> {
-        assert_eq!(programs.len(), self.n, "one program per rank");
+        assert_eq!(programs.len(), self.hosts.len(), "one program per rank");
         // Drain any traffic trailing from a previous run (late ACKs).
         self.sim.run_until_idle();
         while self.sim.poll().is_some() {}
 
         let start = self.sim.now() + self.mpi.rep_gap_ns;
         self.actions.clear();
-        self.barrier_waiting = 0;
-        self.unfinished = self.n;
-        self.ranks = programs
-            .into_iter()
-            .map(|program| RankState {
-                program,
-                pc: 0,
-                outstanding: 0,
-                cpu_free: start,
-                finished: None,
-            })
-            .collect();
-        for rank in 0..self.n {
+        self.ranks = ProgramCounter::new(programs);
+        self.cpu_free = vec![start; self.hosts.len()];
+        for rank in 0..self.hosts.len() {
             let token = self.push_action(WakeupAction::StartRank { rank });
             self.sim.schedule_wakeup(start, token);
         }
 
-        while self.unfinished > 0 {
+        while self.ranks.unfinished() > 0 {
             let Some(note) = self.sim.poll() else {
                 if let Some(stop) = self.sim.take_stop() {
                     return Err(RunInterrupt::Guard(stop));
@@ -299,7 +270,7 @@ impl<R: Recorder> World<R> {
 
         Ok(RunResult {
             start,
-            finished: self.ranks.iter().map(|r| r.finished.unwrap()).collect(),
+            finished: self.ranks.finish_times().collect(),
         })
     }
 
@@ -309,13 +280,7 @@ impl<R: Recorder> World<R> {
     /// drained queue with unacked bytes is a genuine protocol stall, not
     /// a simulation still in flight).
     fn deadlock_interrupt(&self) -> RunInterrupt {
-        let ranks: Vec<usize> = self
-            .ranks
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.finished.is_none())
-            .map(|(i, _)| i)
-            .collect();
+        let ranks = self.ranks.blocked();
         let mut detail = format!("ranks {ranks:?} blocked with no pending events");
         let stalled = self.sim.blocked_connections();
         if !stalled.is_empty() {
@@ -346,7 +311,7 @@ impl<R: Recorder> World<R> {
     }
 
     fn pair_idx(&self, src: Rank, dst: Rank) -> usize {
-        src * self.n + dst
+        src * self.hosts.len() + dst
     }
 
     fn conn_for(&mut self, src: Rank, dst: Rank, ctrl: bool) -> ConnId {
@@ -388,9 +353,9 @@ impl<R: Recorder> World<R> {
         } else {
             0
         };
-        let begin = self.ranks[rank].cpu_free.max(self.sim.now());
+        let begin = self.cpu_free[rank].max(self.sim.now());
         let end = begin + base_ns + jitter + hiccup;
-        self.ranks[rank].cpu_free = end;
+        self.cpu_free[rank] = end;
         let token = self.push_action(action);
         self.sim.schedule_wakeup(end, token);
     }
@@ -421,51 +386,32 @@ impl<R: Recorder> World<R> {
     }
 
     fn issue_current_op(&mut self, rank: Rank) {
-        loop {
-            let state = &self.ranks[rank];
-            if state.pc >= state.program.len() {
-                self.ranks[rank].finished = Some(self.sim.now());
-                self.unfinished -= 1;
-                return;
+        match self.ranks.next(rank, self.sim.now()) {
+            Next::Idle => {}
+            Next::Release => {
+                let now = self.sim.now();
+                for r in 0..self.hosts.len() {
+                    let token = self.push_action(WakeupAction::CompleteHalf { rank: r });
+                    self.sim.schedule_wakeup(now, token);
+                }
             }
-            let op = state.program[state.pc].clone();
-            match op {
-                Op::Transfer { sends, recvs } => {
-                    let parts = sends.len() + recvs.len();
-                    if parts == 0 {
-                        self.ranks[rank].pc += 1;
-                        continue;
-                    }
-                    self.ranks[rank].outstanding = parts;
-                    // Receives post first (instantaneous state change) so a
-                    // sendrecv against the same peer cannot deadlock.
-                    for from in recvs {
-                        assert_ne!(from, rank, "self-receives are local copies");
-                        self.post_recv(from, rank);
-                    }
-                    for (to, bytes) in sends {
-                        assert_ne!(to, rank, "self-sends are local copies");
-                        self.schedule_cpu(
-                            rank,
-                            self.mpi.send_overhead_ns,
-                            WakeupAction::IssueSend { rank, to, bytes },
-                        );
-                    }
-                    return;
+            Next::Transfer { sends, recvs } => {
+                // Receives post first (instantaneous state change) so a
+                // sendrecv against the same peer cannot deadlock.
+                for &from in &recvs {
+                    assert_ne!(from, rank, "self-receives are local copies");
+                    self.post_recv(from, rank);
                 }
-                Op::Barrier => {
-                    self.ranks[rank].outstanding = 1;
-                    self.barrier_waiting += 1;
-                    if self.barrier_waiting == self.n {
-                        self.barrier_waiting = 0;
-                        let now = self.sim.now();
-                        for r in 0..self.n {
-                            let token = self.push_action(WakeupAction::CompleteHalf { rank: r });
-                            self.sim.schedule_wakeup(now, token);
-                        }
-                    }
-                    return;
+                for &(to, bytes) in &sends {
+                    assert_ne!(to, rank, "self-sends are local copies");
+                    self.schedule_cpu(
+                        rank,
+                        self.mpi.send_overhead_ns,
+                        WakeupAction::IssueSend { rank, to, bytes },
+                    );
                 }
+                let parts = sends.len() + recvs.len();
+                self.ranks.wait(rank, parts, Op::Transfer { sends, recvs });
             }
         }
     }
@@ -559,11 +505,7 @@ impl<R: Recorder> World<R> {
     }
 
     fn complete_half(&mut self, rank: Rank) {
-        let state = &mut self.ranks[rank];
-        debug_assert!(state.outstanding > 0, "completion without a pending op");
-        state.outstanding -= 1;
-        if state.outstanding == 0 {
-            state.pc += 1;
+        if self.ranks.complete(rank) {
             self.issue_current_op(rank);
         }
     }

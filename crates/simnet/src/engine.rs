@@ -516,27 +516,18 @@ impl<R: Recorder> Simulator<R> {
         match pkt.kind() {
             PacketKind::Data => {
                 debug_assert_eq!(c.dst, host);
-                // Steady-state deliveries (duplicate, or in-order,
-                // mid-message, nothing buffered out of order) end here;
-                // boundaries and gaps fall through to the full path.
-                if let Some(ack) = c.on_data_fast(pkt.seq, pkt.len()) {
-                    self.inject_ack(conn, ack);
-                    return;
-                }
                 if pkt.seq > c.rcv_nxt {
                     // A gap: this segment arrived ahead of the next
-                    // expected byte (the fast path above never sees one).
+                    // expected byte.
                     self.stats.ooo_segments += 1;
                 }
-                let recv = c.on_data(pkt.seq, pkt.len(), now);
+                let recv = c.on_data(pkt.seq, pkt.len());
                 for tag in recv.delivered {
                     self.stats.messages_delivered += 1;
                     self.notifications
                         .push_back(Notification::Delivered { conn, tag, at: now });
                 }
-                if let Some(ack) = recv.ack {
-                    self.inject_ack(conn, ack);
-                }
+                self.inject_ack(conn, recv.ack);
             }
             PacketKind::Ack => {
                 debug_assert_eq!(c.src, host);

@@ -137,6 +137,9 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     next_finish_ns: f64,
     /// Relative finish-coalescing window (see [`FluidSim::set_finish_window`]).
     finish_window_rel: f64,
+    /// `now_ns` at the most recent [`FluidSim::start_flow`]: the instant
+    /// the finish window is measured from.
+    window_anchor_ns: f64,
     /// Lifetime counts of rate solves and of the flows they re-solved.
     recomputes: u64,
     flows_resolved: u64,
@@ -213,6 +216,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             restart_level: NO_LEVEL,
             next_finish_ns: f64::NAN,
             finish_window_rel: 0.0,
+            window_anchor_ns: 0.0,
             recomputes: 0,
             flows_resolved: 0,
             guard: RunGuard::default(),
@@ -235,16 +239,18 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     ///
     /// With a window `rel > 0`, an advance that reaches the earliest flow
     /// finish at instant `t` keeps draining at the *current* rates through
-    /// `t·(1+rel)` and completes every flow finishing inside that span in
-    /// one batch, paying **one** rate recomputation for the whole wave
-    /// cluster instead of one per distinct finish instant. Completed flows
-    /// are stamped at their exact projected finishes (at pre-window
-    /// rates); only the *redistribution* of freed bandwidth to survivors
-    /// is deferred, so every reported time errs late by at most a factor
-    /// `rel` — a 1e-3 window bounds the error at 0.1 %, far below the
-    /// packet-vs-fluid model error bands, while collapsing the `O(hosts)`
-    /// near-simultaneous finish waves of a large symmetric all-to-all
-    /// (ECMP collision classes) into `O(log(spread)/rel)` recomputations.
+    /// [`FluidSim::window_end`]`(t)` = `a + (t − a)·(1 + rel)`, `a` being
+    /// the latest flow start, and completes every flow finishing inside
+    /// that span in one batch: **one** rate recomputation per wave cluster
+    /// instead of one per distinct finish instant. Completed flows are
+    /// stamped at their exact projected finishes; only the redistribution
+    /// of freed bandwidth, and any flow a driver starts inside the window,
+    /// is deferred — each by at most `rel` of the time since the flows it
+    /// competes with started, so the lateness does not compound over
+    /// dependent rounds. A 1e-2 window bounds it at 1 %, below the
+    /// packet-vs-fluid error bands, while collapsing the `O(hosts)` finish
+    /// waves of a large all-to-all (ECMP collision classes) into
+    /// `O(log(spread)/rel)` recomputations.
     ///
     /// # Panics
     /// Panics if `rel` is negative or not finite.
@@ -256,6 +262,15 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// Current simulated time in nanoseconds.
     pub fn now_ns(&self) -> f64 {
         self.now_ns
+    }
+
+    /// End of the finish window opened by a flow finish at `t_ns`: `t_ns`
+    /// plus `rel` of the time since the most recent flow start (see
+    /// [`FluidSim::set_finish_window`]); `t_ns`, to rounding, in exact
+    /// mode, and exactly `t_ns·(1 + rel)` while every flow started at 0.
+    pub fn window_end(&self, t_ns: f64) -> f64 {
+        let a = self.window_anchor_ns;
+        a + (t_ns - a) * (1.0 + self.finish_window_rel)
     }
 
     /// Number of flows still in flight.
@@ -288,11 +303,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.flows.iter().map(|f| (f.tag, f.rate))
     }
 
-    /// The attached recorder.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
     /// Installs supervision limits, replacing any previous guard and
     /// clearing a tripped stop. The budget (counting rate recomputations
     /// here) and the simulated-time horizon are measured from this
@@ -319,12 +329,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             self.stopped = self.guard.check(used, elapsed);
         }
         self.stopped
-    }
-
-    /// Takes the stop reason, letting the simulation be advanced again
-    /// (the guard re-trips at the next check if its limit still holds).
-    pub fn take_stop(&mut self) -> Option<GuardStop> {
-        self.stopped.take()
     }
 
     /// Consumes the simulation, returning the recorder for harvest.
@@ -367,6 +371,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.flow_level.push(NO_LEVEL);
         self.restart_level = 0;
         self.next_finish_ns = f64::NAN;
+        self.window_anchor_ns = self.now_ns;
     }
 
     fn flow_slots(flow: &FlowState) -> std::ops::Range<usize> {
@@ -465,6 +470,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
                     let s = s as usize;
                     self.residual[s] -= best_share;
+                    // Conservation: Σ rates on a slot ≤ its capacity.
+                    debug_assert!(self.residual[s] >= -1e-9 * self.capacity[s]);
                     // Numerical guard: residuals may dip epsilon-negative.
                     if self.residual[s] < 0.0 {
                         self.residual[s] = 0.0;
@@ -550,9 +557,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             // finish.
             let next_ns = self.next_finish_ns().filter(|&t| t <= target_ns);
             let finishing = next_ns.is_some();
-            let stop_ns = next_ns.map_or(target_ns, |t| {
-                (t * (1.0 + self.finish_window_rel)).min(target_ns)
-            });
+            let stop_ns = next_ns.map_or(target_ns, |t| self.window_end(t).min(target_ns));
             let from_ns = self.now_ns;
             let dt = (stop_ns - from_ns) / 1e9;
             self.now_ns = stop_ns;
@@ -603,7 +608,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         while let Some(t) = self.next_finish_ns() {
             // Give a windowed advance room to coalesce the wave cluster;
             // exact mode stops at `t` either way.
-            self.advance_to(t * (1.0 + self.finish_window_rel), &mut completions);
+            self.advance_to(self.window_end(t), &mut completions);
             if self.stopped.is_some() {
                 break;
             }

@@ -18,10 +18,7 @@
 //! A [`Connection`] is one plain struct holding both endpoints' state (the
 //! simulator is omniscient): the sender half lives at `src`, the receiver
 //! half at `dst`, and the engine keeps its per-connection timer and
-//! injection bookkeeping in the same struct. The common-case *data
-//! delivery* — wholly duplicate, or in-order, mid-message, nothing buffered
-//! out of order — is [`Connection::on_data_fast`], an early return the
-//! engine tries before the full [`Connection::on_data`].
+//! injection bookkeeping in the same struct.
 //!
 //! Methods mutate the connection and return [`SendActions`]/[`RecvActions`]
 //! describing packets to inject and notifications to raise; the engine
@@ -122,16 +119,13 @@ impl SendActions {
 }
 
 /// Receiver-side reaction to a data segment.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RecvActions {
     /// Cumulative acknowledgement to emit on the reverse route.
-    pub ack: Option<u64>,
+    pub ack: u64,
     /// Tags of messages fully received, in order.
     pub delivered: Vec<u64>,
 }
-
-/// Sentinel for `Connection::next_delivery` when no message is in flight.
-const NO_BOUNDARY: u64 = u64::MAX;
 
 /// One unidirectional transport connection between two hosts.
 ///
@@ -147,11 +141,6 @@ pub struct Connection {
     pub(crate) snd_nxt: u64,
     /// Receiver half: next in-order byte expected.
     pub(crate) rcv_nxt: u64,
-    /// Stream offset at which the oldest undelivered incoming message
-    /// completes ([`NO_BOUNDARY`] when none): the delivery fast-path gate.
-    /// Invariant: strictly greater than `rcv_nxt` while messages are
-    /// outstanding (completed messages are popped eagerly).
-    next_delivery: u64,
     /// Congestion window in bytes (f64: AIMD growth is fractional).
     cwnd: f64,
     /// Slow-start threshold in bytes.
@@ -195,8 +184,8 @@ pub struct Connection {
     /// Receiver message boundaries, same framing (shared out of band —
     /// the simulator is omniscient; this stands in for the MPI envelope).
     msgs_in: VecDeque<(u64, u64)>,
-    /// Out-of-order received runs: `start → end`, coalesced lazily. While
-    /// non-empty, an in-order arrival must attempt a merge in `on_data`.
+    /// Out-of-order received runs: `start → end`, coalesced lazily; an
+    /// in-order arrival merges the runs it makes contiguous.
     ooo: BTreeMap<u64, u64>,
     /// Engine bookkeeping: current timer deadline, if armed.
     pub(crate) timer_deadline: Option<SimTime>,
@@ -224,7 +213,6 @@ impl Connection {
             snd_una: 0,
             snd_nxt: 0,
             rcv_nxt: 0,
-            next_delivery: NO_BOUNDARY,
             cwnd,
             ssthresh: max_window as f64,
             max_window,
@@ -286,20 +274,12 @@ impl Connection {
         (self.cwnd as u64).min(self.max_window)
     }
 
-    /// Refreshes the delivery boundary after `msgs_in` changed.
-    fn refresh_delivery_boundary(&mut self) {
-        self.next_delivery = self.msgs_in.front().map_or(NO_BOUNDARY, |&(end, _)| end);
-    }
-
     /// Application queues `len` bytes tagged `tag` on the stream.
     pub fn on_app_send(&mut self, len: u64, tag: u64, now: SimTime) -> SendActions {
         assert!(len > 0, "zero-length messages are framed by the MPI layer");
         self.stream_len += len;
         self.msgs_out.push_back((self.stream_len, tag));
         self.msgs_in.push_back((self.stream_len, tag));
-        if self.next_delivery == NO_BOUNDARY {
-            self.refresh_delivery_boundary();
-        }
         let mut actions = SendActions::default();
         self.pump(now, &mut actions);
         actions
@@ -335,32 +315,8 @@ impl Connection {
         }
     }
 
-    /// The delivery fast path: handles a data segment that is either
-    /// wholly duplicate or an in-order, mid-message advance with nothing
-    /// buffered out of order. Returns the cumulative ACK to emit, or `None`
-    /// when [`Connection::on_data`] (out-of-order bookkeeping or a message
-    /// completion) is required. The engine tries this first; `on_data`
-    /// alone gives the same ACKs and deliveries.
-    #[inline]
-    pub fn on_data_fast(&mut self, seq: u64, len: u32) -> Option<u64> {
-        let end = seq + len as u64;
-        if end <= self.rcv_nxt {
-            // Wholly duplicate data: re-ACK, deliver nothing (completed
-            // messages were popped when rcv_nxt first passed them).
-            return Some(self.rcv_nxt);
-        }
-        if self.ooo.is_empty() && seq <= self.rcv_nxt && end < self.next_delivery {
-            // In-order, mid-message, no reassembly pending: pure advance.
-            self.rcv_nxt = end;
-            return Some(end);
-        }
-        None
-    }
-
-    /// Receiver half: a data segment arrived at `dst`. The full path,
-    /// covering out-of-order arrivals and message completions as well as
-    /// everything [`Connection::on_data_fast`] accepts.
-    pub fn on_data(&mut self, seq: u64, len: u32, _now: SimTime) -> RecvActions {
+    /// Receiver half: a data segment arrived at `dst`.
+    pub fn on_data(&mut self, seq: u64, len: u32) -> RecvActions {
         let end = seq + len as u64;
         if end > self.rcv_nxt {
             if seq <= self.rcv_nxt {
@@ -380,22 +336,18 @@ impl Connection {
                 *entry = (*entry).max(end);
             }
         }
-        let mut actions = RecvActions {
-            ack: Some(self.rcv_nxt),
-            delivered: Vec::new(),
-        };
+        let mut delivered = Vec::new();
         while let Some(&(msg_end, tag)) = self.msgs_in.front() {
-            if msg_end <= self.rcv_nxt {
-                self.msgs_in.pop_front();
-                actions.delivered.push(tag);
-            } else {
+            if msg_end > self.rcv_nxt {
                 break;
             }
+            self.msgs_in.pop_front();
+            delivered.push(tag);
         }
-        if !actions.delivered.is_empty() {
-            self.refresh_delivery_boundary();
+        RecvActions {
+            ack: self.rcv_nxt,
+            delivered,
         }
-        actions
     }
 
     /// Sender half: a cumulative ACK arrived back at `src`.
@@ -560,18 +512,6 @@ mod tests {
             .collect()
     }
 
-    /// Drives a data segment the way the engine does: fast path first,
-    /// slow path on fallback — and asserts the two agree where both apply.
-    fn on_data_like_engine(c: &mut Connection, seq: u64, len: u32, now: SimTime) -> RecvActions {
-        match c.on_data_fast(seq, len) {
-            Some(ack) => RecvActions {
-                ack: Some(ack),
-                delivered: Vec::new(),
-            },
-            None => c.on_data(seq, len, now),
-        }
-    }
-
     #[test]
     fn initial_send_respects_initial_cwnd() {
         let mut c = tcp();
@@ -603,11 +543,11 @@ mod tests {
     fn in_order_delivery_reports_messages() {
         let mut c = tcp();
         let _ = c.on_app_send(2000, 7, SimTime::ZERO);
-        let r1 = c.on_data(0, 1460, SimTime(10));
-        assert_eq!(r1.ack, Some(1460));
+        let r1 = c.on_data(0, 1460);
+        assert_eq!(r1.ack, 1460);
         assert!(r1.delivered.is_empty());
-        let r2 = c.on_data(1460, 540, SimTime(20));
-        assert_eq!(r2.ack, Some(2000));
+        let r2 = c.on_data(1460, 540);
+        assert_eq!(r2.ack, 2000);
         assert_eq!(r2.delivered, vec![7]);
     }
 
@@ -615,12 +555,12 @@ mod tests {
     fn out_of_order_data_held_then_merged() {
         let mut c = tcp();
         let _ = c.on_app_send(4380, 9, SimTime::ZERO);
-        let r = c.on_data(1460, 1460, SimTime(10));
-        assert_eq!(r.ack, Some(0), "dup-ack for the hole");
-        let r = c.on_data(2920, 1460, SimTime(20));
-        assert_eq!(r.ack, Some(0));
-        let r = c.on_data(0, 1460, SimTime(30));
-        assert_eq!(r.ack, Some(4380), "hole filled merges the whole run");
+        let r = c.on_data(1460, 1460);
+        assert_eq!(r.ack, 0, "dup-ack for the hole");
+        let r = c.on_data(2920, 1460);
+        assert_eq!(r.ack, 0);
+        let r = c.on_data(0, 1460);
+        assert_eq!(r.ack, 4380, "hole filled merges the whole run");
         assert_eq!(r.delivered, vec![9]);
     }
 
@@ -628,10 +568,10 @@ mod tests {
     fn duplicate_data_reacked_not_redelivered() {
         let mut c = tcp();
         let _ = c.on_app_send(1460, 3, SimTime::ZERO);
-        let r1 = c.on_data(0, 1460, SimTime(10));
+        let r1 = c.on_data(0, 1460);
         assert_eq!(r1.delivered, vec![3]);
-        let r2 = c.on_data(0, 1460, SimTime(20));
-        assert_eq!(r2.ack, Some(1460));
+        let r2 = c.on_data(0, 1460);
+        assert_eq!(r2.ack, 1460);
         assert!(r2.delivered.is_empty());
     }
 
@@ -734,9 +674,9 @@ mod tests {
         let mut c = tcp();
         let _ = c.on_app_send(1000, 1, SimTime::ZERO);
         let _ = c.on_app_send(1000, 2, SimTime::ZERO);
-        let r = c.on_data(0, 1460, SimTime(10));
+        let r = c.on_data(0, 1460);
         assert_eq!(r.delivered, vec![1]);
-        let r = c.on_data(1460, 540, SimTime(20));
+        let r = c.on_data(1460, 540);
         assert_eq!(r.delivered, vec![2]);
     }
 
@@ -815,66 +755,5 @@ mod tests {
         let _ = c.on_ack(recover, SimTime(400));
         assert!(!c.in_recovery);
         assert_eq!(c.cwnd_bytes() as f64, c.ssthresh);
-    }
-
-    // ---- delivery fast path --------------------------------------------
-
-    #[test]
-    fn fast_path_handles_in_order_mid_message_data() {
-        let mut c = tcp();
-        let _ = c.on_app_send(10_000, 1, SimTime::ZERO);
-        // Mid-message in-order segment: pure advance.
-        assert_eq!(c.on_data_fast(0, 1460), Some(1460));
-        assert_eq!(c.rcv_nxt, 1460);
-        // Duplicate: re-ACK, no state change.
-        assert_eq!(c.on_data_fast(0, 1460), Some(1460));
-        assert_eq!(c.rcv_nxt, 1460);
-        // Message-completing segment must fall to the slow path.
-        assert_eq!(c.on_data_fast(1460, 10_000 - 1460), None);
-        // Out-of-order segment must fall to the slow path.
-        assert_eq!(c.on_data_fast(5000, 100), None);
-    }
-
-    #[test]
-    fn fast_path_defers_to_slow_path_while_ooo_pending() {
-        let mut c = tcp();
-        let _ = c.on_app_send(10_000, 1, SimTime::ZERO);
-        let _ = c.on_data(2920, 1460, SimTime(10)); // hole at [0, 2920)
-        assert!(!c.ooo.is_empty());
-        // An in-order arrival must not bypass the merge.
-        assert_eq!(c.on_data_fast(0, 1460), None);
-        let r = c.on_data(0, 1460, SimTime(20));
-        assert_eq!(r.ack, Some(1460), "no merge yet: hole at [1460, 2920)");
-        let r = c.on_data(1460, 1460, SimTime(30));
-        assert_eq!(r.ack, Some(4380), "merge consumed the buffered run");
-        assert!(c.ooo.is_empty(), "reassembly map drains");
-        assert_eq!(c.on_data_fast(4380, 1460), Some(5840), "fast path resumes");
-    }
-
-    #[test]
-    fn fast_and_slow_paths_agree_on_fast_eligible_segments() {
-        // Replay the same in-order stream through (a) the engine's
-        // fast-then-slow dispatch and (b) the slow path alone: identical
-        // ACKs, identical deliveries at the boundaries.
-        let drive = |fast: bool| {
-            let mut c = tcp();
-            let _ = c.on_app_send(4000, 1, SimTime::ZERO);
-            let _ = c.on_app_send(3000, 2, SimTime::ZERO);
-            let mut acks = Vec::new();
-            let mut delivered = Vec::new();
-            let mut seq = 0u64;
-            for len in [1460u32, 1460, 1460, 1460, 1160] {
-                let r = if fast {
-                    on_data_like_engine(&mut c, seq, len, SimTime(seq))
-                } else {
-                    c.on_data(seq, len, SimTime(seq))
-                };
-                acks.push(r.ack);
-                delivered.extend(r.delivered);
-                seq += len as u64;
-            }
-            (acks, delivered)
-        };
-        assert_eq!(drive(true), drive(false));
     }
 }

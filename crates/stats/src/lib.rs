@@ -6,7 +6,7 @@
 //! runs, from scratch:
 //!
 //! * [`descriptive`] — one-pass summaries and quantiles;
-//! * [`matrix`] — a small dense matrix with Cholesky and LU solves;
+//! * [`matrix`] — a small dense matrix with a Cholesky solve;
 //! * [`regression`] — ordinary least squares;
 //! * [`piecewise`] — the piecewise-affine fit with breakpoint search used to
 //!   recover the paper's `(γ, δ, M)` signature.

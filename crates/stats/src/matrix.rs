@@ -2,8 +2,8 @@
 //!
 //! The regression problems in this workspace are tiny (2–4 regressors, tens
 //! of observations), so a straightforward row-major `Vec<f64>` matrix with
-//! Cholesky and partially-pivoted LU solves is both simpler and faster than
-//! pulling in a linear-algebra dependency.
+//! a Cholesky solve for the normal equations is both simpler and faster
+//! than pulling in a linear-algebra dependency.
 
 use crate::error::StatsError;
 
@@ -165,64 +165,6 @@ impl Matrix {
         }
         Ok(x)
     }
-
-    /// Solves `self * x = b` by LU decomposition with partial pivoting,
-    /// for systems whose symmetry is not guaranteed.
-    pub fn lu_solve(&self, b: &[f64]) -> Result<Vec<f64>, StatsError> {
-        let n = self.rows;
-        if self.cols != n {
-            return Err(StatsError::DimensionMismatch {
-                context: "lu_solve: matrix not square",
-            });
-        }
-        if b.len() != n {
-            return Err(StatsError::DimensionMismatch {
-                context: "lu_solve: rhs length differs",
-            });
-        }
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for col in 0..n {
-            // Pivot.
-            let mut pivot = col;
-            let mut best = a[perm[col] * n + col].abs();
-            for row in (col + 1)..n {
-                let v = a[perm[row] * n + col].abs();
-                if v > best {
-                    best = v;
-                    pivot = row;
-                }
-            }
-            if best < 1e-300 {
-                return Err(StatsError::SingularMatrix);
-            }
-            perm.swap(col, pivot);
-            let prow = perm[col];
-            let pval = a[prow * n + col];
-            for &r in &perm[(col + 1)..n] {
-                let factor = a[r * n + col] / pval;
-                a[r * n + col] = 0.0;
-                if factor != 0.0 {
-                    for j in (col + 1)..n {
-                        a[r * n + j] -= factor * a[prow * n + j];
-                    }
-                    x[r] -= factor * x[prow];
-                }
-            }
-        }
-        // Back substitution over the permuted rows.
-        let mut out = vec![0.0f64; n];
-        for i in (0..n).rev() {
-            let r = perm[i];
-            let mut sum = x[r];
-            for j in (i + 1)..n {
-                sum -= a[r * n + j] * out[j];
-            }
-            out[i] = sum / a[r * n + i];
-        }
-        Ok(out)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -285,26 +227,6 @@ mod tests {
             m.cholesky_solve(&[1.0, 1.0]),
             Err(StatsError::SingularMatrix)
         );
-    }
-
-    #[test]
-    fn lu_solves_general_system() {
-        let m = Matrix::from_rows(&[
-            vec![0.0, 2.0, 1.0],
-            vec![1.0, -2.0, -3.0],
-            vec![-1.0, 1.0, 2.0],
-        ])
-        .unwrap();
-        let b = [-8.0, 0.0, 3.0];
-        let x = m.lu_solve(&b).unwrap();
-        let back = m.mul_vec(&x).unwrap();
-        assert!(approx(&back, &b, 1e-10));
-    }
-
-    #[test]
-    fn lu_rejects_singular() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
-        assert_eq!(m.lu_solve(&[1.0, 2.0]), Err(StatsError::SingularMatrix));
     }
 
     #[test]
