@@ -35,6 +35,16 @@
 //! (`program.rs`); this module is the protocol half — FIFO matching, flow
 //! starts, the event heap — and the driver that steps [`FluidSim`] through
 //! each finish window ([`FluidSim::window_end`]).
+//!
+//! Per-message cost is what a large run pays half a million times, so each
+//! message walks its route once in the interpreter: at send issue, where
+//! the route is hot anyway because the flow starts on it, its one-way
+//! latency is summed into the `Transfer` record for the finish to read.
+//! Pair matching hashes the key `src · n + dst` with `PairHasher`, one
+//! multiply instead of SipHash: the keys are rank indices of programs the
+//! scenario layer generated (irregular workloads draw their pairs from a
+//! seeded RNG), never bytes from a client, so there is no adversary whose
+//! collisions a keyed hash would have to resist.
 
 use crate::config::MpiConfig;
 use crate::ops::{Op, Rank};
@@ -49,6 +59,7 @@ use simnet::topology::Topology;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Relative finish-coalescing window handed to [`FluidSim`]: finishes
 /// within 1 % of the time since the latest flow start complete under one
@@ -61,18 +72,48 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 const FINISH_WINDOW_REL: f64 = 1e-2;
 
 /// One pending point-to-point message (identified by its index in
-/// `FluidWorld::transfers`).
+/// `FluidWorld::transfers`). Ranks fit `u32`: each sits on its own
+/// [`HostId`]. Eager is `bytes <= eager_threshold`, not a field.
 #[derive(Debug)]
 struct Transfer {
-    src: Rank,
-    dst: Rank,
+    src: u32,
+    dst: u32,
     bytes: u64,
-    eager: bool,
+    /// One-way wire latency of the src → dst route, summed at issue.
+    latency_ns: u64,
     /// Receive post instant; NaN until a receive has matched.
     post_ns: f64,
     /// Data arrival instant at the receiver (flow finish + route
     /// latency); NaN until the flow finishes.
     arrival_ns: f64,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<Transfer>() == 40,
+    "Transfer is 40 bytes: a large all-to-all holds one per message"
+);
+
+/// Multiplicative hash of one pair key (the 64-bit Fx constant): the key
+/// is already a dense index, so one odd multiply spreads it over both the
+/// bucket bits and the tag bits `HashMap` reads. Not collision-resistant,
+/// which the module doc explains is not needed here.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0.rotate_left(5) ^ key).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Unmatched traffic between one ordered rank pair, matched FIFO. Only
@@ -153,10 +194,12 @@ struct Interp<'w, 'a, R: Recorder> {
     net: FluidSim<'a, R>,
     ranks: ProgramCounter<f64>,
     transfers: Vec<Transfer>,
-    pair_queues: HashMap<u64, PairQueue>,
+    pair_queues: HashMap<u64, PairQueue, BuildHasherDefault<PairHasher>>,
     heap: BinaryHeap<Reverse<Pending>>,
     next_seq: u64,
     finish_buf: Vec<FluidCompletion>,
+    /// Bytes handed to [`FluidSim::start_flow`] so far.
+    flow_bytes: u64,
 }
 
 impl<'a> FluidWorld<'a> {
@@ -198,6 +241,7 @@ impl<'a> FluidWorld<'a> {
             })
             .sum();
         let mut net = FluidSim::with_recorder(self.topo, recorder);
+        net.reserve(sends);
         net.set_finish_window(FINISH_WINDOW_REL);
         net.set_guard(guard);
         let mut interp = Interp {
@@ -207,10 +251,11 @@ impl<'a> FluidWorld<'a> {
             net,
             ranks: ProgramCounter::new(programs),
             transfers: Vec::with_capacity(sends),
-            pair_queues: HashMap::new(),
+            pair_queues: HashMap::default(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             finish_buf: Vec::new(),
+            flow_bytes: 0,
         };
         let result = interp.execute();
         (result, interp.net.into_recorder())
@@ -284,6 +329,9 @@ impl<R: Recorder> Interp<'_, '_, R> {
                 self.complete_part(rank, f64::from_bits(at_bits));
             }
         }
+        if cfg!(debug_assertions) {
+            self.assert_conserved();
+        }
         Ok(RunResult {
             start: SimTime(0),
             finished: self
@@ -304,17 +352,65 @@ impl<R: Recorder> Interp<'_, '_, R> {
         }));
     }
 
+    /// Conservation at quiescence, checked once per successful run in
+    /// debug builds. Every rank finished, so no receive still waits and
+    /// every rendezvous send matched and drained. What a finished run may
+    /// leave behind is an eager message nobody received: its sender
+    /// completed on the CPU charge, as in MPI, and its flow may still be
+    /// in flight. A program whose every send is received leaves an empty
+    /// pair map and no flow.
+    fn assert_conserved(&self) {
+        let mut unreceived = 0;
+        let mut in_flight = 0;
+        for tr in &self.transfers {
+            let arrived = tr.arrival_ns.is_finite();
+            if tr.post_ns.is_nan() {
+                assert!(tr.bytes <= self.mpi.eager_threshold, "{tr:?} never matched");
+                unreceived += 1;
+            } else {
+                assert!(
+                    tr.post_ns.is_finite() && arrived,
+                    "{tr:?} matched, not arrived"
+                );
+            }
+            if !arrived {
+                assert!(tr.arrival_ns.is_nan(), "{tr:?}");
+                in_flight += 1;
+            }
+        }
+        let queued: usize = self
+            .pair_queues
+            .values()
+            .map(|q| match q {
+                PairQueue::Sends(q) => 1 + q.rest.len(),
+                PairQueue::Recvs(_) => panic!("a receive still waits"),
+            })
+            .sum();
+        assert_eq!(queued, unreceived, "pair map vs unmatched sends");
+        assert_eq!(self.net.active_flows(), in_flight, "flows in flight");
+        let sent: u64 = self.transfers.iter().map(|tr| tr.bytes).sum();
+        assert_eq!(self.flow_bytes, sent, "bytes started as flows");
+    }
+
     fn pair_key(&self, src: Rank, dst: Rank) -> u64 {
         (src * self.hosts.len() + dst) as u64
     }
 
     /// One-way wire latency of the src → dst route in nanoseconds.
-    fn route_latency(&self, src: Rank, dst: Rank) -> f64 {
+    fn route_latency(&self, src: Rank, dst: Rank) -> u64 {
         self.topo
             .route(self.hosts[src], self.hosts[dst])
             .iter()
             .map(|tx| self.topo.tx_params[tx.index()].latency_ns)
-            .sum::<u64>() as f64
+            .sum()
+    }
+
+    /// Starts transfer `tid`'s payload as a fluid flow.
+    fn start_flow(&mut self, tid: u64) {
+        let tr = &self.transfers[tid as usize];
+        let (src, dst) = (self.hosts[tr.src as usize], self.hosts[tr.dst as usize]);
+        self.flow_bytes += tr.bytes;
+        self.net.start_flow(src, dst, tr.bytes, tid);
     }
 
     fn issue_current_op(&mut self, rank: Rank, now_ns: f64) {
@@ -355,17 +451,17 @@ impl<R: Recorder> Interp<'_, '_, R> {
         let tid = self.transfers.len() as u64;
         let eager = bytes <= self.mpi.eager_threshold;
         let mut tr = Transfer {
-            src,
-            dst,
+            src: src as u32,
+            dst: dst as u32,
             bytes,
-            eager,
+            latency_ns: self.route_latency(src, dst),
             post_ns: f64::NAN,
             arrival_ns: f64::NAN,
         };
-        if eager && bytes == 0 {
-            // Zero-byte message: nothing flows; it "arrives" one wire
-            // latency after issue.
-            tr.arrival_ns = now_ns + self.route_latency(src, dst);
+        if bytes == 0 {
+            // Zero-byte message (always eager): nothing flows; it
+            // "arrives" one wire latency after issue.
+            tr.arrival_ns = now_ns + tr.latency_ns as f64;
         }
         // FIFO match against an already-posted receive.
         let key = self.pair_key(src, dst);
@@ -384,22 +480,19 @@ impl<R: Recorder> Interp<'_, '_, R> {
                 e.insert(PairQueue::Sends(Waiters::new(tid)));
             }
         }
-        let matched = !tr.post_ns.is_nan();
-        let arrival = tr.arrival_ns;
+        let (post, arrival) = (tr.post_ns, tr.arrival_ns);
+        let matched = !post.is_nan();
         self.transfers.push(tr);
         if eager {
             if bytes > 0 {
-                self.net
-                    .start_flow(self.hosts[src], self.hosts[dst], bytes, tid);
+                self.start_flow(tid);
             } else if matched {
                 // Arrival already known; the receive can complete.
-                let post = self.transfers[tid as usize].post_ns;
                 self.finish_recv(dst, arrival, post);
             }
         } else if matched {
             // Rendezvous with the receive already posted: flow starts now.
-            self.net
-                .start_flow(self.hosts[src], self.hosts[dst], bytes, tid);
+            self.start_flow(tid);
         }
     }
 
@@ -423,14 +516,12 @@ impl<R: Recorder> Interp<'_, '_, R> {
         };
         let tr = &mut self.transfers[tid as usize];
         tr.post_ns = now_ns;
-        let (eager, arrival, bytes) = (tr.eager, tr.arrival_ns, tr.bytes);
-        if !eager {
+        let (bytes, arrival) = (tr.bytes, tr.arrival_ns);
+        if bytes > self.mpi.eager_threshold {
             // Rendezvous: the late receive releases the data. The flow
             // starts at the post instant (= max(issue, post)). Rendezvous
             // payloads are > eager_threshold ≥ 0, never empty.
-            let (s, d) = (tr.src, tr.dst);
-            self.net
-                .start_flow(self.hosts[s], self.hosts[d], bytes, tid);
+            self.start_flow(tid);
         } else if !arrival.is_nan() {
             // Eager data already arrived and waited as unexpected.
             self.finish_recv(dst, arrival, now_ns);
@@ -446,15 +537,11 @@ impl<R: Recorder> Interp<'_, '_, R> {
     }
 
     fn on_flow_finish(&mut self, tid: u64, at_ns: f64) {
-        let lat = {
-            let tr = &self.transfers[tid as usize];
-            self.route_latency(tr.src, tr.dst)
-        };
         let tr = &mut self.transfers[tid as usize];
-        let arrival = at_ns + lat;
+        let arrival = at_ns + tr.latency_ns as f64;
         tr.arrival_ns = arrival;
-        let (eager, src, dst, post) = (tr.eager, tr.src, tr.dst, tr.post_ns);
-        if !eager {
+        let (src, dst, post) = (tr.src as Rank, tr.dst as Rank, tr.post_ns);
+        if tr.bytes > self.mpi.eager_threshold {
             // The blocking rendezvous send completes with the flow.
             self.complete_part(src, at_ns);
         }
@@ -517,6 +604,76 @@ mod tests {
             vec![Op::send(1, 4_000_000)],
         ]);
         assert!(r.finished[0] < r.finished[1], "receiver drains last");
+    }
+
+    #[test]
+    fn two_receives_posted_before_their_sends_both_match() {
+        // Rank 1 posts both receives at once while rank 0 is still busy
+        // receiving 4 MB from rank 2, so they wait in one pair queue; the
+        // two sends that follow must each match one, at an eager and at a
+        // rendezvous size.
+        let (topo, hosts) = star(3);
+        let w = world(&topo, &hosts);
+        for m in [100, 1_000_000] {
+            let r = w.run(vec![
+                vec![Op::recv(2), Op::send(1, m), Op::send(1, m)],
+                vec![Op::Transfer {
+                    sends: vec![],
+                    recvs: vec![0, 0],
+                }],
+                vec![Op::send(0, 4_000_000)],
+            ]);
+            assert!(r.finished[0] < r.finished[1], "m={m}: receiver drains last");
+            // The sends start after the 4 MB (up to the finish window
+            // late) and run back to back at line rate; the per-message
+            // overheads add tens of microseconds.
+            let ideal = (4_000_000 + 2 * m) as f64 / 125e6;
+            let d = r.duration_secs();
+            assert!(
+                (ideal..ideal + ideal * FINISH_WINDOW_REL + 1e-4).contains(&d),
+                "m={m}: {d} vs {ideal}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_eager_send_nobody_receives_lets_its_sender_finish() {
+        // Rank 1 receives from rank 2 only. Rank 0's eager message is
+        // buffered and never matched; its blocking send completes on the
+        // CPU charge alone, and the run ends.
+        let (topo, hosts) = star(3);
+        let w = world(&topo, &hosts);
+        let r = w.run(vec![
+            vec![Op::send(1, 100)],
+            vec![Op::recv(2)],
+            vec![Op::send(1, 100)],
+        ]);
+        assert_eq!(
+            r.finished[0],
+            SimTime(MpiConfig::default().send_overhead_ns)
+        );
+        assert!(
+            r.finished[1] > r.finished[2],
+            "rank 1 receives rank 2's message"
+        );
+    }
+
+    #[test]
+    fn a_rendezvous_send_nobody_receives_deadlocks_its_sender() {
+        let (topo, hosts) = star(3);
+        let w = world(&topo, &hosts);
+        let programs = vec![
+            vec![Op::send(1, 1_000_000)],
+            vec![Op::recv(2)],
+            vec![Op::send(1, 100)],
+        ];
+        match w.try_run(programs, RunGuard::unlimited()) {
+            Err(RunInterrupt::Deadlocked { ranks, detail }) => {
+                assert_eq!(ranks, vec![0]);
+                assert_eq!(detail, "ranks [0] blocked with no pending events or flows");
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
     }
 
     #[test]

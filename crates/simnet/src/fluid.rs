@@ -72,7 +72,8 @@ pub struct FluidCompletion {
     pub at: SimTime,
 }
 
-/// One fluid flow in flight.
+/// One fluid flow in flight: what only solves and finishes read. Its
+/// [`Progress`] sits at the same index of a parallel vector.
 #[derive(Debug, Clone, Copy)]
 struct FlowState {
     /// Span into the slot arena: the serializer slots this flow occupies
@@ -80,15 +81,21 @@ struct FlowState {
     /// exactly as the packet engine does).
     span_start: u32,
     span_len: u32,
-    remaining_bytes: f64,
-    /// Current max-min rate in bytes/second.
-    rate: f64,
     tag: u64,
 }
 
+/// What every advance touches of a flow in flight: the drain pass and the
+/// next-finish scan stream these 16 bytes per flow and nothing else.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    remaining_bytes: f64,
+    /// Current max-min rate in bytes/second.
+    rate: f64,
+}
+
 const _: () = assert!(
-    std::mem::size_of::<FlowState>() <= 32,
-    "FlowState must stay within 32 bytes: a large all-to-all holds ~n² of them"
+    std::mem::size_of::<FlowState>() == 16 && std::mem::size_of::<Progress>() == 16,
+    "a large all-to-all holds ~n² flows; each pass over them reads one of these"
 );
 
 /// No level: a flow no solve has frozen yet; no restart pending.
@@ -117,8 +124,10 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// used to label recorder samples.
     slot_tx: Vec<u32>,
     flows: Vec<FlowState>,
+    /// Remaining bytes and rate of each flow (parallel to `flows`).
+    progress: Vec<Progress>,
     /// Bottleneck level each flow froze at in the last solve (parallel to
-    /// `flows`, so the tail scan reads 4 bytes per flow, not 32).
+    /// `flows`, so the tail scan reads 4 bytes per flow, not 16).
     flow_level: Vec<u32>,
     /// Fair share of each bottleneck level of the last solve.
     levels: Vec<f64>,
@@ -209,6 +218,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             capacity,
             slot_tx,
             flows: Vec::new(),
+            progress: Vec::new(),
             flow_level: Vec::new(),
             levels: Vec::new(),
             slot_arena: Vec::new(),
@@ -278,6 +288,15 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.flows.len()
     }
 
+    /// Makes room for `flows` more flows in flight, so a driver that knows
+    /// its message count sizes the per-flow vectors once instead of
+    /// growing them by doubling.
+    pub fn reserve(&mut self, flows: usize) {
+        self.flows.reserve(flows);
+        self.progress.reserve(flows);
+        self.flow_level.reserve(flows);
+    }
+
     /// Number of max-min rate solves performed so far, full or restarted.
     /// Exposed so benches and telemetry can report solver effort alongside
     /// wall time; the guard's event budget counts these.
@@ -300,7 +319,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// `(tag, rate)` of every flow in flight at the current max-min rates.
     pub fn rates(&mut self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.ensure_rates();
-        self.flows.iter().map(|f| (f.tag, f.rate))
+        self.flows
+            .iter()
+            .zip(&self.progress)
+            .map(|(f, p)| (f.tag, p.rate))
     }
 
     /// Installs supervision limits, replacing any previous guard and
@@ -364,9 +386,11 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.flows.push(FlowState {
             span_start,
             span_len: unique as u32,
+            tag,
+        });
+        self.progress.push(Progress {
             remaining_bytes: bytes as f64,
             rate: 0.0,
-            tag,
         });
         self.flow_level.push(NO_LEVEL);
         self.restart_level = 0;
@@ -394,10 +418,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             if *level >= from {
                 *level = NO_LEVEL;
                 self.scratch_tail.push(fi as u32);
-                let flow = &self.flows[fi];
-                for &s in &self.slot_arena[Self::flow_slots(flow)] {
+                let rate = self.progress[fi].rate;
+                for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
                     self.scratch_count[s as usize] += 1;
-                    self.residual[s as usize] += flow.rate;
+                    self.residual[s as usize] += rate;
                 }
             }
         }
@@ -465,7 +489,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                     continue;
                 }
                 self.flow_level[fi] = level;
-                self.flows[fi].rate = best_share;
+                self.progress[fi].rate = best_share;
                 remaining_flows -= 1;
                 for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
                     let s = s as usize;
@@ -497,9 +521,9 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.ensure_rates();
         if self.next_finish_ns.is_nan() {
             let next = self
-                .flows
+                .progress
                 .iter()
-                .map(|f| (f.remaining_bytes / f.rate) * 1e9)
+                .map(|p| (p.remaining_bytes / p.rate) * 1e9)
                 .fold(f64::INFINITY, f64::min);
             self.next_finish_ns = self.now_ns + next;
         }
@@ -511,9 +535,9 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     fn record_busy(&mut self, dt_secs: f64, from_ns: f64, to_ns: f64) {
         self.scratch_rate.clear();
         self.scratch_rate.resize(self.capacity.len(), 0.0);
-        for flow in &self.flows {
+        for (flow, p) in self.flows.iter().zip(&self.progress) {
             for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                self.scratch_rate[s as usize] += flow.rate;
+                self.scratch_rate[s as usize] += p.rate;
             }
         }
         for (s, &rate) in self.scratch_rate.iter().enumerate() {
@@ -572,15 +596,17 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             // One pass drains every flow and, short of the target, completes
             // the finished ones.
             let mut i = 0;
-            while i < self.flows.len() {
-                let flow = &mut self.flows[i];
-                let before = flow.remaining_bytes;
-                flow.remaining_bytes -= flow.rate * dt;
-                if !finishing || flow.remaining_bytes > DONE_TOLERANCE_BYTES {
+            while i < self.progress.len() {
+                let p = &mut self.progress[i];
+                let before = p.remaining_bytes;
+                p.remaining_bytes -= p.rate * dt;
+                if !finishing || p.remaining_bytes > DONE_TOLERANCE_BYTES {
                     i += 1;
                     continue;
                 }
-                let finish_ns = from_ns + (before / flow.rate) * 1e9;
+                let rate = p.rate;
+                let finish_ns = from_ns + (before / rate) * 1e9;
+                self.progress.swap_remove(i);
                 let flow = self.flows.swap_remove(i);
                 completions.push(FluidCompletion {
                     tag: flow.tag,
@@ -589,7 +615,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 // The freed bandwidth goes back; the next solve restarts
                 // no higher than the level this flow was frozen at.
                 for &s in &self.slot_arena[Self::flow_slots(&flow)] {
-                    self.residual[s as usize] += flow.rate;
+                    self.residual[s as usize] += rate;
                 }
                 let level = self.flow_level.swap_remove(i);
                 self.restart_level = self.restart_level.min(level);
