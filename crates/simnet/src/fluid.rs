@@ -604,9 +604,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                     i += 1;
                     continue;
                 }
-                let rate = p.rate;
+                let rate = self.progress.swap_remove(i).rate;
                 let finish_ns = from_ns + (before / rate) * 1e9;
-                self.progress.swap_remove(i);
                 let flow = self.flows.swap_remove(i);
                 completions.push(FluidCompletion {
                     tag: flow.tag,
