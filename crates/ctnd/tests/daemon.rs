@@ -494,6 +494,18 @@ fn protocol_errors_answer_with_typed_json() {
             resp.body
         );
     }
+    // A fabric too big to index is refused the same way, before any of
+    // its route table is allocated.
+    let huge = TINY_SPEC.replace("hosts = 16", "hosts = 100000");
+    let resp = post_toml(addr, &huge, "");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("topology.hosts"), "{}", resp.body);
+    // A 120 KB nested value used to overflow a connection worker's stack,
+    // which aborts the daemon; it is a parse error like any other.
+    let deep = format!("a = {}{}", "[".repeat(60_000), "]".repeat(60_000));
+    let resp = post_toml(addr, &deep, "");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nest too deep"), "{}", resp.body);
 
     let resp = request(
         addr,

@@ -1091,6 +1091,15 @@ mod tests {
             ..valid
         });
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+        // More hosts than a route id can index.
+        spec.topology = TopologySpec::SingleSwitch(SingleSwitchParams {
+            hosts: 100_000,
+            ..valid
+        });
+        let Err(SpecError::Invalid(m)) = spec.validate() else {
+            panic!("100 000 hosts validated");
+        };
+        assert!(m.starts_with("topology.hosts = 100000"), "{m}");
 
         let mut spec = crate::registry::by_name("incast-burst").expect("registered");
         spec.mpi.hiccup_probability = Some(1.5);

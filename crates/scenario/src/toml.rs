@@ -200,6 +200,7 @@ pub fn parse(input: &str) -> Result<Value, TomlError> {
             chars: value_part.char_indices().peekable(),
             src: value_part,
             line: line_no,
+            depth: 0,
         };
         let value = parser.parse_value()?;
         parser.skip_ws();
@@ -233,7 +234,7 @@ impl<'a> LogicalLines<'a> {
         };
         let line_no = idx + 1;
         let mut acc = strip_comment(first).to_string();
-        let mut depth = bracket_depth(&acc, line_no)?;
+        let mut depth = bracket_depth(&acc, 0, line_no)?;
         while depth > 0 {
             let Some((_, next)) = self.lines.next() else {
                 return Err(TomlError::new(
@@ -241,9 +242,12 @@ impl<'a> LogicalLines<'a> {
                     "unterminated array or inline table",
                 ));
             };
+            // Strings end on their own line, so depth adds up line by
+            // line: no rescan of what is already joined.
+            let next = strip_comment(next);
+            depth = bracket_depth(next, depth, line_no)?;
             acc.push(' ');
-            acc.push_str(strip_comment(next));
-            depth = bracket_depth(&acc, line_no)?;
+            acc.push_str(next);
         }
         Ok(Some((line_no, acc)))
     }
@@ -268,9 +272,9 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// Net `[`/`{` depth outside strings (negative is an error).
-fn bracket_depth(s: &str, line_no: usize) -> Result<i32, TomlError> {
-    let mut depth = 0i32;
+/// `depth` plus the net `[`/`{` depth of `s` outside strings (negative
+/// is an error).
+fn bracket_depth(s: &str, mut depth: i32, line_no: usize) -> Result<i32, TomlError> {
     let mut in_str = false;
     let mut escaped = false;
     for c in s.chars() {
@@ -343,10 +347,17 @@ fn split_key(s: &str, line_no: usize) -> Result<Vec<String>, TomlError> {
     Ok(parts)
 }
 
+/// Arrays and inline tables may nest this deep inside a value; anything
+/// deeper is rejected. Specs nest two deep, and the cap bounds stack use
+/// on hostile input.
+pub const MAX_DEPTH: usize = 64;
+
 struct ValueParser<'a> {
     chars: std::iter::Peekable<std::str::CharIndices<'a>>,
     src: &'a str,
     line: usize,
+    /// Arrays and inline tables open around the value being parsed.
+    depth: usize,
 }
 
 impl ValueParser<'_> {
@@ -365,8 +376,19 @@ impl ValueParser<'_> {
         let next = self.chars.peek().map(|&(_, c)| c);
         match next {
             Some('"') => self.parse_string(),
-            Some('[') => self.parse_array(),
-            Some('{') => self.parse_inline_table(),
+            Some(open @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and inline tables nest too deep"));
+                }
+                self.depth += 1;
+                let value = if open == '[' {
+                    self.parse_array()
+                } else {
+                    self.parse_inline_table()
+                };
+                self.depth -= 1;
+                value
+            }
             Some('t' | 'f') => self.parse_bool(),
             Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => self.parse_number(),
             Some(c) => Err(self.err(format!("unexpected character {c:?} in value"))),

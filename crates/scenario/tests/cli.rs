@@ -351,25 +351,44 @@ receivers = 1
 }
 
 /// Parameters no generator accepts are a spec error naming the field
-/// (they used to pass validation and panic in the generator, exit 101).
+/// (they used to pass validation and panic in the generator, exit 101;
+/// a fabric too big to index used to abort allocating its route table,
+/// exit 134).
 #[test]
 fn a_fabric_no_generator_accepts_exits_1_naming_the_field() {
     let dir = std::env::temp_dir().join(format!("ctnsim-unwired-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let spec_path = dir.join("unwired.toml");
-    for builtin in ["sparse-star", "mixed-phases-tree"] {
+    for (builtin, from, to, field) in [
+        (
+            "sparse-star",
+            "uplinks_per_leaf = 2",
+            "uplinks_per_leaf = 0",
+            "topology.uplinks_per_leaf",
+        ),
+        (
+            "mixed-phases-tree",
+            "uplinks_per_leaf = 2",
+            "uplinks_per_leaf = 0",
+            "topology.uplinks_per_leaf",
+        ),
+        (
+            "incast-burst",
+            "hosts = 16",
+            "hosts = 100000",
+            "topology.hosts",
+        ),
+    ] {
         let shown = stdout(&ctnsim(&["show", builtin]));
-        let unwired = shown.replace("uplinks_per_leaf = 2", "uplinks_per_leaf = 0");
-        assert_ne!(shown, unwired, "{builtin} has two uplinks per leaf");
-        std::fs::write(&spec_path, unwired).expect("write spec");
+        let broken = shown.replace(from, to);
+        assert_ne!(shown, broken, "{builtin} has {from}");
+        std::fs::write(&spec_path, broken).expect("write spec");
         let out = ctnsim(&["run", spec_path.to_str().unwrap()]);
         assert_eq!(code(&out), 1, "{builtin}: {}", stderr(&out));
         let err = stderr(&out);
-        assert!(
-            err.contains("topology.uplinks_per_leaf"),
-            "{builtin}: {err}"
-        );
+        assert!(err.contains(field), "{builtin}: {err}");
         assert!(!err.contains("panicked"), "{builtin}: {err}");
+        assert!(!err.contains("memory allocation"), "{builtin}: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

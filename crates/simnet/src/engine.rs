@@ -18,13 +18,13 @@
 //! loop moves them through are the standard library's: pending events sit
 //! in one `BinaryHeap` ordered by `(time, push order)` (see
 //! [`crate::event`] for why that is deep enough), and each transmitter's
-//! control and bulk bands are `VecDeque`s. Routes live in the topology's
-//! interned arena; a packet names its route implicitly through its *flow*
-//! (`conn·2 + direction`), resolved per hop through the engine's flat
-//! `flow → RouteId` table. Connections are one `Vec` of plain
-//! [`Connection`] structs indexed by [`ConnId`]: every host event ends in
-//! an injection that writes the connection's injection clamp, so there is
-//! no rarely-touched half worth storing apart.
+//! control and bulk bands are `VecDeque`s. A packet names its route
+//! through its *flow* (`conn·2 + direction`): one row of the engine's
+//! `flow → RouteId` table, then two adjacent offsets into the topology's
+//! route arena. Connections are one `Vec` of plain [`Connection`] structs
+//! indexed by [`ConnId`]: every host event ends in an injection that
+//! writes the connection's injection clamp, so there is no
+//! rarely-touched half worth storing apart.
 //!
 //! # Driving the simulator
 //!
@@ -110,7 +110,7 @@ pub struct Simulator<R: Recorder = NoopRecorder> {
     config: SimConfig,
     time: SimTime,
     queue: EventQueue,
-    /// Interned route per flow (`conn·2` = forward/data, `conn·2 + 1` =
+    /// Route per flow (`conn·2` = forward/data, `conn·2 + 1` =
     /// reverse/ACK). Packets carry the flow word, not the route, so this
     /// flat table is the only per-hop indirection.
     flow_routes: Vec<RouteId>,
@@ -638,14 +638,14 @@ impl<R: Recorder> Simulator<R> {
             }
         }
         let flow = conn.index() * 2;
-        let first_hop = self.topo.first_hop(self.flow_routes[flow]);
+        let tx = self.topo.route_slice(self.flow_routes[flow])[0];
         for (seq, len) in run.iter() {
             let jitter = self.jitter();
             let c = &mut self.conns[conn.index()];
             let at = (self.time + jitter).max(c.last_data_inject);
             c.last_data_inject = at;
             let pkt = PackedPacket::data(conn, seq, len, run.retransmit);
-            self.queue.push(at, Event::Arrival { tx: first_hop, pkt });
+            self.queue.push(at, Event::Arrival { tx, pkt });
             self.note_push();
         }
     }
@@ -656,10 +656,10 @@ impl<R: Recorder> Simulator<R> {
         let at = (self.time + jitter).max(c.last_ack_inject);
         c.last_ack_inject = at;
         let flow = conn.index() * 2 + 1;
-        let first_hop = self.topo.first_hop(self.flow_routes[flow]);
+        let tx = self.topo.route_slice(self.flow_routes[flow])[0];
         let pkt = PackedPacket::ack(conn, ack);
         self.stats.ack_packets_sent += 1;
-        self.queue.push(at, Event::Arrival { tx: first_hop, pkt });
+        self.queue.push(at, Event::Arrival { tx, pkt });
         self.note_push();
     }
 

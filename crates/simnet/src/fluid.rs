@@ -76,9 +76,9 @@ pub struct FluidCompletion {
 /// [`Progress`] sits at the same index of a parallel vector.
 #[derive(Debug, Clone, Copy)]
 struct FlowState {
-    /// Span into the slot arena: the serializer slots this flow occupies
-    /// (sorted, deduplicated — shared slots model half-duplex buses
-    /// exactly as the packet engine does).
+    /// Span into the slot arena: the serializer slot of each hop, in route
+    /// order. A shortest path crosses no slot twice (the only shared slot
+    /// is one host's two bus directions), so no slot is double-counted.
     span_start: u32,
     span_len: u32,
     tag: u64,
@@ -365,27 +365,14 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// no fluid and must be completed by the caller directly).
     pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) {
         assert!(bytes > 0, "empty fluid flow");
-        let route = self.topo.route(src, dst);
+        let topo = self.topo;
+        let route = topo.route(src, dst);
         let span_start = self.slot_arena.len() as u32;
-        for tx in route {
-            let slot = self.topo.tx_params[tx.index()].serializer;
-            self.slot_arena.push(slot);
-        }
-        // A flow crossing the same slot twice (a half-duplex bus at both
-        // endpoints, say) must not double-count its demand.
-        let span = &mut self.slot_arena[span_start as usize..];
-        span.sort_unstable();
-        let mut unique = 1;
-        for i in 1..span.len() {
-            if span[i] != span[i - 1] {
-                span[unique] = span[i];
-                unique += 1;
-            }
-        }
-        self.slot_arena.truncate(span_start as usize + unique);
+        self.slot_arena
+            .extend(route.iter().map(|tx| topo.tx_params[tx.index()].serializer));
         self.flows.push(FlowState {
             span_start,
-            span_len: unique as u32,
+            span_len: route.len() as u32,
             tag,
         });
         self.progress.push(Progress {

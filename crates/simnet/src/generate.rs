@@ -55,7 +55,7 @@
 
 use crate::config::{LinkConfig, SwitchConfig};
 use crate::ids::{HostId, SwitchId};
-use crate::topology::{RoutingPolicy, TopologyBuilder};
+use crate::topology::{RoutingPolicy, TopologyBuilder, MAX_HOSTS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -239,6 +239,23 @@ fn checked_product(factors: &[usize]) -> Option<usize> {
         .try_fold(1usize, |acc, &f| acc.checked_mul(f))
 }
 
+/// A family's host count `capacity`, checked against what a topology can
+/// index ([`MAX_HOSTS`]); a failure names the count fields `fields` that
+/// multiply to it.
+///
+/// This bounds indexing only. A fabric below the limit may still need more
+/// memory than the machine has — its route arena grows with hosts² × hops
+/// — and admitting a spec by its memory footprint is not done here.
+fn check_hosts(capacity: Option<usize>, fields: &str) -> Result<usize, String> {
+    match capacity {
+        None => Err(format!("{fields} overflows the host count")),
+        Some(hosts) if hosts > MAX_HOSTS => Err(format!(
+            "{fields} = {hosts} exceeds the {MAX_HOSTS} hosts a topology can index"
+        )),
+        Some(hosts) => Ok(hosts),
+    }
+}
+
 /// Parameters of a single-switch fabric (see [`single_switch`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SingleSwitchParams {
@@ -264,6 +281,7 @@ impl SingleSwitchParams {
     /// Every precondition of [`single_switch`]; a failure names the field.
     pub fn check(&self) -> Result<(), String> {
         check_counts(&[("hosts", self.hosts)])?;
+        check_hosts(self.capacity(), "hosts")?;
         check_wires(&[("link", self.link)], &self.switches())
     }
 }
@@ -331,8 +349,7 @@ impl StarParams {
             ("hosts_per_leaf", self.hosts_per_leaf),
             ("uplinks_per_leaf", self.uplinks_per_leaf),
         ])?;
-        self.capacity()
-            .ok_or("leaves * hosts_per_leaf overflows the host count")?;
+        check_hosts(self.capacity(), "leaves * hosts_per_leaf")?;
         check_wires(
             &[("edge_link", self.edge_link), ("uplink", self.uplink)],
             &self.switches(),
@@ -487,8 +504,7 @@ impl FatTreeParams {
             return Err(format!("k must be even and at least 2, got {}", self.k));
         }
         check_counts(&[("hosts_per_edge", self.hosts_per_edge)])?;
-        self.capacity()
-            .ok_or("k * k/2 * hosts_per_edge overflows the host count")?;
+        check_hosts(self.capacity(), "k * k/2 * hosts_per_edge")?;
         check_wires(&[("link", self.link)], &self.switches())
     }
 }
@@ -595,9 +611,7 @@ impl TorusParams {
         if let Some((name, d)) = dims.into_iter().find(|&(_, d)| d > u16::MAX as usize) {
             return Err(format!("{name} must be at most {}, got {d}", u16::MAX));
         }
-        let hosts = self
-            .capacity()
-            .ok_or("x * y * z * hosts_per_switch overflows the host count")?;
+        let hosts = check_hosts(self.capacity(), "x * y * z * hosts_per_switch")?;
         if hosts / self.hosts_per_switch < 2 {
             return Err("x * y * z must be at least 2 switches".into());
         }
@@ -713,9 +727,10 @@ impl DragonflyParams {
             ("routers_per_group", self.routers_per_group),
             ("hosts_per_router", self.hosts_per_router),
         ])?;
-        let hosts = self
-            .capacity()
-            .ok_or("groups * routers_per_group * hosts_per_router overflows the host count")?;
+        let hosts = check_hosts(
+            self.capacity(),
+            "groups * routers_per_group * hosts_per_router",
+        )?;
         if hosts / self.hosts_per_router < 2 {
             return Err("groups * routers_per_group must be at least 2 routers".into());
         }

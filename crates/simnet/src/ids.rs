@@ -70,11 +70,11 @@ id_type!(
     "conn"
 );
 id_type!(
-    /// An interned route: a handle into the topology's flat route arena.
+    /// A host-pair route, computed as `dst·n_hosts + src`: it indexes the
+    /// topology's arena offsets and divides back to its destination.
     /// Packets do not carry it — a packet's route is a pure function of its
     /// flow (`conn·2 + direction`), resolved through the engine's flat
-    /// `flow → RouteId` table — so advancing a hop is two flat-array
-    /// indexes and the packet itself stays at 16 bytes.
+    /// `flow → RouteId` table — so the packet itself stays at 16 bytes.
     RouteId,
     "rt"
 );

@@ -11,10 +11,16 @@
 //! deterministic per-flow ECMP hashing by default (parallel uplinks and
 //! fat-tree cores load-balance the way switch hashing would), or
 //! dimension-ordered (e-cube) selection for mesh/torus fabrics whose
-//! generators supply per-switch coordinates.
+//! generators supply per-switch coordinates. The route table is one hop
+//! arena plus one prefix offset per host pair; a [`RouteId`] is computed
+//! from the pair, not stored, up to [`MAX_HOSTS`] hosts.
 
 use crate::config::{LinkConfig, SwitchConfig};
 use crate::ids::{HostId, PoolId, RouteId, SwitchId, TxId};
+
+/// The most hosts a topology can index: route ids are `dst·n_hosts + src`
+/// in a `u32`, so `n_hosts²` must not exceed 2³².
+pub const MAX_HOSTS: usize = 1 << 16;
 
 /// How the builder resolves equal-cost next-hop choices when several
 /// shortest paths exist.
@@ -78,6 +84,9 @@ pub enum TopologyError {
     UnknownNode,
     /// The topology has no hosts.
     Empty,
+    /// The route table of this many hosts outgrows its `u32` indices:
+    /// more than [`MAX_HOSTS`] hosts, or more than `u32::MAX` hops in all.
+    RouteTableOverflow(usize),
 }
 
 impl std::fmt::Display for TopologyError {
@@ -87,27 +96,22 @@ impl std::fmt::Display for TopologyError {
             TopologyError::Unreachable(a, b) => write!(f, "no path between {a} and {b}"),
             TopologyError::UnknownNode => write!(f, "link references an unknown node"),
             TopologyError::Empty => write!(f, "topology has no hosts"),
+            TopologyError::RouteTableOverflow(n) => {
+                write!(f, "route table overflows at {n} hosts (max {MAX_HOSTS})")
+            }
         }
     }
 }
 
 impl std::error::Error for TopologyError {}
 
-/// One interned route: a span of the shared route arena plus the host the
-/// route terminates at.
-#[derive(Debug, Clone, Copy)]
-struct RouteSpan {
-    start: u32,
-    len: u32,
-    dst: HostId,
-}
-
 /// The built network fabric handed to the engine.
 ///
-/// Routes are *interned*: every host-pair path lives in one flat `TxId`
-/// arena and is addressed by a [`RouteId`]. Packets carry the handle, so
-/// the per-hop cost in the engine is a single slice index — no `Arc`
-/// clone, no `src·n_hosts + dst` table lookup.
+/// Every host-pair path lives in one flat `TxId` arena, destination-major
+/// and source-minor, and is addressed by a [`RouteId`] that is computed,
+/// not looked up: `dst·n_hosts + src`. The only per-pair state is that
+/// route's arena offset, so the per-hop cost in the engine is two adjacent
+/// offset reads and one slice index.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Number of hosts.
@@ -118,42 +122,36 @@ pub struct Topology {
     pub pool_capacity: Vec<u64>,
     /// Number of serialization slots (see [`TxParams::serializer`]).
     pub n_serializers: usize,
-    /// All routes' hops, back to back.
+    /// All routes' hops, back to back, in [`RouteId`] order.
     route_arena: Vec<TxId>,
-    /// Arena spans, indexed by [`RouteId`].
-    route_spans: Vec<RouteSpan>,
-    /// `src·n_hosts + dst` → route id (`u32::MAX` on the diagonal).
-    route_ids: Vec<u32>,
+    /// `n_hosts² + 1` prefix offsets into `route_arena`: route `id` is
+    /// `route_start[id]..route_start[id + 1]` (empty on the diagonal).
+    route_start: Vec<u32>,
 }
 
 impl Topology {
-    /// The interned handle of the route from `src` to `dst`. Resolved once
-    /// when a connection opens; packets then carry the handle.
+    /// The handle of the route from `src` to `dst`: `dst·n_hosts + src`.
+    /// Resolved once when a connection opens; the engine then indexes by
+    /// the handle.
     ///
     /// # Panics
     /// Panics if `src == dst`; self-routes do not exist.
     pub fn route_id(&self, src: HostId, dst: HostId) -> RouteId {
         assert_ne!(src, dst, "no route from a host to itself");
-        RouteId::from_index(self.route_ids[src.index() * self.n_hosts + dst.index()] as usize)
+        RouteId::from_index(dst.index() * self.n_hosts + src.index())
     }
 
-    /// The hops of an interned route.
+    /// The hops of a route.
     #[inline]
     pub fn route_slice(&self, id: RouteId) -> &[TxId] {
-        let span = self.route_spans[id.index()];
-        &self.route_arena[span.start as usize..(span.start + span.len) as usize]
+        let i = id.index();
+        &self.route_arena[self.route_start[i] as usize..self.route_start[i + 1] as usize]
     }
 
-    /// The host an interned route terminates at.
+    /// The host a route terminates at.
     #[inline]
     pub fn route_dst(&self, id: RouteId) -> HostId {
-        self.route_spans[id.index()].dst
-    }
-
-    /// First transmitter of an interned route (the injection point).
-    #[inline]
-    pub fn first_hop(&self, id: RouteId) -> TxId {
-        self.route_arena[self.route_spans[id.index()].start as usize]
+        HostId::from_index(id.index() / self.n_hosts)
     }
 
     /// The forward route (sequence of transmitters) from `src` to `dst`.
@@ -293,6 +291,10 @@ impl TopologyBuilder {
             return Err(TopologyError::Empty);
         }
         let n_hosts = self.hosts;
+        let overflow = TopologyError::RouteTableOverflow(n_hosts);
+        if n_hosts > MAX_HOSTS {
+            return Err(overflow);
+        }
         let n_switches = self.switches.len();
         let has_bus = self.host_bus.is_some();
         let n_bus = if has_bus { n_hosts } else { 0 };
@@ -424,8 +426,8 @@ impl TopologyBuilder {
         };
 
         // BFS distance-to-destination per destination host, then greedy
-        // next-hop walks with hashed tie-breaking. Routes intern into one
-        // flat arena so the engine can address them by `RouteId`.
+        // next-hop walks with hashed tie-breaking, appended to the arena
+        // in `RouteId` order (destination-major, source-minor).
         //
         // The next-hop candidates toward a destination depend on the node
         // a walk stands on, never on where it started, so they are
@@ -434,8 +436,8 @@ impl TopologyBuilder {
         // source's walk.
         let dimension_ordered = self.routing == RoutingPolicy::DimensionOrdered;
         let mut route_arena: Vec<TxId> = Vec::new();
-        let mut route_spans: Vec<RouteSpan> = Vec::with_capacity(n_hosts * (n_hosts - 1));
-        let mut route_ids: Vec<u32> = vec![u32::MAX; n_hosts * n_hosts];
+        let mut route_start: Vec<u32> = Vec::with_capacity(n_hosts * n_hosts + 1);
+        route_start.push(0);
         let mut dist = vec![u32::MAX; n_nodes];
         let mut queue = std::collections::VecDeque::new();
         let mut cand: Vec<(TxId, usize)> = Vec::new();
@@ -492,17 +494,13 @@ impl TopologyBuilder {
                 cand.push(pick);
             }
             cand_start[n_nodes] = cand.len();
-            for src in 0..n_hosts {
-                if src == dst {
-                    continue;
-                }
-                if dist[src] == u32::MAX {
+            for (src, &d) in dist[..n_hosts].iter().enumerate() {
+                if d == u32::MAX {
                     return Err(TopologyError::Unreachable(
                         HostId::from_index(src),
                         HostId::from_index(dst),
                     ));
                 }
-                let start = route_arena.len() as u32;
                 let mut at = src;
                 while at != dst {
                     let choices = &cand[cand_start[at]..cand_start[at + 1]];
@@ -517,12 +515,9 @@ impl TopologyBuilder {
                     route_arena.push(tx);
                     at = next;
                 }
-                route_ids[src * n_hosts + dst] = route_spans.len() as u32;
-                route_spans.push(RouteSpan {
-                    start,
-                    len: route_arena.len() as u32 - start,
-                    dst: HostId::from_index(dst),
-                });
+                // The diagonal walk is empty: `dist[dst]` is 0.
+                let end = u32::try_from(route_arena.len()).map_err(|_| overflow.clone())?;
+                route_start.push(end);
             }
         }
 
@@ -532,8 +527,7 @@ impl TopologyBuilder {
             pool_capacity,
             n_serializers,
             route_arena,
-            route_spans,
-            route_ids,
+            route_start,
         })
     }
 }
@@ -577,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn first_hop_is_charged_to_source_nic_pool() {
+    fn injection_hop_is_charged_to_source_nic_pool() {
         let (topo, hosts) = star(3);
         let route = topo.route(hosts[0], hosts[2]);
         let first = topo.tx_params[route[0].index()];
@@ -660,6 +654,24 @@ mod tests {
             TopologyBuilder::new().build().unwrap_err(),
             TopologyError::Empty
         );
+    }
+
+    #[test]
+    fn a_fabric_too_big_to_index_is_an_error() {
+        let mut b = TopologyBuilder::new();
+        b.add_hosts(MAX_HOSTS + 1);
+        let err = b.build().unwrap_err();
+        assert_eq!(err, TopologyError::RouteTableOverflow(MAX_HOSTS + 1));
+        assert!(err.to_string().contains("max 65536"), "{err}");
+    }
+
+    #[test]
+    fn route_handles_are_destination_major() {
+        let (topo, hosts) = star(3);
+        let id = topo.route_id(hosts[2], hosts[1]);
+        assert_eq!(id.index(), 3 + 2);
+        assert_eq!(topo.route_dst(id), hosts[1]);
+        assert_eq!(topo.route_slice(id), topo.route(hosts[2], hosts[1]));
     }
 
     #[test]

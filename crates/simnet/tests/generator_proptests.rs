@@ -245,15 +245,32 @@ fn reference_routes(topo: &Topology, coords: Option<&[[u16; 3]]>) -> Vec<Vec<TxI
     routes
 }
 
+/// Every route equals the reference's, and has the properties the route
+/// table and the fluid tier rely on instead of storing or checking them:
+/// a route id divides back to its destination, the last hop lands on the
+/// destination host, and no serializer slot repeats within a route (so a
+/// fluid flow never double-counts its demand on a shared bus slot).
 fn assert_routes_match_reference(topo: &Topology, coords: Option<&[[u16; 3]]>) {
     let reference = reference_routes(topo, coords);
     for src in 0..topo.n_hosts {
         for dst in (0..topo.n_hosts).filter(|&dst| dst != src) {
+            let (s, d) = (HostId::new(src), HostId::new(dst));
+            let route = topo.route(s, d);
             assert_eq!(
-                topo.route(HostId::new(src), HostId::new(dst)),
+                route,
                 &reference[src * topo.n_hosts + dst][..],
                 "route {src} -> {dst}"
             );
+            assert_eq!(topo.route_dst(topo.route_id(s, d)), d);
+            let last = route.last().expect("a route has hops");
+            assert_eq!(topo.tx_params[last.index()].to, Endpoint::Host(d));
+            let mut slots: Vec<u32> = route
+                .iter()
+                .map(|tx| topo.tx_params[tx.index()].serializer)
+                .collect();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(slots.len(), route.len(), "slot repeats on {src} -> {dst}");
         }
     }
 }
@@ -318,6 +335,29 @@ fn checks_name_the_offending_field() {
     let huge = torus([60_000, 60_000, 60_000], usize::MAX / 2);
     assert_eq!(huge.capacity(), None);
     assert!(err(huge.check()).contains("overflows"));
+
+    // Route ids are `dst·n + src` in a u32: past 65 536 hosts a fabric is
+    // a typed error naming its count fields, before anything allocates.
+    let single = SingleSwitchParams {
+        hosts: 100_000,
+        link: gbe(),
+        switch: sw(),
+    };
+    assert!(err(single.check()).starts_with("hosts = 100000 exceeds the 65536 hosts"));
+    let fat = FatTreeParams {
+        k: 80,
+        hosts_per_edge: 40,
+        link: gbe(),
+        switch: sw(),
+    };
+    assert_eq!(fat.capacity(), Some(128_000));
+    assert!(err(fat.check()).starts_with("k * k/2 * hosts_per_edge = 128000"));
+    let largest = FatTreeParams {
+        k: 64,
+        hosts_per_edge: 32,
+        ..fat
+    };
+    assert_eq!(largest.check(), Ok(()));
 }
 
 /// Presets put a shared-serializer I/O bus between every host and its
