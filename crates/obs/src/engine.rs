@@ -110,6 +110,9 @@ pub struct EngineRecorder {
     push_hist: Log2Hist,
     first_ns: Option<u64>,
     last_ns: u64,
+    /// Span of the busy intervals seen while no event was popped: the
+    /// span of a run whose engine pops none (the fluid tier).
+    busy_span: Option<(u64, u64)>,
     next_tick_ns: u64,
     links: Vec<LinkState>,
     marks: Vec<Mark>,
@@ -137,6 +140,7 @@ impl EngineRecorder {
             push_hist: Log2Hist::new(),
             first_ns: None,
             last_ns: 0,
+            busy_span: None,
             next_tick_ns: 0,
             links: Vec::new(),
             marks: Vec::new(),
@@ -199,12 +203,17 @@ impl EngineRecorder {
         let done = std::mem::replace(self, fresh);
         let mut marks = done.marks;
         marks.rotate_left(done.marks_start);
+        let (first_event_ns, last_event_ns) = done
+            .first_ns
+            .map(|first| (first, done.last_ns))
+            .or(done.busy_span)
+            .unwrap_or((0, 0));
         EngineTelemetry {
             sample_interval_ns: done.cfg.sample_interval_ns,
             events: done.events,
             pushes: done.pushes,
-            first_event_ns: done.first_ns.unwrap_or(0),
-            last_event_ns: done.last_ns,
+            first_event_ns,
+            last_event_ns,
             pop_queue_hist: done.pop_hist.buckets(),
             push_queue_hist: done.push_hist.buckets(),
             links: done
@@ -249,6 +258,11 @@ impl Recorder for EngineRecorder {
 
     #[inline]
     fn on_tx_busy(&mut self, tx: u32, from_ns: u64, until_ns: u64, _wire_bytes: u64) {
+        if self.first_ns.is_none() {
+            let span = self.busy_span.get_or_insert((from_ns, until_ns));
+            span.0 = span.0.min(from_ns);
+            span.1 = span.1.max(until_ns);
+        }
         let link = self.link(tx);
         let busy = until_ns - from_ns;
         link.busy_tick_ns += busy;
@@ -334,9 +348,11 @@ pub struct EngineTelemetry {
     pub events: u64,
     /// Events pushed onto the queue.
     pub pushes: u64,
-    /// Timestamp of the first event, nanoseconds.
+    /// Timestamp of the first event, nanoseconds; in a run that popped
+    /// none (the fluid tier), the start of its first busy interval.
     pub first_event_ns: u64,
-    /// Timestamp of the last event, nanoseconds.
+    /// Timestamp of the last event, nanoseconds; in a run that popped
+    /// none, the end of its last busy interval.
     pub last_event_ns: u64,
     /// Log2 histogram of queue depth at pop (see [`Log2Hist::buckets`]).
     pub pop_queue_hist: Vec<u64>,
@@ -501,6 +517,24 @@ mod tests {
             link.saturated_intervals(950, 1000),
             vec![(0, 2000), (3000, 4000)]
         );
+    }
+
+    #[test]
+    fn a_run_without_events_spans_its_busy_intervals() {
+        let mut r = EngineRecorder::new(cfg(1000, 4, 4));
+        r.on_tx_busy(0, 200, 700, 64);
+        r.on_tx_busy(1, 100, 900, 64);
+        r.on_tx_busy(0, 700, 800, 64);
+        let t = r.take_telemetry();
+        assert_eq!((t.events, t.first_event_ns, t.last_event_ns), (0, 100, 900));
+        let span = t.last_event_ns - t.first_event_ns;
+        assert!(t.links.iter().all(|l| l.busy_ns > 0 && l.busy_ns <= span));
+        // Once events are popped they define the span, as before.
+        r.on_event_pop(50, 1);
+        r.on_tx_busy(0, 60, 5_000, 64);
+        r.on_event_pop(70, 1);
+        let t = r.take_telemetry();
+        assert_eq!((t.first_event_ns, t.last_event_ns), (50, 70));
     }
 
     #[test]

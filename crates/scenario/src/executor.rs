@@ -590,16 +590,15 @@ fn run_cell(
     session: &Session,
 ) -> (CellResult, Option<EngineTelemetry>) {
     let guard = session.limits.guard(&session.cancel);
-    let (times, engine) = match &session.telemetry {
-        None => (
+    let (times, engine) = if session.telemetry {
+        let recorder = EngineRecorder::default();
+        let (times, mut recorder) = simulate(scenario.spec, fabric, cell, recorder, guard);
+        (times, Some(recorder.take_telemetry()))
+    } else {
+        (
             simulate(scenario.spec, fabric, cell, NoopRecorder, guard).0,
             None,
-        ),
-        Some(cfg) => {
-            let recorder = EngineRecorder::new(cfg.clone());
-            let (times, mut recorder) = simulate(scenario.spec, fabric, cell, recorder, guard);
-            (times, Some(recorder.take_telemetry()))
-        }
+        )
     };
     let row = match times {
         Ok(times) => scenario.row(cell, Ok(&times)),

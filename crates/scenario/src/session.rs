@@ -53,7 +53,6 @@ use crate::spec::ScenarioSpec;
 use contention_model::hockney::HockneyParams;
 use contention_model::saturation::SaturationModel;
 use contention_model::signature::ContentionSignature;
-use simnet::obs::TelemetryConfig;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -243,7 +242,7 @@ pub struct SessionBuilder {
     model: ModelKind,
     cache: Option<Arc<CalibrationCache>>,
     cancel: Option<CancelToken>,
-    telemetry: Option<TelemetryConfig>,
+    telemetry: bool,
     limits: GuardLimits,
     faults: Option<FaultPlan>,
 }
@@ -292,14 +291,8 @@ impl SessionBuilder {
     /// [`EngineTelemetry`](simnet::obs::EngineTelemetry). Off by default —
     /// the no-op recorder compiles down to the uninstrumented engine.
     /// Telemetry observes only; reports stay byte-identical either way.
-    pub fn telemetry(self, enabled: bool) -> Self {
-        self.telemetry_config(enabled.then(TelemetryConfig::default))
-    }
-
-    /// Like [`SessionBuilder::telemetry`], with explicit sampling
-    /// settings (`None` disables).
-    pub fn telemetry_config(mut self, config: Option<TelemetryConfig>) -> Self {
-        self.telemetry = config;
+    pub fn telemetry(mut self, enabled: bool) -> Self {
+        self.telemetry = enabled;
         self
     }
 
@@ -381,7 +374,7 @@ pub struct Session {
     pub(crate) limits: GuardLimits,
     pub(crate) cache: Arc<CalibrationCache>,
     pub(crate) cancel: CancelToken,
-    pub(crate) telemetry: Option<TelemetryConfig>,
+    pub(crate) telemetry: bool,
     pub(crate) faults: Option<FaultPlan>,
     metrics: Mutex<Option<SessionMetrics>>,
 }

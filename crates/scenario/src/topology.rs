@@ -4,8 +4,10 @@
 //!
 //! The unit of work is the [`Fabric`]: a scenario's network resolved
 //! once. [`Fabric::world_with`] / [`Fabric::fluid_cell`] then produce one
-//! cell's packet world or fluid inputs on it; [`build_world`],
-//! [`build_world_with`] and [`build_fluid_fabric`] are the from-scratch
+//! cell's packet world or fluid inputs on it, both from one private cell
+//! resolution (topology, placed hosts, seeded MPI stack, transport) so the
+//! two backends cannot place or seed a cell differently;
+//! [`build_world`] and [`build_fluid_fabric`] are the from-scratch
 //! conveniences (fresh fabric, one use) for tests, examples and one-off
 //! callers.
 
@@ -62,32 +64,27 @@ pub fn capacity(t: &TopologySpec) -> Result<usize, SpecError> {
 /// A preset's wiring depends on the rank count (only as many edge
 /// switches as the job needs) and costs microseconds, so the preset
 /// variant just carries the resolved preset and wires it per cell.
-pub struct Fabric(Wiring);
+pub struct Fabric {
+    wiring: Wiring,
+    /// What every cell on the fabric shares besides the wiring, read from
+    /// the spec once so a cell cannot be built with another spec's: the
+    /// MPI stack (a preset's or the defaults, plus the spec's overrides;
+    /// seeded per cell) and the transport.
+    mpi: simmpi::MpiConfig,
+    transport: TransportKind,
+}
 
 enum Wiring {
-    /// A paper cluster with the spec's MPI overrides applied.
+    /// A paper cluster, wired per cell.
     Preset(ClusterPreset),
     Generated {
         topo: Arc<Topology>,
         /// The generator's output the topology was built from; placement
         /// reads its host groups.
         layout: Generated,
-        /// What every cell on the fabric shares besides the wiring, read
-        /// from the spec once so a cell cannot be built with another
-        /// spec's: the rank→host policy, the MPI stack (defaults plus the
-        /// spec's overrides; seeded per cell) and the transport.
+        /// The rank→host policy.
         placement: Placement,
-        mpi: simmpi::MpiConfig,
-        transport: TransportKind,
     },
-}
-
-/// The effective MPI stack of one cell: `base` with the cell's seed.
-fn seeded_mpi(base: simmpi::MpiConfig, seed: u64) -> simmpi::MpiConfig {
-    simmpi::MpiConfig {
-        seed: seed ^ 0x5A5A_5A5A,
-        ..base
-    }
 }
 
 impl Fabric {
@@ -100,11 +97,14 @@ impl Fabric {
         spec.topology.check()?;
         let layout = match &spec.topology {
             TopologySpec::Preset { preset } => {
-                // Presets carry their own MPI stack; apply the spec's
-                // overrides on top.
-                let mut preset = preset_by_name(preset)?;
-                preset.mpi = spec.mpi.apply(preset.mpi);
-                return Ok(Fabric(Wiring::Preset(preset)));
+                // Presets carry their own MPI stack and transport; apply
+                // the spec's MPI overrides on top.
+                let preset = preset_by_name(preset)?;
+                return Ok(Fabric {
+                    mpi: spec.mpi.apply(preset.mpi),
+                    transport: preset.transport,
+                    wiring: Wiring::Preset(preset),
+                });
             }
             TopologySpec::SingleSwitch(p) => generate::single_switch(p),
             TopologySpec::StarOfSwitches(p) => generate::star_of_switches(p),
@@ -117,59 +117,67 @@ impl Fabric {
             .builder
             .build()
             .map_err(|e| SpecError::Invalid(format!("topology failed to build: {e}")))?;
-        Ok(Fabric(Wiring::Generated {
-            topo: Arc::new(topo),
-            layout,
-            placement: spec.placement,
+        Ok(Fabric {
+            wiring: Wiring::Generated {
+                topo: Arc::new(topo),
+                layout,
+                placement: spec.placement,
+            },
             mpi: spec.mpi.apply(simmpi::MpiConfig::default()),
             transport: spec.transport.to_kind(),
-        }))
+        })
     }
 
     /// The routed topology every cell of the scenario shares; `None` for
     /// presets, which wire a fresh one per cell.
     pub fn shared_topology(&self) -> Option<&Arc<Topology>> {
-        match &self.0 {
+        match &self.wiring {
             Wiring::Preset(_) => None,
             Wiring::Generated { topo, .. } => Some(topo),
         }
     }
 
-    /// An `n`-rank packet world on this fabric with a telemetry recorder
-    /// attached to the simulator, every stochastic element seeded from
-    /// `seed`. Ranks map onto hosts through the spec's [`Placement`]
-    /// policy — scatter (the presets' round-robin, and the default), pack,
-    /// or a seeded random partial permutation.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the spec's capacity (callers validate first).
-    pub fn world_with<R: Recorder>(&self, n: usize, seed: u64, recorder: R) -> World<R> {
-        match &self.0 {
-            Wiring::Preset(preset) => preset.build_world_with(n, seed, recorder),
+    /// Resolves one `n`-rank cell for both backends: the topology, the
+    /// hosts the spec's [`Placement`] puts the ranks on (presets place
+    /// round-robin), and the simulator and MPI configs seeded from `seed`
+    /// by [`simmpi::config::seed_cell`]. The transport is `self.transport`.
+    fn cell(
+        &self,
+        n: usize,
+        seed: u64,
+    ) -> (Arc<Topology>, Vec<HostId>, SimConfig, simmpi::MpiConfig) {
+        let (topo, hosts) = match &self.wiring {
+            Wiring::Preset(preset) => {
+                let (topo, hosts) = preset.build_fabric(n);
+                (Arc::new(topo), hosts)
+            }
             Wiring::Generated {
                 topo,
                 layout,
                 placement,
-                mpi,
-                transport,
-            } => {
-                let ranks = placement.place(layout, n, seed);
-                let sim_config = SimConfig {
-                    seed,
-                    ..SimConfig::default()
-                };
-                let sim = Simulator::with_recorder(Arc::clone(topo), sim_config, recorder);
-                World::new(sim, ranks, seeded_mpi(*mpi, seed), *transport)
-            }
-        }
+            } => (Arc::clone(topo), placement.place(layout, n, seed)),
+        };
+        let (sim_config, mpi) = simmpi::config::seed_cell(self.mpi, seed);
+        (topo, hosts, sim_config, mpi)
+    }
+
+    /// An `n`-rank packet world on this fabric with a telemetry recorder
+    /// attached to the simulator, every stochastic element seeded from
+    /// `seed`.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the spec's capacity (callers validate first).
+    pub fn world_with<R: Recorder>(&self, n: usize, seed: u64, recorder: R) -> World<R> {
+        let (topo, hosts, sim_config, mpi) = self.cell(n, seed);
+        let sim = Simulator::with_recorder(topo, sim_config, recorder);
+        World::new(sim, hosts, mpi, self.transport)
     }
 
     /// What the fluid backend runs one `n`-rank cell on: the routed
     /// topology (the shared one, or a preset's fresh wiring), the
-    /// rank→host map and the effective MPI stack, seeded exactly as
-    /// [`Fabric::world_with`] seeds the packet path (same placement, same
-    /// `seed ^ 0x5A5A_5A5A` MPI seed). The caller lends the topology to a
-    /// [`simmpi::FluidWorld`].
+    /// rank→host map and the effective MPI stack, resolved and seeded
+    /// exactly as for [`Fabric::world_with`]. The caller lends the
+    /// topology to a [`simmpi::FluidWorld`].
     ///
     /// # Panics
     /// Panics if `n` exceeds the spec's capacity (callers validate first).
@@ -178,23 +186,8 @@ impl Fabric {
         n: usize,
         seed: u64,
     ) -> (Arc<Topology>, Vec<HostId>, simmpi::MpiConfig) {
-        match &self.0 {
-            Wiring::Preset(preset) => {
-                let (topo, hosts) = preset.build_fabric(n);
-                (Arc::new(topo), hosts, seeded_mpi(preset.mpi, seed))
-            }
-            Wiring::Generated {
-                topo,
-                layout,
-                placement,
-                mpi,
-                ..
-            } => (
-                Arc::clone(topo),
-                placement.place(layout, n, seed),
-                seeded_mpi(*mpi, seed),
-            ),
-        }
+        let (topo, hosts, _, mpi) = self.cell(n, seed);
+        (topo, hosts, mpi)
     }
 }
 
@@ -205,22 +198,7 @@ impl Fabric {
 /// # Panics
 /// Panics if `n` exceeds the spec's capacity (callers validate first).
 pub fn build_world(spec: &ScenarioSpec, n: usize, seed: u64) -> Result<World, SpecError> {
-    build_world_with(spec, n, seed, NoopRecorder)
-}
-
-/// [`build_world`] with a telemetry recorder attached to the underlying
-/// simulator (see `simnet::obs`). The recorder observes only; worlds built
-/// with and without one behave identically.
-///
-/// # Panics
-/// Panics if `n` exceeds the spec's capacity (callers validate first).
-pub fn build_world_with<R: Recorder>(
-    spec: &ScenarioSpec,
-    n: usize,
-    seed: u64,
-    recorder: R,
-) -> Result<World<R>, SpecError> {
-    Ok(Fabric::build(spec)?.world_with(n, seed, recorder))
+    Ok(Fabric::build(spec)?.world_with(n, seed, NoopRecorder))
 }
 
 /// Builds the bare fabric for the fluid backend from scratch:

@@ -13,6 +13,7 @@
 
 use contention_scenario::error::CtnError;
 use contention_scenario::prelude::*;
+use simnet::obs::json;
 use std::sync::Arc;
 
 /// Documented fluid/packet completion-time ratio bands, measured on the
@@ -56,6 +57,36 @@ fn band(name: &str) -> (f64, f64) {
         .find(|(n, _, _)| *n == name)
         .map(|&(_, lo, hi)| (lo, hi))
         .unwrap_or_else(|| panic!("{name}: new builtin needs a documented error band"))
+}
+
+/// What `--metrics` exports for every cell of `metrics`: a positive
+/// simulated span, and a `busy_frac` in (0, 1] on every link it lists —
+/// no link is busy for longer than the run it was busy in.
+fn assert_link_busy_fractions(metrics: &SessionMetrics, what: &str) {
+    let doc = json::parse(&metrics.render_json()).expect("metrics JSON parses");
+    let Some(json::Value::Array(cells)) = doc.get("cells") else {
+        panic!("{what}: no cells array");
+    };
+    for cell in cells {
+        let engine = cell.get("engine").expect("engine telemetry");
+        let sim_secs = engine.get("sim_secs").and_then(json::Value::as_f64);
+        assert!(
+            sim_secs.is_some_and(|s| s > 0.0),
+            "{what}: sim_secs {sim_secs:?}"
+        );
+        let Some(json::Value::Array(links)) = engine.get("links") else {
+            panic!("{what}: no links array");
+        };
+        assert!(!links.is_empty(), "{what}: no busy links");
+        for link in links {
+            let frac = link.get("busy_frac").and_then(json::Value::as_f64);
+            assert!(
+                frac.is_some_and(|f| f > 0.0 && f <= 1.0),
+                "{what}: tx {:?} busy_frac {frac:?}",
+                link.get("tx")
+            );
+        }
+    }
 }
 
 /// One cheap cell per builtin: smallest node count, first message size.
@@ -144,6 +175,7 @@ fn fluid_cells_are_deterministic_and_telemetry_transparent() {
             engine.links.iter().any(|l| l.busy_ns > 0),
             "fluid rates must surface as link-utilization samples"
         );
+        assert_link_busy_fractions(&metrics, &format!("fluid, workers={workers}"));
     }
 }
 

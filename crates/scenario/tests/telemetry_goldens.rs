@@ -24,6 +24,36 @@ fn session(workers: usize, telemetry: bool, cache: &Arc<CalibrationCache>) -> Se
         .expect("session builds")
 }
 
+/// What `--metrics` exports for every cell of `metrics`: a positive
+/// simulated span, and a `busy_frac` in (0, 1] on every link it lists —
+/// no link is busy for longer than the run it was busy in.
+fn assert_link_busy_fractions(metrics: &SessionMetrics, what: &str) {
+    let doc = json::parse(&metrics.render_json()).expect("metrics JSON parses");
+    let Some(json::Value::Array(cells)) = doc.get("cells") else {
+        panic!("{what}: no cells array");
+    };
+    for cell in cells {
+        let engine = cell.get("engine").expect("engine telemetry");
+        let sim_secs = engine.get("sim_secs").and_then(json::Value::as_f64);
+        assert!(
+            sim_secs.is_some_and(|s| s > 0.0),
+            "{what}: sim_secs {sim_secs:?}"
+        );
+        let Some(json::Value::Array(links)) = engine.get("links") else {
+            panic!("{what}: no links array");
+        };
+        assert!(!links.is_empty(), "{what}: no busy links");
+        for link in links {
+            let frac = link.get("busy_frac").and_then(json::Value::as_f64);
+            assert!(
+                frac.is_some_and(|f| f > 0.0 && f <= 1.0),
+                "{what}: tx {:?} busy_frac {frac:?}",
+                link.get("tx")
+            );
+        }
+    }
+}
+
 fn trimmed(mut spec: ScenarioSpec) -> ScenarioSpec {
     spec.sweep.nodes = vec![*spec.sweep.nodes.first().unwrap()];
     spec.sweep.message_bytes = vec![*spec.sweep.message_bytes.first().unwrap()];
@@ -98,7 +128,9 @@ fn all_thirteen_packet_builtins_are_byte_identical_with_a_recording_recorder() {
             // that breaks this bound is the evidence a deeper-queue
             // structure would need — shown on `ctnbench`'s end-to-end
             // metrics, not on a queue micro-benchmark.
-            for cell in &s.metrics().expect("snapshot after the run").cells {
+            let metrics = s.metrics().expect("snapshot after the run");
+            assert_link_busy_fractions(&metrics, &spec.name);
+            for cell in &metrics.cells {
                 let hist = &cell.engine.as_ref().expect("telemetry").pop_queue_hist;
                 assert!(
                     hist.len() <= 13,

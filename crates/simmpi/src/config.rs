@@ -1,5 +1,23 @@
 //! MPI-layer configuration.
 
+use simnet::config::SimConfig;
+
+/// Seeds one measurement cell: the simulator config draws from `seed`,
+/// `mpi` from a fixed scramble of it, so the two streams differ. Every
+/// cell world — presets' and the scenario layer's, packet and fluid — is
+/// seeded here.
+pub fn seed_cell(mpi: MpiConfig, seed: u64) -> (SimConfig, MpiConfig) {
+    let sim = SimConfig {
+        seed,
+        ..SimConfig::default()
+    };
+    let mpi = MpiConfig {
+        seed: seed ^ 0x5A5A_5A5A,
+        ..mpi
+    };
+    (sim, mpi)
+}
+
 /// Parameters of the simulated MPI point-to-point protocol stack.
 ///
 /// These model a LAM-MPI-era TCP RPI: messages at or below the eager

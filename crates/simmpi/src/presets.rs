@@ -11,6 +11,7 @@
 //! round-robin across edge switches the way a batch scheduler scatters a
 //! job.
 
+use crate::config::seed_cell;
 use crate::prelude::*;
 use simnet::prelude::*;
 
@@ -214,31 +215,9 @@ impl ClusterPreset {
     /// # Panics
     /// Panics if `n` is zero or exceeds [`ClusterPreset::max_hosts`].
     pub fn build_world(&self, n: usize, seed: u64) -> World {
-        self.build_world_with(n, seed, simnet::obs::NoopRecorder)
-    }
-
-    /// [`ClusterPreset::build_world`] with a telemetry recorder attached
-    /// to the underlying simulator (see `simnet::obs`).
-    ///
-    /// # Panics
-    /// Panics if `n` is zero or exceeds [`ClusterPreset::max_hosts`].
-    pub fn build_world_with<R: simnet::obs::Recorder>(
-        &self,
-        n: usize,
-        seed: u64,
-        recorder: R,
-    ) -> World<R> {
         let (topo, hosts) = self.build_fabric(n);
-        let sim_config = SimConfig {
-            seed,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::with_recorder(topo, sim_config, recorder);
-        let mpi = MpiConfig {
-            seed: seed ^ 0x5A5A_5A5A,
-            ..self.mpi
-        };
-        World::new(sim, hosts, mpi, self.transport)
+        let (sim_config, mpi) = seed_cell(self.mpi, seed);
+        World::new(Simulator::new(topo, sim_config), hosts, mpi, self.transport)
     }
 
     /// Builds just the cluster's wiring for `n` ranks — the [`Topology`]

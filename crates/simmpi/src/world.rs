@@ -235,7 +235,8 @@ impl<R: Recorder> World<R> {
     /// and a genuine stall — event queue drained while ranks still wait
     /// — yields [`RunInterrupt::Deadlocked`] with a diagnostic of the
     /// blocked ranks and connections. The world is left mid-run after an
-    /// interrupt; discard it rather than running again.
+    /// interrupt, and a guard stop stays latched until the next
+    /// `set_guard`; discard the world rather than running again.
     ///
     /// # Panics
     /// Panics if `programs.len()` differs from the rank count.
@@ -256,7 +257,7 @@ impl<R: Recorder> World<R> {
 
         while self.ranks.unfinished() > 0 {
             let Some(note) = self.sim.poll() else {
-                if let Some(stop) = self.sim.take_stop() {
+                if let Some(stop) = self.sim.guard_stop() {
                     return Err(RunInterrupt::Guard(stop));
                 }
                 return Err(self.deadlock_interrupt());

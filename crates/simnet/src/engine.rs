@@ -35,7 +35,7 @@
 
 use crate::config::{SimConfig, TransportKind};
 use crate::event::{Event, EventQueue};
-use crate::guard::{GuardStop, RunGuard, GUARD_CHECK_INTERVAL};
+use crate::guard::{GuardStop, InstalledGuard, RunGuard, GUARD_CHECK_INTERVAL};
 use crate::ids::{ConnId, HostId, RouteId, TxId};
 use crate::packet::{Notification, PackedPacket, PacketKind};
 use crate::stats::NetStats;
@@ -131,20 +131,11 @@ pub struct Simulator<R: Recorder = NoopRecorder> {
     stats: NetStats,
     rng: StdRng,
     recorder: R,
-    /// Supervision limits polled every [`GUARD_CHECK_INTERVAL`] events.
-    guard: RunGuard,
-    /// Fast-path gate: false for the default unlimited guard, so the
-    /// hot loop pays one predictable branch per event.
-    guard_active: bool,
-    /// `events_processed` when the guard was installed (budgets are
-    /// relative to installation).
-    guard_event_origin: u64,
-    /// Simulated time when the guard was installed (the horizon is
-    /// relative to installation).
-    guard_time_origin: SimTime,
-    /// Set once a guard limit trips; [`Simulator::step`] then refuses to
-    /// advance until a new guard is installed or the stop is taken.
-    stopped: Option<GuardStop>,
+    /// Supervision limits, polled every [`GUARD_CHECK_INTERVAL`] events;
+    /// the budget counts `events_processed`. Once a limit trips,
+    /// [`Simulator::step`] refuses to advance until the next
+    /// [`Simulator::set_guard`].
+    guard: InstalledGuard,
 }
 
 impl Simulator {
@@ -198,11 +189,7 @@ impl<R: Recorder> Simulator<R> {
             stats: NetStats::default(),
             rng: StdRng::seed_from_u64(config.seed),
             recorder,
-            guard: RunGuard::default(),
-            guard_active: false,
-            guard_event_origin: 0,
-            guard_time_origin: SimTime::ZERO,
-            stopped: None,
+            guard: InstalledGuard::default(),
         }
     }
 
@@ -311,9 +298,9 @@ impl<R: Recorder> Simulator<R> {
 
     /// Processes one event. Returns false when the queue is empty — or
     /// when an installed [`RunGuard`] limit has tripped (disambiguate
-    /// with [`Simulator::stop_reason`]).
+    /// with [`Simulator::guard_stop`]).
     pub fn step(&mut self) -> bool {
-        if self.guard_active && self.check_guard() {
+        if self.guard.is_active() && self.check_guard() {
             return false;
         }
         let Some((at, event)) = self.queue.pop() else {
@@ -674,23 +661,16 @@ impl<R: Recorder> Simulator<R> {
     /// is absolute. Installing [`RunGuard::unlimited`] disables all
     /// checking (the default).
     pub fn set_guard(&mut self, guard: RunGuard) {
-        self.guard_active = !guard.is_unlimited();
-        self.guard_event_origin = self.stats.events_processed;
-        self.guard_time_origin = self.time;
-        self.stopped = None;
-        self.guard = guard;
+        let now_ns = self.time.as_nanos() as f64;
+        self.guard
+            .install(guard, self.stats.events_processed, now_ns);
     }
 
-    /// Why the last run stopped early, if a guard limit tripped.
-    /// `None` after a normal drain.
-    pub fn stop_reason(&self) -> Option<GuardStop> {
-        self.stopped
-    }
-
-    /// Takes the stop reason, letting the simulation be stepped again
-    /// (the guard re-trips at the next check if its limit still holds).
-    pub fn take_stop(&mut self) -> Option<GuardStop> {
-        self.stopped.take()
+    /// Why stepping stopped early, if a guard limit tripped. `None` after
+    /// a normal drain. The stop stays latched, and stepping refused,
+    /// until the next [`Simulator::set_guard`].
+    pub fn guard_stop(&self) -> Option<GuardStop> {
+        self.guard.stop()
     }
 
     /// Guard preemption point: every [`GUARD_CHECK_INTERVAL`] processed
@@ -698,21 +678,13 @@ impl<R: Recorder> Simulator<R> {
     /// must stop.
     #[inline]
     fn check_guard(&mut self) -> bool {
-        if self.stopped.is_some() {
-            return true;
-        }
-        if self.stats.events_processed & (GUARD_CHECK_INTERVAL - 1) != 0 {
-            return false;
-        }
-        let used = self.stats.events_processed - self.guard_event_origin;
-        let elapsed = self.time.since(self.guard_time_origin);
-        match self.guard.check(used, elapsed) {
-            Some(stop) => {
-                self.stopped = Some(stop);
-                true
-            }
-            None => false,
-        }
+        let events = self.stats.events_processed;
+        self.guard.stop().is_some()
+            || events & (GUARD_CHECK_INTERVAL - 1) == 0
+                && self
+                    .guard
+                    .check(events, self.time.as_nanos() as f64)
+                    .is_some()
     }
 
     /// Connections with bytes queued but not yet acknowledged — the
@@ -809,7 +781,7 @@ mod tests {
             }
         }
         let flipped_at = flipped_at.expect("simulation outlasted the flip point");
-        assert_eq!(sim.stop_reason(), Some(GuardStop::Cancelled));
+        assert_eq!(sim.guard_stop(), Some(GuardStop::Cancelled));
         assert!(
             sim.stats().events_processed - flipped_at <= GUARD_CHECK_INTERVAL,
             "cancellation latency {} events exceeds one check interval",
@@ -839,7 +811,7 @@ mod tests {
         sim.set_guard(RunGuard::unlimited().with_event_budget(10_000));
         sim.run_until_idle();
         assert!(matches!(
-            sim.stop_reason(),
+            sim.guard_stop(),
             Some(GuardStop::Budget { budget: 10_000 })
         ));
         assert!(sim.stats().events_processed >= 10_000);

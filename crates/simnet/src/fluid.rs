@@ -19,11 +19,12 @@
 //!
 //! * **cross-validation** — a fluid completion time is a lower bound on the
 //!   packet engine's result for the same traffic (no loss, no protocol
-//!   overhead, perfect fairness); tests assert the packet engine never
-//!   beats it by more than protocol-overhead margins;
-//! * **fast sweeps** — a 64-node All-to-All estimate costs microseconds,
-//!   letting experiments bracket huge parameter spaces before committing
-//!   packet-level time;
+//!   overhead, perfect fairness); tests time both engines through their
+//!   MPI worlds and assert the packet engine never beats the fluid one by
+//!   more than protocol-overhead margins;
+//! * **scale** — `simmpi::FluidWorld` drives this engine for the scenario
+//!   layer's `backend = "fluid"` cells, including the thousand-host
+//!   builtins the packet engine cannot run;
 //! * **contention accounting** — the gap between fluid and the Proposition
 //!   1 bound isolates *topological* contention (shared trunks, half-duplex
 //!   buses) from *protocol* contention (TCP loss recovery).
@@ -54,7 +55,7 @@
 //! together finish from the top levels down, so an all-to-all's waves leave
 //! a tail that is empty or tiny.
 
-use crate::guard::{GuardStop, RunGuard};
+use crate::guard::{GuardStop, InstalledGuard, RunGuard};
 use crate::ids::HostId;
 use crate::time::SimTime;
 use crate::topology::Topology;
@@ -155,11 +156,7 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// Supervision limits polled once per advance iteration; the event
     /// budget counts rate recomputations here (the fluid tier's unit of
     /// solver effort).
-    guard: RunGuard,
-    guard_active: bool,
-    guard_recompute_origin: u64,
-    guard_time_origin_ns: f64,
-    stopped: Option<GuardStop>,
+    guard: InstalledGuard,
     recorder: R,
     // Scratch buffers reused across recomputations.
     scratch_tail: Vec<u32>,
@@ -175,26 +172,6 @@ impl<'a> FluidSim<'a, NoopRecorder> {
     /// Creates an empty fluid simulation over `topo` with no telemetry.
     pub fn new(topo: &'a Topology) -> Self {
         Self::with_recorder(topo, NoopRecorder)
-    }
-
-    /// Convenience: the fluid completion time (seconds) of a uniform
-    /// All-to-All of `m` bytes per ordered pair among `hosts`, all flows
-    /// started at time zero.
-    pub fn alltoall_estimate(topo: &Topology, hosts: &[HostId], m: u64) -> f64 {
-        let mut sim = FluidSim::new(topo);
-        let mut tag = 0;
-        for &a in hosts {
-            for &b in hosts {
-                if a != b {
-                    sim.start_flow(a, b, m, tag);
-                    tag += 1;
-                }
-            }
-        }
-        sim.run_to_completion()
-            .last()
-            .map(|c| c.at.as_secs_f64())
-            .unwrap_or(0.0)
     }
 }
 
@@ -229,11 +206,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             window_anchor_ns: 0.0,
             recomputes: 0,
             flows_resolved: 0,
-            guard: RunGuard::default(),
-            guard_active: false,
-            guard_recompute_origin: 0,
-            guard_time_origin_ns: 0.0,
-            stopped: None,
+            guard: InstalledGuard::default(),
             recorder,
             scratch_tail: Vec::new(),
             scratch_count: Vec::new(),
@@ -330,27 +303,16 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// here) and the simulated-time horizon are measured from this
     /// instant; the wall-clock deadline is absolute.
     pub fn set_guard(&mut self, guard: RunGuard) {
-        self.guard_active = !guard.is_unlimited();
-        self.guard_recompute_origin = self.recomputes;
-        self.guard_time_origin_ns = self.now_ns;
-        self.stopped = None;
-        self.guard = guard;
+        self.guard.install(guard, self.recomputes, self.now_ns);
     }
 
     /// Checks the installed guard now and returns the stop reason if any
-    /// limit has tripped (now or during an earlier advance). Drivers
+    /// limit has tripped (now or during an earlier advance; the stop
+    /// stays latched until the next [`FluidSim::set_guard`]). Drivers
     /// poll this between advances so pure-event phases with no fluid in
     /// flight still honor deadlines and cancellation.
     pub fn guard_stop(&mut self) -> Option<GuardStop> {
-        if !self.guard_active {
-            return None;
-        }
-        if self.stopped.is_none() {
-            let used = self.recomputes - self.guard_recompute_origin;
-            let elapsed = (self.now_ns - self.guard_time_origin_ns).max(0.0) as u64;
-            self.stopped = self.guard.check(used, elapsed);
-        }
-        self.stopped
+        self.guard.check(self.recomputes, self.now_ns)
     }
 
     /// Consumes the simulation, returning the recorder for harvest.
@@ -558,7 +520,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             "fluid time must advance monotonically"
         );
         loop {
-            if self.guard_active && self.guard_stop().is_some() {
+            if self.guard_stop().is_some() {
                 return;
             }
             // Short of the target, drain through the earliest finish and
@@ -621,7 +583,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             // Give a windowed advance room to coalesce the wave cluster;
             // exact mode stops at `t` either way.
             self.advance_to(self.window_end(t), &mut completions);
-            if self.stopped.is_some() {
+            if self.guard.stop().is_some() {
                 break;
             }
         }
@@ -644,6 +606,22 @@ mod tests {
             b.link_host(h, sw, LinkConfig::gigabit_ethernet());
         }
         (b.build().unwrap(), hosts)
+    }
+
+    /// Completion time (seconds) of a uniform all-to-all of `m` bytes per
+    /// ordered pair among `hosts`, every flow started at time zero.
+    fn alltoall_secs(topo: &Topology, hosts: &[HostId], m: u64) -> f64 {
+        let mut sim = FluidSim::new(topo);
+        for (i, &a) in hosts.iter().enumerate() {
+            for (j, &b) in hosts.iter().enumerate() {
+                if a != b {
+                    sim.start_flow(a, b, m, (i * hosts.len() + j) as u64);
+                }
+            }
+        }
+        sim.run_to_completion()
+            .last()
+            .map_or(0.0, |c| c.at.as_secs_f64())
     }
 
     #[test]
@@ -707,7 +685,7 @@ mod tests {
     fn alltoall_estimate_matches_receiver_bottleneck() {
         let (topo, hosts) = star(8);
         let m = 1_000_000u64;
-        let t = FluidSim::alltoall_estimate(&topo, &hosts, m);
+        let t = alltoall_secs(&topo, &hosts, m);
         // Every host receives 7 MB through a 125 MB/s downlink: 56 ms.
         let ideal = 7.0 * m as f64 / 125e6;
         assert!((t - ideal).abs() < ideal * 0.01, "{t} vs {ideal}");
@@ -730,7 +708,7 @@ mod tests {
         b.link_switches(e0, e1, LinkConfig::gigabit_ethernet());
         let topo = b.build().unwrap();
         let m = 1_000_000u64;
-        let t = FluidSim::alltoall_estimate(&topo, &hosts, m);
+        let t = alltoall_secs(&topo, &hosts, m);
         // Cross traffic: 4×4 MB each way over one 125 MB/s trunk = 128 ms
         // per direction — far above the 56 ms receiver bound.
         let trunk_bound = 16.0 * m as f64 / 125e6;
@@ -754,8 +732,8 @@ mod tests {
         let (t0, h0) = build(false);
         let (t1, h1) = build(true);
         let m = 1_000_000;
-        let duplex = FluidSim::alltoall_estimate(&t0, &h0, m);
-        let half = FluidSim::alltoall_estimate(&t1, &h1, m);
+        let duplex = alltoall_secs(&t0, &h0, m);
+        let half = alltoall_secs(&t1, &h1, m);
         let ratio = half / duplex;
         assert!((ratio - 2.0).abs() < 0.05, "bus ratio = {ratio}");
     }

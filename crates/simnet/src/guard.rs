@@ -10,6 +10,9 @@
 //! stop with a [`GuardStop`] reason instead of running on. An unlimited
 //! guard (the default) costs one branch per event and changes no
 //! behavior, which is what keeps every unsupervised run byte-identical.
+//! Both engines hold the guard as a crate-private `InstalledGuard`, the
+//! one owner of the install origin and the latched stop; an engine only
+//! supplies its progress count and decides when to check.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -141,6 +144,56 @@ impl RunGuard {
     }
 }
 
+/// A [`RunGuard`] as an engine holds it: the progress count and
+/// simulated instant its budget and horizon count from, and the first
+/// stop it trips, latched until the next [`InstalledGuard::install`].
+#[derive(Debug, Default)]
+pub(crate) struct InstalledGuard {
+    guard: RunGuard,
+    /// False for an unlimited guard: the engines' one fast-path branch.
+    active: bool,
+    origin_progress: u64,
+    origin_ns: f64,
+    stop: Option<GuardStop>,
+}
+
+impl InstalledGuard {
+    /// Replaces the guard and clears the latch; the budget and horizon
+    /// count from `progress` and `now_ns`.
+    pub(crate) fn install(&mut self, guard: RunGuard, progress: u64, now_ns: f64) {
+        *self = Self {
+            active: !guard.is_unlimited(),
+            guard,
+            origin_progress: progress,
+            origin_ns: now_ns,
+            stop: None,
+        };
+    }
+
+    /// True unless the installed guard is unlimited.
+    #[inline]
+    pub(crate) fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// The latched stop.
+    pub(crate) fn stop(&self) -> Option<GuardStop> {
+        self.stop
+    }
+
+    /// Evaluates the limits at `progress` and `now_ns` unless a stop is
+    /// latched already; returns the latched stop.
+    pub(crate) fn check(&mut self, progress: u64, now_ns: f64) -> Option<GuardStop> {
+        if self.active && self.stop.is_none() {
+            let elapsed_ns = (now_ns - self.origin_ns).max(0.0) as u64;
+            self.stop = self
+                .guard
+                .check(progress - self.origin_progress, elapsed_ns);
+        }
+        self.stop
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +204,52 @@ mod tests {
         let g = RunGuard::unlimited();
         assert!(g.is_unlimited());
         assert_eq!(g.check(u64::MAX, u64::MAX), None);
+        let mut installed = InstalledGuard::default();
+        installed.install(g, 7, 3.0);
+        assert!(!installed.is_active());
+        assert_eq!(installed.check(u64::MAX, f64::MAX), None);
+        assert_eq!(installed.stop(), None);
+    }
+
+    #[test]
+    fn budget_and_horizon_count_from_installation() {
+        let mut g = InstalledGuard::default();
+        g.install(RunGuard::unlimited().with_event_budget(10), 100, 0.0);
+        assert_eq!(g.check(109, 0.0), None);
+        assert_eq!(g.check(110, 0.0), Some(GuardStop::Budget { budget: 10 }));
+
+        g.install(RunGuard::unlimited().with_horizon_ns(500), 0, 1_000.0);
+        assert_eq!(g.check(0, 1_499.0), None);
+        assert_eq!(
+            g.check(0, 1_500.0),
+            Some(GuardStop::Horizon { horizon_ns: 500 })
+        );
+        // An instant before the origin counts as no time elapsed.
+        g.install(RunGuard::unlimited().with_horizon_ns(1), 0, 1_000.0);
+        assert_eq!(g.check(0, 0.0), None);
+    }
+
+    #[test]
+    fn a_stop_stays_latched_until_reinstalled() {
+        let flag = Arc::new(AtomicBool::new(true));
+        let mut g = InstalledGuard::default();
+        g.install(
+            RunGuard::unlimited()
+                .with_event_budget(5)
+                .with_cancel_flag(Arc::clone(&flag)),
+            0,
+            0.0,
+        );
+        assert_eq!(g.check(0, 0.0), Some(GuardStop::Cancelled));
+        // Lowering the flag does not unlatch; nor does a later check that
+        // would trip another limit replace the reason.
+        flag.store(false, Ordering::Relaxed);
+        assert_eq!(g.check(0, 0.0), Some(GuardStop::Cancelled));
+        assert_eq!(g.check(99, 0.0), Some(GuardStop::Cancelled));
+        assert_eq!(g.stop(), Some(GuardStop::Cancelled));
+        g.install(RunGuard::unlimited().with_cancel_flag(flag), 99, 0.0);
+        assert_eq!(g.stop(), None);
+        assert_eq!(g.check(1_000, 0.0), None);
     }
 
     #[test]

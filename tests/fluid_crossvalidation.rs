@@ -7,16 +7,16 @@
 
 use alltoall_contention::prelude::*;
 use simmpi::harness::alltoall_times;
-use simnet::fluid::FluidSim;
-use simnet::ids::HostId;
+use simmpi::FluidWorld;
 
+/// The fluid tier's time for the direct exchange the packet side runs, on
+/// the preset's own wiring, rank placement and MPI stack: the same
+/// `FluidWorld` path `--backend fluid` ships.
 fn fluid_alltoall(preset: &ClusterPreset, n: usize, m: u64) -> f64 {
-    // Build the same topology the preset would use and run the fluid model
-    // over the same rank→host placement.
-    let world = preset.build_world(n, 1);
-    let topo = world.sim().topology();
-    let hosts: Vec<HostId> = (0..n).map(HostId::new).collect();
-    FluidSim::alltoall_estimate(topo, &hosts, m)
+    let (topo, hosts) = preset.build_fabric(n);
+    FluidWorld::new(&topo, hosts, preset.mpi)
+        .run(AllToAllAlgorithm::DirectExchangeNonblocking.programs(n, m))
+        .duration_secs()
 }
 
 #[test]
