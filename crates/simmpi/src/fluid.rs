@@ -319,8 +319,10 @@ impl<R: Recorder> Interp<'_, '_, R> {
             finishes.clear();
             self.net.advance_to(t_adv, &mut finishes);
             // Windowed finishes carry their own (rounded) stamps, all
-            // within [t, t_adv]; clamping to t_adv keeps cascaded events
-            // from ever being scheduled fractionally past the clock.
+            // within [t, t_adv] and in time order, so the part a rank
+            // completes last is its latest; clamping to t_adv keeps
+            // cascaded events from ever being scheduled fractionally past
+            // the clock.
             for c in &finishes {
                 self.on_flow_finish(c.tag, (c.at.0 as f64).clamp(t, t_adv));
             }
@@ -671,6 +673,25 @@ mod tests {
         // Sender completes at flow finish; receiver a hair later
         // (latency + recv overhead).
         assert!(r.finished[0] < r.finished[1]);
+    }
+
+    #[test]
+    fn a_rank_finishes_with_its_latest_flow_of_a_finish_window() {
+        // Both rendezvous flows share rank 0's uplink at C/2. The one to
+        // rank 2 starts second and finishes first, at 16 ms; the one to
+        // rank 1 finishes at 16.08 ms, inside that finish's 1 % window, so
+        // one advance completes both and the rank must end with the later.
+        let (topo, hosts) = star(3);
+        let w = world(&topo, &hosts);
+        let r = w.run(vec![
+            vec![Op::Transfer {
+                sends: vec![(1, 1_005_000), (2, 1_000_000)],
+                recvs: vec![],
+            }],
+            vec![Op::recv(0)],
+            vec![Op::recv(0)],
+        ]);
+        assert_eq!(r.finished[0], SimTime(16_080_000));
     }
 
     #[test]

@@ -53,7 +53,29 @@
 //! over the tail) make a full solve `O(total hops + levels × active slots)`
 //! and any other `O(flows + slots + tail hops)`. Same-size flows started
 //! together finish from the top levels down, so an all-to-all's waves leave
-//! a tail that is empty or tiny.
+//! a tail that is empty or tiny. Per-level live counts give the tail's size
+//! before any flow is read, so a solve whose tail is empty costs
+//! `O(levels)`: it still counts in [`FluidSim::recomputes`], in the
+//! guard's budget and in the recorder's `on_fluid_solve`, but changes
+//! nothing.
+//!
+//! # Finish order
+//!
+//! A flow's rate changes only at a solve, so the solve that assigns it
+//! also fixes the instant the flow finishes at that rate, and the clock
+//! never touches the flow again until the next solve that re-solves it,
+//! which takes its bytes back as `(finish − now) · rate`. After any solve
+//! that re-solved flows, the flow vectors are reordered in place by
+//! descending finish instant (the permutation is built in the tail's
+//! scratch, so no per-flow vector is copied); removing a suffix, or a
+//! solve that re-solves nobody, keeps that order. The next finish is then
+//! the last flow's, a finish wave binary-searches and pops the suffix that
+//! finishes by its stop — plus any flow within a byte of done, which it
+//! finds among the few finishing no later than one byte past the stop at
+//! the slowest live rate — and completions reach the caller in time
+//! order. An advance that stops short of every finish touches no flow and
+//! a finish wave only its own flows, past an `O(levels + log flows)`
+//! search; only a solve that re-solves a flow scans and reorders them all.
 
 use crate::guard::{GuardStop, InstalledGuard, RunGuard};
 use crate::ids::HostId;
@@ -74,7 +96,9 @@ pub struct FluidCompletion {
 }
 
 /// One fluid flow in flight: what only solves and finishes read. Its
-/// [`Progress`] sits at the same index of a parallel vector.
+/// [`Progress`] and its level sit at the same index of parallel vectors,
+/// and all three are in descending finish order whenever no solve is
+/// pending.
 #[derive(Debug, Clone, Copy)]
 struct FlowState {
     /// Span into the slot arena: the serializer slot of each hop, in route
@@ -85,11 +109,14 @@ struct FlowState {
     tag: u64,
 }
 
-/// What every advance touches of a flow in flight: the drain pass and the
-/// next-finish scan stream these 16 bytes per flow and nothing else.
+/// What a finish wave reads of a flow in flight: it binary-searches and
+/// pops these 16 bytes per flow and nothing else.
 #[derive(Debug, Clone, Copy)]
 struct Progress {
-    remaining_bytes: f64,
+    /// Projected finish instant in nanoseconds at `rate`, set by the solve
+    /// that assigned the rate. From the flow's start to its first solve,
+    /// and inside a solve that re-solves it, the bytes it has left instead.
+    finish_ns: f64,
     /// Current max-min rate in bytes/second.
     rate: f64,
 }
@@ -125,13 +152,15 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// used to label recorder samples.
     slot_tx: Vec<u32>,
     flows: Vec<FlowState>,
-    /// Remaining bytes and rate of each flow (parallel to `flows`).
+    /// Finish instant and rate of each flow (parallel to `flows`).
     progress: Vec<Progress>,
     /// Bottleneck level each flow froze at in the last solve (parallel to
     /// `flows`, so the tail scan reads 4 bytes per flow, not 16).
     flow_level: Vec<u32>,
     /// Fair share of each bottleneck level of the last solve.
     levels: Vec<f64>,
+    /// Flows in flight frozen at each level (parallel to `levels`).
+    level_flows: Vec<u32>,
     /// Capacity each slot has left under the current rates.
     residual: Vec<f64>,
     /// Backing store for flow slot lists (grows monotonically; spans of
@@ -142,9 +171,6 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// Lowest level whose flow set changed since the last solve (0 after
     /// a start), [`NO_LEVEL`] when none did.
     restart_level: u32,
-    /// Earliest finish instant at the current rates, NaN once any fluid
-    /// has drained or the flow set changed since it was computed.
-    next_finish_ns: f64,
     /// Relative finish-coalescing window (see [`FluidSim::set_finish_window`]).
     finish_window_rel: f64,
     /// `now_ns` at the most recent [`FluidSim::start_flow`]: the instant
@@ -159,6 +185,7 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     guard: InstalledGuard,
     recorder: R,
     // Scratch buffers reused across recomputations.
+    /// The tail's flow indices, then the finish-order permutation.
     scratch_tail: Vec<u32>,
     scratch_count: Vec<u32>,
     scratch_offsets: Vec<u32>,
@@ -198,10 +225,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             progress: Vec::new(),
             flow_level: Vec::new(),
             levels: Vec::new(),
+            level_flows: Vec::new(),
             slot_arena: Vec::new(),
             now_ns: 0.0,
             restart_level: NO_LEVEL,
-            next_finish_ns: f64::NAN,
             finish_window_rel: 0.0,
             window_anchor_ns: 0.0,
             recomputes: 0,
@@ -289,7 +316,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         &self.levels
     }
 
-    /// `(tag, rate)` of every flow in flight at the current max-min rates.
+    /// `(tag, rate)` of every flow in flight at the current max-min rates,
+    /// in no particular order.
     pub fn rates(&mut self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.ensure_rates();
         self.flows
@@ -337,13 +365,13 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             span_len: route.len() as u32,
             tag,
         });
+        // Bytes left until the solve this start forces sets the finish.
         self.progress.push(Progress {
-            remaining_bytes: bytes as f64,
+            finish_ns: bytes as f64,
             rate: 0.0,
         });
         self.flow_level.push(NO_LEVEL);
         self.restart_level = 0;
-        self.next_finish_ns = f64::NAN;
         self.window_anchor_ns = self.now_ns;
     }
 
@@ -353,36 +381,56 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
 
     /// Progressive filling in bottleneck-saturation order, restarted from
     /// `restart_level`: levels below it stand, the flows frozen at or above
-    /// it (the tail — every flow when it is 0) are re-solved. `O(tail
-    /// hops)` for freezing plus one active-slot scan per new level.
+    /// it (the tail — every flow when it is 0) are re-solved. `O(levels)`
+    /// when the tail is empty; otherwise a scan of every flow, `O(tail
+    /// hops)` for freezing plus one active-slot scan per new level, and the
+    /// reorder by finish instant.
     fn recompute_rates(&mut self) {
         self.recomputes += 1;
         let from = self.restart_level;
+        // A start restarts from 0 and so re-solves every flow, fresh ones
+        // included; a finish wave leaves only frozen flows behind.
+        let tail_len = if from == 0 {
+            self.flows.len()
+        } else {
+            self.level_flows[from as usize..].iter().sum::<u32>() as usize
+        };
+        self.levels.truncate(from as usize);
+        self.level_flows.truncate(from as usize);
+        self.flows_resolved += tail_len as u64;
+        if R::ENABLED {
+            self.recorder.on_fluid_solve(self.flows.len(), tail_len);
+        }
+        if tail_len == 0 {
+            // Every rate, finish instant and the finish order stand.
+            return;
+        }
+        let now = self.now_ns;
         let n_slots = self.capacity.len();
         self.scratch_count.clear();
         self.scratch_count.resize(n_slots, 0);
-        // The tail gives its bandwidth back and is counted per slot.
+        // The tail gives its bandwidth back, turns its finish instants back
+        // into bytes left (a fresh flow holds its bytes already) and is
+        // counted per slot.
         self.scratch_tail.clear();
         for (fi, level) in self.flow_level.iter_mut().enumerate() {
             if *level >= from {
+                let p = &mut self.progress[fi];
+                if *level != NO_LEVEL {
+                    p.finish_ns = (p.finish_ns - now) * p.rate / 1e9;
+                }
                 *level = NO_LEVEL;
                 self.scratch_tail.push(fi as u32);
-                let rate = self.progress[fi].rate;
                 for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
                     self.scratch_count[s as usize] += 1;
-                    self.residual[s as usize] += rate;
+                    self.residual[s as usize] += p.rate;
                 }
             }
         }
+        debug_assert_eq!(self.scratch_tail.len(), tail_len, "per-level live counts");
         if from == 0 {
             // From scratch: shed the rounding the add-backs accumulated.
             self.residual.clone_from(&self.capacity);
-        }
-        self.levels.truncate(from as usize);
-        self.flows_resolved += self.scratch_tail.len() as u64;
-        if R::ENABLED {
-            self.recorder
-                .on_fluid_solve(self.flows.len(), self.scratch_tail.len());
         }
         // CSR: per-slot list of tail flow indices. `offsets[s + 1]` starts
         // as slot `s`'s fill cursor and so ends as its end offset.
@@ -405,7 +453,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.scratch_active
             .extend((0..n_slots as u32).filter(|&s| self.scratch_count[s as usize] > 0));
 
-        let mut remaining_flows = self.scratch_tail.len();
+        let mut remaining_flows = tail_len;
         while remaining_flows > 0 {
             // Find the bottleneck slot: smallest fair share among slots
             // still carrying unfrozen flows.
@@ -432,14 +480,17 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 self.scratch_offsets[best_slot] as usize,
                 self.scratch_offsets[best_slot + 1] as usize,
             );
+            let mut frozen = 0;
             for idx in lo..hi {
                 let fi = self.scratch_csr[idx] as usize;
                 if self.flow_level[fi] != NO_LEVEL {
                     continue;
                 }
                 self.flow_level[fi] = level;
-                self.progress[fi].rate = best_share;
-                remaining_flows -= 1;
+                let p = &mut self.progress[fi];
+                p.finish_ns = now + (p.finish_ns / best_share) * 1e9;
+                p.rate = best_share;
+                frozen += 1;
                 for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
                     let s = s as usize;
                     self.residual[s] -= best_share;
@@ -452,13 +503,76 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                     self.scratch_count[s] -= 1;
                 }
             }
+            remaining_flows -= frozen as usize;
+            self.level_flows.push(frozen);
         }
+        self.order_by_finish();
+    }
+
+    /// Reorders the flow vectors in place by descending finish instant,
+    /// ties by descending index, so a wave pops the earliest finishes (ties
+    /// in index order) off the end.
+    fn order_by_finish(&mut self) {
+        let perm = &mut self.scratch_tail;
+        perm.clear();
+        perm.extend(0..self.flows.len() as u32);
+        let progress = &self.progress;
+        perm.sort_unstable_by(|&a, &b| {
+            let finish = |i: u32| progress[i as usize].finish_ns;
+            finish(b).total_cmp(&finish(a)).then(b.cmp(&a))
+        });
+        // Position `i` takes the flow at `perm[i]`: walk each cycle once,
+        // marking a placed position as a fixed point.
+        for start in 0..perm.len() {
+            if perm[start] as usize == start {
+                continue;
+            }
+            let held = (
+                self.flows[start],
+                self.progress[start],
+                self.flow_level[start],
+            );
+            let mut at = start;
+            loop {
+                let from = perm[at] as usize;
+                perm[at] = at as u32;
+                if from == start {
+                    (self.flows[at], self.progress[at], self.flow_level[at]) = held;
+                    break;
+                }
+                self.flows[at] = self.flows[from];
+                self.progress[at] = self.progress[from];
+                self.flow_level[at] = self.flow_level[from];
+                at = from;
+            }
+        }
+    }
+
+    /// Debug builds check, after every solve and every finish wave, what
+    /// waves rely on: the flows are in descending finish order and each
+    /// level's live count is the number of flows frozen there.
+    fn check_finish_order(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(
+            self.progress
+                .windows(2)
+                .all(|w| w[0].finish_ns >= w[1].finish_ns),
+            "flows out of finish order"
+        );
+        let mut live = vec![0; self.level_flows.len()];
+        for &level in &self.flow_level {
+            live[level as usize] += 1;
+        }
+        assert_eq!(live, self.level_flows, "per-level live counts");
     }
 
     fn ensure_rates(&mut self) {
         if self.restart_level != NO_LEVEL {
             if !self.flows.is_empty() {
                 self.recompute_rates();
+                self.check_finish_order();
             }
             self.restart_level = NO_LEVEL;
         }
@@ -468,15 +582,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// finishes at current rates, or `None` when no flow is in flight.
     pub fn next_finish_ns(&mut self) -> Option<f64> {
         self.ensure_rates();
-        if self.next_finish_ns.is_nan() {
-            let next = self
-                .progress
-                .iter()
-                .map(|p| (p.remaining_bytes / p.rate) * 1e9)
-                .fold(f64::INFINITY, f64::min);
-            self.next_finish_ns = self.now_ns + next;
-        }
-        (!self.flows.is_empty()).then_some(self.next_finish_ns)
+        self.progress.last().map(|p| p.finish_ns)
     }
 
     /// Emits one utilization sample per busy slot for `dt_secs` of fluid
@@ -503,9 +609,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
 
     /// Advances simulated time to exactly `target_ns`, appending every
     /// flow completion at or before it (stamped at its own finish time) to
-    /// `completions`. Finishes within `DONE_TOLERANCE_BYTES` of the same
-    /// instant coalesce onto that instant, so a symmetric all-to-all's
-    /// wave of identical flows costs one churn event, not thousands.
+    /// `completions` in non-decreasing stamp order. Finishes within
+    /// `DONE_TOLERANCE_BYTES` of the same instant coalesce onto that
+    /// instant, so a symmetric all-to-all's wave of identical flows costs
+    /// one churn event, not thousands.
     ///
     /// A tripped [`RunGuard`] limit (see [`FluidSim::set_guard`]) makes
     /// the advance return early, short of `target_ns`; check
@@ -523,60 +630,73 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             if self.guard_stop().is_some() {
                 return;
             }
-            // Short of the target, drain through the earliest finish and
-            // its whole coalescing window (empty in exact mode) at the
-            // current rates; every flow finishing inside it goes ≤ 0
-            // remaining and completes below, stamped at its exact projected
-            // finish.
+            // Short of the target, run through the earliest finish and its
+            // whole coalescing window (empty in exact mode) at the current
+            // rates, and complete every flow finishing inside it, stamped
+            // at its exact projected finish. Otherwise only the clock moves.
             let next_ns = self.next_finish_ns().filter(|&t| t <= target_ns);
-            let finishing = next_ns.is_some();
             let stop_ns = next_ns.map_or(target_ns, |t| self.window_end(t).min(target_ns));
             let from_ns = self.now_ns;
-            let dt = (stop_ns - from_ns) / 1e9;
+            if R::ENABLED && stop_ns > from_ns {
+                self.record_busy((stop_ns - from_ns) / 1e9, from_ns, stop_ns);
+            }
             self.now_ns = stop_ns;
-            if dt > 0.0 {
-                if R::ENABLED {
-                    self.record_busy(dt, from_ns, stop_ns);
-                }
-                self.next_finish_ns = f64::NAN;
-            } else if !finishing {
+            if next_ns.is_none() {
                 return;
             }
-            // One pass drains every flow and, short of the target, completes
-            // the finished ones.
-            let mut i = 0;
-            while i < self.progress.len() {
-                let p = &mut self.progress[i];
-                let before = p.remaining_bytes;
-                p.remaining_bytes -= p.rate * dt;
-                if !finishing || p.remaining_bytes > DONE_TOLERANCE_BYTES {
-                    i += 1;
-                    continue;
-                }
-                let rate = self.progress.swap_remove(i).rate;
-                let finish_ns = from_ns + (before / rate) * 1e9;
-                let flow = self.flows.swap_remove(i);
-                completions.push(FluidCompletion {
-                    tag: flow.tag,
-                    at: SimTime(finish_ns.min(stop_ns).round() as u64),
-                });
-                // The freed bandwidth goes back; the next solve restarts
-                // no higher than the level this flow was frozen at.
-                for &s in &self.slot_arena[Self::flow_slots(&flow)] {
-                    self.residual[s as usize] += rate;
-                }
-                let level = self.flow_level.swap_remove(i);
-                self.restart_level = self.restart_level.min(level);
-                self.next_finish_ns = f64::NAN;
-            }
-            if !finishing {
-                return;
-            }
+            self.finish_wave(stop_ns, completions);
         }
     }
 
+    /// Completes, in finish order, every flow a byte or less short of done
+    /// at `stop_ns`: the suffix finishing by then, and any flow finishing
+    /// within the time its last byte takes. That byte lasts longest at the
+    /// slowest live rate, which bounds the candidates past the stop.
+    fn finish_wave(&mut self, stop_ns: f64, completions: &mut Vec<FluidCompletion>) {
+        let slowest = self
+            .levels
+            .iter()
+            .zip(&self.level_flows)
+            .filter(|&(_, &live)| live > 0)
+            .fold(f64::INFINITY, |min, (&share, _)| min.min(share));
+        let horizon_ns = stop_ns + DONE_TOLERANCE_BYTES / slowest * 1e9;
+        let lo = self.progress.partition_point(|p| p.finish_ns > horizon_ns);
+        let first = completions.len();
+        let mut kept = lo;
+        for i in lo..self.flows.len() {
+            let p = self.progress[i];
+            if (p.finish_ns - stop_ns) * p.rate / 1e9 > DONE_TOLERANCE_BYTES {
+                // Not done: moves up past the done ones, order kept.
+                self.flows.swap(kept, i);
+                self.progress.swap(kept, i);
+                self.flow_level.swap(kept, i);
+                kept += 1;
+                continue;
+            }
+            let flow = self.flows[i];
+            completions.push(FluidCompletion {
+                tag: flow.tag,
+                at: SimTime(p.finish_ns.min(stop_ns).round() as u64),
+            });
+            // The freed bandwidth goes back; the next solve restarts no
+            // higher than the level this flow was frozen at.
+            for &s in &self.slot_arena[Self::flow_slots(&flow)] {
+                self.residual[s as usize] += p.rate;
+            }
+            let level = self.flow_level[i];
+            self.level_flows[level as usize] -= 1;
+            self.restart_level = self.restart_level.min(level);
+        }
+        self.flows.truncate(kept);
+        self.progress.truncate(kept);
+        self.flow_level.truncate(kept);
+        // The candidates ran latest finish first.
+        completions[first..].reverse();
+        self.check_finish_order();
+    }
+
     /// Runs every in-flight flow to completion, returning completions in
-    /// time order (ties broken by start order).
+    /// time order.
     pub fn run_to_completion(&mut self) -> Vec<FluidCompletion> {
         let mut completions = Vec::with_capacity(self.flows.len());
         while let Some(t) = self.next_finish_ns() {
@@ -587,7 +707,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 break;
             }
         }
-        completions.sort_by_key(|c| c.at);
         completions
     }
 }
@@ -775,7 +894,8 @@ mod tests {
         // A start after that incremental solve resets to level 0: both
         // flows in flight are re-solved.
         sim.start_flow(hosts[1], hosts[2], 125_000_000, 2);
-        let halved: Vec<_> = sim.rates().collect();
+        let mut halved: Vec<_> = sim.rates().collect();
+        halved.sort_by_key(|r| r.0);
         assert_eq!(halved, vec![(1, 62.5e6), (2, 62.5e6)]);
         assert_eq!((sim.recomputes(), sim.flows_resolved()), (3, 2 + 2));
         while let Some(t) = sim.next_finish_ns() {

@@ -10,7 +10,11 @@
 //! * on multi-bottleneck fabrics, under random interleavings of starts,
 //!   partial advances and exact or windowed finishes, the level-restart
 //!   solver's rates must equal a naive from-scratch water-filling after
-//!   every step.
+//!   every step;
+//! * on the star and those fabrics, under random churn with extra
+//!   intermediate advance targets, the finish-ordered waves must complete
+//!   the same flows at the same instants, after the same number of rate
+//!   solves, as a reference that drains every flow on every advance.
 
 use proptest::prelude::*;
 use simnet::fluid::FluidSim;
@@ -124,6 +128,74 @@ fn water_filling(capacity: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
         }
     }
     rate
+}
+
+/// Reference stepper: every advance drains every flow's bytes at its
+/// rate and completes those within a byte of done, in scan order, with
+/// `water_filling` re-run from scratch at the first query after any start
+/// or finish. The engine's finish-ordered waves must agree with it.
+struct DrainStepper {
+    capacity: Vec<f64>,
+    /// `(tag, slots, bytes left, rate)` of each flow in flight.
+    flows: Vec<(u64, Vec<usize>, f64, f64)>,
+    now_ns: f64,
+    window: f64,
+    anchor_ns: f64,
+    dirty: bool,
+    recomputes: u64,
+}
+
+impl DrainStepper {
+    fn start(&mut self, tag: u64, slots: Vec<usize>, bytes: u64) {
+        self.flows.push((tag, slots, bytes as f64, 0.0));
+        self.dirty = true;
+        self.anchor_ns = self.now_ns;
+    }
+
+    fn next_finish_ns(&mut self) -> Option<f64> {
+        if std::mem::take(&mut self.dirty) && !self.flows.is_empty() {
+            self.recomputes += 1;
+            let slots: Vec<Vec<usize>> = self.flows.iter().map(|f| f.1.clone()).collect();
+            let rates = water_filling(&self.capacity, &slots);
+            for (f, rate) in self.flows.iter_mut().zip(rates) {
+                f.3 = rate;
+            }
+        }
+        let next = self.flows.iter().map(|f| (f.2 / f.3) * 1e9);
+        next.min_by(f64::total_cmp).map(|dt| self.now_ns + dt)
+    }
+
+    fn window_end(&self, t_ns: f64) -> f64 {
+        self.anchor_ns + (t_ns - self.anchor_ns) * (1.0 + self.window)
+    }
+
+    /// `(tag, stamp)` of every completion through `target_ns`.
+    fn advance_to(&mut self, target_ns: f64) -> Vec<(u64, u64)> {
+        let mut done = Vec::new();
+        loop {
+            let next = self.next_finish_ns().filter(|&t| t <= target_ns);
+            let stop_ns = next.map_or(target_ns, |t| self.window_end(t).min(target_ns));
+            let (from_ns, dt) = (self.now_ns, (stop_ns - self.now_ns) / 1e9);
+            self.now_ns = stop_ns;
+            let mut i = 0;
+            while i < self.flows.len() {
+                let f = &mut self.flows[i];
+                let before = f.2;
+                f.2 -= f.3 * dt;
+                if next.is_none() || f.2 > 1.0 {
+                    i += 1;
+                    continue;
+                }
+                let finish_ns = from_ns + (before / f.3) * 1e9;
+                done.push((f.0, finish_ns.min(stop_ns).round() as u64));
+                self.flows.swap_remove(i);
+                self.dirty = true;
+            }
+            if next.is_none() {
+                return done;
+            }
+        }
+    }
 }
 
 proptest! {
@@ -264,7 +336,7 @@ proptest! {
 
     /// A randomized churn sequence (staggered starts, interleaved
     /// finishes, random src→dst pairs): the clock never moves backwards,
-    /// completions are reported in non-decreasing order, every flow
+    /// completions are reported in non-decreasing stamp order, every flow
     /// finishes, and no serializer slot ever carries more than its
     /// capacity (conservation of the max-min shares).
     #[test]
@@ -299,10 +371,10 @@ proptest! {
             for c in buf.drain(..) {
                 let t = c.at.0 as f64;
                 prop_assert!(
-                    t + 2.0 >= last_completion,
+                    t >= last_completion,
                     "completion at {t}ns after one at {last_completion}ns"
                 );
-                last_completion = last_completion.max(t);
+                last_completion = t;
                 finished += 1;
             }
             let dst = (src + dst_off) % n;
@@ -311,8 +383,8 @@ proptest! {
         }
         for c in sim.run_to_completion() {
             let t = c.at.0 as f64;
-            prop_assert!(t + 2.0 >= last_completion);
-            last_completion = last_completion.max(t);
+            prop_assert!(t >= last_completion, "completion at {t}ns after one at {last_completion}ns");
+            last_completion = t;
             finished += 1;
         }
         prop_assert_eq!(finished, started, "every flow completes exactly once");
@@ -323,5 +395,97 @@ proptest! {
             "capacity conservation violated: {:?}",
             audit.violations
         );
+    }
+}
+
+proptest! {
+    // A flow within a byte of done but short of its finish at a wave's
+    // stop turns up in about one case in a hundred.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential test of the finish-ordered waves: under random churn —
+    /// starts, advances partway to the next finish, exactly to it, through
+    /// its window, or across many waves at once — every advance completes
+    /// the same flows as the drain-every-flow reference, stamped within
+    /// 1 ns and in time order, after the same number of rate solves.
+    #[test]
+    fn finish_ordered_waves_match_a_drain_every_flow_reference(
+        fabric in 0u8..3,
+        window in prop::sample::select(vec![0.0, 1e-2, 0.5]),
+        steps in prop::collection::vec(
+            (0u8..8, 0usize..16, 0usize..16, 1u64..2_048, 1u32..400),
+            12..60,
+        ),
+    ) {
+        let (topo, hosts) = match fabric {
+            0 => star(8, 125e6),
+            f => multi_bottleneck_fabric(f == 2),
+        };
+        let mut capacity = vec![0.0; topo.n_serializers];
+        for tx in &topo.tx_params {
+            capacity[tx.serializer as usize] = 1e9 / tx.ns_per_byte;
+        }
+        let mut sim = FluidSim::new(&topo);
+        sim.set_finish_window(window);
+        let mut reference = DrainStepper {
+            capacity,
+            flows: Vec::new(),
+            now_ns: 0.0,
+            window,
+            anchor_ns: 0.0,
+            dirty: false,
+            recomputes: 0,
+        };
+        let mut done = Vec::new();
+        for (step, &(kind, src, dst_off, kib, percent)) in steps.iter().enumerate() {
+            let next = sim.next_finish_ns();
+            let want_next = reference.next_finish_ns();
+            prop_assert_eq!(next.is_some(), want_next.is_some());
+            match (next, want_next) {
+                (Some(t), Some(want_t)) if step >= 12 && kind != 0 => {
+                    prop_assert!((t - want_t).abs() <= 1.0, "step {}: next finish {} vs {}", step, t, want_t);
+                    let now = sim.now_ns();
+                    // A target on a finish instant is each side's own
+                    // projection of it, since they may differ in the last
+                    // bit; any other target is off every finish (the half
+                    // keeps 100 % and 1× off the next one).
+                    let part = |scale: f64| now + (t - now) * (f64::from(percent) + 0.5) * scale;
+                    let (to, want_to) = match kind {
+                        // A fraction of the way to the next finish, or up
+                        // to four times as far.
+                        1 | 2 => (part(0.01), part(0.01)),
+                        3 | 4 => (t, want_t),
+                        // An empty window may end an ulp short of `t`.
+                        5 | 6 => (
+                            sim.window_end(t).max(t),
+                            reference.window_end(want_t).max(want_t),
+                        ),
+                        // Across many waves in one advance.
+                        _ => (part(1.0), part(1.0)),
+                    };
+                    sim.advance_to(to, &mut done);
+                    let want = reference.advance_to(want_to);
+                    prop_assert!(
+                        done.windows(2).all(|w| w[0].at <= w[1].at),
+                        "step {}: completions out of time order: {:?}", step, done
+                    );
+                    let mut got: Vec<(u64, u64)> = done.drain(..).map(|c| (c.tag, c.at.0)).collect();
+                    let mut want = want;
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    let same = got.len() == want.len()
+                        && got.iter().zip(&want).all(|(g, w)| g.0 == w.0 && g.1.abs_diff(w.1) <= 1);
+                    prop_assert!(same, "step {}: completed {:?}, reference {:?}", step, got, want);
+                }
+                _ => {
+                    let n = hosts.len();
+                    let (src, dst) = (src % n, (src + 1 + dst_off % (n - 1)) % n);
+                    sim.start_flow(hosts[src], hosts[dst], kib * 1024, step as u64);
+                    reference.start(step as u64, route_slots(&topo, hosts[src], hosts[dst]), kib * 1024);
+                }
+            }
+            prop_assert_eq!(sim.recomputes(), reference.recomputes, "step {}: rate solves", step);
+            prop_assert_eq!(sim.active_flows(), reference.flows.len());
+        }
     }
 }
