@@ -33,7 +33,7 @@ use contention_bench::hotpath::{
     GUARD_OVERHEAD_BENCHES, RECORDER_OVERHEAD_BENCHES,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use simnet::obs::{EngineRecorder, TelemetryConfig};
+use simnet::obs::EngineRecorder;
 use simnet::prelude::*;
 
 /// The fluid-vs-packet throughput gap, measured in packet-engine
@@ -103,7 +103,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     });
     group.bench_function(RECORDER_OVERHEAD_BENCHES[1], |b| {
         b.iter_batched(
-            || build_alltoall(case, EngineRecorder::new(TelemetryConfig::default())),
+            || build_alltoall(case, EngineRecorder::default()),
             |(mut sim, conns)| drive_alltoall(case, &mut sim, &conns),
             BatchSize::SmallInput,
         )

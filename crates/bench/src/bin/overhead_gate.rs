@@ -33,7 +33,7 @@
 
 use contention_bench::hotpath::{build_alltoall, drive_alltoall, gate_case};
 use simnet::guard::RunGuard;
-use simnet::obs::{EngineRecorder, NoopRecorder, Recorder, TelemetryConfig};
+use simnet::obs::{EngineRecorder, NoopRecorder, Recorder};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -141,7 +141,7 @@ fn main() -> std::process::ExitCode {
     }
     let recording = measure_pair(
         || one_iter(NoopRecorder, false),
-        || one_iter(EngineRecorder::new(TelemetryConfig::default()), false),
+        || one_iter(EngineRecorder::default(), false),
     );
     let guard = measure_pair(
         || one_iter(NoopRecorder, false),

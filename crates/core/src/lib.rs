@@ -7,13 +7,16 @@
 //!   All-to-All lower bound;
 //! * [`med`] — the message exchange digraph with the Claims 1–3 start-up
 //!   and bandwidth bounds for arbitrary total-exchange instances;
-//! * [`models`] — the [`CompletionModel`] interface of the throughput,
-//!   signature and saturation predictors;
 //! * [`throughput`] — §6: the `βF`/`βC`/`ρ` synthetic-gap model;
 //! * [`signature`] — §7: the contention signature `(γ, δ, M)` with
 //!   least-squares fitting and breakpoint selection;
+//! * [`saturation`] — the γ(n) ramp for half-saturated networks;
 //! * [`calibration`] — §8's measurement pipeline, data side;
 //! * [`metrics`] — the paper's `(measured/estimated − 1)·100 %` error.
+//!
+//! The signature and the ramp each write their formula once, as a
+//! function of a lower bound (`predict_from`); `predict(n, m)` feeds it
+//! Proposition 1's bound.
 //!
 //! The crate is measurement-source-agnostic: it fits from plain
 //! `(size, time)` data. The crates above it (the paper-figure drivers,
@@ -27,7 +30,6 @@ pub mod error;
 pub mod hockney;
 pub mod med;
 pub mod metrics;
-pub mod models;
 pub mod saturation;
 pub mod signature;
 pub mod throughput;
@@ -39,7 +41,6 @@ pub mod prelude {
     pub use crate::hockney::HockneyParams;
     pub use crate::med::Med;
     pub use crate::metrics::{estimation_error_percent, AccuracyPoint};
-    pub use crate::models::CompletionModel;
     pub use crate::saturation::SaturationModel;
     pub use crate::signature::ContentionSignature;
     pub use crate::throughput::ThroughputModel;

@@ -20,12 +20,13 @@ use crate::hockney::HockneyParams;
 ///
 /// Arc weights accumulate: adding `(i, j, w)` twice yields one logical
 /// message stream of `2w` bytes for the bandwidth bounds, but counts as two
-/// start-ups for the degree bounds.
+/// start-ups for the degree bounds. The bounds read only per-process
+/// degrees and byte volumes, so that is all a MED stores: `O(n)` memory,
+/// however many messages it holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Med {
     n: usize,
-    /// Arc list: (source, destination, bytes).
-    arcs: Vec<(usize, usize, u64)>,
+    messages: usize,
     out_bytes: Vec<u64>,
     in_bytes: Vec<u64>,
     out_degree: Vec<usize>,
@@ -37,7 +38,7 @@ impl Med {
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            arcs: Vec::new(),
+            messages: 0,
             out_bytes: vec![0; n],
             in_bytes: vec![0; n],
             out_degree: vec![0; n],
@@ -67,7 +68,7 @@ impl Med {
     pub fn add_message(&mut self, src: usize, dst: usize, bytes: u64) {
         assert!(src < self.n && dst < self.n, "endpoint out of range");
         assert_ne!(src, dst, "self-messages are local copies");
-        self.arcs.push((src, dst, bytes));
+        self.messages += 1;
         self.out_bytes[src] += bytes;
         self.in_bytes[dst] += bytes;
         self.out_degree[src] += 1;
@@ -81,7 +82,7 @@ impl Med {
 
     /// Number of messages (arcs).
     pub fn message_count(&self) -> usize {
-        self.arcs.len()
+        self.messages
     }
 
     /// Out-degree Δs(p_i): messages process `i` must send.

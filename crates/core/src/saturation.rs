@@ -19,7 +19,6 @@
 
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
-use crate::models::CompletionModel;
 
 /// A saturation-aware contention model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,6 +41,17 @@ impl SaturationModel {
         }
         let ramp = 1.0 - (-((n - 1) as f64) / self.n_half).exp();
         1.0 + (self.gamma_saturated - 1.0) * ramp
+    }
+
+    /// Predicted completion time for `n` processes and `m`-byte messages:
+    /// the ramp over Proposition 1's bound.
+    pub fn predict(&self, n: usize, m: u64) -> f64 {
+        self.predict_from(self.hockney.alltoall_lower_bound(n, m), n)
+    }
+
+    /// The ramp over any lower bound: `bound·γ(n)`.
+    pub fn predict_from(&self, bound: f64, n: usize) -> f64 {
+        bound * self.gamma_at(n)
     }
 
     /// Fits `(γ∞, n_half)` from measurements spanning several node counts:
@@ -110,16 +120,6 @@ impl SaturationModel {
     }
 }
 
-impl CompletionModel for SaturationModel {
-    fn name(&self) -> &'static str {
-        "saturation-ramp"
-    }
-
-    fn predict(&self, n: usize, m: u64) -> f64 {
-        self.hockney.alltoall_lower_bound(n, m) * self.gamma_at(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +169,38 @@ mod tests {
         assert!(model.gamma_at(8) < model.gamma_at(64));
         assert!(model.gamma_at(1000) < 4.0 + 1e-6);
         assert!(model.gamma_at(1000) > 3.99);
+    }
+
+    fn ramp() -> SaturationModel {
+        SaturationModel {
+            hockney: params(),
+            gamma_saturated: 3.0,
+            n_half: 8.0,
+            rss: 0.0,
+        }
+    }
+
+    #[test]
+    fn predict_is_monotone_in_n_and_m() {
+        let model = ramp();
+        let base = model.predict(8, 64 * 1024);
+        assert!(base > 0.0);
+        assert!(model.predict(16, 64 * 1024) > base);
+        assert!(model.predict(8, 1024 * 1024) > base);
+    }
+
+    #[test]
+    fn predict_is_predict_from_over_proposition_1() {
+        let model = ramp();
+        for n in [0usize, 1, 2, 8, 40] {
+            for m in [0u64, 1024, 1_048_576] {
+                let bound = model.hockney.alltoall_lower_bound(n, m);
+                assert_eq!(
+                    model.predict(n, m).to_bits(),
+                    model.predict_from(bound, n).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

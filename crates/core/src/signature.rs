@@ -19,7 +19,6 @@
 
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
-use crate::models::CompletionModel;
 use contention_stats::piecewise::{fit_piecewise, PiecewiseSpec};
 
 /// A fitted contention signature `(γ, δ, M)` over Hockney parameters.
@@ -94,17 +93,22 @@ impl ContentionSignature {
         })
     }
 
-    /// Evaluates eq. 5 for `n` processes and `m`-byte messages.
+    /// Evaluates eq. 5 for `n` processes and `m`-byte messages: the
+    /// signature over Proposition 1's bound.
     pub fn predict(&self, n: usize, m: u64) -> f64 {
-        if n < 2 {
-            return 0.0;
-        }
-        let per_round = self.hockney.p2p_time(m) * self.gamma
-            + match self.cutoff_bytes {
-                Some(cut) if m >= cut => self.delta_secs,
-                _ => 0.0,
-            };
-        (n - 1) as f64 * per_round
+        self.predict_from(self.lower_bound(n, m), n, m)
+    }
+
+    /// Eq. 5 over any lower bound: `bound·γ`, plus `(n−1)·δ` once δ is
+    /// active at `m`. Every prediction the signature makes goes through
+    /// here, whatever bound the cell is scored against.
+    pub fn predict_from(&self, bound: f64, n: usize, m: u64) -> f64 {
+        let delta = if self.delta_active(m) {
+            n.saturating_sub(1) as f64 * self.delta_secs
+        } else {
+            0.0
+        };
+        bound * self.gamma + delta
     }
 
     /// The lower bound this signature is expressed against.
@@ -115,16 +119,6 @@ impl ContentionSignature {
     /// Whether the affine δ term applies at message size `m`.
     pub fn delta_active(&self, m: u64) -> bool {
         matches!(self.cutoff_bytes, Some(cut) if m >= cut && self.delta_secs > 0.0)
-    }
-}
-
-impl CompletionModel for ContentionSignature {
-    fn name(&self) -> &'static str {
-        "contention-signature"
-    }
-
-    fn predict(&self, n: usize, m: u64) -> f64 {
-        ContentionSignature::predict(self, n, m)
     }
 }
 
@@ -236,6 +230,40 @@ mod tests {
             .collect();
         let sig = ContentionSignature::fit(h, n, &samples).unwrap();
         assert!((sig.gamma - 1.9).abs() < 0.1, "gamma = {}", sig.gamma);
+    }
+
+    fn paper_gige() -> ContentionSignature {
+        ContentionSignature {
+            hockney: gige_hockney(),
+            gamma: 2.0,
+            delta_secs: 8.23e-3,
+            cutoff_bytes: Some(32 * 1024),
+            sample_n: 8,
+            fit_r_squared: 1.0,
+        }
+    }
+
+    #[test]
+    fn predict_is_monotone_in_n_and_m() {
+        let sig = paper_gige();
+        let base = sig.predict(8, 64 * 1024);
+        assert!(base > 0.0);
+        assert!(sig.predict(16, 64 * 1024) > base);
+        assert!(sig.predict(8, 1024 * 1024) > base);
+    }
+
+    #[test]
+    fn predict_is_predict_from_over_proposition_1() {
+        let sig = paper_gige();
+        for n in [0usize, 1, 2, 8, 40] {
+            for m in [0u64, 1024, 32 * 1024, 1_048_576] {
+                let bound = sig.hockney.alltoall_lower_bound(n, m);
+                assert_eq!(
+                    sig.predict(n, m).to_bits(),
+                    sig.predict_from(bound, n, m).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
-use crate::models::CompletionModel;
 
 /// The throughput-under-contention model (paper §6, eq. 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,14 +87,10 @@ impl ThroughputModel {
     pub fn synthetic_params(&self) -> HockneyParams {
         HockneyParams::new(self.alpha_secs, self.synthetic_beta())
     }
-}
 
-impl CompletionModel for ThroughputModel {
-    fn name(&self) -> &'static str {
-        "throughput-contention"
-    }
-
-    fn predict(&self, n: usize, m: u64) -> f64 {
+    /// Predicted completion time for `n` processes and `m`-byte messages:
+    /// Proposition 1 under the synthetic gap.
+    pub fn predict(&self, n: usize, m: u64) -> f64 {
         self.synthetic_params().alltoall_lower_bound(n, m)
     }
 }
@@ -145,6 +140,15 @@ mod tests {
         let t = model.predict(40, 1_048_576);
         let expected = 39.0 * (50e-6 + 1_048_576.0 * model.synthetic_beta());
         assert!((t - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn predict_is_monotone_in_n_and_m() {
+        let model = ThroughputModel::new(50e-6, 8.502e-9, 8.498189e-8, 0.5);
+        let base = model.predict(8, 64 * 1024);
+        assert!(base > 0.0);
+        assert!(model.predict(16, 64 * 1024) > base);
+        assert!(model.predict(8, 1024 * 1024) > base);
     }
 
     #[test]

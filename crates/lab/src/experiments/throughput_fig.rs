@@ -9,7 +9,6 @@
 use super::{ExperimentOutput, Profile, Scale};
 use crate::report::{ascii_chart, Series, Table};
 use crate::runner::{fit_cfg_for, measure_alltoall_curve, measure_hockney};
-use contention_model::models::CompletionModel;
 use contention_model::throughput::ThroughputModel;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

@@ -22,8 +22,6 @@ enum Scalar {
     Gauge(f64),
     /// A boolean state flag (draining).
     Flag(bool),
-    /// A short textual state (listen address, version).
-    Text(String),
 }
 
 /// An insertion-ordered set of named scalars with JSON emission.
@@ -55,16 +53,6 @@ impl CounterSet {
         Self::default()
     }
 
-    /// Number of named scalars.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no scalar has been set.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     fn set(&mut self, name: &str, value: Scalar) {
         match self.entries.iter_mut().find(|(n, _)| n == name) {
             Some((_, slot)) => *slot = value,
@@ -87,11 +75,6 @@ impl CounterSet {
         self.set(name, Scalar::Flag(value));
     }
 
-    /// Sets a textual state value.
-    pub fn text(&mut self, name: &str, value: &str) {
-        self.set(name, Scalar::Text(value.to_string()));
-    }
-
     /// Renders the set as a single-line JSON object in insertion order.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
@@ -105,7 +88,6 @@ impl CounterSet {
                 Scalar::Count(v) => out.push_str(&v.to_string()),
                 Scalar::Gauge(v) => out.push_str(&json::number(*v)),
                 Scalar::Flag(v) => out.push_str(if *v { "true" } else { "false" }),
-                Scalar::Text(v) => out.push_str(&json::string(v)),
             }
         }
         out.push('}');
@@ -123,13 +105,7 @@ mod tests {
         c.count("b", 2);
         c.count("a", 1);
         c.flag("draining", true);
-        c.text("addr", "127.0.0.1:0");
-        assert_eq!(
-            c.render_json(),
-            "{\"b\": 2, \"a\": 1, \"draining\": true, \"addr\": \"127.0.0.1:0\"}"
-        );
-        assert_eq!(c.len(), 4);
-        assert!(!c.is_empty());
+        assert_eq!(c.render_json(), "{\"b\": 2, \"a\": 1, \"draining\": true}");
     }
 
     #[test]
@@ -139,7 +115,6 @@ mod tests {
         c.count("y", 2);
         c.count("x", 10);
         assert_eq!(c.render_json(), "{\"x\": 10, \"y\": 2}");
-        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -157,6 +132,5 @@ mod tests {
     #[test]
     fn empty_set_is_an_empty_object() {
         assert_eq!(CounterSet::new().render_json(), "{}");
-        assert!(CounterSet::new().is_empty());
     }
 }

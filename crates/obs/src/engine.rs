@@ -4,30 +4,15 @@ use crate::hist::Log2Hist;
 use crate::sample::{RingSampler, Sample};
 use crate::Recorder;
 
-/// Tuning knobs for [`EngineRecorder`]. The defaults keep per-cell state
-/// bounded (a few hundred KiB on a large fabric) regardless of how long
-/// the simulation runs.
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Time-series tick length in nanoseconds (default 250 µs: fine enough
-    /// to see a retransmit stall, coarse enough that a one-second cell is
-    /// 4000 ticks).
-    pub sample_interval_ns: u64,
-    /// Samples retained per link; older ticks roll out of the ring.
-    pub samples_per_link: usize,
-    /// Event marks retained across all connections; older marks roll out.
-    pub marks_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            sample_interval_ns: 250_000,
-            samples_per_link: 256,
-            marks_capacity: 4096,
-        }
-    }
-}
+/// Time-series tick length in nanoseconds: 250 µs, fine enough to see a
+/// retransmit stall, coarse enough that a one-second cell is 4000 ticks.
+const SAMPLE_INTERVAL_NS: u64 = 250_000;
+/// Samples retained per link; older ticks roll out of the ring.
+const SAMPLES_PER_LINK: usize = 256;
+/// Event marks retained across all connections; older marks roll out.
+/// With [`SAMPLES_PER_LINK`] this keeps per-cell state bounded (a few
+/// hundred KiB on a large fabric) however long the simulation runs.
+const MARKS_CAPACITY: usize = 4096;
 
 /// What happened at an event mark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,14 +71,14 @@ struct LinkState {
 }
 
 impl LinkState {
-    fn new(samples: usize) -> Self {
+    fn new() -> Self {
         Self {
             busy_tick_ns: 0,
             busy_total_ns: 0,
             queue_bytes: 0,
             max_queue_bytes: 0,
             drops: 0,
-            ring: RingSampler::new(samples),
+            ring: RingSampler::new(SAMPLES_PER_LINK),
         }
     }
 }
@@ -101,9 +86,8 @@ impl LinkState {
 /// A recording [`Recorder`]: integrates link busy time into fixed-interval
 /// utilization/queue-depth rings, collects bounded event marks, and counts
 /// event-loop throughput. One instance observes one simulator.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EngineRecorder {
-    cfg: TelemetryConfig,
     events: u64,
     pushes: u64,
     pop_hist: Log2Hist,
@@ -123,45 +107,18 @@ pub struct EngineRecorder {
     last_cwnd: Vec<u64>,
 }
 
-impl Default for EngineRecorder {
-    fn default() -> Self {
-        Self::new(TelemetryConfig::default())
-    }
-}
-
 impl EngineRecorder {
-    /// A recorder with the given knobs.
-    pub fn new(cfg: TelemetryConfig) -> Self {
-        Self {
-            cfg,
-            events: 0,
-            pushes: 0,
-            pop_hist: Log2Hist::new(),
-            push_hist: Log2Hist::new(),
-            first_ns: None,
-            last_ns: 0,
-            busy_span: None,
-            next_tick_ns: 0,
-            links: Vec::new(),
-            marks: Vec::new(),
-            marks_start: 0,
-            marks_seen: 0,
-            last_cwnd: Vec::new(),
-        }
-    }
-
     #[inline]
     fn link(&mut self, tx: u32) -> &mut LinkState {
         let idx = tx as usize;
         if idx >= self.links.len() {
-            let samples = self.cfg.samples_per_link;
-            self.links.resize_with(idx + 1, || LinkState::new(samples));
+            self.links.resize_with(idx + 1, LinkState::new);
         }
         &mut self.links[idx]
     }
 
     fn mark(&mut self, m: Mark) {
-        if self.marks.len() < self.cfg.marks_capacity.max(1) {
+        if self.marks.len() < MARKS_CAPACITY {
             self.marks.push(m);
         } else {
             self.marks[self.marks_start] = m;
@@ -175,17 +132,16 @@ impl EngineRecorder {
     fn advance_ticks(&mut self, now_ns: u64) {
         while self.next_tick_ns <= now_ns {
             let t = self.next_tick_ns;
-            let interval = self.cfg.sample_interval_ns;
             for link in &mut self.links {
-                let busy = link.busy_tick_ns.min(interval);
+                let busy = link.busy_tick_ns.min(SAMPLE_INTERVAL_NS);
                 link.ring.push(Sample {
                     t_ns: t,
-                    util_permille: ((busy * 1000) / interval) as u16,
+                    util_permille: ((busy * 1000) / SAMPLE_INTERVAL_NS) as u16,
                     queue_bytes: link.queue_bytes,
                 });
                 link.busy_tick_ns = 0;
             }
-            self.next_tick_ns = t + interval;
+            self.next_tick_ns = t + SAMPLE_INTERVAL_NS;
         }
     }
 
@@ -199,8 +155,7 @@ impl EngineRecorder {
             let end = self.next_tick_ns;
             self.advance_ticks(end);
         }
-        let fresh = EngineRecorder::new(self.cfg.clone());
-        let done = std::mem::replace(self, fresh);
+        let done = std::mem::take(self);
         let mut marks = done.marks;
         marks.rotate_left(done.marks_start);
         let (first_event_ns, last_event_ns) = done
@@ -209,7 +164,7 @@ impl EngineRecorder {
             .or(done.busy_span)
             .unwrap_or((0, 0));
         EngineTelemetry {
-            sample_interval_ns: done.cfg.sample_interval_ns,
+            sample_interval_ns: SAMPLE_INTERVAL_NS,
             events: done.events,
             pushes: done.pushes,
             first_event_ns,
@@ -242,7 +197,7 @@ impl Recorder for EngineRecorder {
         self.pop_hist.record(queue_len as u64);
         if self.first_ns.is_none() {
             self.first_ns = Some(now_ns);
-            self.next_tick_ns = now_ns + self.cfg.sample_interval_ns;
+            self.next_tick_ns = now_ns + SAMPLE_INTERVAL_NS;
         }
         self.last_ns = now_ns;
         if now_ns >= self.next_tick_ns {
@@ -419,38 +374,31 @@ impl LinkTelemetry {
 mod tests {
     use super::*;
 
-    fn cfg(interval: u64, samples: usize, marks: usize) -> TelemetryConfig {
-        TelemetryConfig {
-            sample_interval_ns: interval,
-            samples_per_link: samples,
-            marks_capacity: marks,
-        }
-    }
-
     #[test]
     fn utilization_integrates_busy_time_per_tick() {
-        let mut r = EngineRecorder::new(cfg(1000, 16, 16));
+        let mut r = EngineRecorder::default();
         r.on_event_pop(0, 1);
-        // Link 0 busy 500 ns of the first 1000 ns tick.
-        r.on_tx_busy(0, 100, 600, 64);
-        r.on_event_pop(1000, 1); // closes tick at t=1000
+        // Link 0 busy for half of the first tick.
+        let half = SAMPLE_INTERVAL_NS / 2;
+        r.on_tx_busy(0, 100, 100 + half, 64);
+        r.on_event_pop(SAMPLE_INTERVAL_NS, 1); // closes the first tick
         let t = r.take_telemetry();
         assert_eq!(t.links.len(), 1);
         let s = &t.links[0].samples;
-        assert_eq!(s[0].t_ns, 1000);
+        assert_eq!(s[0].t_ns, SAMPLE_INTERVAL_NS);
         assert_eq!(s[0].util_permille, 500);
-        assert_eq!(t.links[0].busy_ns, 500);
+        assert_eq!(t.links[0].busy_ns, half);
         assert_eq!(t.events, 2);
     }
 
     #[test]
     fn queue_depth_tracks_enqueue_dequeue_and_peak() {
-        let mut r = EngineRecorder::new(cfg(1000, 16, 16));
+        let mut r = EngineRecorder::default();
         r.on_event_pop(0, 1);
         r.on_queue_enqueue(2, 1500);
         r.on_queue_enqueue(2, 1500);
         r.on_queue_dequeue(2, 1500);
-        r.on_event_pop(1000, 1);
+        r.on_event_pop(SAMPLE_INTERVAL_NS, 1);
         let t = r.take_telemetry();
         let link = t.links.iter().find(|l| l.tx == 2).unwrap();
         assert_eq!(link.max_queue_bytes, 3000);
@@ -459,20 +407,21 @@ mod tests {
 
     #[test]
     fn mark_ring_rolls_over_keeping_newest() {
-        let mut r = EngineRecorder::new(cfg(1000, 4, 3));
-        for i in 0..5u64 {
+        let mut r = EngineRecorder::default();
+        let seen = MARKS_CAPACITY as u64 + 2;
+        for i in 0..seen {
             r.on_timeout(7, i * 10);
         }
         let t = r.take_telemetry();
-        assert_eq!(t.marks.len(), 3);
+        assert_eq!(t.marks.len(), MARKS_CAPACITY);
         assert_eq!(t.marks_dropped, 2);
         let ts: Vec<u64> = t.marks.iter().map(|m| m.t_ns).collect();
-        assert_eq!(ts, vec![20, 30, 40]);
+        assert_eq!(ts, (2..seen).map(|i| i * 10).collect::<Vec<_>>());
     }
 
     #[test]
     fn cwnd_marks_dedupe_unchanged_windows() {
-        let mut r = EngineRecorder::new(cfg(1000, 4, 64));
+        let mut r = EngineRecorder::default();
         r.on_cwnd(0, 10, 2920);
         r.on_cwnd(0, 20, 2920); // unchanged: no mark
         r.on_cwnd(0, 30, 5840);
@@ -521,7 +470,7 @@ mod tests {
 
     #[test]
     fn a_run_without_events_spans_its_busy_intervals() {
-        let mut r = EngineRecorder::new(cfg(1000, 4, 4));
+        let mut r = EngineRecorder::default();
         r.on_tx_busy(0, 200, 700, 64);
         r.on_tx_busy(1, 100, 900, 64);
         r.on_tx_busy(0, 700, 800, 64);
@@ -539,7 +488,7 @@ mod tests {
 
     #[test]
     fn recorder_is_reusable_after_take() {
-        let mut r = EngineRecorder::new(cfg(1000, 4, 4));
+        let mut r = EngineRecorder::default();
         r.on_event_pop(0, 1);
         let first = r.take_telemetry();
         assert_eq!(first.events, 1);

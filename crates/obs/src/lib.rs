@@ -36,7 +36,7 @@ pub mod sample;
 pub mod trace;
 
 pub use counters::CounterSet;
-pub use engine::{EngineRecorder, EngineTelemetry, LinkTelemetry, Mark, MarkKind, TelemetryConfig};
+pub use engine::{EngineRecorder, EngineTelemetry, LinkTelemetry, Mark, MarkKind};
 pub use hist::Log2Hist;
 pub use sample::{RingSampler, Sample};
 pub use trace::TraceBuilder;

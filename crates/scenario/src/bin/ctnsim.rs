@@ -366,12 +366,11 @@ fn run_specs(mut specs: Vec<ScenarioSpec>, options: &Options) -> ExitCode {
     if let Some(workers) = options.workers {
         builder = builder.workers(workers);
     }
-    if let Some(deadline) = options.deadline {
-        builder = builder.deadline(deadline);
-    }
-    if let Some(budget) = options.event_budget {
-        builder = builder.event_budget(budget);
-    }
+    builder = builder.limits(GuardLimits {
+        deadline: options.deadline,
+        event_budget: options.event_budget,
+        sim_horizon: None,
+    });
     let session = match builder.build() {
         Ok(s) => s,
         Err(e) => return fail_usage(e),

@@ -55,15 +55,8 @@ impl ModelCtx {
     pub(crate) fn predict(&self, med_bound: f64, n: usize, m: u64) -> f64 {
         match self {
             ModelCtx::Med => med_bound,
-            ModelCtx::Signature(sig) => {
-                let delta = if sig.delta_active(m) {
-                    (n.saturating_sub(1)) as f64 * sig.delta_secs
-                } else {
-                    0.0
-                };
-                med_bound * sig.gamma + delta
-            }
-            ModelCtx::Saturation(sat) => med_bound * sat.gamma_at(n),
+            ModelCtx::Signature(sig) => sig.predict_from(med_bound, n, m),
+            ModelCtx::Saturation(sat) => sat.predict_from(med_bound, n),
         }
     }
 }

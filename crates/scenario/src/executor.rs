@@ -61,6 +61,7 @@ use crate::workload;
 use contention_model::metrics::estimation_error_percent;
 use simmpi::runner::parallel_map;
 use simmpi::world::RunInterrupt;
+use simmpi::Op;
 use simnet::guard::{GuardStop, RunGuard};
 use simnet::obs::{EngineRecorder, EngineTelemetry, NoopRecorder, Recorder};
 use std::cmp::Reverse;
@@ -117,12 +118,14 @@ impl ModelKind {
 /// status row (see [`CellStatus`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GuardLimits {
-    /// Wall-clock ceiling per cell.
+    /// Wall-clock ceiling per cell; a cell that exceeds it is stopped at
+    /// the engine's next preemption point with status `timed-out`.
     pub deadline: Option<Duration>,
     /// Engine-event budget per cell (rate recomputations in the fluid
-    /// tier).
+    /// tier); an exhausted budget reports status `budget-exceeded`.
     pub event_budget: Option<u64>,
-    /// Simulated-time ceiling per cell.
+    /// Simulated-time ceiling per cell; crossing it reports status
+    /// `timed-out` with the horizon as provenance.
     pub sim_horizon: Option<Duration>,
 }
 
@@ -482,26 +485,19 @@ struct Scenario<'a> {
 
 impl Scenario<'_> {
     /// The report row of one cell — the only place one is made. `Ok`
-    /// carries the measured repetitions' completion times in seconds;
-    /// `Err` the status of a cell that produced none (stopped by a guard,
-    /// stalled, panicked, or never started), whose row is coordinates and
-    /// status with `NaN` measurements. The model columns are computed the
-    /// same way for both backends, so the error column reads as
-    /// distance-from-bound in both tiers.
-    fn row(&self, cell: &Cell, outcome: Result<&[f64], CellStatus>) -> CellResult {
+    /// carries the measured repetitions' completion times in seconds and
+    /// the cell's MED bound; `Err` the status of a cell that produced none
+    /// (stopped by a guard, stalled, panicked, or never started), whose
+    /// row is coordinates and status with `NaN` measurements. The model
+    /// columns are computed the same way for both backends, so the error
+    /// column reads as distance-from-bound in both tiers.
+    fn row(&self, cell: &Cell, outcome: Result<(&[f64], f64), CellStatus>) -> CellResult {
         let (status, [mean, min, max, model, error]) = match outcome {
             Err(status) => (status, [f64::NAN; 5]),
-            Ok(times) => {
+            Ok((times, bound)) => {
                 let mean = times.iter().sum::<f64>() / times.len() as f64;
                 let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
                 let max = times.iter().cloned().fold(0.0f64, f64::max);
-                let bound = workload::model_bound(
-                    &self.spec.workload,
-                    cell.n,
-                    cell.message_bytes,
-                    cell.seed,
-                    &self.calibration.hockney,
-                );
                 let model = self
                     .calibration
                     .ctx
@@ -542,9 +538,10 @@ impl Scenario<'_> {
     }
 }
 
-/// Simulates one cell and returns its measured completion times, or the
-/// interrupt that stopped it, plus the recorder. Generic over the recorder
-/// so the `NoopRecorder` instance is the exact engine the goldens pin.
+/// Simulates one cell's `programs` and returns its measured completion
+/// times, or the interrupt that stopped it, plus the recorder. Generic over
+/// the recorder so the `NoopRecorder` instance is the exact engine the
+/// goldens pin.
 ///
 /// The packet engine runs warmup plus every repetition on one world under
 /// one guard — budgets and the horizon accumulate across them — and stops
@@ -556,10 +553,10 @@ fn simulate<R: Recorder>(
     spec: &ScenarioSpec,
     fabric: &Fabric,
     cell: &Cell,
+    programs: Vec<Vec<Op>>,
     recorder: R,
     guard: RunGuard,
 ) -> (Result<Vec<f64>, RunInterrupt>, R) {
-    let programs = workload::programs(&spec.workload, cell.n, cell.message_bytes, cell.seed);
     match spec.backend {
         Backend::Fluid => {
             let (topo, hosts, mpi) = fabric.fluid_cell(cell.n, cell.seed);
@@ -579,10 +576,11 @@ fn simulate<R: Recorder>(
     }
 }
 
-/// Runs one cell to its report row, picking the recorder: none wanted is
-/// the no-op recorder, and both choices produce byte-identical rows. A
-/// cell an engine guard stops (or the stall detector flags) comes back
-/// with a non-`Ok` [`CellStatus`].
+/// Runs one cell to its report row: derives its traffic once — the
+/// programs it simulates and the bound its row is scored against — and
+/// picks the recorder: none wanted is the no-op recorder, and both choices
+/// produce byte-identical rows. A cell an engine guard stops (or the stall
+/// detector flags) comes back with a non-`Ok` [`CellStatus`].
 fn run_cell(
     scenario: &Scenario<'_>,
     fabric: &Fabric,
@@ -590,18 +588,22 @@ fn run_cell(
     session: &Session,
 ) -> (CellResult, Option<EngineTelemetry>) {
     let guard = session.limits.guard(&session.cancel);
+    let spec = scenario.spec;
+    let (programs, bound) =
+        workload::traffic(&spec.workload, cell.n, cell.message_bytes, cell.seed)
+            .scored(&scenario.calibration.hockney);
     let (times, engine) = if session.telemetry {
         let recorder = EngineRecorder::default();
-        let (times, mut recorder) = simulate(scenario.spec, fabric, cell, recorder, guard);
+        let (times, mut recorder) = simulate(spec, fabric, cell, programs, recorder, guard);
         (times, Some(recorder.take_telemetry()))
     } else {
         (
-            simulate(scenario.spec, fabric, cell, NoopRecorder, guard).0,
+            simulate(spec, fabric, cell, programs, NoopRecorder, guard).0,
             None,
         )
     };
     let row = match times {
-        Ok(times) => scenario.row(cell, Ok(&times)),
+        Ok(times) => scenario.row(cell, Ok((&times, bound))),
         Err(interrupt) => scenario.row(cell, Err(session.limits.status_of(interrupt))),
     };
     (row, engine)

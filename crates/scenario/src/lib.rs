@@ -16,8 +16,8 @@
 //! * [`topology`] — spec → [`Fabric`](topology::Fabric) (one routed
 //!   topology per scenario, shared by every cell) → [`simmpi::World`],
 //!   via the parameterized generators in [`simnet::generate`];
-//! * [`workload`] — spec → per-rank programs, each with its MED lower
-//!   bound for the model-error column;
+//! * [`workload`] — spec → a cell's traffic in one walk: its per-rank
+//!   programs and its MED lower bound for the model-error column;
 //! * [`executor`] — the parallel batch executor: one flat cell queue
 //!   across all scenarios, deterministic per-cell seeding (results are
 //!   byte-identical for any worker count);

@@ -179,19 +179,6 @@ impl SessionMetrics {
         self.cells.extend(other.cells.iter().cloned());
     }
 
-    /// Aggregates any number of snapshots: [`SessionMetrics::merge`]
-    /// folded over the identity.
-    pub fn aggregate<'a, I>(runs: I) -> SessionMetrics
-    where
-        I: IntoIterator<Item = &'a SessionMetrics>,
-    {
-        let mut total = SessionMetrics::default();
-        for run in runs {
-            total.merge(run);
-        }
-        total
-    }
-
     /// Renders the metrics JSON document (schema
     /// [`METRICS_SCHEMA_VERSION`]). Link series are capped to the
     /// busiest `SERIES_LINKS_LIMIT` (16) links per cell; the cap is
@@ -558,19 +545,18 @@ mod tests {
         onto_empty.merge(&SessionMetrics::default());
         assert_eq!(from_empty.render_json(), a.render_json());
         assert_eq!(onto_empty.render_json(), a.render_json());
-
-        // aggregate() is the same fold.
-        let agg = SessionMetrics::aggregate([&a, &b, &c]);
-        assert_eq!(agg.render_json(), left.render_json());
     }
 
     #[test]
     fn merge_sums_worker_occupancy_by_index() {
-        let mut total = SessionMetrics::aggregate([
-            &dyadic_metrics(1, 0.5, 0, "x"),
-            &dyadic_metrics(0, 0.25, 0, "y"),
-            &dyadic_metrics(1, 0.125, 0, "z"),
-        ]);
+        let mut total = SessionMetrics::default();
+        for run in [
+            dyadic_metrics(1, 0.5, 0, "x"),
+            dyadic_metrics(0, 0.25, 0, "y"),
+            dyadic_metrics(1, 0.125, 0, "z"),
+        ] {
+            total.merge(&run);
+        }
         total.workers.sort_by_key(|w| w.worker); // already sorted; assert it
         assert_eq!(total.workers.len(), 2);
         assert_eq!(total.workers[0].worker, 0);

@@ -57,7 +57,6 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// An instance-owned memo of calibration fits, keyed by `(fabric
 /// fingerprint, derived seed)` (plus the model kind for the
@@ -91,13 +90,6 @@ impl CalibrationCache {
     /// Number of memoized signature/saturation fits.
     pub fn model_entries(&self) -> usize {
         self.model.lock().expect("cache lock").len()
-    }
-
-    /// Drops every memoized fit. The lifetime counters keep counting —
-    /// they record activity, not contents.
-    pub fn clear(&self) {
-        self.hockney.lock().expect("cache lock").clear();
-        self.model.lock().expect("cache lock").clear();
     }
 
     /// Lifetime hit/miss/insert counters across every session using this
@@ -296,31 +288,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Wall-clock ceiling per cell (warmup plus every repetition). A
-    /// cell that exceeds it is stopped at the engine's next preemption
-    /// point and reported with status `timed-out`; its siblings keep
-    /// running. Setting any limit stamps reports with the supervised
-    /// schema (v2), which adds the status columns.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.limits.deadline = Some(deadline);
-        self
-    }
-
-    /// Engine-event budget per cell (rate recomputations in the fluid
-    /// tier). An exhausted budget reports status `budget-exceeded`.
-    pub fn event_budget(mut self, budget: u64) -> Self {
-        self.limits.event_budget = Some(budget);
-        self
-    }
-
-    /// Simulated-time ceiling per cell; crossing it reports status
-    /// `timed-out` with the horizon as provenance.
-    pub fn sim_horizon(mut self, horizon: Duration) -> Self {
-        self.limits.sim_horizon = Some(horizon);
-        self
-    }
-
-    /// Replaces all supervision limits at once.
+    /// Sets the per-cell supervision limits (see [`GuardLimits`]). A
+    /// stopped cell becomes a status row and its siblings keep running;
+    /// setting any limit stamps reports with the supervised schema (v2),
+    /// which adds the status columns.
     pub fn limits(mut self, limits: GuardLimits) -> Self {
         self.limits = limits;
         self
@@ -596,8 +567,6 @@ mod tests {
         let rb = b.run(&spec).unwrap();
         assert_eq!(cache.hockney_entries(), 1, "second session reuses the fit");
         assert_eq!(ra.batches, rb.batches, "cache sharing never changes bytes");
-        cache.clear();
-        assert_eq!(cache.hockney_entries(), 0);
     }
 
     #[test]

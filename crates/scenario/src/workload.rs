@@ -1,5 +1,7 @@
 //! Turns a [`WorkloadSpec`] into per-rank programs and into the MED the
-//! model bound is computed from.
+//! model bound is computed from, both in one walk over the cell's phases
+//! (`traffic`), so the two cannot drift and a cell derives its traffic
+//! once.
 //!
 //! Every irregular pattern is expressed as an [`ExchangeMatrix`] (the
 //! paper's weighted total-exchange digraph), so the Claims 1–3 lower bound
@@ -23,12 +25,13 @@ pub fn algorithm_by_name(name: &str) -> Option<AllToAllAlgorithm> {
         .find(|a| a.name() == name)
 }
 
-/// The exchange matrix of one phase, if the phase is matrix-shaped
-/// (everything except `Uniform`, which runs a named algorithm directly,
-/// and `Phases`, which recurses).
-fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Option<ExchangeMatrix> {
+/// The exchange matrix of one matrix-shaped phase (everything except
+/// `Uniform`, which runs a named algorithm directly, and `Phases`).
+fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> ExchangeMatrix {
     match w {
-        WorkloadSpec::Uniform { .. } | WorkloadSpec::Phases { .. } => None,
+        WorkloadSpec::Uniform { .. } | WorkloadSpec::Phases { .. } => {
+            unreachable!("not a matrix-shaped phase")
+        }
         WorkloadSpec::Skewed {
             hot_ranks, factor, ..
         } => {
@@ -39,7 +42,7 @@ fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Option<Exchang
                     (0..n).map(|j| if i == j { 0 } else { row_m }).collect()
                 })
                 .collect();
-            Some(ExchangeMatrix::new(sizes))
+            ExchangeMatrix::new(sizes)
         }
         WorkloadSpec::Sparse { density, .. } => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
@@ -64,7 +67,7 @@ fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Option<Exchang
                     row[j] = m;
                 }
             }
-            Some(ExchangeMatrix::new(sizes))
+            ExchangeMatrix::new(sizes)
         }
         WorkloadSpec::Permutation => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x0EE7_ABCD);
@@ -72,7 +75,7 @@ fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Option<Exchang
             let sizes = (0..n)
                 .map(|i| (0..n).map(|j| if perm[i] == j { m } else { 0 }).collect())
                 .collect();
-            Some(ExchangeMatrix::new(sizes))
+            ExchangeMatrix::new(sizes)
         }
         WorkloadSpec::Incast { receivers } => {
             let sizes = (0..n)
@@ -90,7 +93,7 @@ fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Option<Exchang
                         .collect()
                 })
                 .collect();
-            Some(ExchangeMatrix::new(sizes))
+            ExchangeMatrix::new(sizes)
         }
         WorkloadSpec::Outcast { senders } => {
             let sizes = (0..n)
@@ -100,7 +103,7 @@ fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Option<Exchang
                         .collect()
                 })
                 .collect();
-            Some(ExchangeMatrix::new(sizes))
+            ExchangeMatrix::new(sizes)
         }
     }
 }
@@ -118,74 +121,19 @@ fn derangement(n: usize, rng: &mut StdRng) -> Vec<usize> {
     }
 }
 
-fn phase_programs(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<Op>> {
+/// One phase's programs and MED. A uniform phase is scored against the
+/// uniform All-to-All's MED whatever its algorithm.
+fn phase_traffic(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> (Vec<Vec<Op>>, Med) {
     match w {
-        WorkloadSpec::Uniform { algorithm } => algorithm_by_name(algorithm)
-            .expect("validated algorithm name")
-            .programs(n, m),
+        WorkloadSpec::Uniform { algorithm } => (
+            algorithm_by_name(algorithm)
+                .expect("validated algorithm name")
+                .programs(n, m),
+            Med::uniform_alltoall(n, m),
+        ),
         WorkloadSpec::Phases { .. } => unreachable!("phases cannot nest"),
         matrixy => {
-            let matrix = phase_matrix(matrixy, n, m, seed).expect("matrix-shaped phase");
-            let nonblocking = match matrixy {
-                WorkloadSpec::Skewed { nonblocking, .. }
-                | WorkloadSpec::Sparse { nonblocking, .. } => *nonblocking,
-                // One message per rank (permutation) or pure fan-in/out:
-                // posting order is irrelevant, use the post-all schedule.
-                _ => true,
-            };
-            if nonblocking {
-                matrix.nonblocking_programs()
-            } else {
-                matrix.direct_exchange_programs()
-            }
-        }
-    }
-}
-
-/// Builds the per-rank programs for one cell: `n` ranks, `m` bytes per
-/// pair (interpretation is per-pattern), derived RNG streams from `seed`.
-/// Multi-phase workloads are separated by barriers so phases do not
-/// overlap.
-pub fn programs(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<Op>> {
-    match w {
-        WorkloadSpec::Phases { phases } => {
-            let mut combined = vec![Vec::new(); n];
-            for (idx, phase) in phases.iter().enumerate() {
-                let phase_seed = seed.wrapping_add(0x9E37 * idx as u64);
-                for (rank, mut prog) in phase_programs(phase, n, m, phase_seed)
-                    .into_iter()
-                    .enumerate()
-                {
-                    combined[rank].append(&mut prog);
-                }
-                if idx + 1 < phases.len() {
-                    for prog in &mut combined {
-                        prog.push(Op::Barrier);
-                    }
-                }
-            }
-            combined
-        }
-        single => phase_programs(single, n, m, seed),
-    }
-}
-
-/// The MED lower bound (Claims 1–3) for this cell under `params`. For
-/// multi-phase workloads the per-phase bounds add (phases are separated by
-/// barriers).
-pub fn model_bound(w: &WorkloadSpec, n: usize, m: u64, seed: u64, params: &HockneyParams) -> f64 {
-    match w {
-        WorkloadSpec::Uniform { .. } => Med::uniform_alltoall(n, m).time_lower_bound(params),
-        WorkloadSpec::Phases { phases } => phases
-            .iter()
-            .enumerate()
-            .map(|(idx, phase)| {
-                let phase_seed = seed.wrapping_add(0x9E37 * idx as u64);
-                model_bound(phase, n, m, phase_seed, params)
-            })
-            .sum(),
-        matrixy => {
-            let matrix = phase_matrix(matrixy, n, m, seed).expect("matrix-shaped phase");
+            let matrix = phase_matrix(matrixy, n, m, seed);
             let mut med = Med::new(n);
             for i in 0..n {
                 for j in 0..n {
@@ -195,9 +143,83 @@ pub fn model_bound(w: &WorkloadSpec, n: usize, m: u64, seed: u64, params: &Hockn
                     }
                 }
             }
-            med.time_lower_bound(params)
+            let nonblocking = match matrixy {
+                WorkloadSpec::Skewed { nonblocking, .. }
+                | WorkloadSpec::Sparse { nonblocking, .. } => *nonblocking,
+                // One message per rank (permutation) or pure fan-in/out:
+                // posting order is irrelevant, use the post-all schedule.
+                _ => true,
+            };
+            let programs = if nonblocking {
+                matrix.nonblocking_programs()
+            } else {
+                matrix.direct_exchange_programs()
+            };
+            (programs, med)
         }
     }
+}
+
+/// One cell's traffic, derived once: the per-rank programs and the MED of
+/// each phase, in phase order.
+pub(crate) struct Traffic {
+    programs: Vec<Vec<Op>>,
+    meds: Vec<Med>,
+}
+
+impl Traffic {
+    /// The programs and the cell's MED lower bound (Claims 1–3) under
+    /// `params`; the MEDs are dropped here, before anything simulates.
+    /// Phases are separated by barriers, so their bounds add.
+    pub(crate) fn scored(self, params: &HockneyParams) -> (Vec<Vec<Op>>, f64) {
+        let bound = self
+            .meds
+            .iter()
+            .map(|med| med.time_lower_bound(params))
+            .sum();
+        (self.programs, bound)
+    }
+}
+
+/// The one walk over a cell's phases: `n` ranks, `m` bytes per pair
+/// (interpretation is per-pattern), each phase drawing its patterns from
+/// its own stream derived from `seed` (the first phase's is `seed`).
+/// Multi-phase workloads are separated by barriers so phases do not
+/// overlap.
+pub(crate) fn traffic(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Traffic {
+    let phases = match w {
+        WorkloadSpec::Phases { phases } => phases.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    let mut traffic = Traffic {
+        programs: Vec::new(),
+        meds: Vec::with_capacity(phases.len()),
+    };
+    for (idx, phase) in phases.iter().enumerate() {
+        let phase_seed = seed.wrapping_add(0x9E37 * idx as u64);
+        let (programs, med) = phase_traffic(phase, n, m, phase_seed);
+        if idx == 0 {
+            traffic.programs = programs;
+        } else {
+            for (prog, mut next) in traffic.programs.iter_mut().zip(programs) {
+                prog.push(Op::Barrier);
+                prog.append(&mut next);
+            }
+        }
+        traffic.meds.push(med);
+    }
+    traffic
+}
+
+/// The per-rank programs of one cell.
+pub fn programs(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<Op>> {
+    traffic(w, n, m, seed).programs
+}
+
+/// The MED lower bound (Claims 1–3) of one cell under `params`; the
+/// bounds of barrier-separated phases add.
+pub fn model_bound(w: &WorkloadSpec, n: usize, m: u64, seed: u64, params: &HockneyParams) -> f64 {
+    traffic(w, n, m, seed).scored(params).1
 }
 
 #[cfg(test)]
@@ -252,15 +274,15 @@ mod tests {
 
     #[test]
     fn permutation_is_a_derangement_and_seed_dependent() {
-        let m1 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 1).unwrap();
-        let m2 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 1).unwrap();
+        let m1 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 1);
+        let m2 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 1);
         assert_eq!(m1, m2, "same seed, same pattern");
         for i in 0..8 {
             assert_eq!(m1.send_volume(i), 100);
             assert_eq!(m1.recv_volume(i), 100);
             assert_eq!(m1.bytes(i, i), 0);
         }
-        let m3 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 2).unwrap();
+        let m3 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 2);
         assert_ne!(m1, m3, "different seed, different permutation");
     }
 
@@ -271,7 +293,7 @@ mod tests {
             factor: 3.0,
             nonblocking: true,
         };
-        let m = phase_matrix(&w, 4, 1000, 0).unwrap();
+        let m = phase_matrix(&w, 4, 1000, 0);
         assert_eq!(m.send_volume(0), 9000);
         assert_eq!(m.send_volume(1), 3000);
     }
@@ -293,6 +315,70 @@ mod tests {
                 1
             );
         }
+    }
+
+    /// Whether every phase sends each message straight to its destination
+    /// (nothing forwarded, nothing combined), so its sends are its MED.
+    fn forwards_nothing(w: &WorkloadSpec) -> bool {
+        match w {
+            WorkloadSpec::Uniform { algorithm } => {
+                algorithm == "direct" || algorithm == "direct-nb"
+            }
+            WorkloadSpec::Phases { phases } => phases.iter().all(forwards_nothing),
+            _ => true,
+        }
+    }
+
+    #[test]
+    fn a_forwarding_free_schedule_sends_exactly_its_med() {
+        let params = HockneyParams::new(50e-6, 8e-9);
+        let mut checked = 0;
+        for spec in crate::registry::builtin() {
+            if spec.backend != crate::spec::Backend::Packet || !forwards_nothing(&spec.workload) {
+                continue;
+            }
+            // The builtin's trimmed cell, seeded as a seed-42 run seeds it.
+            let n = *spec.sweep.nodes.iter().min().unwrap();
+            let m = spec.sweep.message_bytes[0];
+            let seed = crate::executor::cell_seed(&spec.name, 42, n, m);
+            let Traffic { programs, meds } = traffic(&spec.workload, n, m, seed);
+            // Phases are barrier-separated: one rebuilt MED per phase.
+            let mut rebuilt: Vec<Med> = meds.iter().map(|_| Med::new(n)).collect();
+            for (i, prog) in programs.iter().enumerate() {
+                let mut phase = 0;
+                for op in prog {
+                    match op {
+                        Op::Barrier => phase += 1,
+                        Op::Transfer { sends, .. } => {
+                            for &(j, bytes) in sends {
+                                rebuilt[phase].add_message(i, j, bytes);
+                            }
+                        }
+                    }
+                }
+            }
+            for (phase, (sent, med)) in rebuilt.iter().zip(&meds).enumerate() {
+                let at = format!("{} phase {phase}", spec.name);
+                for i in 0..n {
+                    assert_eq!(sent.out_degree(i), med.out_degree(i), "{at} rank {i}");
+                    assert_eq!(sent.in_degree(i), med.in_degree(i), "{at} rank {i}");
+                }
+                assert_eq!(sent.send_time_bound(1.0), med.send_time_bound(1.0), "{at}");
+                assert_eq!(sent.recv_time_bound(1.0), med.recv_time_bound(1.0), "{at}");
+            }
+            let bound: f64 = rebuilt
+                .iter()
+                .map(|med| med.time_lower_bound(&params))
+                .sum();
+            assert_eq!(
+                bound,
+                model_bound(&spec.workload, n, m, seed, &params),
+                "{}",
+                spec.name
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 12, "every packet builtin but the ring one");
     }
 
     #[test]

@@ -100,7 +100,10 @@ fn deadlock_is_still_detected_under_a_wall_clock_deadline() {
     let session = Session::builder()
         .workers(1)
         .base_seed(7)
-        .deadline(Duration::from_secs(60))
+        .limits(GuardLimits {
+            deadline: Some(Duration::from_secs(60)),
+            ..GuardLimits::default()
+        })
         .build()
         .unwrap();
     let report = session.run(&deadlocking_spec()).expect("run terminates");
@@ -151,7 +154,10 @@ fn injected_stall_trips_the_wall_clock_deadline() {
     let session = Session::builder()
         .workers(2)
         .base_seed(11)
-        .deadline(Duration::from_millis(300))
+        .limits(GuardLimits {
+            deadline: Some(Duration::from_millis(300)),
+            ..GuardLimits::default()
+        })
         .inject_faults(plan)
         .build()
         .unwrap();
@@ -188,7 +194,10 @@ fn tiny_event_budget_stops_cells_as_budget_exceeded() {
     let session = Session::builder()
         .workers(1)
         .base_seed(3)
-        .event_budget(16)
+        .limits(GuardLimits {
+            event_budget: Some(16),
+            ..GuardLimits::default()
+        })
         .build()
         .unwrap();
     let report = session.run(&spec).expect("budget stop is not an error");
@@ -280,7 +289,10 @@ fn mid_run_cancellation_of_two_scenarios_keeps_both_grids_whole() {
         .inject_faults(plan)
         // Only so that a schedule change fails this test instead of
         // hanging it on a stalled first cell.
-        .deadline(Duration::from_secs(30))
+        .limits(GuardLimits {
+            deadline: Some(Duration::from_secs(30)),
+            ..GuardLimits::default()
+        })
         .build()
         .unwrap();
     let report = session

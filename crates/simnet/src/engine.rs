@@ -1261,7 +1261,7 @@ mod tests {
 
     #[test]
     fn recording_recorder_observes_without_perturbing() {
-        use contention_obs::{EngineRecorder, MarkKind, TelemetryConfig};
+        use contention_obs::{EngineRecorder, MarkKind};
         // The same incast, once bare and once instrumented: identical
         // simulation outcome, and the recorder must have seen the drops,
         // link busy time and event flow the bare run only counts.
@@ -1295,8 +1295,7 @@ mod tests {
         bare.run_until_idle();
 
         let (topo, cfg, hosts) = build();
-        let mut sim =
-            Simulator::with_recorder(topo, cfg, EngineRecorder::new(TelemetryConfig::default()));
+        let mut sim = Simulator::with_recorder(topo, cfg, EngineRecorder::default());
         drive(&mut sim, &hosts);
 
         assert_eq!(sim.now(), bare.now(), "recorder must not perturb time");

@@ -141,8 +141,9 @@ const NO_LEVEL: u32 = u32::MAX;
 ///
 /// The `R` parameter is the telemetry recorder: when `R::ENABLED`, every
 /// advance interval emits one `on_tx_busy` sample per busy serializer slot
-/// with the bytes that flowed through it at the current rates — per-link
-/// utilization falls out of the fluid rates for free. The default
+/// with the bytes that flowed through it at the current rates, busy for
+/// those bytes' serializing time — per-link utilization falls out of the
+/// fluid rates for free. The default
 /// [`NoopRecorder`] compiles all of it away.
 pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     topo: &'a Topology,
@@ -586,7 +587,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     }
 
     /// Emits one utilization sample per busy slot for `dt_secs` of fluid
-    /// at current rates.
+    /// at current rates. A slot counts as busy for its serializing time,
+    /// bytes ÷ capacity (the packet engine's meaning): from `from_ns` for
+    /// the interval's share `Σrate / capacity`. Max-min leaves some slot
+    /// saturated in every advance, so the busiest one spans the interval.
     fn record_busy(&mut self, dt_secs: f64, from_ns: f64, to_ns: f64) {
         self.scratch_rate.clear();
         self.scratch_rate.resize(self.capacity.len(), 0.0);
@@ -597,10 +601,11 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         }
         for (s, &rate) in self.scratch_rate.iter().enumerate() {
             if rate > 0.0 {
+                let load = (rate / self.capacity[s]).min(1.0);
                 self.recorder.on_tx_busy(
                     self.slot_tx[s],
                     from_ns.round() as u64,
-                    to_ns.round() as u64,
+                    (from_ns + (to_ns - from_ns) * load).round() as u64,
                     (rate * dt_secs).round() as u64,
                 );
             }
@@ -1021,6 +1026,33 @@ mod tests {
             assert!((until as f64 - 1e9).abs() < 2.0);
             assert!((bytes as f64 - 125e6).abs() < 2.0);
         }
+    }
+
+    #[test]
+    fn busy_time_is_serializing_time() {
+        #[derive(Default)]
+        struct BusyLog(Vec<(u32, u64, u64)>);
+        impl Recorder for BusyLog {
+            fn on_tx_busy(&mut self, tx: u32, from_ns: u64, until_ns: u64, _wire_bytes: u64) {
+                self.0.push((tx, from_ns, until_ns));
+            }
+        }
+        // Two flows into one sink: each source uplink carries half its
+        // capacity, the sink downlink all of it.
+        let (topo, hosts) = star(3);
+        let mut sim = FluidSim::with_recorder(&topo, BusyLog::default());
+        sim.start_flow(hosts[0], hosts[2], 125_000_000, 0);
+        sim.start_flow(hosts[1], hosts[2], 125_000_000, 1);
+        assert_eq!(sim.run_to_completion().len(), 2);
+        let end = sim.now_ns().round() as u64;
+        let mut log = sim.into_recorder().0;
+        assert_eq!(log.len(), 3, "two uplinks and the sink downlink");
+        log.sort_by_key(|&(_, from, until)| until - from);
+        for &(_, from, until) in &log[..2] {
+            assert_eq!(from, 0);
+            assert!(until.abs_diff(end / 2) <= 1, "{until} vs {end}/2");
+        }
+        assert_eq!((log[2].1, log[2].2), (0, end));
     }
 
     #[test]

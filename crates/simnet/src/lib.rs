@@ -65,11 +65,11 @@ pub mod prelude {
     pub use crate::engine::{BlockedConn, Simulator};
     pub use crate::guard::{GuardStop, RunGuard, GUARD_CHECK_INTERVAL};
     pub use crate::ids::{ConnId, HostId, SwitchId};
-    pub use crate::packet::{Notification, PackedPacket, Packet, PacketKind};
+    pub use crate::packet::{Notification, PackedPacket, PacketKind};
     pub use crate::stats::NetStats;
     pub use crate::time::SimTime;
     pub use crate::topology::{Topology, TopologyBuilder, TopologyError};
-    pub use contention_obs::{EngineRecorder, NoopRecorder, Recorder, TelemetryConfig};
+    pub use contention_obs::{EngineRecorder, NoopRecorder, Recorder};
 }
 
 pub use prelude::*;

@@ -1,17 +1,12 @@
-//! Packets — packed and unpacked views — and application-level
+//! Packets in the engine's 16-byte storage layout, and application-level
 //! notifications.
 //!
-//! # Why two representations
-//!
 //! The engine moves every in-flight packet through the event queue, the
-//! transmitter bands and the serializer slots many times per hop, so the
-//! stored form is a 16-byte [`PackedPacket`]: the stream offset stays a
-//! full `u64`, while the owning connection and travel direction compress
-//! into one *flow word* and `len`/`hop`/`retransmit` share one bitfield
-//! word. [`Packet`] is the unpacked view — ergonomic named fields for
-//! tests, diagnostics and anything off the hot path — connected to the
-//! packed form by the lossless [`Packet::pack`]/[`PackedPacket::unpack`]
-//! pair.
+//! transmitter bands and the serializer slots many times per hop, so it
+//! stores and moves only the 16-byte [`PackedPacket`]: the stream offset
+//! stays a full `u64`, while the owning connection and travel direction
+//! compress into one *flow word* and `len`/`hop`/`retransmit` share one
+//! bitfield word, read back through accessors.
 //!
 //! A packet does not carry its route. The route is a pure function of
 //! `(conn, kind)` — data follows the connection's forward route, ACKs the
@@ -150,65 +145,6 @@ impl PackedPacket {
         debug_assert!(self.hop() < MAX_HOP, "route longer than {MAX_HOP} hops");
         self.meta += 1 << HOP_SHIFT;
     }
-
-    /// The unpacked view (diagnostics, tests, property checks).
-    pub fn unpack(self) -> Packet {
-        Packet {
-            conn: self.conn(),
-            seq: self.seq,
-            len: self.len(),
-            kind: self.kind(),
-            hop: self.hop(),
-            retransmit: self.retransmit(),
-        }
-    }
-}
-
-/// The unpacked view of a [`PackedPacket`]: one named field per logical
-/// component. Everything the engine stores or moves uses the packed form;
-/// this view exists for construction off the hot path and for asserting
-/// the pack/unpack round-trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Packet {
-    /// Owning connection.
-    pub conn: ConnId,
-    /// Data: first stream byte carried. Ack: cumulative ack offset.
-    pub seq: u64,
-    /// Payload length in bytes (0 for ACKs).
-    pub len: u32,
-    /// Data or ACK (ACKs travel the reverse route).
-    pub kind: PacketKind,
-    /// Next hop index on the route (incremented as the packet advances).
-    pub hop: u16,
-    /// Whether this data segment is a retransmission (Karn's rule).
-    pub retransmit: bool,
-}
-
-impl Packet {
-    /// Packs into the 16-byte storage layout. Lossless for every packet
-    /// within the documented field ranges ([`MAX_LEN`], [`MAX_HOP`], ACKs
-    /// carry `len == 0` and `retransmit == false`).
-    ///
-    /// # Panics
-    /// Panics if `len` or `hop` overflow their bitfields, or if an ACK
-    /// carries a payload or a retransmit flag (unrepresentable: both are
-    /// meaningful for data only).
-    pub fn pack(self) -> PackedPacket {
-        assert!(self.len <= MAX_LEN, "len {} overflows", self.len);
-        assert!(self.hop <= MAX_HOP, "hop {} overflows", self.hop);
-        if self.kind == PacketKind::Ack {
-            assert!(
-                self.len == 0 && !self.retransmit,
-                "ACKs carry no payload and are never retransmissions"
-            );
-        }
-        let mut p = match self.kind {
-            PacketKind::Data => PackedPacket::data(self.conn, self.seq, self.len, self.retransmit),
-            PacketKind::Ack => PackedPacket::ack(self.conn, self.seq),
-        };
-        p.meta |= (self.hop as u32) << HOP_SHIFT;
-        p
-    }
 }
 
 /// Events surfaced to the embedding application (the MPI layer).
@@ -302,34 +238,39 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrips_extremes() {
-        for pkt in [
-            Packet {
-                conn: ConnId::from_index(0),
-                seq: 0,
-                len: 0,
-                kind: PacketKind::Data,
-                hop: 0,
-                retransmit: false,
-            },
-            Packet {
-                conn: ConnId::from_index((u32::MAX / 2 - 1) as usize),
-                seq: u64::MAX,
-                len: MAX_LEN,
-                kind: PacketKind::Data,
-                hop: MAX_HOP,
-                retransmit: true,
-            },
-            Packet {
-                conn: ConnId::from_index(9),
-                seq: 1 << 40,
-                len: 0,
-                kind: PacketKind::Ack,
-                hop: 5,
-                retransmit: false,
-            },
+        // (conn, seq, len, hop, retransmit) of two data packets at the
+        // field extremes, then an ACK advanced a few hops.
+        for (conn, seq, len, hop, retransmit) in [
+            (0usize, 0u64, 0u32, 0u16, false),
+            (
+                (u32::MAX / 2 - 1) as usize,
+                u64::MAX,
+                MAX_LEN,
+                MAX_HOP,
+                true,
+            ),
         ] {
-            assert_eq!(pkt.pack().unpack(), pkt);
+            let mut p = PackedPacket::data(ConnId::from_index(conn), seq, len, retransmit);
+            for _ in 0..hop {
+                p.advance_hop();
+            }
+            assert_eq!(p.conn().index(), conn);
+            assert_eq!(p.seq, seq);
+            assert_eq!(p.len(), len);
+            assert_eq!(p.kind(), PacketKind::Data);
+            assert_eq!(p.hop(), hop);
+            assert_eq!(p.retransmit(), retransmit);
         }
+        let mut ack = PackedPacket::ack(ConnId::from_index(9), 1 << 40);
+        for _ in 0..5 {
+            ack.advance_hop();
+        }
+        assert_eq!(ack.conn().index(), 9);
+        assert_eq!(ack.seq, 1 << 40);
+        assert_eq!(ack.len(), 0);
+        assert_eq!(ack.kind(), PacketKind::Ack);
+        assert_eq!(ack.hop(), 5);
+        assert!(!ack.retransmit());
     }
 
     #[test]

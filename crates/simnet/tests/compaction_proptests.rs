@@ -1,12 +1,12 @@
-//! Property tests for the hot loop's data: the `Packet` ↔ `PackedPacket`
-//! encoding must be lossless across the full documented field ranges, and
+//! Property tests for the hot loop's data: the `PackedPacket` encoding
+//! must be lossless across the full documented field ranges, and
 //! the event queue must pop in exact `(time, push order)` however pushes
 //! and pops interleave.
 
 use proptest::prelude::*;
 use simnet::event::{Event, EventQueue};
 use simnet::ids::ConnId;
-use simnet::packet::{PackedPacket, Packet, PacketKind, MAX_HOP, MAX_LEN};
+use simnet::packet::{PackedPacket, PacketKind, MAX_HOP, MAX_LEN};
 use simnet::time::SimTime;
 
 /// Removes and returns the model's next pop: the earliest time, and among
@@ -27,8 +27,10 @@ fn pop_token(q: &mut EventQueue) -> Option<(SimTime, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Lossless round-trip across the full packable ranges. `conn` stops
-    /// at 2³¹ − 1 because the flow word is `conn·2 + direction`.
+    /// Lossless round-trip across the full packable ranges: every
+    /// accessor reads back what `data`/`ack` and `advance_hop` wrote.
+    /// `conn` stops at 2³¹ − 1 because the flow word is
+    /// `conn·2 + direction`.
     #[test]
     fn packed_packet_roundtrips(
         conn in 0u32..=(u32::MAX >> 1),
@@ -38,25 +40,23 @@ proptest! {
         flags in 0u8..4,
     ) {
         let is_ack = flags & 1 != 0;
-        let pkt = Packet {
-            conn: ConnId::new(conn as usize),
-            seq,
-            // ACKs carry no payload and are never retransmissions; any
-            // other combination is unrepresentable by construction.
-            len: if is_ack { 0 } else { len },
-            kind: if is_ack { PacketKind::Ack } else { PacketKind::Data },
-            hop,
-            retransmit: !is_ack && flags & 2 != 0,
+        // ACKs carry no payload and are never retransmissions; any other
+        // combination is unrepresentable by construction.
+        let retransmit = !is_ack && flags & 2 != 0;
+        let mut packed = if is_ack {
+            PackedPacket::ack(ConnId::new(conn as usize), seq)
+        } else {
+            PackedPacket::data(ConnId::new(conn as usize), seq, len, retransmit)
         };
-        let packed = pkt.pack();
-        prop_assert_eq!(packed.unpack(), pkt);
-        // The accessors must agree with the unpacked view field by field.
-        prop_assert_eq!(packed.conn(), pkt.conn);
-        prop_assert_eq!(packed.seq, pkt.seq);
-        prop_assert_eq!(packed.len(), pkt.len);
-        prop_assert_eq!(packed.kind(), pkt.kind);
-        prop_assert_eq!(packed.hop(), pkt.hop);
-        prop_assert_eq!(packed.retransmit(), pkt.retransmit);
+        for _ in 0..hop {
+            packed.advance_hop();
+        }
+        prop_assert_eq!(packed.conn(), ConnId::new(conn as usize));
+        prop_assert_eq!(packed.seq, seq);
+        prop_assert_eq!(packed.len(), if is_ack { 0 } else { len });
+        prop_assert_eq!(packed.kind(), if is_ack { PacketKind::Ack } else { PacketKind::Data });
+        prop_assert_eq!(packed.hop(), hop);
+        prop_assert_eq!(packed.retransmit(), retransmit);
         prop_assert_eq!(
             packed.flow_index(),
             conn as usize * 2 + is_ack as usize,

@@ -57,7 +57,6 @@ pub mod prelude {
     pub use contention_model::calibration::{Calibration, CalibrationInput};
     pub use contention_model::hockney::HockneyParams;
     pub use contention_model::metrics::{estimation_error_percent, AccuracyPoint};
-    pub use contention_model::models::CompletionModel;
     pub use contention_model::signature::ContentionSignature;
     pub use contention_model::throughput::ThroughputModel;
     pub use contention_scenario::prelude::{
