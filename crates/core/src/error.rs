@@ -1,13 +1,15 @@
 //! Error type for model construction and fitting.
 
-use contention_stats::StatsError;
 use std::fmt;
 
 /// Errors raised while fitting or evaluating performance models.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
-    /// The underlying least-squares fit failed.
-    Fit(StatsError),
+    /// A measured time (or a signature's lower bound) was NaN or infinite.
+    NonFiniteSamples,
+    /// The least-squares normal equations were singular: every sample at
+    /// one message size, or a lower bound that is zero everywhere.
+    SingularFit,
     /// A fitted parameter came out non-physical (e.g. negative bandwidth).
     NonPhysical {
         /// Which parameter.
@@ -29,7 +31,18 @@ pub enum ModelError {
 impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ModelError::Fit(e) => write!(f, "least-squares fit failed: {e}"),
+            ModelError::NonFiniteSamples => {
+                write!(
+                    f,
+                    "least-squares fit failed: input contains NaN or infinite values"
+                )
+            }
+            ModelError::SingularFit => {
+                write!(
+                    f,
+                    "least-squares fit failed: singular matrix in least-squares solve"
+                )
+            }
             ModelError::NonPhysical { parameter, value } => {
                 write!(f, "non-physical fitted parameter {parameter} = {value}")
             }
@@ -43,8 +56,19 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-impl From<StatsError> for ModelError {
-    fn from(e: StatsError) -> Self {
-        ModelError::Fit(e)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fit_failures_keep_their_messages() {
+        assert_eq!(
+            ModelError::NonFiniteSamples.to_string(),
+            "least-squares fit failed: input contains NaN or infinite values"
+        );
+        assert_eq!(
+            ModelError::SingularFit.to_string(),
+            "least-squares fit failed: singular matrix in least-squares solve"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! > to complete a total exchange is at least `(n−1)·α + (n−1)·β·m`.
 
 use crate::error::ModelError;
-use contention_stats::regression::simple_affine;
+use crate::regression::least_squares;
 
 /// Hockney parameters: start-up `α` (seconds) and gap `β` (seconds/byte).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,9 +63,14 @@ impl HockneyParams {
                 got: points.len(),
             });
         }
-        let x: Vec<f64> = points.iter().map(|&(s, _)| s as f64).collect();
         let y: Vec<f64> = points.iter().map(|&(_, t)| t).collect();
-        let (alpha, beta, _fit) = simple_affine(&x, &y)?;
+        if y.iter().any(|t| !t.is_finite()) {
+            return Err(ModelError::NonFiniteSamples);
+        }
+        let design: Vec<[f64; 2]> = points.iter().map(|&(s, _)| [1.0, s as f64]).collect();
+        let [alpha, beta] = least_squares(&design, &y)
+            .ok_or(ModelError::SingularFit)?
+            .coefficients;
         if beta <= 0.0 {
             return Err(ModelError::NonPhysical {
                 parameter: "beta",
@@ -155,6 +160,21 @@ mod tests {
             HockneyParams::fit(&[(1000, 0.001)]),
             Err(ModelError::InsufficientSamples { .. })
         ));
+    }
+
+    #[test]
+    fn fit_rejects_non_finite_times() {
+        let points = vec![(1000u64, 0.001), (2000u64, f64::NAN), (4000u64, 0.004)];
+        assert_eq!(
+            HockneyParams::fit(&points),
+            Err(ModelError::NonFiniteSamples)
+        );
+    }
+
+    #[test]
+    fn fit_of_one_size_is_singular() {
+        let points = vec![(1000u64, 0.001), (1000u64, 0.002), (1000u64, 0.003)];
+        assert_eq!(HockneyParams::fit(&points), Err(ModelError::SingularFit));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`throughput`] — §6: the `βF`/`βC`/`ρ` synthetic-gap model;
 //! * [`signature`] — §7: the contention signature `(γ, δ, M)` with
 //!   least-squares fitting and breakpoint selection;
+//! * `regression` (crate-private) — the least squares both fits run: one
+//!   or two regressors, normal equations solved by Cholesky;
 //! * [`saturation`] — the γ(n) ramp for half-saturated networks;
 //! * [`calibration`] — §8's measurement pipeline, data side;
 //! * [`metrics`] — the paper's `(measured/estimated − 1)·100 %` error.
@@ -18,8 +20,8 @@
 //! function of a lower bound (`predict_from`); `predict(n, m)` feeds it
 //! Proposition 1's bound.
 //!
-//! The crate is measurement-source-agnostic: it fits from plain
-//! `(size, time)` data. The crates above it (the paper-figure drivers,
+//! The crate is measurement-source-agnostic and has no dependencies: it
+//! fits from plain `(size, time)` data. The crates above it (the paper-figure drivers,
 //! the scenario engine) run the simulator to produce those inputs.
 
 #![forbid(unsafe_code)]
@@ -30,6 +32,7 @@ pub mod error;
 pub mod hockney;
 pub mod med;
 pub mod metrics;
+mod regression;
 pub mod saturation;
 pub mod signature;
 pub mod throughput;

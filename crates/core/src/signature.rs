@@ -19,7 +19,7 @@
 
 use crate::error::ModelError;
 use crate::hockney::HockneyParams;
-use contention_stats::piecewise::{fit_piecewise, PiecewiseSpec};
+use crate::regression::least_squares;
 
 /// A fitted contention signature `(γ, δ, M)` over Hockney parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,8 +45,12 @@ impl ContentionSignature {
     ///
     /// `samples` are `(message_bytes, measured_seconds)` pairs; the paper
     /// requires "at least four measurement points in order to better fit
-    /// the performance curve". `δ` is constrained non-negative (a negative
-    /// start-up overload is non-physical).
+    /// the performance curve". Candidate 0 is the pure ratio `T = γ·L`;
+    /// then each distinct sample size is tried as the cutoff `M`, adding
+    /// the column `n′−1` from `M` up. A cutoff needs at least two stepped
+    /// points, a singular candidate is skipped, and `δ < 0` is rejected (a
+    /// negative start-up overload is non-physical). The lowest AIC wins;
+    /// on a tie the earlier candidate stays.
     pub fn fit(
         hockney: HockneyParams,
         sample_n: usize,
@@ -61,35 +65,66 @@ impl ContentionSignature {
                 got: samples.len(),
             });
         }
-        let abscissa: Vec<f64> = samples.iter().map(|&(m, _)| m as f64).collect();
-        let slope_basis: Vec<f64> = samples
+        let observations: Vec<f64> = samples.iter().map(|&(_, t)| t).collect();
+        let slope: Vec<f64> = samples
             .iter()
             .map(|&(m, _)| hockney.alltoall_lower_bound(sample_n, m))
             .collect();
-        let step_basis = vec![(sample_n - 1) as f64; samples.len()];
-        let observations: Vec<f64> = samples.iter().map(|&(_, t)| t).collect();
-        let fit = fit_piecewise(
-            &PiecewiseSpec {
-                abscissa: &abscissa,
-                slope_basis: &slope_basis,
-                step_basis: &step_basis,
-                observations: &observations,
-            },
-            true,
-        )?;
-        if fit.gamma <= 0.0 {
+        if slope.iter().chain(&observations).any(|v| !v.is_finite()) {
+            return Err(ModelError::NonFiniteSamples);
+        }
+        let n = samples.len();
+        let step = (sample_n - 1) as f64;
+
+        // Candidate 0: the pure ratio T = γ·L.
+        let design: Vec<[f64; 1]> = slope.iter().map(|&l| [l]).collect();
+        let linear = least_squares(&design, &observations).ok_or(ModelError::SingularFit)?;
+        let (mut gamma, mut delta, mut cutoff) = (linear.coefficients[0], 0.0, None);
+        let mut r_squared = linear.r_squared;
+        let mut best_aic = aic(n, linear.rss, 1);
+
+        // Candidate cutoffs: every distinct message size. A cutoff at the
+        // smallest size means every sample pays the step (the Fast Ethernet
+        // case, where M is below the sampled sizes).
+        let mut cutoffs: Vec<f64> = samples.iter().map(|&(m, _)| m as f64).collect();
+        cutoffs.sort_by(f64::total_cmp);
+        cutoffs.dedup();
+        for &cut in &cutoffs {
+            let stepped = |m: u64| m as f64 >= cut;
+            if samples.iter().filter(|&&(m, _)| stepped(m)).count() < 2 {
+                continue; // a single stepped point cannot constrain δ
+            }
+            let design: Vec<[f64; 2]> = samples
+                .iter()
+                .zip(&slope)
+                .map(|(&(m, _), &l)| [l, if stepped(m) { step } else { 0.0 }])
+                .collect();
+            let Some(fit) = least_squares(&design, &observations) else {
+                continue; // step column ∝ slope column
+            };
+            let [g, d] = fit.coefficients;
+            if d < 0.0 {
+                continue;
+            }
+            let candidate_aic = aic(n, fit.rss, 2);
+            if candidate_aic < best_aic {
+                best_aic = candidate_aic;
+                (gamma, delta, cutoff, r_squared) = (g, d, Some(cut), fit.r_squared);
+            }
+        }
+        if gamma <= 0.0 {
             return Err(ModelError::NonPhysical {
                 parameter: "gamma",
-                value: fit.gamma,
+                value: gamma,
             });
         }
         Ok(Self {
             hockney,
-            gamma: fit.gamma,
-            delta_secs: fit.delta,
-            cutoff_bytes: fit.cutoff.map(|c| c as u64),
+            gamma,
+            delta_secs: delta,
+            cutoff_bytes: cutoff.map(|c| c as u64),
             sample_n,
-            fit_r_squared: fit.r_squared,
+            fit_r_squared: r_squared,
         })
     }
 
@@ -120,6 +155,13 @@ impl ContentionSignature {
     pub fn delta_active(&self, m: u64) -> bool {
         matches!(self.cutoff_bytes, Some(cut) if m >= cut && self.delta_secs > 0.0)
     }
+}
+
+/// Gaussian-likelihood AIC of a `k`-coefficient fit over `n` points, up to
+/// constants; an exact fit's zero RSS is floored.
+fn aic(n: usize, rss: f64, k: usize) -> f64 {
+    let n_f = n as f64;
+    n_f * (rss.max(1e-300) / n_f).ln() + 2.0 * k as f64
 }
 
 #[cfg(test)]
@@ -213,6 +255,86 @@ mod tests {
             ContentionSignature::fit(h, 8, &samples),
             Err(ModelError::InsufficientSamples { needed: 4, .. })
         ));
+    }
+
+    /// Samples `(m, (n−1)·((α + mβ)·γ + δ))` with δ paid from `cut` up.
+    fn planted(
+        h: HockneyParams,
+        n: usize,
+        sizes: &[u64],
+        (gamma, delta, cut): (f64, f64, u64),
+    ) -> Vec<(u64, f64)> {
+        sizes
+            .iter()
+            .map(|&m| {
+                let step = if m >= cut { delta } else { 0.0 };
+                (m, (n - 1) as f64 * (h.p2p_time(m) * gamma + step))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cutoff_at_minimum_means_all_points_stepped() {
+        // Affine everywhere: every sample pays δ.
+        let h = HockneyParams::new(0.0, 1e-2);
+        let samples = planted(h, 24, &[16, 32, 64, 128, 256], (1.02, 0.00823, 16));
+        let sig = ContentionSignature::fit(h, 24, &samples).unwrap();
+        assert_eq!(sig.cutoff_bytes, Some(16));
+        assert!((sig.gamma - 1.02).abs() < 1e-6);
+        assert!((sig.delta_secs - 0.00823).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_downward_step_is_never_chosen() {
+        // The best unconstrained fit steps *down* from m = 4: δ < 0.
+        let h = HockneyParams::new(0.0, 1.0);
+        let samples = planted(h, 2, &[1, 2, 3, 4, 5, 6], (2.0, -1.0, 4));
+        let sig = ContentionSignature::fit(h, 2, &samples).unwrap();
+        assert!(sig.delta_secs >= 0.0);
+        assert_ne!(sig.cutoff_bytes, Some(4));
+    }
+
+    #[test]
+    fn a_step_proportional_to_the_slope_is_skipped() {
+        // β = 0 makes the bound constant (exactly 1 here), so the step
+        // column of the smallest cutoff, paid by every sample, is 4× the
+        // slope column: that candidate is singular and skipped, and the
+        // real cutoff is still found.
+        let h = HockneyParams::new(0.25, 0.0);
+        let samples = planted(h, 5, &[1024, 2048, 4096, 8192], (3.0, 2e-3, 4096));
+        let sig = ContentionSignature::fit(h, 5, &samples).unwrap();
+        assert_eq!(sig.cutoff_bytes, Some(4096));
+        assert!((sig.gamma - 3.0).abs() < 1e-9);
+        assert!((sig.delta_secs - 2e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn noisy_step_data_still_close() {
+        let h = HockneyParams::new(60e-6, 8e-8);
+        let sizes: Vec<u64> = (1..=12).map(|i| i * 8192).collect();
+        let samples: Vec<(u64, f64)> = planted(h, 24, &sizes, (1.02, 0.008, 3 * 8192))
+            .into_iter()
+            .enumerate()
+            .map(|(i, (m, t))| (m, t * if i % 2 == 0 { 1.002 } else { 0.998 }))
+            .collect();
+        let sig = ContentionSignature::fit(h, 24, &samples).unwrap();
+        assert!((sig.gamma - 1.02).abs() < 0.02);
+        assert!(sig.cutoff_bytes.is_some());
+    }
+
+    #[test]
+    fn fit_rejects_non_finite_samples() {
+        let h = gige_hockney();
+        let samples = vec![
+            (1024u64, 0.1),
+            (2048, 0.2),
+            (4096, f64::INFINITY),
+            (8192, 0.8),
+        ];
+        assert_eq!(
+            ContentionSignature::fit(h, 8, &samples),
+            Err(ModelError::NonFiniteSamples)
+        );
     }
 
     #[test]

@@ -129,6 +129,59 @@ proptest! {
         }
     }
 
+    /// The Hockney fit recovers a planted line `t = a + b·size` exactly.
+    #[test]
+    fn ols_recovers_planted_line(
+        a in 0.0f64..100.0,
+        b in 0.001f64..100.0,
+        sizes in prop::collection::btree_set(0u64..2000, 3..30),
+    ) {
+        let points: Vec<(u64, f64)> = sizes.into_iter().map(|s| (s, a + b * s as f64)).collect();
+        let fit = HockneyParams::fit(&points).unwrap();
+        prop_assert!((fit.alpha_secs - a).abs() < 1e-6 * (1.0 + a), "a: {} vs {}", fit.alpha_secs, a);
+        prop_assert!((fit.beta_secs_per_byte - b).abs() < 1e-6 * (1.0 + b), "b: {} vs {}", fit.beta_secs_per_byte, b);
+    }
+
+    /// The signature fit recovers a planted `(γ, δ, M)` from clean data,
+    /// for any plausible parameter combination.
+    #[test]
+    fn piecewise_recovers_planted_signature(
+        gamma in 0.5f64..8.0,
+        delta in 0.0005f64..0.05,
+        cut_idx in 1usize..5,
+    ) {
+        let h = HockneyParams::new(60e-6, 8e-8);
+        let sizes: Vec<u64> = (1..=8).map(|i| i * 131_072).collect();
+        let cut = sizes[cut_idx];
+        let samples: Vec<(u64, f64)> = sizes
+            .iter()
+            .map(|&m| {
+                let step = if m >= cut { delta * 23.0 } else { 0.0 };
+                (m, gamma * h.alltoall_lower_bound(24, m) + step)
+            })
+            .collect();
+        let sig = ContentionSignature::fit(h, 24, &samples).unwrap();
+        prop_assert!((sig.gamma - gamma).abs() < 1e-6 * gamma, "gamma {} vs {}", sig.gamma, gamma);
+        prop_assert!((sig.delta_secs - delta).abs() < 1e-9 + 1e-6 * delta);
+        prop_assert_eq!(sig.cutoff_bytes, Some(cut));
+    }
+
+    /// Eq. 5 is monotone in the bound for a fixed step state, and the step
+    /// only ever adds.
+    #[test]
+    fn piecewise_prediction_monotone(gamma in 0.1f64..10.0, delta in 0.0f64..1.0) {
+        let sig = ContentionSignature {
+            hockney: HockneyParams::new(0.0, 1e-9),
+            gamma,
+            delta_secs: delta,
+            cutoff_bytes: Some(100),
+            sample_n: 2,
+            fit_r_squared: 1.0,
+        };
+        prop_assert!(sig.predict_from(2.0, 2, 50) <= sig.predict_from(3.0, 2, 50));
+        prop_assert!(sig.predict_from(2.0, 2, 150) >= sig.predict_from(2.0, 2, 50));
+    }
+
     /// Hockney fitting round-trips through noise-free synthetic data.
     #[test]
     fn hockney_fit_roundtrips(

@@ -7,8 +7,8 @@
 //! fingerprint the whole paper builds on.
 
 use super::{ExperimentOutput, Profile, Scale};
+use crate::descriptive::Summary;
 use crate::report::{ascii_chart, Series, Table};
-use contention_stats::descriptive::Summary;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use simmpi::harness::{stress_run, StressResult};

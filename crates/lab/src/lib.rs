@@ -13,6 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod descriptive;
 pub mod experiments;
 pub mod report;
 pub mod runner;

@@ -1,10 +1,10 @@
 //! Measurement drivers: the paper's §8 procedure executed against the
 //! simulator.
 
+use crate::descriptive::median;
 use contention_model::calibration::{Calibration, CalibrationInput};
 use contention_model::error::ModelError;
 use contention_model::hockney::HockneyParams;
-use contention_stats::descriptive::median;
 use simmpi::prelude::*;
 use simmpi::presets::ClusterPreset;
 

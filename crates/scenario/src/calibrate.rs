@@ -23,10 +23,10 @@ use crate::executor::{mix, ModelKind};
 use crate::session::CalibrationCache;
 use crate::spec::{fnv1a, ScenarioSpec, SpecError};
 use crate::topology::{self, Fabric};
-use crate::workload;
 use contention_model::hockney::HockneyParams;
 use contention_model::saturation::SaturationModel;
 use contention_model::signature::ContentionSignature;
+use simmpi::alltoall::AllToAllAlgorithm;
 use simmpi::harness::try_ping_pong;
 use simnet::obs::NoopRecorder;
 use std::sync::Arc;
@@ -105,7 +105,7 @@ pub(crate) fn calibrate(
     let fit_err =
         |e: contention_model::error::ModelError| fail(format!("{} fit failed: {e}", model.name()));
     let capacity = || topology::capacity(&spec.topology).map_err(CtnError::Spec);
-    let algo = workload::algorithm_by_name("direct").expect("built-in algorithm");
+    let algo = AllToAllAlgorithm::DirectExchange;
     let sample = |n: usize, sizes: &[u64], seed: u64| {
         let mut world = fabric()?.world_with(n, seed, NoopRecorder);
         sizes

@@ -7,6 +7,7 @@
 //! [`crate::workload`].
 
 use crate::toml::{self, TomlError, Value};
+use simmpi::alltoall::AllToAllAlgorithm;
 use simnet::generate::{
     DragonflyParams, FatTreeParams, Placement, SingleSwitchParams, StarParams, TorusParams,
     TreeParams,
@@ -443,7 +444,7 @@ impl ScenarioSpec {
         let min_n = *self.sweep.nodes.iter().min().expect("non-empty");
         match w {
             WorkloadSpec::Uniform { algorithm } => {
-                crate::workload::algorithm_by_name(algorithm)
+                AllToAllAlgorithm::parse(algorithm)
                     .ok_or_else(|| invalid(format!("unknown algorithm {algorithm:?}")))?;
                 if algorithm == "pairwise" && self.sweep.nodes.iter().any(|n| !n.is_power_of_two())
                 {

@@ -18,13 +18,6 @@ use rand::{Rng, SeedableRng};
 use simmpi::prelude::*;
 use simmpi::Op;
 
-/// Looks up an All-to-All algorithm by its stable name.
-pub fn algorithm_by_name(name: &str) -> Option<AllToAllAlgorithm> {
-    AllToAllAlgorithm::all()
-        .into_iter()
-        .find(|a| a.name() == name)
-}
-
 /// The exchange matrix of one matrix-shaped phase (everything except
 /// `Uniform`, which runs a named algorithm directly, and `Phases`).
 fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> ExchangeMatrix {
@@ -126,7 +119,7 @@ fn derangement(n: usize, rng: &mut StdRng) -> Vec<usize> {
 fn phase_traffic(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> (Vec<Vec<Op>>, Med) {
     match w {
         WorkloadSpec::Uniform { algorithm } => (
-            algorithm_by_name(algorithm)
+            AllToAllAlgorithm::parse(algorithm)
                 .expect("validated algorithm name")
                 .programs(n, m),
             Med::uniform_alltoall(n, m),

@@ -45,6 +45,13 @@ impl AllToAllAlgorithm {
         }
     }
 
+    /// Inverse of [`AllToAllAlgorithm::name`].
+    pub fn parse(name: &str) -> Option<AllToAllAlgorithm> {
+        AllToAllAlgorithm::all()
+            .into_iter()
+            .find(|a| a.name() == name)
+    }
+
     /// All algorithms, for sweeps.
     pub fn all() -> [AllToAllAlgorithm; 5] {
         [
@@ -163,6 +170,14 @@ fn ring(n: usize, m: u64) -> Vec<Vec<Op>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_inverts_name() {
+        for algo in AllToAllAlgorithm::all() {
+            assert_eq!(AllToAllAlgorithm::parse(algo.name()), Some(algo));
+        }
+        assert_eq!(AllToAllAlgorithm::parse("Direct"), None);
+    }
 
     /// Every rank must, across its whole program, send exactly one message
     /// to every other rank (direct algorithms) and post a matching number

@@ -55,7 +55,7 @@
 
 use crate::config::{LinkConfig, SwitchConfig};
 use crate::ids::{HostId, SwitchId};
-use crate::topology::{RoutingPolicy, TopologyBuilder, MAX_HOSTS};
+use crate::topology::{TopologyBuilder, MAX_HOSTS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -633,7 +633,7 @@ impl TorusParams {
 ///    └──────┴──────┴───┘  ← wrap links close each ring
 /// ```
 ///
-/// [dimension-ordered]: crate::topology::RoutingPolicy::DimensionOrdered
+/// [dimension-ordered]: crate::topology::TopologyBuilder::set_switch_coords
 ///
 /// # Panics
 /// Panics if [`TorusParams::check`] fails.
@@ -679,7 +679,6 @@ pub fn torus(p: &TorusParams) -> Generated {
     }
 
     b.set_switch_coords(coords);
-    b.set_routing(RoutingPolicy::DimensionOrdered);
     Generated {
         builder: b,
         hosts,

@@ -7,11 +7,15 @@
 //! shared memory).
 //!
 //! Routing is computed once at build time: shortest path by hop count.
-//! Equal-cost choices are resolved by the builder's [`RoutingPolicy`]:
-//! deterministic per-flow ECMP hashing by default (parallel uplinks and
-//! fat-tree cores load-balance the way switch hashing would), or
-//! dimension-ordered (e-cube) selection for mesh/torus fabrics whose
-//! generators supply per-switch coordinates. The route table is one hop
+//! Equal-cost choices are resolved by deterministic per-flow ECMP hashing
+//! (parallel uplinks and fat-tree cores load-balance the way switch
+//! hashing would), or, on mesh/torus fabrics whose generators supply
+//! per-switch coordinates ([`TopologyBuilder::set_switch_coords`]), by
+//! dimension-ordered (e-cube) selection: among equal-cost next hops,
+//! correct the lowest-indexed mismatched coordinate dimension first.
+//! Host-side hops fall back to ECMP hashing, and on an even-sized ring's
+//! exact midpoint both wrap directions are minimal and the tie resolves to
+//! link-creation order. The route table is one hop
 //! arena plus one prefix offset per host pair; a [`RouteId`] is computed
 //! from the pair, not stored, up to [`MAX_HOSTS`] hosts.
 
@@ -21,24 +25,6 @@ use crate::ids::{HostId, PoolId, RouteId, SwitchId, TxId};
 /// The most hosts a topology can index: route ids are `dst·n_hosts + src`
 /// in a `u32`, so `n_hosts²` must not exceed 2³².
 pub const MAX_HOSTS: usize = 1 << 16;
-
-/// How the builder resolves equal-cost next-hop choices when several
-/// shortest paths exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// Deterministic per-flow hashing over equal-cost next hops — the
-    /// classic ECMP spread (the default, and the only sane choice for
-    /// trees and fat-trees).
-    #[default]
-    EcmpShortest,
-    /// Dimension-ordered (e-cube) routing: among equal-cost next hops,
-    /// correct the lowest-indexed mismatched coordinate dimension first.
-    /// Requires [`TopologyBuilder::set_switch_coords`]; switches without
-    /// coordinates (and host-side hops) fall back to ECMP hashing. On an
-    /// even-sized ring's exact midpoint both wrap directions are minimal
-    /// and the tie resolves to link-creation order.
-    DimensionOrdered,
-}
 
 /// Where a transmitter's packets land after the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,10 +173,9 @@ pub struct TopologyBuilder {
     switches: Vec<SwitchConfig>,
     links: Vec<Wire>,
     host_bus: Option<(f64, u64)>,
-    routing: RoutingPolicy,
-    /// Per-switch coordinates (parallel to `switches`) for
-    /// dimension-ordered routing; empty unless a mesh/torus generator
-    /// supplied them.
+    /// Per-switch coordinates (parallel to `switches`); when present,
+    /// equal-cost ties are broken dimension-ordered. Empty unless a
+    /// mesh/torus generator supplied them.
     switch_coords: Vec<[u16; 3]>,
 }
 
@@ -208,18 +193,13 @@ impl TopologyBuilder {
             switches: Vec::new(),
             links: Vec::new(),
             host_bus: None,
-            routing: RoutingPolicy::default(),
             switch_coords: Vec::new(),
         }
     }
 
-    /// Selects the equal-cost tie-breaking policy (default: ECMP hashing).
-    pub fn set_routing(&mut self, policy: RoutingPolicy) {
-        self.routing = policy;
-    }
-
-    /// Supplies one `[x, y, z]` coordinate per switch (creation order) for
-    /// [`RoutingPolicy::DimensionOrdered`]. Unused dimensions stay 0.
+    /// Supplies one `[x, y, z]` coordinate per switch (creation order) and
+    /// so selects dimension-ordered tie-breaking (see the module doc).
+    /// Unused dimensions stay 0.
     ///
     /// # Panics
     /// Panics if the coordinate count does not match the switch count at
@@ -411,7 +391,8 @@ impl TopologyBuilder {
             }
         }
 
-        if self.routing == RoutingPolicy::DimensionOrdered || !self.switch_coords.is_empty() {
+        let dimension_ordered = !self.switch_coords.is_empty();
+        if dimension_ordered {
             assert_eq!(
                 self.switch_coords.len(),
                 n_switches,
@@ -434,7 +415,6 @@ impl TopologyBuilder {
         // tabulated once per destination (`cand`, CSR over nodes) instead
         // of being re-filtered — and re-allocated — on every hop of every
         // source's walk.
-        let dimension_ordered = self.routing == RoutingPolicy::DimensionOrdered;
         let mut route_arena: Vec<TxId> = Vec::new();
         let mut route_start: Vec<u32> = Vec::with_capacity(n_hosts * n_hosts + 1);
         route_start.push(0);

@@ -14,10 +14,10 @@
 //!   Ethernet, Myrinet);
 //! * [`contention_model`] — the paper's contribution: Hockney parameters,
 //!   total-exchange lower bounds, the §6 throughput-under-contention model
-//!   and the §7 contention-signature model `(γ, δ, M)`;
+//!   and the §7 contention-signature model `(γ, δ, M)`, with the least
+//!   squares both fits run;
 //! * [`contention_lab`] — the paper's §8 measurement procedure and one
-//!   experiment module per paper figure;
-//! * [`contention_stats`] — the statistics and least-squares machinery underneath.
+//!   experiment module per paper figure.
 //!
 //! ## Quickstart
 //!
@@ -44,7 +44,6 @@
 pub use contention_lab;
 pub use contention_model;
 pub use contention_scenario;
-pub use contention_stats;
 pub use simmpi;
 pub use simnet;
 
