@@ -32,6 +32,8 @@ pub mod error;
 pub mod hockney;
 pub mod med;
 pub mod metrics;
+#[cfg(test)]
+mod piecewise;
 mod regression;
 pub mod saturation;
 pub mod signature;

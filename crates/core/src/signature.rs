@@ -257,71 +257,6 @@ mod tests {
         ));
     }
 
-    /// Samples `(m, (n−1)·((α + mβ)·γ + δ))` with δ paid from `cut` up.
-    fn planted(
-        h: HockneyParams,
-        n: usize,
-        sizes: &[u64],
-        (gamma, delta, cut): (f64, f64, u64),
-    ) -> Vec<(u64, f64)> {
-        sizes
-            .iter()
-            .map(|&m| {
-                let step = if m >= cut { delta } else { 0.0 };
-                (m, (n - 1) as f64 * (h.p2p_time(m) * gamma + step))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn cutoff_at_minimum_means_all_points_stepped() {
-        // Affine everywhere: every sample pays δ.
-        let h = HockneyParams::new(0.0, 1e-2);
-        let samples = planted(h, 24, &[16, 32, 64, 128, 256], (1.02, 0.00823, 16));
-        let sig = ContentionSignature::fit(h, 24, &samples).unwrap();
-        assert_eq!(sig.cutoff_bytes, Some(16));
-        assert!((sig.gamma - 1.02).abs() < 1e-6);
-        assert!((sig.delta_secs - 0.00823).abs() < 1e-9);
-    }
-
-    #[test]
-    fn a_downward_step_is_never_chosen() {
-        // The best unconstrained fit steps *down* from m = 4: δ < 0.
-        let h = HockneyParams::new(0.0, 1.0);
-        let samples = planted(h, 2, &[1, 2, 3, 4, 5, 6], (2.0, -1.0, 4));
-        let sig = ContentionSignature::fit(h, 2, &samples).unwrap();
-        assert!(sig.delta_secs >= 0.0);
-        assert_ne!(sig.cutoff_bytes, Some(4));
-    }
-
-    #[test]
-    fn a_step_proportional_to_the_slope_is_skipped() {
-        // β = 0 makes the bound constant (exactly 1 here), so the step
-        // column of the smallest cutoff, paid by every sample, is 4× the
-        // slope column: that candidate is singular and skipped, and the
-        // real cutoff is still found.
-        let h = HockneyParams::new(0.25, 0.0);
-        let samples = planted(h, 5, &[1024, 2048, 4096, 8192], (3.0, 2e-3, 4096));
-        let sig = ContentionSignature::fit(h, 5, &samples).unwrap();
-        assert_eq!(sig.cutoff_bytes, Some(4096));
-        assert!((sig.gamma - 3.0).abs() < 1e-9);
-        assert!((sig.delta_secs - 2e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn noisy_step_data_still_close() {
-        let h = HockneyParams::new(60e-6, 8e-8);
-        let sizes: Vec<u64> = (1..=12).map(|i| i * 8192).collect();
-        let samples: Vec<(u64, f64)> = planted(h, 24, &sizes, (1.02, 0.008, 3 * 8192))
-            .into_iter()
-            .enumerate()
-            .map(|(i, (m, t))| (m, t * if i % 2 == 0 { 1.002 } else { 0.998 }))
-            .collect();
-        let sig = ContentionSignature::fit(h, 24, &samples).unwrap();
-        assert!((sig.gamma - 1.02).abs() < 0.02);
-        assert!(sig.cutoff_bytes.is_some());
-    }
-
     #[test]
     fn fit_rejects_non_finite_samples() {
         let h = gige_hockney();
