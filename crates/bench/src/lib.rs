@@ -234,11 +234,11 @@ pub mod hotpath {
 
     /// One timed iteration of a fluid case: start the full all-to-all on a
     /// fresh solver over the prebuilt topology and run it dry. Uses the
-    /// same 1% finish-coalescing window as the scenario tier's fluid
-    /// backend, so the benchmark times what `ctnsim` ships.
+    /// fluid world's finish-coalescing window, so the benchmark times what
+    /// `ctnsim` ships.
     pub fn drive_fluid(case: &FluidCase, topo: &Topology, hosts: &[HostId]) -> usize {
         let mut sim = simnet::fluid::FluidSim::new(topo);
-        sim.set_finish_window(1e-2);
+        sim.set_finish_window(simmpi::fluid::FINISH_WINDOW_REL);
         let mut tag = 0u64;
         for &src in hosts {
             for &dst in hosts {

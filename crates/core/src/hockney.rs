@@ -50,6 +50,10 @@ impl HockneyParams {
         (n - 1) as f64 * self.p2p_time(m)
     }
 
+    /// The ping-pong message sizes a Hockney fit samples (1 KiB to 1 MiB),
+    /// shared by the scenario tier's calibration and the paper figures'.
+    pub const FIT_SIZES: [u64; 5] = [1024, 16 * 1024, 131_072, 524_288, 1_048_576];
+
     /// Fits `α`, `β` from one-way point-to-point measurements
     /// `(size, seconds)` by ordinary least squares.
     ///

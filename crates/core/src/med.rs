@@ -46,18 +46,26 @@ impl Med {
         }
     }
 
-    /// The uniform All-to-All MED: every ordered pair `(i, j)`, `i ≠ j`,
-    /// carries one `m`-byte message.
-    pub fn uniform_alltoall(n: usize, m: u64) -> Self {
+    /// The MED of a total exchange over `n` processes in which every
+    /// ordered pair `(i, j)`, `i ≠ j`, carries one `bytes(i, j)`-byte
+    /// message; an empty block is no message.
+    pub fn from_bytes(n: usize, bytes: impl Fn(usize, usize) -> u64) -> Self {
         let mut med = Self::new(n);
         for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    med.add_message(i, j, m);
+            for j in (0..n).filter(|&j| j != i) {
+                let b = bytes(i, j);
+                if b > 0 {
+                    med.add_message(i, j, b);
                 }
             }
         }
         med
+    }
+
+    /// The uniform All-to-All MED: every ordered pair `(i, j)`, `i ≠ j`,
+    /// carries one `m`-byte message (none when `m` is zero).
+    pub fn uniform_alltoall(n: usize, m: u64) -> Self {
+        Self::from_bytes(n, |_, _| m)
     }
 
     /// Adds one message of `bytes` from `src` to `dst`.
@@ -152,6 +160,45 @@ mod tests {
             assert_eq!(med.in_degree(i), 7);
         }
         assert_eq!(med.min_startups(), 7);
+    }
+
+    #[test]
+    fn uniform_alltoall_is_the_constant_byte_function() {
+        for (n, m) in [(2usize, 1u64), (5, 8 * 1024), (24, 1 << 20)] {
+            let mut scanned = Med::new(n);
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    scanned.add_message(i, j, m);
+                }
+            }
+            assert_eq!(Med::uniform_alltoall(n, m), Med::from_bytes(n, |_, _| m));
+            assert_eq!(Med::uniform_alltoall(n, m), scanned);
+        }
+    }
+
+    #[test]
+    fn volumes_sum_rows_and_columns() {
+        // Rank 0 is a heavy producer; rank 1 sends nothing to rank 2.
+        let table = [
+            [0, 1000, 2000, 3000],
+            [10, 0, 0, 30],
+            [1, 2, 0, 4],
+            [100, 200, 300, 0],
+        ];
+        let med = Med::from_bytes(4, |i, j| table[i][j]);
+        // Empty blocks are not messages.
+        assert_eq!(med.message_count(), 11);
+        assert_eq!((med.out_degree(1), med.in_degree(2)), (2, 2));
+        assert_eq!(med.send_time_bound(1.0), 6000.0);
+        assert_eq!(med.recv_time_bound(1.0), 3034.0);
+        // Each rank's volumes, read as the bound of its row or column alone.
+        let (rows, cols) = ([6000.0, 40.0, 7.0, 600.0], [111.0, 1202.0, 2300.0, 3034.0]);
+        for r in 0..4 {
+            let row = Med::from_bytes(4, |i, j| if i == r { table[i][j] } else { 0 });
+            let col = Med::from_bytes(4, |i, j| if j == r { table[i][j] } else { 0 });
+            assert_eq!(row.send_time_bound(1.0), rows[r], "row {r}");
+            assert_eq!(col.recv_time_bound(1.0), cols[r], "column {r}");
+        }
     }
 
     #[test]

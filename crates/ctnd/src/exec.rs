@@ -427,7 +427,7 @@ mod tests {
                 LinkConfig::gigabit_ethernet(),
                 SwitchConfig::commodity_ethernet(),
             )
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .nodes([2])
             .message_bytes([1024])
             .build()

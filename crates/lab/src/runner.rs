@@ -50,18 +50,12 @@ pub fn default_sample_sizes() -> Vec<u64> {
     ]
 }
 
-/// Ping-pong sizes for the Hockney α/β fit.
-pub fn default_pingpong_sizes() -> Vec<u64> {
-    vec![1024, 16 * 1024, 131_072, 524_288, 1_048_576]
-}
-
 /// Measures one-way point-to-point times on the cluster: for each size,
 /// several single-round-trip runs, keeping the **median** (robust against
 /// scheduling hiccups, like taking the typical of 100 runs).
 pub fn measure_pingpong_points(preset: &ClusterPreset, seed: u64) -> Vec<(u64, f64)> {
-    let sizes = default_pingpong_sizes();
     let runs_per_size = 5;
-    sizes
+    HockneyParams::FIT_SIZES
         .iter()
         .map(|&size| {
             let samples: Vec<f64> = (0..runs_per_size)

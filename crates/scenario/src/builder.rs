@@ -19,7 +19,7 @@
 //!     .description("4 hosts on one switch, direct exchange")
 //!     .single_switch(4, LinkConfig::gigabit_ethernet(), SwitchConfig::commodity_ethernet())
 //!     .tcp(64 * 1024)
-//!     .uniform("direct")
+//!     .uniform(AllToAllAlgorithm::DirectExchange)
 //!     .nodes([2, 4])
 //!     .message_bytes([16 * 1024])
 //!     .reps(1)
@@ -34,6 +34,7 @@
 use crate::spec::{
     Backend, MpiSpec, ScenarioSpec, SpecError, SweepSpec, TopologySpec, TransportSpec, WorkloadSpec,
 };
+use simmpi::alltoall::AllToAllAlgorithm;
 use simnet::config::{LinkConfig, SwitchConfig};
 use simnet::generate::{FatTreeParams, Placement, SingleSwitchParams, TorusParams};
 
@@ -205,12 +206,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Uniform All-to-All under a named algorithm (`direct`, `direct-nb`,
-    /// `bruck`, `pairwise`, `ring`).
-    pub fn uniform(self, algorithm: impl Into<String>) -> Self {
-        self.workload(WorkloadSpec::Uniform {
-            algorithm: algorithm.into(),
-        })
+    /// Uniform All-to-All under `algorithm`.
+    pub fn uniform(self, algorithm: AllToAllAlgorithm) -> Self {
+        self.workload(WorkloadSpec::Uniform { algorithm })
     }
 
     /// Skewed irregular exchange: `hot_ranks` senders transmit `factor ×`
@@ -332,7 +330,7 @@ mod tests {
                 LinkConfig::gigabit_ethernet(),
                 SwitchConfig::commodity_ethernet(),
             )
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .build()
             .unwrap();
         assert_eq!(spec.transport, TransportSpec::default());
@@ -344,7 +342,9 @@ mod tests {
 
     #[test]
     fn missing_topology_or_workload_is_a_spec_error() {
-        let no_topo = ScenarioBuilder::new("x").uniform("direct").build();
+        let no_topo = ScenarioBuilder::new("x")
+            .uniform(AllToAllAlgorithm::DirectExchange)
+            .build();
         assert!(matches!(no_topo, Err(SpecError::Invalid(m)) if m.contains("topology")));
         let no_workload = ScenarioBuilder::new("x")
             .single_switch(
@@ -364,7 +364,7 @@ mod tests {
                 LinkConfig::gigabit_ethernet(),
                 SwitchConfig::commodity_ethernet(),
             )
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .nodes([64])
             .build();
         assert!(matches!(over_capacity, Err(SpecError::Invalid(_))));
@@ -374,7 +374,8 @@ mod tests {
                 LinkConfig::gigabit_ethernet(),
                 SwitchConfig::commodity_ethernet(),
             )
-            .uniform("quantum")
+            .uniform(AllToAllAlgorithm::PairwiseExchange)
+            .nodes([3])
             .build();
         assert!(matches!(bad_algo, Err(SpecError::Invalid(_))));
     }
@@ -389,7 +390,7 @@ mod tests {
                 SwitchConfig::commodity_ethernet(),
             )
             .incast(1)
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .tcp(1024)
             .gm(2048)
             .nodes([4])

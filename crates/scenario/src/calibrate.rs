@@ -87,9 +87,8 @@ pub(crate) fn calibrate(
     let name_hash = fnv1a(spec.name.as_bytes());
     let seed = mix(base_seed ^ name_hash);
     let hockney = cache.hockney((fingerprint, seed), || {
-        let sizes = [1024u64, 16 * 1024, 131_072, 524_288, 1_048_576];
         let mut world = fabric()?.world_with(2, seed, NoopRecorder);
-        let points: Vec<(u64, f64)> = try_ping_pong(&mut world, 0, 1, &sizes, 3)
+        let points: Vec<(u64, f64)> = try_ping_pong(&mut world, 0, 1, &HockneyParams::FIT_SIZES, 3)
             .map_err(|i| fail(format!("Hockney ping-pong: {i}")))?
             .into_iter()
             .map(|p| (p.size, p.half_rtt_secs))

@@ -85,6 +85,7 @@ pub mod prelude {
         Backend, MpiSpec, ScenarioSpec, SpecError, SweepSpec, TopologySpec, TransportSpec,
         WorkloadSpec,
     };
+    pub use simmpi::alltoall::AllToAllAlgorithm;
     pub use simnet::config::{LinkConfig, SwitchConfig};
     pub use simnet::generate::{
         DragonflyParams, FatTreeParams, Placement, SingleSwitchParams, StarParams, TorusParams,

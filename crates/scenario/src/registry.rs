@@ -11,6 +11,7 @@
 
 use crate::builder::ScenarioBuilder;
 use crate::spec::{Backend, ScenarioSpec, TopologySpec, WorkloadSpec};
+use simmpi::alltoall::AllToAllAlgorithm;
 use simnet::config::{LinkConfig, SwitchConfig};
 use simnet::generate::{DragonflyParams, Placement, StarParams, TreeParams};
 
@@ -24,7 +25,7 @@ fn paper_cluster(preset: &str, description: &str, nodes: Vec<usize>) -> Scenario
     ScenarioBuilder::new(format!("paper-{preset}"))
         .description(description)
         .preset(preset)
-        .uniform("direct")
+        .uniform(AllToAllAlgorithm::DirectExchange)
         .nodes(nodes)
         .message_bytes([kib(64), kib(256), kib(512)])
         .warmup(1)
@@ -77,7 +78,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                 )
                 .fat_tree(4, 4, fast_link, small_switch)
                 .tcp(kib(64))
-                .uniform("direct-nb")
+                .uniform(AllToAllAlgorithm::DirectExchangeNonblocking)
                 .nodes([8, 16])
                 .message_bytes([kib(64), kib(256)])
                 .warmup(1)
@@ -189,7 +190,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                     WorkloadSpec::Permutation,
                     WorkloadSpec::Incast { receivers: 2 },
                     WorkloadSpec::Uniform {
-                        algorithm: "direct".into(),
+                        algorithm: AllToAllAlgorithm::DirectExchange,
                     },
                 ])
                 .nodes([8, 16])
@@ -207,7 +208,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                 .torus_2d(4, 4, 2, fast_link, deep_switch)
                 .placement(Placement::Pack)
                 .tcp(kib(64))
-                .uniform("ring")
+                .uniform(AllToAllAlgorithm::Ring)
                 .nodes([8, 16, 32])
                 .message_bytes([kib(64), kib(256)])
                 .warmup(1)
@@ -254,7 +255,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                 }))
                 .placement(Placement::Pack)
                 .tcp(kib(64))
-                .uniform("direct")
+                .uniform(AllToAllAlgorithm::DirectExchange)
                 .nodes([8, 16, 24])
                 .message_bytes([kib(64), kib(256)])
                 .warmup(1)
@@ -270,7 +271,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                 .fat_tree(4, 4, fast_link, small_switch)
                 .placement(Placement::Pack)
                 .tcp(kib(64))
-                .uniform("direct-nb")
+                .uniform(AllToAllAlgorithm::DirectExchangeNonblocking)
                 .nodes([8, 16])
                 .message_bytes([kib(64), kib(256)])
                 .warmup(1)
@@ -285,7 +286,7 @@ pub fn builtin() -> Vec<ScenarioSpec> {
                 )
                 .fat_tree(16, 8, fast_link, deep_switch)
                 .tcp(kib(64))
-                .uniform("direct-nb")
+                .uniform(AllToAllAlgorithm::DirectExchangeNonblocking)
                 .nodes([1024])
                 .message_bytes([kib(1024)])
                 .warmup(0)

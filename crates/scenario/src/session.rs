@@ -23,7 +23,7 @@
 //!
 //! let spec = ScenarioBuilder::new("doc-session")
 //!     .single_switch(4, LinkConfig::gigabit_ethernet(), SwitchConfig::commodity_ethernet())
-//!     .uniform("direct")
+//!     .uniform(AllToAllAlgorithm::DirectExchange)
 //!     .nodes([2])
 //!     .message_bytes([16 * 1024])
 //!     .build()

@@ -178,11 +178,12 @@ impl MpiSpec {
 /// Traffic pattern of one phase.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
-    /// The paper's uniform All-to-All under a named algorithm
-    /// (`direct`, `direct-nb`, `bruck`, `pairwise`, `ring`).
+    /// The paper's uniform All-to-All under one algorithm (TOML: its
+    /// [`name`](AllToAllAlgorithm::name) — `direct`, `direct-nb`, `bruck`,
+    /// `pairwise` or `ring`; `direct` when absent).
     Uniform {
-        /// Algorithm name (see [`simmpi::AllToAllAlgorithm::name`]).
-        algorithm: String,
+        /// The algorithm that runs it.
+        algorithm: AllToAllAlgorithm,
     },
     /// Irregular exchange where `hot_ranks` senders transmit
     /// `factor ×` larger blocks than everyone else.
@@ -372,8 +373,8 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl ScenarioSpec {
-    /// Validates internal consistency (positive grids, ratios, known
-    /// algorithm names, capacity respected).
+    /// Validates internal consistency (positive grids, ratios, capacity
+    /// respected, every integer within the TOML range).
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.name.is_empty() {
             return Err(invalid("name must not be empty"));
@@ -424,7 +425,7 @@ impl ScenarioSpec {
                 )));
             }
         }
-        Ok(())
+        out_of_toml_range("", &self.to_value())
     }
 
     /// The first topology switch whose buffering is not lossless-grade
@@ -444,9 +445,8 @@ impl ScenarioSpec {
         let min_n = *self.sweep.nodes.iter().min().expect("non-empty");
         match w {
             WorkloadSpec::Uniform { algorithm } => {
-                AllToAllAlgorithm::parse(algorithm)
-                    .ok_or_else(|| invalid(format!("unknown algorithm {algorithm:?}")))?;
-                if algorithm == "pairwise" && self.sweep.nodes.iter().any(|n| !n.is_power_of_two())
+                if *algorithm == AllToAllAlgorithm::PairwiseExchange
+                    && self.sweep.nodes.iter().any(|n| !n.is_power_of_two())
                 {
                     return Err(invalid("pairwise requires power-of-two node counts"));
                 }
@@ -614,6 +614,29 @@ impl ScenarioSpec {
         root.insert("workload".into(), encode_workload(&self.workload));
         root.insert("sweep".into(), encode_sweep(&self.sweep));
         Value::Table(root)
+    }
+}
+
+/// The first integer of an encoded spec that does not fit TOML's signed
+/// 64-bit range, by field path. Every integer the encoder writes is
+/// unsigned, so a negative one is a value above `i64::MAX` that wrapped.
+fn out_of_toml_range(path: &str, v: &Value) -> Result<(), SpecError> {
+    let at = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    match v {
+        Value::Int(i) if *i < 0 => Err(invalid(format!(
+            "{path} = {} exceeds the largest TOML integer, {}",
+            *i as u64,
+            i64::MAX
+        ))),
+        Value::Table(t) => t.iter().try_for_each(|(k, v)| out_of_toml_range(&at(k), v)),
+        Value::Array(a) => a
+            .iter()
+            .enumerate()
+            .try_for_each(|(idx, v)| out_of_toml_range(&format!("{path}[{idx}]"), v)),
+        _ => Ok(()),
     }
 }
 
@@ -788,7 +811,11 @@ fn decode_workload(v: &Value) -> Result<WorkloadSpec, SpecError> {
     let kind = req_str(v, "kind")?;
     match kind.as_str() {
         "uniform" => Ok(WorkloadSpec::Uniform {
-            algorithm: opt_str(v, "algorithm")?.unwrap_or_else(|| "direct".into()),
+            algorithm: match opt_str(v, "algorithm")? {
+                None => AllToAllAlgorithm::DirectExchange,
+                Some(name) => AllToAllAlgorithm::parse(&name)
+                    .ok_or_else(|| invalid(format!("unknown algorithm {name:?}")))?,
+            },
         }),
         "skewed" => Ok(WorkloadSpec::Skewed {
             hot_ranks: req_usize(v, "hot_ranks")?,
@@ -983,7 +1010,7 @@ fn encode_workload(w: &WorkloadSpec) -> Value {
     match w {
         WorkloadSpec::Uniform { algorithm } => table(vec![
             ("kind", Value::Str("uniform".into())),
-            ("algorithm", Value::Str(algorithm.clone())),
+            ("algorithm", Value::Str(algorithm.name().into())),
         ]),
         WorkloadSpec::Skewed {
             hot_ranks,
@@ -1122,5 +1149,89 @@ kind = "uniform"
             ScenarioSpec::from_toml_str(doc),
             Err(SpecError::Invalid(_))
         ));
+        let doc = r#"
+name = "x"
+[topology]
+kind = "preset"
+preset = "myrinet"
+[workload]
+kind = "uniform"
+algorithm = "quicksort"
+"#;
+        let err = ScenarioSpec::from_toml_str(doc).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"invalid scenario: unknown algorithm "quicksort""#
+        );
+    }
+
+    /// A spec that validates is one the TOML encoder can write: an
+    /// integer above `i64::MAX` is rejected by name, and every spec that
+    /// does validate re-parses equal.
+    #[test]
+    fn integers_beyond_the_toml_range_are_rejected_by_name() {
+        use crate::builder::ScenarioBuilder;
+        fn probe() -> ScenarioBuilder {
+            ScenarioBuilder::new("probe")
+                .single_switch(
+                    4,
+                    LinkConfig::gigabit_ethernet(),
+                    SwitchConfig::commodity_ethernet(),
+                )
+                .tcp(64 * 1024)
+                .uniform(AllToAllAlgorithm::DirectExchange)
+                .nodes([2])
+                .message_bytes([16384])
+        }
+        let edit = |field: &str, v: u64| match field {
+            "transport.window_bytes" => probe().tcp(v),
+            "sweep.message_bytes[0]" => probe().message_bytes([v]),
+            "sweep.warmup" => probe().warmup(v as usize),
+            "topology.switch.per_port_cap_bytes" => {
+                let switch = SwitchConfig {
+                    shared_buffer_bytes: v,
+                    per_port_cap_bytes: v,
+                };
+                probe().single_switch(4, LinkConfig::gigabit_ethernet(), switch)
+            }
+            "topology.link.latency_ns" => {
+                let link = LinkConfig {
+                    latency_ns: v,
+                    ..LinkConfig::gigabit_ethernet()
+                };
+                probe().single_switch(4, link, SwitchConfig::commodity_ethernet())
+            }
+            "mpi.eager_threshold" => probe().mpi(MpiSpec {
+                eager_threshold: Some(v),
+                ..MpiSpec::default()
+            }),
+            other => unreachable!("{other}"),
+        };
+        let fields = [
+            "transport.window_bytes",
+            "sweep.message_bytes[0]",
+            "sweep.warmup",
+            "topology.switch.per_port_cap_bytes",
+            "topology.link.latency_ns",
+            "mpi.eager_threshold",
+        ];
+        for field in fields {
+            for v in [i64::MAX as u64, 1 << 63, u64::MAX] {
+                match edit(field, v).build() {
+                    Ok(spec) => {
+                        assert!(v <= i64::MAX as u64, "{field} = {v} validated");
+                        let text = spec.to_toml_string();
+                        assert_eq!(ScenarioSpec::from_toml_str(&text), Ok(spec), "{text}");
+                    }
+                    Err(e) => assert_eq!(
+                        e.to_string(),
+                        format!(
+                            "invalid scenario: {field} = {v} exceeds the largest TOML \
+                             integer, 9223372036854775807"
+                        )
+                    ),
+                }
+            }
+        }
     }
 }

@@ -3,8 +3,10 @@
 //! (`traffic`), so the two cannot drift and a cell derives its traffic
 //! once.
 //!
-//! Every irregular pattern is expressed as an [`ExchangeMatrix`] (the
-//! paper's weighted total-exchange digraph), so the Claims 1–3 lower bound
+//! Every other pattern is a per-pair byte table (the paper's §5 weighted
+//! total-exchange digraph, the uniform All-to-All being its constant
+//! case), run by one of Algorithm 1's two schedule shapes and scored by
+//! the MED built from the same table, so the Claims 1–3 lower bound
 //! applies uniformly: the executor's `model_secs` column is the MED time
 //! bound under the scenario's measured Hockney parameters, and
 //! `error_percent` is the paper's `(measured/estimated − 1)·100 %`.
@@ -15,31 +17,32 @@ use contention_model::med::Med;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use simmpi::prelude::*;
+use simmpi::alltoall::{post_all, rotated_rounds};
 use simmpi::Op;
 
-/// The exchange matrix of one matrix-shaped phase (everything except
-/// `Uniform`, which runs a named algorithm directly, and `Phases`).
-fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> ExchangeMatrix {
+/// The per-pair byte table of one table-shaped phase (everything except
+/// `Uniform`, which runs its algorithm directly, and `Phases`): `rows[i][j]`
+/// bytes flow from rank `i` to rank `j`, zero meaning no message. The
+/// diagonal is zero.
+fn phase_rows(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<u64>> {
     match w {
         WorkloadSpec::Uniform { .. } | WorkloadSpec::Phases { .. } => {
-            unreachable!("not a matrix-shaped phase")
+            unreachable!("not a table-shaped phase")
         }
         WorkloadSpec::Skewed {
             hot_ranks, factor, ..
         } => {
             let hot = (*factor * m as f64).round().max(1.0) as u64;
-            let sizes = (0..n)
+            (0..n)
                 .map(|i| {
                     let row_m = if i < *hot_ranks { hot } else { m };
                     (0..n).map(|j| if i == j { 0 } else { row_m }).collect()
                 })
-                .collect();
-            ExchangeMatrix::new(sizes)
+                .collect()
         }
         WorkloadSpec::Sparse { density, .. } => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-            let mut sizes: Vec<Vec<u64>> = (0..n)
+            let mut rows: Vec<Vec<u64>> = (0..n)
                 .map(|i| {
                     (0..n)
                         .map(|j| {
@@ -54,50 +57,43 @@ fn phase_matrix(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> ExchangeMatrix
                 .collect();
             // Keep every rank participating so no program is empty: give
             // rank i a guaranteed message to its right neighbour.
-            for (i, row) in sizes.iter_mut().enumerate() {
+            for (i, row) in rows.iter_mut().enumerate() {
                 let j = (i + 1) % n;
                 if row[j] == 0 {
                     row[j] = m;
                 }
             }
-            ExchangeMatrix::new(sizes)
+            rows
         }
         WorkloadSpec::Permutation => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x0EE7_ABCD);
             let perm = derangement(n, &mut rng);
-            let sizes = (0..n)
+            (0..n)
                 .map(|i| (0..n).map(|j| if perm[i] == j { m } else { 0 }).collect())
-                .collect();
-            ExchangeMatrix::new(sizes)
+                .collect()
         }
-        WorkloadSpec::Incast { receivers } => {
-            let sizes = (0..n)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| {
-                            // Senders are the non-sink ranks; each sends to
-                            // one sink, round-robin.
-                            if i >= *receivers && j == (i - receivers) % *receivers {
-                                m
-                            } else {
-                                0
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            ExchangeMatrix::new(sizes)
-        }
-        WorkloadSpec::Outcast { senders } => {
-            let sizes = (0..n)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| if i < *senders && j != i { m } else { 0 })
-                        .collect()
-                })
-                .collect();
-            ExchangeMatrix::new(sizes)
-        }
+        WorkloadSpec::Incast { receivers } => (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        // Senders are the non-sink ranks; each sends to
+                        // one sink, round-robin.
+                        if i >= *receivers && j == (i - receivers) % *receivers {
+                            m
+                        } else {
+                            0
+                        }
+                    })
+                    .collect()
+            })
+            .collect(),
+        WorkloadSpec::Outcast { senders } => (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| if i < *senders && j != i { m } else { 0 })
+                    .collect()
+            })
+            .collect(),
     }
 }
 
@@ -117,40 +113,26 @@ fn derangement(n: usize, rng: &mut StdRng) -> Vec<usize> {
 /// One phase's programs and MED. A uniform phase is scored against the
 /// uniform All-to-All's MED whatever its algorithm.
 fn phase_traffic(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> (Vec<Vec<Op>>, Med) {
-    match w {
-        WorkloadSpec::Uniform { algorithm } => (
-            AllToAllAlgorithm::parse(algorithm)
-                .expect("validated algorithm name")
-                .programs(n, m),
-            Med::uniform_alltoall(n, m),
-        ),
-        WorkloadSpec::Phases { .. } => unreachable!("phases cannot nest"),
-        matrixy => {
-            let matrix = phase_matrix(matrixy, n, m, seed);
-            let mut med = Med::new(n);
-            for i in 0..n {
-                for j in 0..n {
-                    let b = matrix.bytes(i, j);
-                    if b > 0 {
-                        med.add_message(i, j, b);
-                    }
-                }
-            }
-            let nonblocking = match matrixy {
-                WorkloadSpec::Skewed { nonblocking, .. }
-                | WorkloadSpec::Sparse { nonblocking, .. } => *nonblocking,
-                // One message per rank (permutation) or pure fan-in/out:
-                // posting order is irrelevant, use the post-all schedule.
-                _ => true,
-            };
-            let programs = if nonblocking {
-                matrix.nonblocking_programs()
-            } else {
-                matrix.direct_exchange_programs()
-            };
-            (programs, med)
+    let nonblocking = match w {
+        WorkloadSpec::Uniform { algorithm } => {
+            return (algorithm.programs(n, m), Med::uniform_alltoall(n, m))
         }
-    }
+        WorkloadSpec::Phases { .. } => unreachable!("phases cannot nest"),
+        WorkloadSpec::Skewed { nonblocking, .. } | WorkloadSpec::Sparse { nonblocking, .. } => {
+            *nonblocking
+        }
+        // One message per rank (permutation) or pure fan-in/out: posting
+        // order is irrelevant, use the post-all schedule.
+        _ => true,
+    };
+    let rows = phase_rows(w, n, m, seed);
+    let bytes = |i: usize, j: usize| rows[i][j];
+    let programs = if nonblocking {
+        post_all(n, bytes)
+    } else {
+        rotated_rounds(n, bytes)
+    };
+    (programs, Med::from_bytes(n, bytes))
 }
 
 /// One cell's traffic, derived once: the per-rank programs and the MED of
@@ -218,6 +200,7 @@ pub fn model_bound(w: &WorkloadSpec, n: usize, m: u64, seed: u64, params: &Hockn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simmpi::alltoall::AllToAllAlgorithm;
 
     fn check_balanced(progs: &[Vec<Op>]) {
         // Every send has a matching posted receive.
@@ -243,7 +226,7 @@ mod tests {
     fn every_pattern_produces_matched_programs() {
         let specs = [
             WorkloadSpec::Uniform {
-                algorithm: "direct".into(),
+                algorithm: AllToAllAlgorithm::DirectExchange,
             },
             WorkloadSpec::Skewed {
                 hot_ranks: 2,
@@ -267,15 +250,15 @@ mod tests {
 
     #[test]
     fn permutation_is_a_derangement_and_seed_dependent() {
-        let m1 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 1);
-        let m2 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 1);
+        let m1 = phase_rows(&WorkloadSpec::Permutation, 8, 100, 1);
+        let m2 = phase_rows(&WorkloadSpec::Permutation, 8, 100, 1);
         assert_eq!(m1, m2, "same seed, same pattern");
         for i in 0..8 {
-            assert_eq!(m1.send_volume(i), 100);
-            assert_eq!(m1.recv_volume(i), 100);
-            assert_eq!(m1.bytes(i, i), 0);
+            assert_eq!(m1[i].iter().sum::<u64>(), 100);
+            assert_eq!(m1.iter().map(|row| row[i]).sum::<u64>(), 100);
+            assert_eq!(m1[i][i], 0);
         }
-        let m3 = phase_matrix(&WorkloadSpec::Permutation, 8, 100, 2);
+        let m3 = phase_rows(&WorkloadSpec::Permutation, 8, 100, 2);
         assert_ne!(m1, m3, "different seed, different permutation");
     }
 
@@ -286,9 +269,9 @@ mod tests {
             factor: 3.0,
             nonblocking: true,
         };
-        let m = phase_matrix(&w, 4, 1000, 0);
-        assert_eq!(m.send_volume(0), 9000);
-        assert_eq!(m.send_volume(1), 3000);
+        let m = phase_rows(&w, 4, 1000, 0);
+        assert_eq!(m[0].iter().sum::<u64>(), 9000);
+        assert_eq!(m[1].iter().sum::<u64>(), 3000);
     }
 
     #[test]
@@ -297,7 +280,7 @@ mod tests {
             phases: vec![
                 WorkloadSpec::Permutation,
                 WorkloadSpec::Uniform {
-                    algorithm: "direct".into(),
+                    algorithm: AllToAllAlgorithm::DirectExchange,
                 },
             ],
         };
@@ -314,9 +297,10 @@ mod tests {
     /// (nothing forwarded, nothing combined), so its sends are its MED.
     fn forwards_nothing(w: &WorkloadSpec) -> bool {
         match w {
-            WorkloadSpec::Uniform { algorithm } => {
-                algorithm == "direct" || algorithm == "direct-nb"
-            }
+            WorkloadSpec::Uniform { algorithm } => matches!(
+                algorithm,
+                AllToAllAlgorithm::DirectExchange | AllToAllAlgorithm::DirectExchangeNonblocking
+            ),
             WorkloadSpec::Phases { phases } => phases.iter().all(forwards_nothing),
             _ => true,
         }
@@ -379,7 +363,7 @@ mod tests {
         let params = HockneyParams::new(50e-6, 8e-9);
         for w in [
             WorkloadSpec::Uniform {
-                algorithm: "direct".into(),
+                algorithm: AllToAllAlgorithm::DirectExchange,
             },
             WorkloadSpec::Incast { receivers: 1 },
             WorkloadSpec::Permutation,

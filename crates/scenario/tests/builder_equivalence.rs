@@ -5,6 +5,7 @@
 //! calibration caches key on.
 
 use contention_scenario::builder::ScenarioBuilder;
+use contention_scenario::prelude::AllToAllAlgorithm;
 use contention_scenario::registry::builtin;
 use contention_scenario::spec::{
     Backend, ScenarioSpec, SpecError, TopologySpec, TransportSpec, WorkloadSpec,
@@ -36,7 +37,7 @@ fn rebuild(spec: &ScenarioSpec) -> ScenarioSpec {
         TransportSpec::Gm { window_bytes } => b.gm(window_bytes),
     };
     b = match &spec.workload {
-        WorkloadSpec::Uniform { algorithm } => b.uniform(algorithm.clone()),
+        WorkloadSpec::Uniform { algorithm } => b.uniform(*algorithm),
         WorkloadSpec::Skewed {
             hot_ranks,
             factor,
@@ -74,7 +75,7 @@ fn validation_is_sufficient_for_construction() {
         }
         let built = ScenarioBuilder::new("x")
             .topology(spec.topology.clone())
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .build();
         let parsed = ScenarioSpec::from_toml_str(&spec.to_toml_string());
         for err in [built.unwrap_err(), parsed.unwrap_err()] {
@@ -160,8 +161,8 @@ proptest! {
             .reps(reps);
         // Pairwise exchange only allows power-of-two node counts; keep the
         // property about *grids*, not workload legality.
-        if matches!(&edited.workload, WorkloadSpec::Uniform { algorithm } if algorithm == "pairwise") {
-            b = b.uniform("direct");
+        if edited.workload == (WorkloadSpec::Uniform { algorithm: AllToAllAlgorithm::PairwiseExchange }) {
+            b = b.uniform(AllToAllAlgorithm::DirectExchange);
         }
         let swept = match b.build() {
             Ok(s) => s,

@@ -44,7 +44,7 @@ fn healthy_spec() -> ScenarioSpec {
             LinkConfig::gigabit_ethernet(),
             SwitchConfig::commodity_ethernet(),
         )
-        .uniform("direct")
+        .uniform(AllToAllAlgorithm::DirectExchange)
         .nodes([2, 4])
         .message_bytes([1024, 4096])
         .reps(1)
@@ -184,7 +184,7 @@ fn tiny_event_budget_stops_cells_as_budget_exceeded() {
             LinkConfig::gigabit_ethernet(),
             SwitchConfig::commodity_ethernet(),
         )
-        .uniform("direct")
+        .uniform(AllToAllAlgorithm::DirectExchange)
         .nodes([8])
         .message_bytes([256 * 1024])
         .reps(1)

@@ -1,6 +1,7 @@
 //! Golden-file coverage of the TOML round-trip: a checked-in document must
 //! decode to exactly the expected spec, re-encode, and decode back equal.
 
+use contention_scenario::prelude::AllToAllAlgorithm;
 use contention_scenario::spec::{
     Backend, MpiSpec, ScenarioSpec, SweepSpec, TopologySpec, TransportSpec, WorkloadSpec,
 };
@@ -49,7 +50,7 @@ fn expected() -> ScenarioSpec {
                     nonblocking: true,
                 },
                 WorkloadSpec::Uniform {
-                    algorithm: "direct".into(),
+                    algorithm: AllToAllAlgorithm::DirectExchange,
                 },
             ],
         },

@@ -6,6 +6,12 @@
 //! to avoid overloading any single receiver. That is what LAM-MPI and
 //! MPICH used for `MPI_Alltoall` at the time.
 //!
+//! Both shapes of Algorithm 1 — the rotated rounds and the post-all — are
+//! written once, over a per-pair byte count ([`rotated_rounds`],
+//! [`post_all`]): the uniform algorithms below call them with a constant,
+//! and the scenario tier's irregular phases (the §5 total exchange on a
+//! weighted digraph) with their per-pair table.
+//!
 //! The baselines here exist for the comparison benches: the post-everything
 //! non-blocking variant, Bruck's log-round combining algorithm, the
 //! pairwise-XOR exchange (power-of-two process counts) and a ring/bucket
@@ -74,10 +80,8 @@ impl AllToAllAlgorithm {
     pub fn programs(&self, n: usize, message_bytes: u64) -> Vec<Vec<Op>> {
         assert!(message_bytes > 0, "All-to-All of empty messages");
         match self {
-            AllToAllAlgorithm::DirectExchange => direct_exchange(n, message_bytes),
-            AllToAllAlgorithm::DirectExchangeNonblocking => {
-                direct_exchange_nonblocking(n, message_bytes)
-            }
+            AllToAllAlgorithm::DirectExchange => rotated_rounds(n, |_, _| message_bytes),
+            AllToAllAlgorithm::DirectExchangeNonblocking => post_all(n, |_, _| message_bytes),
             AllToAllAlgorithm::Bruck => bruck(n, message_bytes),
             AllToAllAlgorithm::PairwiseExchange => pairwise(n, message_bytes),
             AllToAllAlgorithm::Ring => ring(n, message_bytes),
@@ -85,27 +89,54 @@ impl AllToAllAlgorithm {
     }
 }
 
-/// Algorithm 1: `for t in 1..n`, rank `i` sendrecvs with `(i±t) mod n`.
-fn direct_exchange(n: usize, m: u64) -> Vec<Vec<Op>> {
+/// Algorithm 1 over a per-pair byte count: in round `t in 1..n`, rank `i`
+/// sends its `bytes(i, (i+t) mod n)` block while receiving the
+/// `bytes((i−t) mod n, i)` block. An empty block is neither sent nor
+/// received, and a round with neither is skipped. The uniform Direct
+/// Exchange is `|_, _| m`; the scenario tier's irregular phases pass
+/// their per-pair table (the paper's §5 total exchange).
+pub fn rotated_rounds(n: usize, bytes: impl Fn(Rank, Rank) -> u64) -> Vec<Vec<Op>> {
     (0..n)
         .map(|i| {
             (1..n)
-                .map(|t| Op::Transfer {
-                    sends: vec![((i + t) % n, m)],
-                    recvs: vec![(i + n - t) % n],
+                .filter_map(|t| {
+                    let (to, from) = ((i + t) % n, (i + n - t) % n);
+                    let sends: Vec<_> = Some((to, bytes(i, to)))
+                        .filter(|&(_, b)| b > 0)
+                        .into_iter()
+                        .collect();
+                    let recvs: Vec<_> = Some(from)
+                        .filter(|&from| bytes(from, i) > 0)
+                        .into_iter()
+                        .collect();
+                    (!sends.is_empty() || !recvs.is_empty())
+                        .then_some(Op::Transfer { sends, recvs })
                 })
                 .collect()
         })
         .collect()
 }
 
-/// Everything posted at once; completion when all sends and receives done.
-fn direct_exchange_nonblocking(n: usize, m: u64) -> Vec<Vec<Op>> {
+/// Every non-empty block posted at once in rotated order, completing as
+/// one transfer (what `MPI_Ialltoall`/`MPI_Alltoallv` over isend/irecv
+/// do). A rank with nothing to send or receive gets an empty program.
+pub fn post_all(n: usize, bytes: impl Fn(Rank, Rank) -> u64) -> Vec<Vec<Op>> {
     (0..n)
         .map(|i| {
-            let sends: Vec<(Rank, u64)> = (1..n).map(|t| ((i + t) % n, m)).collect();
-            let recvs: Vec<Rank> = (1..n).map(|t| (i + n - t) % n).collect();
-            vec![Op::Transfer { sends, recvs }]
+            let mut sends: Vec<(Rank, u64)> = Vec::with_capacity(n - 1);
+            sends.extend(
+                (1..n)
+                    .map(|t| (i + t) % n)
+                    .map(|j| (j, bytes(i, j)))
+                    .filter(|&(_, b)| b > 0),
+            );
+            let mut recvs: Vec<Rank> = Vec::with_capacity(n - 1);
+            recvs.extend((1..n).map(|t| (i + n - t) % n).filter(|&j| bytes(j, i) > 0));
+            if sends.is_empty() && recvs.is_empty() {
+                vec![]
+            } else {
+                vec![Op::Transfer { sends, recvs }]
+            }
         })
         .collect()
 }
@@ -301,6 +332,76 @@ mod tests {
                 let progs = algo.programs(n, 1024);
                 check_send_recv_balance(&progs);
             }
+        }
+    }
+
+    /// Rank 0 is a heavy producer; rank 1 sends nothing to rank 2.
+    fn lopsided(i: Rank, j: Rank) -> u64 {
+        [
+            [0, 1000, 2000, 3000],
+            [10, 0, 0, 30],
+            [1, 2, 0, 4],
+            [100, 200, 300, 0],
+        ][i][j]
+    }
+
+    #[test]
+    fn schedules_cover_every_nonzero_block_once() {
+        let n = 4;
+        for programs in [rotated_rounds(n, lopsided), post_all(n, lopsided)] {
+            let mut sent = vec![vec![0u64; n]; n];
+            let mut recv_posted = vec![vec![0usize; n]; n];
+            for (i, prog) in programs.iter().enumerate() {
+                for op in prog {
+                    if let Op::Transfer { sends, recvs } = op {
+                        for &(to, bytes) in sends {
+                            sent[i][to] += bytes;
+                        }
+                        for &from in recvs {
+                            recv_posted[from][i] += 1;
+                        }
+                    }
+                }
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(sent[i][j], lopsided(i, j), "{i}->{j}");
+                    let expected = usize::from(lopsided(i, j) > 0);
+                    assert_eq!(recv_posted[i][j], expected, "recv {i}->{j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_blocks_are_skipped() {
+        let bytes = |i: Rank, j: Rank| [[0, 0], [5, 0]][i][j];
+        // Rank 0 only receives; rank 1 only sends: one op each.
+        let progs = rotated_rounds(2, bytes);
+        assert_eq!(
+            progs[0],
+            vec![Op::Transfer {
+                sends: vec![],
+                recvs: vec![1]
+            }]
+        );
+        assert_eq!(
+            progs[1],
+            vec![Op::Transfer {
+                sends: vec![(0, 5)],
+                recvs: vec![]
+            }]
+        );
+        // A rank with no block at all gets an empty program, in either
+        // shape; so does every rank of an all-empty table.
+        let one = |i: Rank, j: Rank| u64::from((i, j) == (0, 1));
+        for progs in [rotated_rounds(3, one), post_all(3, one)] {
+            assert!(!progs[0].is_empty() && !progs[1].is_empty());
+            assert!(progs[2].is_empty());
+        }
+        let none = |_: Rank, _: Rank| 0;
+        for progs in [rotated_rounds(3, none), post_all(3, none)] {
+            assert_eq!(progs, vec![Vec::<Op>::new(); 3]);
         }
     }
 

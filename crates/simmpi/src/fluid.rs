@@ -69,7 +69,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// small next to the packet-vs-fluid error bands this tier documents —
 /// and it saves ~10× the recomputations of the staggered ECMP finish
 /// waves on the 1024-host fat-tree all-to-all.
-const FINISH_WINDOW_REL: f64 = 1e-2;
+pub const FINISH_WINDOW_REL: f64 = 1e-2;
 
 /// One pending point-to-point message (identified by its index in
 /// `FluidWorld::transfers`). Ranks fit `u32`: each sits on its own

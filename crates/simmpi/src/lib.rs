@@ -11,7 +11,9 @@
 //!   handshakes) — the source of the paper's small-message non-linearity
 //!   (Fig. 5) and of the `M` cutoff in the signature model;
 //! * the paper's **Direct Exchange** All-to-All (Algorithm 1) plus baseline
-//!   algorithms (Bruck, pairwise, ring, nonblocking post-all);
+//!   algorithms (Bruck, pairwise, ring, nonblocking post-all); the rotated
+//!   rounds and the post-all each have one generator over a per-pair byte
+//!   count, which irregular (`MPI_Alltoallv`-style) exchanges share;
 //! * measurement harnesses: ping-pong (Hockney α/β), timed All-to-All
 //!   repetitions, and the §3 network stress test;
 //! * the paper's three clusters as [`presets`] (a topology + transport +
@@ -46,7 +48,6 @@ pub mod alltoall;
 pub mod config;
 pub mod fluid;
 pub mod harness;
-pub mod irregular;
 pub mod ops;
 pub mod presets;
 mod program;
@@ -59,7 +60,6 @@ pub mod prelude {
     pub use crate::config::MpiConfig;
     pub use crate::fluid::FluidWorld;
     pub use crate::harness::{alltoall_times, ping_pong, stress_run, PingPongPoint, StressResult};
-    pub use crate::irregular::ExchangeMatrix;
     pub use crate::ops::{Op, Rank};
     pub use crate::world::{RunInterrupt, RunResult, World};
 }

@@ -3,6 +3,7 @@
 //! its parameters promise.
 
 use contention_scenario::builder::ScenarioBuilder;
+use contention_scenario::prelude::AllToAllAlgorithm;
 use contention_scenario::spec::{SpecError, TopologySpec};
 use contention_scenario::topology::{self, Fabric};
 use proptest::prelude::*;
@@ -399,7 +400,7 @@ proptest! {
         let (spec, _) = family(family_index, [n.0, n.1, n.2, n.3], link, switch);
         let built = ScenarioBuilder::new("drawn")
             .topology(spec)
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .nodes([2])
             .message_bytes([1024])
             .build();

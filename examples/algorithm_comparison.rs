@@ -29,7 +29,7 @@ fn main() {
             specs.push(
                 ScenarioBuilder::new(format!("algos-{preset}-{}", algo.name()))
                     .preset(preset)
-                    .uniform(algo.name())
+                    .uniform(*algo)
                     .nodes([n])
                     .message_bytes(sizes)
                     .warmup(1)

@@ -45,7 +45,7 @@ fn main() {
         // paper's calibrated clusters.
         let spec = ScenarioBuilder::new(format!("plan-{}", preset.name))
             .preset(preset.name)
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .build()
             .expect("preset spec is valid");
         let sig = match session.calibrate_signature(&spec) {

@@ -15,42 +15,27 @@
 
 use alltoall_contention::prelude::*;
 use contention_model::med::Med;
-use simmpi::irregular::ExchangeMatrix;
+use simmpi::alltoall::post_all;
 
-fn block_sparse(n: usize, heavy: u64, light: u64) -> ExchangeMatrix {
-    let sizes = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| {
-                    if i == j {
-                        0
-                    } else if (i + 1) % n == j || (j + 1) % n == i {
-                        heavy
-                    } else {
-                        light
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    ExchangeMatrix::new(sizes)
+/// A block-sparse transpose: `heavy` bytes between ring neighbours,
+/// `light` bytes between everyone else.
+fn block_sparse(n: usize, heavy: u64, light: u64) -> impl Fn(usize, usize) -> u64 {
+    move |i, j| {
+        if (i + 1) % n == j || (j + 1) % n == i {
+            heavy
+        } else {
+            light
+        }
+    }
 }
 
 fn main() {
     let n = 12;
-    let matrix = block_sparse(n, 512 * 1024, 16 * 1024);
+    let bytes = block_sparse(n, 512 * 1024, 16 * 1024);
     let session = Session::builder().workers(2).base_seed(42).build().unwrap();
 
     // MED bounds from the paper's §5.
-    let mut med = Med::new(n);
-    for i in 0..n {
-        for j in 0..n {
-            let b = matrix.bytes(i, j);
-            if b > 0 {
-                med.add_message(i, j, b);
-            }
-        }
-    }
+    let med = Med::from_bytes(n, &bytes);
     println!("irregular exchange over {n} ranks:");
     println!("  messages        : {}", med.message_count());
     println!(
@@ -61,7 +46,7 @@ fn main() {
     for preset in ClusterPreset::all() {
         let spec = ScenarioBuilder::new(format!("irregular-{}", preset.name))
             .preset(preset.name)
-            .uniform("direct")
+            .uniform(AllToAllAlgorithm::DirectExchange)
             .build()
             .expect("preset spec is valid");
         let hockney = match session.calibrate_hockney(&spec) {
@@ -73,7 +58,7 @@ fn main() {
         };
         let bound = med.time_lower_bound(&hockney);
         let mut world = preset.build_world(n, 42);
-        let programs = matrix.nonblocking_programs();
+        let programs = post_all(n, &bytes);
         let _warm = world.run(programs.clone());
         let measured = world.run(programs).duration_secs();
         println!(

@@ -23,7 +23,7 @@ fn main() {
     let spec = ScenarioBuilder::new("quickstart-gigabit")
         .description("uniform direct exchange on the paper's GdX cluster")
         .preset("gigabit-ethernet")
-        .uniform("direct")
+        .uniform(AllToAllAlgorithm::DirectExchange)
         .nodes([6, 8])
         .message_bytes([128 * 1024, 512 * 1024])
         .reps(1)

@@ -31,7 +31,7 @@
 //!
 //! let spec = ScenarioBuilder::new("my-sweep")
 //!     .preset("gigabit-ethernet")
-//!     .uniform("direct")
+//!     .uniform(AllToAllAlgorithm::DirectExchange)
 //!     .nodes([8, 16, 24])
 //!     .message_bytes([64 * 1024, 512 * 1024])
 //!     .build()
