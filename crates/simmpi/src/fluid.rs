@@ -32,19 +32,21 @@
 //! scenario layer's `fluid_validation` test documents.
 //!
 //! The rank program counter is the one the packet world drives too
-//! (`program.rs`); this module is the protocol half — FIFO matching, flow
-//! starts, the event heap — and the driver that steps [`FluidSim`] through
-//! each finish window ([`FluidSim::window_end`]).
+//! (`program.rs`); this module is the protocol half — message matching,
+//! flow starts, the event heap — and the driver that steps [`FluidSim`]
+//! through each finish window ([`FluidSim::window_end`]).
 //!
-//! Per-message cost is what a large run pays half a million times, so each
-//! message walks its route once in the interpreter: at send issue, where
-//! the route is hot anyway because the flow starts on it, its one-way
-//! latency is summed into the `Transfer` record for the finish to read.
-//! Pair matching hashes the key `src · n + dst` with `PairHasher`, one
-//! multiply instead of SipHash: the keys are rank indices of programs the
-//! scenario layer generated (irregular workloads draw their pairs from a
-//! seeded RNG), never bytes from a client, so there is no adversary whose
-//! collisions a keyed hash would have to resist.
+//! Per-message cost is what a large run pays half a million times, so a
+//! message costs a few sequential passes and one route walk. Which
+//! receive takes which message is a pure function of the programs: the
+//! k-th send s → d meets the k-th receive at d from s. So before the first
+//! op issues, `Messages::pair` lays out every message and pairs every
+//! receive with it in `O(messages + ranks)`, and at run time a send or a
+//! receive finds its message by a per-rank cursor; nothing is looked up.
+//! The route is walked once, by [`FluidSim::start_flow`], which copies its
+//! serializer slots and returns its one-way latency for the finish to
+//! read; only a zero-byte message, which starts no flow, sums its latency
+//! at issue.
 
 use crate::config::MpiConfig;
 use crate::ops::{Op, Rank};
@@ -57,9 +59,7 @@ use simnet::obs::Recorder;
 use simnet::time::SimTime;
 use simnet::topology::Topology;
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 /// Relative finish-coalescing window handed to [`FluidSim`]: finishes
 /// within 1 % of the time since the latest flow start complete under one
@@ -71,17 +71,19 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// waves on the 1024-host fat-tree all-to-all.
 pub const FINISH_WINDOW_REL: f64 = 1e-2;
 
-/// One pending point-to-point message (identified by its index in
-/// `FluidWorld::transfers`). Ranks fit `u32`: each sits on its own
+/// One point-to-point message, identified by its index in
+/// [`Messages::transfers`]. Ranks fit `u32`: each sits on its own
 /// [`HostId`]. Eager is `bytes <= eager_threshold`, not a field.
 #[derive(Debug)]
 struct Transfer {
     src: u32,
     dst: u32,
     bytes: u64,
-    /// One-way wire latency of the src → dst route, summed at issue.
+    /// One-way wire latency of the src → dst route, returned by the walk
+    /// that starts the flow; unset for a zero-byte message, which starts
+    /// none.
     latency_ns: u64,
-    /// Receive post instant; NaN until a receive has matched.
+    /// Receive post instant; NaN until the matching receive has posted.
     post_ns: f64,
     /// Data arrival instant at the receiver (flow finish + route
     /// latency); NaN until the flow finishes.
@@ -93,78 +95,128 @@ const _: () = assert!(
     "Transfer is 40 bytes: a large all-to-all holds one per message"
 );
 
-/// Multiplicative hash of one pair key (the 64-bit Fx constant): the key
-/// is already a dense index, so one odd multiply spreads it over both the
-/// bucket bits and the tag bits `HashMap` reads. Not collision-resistant,
-/// which the module doc explains is not needed here.
-#[derive(Default)]
-struct PairHasher(u64);
+/// The message id of a surplus receive, which no send matches: it blocks
+/// its rank for good.
+const UNMATCHED: u32 = u32::MAX;
 
-impl Hasher for PairHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = (self.0.rotate_left(5) ^ key).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Every message of a run, each paired with the receive that takes it
+/// before the first op issues, and per-rank cursors over both.
+struct Messages {
+    /// One per send, in walk order: rank by rank, op by op, so a rank's
+    /// sends are contiguous and in issue order.
+    transfers: Vec<Transfer>,
+    /// The message each receive takes, laid out like `transfers` (a
+    /// rank's receives contiguous, in post order), or [`UNMATCHED`].
+    recv_message: Vec<u32>,
+    /// Per rank: the id of its next send to issue.
+    next_send: Vec<u32>,
+    /// Per rank: the index of its next receive to post.
+    next_recv: Vec<u32>,
 }
 
-/// Unmatched traffic between one ordered rank pair, matched FIFO. Only
-/// one side can be waiting at a time, and a pair with nothing waiting has
-/// no entry: a queue is dropped when its last element matches, so a large
-/// all-to-all does not keep n² emptied queues alive.
-#[derive(Debug)]
-enum PairQueue {
-    /// Issued sends (transfer ids) with no matching receive yet.
-    Sends(Waiters<u64>),
-    /// Posted receives (post instants) with no matching send yet.
-    Recvs(Waiters<f64>),
-}
-
-const _: () = assert!(
-    std::mem::size_of::<PairQueue>() == 24,
-    "a pair queue is 24 bytes: an all-to-all's map holds ~n²/2 of them at once"
-);
-
-/// A never-empty FIFO whose head lives inline. Almost every pair queue of
-/// an all-to-all holds exactly one waiter for its whole life, so the rest
-/// is boxed, allocated only when a second one arrives, and costs the map
-/// entry one pointer instead of an inline `VecDeque`.
-#[derive(Debug)]
-struct Waiters<T> {
-    head: T,
-    // Boxed for the entry size above, not for the queue's own sake.
-    #[allow(clippy::box_collection)]
-    rest: Option<Box<VecDeque<T>>>,
-}
-
-impl<T: Copy> Waiters<T> {
-    fn new(head: T) -> Self {
-        Self { head, rest: None }
-    }
-
-    fn push_back(&mut self, waiter: T) {
-        self.rest.get_or_insert_with(Box::default).push_back(waiter);
-    }
-
-    /// Removes the head; `true` when that was the last waiter and the
-    /// queue must be dropped.
-    fn pop_front(&mut self) -> (T, bool) {
-        let head = self.head;
-        match self.rest.as_mut().and_then(|rest| rest.pop_front()) {
-            Some(next) => {
-                self.head = next;
-                (head, false)
+impl Messages {
+    /// Lays out every send of `programs` and pairs the k-th receive at d
+    /// from s with the k-th send s → d (MPI non-overtaking). A stable
+    /// counting sort of message ids by destination leaves each source's
+    /// messages to d contiguous and in program order, so one cursor per
+    /// source, set and reset only where d's bucket touches it, walks them:
+    /// `O(messages + ranks)`, no hashing and no ranks² table.
+    fn pair<'p>(programs: impl Iterator<Item = &'p [Op]> + Clone, n: usize) -> Self {
+        let (sends, recvs) = programs
+            .clone()
+            .flatten()
+            .fold((0, 0), |(s, r), op| match op {
+                Op::Transfer { sends, recvs } => (s + sends.len(), r + recvs.len()),
+                Op::Barrier => (s, r),
+            });
+        assert!(sends < UNMATCHED as usize, "message ids fit u32");
+        let mut transfers = Vec::with_capacity(sends);
+        // Each receive's source until it is paired.
+        let mut recv_message = Vec::with_capacity(recvs);
+        let mut next_send = Vec::with_capacity(n);
+        // Each rank's first receive, and the end while pairing: rank d's
+        // receives are `next_recv[d]..next_recv[d + 1]`.
+        let mut next_recv = Vec::with_capacity(n + 1);
+        for (rank, program) in programs.enumerate() {
+            next_send.push(transfers.len() as u32);
+            next_recv.push(recv_message.len() as u32);
+            for op in program {
+                if let Op::Transfer { sends, recvs } = op {
+                    transfers.extend(sends.iter().map(|&(to, bytes)| Transfer {
+                        src: rank as u32,
+                        dst: to as u32,
+                        bytes,
+                        latency_ns: 0,
+                        post_ns: f64::NAN,
+                        arrival_ns: f64::NAN,
+                    }));
+                    recv_message.extend(recvs.iter().map(|&from| from as u32));
+                }
             }
-            None => (head, true),
         }
+        next_recv.push(recv_message.len() as u32);
+        let mut starts = vec![0u32; n + 2];
+        for tr in &transfers {
+            starts[tr.dst as usize + 2] += 1;
+        }
+        for d in 0..n {
+            starts[d + 2] += starts[d + 1];
+        }
+        // `starts[d + 1]` begins as d's fill cursor and so ends as its end.
+        let mut by_dst = vec![0u32; transfers.len()];
+        for (id, tr) in transfers.iter().enumerate() {
+            let fill = &mut starts[tr.dst as usize + 1];
+            by_dst[*fill as usize] = id as u32;
+            *fill += 1;
+        }
+        let src = |id: u32| transfers[id as usize].src as usize;
+        let mut cursor = vec![UNMATCHED; n];
+        for d in 0..n {
+            let bucket = &by_dst[starts[d] as usize..starts[d + 1] as usize];
+            for (pos, &id) in bucket.iter().enumerate().rev() {
+                cursor[src(id)] = pos as u32;
+            }
+            let receives = next_recv[d] as usize..next_recv[d + 1] as usize;
+            for message in &mut recv_message[receives] {
+                let from = *message as usize;
+                *message = match bucket.get(cursor[from] as usize) {
+                    Some(&id) if src(id) == from => {
+                        cursor[from] += 1;
+                        id
+                    }
+                    _ => UNMATCHED,
+                };
+            }
+            for &id in bucket {
+                cursor[src(id)] = UNMATCHED;
+            }
+        }
+        next_recv.pop();
+        Self {
+            transfers,
+            recv_message,
+            next_send,
+            next_recv,
+        }
+    }
+
+    /// The id of `rank`'s next send, which it issues now.
+    fn issue(&mut self, rank: Rank) -> u32 {
+        let id = self.next_send[rank];
+        self.next_send[rank] += 1;
+        id
+    }
+
+    /// The message `rank`'s next receive takes, which it posts now.
+    fn post(&mut self, rank: Rank) -> u32 {
+        let index = self.next_recv[rank];
+        self.next_recv[rank] += 1;
+        self.recv_message[index as usize]
+    }
+
+    /// Whether message `id`'s sender has issued it.
+    fn issued(&self, id: u32) -> bool {
+        id < self.next_send[self.transfers[id as usize].src as usize]
     }
 }
 
@@ -197,8 +249,7 @@ struct Interp<'w, 'a, R: Recorder> {
     mpi: &'w MpiConfig,
     net: FluidSim<'a, R>,
     ranks: ProgramCounter<f64>,
-    transfers: Vec<Transfer>,
-    pair_queues: HashMap<u64, PairQueue, BuildHasherDefault<PairHasher>>,
+    messages: Messages,
     heap: BinaryHeap<Reverse<Pending>>,
     next_seq: u64,
     finish_buf: Vec<FluidCompletion>,
@@ -236,16 +287,10 @@ impl<'a> FluidWorld<'a> {
         guard: RunGuard,
     ) -> (Result<RunResult, RunInterrupt>, R) {
         assert_eq!(programs.len(), self.hosts.len(), "one program per rank");
-        let sends: usize = programs
-            .iter()
-            .flatten()
-            .map(|op| match op {
-                Op::Transfer { sends, .. } => sends.len(),
-                Op::Barrier => 0,
-            })
-            .sum();
+        let ranks = ProgramCounter::new(programs);
+        let messages = Messages::pair(ranks.programs(), self.hosts.len());
         let mut net = FluidSim::with_recorder(self.topo, recorder);
-        net.reserve(sends);
+        net.reserve(messages.transfers.len());
         net.set_finish_window(FINISH_WINDOW_REL);
         net.set_guard(guard);
         let mut interp = Interp {
@@ -253,9 +298,8 @@ impl<'a> FluidWorld<'a> {
             hosts: &self.hosts,
             mpi: &self.mpi,
             net,
-            ranks: ProgramCounter::new(programs),
-            transfers: Vec::with_capacity(sends),
-            pair_queues: HashMap::default(),
+            ranks,
+            messages,
             heap: BinaryHeap::new(),
             next_seq: 0,
             finish_buf: Vec::new(),
@@ -359,22 +403,30 @@ impl<R: Recorder> Interp<'_, '_, R> {
     }
 
     /// Conservation at quiescence, checked once per successful run in
-    /// debug builds. Every rank finished, so no receive still waits and
-    /// every rendezvous send matched and drained. What a finished run may
+    /// debug builds. Every rank finished, so every receive was matched and
+    /// posted, and every matched message arrived. What a finished run may
     /// leave behind is an eager message nobody received: its sender
     /// completed on the CPU charge, as in MPI, and its flow may still be
-    /// in flight. A program whose every send is received leaves an empty
-    /// pair map and no flow.
+    /// in flight. A program whose every send is received leaves no flow.
     fn assert_conserved(&self) {
-        let mut unreceived = 0;
+        let Messages {
+            transfers,
+            recv_message,
+            ..
+        } = &self.messages;
+        assert!(
+            !recv_message.contains(&UNMATCHED),
+            "a surplus receive completed"
+        );
+        let mut matched = 0;
         let mut in_flight = 0;
-        for tr in &self.transfers {
+        for tr in transfers {
             if tr.post_ns.is_nan() {
                 assert!(tr.bytes <= self.mpi.eager_threshold, "{tr:?} never matched");
-                unreceived += 1;
             } else {
                 assert!(tr.post_ns.is_finite(), "{tr:?}");
                 assert!(!tr.arrival_ns.is_nan(), "{tr:?} matched, never arrived");
+                matched += 1;
             }
             if tr.arrival_ns.is_nan() {
                 in_flight += 1;
@@ -382,25 +434,14 @@ impl<R: Recorder> Interp<'_, '_, R> {
                 assert!(tr.arrival_ns.is_finite(), "{tr:?}");
             }
         }
-        let queued: usize = self
-            .pair_queues
-            .values()
-            .map(|q| match q {
-                PairQueue::Sends(q) => 1 + q.rest.as_ref().map_or(0, |rest| rest.len()),
-                PairQueue::Recvs(_) => panic!("a receive still waits"),
-            })
-            .sum();
-        assert_eq!(queued, unreceived, "pair map vs unmatched sends");
+        assert_eq!(matched, recv_message.len(), "one message per receive");
         assert_eq!(self.net.active_flows(), in_flight, "flows in flight");
-        let sent: u64 = self.transfers.iter().map(|tr| tr.bytes).sum();
+        let sent: u64 = transfers.iter().map(|tr| tr.bytes).sum();
         assert_eq!(self.flow_bytes, sent, "bytes started as flows");
     }
 
-    fn pair_key(&self, src: Rank, dst: Rank) -> u64 {
-        (src * self.hosts.len() + dst) as u64
-    }
-
-    /// One-way wire latency of the src → dst route in nanoseconds.
+    /// One-way wire latency of the src → dst route in nanoseconds, for a
+    /// zero-byte message, which starts no flow to sum it.
     fn route_latency(&self, src: Rank, dst: Rank) -> u64 {
         self.topo
             .route(self.hosts[src], self.hosts[dst])
@@ -409,12 +450,13 @@ impl<R: Recorder> Interp<'_, '_, R> {
             .sum()
     }
 
-    /// Starts transfer `tid`'s payload as a fluid flow.
-    fn start_flow(&mut self, tid: u64) {
-        let tr = &self.transfers[tid as usize];
+    /// Starts message `id`'s payload as a fluid flow, keeping the route
+    /// latency the same walk sums.
+    fn start_flow(&mut self, id: u32) {
+        let tr = &mut self.messages.transfers[id as usize];
         let (src, dst) = (self.hosts[tr.src as usize], self.hosts[tr.dst as usize]);
         self.flow_bytes += tr.bytes;
-        self.net.start_flow(src, dst, tr.bytes, tid);
+        tr.latency_ns = self.net.start_flow(src, dst, tr.bytes, u64::from(id));
     }
 
     fn issue_current_op(&mut self, rank: Rank, now_ns: f64) {
@@ -434,16 +476,14 @@ impl<R: Recorder> Interp<'_, '_, R> {
                 // Receives post first (instantaneous state change) so a
                 // sendrecv against the same peer cannot deadlock.
                 for &from in &recvs {
-                    assert_ne!(from, rank, "self-receives are local copies");
                     self.post_recv(from, rank, now_ns);
                 }
                 if cpu_parts > 0 {
                     let cpu_ns = sends.len() as u64 * self.mpi.send_overhead_ns;
                     self.schedule(rank, now_ns + cpu_ns as f64);
                 }
-                for &(to, bytes) in &sends {
-                    assert_ne!(to, rank, "self-sends are local copies");
-                    self.issue_send(rank, to, bytes, now_ns);
+                for &send in &sends {
+                    self.issue_send(rank, send, now_ns);
                 }
                 let parts = cpu_parts + rendezvous + recvs.len();
                 self.ranks.wait(rank, parts, Op::Transfer { sends, recvs });
@@ -451,81 +491,54 @@ impl<R: Recorder> Interp<'_, '_, R> {
         }
     }
 
-    fn issue_send(&mut self, src: Rank, dst: Rank, bytes: u64, now_ns: f64) {
-        let tid = self.transfers.len() as u64;
-        let eager = bytes <= self.mpi.eager_threshold;
-        let mut tr = Transfer {
-            src: src as u32,
-            dst: dst as u32,
-            bytes,
-            latency_ns: self.route_latency(src, dst),
-            post_ns: f64::NAN,
-            arrival_ns: f64::NAN,
-        };
+    /// `src` issues its next send, `(dst, bytes)`.
+    fn issue_send(&mut self, src: Rank, (dst, bytes): (Rank, u64), now_ns: f64) {
+        let id = self.messages.issue(src);
+        let tr = &self.messages.transfers[id as usize];
+        debug_assert_eq!(
+            (tr.dst as Rank, tr.bytes),
+            (dst, bytes),
+            "sends issue in walk order"
+        );
+        let post = tr.post_ns;
+        // Its receive has posted already.
+        let matched = !post.is_nan();
         if bytes == 0 {
             // Zero-byte message (always eager): nothing flows; it
             // "arrives" one wire latency after issue.
-            tr.arrival_ns = now_ns + tr.latency_ns as f64;
-        }
-        // FIFO match against an already-posted receive.
-        let key = self.pair_key(src, dst);
-        match self.pair_queues.entry(key) {
-            Entry::Occupied(mut e) => match e.get_mut() {
-                PairQueue::Sends(q) => q.push_back(tid),
-                PairQueue::Recvs(q) => {
-                    let (post_ns, last) = q.pop_front();
-                    tr.post_ns = post_ns;
-                    if last {
-                        e.remove();
-                    }
-                }
-            },
-            Entry::Vacant(e) => {
-                e.insert(PairQueue::Sends(Waiters::new(tid)));
-            }
-        }
-        let (post, arrival) = (tr.post_ns, tr.arrival_ns);
-        let matched = !post.is_nan();
-        self.transfers.push(tr);
-        if eager {
-            if bytes > 0 {
-                self.start_flow(tid);
-            } else if matched {
-                // Arrival already known; the receive can complete.
+            let arrival = now_ns + self.route_latency(src, dst) as f64;
+            self.messages.transfers[id as usize].arrival_ns = arrival;
+            if matched {
                 self.finish_recv(dst, arrival, post);
             }
-        } else if matched {
-            // Rendezvous with the receive already posted: flow starts now.
-            self.start_flow(tid);
+        } else if bytes <= self.mpi.eager_threshold || matched {
+            // Eager data flows at issue; rendezvous data once its receive
+            // has posted, here now.
+            self.start_flow(id);
         }
     }
 
+    /// `dst` posts its next receive, from `src`.
     fn post_recv(&mut self, src: Rank, dst: Rank, now_ns: f64) {
-        let key = self.pair_key(src, dst);
-        let tid = match self.pair_queues.entry(key) {
-            Entry::Occupied(mut e) => match e.get_mut() {
-                PairQueue::Recvs(q) => return q.push_back(now_ns),
-                PairQueue::Sends(q) => {
-                    let (tid, last) = q.pop_front();
-                    if last {
-                        e.remove();
-                    }
-                    tid
-                }
-            },
-            Entry::Vacant(e) => {
-                e.insert(PairQueue::Recvs(Waiters::new(now_ns)));
-                return;
-            }
-        };
-        let tr = &mut self.transfers[tid as usize];
+        let id = self.messages.post(dst);
+        if id == UNMATCHED {
+            // A surplus receive: no send will ever match it.
+            return;
+        }
+        let issued = self.messages.issued(id);
+        let tr = &mut self.messages.transfers[id as usize];
+        debug_assert_eq!(tr.src as Rank, src, "receives post in walk order");
         tr.post_ns = now_ns;
+        if !issued {
+            // The send finds the post when it issues.
+            return;
+        }
         let (bytes, arrival) = (tr.bytes, tr.arrival_ns);
         if bytes > self.mpi.eager_threshold {
             // Rendezvous: the late receive releases the data. The flow
             // starts at the post instant (= max(issue, post)). Rendezvous
             // payloads are > eager_threshold ≥ 0, never empty.
-            self.start_flow(tid);
+            self.start_flow(id);
         } else if !arrival.is_nan() {
             // Eager data already arrived and waited as unexpected.
             self.finish_recv(dst, arrival, now_ns);
@@ -540,8 +553,8 @@ impl<R: Recorder> Interp<'_, '_, R> {
         self.schedule(dst, done);
     }
 
-    fn on_flow_finish(&mut self, tid: u64, at_ns: f64) {
-        let tr = &mut self.transfers[tid as usize];
+    fn on_flow_finish(&mut self, id: u64, at_ns: f64) {
+        let tr = &mut self.messages.transfers[id as usize];
         let arrival = at_ns + tr.latency_ns as f64;
         tr.arrival_ns = arrival;
         let (src, dst, post) = (tr.src as Rank, tr.dst as Rank, tr.post_ns);
@@ -582,24 +595,85 @@ mod tests {
         FluidWorld::new(topo, hosts.to_vec(), MpiConfig::default())
     }
 
+    /// One-way latency of a star route (two gigabit hops) plus the
+    /// receive overhead: what a receive completes after its flow.
+    const HOP_AND_RECV_NS: u64 = 2 * 25_000 + 4_000;
+
+    /// A lone 1 MB flow started at 0 finishes at 8 ms, and its finish
+    /// window runs `FINISH_WINDOW_REL` of that past it: a flow a rank
+    /// starts inside the window starts at its end.
+    const FIRST_WINDOW_END_NS: u64 = 8_080_000;
+
     #[test]
-    fn waiters_pop_in_arrival_order_and_flag_the_last() {
-        let mut q = Waiters::new(7u64);
-        q.push_back(8);
-        q.push_back(9);
-        assert_eq!(q.pop_front(), (7, false));
-        q.push_back(10);
-        assert_eq!(q.pop_front(), (8, false));
-        assert_eq!(q.pop_front(), (9, false));
-        assert_eq!(q.pop_front(), (10, true));
+    fn kth_send_matches_kth_receive_of_its_pair() {
+        // The 1 MB message flows 0 → 8 ms against the first receive, and
+        // the 3 MB one, issued then, waits for the second receive, posted
+        // when the first completes, inside the first finish window. Pairing
+        // the first receive with the second message instead would
+        // deadlock: that send issues only after the first completes, which
+        // needs the second receive.
+        let (topo, hosts) = star(2);
+        let r = world(&topo, &hosts).run(vec![
+            vec![Op::send(1, 1_000_000), Op::send(1, 3_000_000)],
+            vec![Op::recv(0), Op::recv(0)],
+        ]);
+        let second_finish = FIRST_WINDOW_END_NS + 24_000_000;
+        assert_eq!(
+            r.finished,
+            [
+                SimTime(second_finish),
+                SimTime(second_finish + HOP_AND_RECV_NS)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_pair_exchanges_on_both_sides_of_a_barrier() {
+        // Each side's second receive takes the second message, released by
+        // the barrier when the first exchange completes, inside the first
+        // finish window.
+        let (topo, hosts) = star(2);
+        let r = world(&topo, &hosts).run(vec![
+            vec![
+                Op::sendrecv(1, 1_000_000, 1),
+                Op::Barrier,
+                Op::sendrecv(1, 3_000_000, 1),
+            ],
+            vec![
+                Op::sendrecv(0, 1_000_000, 0),
+                Op::Barrier,
+                Op::sendrecv(0, 3_000_000, 0),
+            ],
+        ]);
+        let end = FIRST_WINDOW_END_NS + 24_000_000 + HOP_AND_RECV_NS;
+        assert_eq!(r.finished, [SimTime(end), SimTime(end)]);
+    }
+
+    #[test]
+    fn surplus_receive_blocks_its_receiver() {
+        let (topo, hosts) = star(2);
+        let programs = vec![vec![Op::send(1, 100)], vec![Op::recv(0), Op::recv(0)]];
+        match world(&topo, &hosts).try_run(programs, RunGuard::unlimited()) {
+            Err(RunInterrupt::Deadlocked { ranks, detail }) => {
+                assert_eq!(ranks, vec![1]);
+                assert_eq!(detail, "ranks [1] blocked with no pending events or flows");
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0, op 0: peer 7 is not another of the 3 ranks")]
+    fn an_out_of_range_receive_panics_naming_rank_op_and_peer() {
+        let (topo, hosts) = star(3);
+        world(&topo, &hosts).run(vec![vec![Op::recv(7)], vec![], vec![]]);
     }
 
     #[test]
     fn two_sends_queued_behind_one_peer_both_match() {
         // Both eager sends issue before rank 1 posts a receive for them
-        // (it is still receiving from rank 2), so they wait in one pair
-        // queue — head inline, the second behind it — and both must be
-        // matched by the two receives that follow.
+        // (it is still receiving from rank 2), so both wait as unexpected
+        // data and must be taken by the two receives that follow.
         let (topo, hosts) = star(3);
         let w = world(&topo, &hosts);
         let r = w.run(vec![
@@ -613,9 +687,9 @@ mod tests {
     #[test]
     fn two_receives_posted_before_their_sends_both_match() {
         // Rank 1 posts both receives at once while rank 0 is still busy
-        // receiving 4 MB from rank 2, so they wait in one pair queue; the
-        // two sends that follow must each match one, at an eager and at a
-        // rendezvous size.
+        // receiving 4 MB from rank 2, so both wait; the two sends that
+        // follow must each match one, at an eager and at a rendezvous
+        // size.
         let (topo, hosts) = star(3);
         let w = world(&topo, &hosts);
         for m in [100, 1_000_000] {

@@ -2,7 +2,7 @@
 //! rank, the parts it waits on, barrier release at the last arrival and
 //! the instant each program ends. What a *part* is — an eager or RTS/CTS
 //! message over the packet engine in [`World`](crate::world::World), a
-//! fluid flow matched FIFO at issue in
+//! fluid flow paired with its receive before the run in
 //! [`FluidWorld`](crate::fluid::FluidWorld) — is each world's own.
 
 use crate::ops::{Op, Rank};
@@ -44,9 +44,28 @@ pub(crate) enum Next {
 
 impl<T: Copy> ProgramCounter<T> {
     /// Cursors at the start of one program per rank.
+    ///
+    /// # Panics
+    /// Panics, naming the rank, the op index and the peer, if a send or
+    /// receive names a peer outside the world or the rank itself (a
+    /// message to itself is a local copy, not traffic).
     pub(crate) fn new(programs: Vec<Vec<Op>>) -> Self {
+        let n = programs.len();
+        for (rank, program) in programs.iter().enumerate() {
+            for (index, op) in program.iter().enumerate() {
+                let Op::Transfer { sends, recvs } = op else {
+                    continue;
+                };
+                for peer in sends.iter().map(|&(to, _)| to).chain(recvs.iter().copied()) {
+                    assert!(
+                        peer < n && peer != rank,
+                        "rank {rank}, op {index}: peer {peer} is not another of the {n} ranks"
+                    );
+                }
+            }
+        }
         Self {
-            unfinished: programs.len(),
+            unfinished: n,
             ranks: programs
                 .into_iter()
                 .map(|program| Cursor {
@@ -58,6 +77,11 @@ impl<T: Copy> ProgramCounter<T> {
                 .collect(),
             at_barrier: 0,
         }
+    }
+
+    /// Every rank's program, in rank order, before any op issues.
+    pub(crate) fn programs(&self) -> impl Iterator<Item = &[Op]> + Clone {
+        self.ranks.iter().map(|c| c.program.as_slice())
     }
 
     /// Ranks whose program has not ended.
@@ -212,6 +236,16 @@ mod tests {
         assert!(pc.complete(2));
         assert_eq!(pc.next(2, 9), Next::Idle);
         assert_eq!(pc.finish_times().collect::<Vec<_>>(), [5, 5, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1, op 2: peer 1 is not another of the 3 ranks")]
+    fn a_self_send_panics_naming_rank_op_and_peer() {
+        ProgramCounter::<u64>::new(vec![
+            vec![],
+            vec![Op::recv(0), Op::Barrier, Op::send(1, 8)],
+            vec![],
+        ]);
     }
 
     #[test]

@@ -400,11 +400,9 @@ impl<R: Recorder> World<R> {
                 // Receives post first (instantaneous state change) so a
                 // sendrecv against the same peer cannot deadlock.
                 for &from in &recvs {
-                    assert_ne!(from, rank, "self-receives are local copies");
                     self.post_recv(from, rank);
                 }
                 for &(to, bytes) in &sends {
-                    assert_ne!(to, rank, "self-sends are local copies");
                     self.schedule_cpu(
                         rank,
                         self.mpi.send_overhead_ns,
@@ -542,6 +540,16 @@ mod tests {
         // well under 5 ms on an idle network.
         assert!(rtt > 100e-6, "rtt = {rtt}");
         assert!(rtt < 5e-3, "rtt = {rtt}");
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0, op 1: peer 2 is not another of the 2 ranks")]
+    fn an_out_of_range_send_panics_naming_rank_op_and_peer() {
+        let mut w = star_world(2, MpiConfig::default());
+        w.run(vec![
+            vec![Op::recv(1), Op::send(2, 100)],
+            vec![Op::send(0, 100)],
+        ]);
     }
 
     #[test]

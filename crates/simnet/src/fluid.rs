@@ -66,22 +66,24 @@
 //! never touches the flow again until the next solve that re-solves it,
 //! which takes its bytes back as `(finish − now) · rate`. After any solve
 //! that re-solved flows, the flow vectors are reordered in place by
-//! descending finish instant (the permutation is built in the tail's
-//! scratch, so no per-flow vector is copied); removing a suffix, or a
-//! solve that re-solves nobody, keeps that order. The next finish is then
-//! the last flow's, a finish wave binary-searches and pops the suffix that
-//! finishes by its stop — plus any flow within a byte of done, which it
-//! finds among the few finishing no later than one byte past the stop at
-//! the slowest live rate — and completions reach the caller in time
-//! order. An advance that stops short of every finish touches no flow and
-//! a finish wave only its own flows, past an `O(levels + log flows)`
-//! search; only a solve that re-solves a flow scans and reorders them all.
+//! descending finish instant (one sort of packed finish/index keys in a
+//! scratch vector, which then gathers the flows, so no per-flow vector is
+//! copied); removing a suffix, or a solve that re-solves nobody, keeps
+//! that order. The next finish is then the last flow's, a finish wave
+//! binary-searches and pops the suffix that finishes by its stop — plus
+//! any flow within a byte of done, which it finds among the few finishing
+//! no later than one byte past the stop at the slowest live rate — and
+//! completions reach the caller in time order. An advance that stops
+//! short of every finish touches no flow and a finish wave only its own
+//! flows, past an `O(levels + log flows)` search; only a solve that
+//! re-solves a flow scans and reorders them all.
 
 use crate::guard::{GuardStop, InstalledGuard, RunGuard};
 use crate::ids::HostId;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use contention_obs::{NoopRecorder, Recorder};
+use std::cmp::Reverse;
 
 /// Finished-flow tolerance: anything within a byte of done is done.
 const DONE_TOLERANCE_BYTES: f64 = 1.0;
@@ -119,6 +121,21 @@ struct Progress {
     finish_ns: f64,
     /// Current max-min rate in bytes/second.
     rate: f64,
+}
+
+impl FlowState {
+    /// The flow as one `u128`, to sit in a sort key's slot.
+    fn to_bits(self) -> u128 {
+        u128::from(self.tag) << 64 | u128::from(self.span_start) << 32 | u128::from(self.span_len)
+    }
+
+    fn from_bits(bits: u128) -> Self {
+        Self {
+            span_start: (bits >> 32) as u32,
+            span_len: bits as u32,
+            tag: (bits >> 64) as u64,
+        }
+    }
 }
 
 const _: () = assert!(
@@ -186,8 +203,11 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     guard: InstalledGuard,
     recorder: R,
     // Scratch buffers reused across recomputations.
-    /// The tail's flow indices, then the finish-order permutation.
+    /// The tail's flow indices.
     scratch_tail: Vec<u32>,
+    /// Packed finish-order sort keys, then the flows they name (see
+    /// `order_by_finish`).
+    scratch_keys: Vec<u128>,
     scratch_count: Vec<u32>,
     scratch_offsets: Vec<u32>,
     scratch_csr: Vec<u32>,
@@ -237,6 +257,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             guard: InstalledGuard::default(),
             recorder,
             scratch_tail: Vec::new(),
+            scratch_keys: Vec::new(),
             scratch_count: Vec::new(),
             scratch_offsets: Vec::new(),
             scratch_csr: Vec::new(),
@@ -349,18 +370,24 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.recorder
     }
 
-    /// Starts a flow of `bytes` from `src` to `dst` at the current time.
+    /// Starts a flow of `bytes` from `src` to `dst` at the current time and
+    /// returns the route's one-way wire latency in nanoseconds, summed in
+    /// the same walk that copies the route's serializer slots.
     ///
     /// # Panics
     /// Panics if `src == dst` or `bytes == 0` (zero-byte transfers carry
     /// no fluid and must be completed by the caller directly).
-    pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) {
+    pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) -> u64 {
         assert!(bytes > 0, "empty fluid flow");
         let topo = self.topo;
         let route = topo.route(src, dst);
         let span_start = self.slot_arena.len() as u32;
-        self.slot_arena
-            .extend(route.iter().map(|tx| topo.tx_params[tx.index()].serializer));
+        let mut latency_ns = 0;
+        self.slot_arena.extend(route.iter().map(|tx| {
+            let params = &topo.tx_params[tx.index()];
+            latency_ns += params.latency_ns;
+            params.serializer
+        }));
         self.flows.push(FlowState {
             span_start,
             span_len: route.len() as u32,
@@ -374,6 +401,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.flow_level.push(NO_LEVEL);
         self.restart_level = 0;
         self.window_anchor_ns = self.now_ns;
+        latency_ns
     }
 
     fn flow_slots(flow: &FlowState) -> std::ops::Range<usize> {
@@ -510,42 +538,42 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.order_by_finish();
     }
 
-    /// Reorders the flow vectors in place by descending finish instant,
-    /// ties by descending index, so a wave pops the earliest finishes (ties
-    /// in index order) off the end.
+    /// Reorders the flow vectors by descending finish instant, ties by
+    /// descending index, so a wave pops the earliest finishes (ties in
+    /// index order) off the end.
+    ///
+    /// One key per flow packs its finish bits above its index above its
+    /// level. The bits of a non-negative `f64` order as the value does and
+    /// the index is unique, so descending keys are exactly that order, and
+    /// the sort reads nothing else. A sorted key holds its flow's finish
+    /// and level, and the rate is the level's share; the flow itself is
+    /// gathered into the key's slot, so no per-flow vector is copied and
+    /// no load waits on the one before it, as a cycle walk's would.
     fn order_by_finish(&mut self) {
-        let perm = &mut self.scratch_tail;
-        perm.clear();
-        perm.extend(0..self.flows.len() as u32);
-        let progress = &self.progress;
-        perm.sort_unstable_by(|&a, &b| {
-            let finish = |i: u32| progress[i as usize].finish_ns;
-            finish(b).total_cmp(&finish(a)).then(b.cmp(&a))
-        });
-        // Position `i` takes the flow at `perm[i]`: walk each cycle once,
-        // marking a placed position as a fixed point.
-        for start in 0..perm.len() {
-            if perm[start] as usize == start {
-                continue;
-            }
-            let held = (
-                self.flows[start],
-                self.progress[start],
-                self.flow_level[start],
-            );
-            let mut at = start;
-            loop {
-                let from = perm[at] as usize;
-                perm[at] = at as u32;
-                if from == start {
-                    (self.flows[at], self.progress[at], self.flow_level[at]) = held;
-                    break;
-                }
-                self.flows[at] = self.flows[from];
-                self.progress[at] = self.progress[from];
-                self.flow_level[at] = self.flow_level[from];
-                at = from;
-            }
+        let keys = &mut self.scratch_keys;
+        keys.clear();
+        keys.extend(self.progress.iter().zip(&self.flow_level).enumerate().map(
+            |(i, (p, &level))| {
+                debug_assert!(p.finish_ns.is_sign_positive(), "negative finish");
+                debug_assert_eq!(
+                    p.rate, self.levels[level as usize],
+                    "rate is the level's share"
+                );
+                u128::from(p.finish_ns.to_bits()) << 64 | (i as u128) << 32 | u128::from(level)
+            },
+        ));
+        keys.sort_unstable_by_key(|&key| Reverse(key));
+        for (i, key) in keys.iter_mut().enumerate() {
+            let level = *key as u32;
+            self.progress[i] = Progress {
+                finish_ns: f64::from_bits((*key >> 64) as u64),
+                rate: self.levels[level as usize],
+            };
+            self.flow_level[i] = level;
+            *key = self.flows[(*key >> 32) as u32 as usize].to_bits();
+        }
+        for (flow, &bits) in self.flows.iter_mut().zip(keys.iter()) {
+            *flow = FlowState::from_bits(bits);
         }
     }
 
