@@ -115,8 +115,8 @@ fn all_thirteen_packet_builtins_are_byte_identical_with_a_recording_recorder() {
                 "{}: workers={workers} with telemetry diverged from the plain session",
                 spec.name
             );
-            // The verified traffic the engine's event queue is sized for
-            // (`simnet::event` is a plain binary heap). Bucket k ≥ 1 of the
+            // The verified traffic the engine's event queue was measured
+            // on (`simnet::event`, a radix heap). Bucket k ≥ 1 of the
             // log2 histogram counts pops that left [2^(k-1), 2^k) events
             // pending. Measured at the *full* default grids: twelve of the
             // thirteen packet builtins never leave 2 048 pending (bucket

@@ -33,8 +33,10 @@
 //!
 //! The rank program counter is the one the packet world drives too
 //! (`program.rs`); this module is the protocol half — message matching,
-//! flow starts, the event heap — and the driver that steps [`FluidSim`]
-//! through each finish window ([`FluidSim::window_end`]).
+//! flow starts, the rank-event queue (the packet engine's
+//! [`RadixQueue`], keyed by the bits of each `f64` instant) — and the
+//! driver that steps [`FluidSim`] through each finish window
+//! ([`FluidSim::window_end`]).
 //!
 //! Per-message cost is what a large run pays half a million times, so a
 //! message costs a few sequential passes and one route walk. Which
@@ -52,14 +54,13 @@ use crate::config::MpiConfig;
 use crate::ops::{Op, Rank};
 use crate::program::{check_hosts, Next, ProgramCounter};
 use crate::world::{RunInterrupt, RunResult};
+use simnet::event::RadixQueue;
 use simnet::fluid::{FluidCompletion, FluidSim};
 use simnet::guard::RunGuard;
 use simnet::ids::HostId;
 use simnet::obs::Recorder;
 use simnet::time::SimTime;
 use simnet::topology::Topology;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Relative finish-coalescing window handed to [`FluidSim`]: finishes
 /// within 1 % of the time since the latest flow start complete under one
@@ -220,16 +221,6 @@ impl Messages {
     }
 }
 
-/// A heap event: a part `rank` waits on resolves at instant `at_bits`
-/// (f64 bits: time order for non-negative instants); the unique `seq`
-/// breaks ties in insertion order.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Pending {
-    at_bits: u64,
-    seq: u64,
-    rank: Rank,
-}
-
 /// A set of MPI ranks mapped onto fabric hosts, executed fluidly.
 ///
 /// Unlike the packet [`World`](crate::world::World), a `FluidWorld`
@@ -250,8 +241,10 @@ struct Interp<'w, 'a, R: Recorder> {
     net: FluidSim<'a, R>,
     ranks: ProgramCounter<f64>,
     messages: Messages,
-    heap: BinaryHeap<Reverse<Pending>>,
-    next_seq: u64,
+    /// Per pending part: the rank it resolves for (ranks fit `u32`, as in
+    /// [`Transfer`]), keyed by the resolving instant's `f64` bits, which
+    /// sort as non-negative instants do; ties pop in schedule order.
+    events: RadixQueue<u32>,
     finish_buf: Vec<FluidCompletion>,
     /// Bytes handed to [`FluidSim::start_flow`] so far.
     flow_bytes: u64,
@@ -286,6 +279,18 @@ impl<'a> FluidWorld<'a> {
         recorder: R,
         guard: RunGuard,
     ) -> (Result<RunResult, RunInterrupt>, R) {
+        let mut interp = self.interp(programs, recorder, guard);
+        let result = interp.execute();
+        (result, interp.net.into_recorder())
+    }
+
+    /// The interpreter of one run, before its first op issues.
+    fn interp<R: Recorder>(
+        &self,
+        programs: Vec<Vec<Op>>,
+        recorder: R,
+        guard: RunGuard,
+    ) -> Interp<'_, 'a, R> {
         assert_eq!(programs.len(), self.hosts.len(), "one program per rank");
         let ranks = ProgramCounter::new(programs);
         let messages = Messages::pair(ranks.programs(), self.hosts.len());
@@ -293,20 +298,17 @@ impl<'a> FluidWorld<'a> {
         net.reserve(messages.transfers.len());
         net.set_finish_window(FINISH_WINDOW_REL);
         net.set_guard(guard);
-        let mut interp = Interp {
+        Interp {
             topo: self.topo,
             hosts: &self.hosts,
             mpi: &self.mpi,
             net,
             ranks,
             messages,
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            events: RadixQueue::new(),
             finish_buf: Vec::new(),
             flow_bytes: 0,
-        };
-        let result = interp.execute();
-        (result, interp.net.into_recorder())
+        }
     }
 
     /// [`FluidWorld::try_run_with`] without telemetry.
@@ -338,10 +340,7 @@ impl<R: Recorder> Interp<'_, '_, R> {
             if let Some(stop) = self.net.guard_stop() {
                 return Err(RunInterrupt::Guard(stop));
             }
-            let event = self
-                .heap
-                .peek()
-                .map_or(f64::INFINITY, |Reverse(p)| f64::from_bits(p.at_bits));
+            let event = self.events.peek_key().map_or(f64::INFINITY, f64::from_bits);
             let flow = self.net.next_finish_ns().unwrap_or(f64::INFINITY);
             let t = event.min(flow);
             if t == f64::INFINITY {
@@ -371,12 +370,8 @@ impl<R: Recorder> Interp<'_, '_, R> {
                 self.on_flow_finish(c.tag, (c.at.0 as f64).clamp(t, t_adv));
             }
             self.finish_buf = finishes;
-            while let Some(&Reverse(Pending { at_bits, rank, .. })) = self.heap.peek() {
-                if f64::from_bits(at_bits) > t_adv {
-                    break;
-                }
-                self.heap.pop();
-                self.complete_part(rank, f64::from_bits(at_bits));
+            while let Some((at, rank)) = self.events.pop_at_most(t_adv.to_bits()) {
+                self.complete_part(rank as Rank, f64::from_bits(at));
             }
         }
         if cfg!(debug_assertions) {
@@ -393,13 +388,7 @@ impl<R: Recorder> Interp<'_, '_, R> {
     }
 
     fn schedule(&mut self, rank: Rank, at_ns: f64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Pending {
-            at_bits: at_ns.to_bits(),
-            seq,
-            rank,
-        }));
+        self.events.push(at_ns.to_bits(), rank as u32);
     }
 
     /// Conservation at quiescence, checked once per successful run in
@@ -789,6 +778,32 @@ mod tests {
         let min = r.finished.iter().min().unwrap();
         let max = r.finished.iter().max().unwrap();
         assert!(max.since(*min) < 1_000_000, "all release within 1 ms");
+    }
+
+    /// The last rank into a barrier schedules every rank at its instant,
+    /// behind an entry already due then: the queue hands them back in
+    /// schedule order, which is rank order.
+    #[test]
+    fn a_barrier_release_pops_its_ranks_in_rank_order() {
+        let (topo, hosts) = star(5);
+        let w = world(&topo, &hosts);
+        let mut interp = w.interp(
+            vec![vec![Op::Barrier]; 5],
+            simnet::obs::NoopRecorder,
+            RunGuard::unlimited(),
+        );
+        interp.schedule(3, 5_000.0);
+        for (rank, at) in [(4, 1_000.0), (2, 2_000.0), (1, 3_000.0), (3, 4_000.0)] {
+            interp.issue_current_op(rank, at);
+        }
+        assert_eq!(interp.events.len(), 1, "arrivals before the last wait");
+        interp.issue_current_op(0, 5_000.0);
+        let popped: Vec<(u64, u32)> = std::iter::from_fn(|| interp.events.pop()).collect();
+        let at = 5_000f64.to_bits();
+        assert_eq!(
+            popped,
+            [(at, 3), (at, 0), (at, 1), (at, 2), (at, 3), (at, 4)]
+        );
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //!
 //! # Data representation
 //!
-//! Packets are 16-byte [`PackedPacket`]s, and the two containers the hot
-//! loop moves them through are the standard library's: pending events sit
-//! in one `BinaryHeap` ordered by `(time, push order)` (see
-//! [`crate::event`] for why that is deep enough), and each transmitter's
-//! control and bulk bands are `VecDeque`s. A packet names its route
-//! through its *flow* (`conn·2 + direction`): one row of the engine's
-//! `flow → RouteId` table, then two adjacent offsets into the topology's
-//! route arena. Connections are one `Vec` of plain [`Connection`] structs
-//! indexed by [`ConnId`]: every host event ends in an injection that
-//! writes the connection's injection clamp, so there is no
-//! rarely-touched half worth storing apart.
+//! Packets are 16-byte [`PackedPacket`]s, and the hot loop moves them
+//! through two containers: pending events sit in one [`EventQueue`], a
+//! radix heap keyed by nanosecond that pops in `(time, push order)` (see
+//! [`crate::event`] for why it beats a binary heap here), and each
+//! transmitter's control and bulk bands are `VecDeque`s. A packet names
+//! its route through its *flow* (`conn·2 + direction`): one row of the
+//! engine's `flow → RouteId` table, then two adjacent offsets into the
+//! topology's route arena. Connections are one `Vec` of plain
+//! [`Connection`] structs indexed by [`ConnId`]: every host event ends in
+//! an injection that writes the connection's injection clamp, so there is
+//! no rarely-touched half worth storing apart.
 //!
 //! # Driving the simulator
 //!
@@ -271,9 +271,12 @@ impl<R: Recorder> Simulator<R> {
     }
 
     /// Schedules [`Notification::Wakeup`] with `token` at absolute time `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is before [`Simulator::now`], in every build: the
+    /// event queue takes no key before the last one it popped.
     pub fn schedule_wakeup(&mut self, at: SimTime, token: u64) {
-        debug_assert!(at >= self.time, "wakeups cannot be scheduled in the past");
-        self.queue.push(at, Event::AppWakeup { token });
+        self.queue.push(at.0, Event::AppWakeup { token });
         self.note_push();
     }
 
@@ -306,7 +309,7 @@ impl<R: Recorder> Simulator<R> {
         let Some((at, event)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(at >= self.time, "time must be monotonic");
+        let at = SimTime(at);
         self.time = at;
         self.stats.events_processed += 1;
         if R::ENABLED {
@@ -413,8 +416,8 @@ impl<R: Recorder> Simulator<R> {
                 wire,
             );
         }
-        self.queue
-            .push(self.time + serialization, Event::Departure { tx, pkt });
+        let done = self.time + serialization;
+        self.queue.push(done.0, Event::Departure { tx, pkt });
         self.note_push();
     }
 
@@ -485,13 +488,13 @@ impl<R: Recorder> Simulator<R> {
         if hop + 1 == route.len() {
             let host = self.topo.route_dst(route_id);
             self.queue
-                .push(arrive_at, Event::HostDelivery { host, pkt });
+                .push(arrive_at.0, Event::HostDelivery { host, pkt });
         } else {
             let next_tx = route[hop + 1];
             let mut pkt = pkt;
             pkt.advance_hop();
             self.queue
-                .push(arrive_at, Event::Arrival { tx: next_tx, pkt });
+                .push(arrive_at.0, Event::Arrival { tx: next_tx, pkt });
         }
         self.note_push();
     }
@@ -539,7 +542,7 @@ impl<R: Recorder> Simulator<R> {
                 // The deadline moved forward since this event was pushed
                 // (ACKs restarted the timer); chase it with one event.
                 c.timer_pushed = true;
-                self.queue.push(deadline, Event::RtoTimer { conn });
+                self.queue.push(deadline.0, Event::RtoTimer { conn });
                 self.note_push();
             }
             Some(_) => {
@@ -592,7 +595,7 @@ impl<R: Recorder> Simulator<R> {
                 c.timer_deadline = Some(deadline);
                 if !c.timer_pushed {
                     c.timer_pushed = true;
-                    self.queue.push(deadline, Event::RtoTimer { conn });
+                    self.queue.push(deadline.0, Event::RtoTimer { conn });
                     self.note_push();
                 }
                 // If an event is already pushed (necessarily at an earlier
@@ -632,7 +635,7 @@ impl<R: Recorder> Simulator<R> {
             let at = (self.time + jitter).max(c.last_data_inject);
             c.last_data_inject = at;
             let pkt = PackedPacket::data(conn, seq, len, run.retransmit);
-            self.queue.push(at, Event::Arrival { tx, pkt });
+            self.queue.push(at.0, Event::Arrival { tx, pkt });
             self.note_push();
         }
     }
@@ -646,7 +649,7 @@ impl<R: Recorder> Simulator<R> {
         let tx = self.topo.route_slice(self.flow_routes[flow])[0];
         let pkt = PackedPacket::ack(conn, ack);
         self.stats.ack_packets_sent += 1;
-        self.queue.push(at, Event::Arrival { tx, pkt });
+        self.queue.push(at.0, Event::Arrival { tx, pkt });
         self.note_push();
     }
 
@@ -1014,6 +1017,23 @@ mod tests {
             }
         );
         assert!(sim.poll().is_none());
+    }
+
+    /// A wakeup before `now` would pop next and set the clock backwards;
+    /// the queue refuses it in release builds too.
+    #[test]
+    #[should_panic(expected = "event queue: key 100 pushed before the last popped key 500")]
+    fn a_wakeup_in_the_past_panics() {
+        let (mut sim, _) = star_sim(
+            2,
+            LinkConfig::gigabit_ethernet(),
+            SwitchConfig::commodity_ethernet(),
+            quiet_config(),
+        );
+        sim.schedule_wakeup(SimTime(500), 0);
+        sim.poll().unwrap();
+        assert_eq!(sim.now(), SimTime(500));
+        sim.schedule_wakeup(SimTime(100), 1);
     }
 
     #[test]

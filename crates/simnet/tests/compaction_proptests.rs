@@ -1,23 +1,22 @@
 //! Property tests for the hot loop's data: the `PackedPacket` encoding
 //! must be lossless across the full documented field ranges, and
 //! the event queue must pop in exact `(time, push order)` however pushes
-//! and pops interleave.
+//! (never before the last pop) and pops interleave.
 
 use proptest::prelude::*;
 use simnet::event::{Event, EventQueue};
 use simnet::ids::ConnId;
 use simnet::packet::{PackedPacket, PacketKind, MAX_HOP, MAX_LEN};
-use simnet::time::SimTime;
 
 /// Removes and returns the model's next pop: the earliest time, and among
 /// equal times the earliest push (`pending` is in push order, and
 /// `min_by_key` keeps the first minimum).
-fn pop_model(pending: &mut Vec<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+fn pop_model(pending: &mut Vec<(u64, u64)>) -> Option<(u64, u64)> {
     let first = (0..pending.len()).min_by_key(|&i| pending[i].0)?;
     Some(pending.remove(first))
 }
 
-fn pop_token(q: &mut EventQueue) -> Option<(SimTime, u64)> {
+fn pop_token(q: &mut EventQueue) -> Option<(u64, u64)> {
     q.pop().map(|(at, e)| match e {
         Event::AppWakeup { token } => (at, token),
         other => panic!("unexpected event {other:?}"),
@@ -84,26 +83,32 @@ proptest! {
         prop_assert_eq!(p.conn().index(), conn as usize);
     }
 
-    /// The queue's whole contract: a random schedule of pushes (times from
-    /// a small range, so ties are the common case) and interleaved pops
-    /// must surface, pop by pop, the earliest pending time and — among
-    /// equal times — the earliest push: what a stable sort by time of the
-    /// still-pending pushes puts first.
+    /// The queue's whole contract: a random schedule of pushes and
+    /// interleaved pops must surface, pop by pop, the earliest pending
+    /// time and — among equal times — the earliest push: what a stable
+    /// sort by time of the still-pending pushes puts first. Each push lands
+    /// at the last popped time plus `0..8`, as a simulation's never lands
+    /// before its clock, so ties are the common case.
     #[test]
     fn queue_pops_in_time_then_push_order(
         ops in prop::collection::vec((any::<u8>(), 0u64..8), 1..200),
     ) {
         let mut q = EventQueue::new();
-        let mut pending: Vec<(SimTime, u64)> = Vec::new();
-        for (token, (sel, at)) in ops.into_iter().enumerate() {
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let mut now = 0;
+        for (token, (sel, delay)) in ops.into_iter().enumerate() {
             if sel % 3 == 0 {
-                prop_assert_eq!(pop_token(&mut q), pop_model(&mut pending));
+                let popped = pop_token(&mut q);
+                prop_assert_eq!(popped, pop_model(&mut pending));
+                if let Some((at, _)) = popped {
+                    now = at;
+                }
             } else {
-                q.push(SimTime(at), Event::AppWakeup { token: token as u64 });
-                pending.push((SimTime(at), token as u64));
+                q.push(now + delay, Event::AppWakeup { token: token as u64 });
+                pending.push((now + delay, token as u64));
             }
             prop_assert_eq!(q.len(), pending.len());
-            prop_assert_eq!(q.peek_time(), pending.iter().map(|&(at, _)| at).min());
+            prop_assert_eq!(q.peek_key(), pending.iter().map(|&(at, _)| at).min());
         }
         while !pending.is_empty() {
             prop_assert_eq!(pop_token(&mut q), pop_model(&mut pending));
