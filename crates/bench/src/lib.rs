@@ -176,8 +176,8 @@ pub mod hotpath {
             .collect()
     }
 
-    /// Build a case fabric: gigabit links, lossless switches, all-pairs
-    /// routes resolved. Shared by the packet benchmarks (via
+    /// Build a case fabric: gigabit links, lossless switches, routing
+    /// tables built. Shared by the packet benchmarks (via
     /// [`build_alltoall`]) and the fluid tier of `fluid_vs_packet`, so
     /// both engines run over byte-identical topologies.
     pub fn build_fabric(fabric: Fabric, n_hosts: usize) -> (Topology, Vec<HostId>) {

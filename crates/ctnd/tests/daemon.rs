@@ -495,7 +495,7 @@ fn protocol_errors_answer_with_typed_json() {
         );
     }
     // A fabric too big to index is refused the same way, before any of
-    // its route table is allocated.
+    // it is allocated.
     let huge = TINY_SPEC.replace("hosts = 16", "hosts = 100000");
     let resp = post_toml(addr, &huge, "");
     assert_eq!(resp.status, 400, "{}", resp.body);

@@ -38,13 +38,13 @@
 //!   crate is process-global.
 //! * **one fabric per scenario** — a generated topology is a pure function
 //!   of its spec (the seed enters through placement and the MPI/transport
-//!   streams, never the wiring or the routes), and building it — BFS plus
-//!   the all-pairs route table — used to be repeated by the Hockney fit,
+//!   streams, never the wiring or the routes), and building it —
+//!   generation plus routing — used to be repeated by the Hockney fit,
 //!   every sample All-to-All and every cell (45 % of a 192-cell sweep on a
 //!   128-host dragonfly). Each scenario of a batch now has one lazily
 //!   built [`Fabric`] slot that all of them share *by reference*: packet
 //!   simulators clone the `Arc<Topology>`, fluid worlds borrow it, nothing
-//!   copies the route table. Lifetime rule: the slot fills on first use
+//!   copies its routing tables. Lifetime rule: the slot fills on first use
 //!   and is released when the scenario's last cell has reported, so a
 //!   batch of large fabrics keeps only the ones still in use; nothing
 //!   outlives the batch — a longer-lived fabric cache would need a size

@@ -137,8 +137,8 @@ pub struct SessionMetrics {
     /// per batch whatever the calibration cache holds, and `hit_rate`
     /// keeps meaning "fits answered from the memo".
     pub fabric_builds: u64,
-    /// Wall-clock seconds spent in those builds (generation, BFS and the
-    /// all-pairs route table).
+    /// Wall-clock seconds spent in those builds (generation and the
+    /// per-root routing BFS).
     pub fabric_build_secs: f64,
     /// One entry per finished cell, in LPT schedule order.
     pub cells: Vec<CellMetrics>,

@@ -1119,7 +1119,7 @@ mod tests {
             ..valid
         });
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
-        // More hosts than a route id can index.
+        // More hosts than a topology may have.
         spec.topology = TopologySpec::SingleSwitch(SingleSwitchParams {
             hosts: 100_000,
             ..valid

@@ -3,10 +3,10 @@
 //! (`traffic`), so the two cannot drift and a cell derives its traffic
 //! once.
 //!
-//! Every other pattern is a per-pair byte table (the paper's §5 weighted
+//! Every other pattern is a per-pair byte count (the paper's §5 weighted
 //! total-exchange digraph, the uniform All-to-All being its constant
 //! case), run by one of Algorithm 1's two schedule shapes and scored by
-//! the MED built from the same table, so the Claims 1–3 lower bound
+//! the MED built from the same counts, so the Claims 1–3 lower bound
 //! applies uniformly: the executor's `model_secs` column is the MED time
 //! bound under the scenario's measured Hockney parameters, and
 //! `error_percent` is the paper's `(measured/estimated − 1)·100 %`.
@@ -20,11 +20,13 @@ use rand::{Rng, SeedableRng};
 use simmpi::alltoall::{post_all, rotated_rounds};
 use simmpi::Op;
 
-/// The per-pair byte table of one table-shaped phase (everything except
-/// `Uniform`, which runs its algorithm directly, and `Phases`): `rows[i][j]`
-/// bytes flow from rank `i` to rank `j`, zero meaning no message. The
-/// diagonal is zero.
-fn phase_rows(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<u64>> {
+/// The per-pair byte count of one table-shaped phase (everything except
+/// `Uniform`, which runs its algorithm directly, and `Phases`): `bytes(i,
+/// j)` flow from rank `i` to rank `j`, zero meaning no message; `i == j`
+/// is zero. Only the sparse pattern, whose pairs are drawn one by one,
+/// holds a table; the others compute a pair from O(n) state, so a phase
+/// over many ranks needs no n² memory.
+fn phase_bytes(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Box<dyn Fn(usize, usize) -> u64> {
     match w {
         WorkloadSpec::Uniform { .. } | WorkloadSpec::Phases { .. } => {
             unreachable!("not a table-shaped phase")
@@ -33,12 +35,12 @@ fn phase_rows(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<u64>> {
             hot_ranks, factor, ..
         } => {
             let hot = (*factor * m as f64).round().max(1.0) as u64;
-            (0..n)
-                .map(|i| {
-                    let row_m = if i < *hot_ranks { hot } else { m };
-                    (0..n).map(|j| if i == j { 0 } else { row_m }).collect()
-                })
-                .collect()
+            let hot_ranks = *hot_ranks;
+            Box::new(move |i, j| match (i == j, i < hot_ranks) {
+                (true, _) => 0,
+                (false, true) => hot,
+                (false, false) => m,
+            })
         }
         WorkloadSpec::Sparse { density, .. } => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
@@ -63,37 +65,25 @@ fn phase_rows(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<u64>> {
                     row[j] = m;
                 }
             }
-            rows
+            Box::new(move |i, j| rows[i][j])
         }
         WorkloadSpec::Permutation => {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x0EE7_ABCD);
             let perm = derangement(n, &mut rng);
-            (0..n)
-                .map(|i| (0..n).map(|j| if perm[i] == j { m } else { 0 }).collect())
-                .collect()
+            Box::new(move |i, j| if perm[i] == j { m } else { 0 })
         }
-        WorkloadSpec::Incast { receivers } => (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| {
-                        // Senders are the non-sink ranks; each sends to
-                        // one sink, round-robin.
-                        if i >= *receivers && j == (i - receivers) % *receivers {
-                            m
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            })
-            .collect(),
-        WorkloadSpec::Outcast { senders } => (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| if i < *senders && j != i { m } else { 0 })
-                    .collect()
-            })
-            .collect(),
+        // Senders are the non-sink ranks; each sends to one sink,
+        // round-robin.
+        &WorkloadSpec::Incast { receivers } => Box::new(move |i, j| {
+            if i >= receivers && j == (i - receivers) % receivers {
+                m
+            } else {
+                0
+            }
+        }),
+        &WorkloadSpec::Outcast { senders } => {
+            Box::new(move |i, j| if i < senders && j != i { m } else { 0 })
+        }
     }
 }
 
@@ -125,14 +115,13 @@ fn phase_traffic(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> (Vec<Vec<Op>>
         // order is irrelevant, use the post-all schedule.
         _ => true,
     };
-    let rows = phase_rows(w, n, m, seed);
-    let bytes = |i: usize, j: usize| rows[i][j];
+    let bytes = phase_bytes(w, n, m, seed);
     let programs = if nonblocking {
-        post_all(n, bytes)
+        post_all(n, &bytes)
     } else {
-        rotated_rounds(n, bytes)
+        rotated_rounds(n, &bytes)
     };
-    (programs, Med::from_bytes(n, bytes))
+    (programs, Med::from_bytes(n, &bytes))
 }
 
 /// One cell's traffic, derived once: the per-rank programs and the MED of
@@ -202,6 +191,14 @@ mod tests {
     use super::*;
     use simmpi::alltoall::AllToAllAlgorithm;
 
+    /// A phase's byte counts as a dense table.
+    fn rows(w: &WorkloadSpec, n: usize, m: u64, seed: u64) -> Vec<Vec<u64>> {
+        let bytes = phase_bytes(w, n, m, seed);
+        (0..n)
+            .map(|i| (0..n).map(|j| bytes(i, j)).collect())
+            .collect()
+    }
+
     fn check_balanced(progs: &[Vec<Op>]) {
         // Every send has a matching posted receive.
         let n = progs.len();
@@ -250,15 +247,15 @@ mod tests {
 
     #[test]
     fn permutation_is_a_derangement_and_seed_dependent() {
-        let m1 = phase_rows(&WorkloadSpec::Permutation, 8, 100, 1);
-        let m2 = phase_rows(&WorkloadSpec::Permutation, 8, 100, 1);
+        let m1 = rows(&WorkloadSpec::Permutation, 8, 100, 1);
+        let m2 = rows(&WorkloadSpec::Permutation, 8, 100, 1);
         assert_eq!(m1, m2, "same seed, same pattern");
         for i in 0..8 {
             assert_eq!(m1[i].iter().sum::<u64>(), 100);
             assert_eq!(m1.iter().map(|row| row[i]).sum::<u64>(), 100);
             assert_eq!(m1[i][i], 0);
         }
-        let m3 = phase_rows(&WorkloadSpec::Permutation, 8, 100, 2);
+        let m3 = rows(&WorkloadSpec::Permutation, 8, 100, 2);
         assert_ne!(m1, m3, "different seed, different permutation");
     }
 
@@ -269,7 +266,7 @@ mod tests {
             factor: 3.0,
             nonblocking: true,
         };
-        let m = phase_rows(&w, 4, 1000, 0);
+        let m = rows(&w, 4, 1000, 0);
         assert_eq!(m[0].iter().sum::<u64>(), 9000);
         assert_eq!(m[1].iter().sum::<u64>(), 3000);
     }

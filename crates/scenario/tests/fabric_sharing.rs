@@ -146,8 +146,8 @@ fn fluid_backend_matches_per_cell_from_scratch_fabrics() {
 /// The two fluid-native builtins exactly as shipped. Each is a single
 /// cell — the executor spawns `min(workers, cells)` threads, so one
 /// worker count covers them — and one test each lets the pair run side
-/// by side: a 1024- or 4096-host route table is seconds of debug-build
-/// work, three times over (the oracle's fit, the oracle's cell, the
+/// by side: a 1024- or 4096-host fabric is seconds of debug-build work,
+/// three times over (the oracle's fit, the oracle's cell, the
 /// session).
 fn assert_shipped_fluid_builtin_is_unmoved(name: &str) {
     let spec = registry::by_name(name).expect("built-in");

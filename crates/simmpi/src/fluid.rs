@@ -434,7 +434,6 @@ impl<R: Recorder> Interp<'_, '_, R> {
     fn route_latency(&self, src: Rank, dst: Rank) -> u64 {
         self.topo
             .route(self.hosts[src], self.hosts[dst])
-            .iter()
             .map(|tx| self.topo.tx_params[tx.index()].latency_ns)
             .sum()
     }

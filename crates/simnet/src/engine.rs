@@ -20,11 +20,13 @@
 //! [`crate::event`] for why it beats a binary heap here), and each
 //! transmitter's control and bulk bands are `VecDeque`s. A packet names
 //! its route through its *flow* (`conn·2 + direction`): one row of the
-//! engine's `flow → RouteId` table, then two adjacent offsets into the
-//! topology's route arena. Connections are one `Vec` of plain
-//! [`Connection`] structs indexed by [`ConnId`]: every host event ends in
-//! an injection that writes the connection's injection clamp, so there is
-//! no rarely-touched half worth storing apart.
+//! engine's flow table — a span of its hop table plus the host the flow
+//! ends at — filled when the connection opens by walking the topology's
+//! route once per direction, so no hop reads the topology. Connections
+//! are one `Vec` of plain [`Connection`] structs indexed by [`ConnId`]:
+//! every host event ends in an injection that writes the connection's
+//! injection clamp, so there is no rarely-touched half worth storing
+//! apart.
 //!
 //! # Driving the simulator
 //!
@@ -36,7 +38,7 @@
 use crate::config::{SimConfig, TransportKind};
 use crate::event::{Event, EventQueue};
 use crate::guard::{GuardStop, InstalledGuard, RunGuard, GUARD_CHECK_INTERVAL};
-use crate::ids::{ConnId, HostId, RouteId, TxId};
+use crate::ids::{ConnId, HostId, TxId};
 use crate::packet::{Notification, PackedPacket, PacketKind};
 use crate::stats::NetStats;
 use crate::time::SimTime;
@@ -96,6 +98,15 @@ impl SerializerState {
     }
 }
 
+/// Where one flow's hops sit in [`Simulator`]'s hop table, and the host
+/// its last hop delivers to.
+#[derive(Debug, Clone, Copy)]
+struct FlowRoute {
+    start: u32,
+    end: u32,
+    dst: HostId,
+}
+
 /// The discrete-event network simulator.
 ///
 /// The `R` parameter is the telemetry sink: the default
@@ -105,15 +116,18 @@ impl SerializerState {
 /// with [`Simulator::with_recorder`].
 pub struct Simulator<R: Recorder = NoopRecorder> {
     /// Shared and immutable: many simulators (one per measurement cell)
-    /// can run over one built fabric without copying its route table.
+    /// can run over one built fabric without copying its routing tables.
     topo: Arc<Topology>,
     config: SimConfig,
     time: SimTime,
     queue: EventQueue,
     /// Route per flow (`conn·2` = forward/data, `conn·2 + 1` =
-    /// reverse/ACK). Packets carry the flow word, not the route, so this
-    /// flat table is the only per-hop indirection.
-    flow_routes: Vec<RouteId>,
+    /// reverse/ACK), copied out of the topology when the connection
+    /// opens. Packets carry the flow word, not the route, so this flat
+    /// table is the only per-hop indirection.
+    flow_routes: Vec<FlowRoute>,
+    /// Every flow's hops, back to back in flow order.
+    flow_hops: Vec<TxId>,
     serializers: Vec<SerializerState>,
     tx_queues: Vec<TxQueue>,
     tx_host_owned: Vec<bool>,
@@ -177,6 +191,7 @@ impl<R: Recorder> Simulator<R> {
             time: SimTime::ZERO,
             queue: EventQueue::new(),
             flow_routes: Vec::new(),
+            flow_hops: Vec::new(),
             serializers,
             tx_queues,
             tx_host_owned,
@@ -251,12 +266,18 @@ impl<R: Recorder> Simulator<R> {
     /// MPI layer handles them locally).
     pub fn open_connection(&mut self, src: HostId, dst: HostId, kind: TransportKind) -> ConnId {
         let id = ConnId::from_index(self.conns.len());
-        let fwd = self.topo.route_id(src, dst);
-        let rev = self.topo.route_id(dst, src);
         // Flow table rows in PackedPacket::flow_index order: forward
         // (data) on the even row, reverse (ACK) on the odd row.
-        self.flow_routes.push(fwd);
-        self.flow_routes.push(rev);
+        let offset = |len: usize| u32::try_from(len).expect("flow hop table outgrows u32 offsets");
+        for (from, to) in [(src, dst), (dst, src)] {
+            let start = offset(self.flow_hops.len());
+            self.flow_hops.extend(self.topo.route(from, to));
+            self.flow_routes.push(FlowRoute {
+                start,
+                end: offset(self.flow_hops.len()),
+                dst: to,
+            });
+        }
         self.conns.push(Connection::new(id, src, dst, kind));
         id
     }
@@ -482,13 +503,17 @@ impl<R: Recorder> Simulator<R> {
     /// host), arriving at `arrive_at`.
     fn advance(&mut self, pkt: PackedPacket, arrive_at: SimTime) {
         // The packet's route: one flow-table row, then one flat slice.
-        let route_id = self.flow_routes[pkt.flow_index()];
-        let route = self.topo.route_slice(route_id);
+        let flow = self.flow_routes[pkt.flow_index()];
+        let route = &self.flow_hops[flow.start as usize..flow.end as usize];
         let hop = pkt.hop() as usize;
         if hop + 1 == route.len() {
-            let host = self.topo.route_dst(route_id);
-            self.queue
-                .push(arrive_at.0, Event::HostDelivery { host, pkt });
+            self.queue.push(
+                arrive_at.0,
+                Event::HostDelivery {
+                    host: flow.dst,
+                    pkt,
+                },
+            );
         } else {
             let next_tx = route[hop + 1];
             let mut pkt = pkt;
@@ -627,8 +652,7 @@ impl<R: Recorder> Simulator<R> {
                     .on_retransmit(conn.index() as u32, self.time.as_nanos(), run.count);
             }
         }
-        let flow = conn.index() * 2;
-        let tx = self.topo.route_slice(self.flow_routes[flow])[0];
+        let tx = self.flow_hops[self.flow_routes[conn.index() * 2].start as usize];
         for (seq, len) in run.iter() {
             let jitter = self.jitter();
             let c = &mut self.conns[conn.index()];
@@ -645,8 +669,7 @@ impl<R: Recorder> Simulator<R> {
         let c = &mut self.conns[conn.index()];
         let at = (self.time + jitter).max(c.last_ack_inject);
         c.last_ack_inject = at;
-        let flow = conn.index() * 2 + 1;
-        let tx = self.topo.route_slice(self.flow_routes[flow])[0];
+        let tx = self.flow_hops[self.flow_routes[conn.index() * 2 + 1].start as usize];
         let pkt = PackedPacket::ack(conn, ack);
         self.stats.ack_packets_sent += 1;
         self.queue.push(at.0, Event::Arrival { tx, pkt });

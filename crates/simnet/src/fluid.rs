@@ -67,8 +67,8 @@
 //! which takes its bytes back as `(finish − now) · rate`. After any solve
 //! that re-solved flows, the flow vectors are reordered in place by
 //! descending finish instant (one sort of packed finish/index keys in a
-//! scratch vector, which then gathers the flows, so no per-flow vector is
-//! copied); removing a suffix, or a solve that re-solves nobody, keeps
+//! vector the solve frees before it returns, which first gathers the flows,
+//! so no per-flow vector is copied); removing a suffix, or a solve that re-solves nobody, keeps
 //! that order. The next finish is then the last flow's, a finish wave
 //! binary-searches and pops the suffix that finishes by its stop — plus
 //! any flow within a byte of done, which it finds among the few finishing
@@ -202,15 +202,12 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// solver effort).
     guard: InstalledGuard,
     recorder: R,
-    // Scratch buffers reused across recomputations.
-    /// The tail's flow indices.
-    scratch_tail: Vec<u32>,
-    /// Packed finish-order sort keys, then the flows they name (see
-    /// `order_by_finish`).
-    scratch_keys: Vec<u128>,
+    // Per-slot scratch reused across recomputations. The per-flow and
+    // per-hop scratch of a solve (its tail, its CSR, its sort keys) is
+    // allocated by the solve and freed before it returns: on a big run it
+    // outweighs everything else the engine holds between solves.
     scratch_count: Vec<u32>,
     scratch_offsets: Vec<u32>,
-    scratch_csr: Vec<u32>,
     scratch_active: Vec<u32>,
     /// Per-slot rate sums (utilization samples only).
     scratch_rate: Vec<f64>,
@@ -256,11 +253,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             flows_resolved: 0,
             guard: InstalledGuard::default(),
             recorder,
-            scratch_tail: Vec::new(),
-            scratch_keys: Vec::new(),
             scratch_count: Vec::new(),
             scratch_offsets: Vec::new(),
-            scratch_csr: Vec::new(),
             scratch_active: Vec::new(),
             scratch_rate: Vec::new(),
         }
@@ -380,17 +374,16 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) -> u64 {
         assert!(bytes > 0, "empty fluid flow");
         let topo = self.topo;
-        let route = topo.route(src, dst);
         let span_start = self.slot_arena.len() as u32;
         let mut latency_ns = 0;
-        self.slot_arena.extend(route.iter().map(|tx| {
+        self.slot_arena.extend(topo.route(src, dst).map(|tx| {
             let params = &topo.tx_params[tx.index()];
             latency_ns += params.latency_ns;
             params.serializer
         }));
         self.flows.push(FlowState {
             span_start,
-            span_len: route.len() as u32,
+            span_len: self.slot_arena.len() as u32 - span_start,
             tag,
         });
         // Bytes left until the solve this start forces sets the finish.
@@ -441,7 +434,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         // The tail gives its bandwidth back, turns its finish instants back
         // into bytes left (a fresh flow holds its bytes already) and is
         // counted per slot.
-        self.scratch_tail.clear();
+        let mut tail: Vec<u32> = Vec::with_capacity(tail_len);
         for (fi, level) in self.flow_level.iter_mut().enumerate() {
             if *level >= from {
                 let p = &mut self.progress[fi];
@@ -449,14 +442,14 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                     p.finish_ns = (p.finish_ns - now) * p.rate / 1e9;
                 }
                 *level = NO_LEVEL;
-                self.scratch_tail.push(fi as u32);
+                tail.push(fi as u32);
                 for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
                     self.scratch_count[s as usize] += 1;
                     self.residual[s as usize] += p.rate;
                 }
             }
         }
-        debug_assert_eq!(self.scratch_tail.len(), tail_len, "per-level live counts");
+        debug_assert_eq!(tail.len(), tail_len, "per-level live counts");
         if from == 0 {
             // From scratch: shed the rounding the add-backs accumulated.
             self.residual.clone_from(&self.capacity);
@@ -468,13 +461,11 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         for s in 0..n_slots {
             self.scratch_offsets[s + 2] = self.scratch_offsets[s + 1] + self.scratch_count[s];
         }
-        self.scratch_csr.clear();
-        self.scratch_csr
-            .resize(self.scratch_offsets[n_slots + 1] as usize, 0);
-        for &fi in &self.scratch_tail {
+        let mut csr = vec![0u32; self.scratch_offsets[n_slots + 1] as usize];
+        for fi in tail {
             for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi as usize])] {
                 let cursor = &mut self.scratch_offsets[s as usize + 1];
-                self.scratch_csr[*cursor as usize] = fi;
+                csr[*cursor as usize] = fi;
                 *cursor += 1;
             }
         }
@@ -510,8 +501,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 self.scratch_offsets[best_slot + 1] as usize,
             );
             let mut frozen = 0;
-            for idx in lo..hi {
-                let fi = self.scratch_csr[idx] as usize;
+            for &fi in &csr[lo..hi] {
+                let fi = fi as usize;
                 if self.flow_level[fi] != NO_LEVEL {
                     continue;
                 }
@@ -535,6 +526,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             remaining_flows -= frozen as usize;
             self.level_flows.push(frozen);
         }
+        drop(csr);
         self.order_by_finish();
     }
 
@@ -550,18 +542,20 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// gathered into the key's slot, so no per-flow vector is copied and
     /// no load waits on the one before it, as a cycle walk's would.
     fn order_by_finish(&mut self) {
-        let keys = &mut self.scratch_keys;
-        keys.clear();
-        keys.extend(self.progress.iter().zip(&self.flow_level).enumerate().map(
-            |(i, (p, &level))| {
+        let mut keys: Vec<u128> = self
+            .progress
+            .iter()
+            .zip(&self.flow_level)
+            .enumerate()
+            .map(|(i, (p, &level))| {
                 debug_assert!(p.finish_ns.is_sign_positive(), "negative finish");
                 debug_assert_eq!(
                     p.rate, self.levels[level as usize],
                     "rate is the level's share"
                 );
                 u128::from(p.finish_ns.to_bits()) << 64 | (i as u128) << 32 | u128::from(level)
-            },
-        ));
+            })
+            .collect();
         keys.sort_unstable_by_key(|&key| Reverse(key));
         for (i, key) in keys.iter_mut().enumerate() {
             let level = *key as u32;

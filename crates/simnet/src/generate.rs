@@ -244,8 +244,9 @@ fn checked_product(factors: &[usize]) -> Option<usize> {
 /// multiply to it.
 ///
 /// This bounds indexing only. A fabric below the limit may still need more
-/// memory than the machine has — its route arena grows with hosts² × hops
-/// — and admitting a spec by its memory footprint is not done here.
+/// memory than the machine has — its routing tables grow with attachment
+/// roots × switches, quadratic in hosts when every switch has one — and
+/// admitting a spec by its memory footprint is not done here.
 fn check_hosts(capacity: Option<usize>, fields: &str) -> Result<usize, String> {
     match capacity {
         None => Err(format!("{fields} overflows the host count")),
@@ -888,11 +889,8 @@ mod tests {
         assert_eq!(topo.hop_count(hosts[0], hosts[2]), 4, "same pod");
         assert_eq!(topo.hop_count(hosts[0], hosts[15]), 6, "cross pod");
         // Last hop of any route terminates at the destination host.
-        let route = topo.route(hosts[0], hosts[15]);
-        assert_eq!(
-            topo.tx_params[route[5].index()].to,
-            Endpoint::Host(hosts[15])
-        );
+        let last = topo.route(hosts[0], hosts[15]).last().expect("six hops");
+        assert_eq!(topo.tx_params[last.index()].to, Endpoint::Host(hosts[15]));
     }
 
     #[test]
@@ -949,10 +947,9 @@ mod tests {
         assert_eq!(topo.hop_count(src, dst), 1 + 2 + 1 + 1);
         // Dimension order: x corrects before y — the second hop leaves
         // along x, and the route's switch sequence is (1,0), (2,0), (2,1).
-        let route = topo.route(src, dst);
         use crate::topology::Endpoint;
-        let seq: Vec<Endpoint> = route
-            .iter()
+        let seq: Vec<Endpoint> = topo
+            .route(src, dst)
             .map(|tx| topo.tx_params[tx.index()].to)
             .collect();
         assert_eq!(

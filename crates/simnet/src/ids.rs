@@ -69,15 +69,6 @@ id_type!(
     ConnId,
     "conn"
 );
-id_type!(
-    /// A host-pair route, computed as `dst·n_hosts + src`: it indexes the
-    /// topology's arena offsets and divides back to its destination.
-    /// Packets do not carry it — a packet's route is a pure function of its
-    /// flow (`conn·2 + direction`), resolved through the engine's flat
-    /// `flow → RouteId` table — so the packet itself stays at 16 bytes.
-    RouteId,
-    "rt"
-);
 
 #[cfg(test)]
 mod tests {

@@ -10,9 +10,10 @@
 //!
 //! A packet does not carry its route. The route is a pure function of
 //! `(conn, kind)` — data follows the connection's forward route, ACKs the
-//! reverse route — so the engine resolves it through a flat
-//! `flow → RouteId` table indexed by [`PackedPacket::flow_index`], and the
-//! packet itself stays at 16 bytes.
+//! reverse route — so the engine resolves it through its flat flow table
+//! (each row a span of the engine's own hop table, copied from the
+//! topology when the connection opens) indexed by
+//! [`PackedPacket::flow_index`], and the packet itself stays at 16 bytes.
 
 use crate::ids::ConnId;
 use crate::time::SimTime;

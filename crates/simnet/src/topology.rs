@@ -6,25 +6,52 @@
 //! buffer pool (the sending host's NIC buffer, or the sending switch's
 //! shared memory).
 //!
-//! Routing is computed once at build time: shortest path by hop count.
-//! Equal-cost choices are resolved by deterministic per-flow ECMP hashing
-//! (parallel uplinks and fat-tree cores load-balance the way switch
-//! hashing would), or, on mesh/torus fabrics whose generators supply
-//! per-switch coordinates ([`TopologyBuilder::set_switch_coords`]), by
-//! dimension-ordered (e-cube) selection: among equal-cost next hops,
-//! correct the lowest-indexed mismatched coordinate dimension first.
-//! Host-side hops fall back to ECMP hashing, and on an even-sized ring's
-//! exact midpoint both wrap directions are minimal and the tie resolves to
-//! link-creation order. The route table is one hop
-//! arena plus one prefix offset per host pair; a [`RouteId`] is computed
-//! from the pair, not stored, up to [`MAX_HOSTS`] hosts.
+//! Routing is static: shortest path by hop count. Equal-cost choices are
+//! resolved by deterministic per-flow ECMP hashing (parallel uplinks and
+//! fat-tree cores load-balance the way switch hashing would), or, on
+//! mesh/torus fabrics whose generators supply per-switch coordinates
+//! ([`TopologyBuilder::set_switch_coords`]), by dimension-ordered (e-cube)
+//! selection: among equal-cost next hops, correct the lowest-indexed
+//! mismatched coordinate dimension first. Host-side hops fall back to ECMP
+//! hashing, and on an even-sized ring's exact midpoint both wrap
+//! directions are minimal and the tie resolves to link-creation order.
+//!
+//! No route is stored. A host hangs off the fabric by a chain of single
+//! links — host, then its I/O bus stage if any, then a switch — and the
+//! node the chain reaches is its *attachment root* (the host itself when
+//! it has more than one link). Every path into a host runs down its
+//! chain, so the build runs one BFS per root, over the nodes off every
+//! chain, and keeps per node only its hop distance to the root and where
+//! its links one hop closer lie. [`Topology::route`] walks a route on
+//! demand from that table, one hop at a time, with the pick rules above;
+//! memory grows with roots × switches, not with host pairs × hops.
 
 use crate::config::{LinkConfig, SwitchConfig};
-use crate::ids::{HostId, PoolId, RouteId, SwitchId, TxId};
+use crate::ids::{HostId, PoolId, SwitchId, TxId};
 
-/// The most hosts a topology can index: route ids are `dst·n_hosts + src`
-/// in a `u32`, so `n_hosts²` must not exceed 2³².
+/// The most hosts a topology may have. Routes are no longer indexed by
+/// host pair, but the engines number per-pair work in `u32`: a fluid
+/// world's messages are `u32` ids, and a full all-to-all over `n` hosts
+/// is `n·(n − 1)` of them, which fits only up to 2¹⁶ hosts.
 pub const MAX_HOSTS: usize = 1 << 16;
+
+/// Hop distance of a node its root's BFS never reached.
+const UNREACHED: u16 = u16::MAX;
+
+/// A routing node's entry in one root's table.
+#[derive(Debug, Clone, Copy)]
+struct Toward {
+    /// Hop distance to the root.
+    dist: u16,
+    /// How many of the node's links lead one hop closer: the fan-out a
+    /// walk picks among there.
+    closer: u16,
+    /// The span `first..end` of the node's links holding them all; when
+    /// its length is `closer` they are exactly the span, and a pick is one
+    /// index (tree up-links are created side by side).
+    first: u16,
+    end: u16,
+}
 
 /// Where a transmitter's packets land after the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,8 +97,9 @@ pub enum TopologyError {
     UnknownNode,
     /// The topology has no hosts.
     Empty,
-    /// The route table of this many hosts outgrows its `u32` indices:
-    /// more than [`MAX_HOSTS`] hosts, or more than `u32::MAX` hops in all.
+    /// A fabric of this many hosts outgrows what routing can index: more
+    /// than [`MAX_HOSTS`] hosts, a shortest path of `u16::MAX - 1` hops or
+    /// more, or a node with more than `u16::MAX` links.
     RouteTableOverflow(usize),
 }
 
@@ -93,66 +121,192 @@ impl std::error::Error for TopologyError {}
 
 /// The built network fabric handed to the engine.
 ///
-/// Every host-pair path lives in one flat `TxId` arena, destination-major
-/// and source-minor, and is addressed by a [`RouteId`] that is computed,
-/// not looked up: `dst·n_hosts + src`. The only per-pair state is that
-/// route's arena offset, so the per-hop cost in the engine is two adjacent
-/// offset reads and one slice index.
+/// Routes are walked on demand ([`Topology::route`]) from one table of hop
+/// distances per attachment root (see the module doc); nothing is stored
+/// per host pair.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// Number of hosts.
     pub n_hosts: usize,
-    /// Static transmitter parameters, indexed by [`TxId`].
+    /// Static transmitter parameters, indexed by [`TxId`]. A link's two
+    /// directions are transmitters `2k` and `2k + 1`, in link order, so the
+    /// sender of transmitter `i` is the receiver of `i ^ 1`.
     pub tx_params: Vec<TxParams>,
-    /// Buffer-pool capacities in bytes, indexed by [`PoolId`].
+    /// Buffer-pool capacities in bytes, indexed by [`PoolId`]: one per
+    /// host, then one per switch.
     pub pool_capacity: Vec<u64>,
     /// Number of serialization slots (see [`TxParams::serializer`]).
     pub n_serializers: usize,
-    /// All routes' hops, back to back, in [`RouteId`] order.
-    route_arena: Vec<TxId>,
-    /// `n_hosts² + 1` prefix offsets into `route_arena`: route `id` is
-    /// `route_start[id]..route_start[id + 1]` (empty on the diagonal).
-    route_start: Vec<u32>,
+    /// Per host: its attachment chain and the table of its root.
+    attach: Vec<Attachment>,
+    /// Routing node (a node off every chain) → graph node index (hosts,
+    /// then switches, then bus stages), which the ECMP hash mixes in.
+    node_of: Vec<u32>,
+    /// `node_of.len() + 1` offsets into `links`, per routing node.
+    link_start: Vec<u32>,
+    /// Each routing node's links to other routing nodes, in link-creation
+    /// order: the transmitter and the routing node it reaches.
+    links: Vec<(TxId, u32)>,
+    /// One row of `node_of.len()` entries per attachment root; the
+    /// distance is [`UNREACHED`] where no path exists.
+    tables: Vec<Toward>,
+    /// Per-switch `[x, y, z]` coordinates; empty unless routing is
+    /// dimension-ordered.
+    switch_coords: Vec<[u16; 3]>,
+}
+
+/// How a host hangs off the fabric.
+#[derive(Debug, Clone, Copy)]
+struct Attachment {
+    /// Routing-node index of the attachment root.
+    root: u32,
+    /// Row of `Topology::tables` holding the distances to `root`.
+    table: u32,
+    /// The chain's links from the host up to its root; the walk down uses
+    /// their reverse directions.
+    up: [TxId; 2],
+    /// Chain length in hops: 0 when the host is its own root.
+    depth: u8,
 }
 
 impl Topology {
-    /// The handle of the route from `src` to `dst`: `dst·n_hosts + src`.
-    /// Resolved once when a connection opens; the engine then indexes by
-    /// the handle.
+    /// The forward route (sequence of transmitters) from `src` to `dst`,
+    /// walked as it is read.
     ///
     /// # Panics
     /// Panics if `src == dst`; self-routes do not exist.
-    pub fn route_id(&self, src: HostId, dst: HostId) -> RouteId {
-        assert_ne!(src, dst, "no route from a host to itself");
-        RouteId::from_index(dst.index() * self.n_hosts + src.index())
+    pub fn route(&self, src: HostId, dst: HostId) -> Route<'_> {
+        let hops = self.hop_count(src, dst);
+        let (s, d) = (self.attach[src.index()], self.attach[dst.index()]);
+        let n = self.node_of.len();
+        Route {
+            topo: self,
+            src: src.index(),
+            dst: dst.index(),
+            s,
+            d,
+            table: &self.tables[d.table as usize * n..][..n],
+            at: s.root as usize,
+            taken: 0,
+            hops,
+        }
     }
 
-    /// The hops of a route.
-    #[inline]
-    pub fn route_slice(&self, id: RouteId) -> &[TxId] {
-        let i = id.index();
-        &self.route_arena[self.route_start[i] as usize..self.route_start[i + 1] as usize]
-    }
-
-    /// The host a route terminates at.
-    #[inline]
-    pub fn route_dst(&self, id: RouteId) -> HostId {
-        HostId::from_index(id.index() / self.n_hosts)
-    }
-
-    /// The forward route (sequence of transmitters) from `src` to `dst`.
+    /// Number of hops (transmitters) between two hosts: up the source's
+    /// chain, across to the destination's root, down its chain.
     ///
     /// # Panics
     /// Panics if `src == dst`; self-routes do not exist.
-    pub fn route(&self, src: HostId, dst: HostId) -> &[TxId] {
-        self.route_slice(self.route_id(src, dst))
-    }
-
-    /// Number of hops (transmitters) between two hosts.
     pub fn hop_count(&self, src: HostId, dst: HostId) -> usize {
-        self.route(src, dst).len()
+        assert_ne!(src, dst, "no route from a host to itself");
+        let (s, d) = (&self.attach[src.index()], &self.attach[dst.index()]);
+        let across = self.tables[d.table as usize * self.node_of.len() + s.root as usize].dist;
+        usize::from(s.depth) + usize::from(across) + usize::from(d.depth)
+    }
+
+    /// The hop a walk toward the root of `table` takes from routing node
+    /// `at`: among the links one hop closer, in link order, the
+    /// dimension-ordered pick when `at` is a switch with coordinates, else
+    /// the one the ECMP hash of `(src, dst, at)` names.
+    fn next_hop(&self, table: &[Toward], at: usize, src: usize, dst: usize) -> (TxId, usize) {
+        let here = table[at];
+        let start = self.link_start[at] as usize;
+        let span = &self.links[start + usize::from(here.first)..start + usize::from(here.end)];
+        if let [(tx, next)] = *span {
+            // The one closer link: every pick rule agrees.
+            return (tx, next as usize);
+        }
+        let mut closer = span
+            .iter()
+            .filter(|&&(_, v)| table[v as usize].dist < here.dist);
+        let node = self.node_of[at] as usize;
+        let pick = match self.coord(node) {
+            // Correct the lowest mismatched dimension first (BFS already
+            // restricted candidates to minimal moves); creation order
+            // breaks exact-midpoint wrap ties. Hops off the coordinate
+            // grid sort after every real dimension.
+            Some(a) => closer.min_by_key(|&&(tx, v)| {
+                let dim = match self.coord(self.node_of[v as usize] as usize) {
+                    Some(c) => (0..3).find(|&d| a[d] != c[d]).unwrap_or(3),
+                    None => 3,
+                };
+                (dim, tx.index())
+            }),
+            // ECMP-style deterministic spreading over equal-cost next hops
+            // and parallel links.
+            None => {
+                let k = match u64::from(here.closer) {
+                    1 => 0,
+                    n => (fxhash(src as u64, dst as u64, node as u64) % n) as usize,
+                };
+                if span.len() == usize::from(here.closer) {
+                    span.get(k)
+                } else {
+                    closer.nth(k)
+                }
+            }
+        };
+        let &(tx, next) = pick.expect("a reached node has a closer neighbour");
+        (tx, next as usize)
+    }
+
+    /// Coordinates of graph node `node`, if it is a switch that has some.
+    fn coord(&self, node: usize) -> Option<[u16; 3]> {
+        let switch = node.checked_sub(self.n_hosts)?;
+        self.switch_coords.get(switch).copied()
     }
 }
+
+/// A route being walked: an iterator over its transmitters, from the
+/// source's first hop to the one that lands on the destination host.
+#[derive(Debug, Clone)]
+pub struct Route<'a> {
+    topo: &'a Topology,
+    src: usize,
+    dst: usize,
+    /// The source's chain, walked up first, and the destination's, walked
+    /// down last.
+    s: Attachment,
+    d: Attachment,
+    /// The destination's root's table, per routing node.
+    table: &'a [Toward],
+    /// The routing node the walk stands on once off the source's chain.
+    at: usize,
+    taken: usize,
+    hops: usize,
+}
+
+impl Iterator for Route<'_> {
+    type Item = TxId;
+
+    #[inline]
+    fn next(&mut self) -> Option<TxId> {
+        let left = self.hops - self.taken;
+        if left == 0 {
+            return None;
+        }
+        let tx = if self.taken < usize::from(self.s.depth) {
+            self.s.up[self.taken]
+        } else if left <= usize::from(self.d.depth) {
+            // The reverse direction of the destination's chain link, root
+            // end first.
+            TxId(self.d.up[left - 1].0 ^ 1)
+        } else {
+            let (tx, next) = self.topo.next_hop(self.table, self.at, self.src, self.dst);
+            self.at = next;
+            tx
+        };
+        self.taken += 1;
+        Some(tx)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.hops - self.taken;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Route<'_> {}
 
 #[derive(Debug, Clone, Copy)]
 enum Node {
@@ -256,16 +410,18 @@ impl TopologyBuilder {
         });
     }
 
-    /// Builds the fabric: creates transmitters and pools, verifies
-    /// connectivity, and computes all host-pair routes.
+    /// Builds the fabric: creates transmitters and pools, finds each
+    /// host's attachment root, runs one BFS per root and verifies
+    /// connectivity. Routes themselves are walked later, on demand.
     ///
     /// A topology is a **pure function of the builder**: nothing here is
     /// seeded or randomized (ECMP spreading is a fixed hash of the flow's
     /// endpoints), so two builds of one builder — or of two builders
-    /// assembled the same way — yield identical transmitters and route
-    /// tables. Callers that run many simulations over one fabric should
-    /// build it once and share it (`Arc<Topology>`); the all-pairs route
-    /// table is by far the most expensive part of setting a run up.
+    /// assembled the same way — yield identical transmitters and routes.
+    /// Callers that run many simulations over one fabric should build it
+    /// once and share it (`Arc<Topology>`); the per-root BFS costs
+    /// roots × routing links, which on a big fabric is still the bulk of
+    /// setting a run up.
     pub fn build(&self) -> Result<Topology, TopologyError> {
         if self.hosts == 0 {
             return Err(TopologyError::Empty);
@@ -391,114 +547,133 @@ impl TopologyBuilder {
             }
         }
 
-        let dimension_ordered = !self.switch_coords.is_empty();
-        if dimension_ordered {
+        if !self.switch_coords.is_empty() {
             assert_eq!(
                 self.switch_coords.len(),
                 n_switches,
                 "dimension-ordered routing needs one coordinate per switch"
             );
         }
-        // Coordinate of a node, if it is a switch with one.
-        let coord_of = |n: usize| -> Option<[u16; 3]> {
-            (n >= n_hosts && n < n_hosts + n_switches)
-                .then(|| self.switch_coords.get(n - n_hosts).copied())
-                .flatten()
-        };
 
-        // BFS distance-to-destination per destination host, then greedy
-        // next-hop walks with hashed tie-breaking, appended to the arena
-        // in `RouteId` order (destination-major, source-minor).
-        //
-        // The next-hop candidates toward a destination depend on the node
-        // a walk stands on, never on where it started, so they are
-        // tabulated once per destination (`cand`, CSR over nodes) instead
-        // of being re-filtered — and re-allocated — on every hop of every
-        // source's walk.
-        let mut route_arena: Vec<TxId> = Vec::new();
-        let mut route_start: Vec<u32> = Vec::with_capacity(n_hosts * n_hosts + 1);
-        route_start.push(0);
-        let mut dist = vec![u32::MAX; n_nodes];
+        // Attachment chains: a host with one link climbs it, and its bus
+        // stage climbs on when it has exactly one link besides the host's.
+        // A chain node is a dead end for every other route, so the
+        // distance to a host is its root's distance plus the chain, and
+        // off the chain its next hops are its root's.
+        let mut on_chain = vec![false; n_nodes];
+        let mut chains: Vec<(usize, [TxId; 2], u8)> = Vec::with_capacity(n_hosts);
+        for host in 0..n_hosts {
+            let (mut at, mut from) = (host, usize::MAX);
+            let mut up = [TxId(0); 2];
+            let mut depth = 0;
+            while depth == 0 || (depth == 1 && has_bus) {
+                let mut onward = adjacency[at].iter().filter(|&&(_, v)| v != from);
+                let (Some(&(tx, next)), None) = (onward.next(), onward.next()) else {
+                    break;
+                };
+                on_chain[at] = true;
+                up[depth] = tx;
+                depth += 1;
+                (from, at) = (at, next);
+            }
+            chains.push((at, up, depth as u8));
+        }
+
+        // The routing graph: every node off the chains, with the links
+        // between such nodes in the adjacency's (link-creation) order.
+        let mut routing_index = vec![u32::MAX; n_nodes];
+        let mut node_of = Vec::new();
+        for node in (0..n_nodes).filter(|&n| !on_chain[n]) {
+            routing_index[node] = node_of.len() as u32;
+            node_of.push(node as u32);
+        }
+        let n_routing = node_of.len();
+        let mut link_start = Vec::with_capacity(n_routing + 1);
+        let mut links: Vec<(TxId, u32)> = Vec::new();
+        for &node in &node_of {
+            link_start.push(links.len() as u32);
+            links.extend(
+                adjacency[node as usize]
+                    .iter()
+                    .filter(|&&(_, v)| !on_chain[v])
+                    .map(|&(tx, v)| (tx, routing_index[v])),
+            );
+        }
+        link_start.push(links.len() as u32);
+        drop(adjacency);
+
+        // One distance table per attachment root, in order of first use.
+        let mut table_of = vec![u32::MAX; n_routing];
+        let mut roots: Vec<usize> = Vec::new();
+        let attach: Vec<Attachment> = chains
+            .into_iter()
+            .map(|(root_node, up, depth)| {
+                let root = routing_index[root_node];
+                if table_of[root as usize] == u32::MAX {
+                    table_of[root as usize] = roots.len() as u32;
+                    roots.push(root as usize);
+                }
+                Attachment {
+                    root,
+                    table: table_of[root as usize],
+                    up,
+                    depth,
+                }
+            })
+            .collect();
+        let unreached = Toward {
+            dist: UNREACHED,
+            closer: 0,
+            first: 0,
+            end: 0,
+        };
+        let mut tables = vec![unreached; roots.len() * n_routing];
         let mut queue = std::collections::VecDeque::new();
-        let mut cand: Vec<(TxId, usize)> = Vec::new();
-        let mut cand_start: Vec<usize> = vec![0; n_nodes + 1];
-        for dst in 0..n_hosts {
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[dst] = 0;
-            queue.clear();
-            queue.push_back(dst);
+        for (row, &root) in tables.chunks_exact_mut(n_routing).zip(&roots) {
+            row[root].dist = 0;
+            queue.push_back(root);
             while let Some(u) = queue.pop_front() {
-                for &(_, v) in &adjacency[u] {
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
+                let d = row[u].dist + 1;
+                for &(_, v) in &links[link_start[u] as usize..link_start[u + 1] as usize] {
+                    if row[v as usize].dist == UNREACHED {
+                        if d == UNREACHED {
+                            return Err(overflow);
+                        }
+                        row[v as usize].dist = d;
+                        queue.push_back(v as usize);
                     }
                 }
             }
-            cand.clear();
-            for at in 0..n_nodes {
-                cand_start[at] = cand.len();
-                if at == dst || dist[at] == u32::MAX {
+            for u in 0..n_routing {
+                let here = row[u].dist;
+                if here == UNREACHED {
                     continue;
                 }
-                // Every neighbour of a reached node is reached, so the
-                // `+ 1` cannot overflow.
-                cand.extend(
-                    adjacency[at]
-                        .iter()
-                        .filter(|&&(_, v)| dist[v] + 1 == dist[at]),
-                );
-                debug_assert!(cand.len() > cand_start[at], "BFS guarantees progress");
-                if !dimension_ordered {
-                    continue;
+                let (mut count, mut first, mut end) = (0, 0, 0);
+                let node_links = &links[link_start[u] as usize..link_start[u + 1] as usize];
+                for (i, &(_, v)) in node_links.iter().enumerate() {
+                    if row[v as usize].dist < here {
+                        first = if count == 0 { i } else { first };
+                        (count, end) = (count + 1, i + 1);
+                    }
                 }
-                let Some(a) = coord_of(at) else { continue };
-                // Correct the lowest mismatched dimension first (BFS
-                // already restricted candidates to minimal moves);
-                // creation order breaks exact-midpoint wrap ties. Hops
-                // off the coordinate grid (the final descent into a
-                // host) sort after every real dimension. The pick is the
-                // node's only candidate from here on.
-                let pick = cand[cand_start[at]..]
-                    .iter()
-                    .copied()
-                    .min_by_key(|&(tx, v)| {
-                        let dim = match coord_of(v) {
-                            Some(c) => (0..3).find(|&d| a[d] != c[d]).unwrap_or(3),
-                            None => 3,
-                        };
-                        (dim, tx.index())
-                    })
-                    .expect("BFS guarantees progress");
-                cand.truncate(cand_start[at]);
-                cand.push(pick);
+                let narrow = |x: usize| u16::try_from(x).map_err(|_| overflow.clone());
+                row[u].closer = narrow(count)?;
+                row[u].first = narrow(first)?;
+                row[u].end = narrow(end)?;
             }
-            cand_start[n_nodes] = cand.len();
-            for (src, &d) in dist[..n_hosts].iter().enumerate() {
-                if d == u32::MAX {
-                    return Err(TopologyError::Unreachable(
-                        HostId::from_index(src),
-                        HostId::from_index(dst),
-                    ));
-                }
-                let mut at = src;
-                while at != dst {
-                    let choices = &cand[cand_start[at]..cand_start[at + 1]];
-                    let (tx, next) = if let [only] = choices {
-                        *only
-                    } else {
-                        // ECMP-style deterministic spreading over
-                        // equal-cost next hops and parallel links.
-                        let h = fxhash(src as u64, dst as u64, at as u64);
-                        choices[(h % choices.len() as u64) as usize]
-                    };
-                    route_arena.push(tx);
-                    at = next;
-                }
-                // The diagonal walk is empty: `dist[dst]` is 0.
-                let end = u32::try_from(route_arena.len()).map_err(|_| overflow.clone())?;
-                route_start.push(end);
-            }
+        }
+        // Paths are symmetric, so every host reaches every other exactly
+        // when every host reaches host 0.
+        let to_first = &tables[attach[0].table as usize * n_routing..][..n_routing];
+        if let Some(src) = attach
+            .iter()
+            .position(|a| to_first[a.root as usize].dist == UNREACHED)
+        {
+            return Err(TopologyError::Unreachable(
+                HostId::from_index(src),
+                HostId::from_index(0),
+            ));
         }
 
         Ok(Topology {
@@ -506,8 +681,12 @@ impl TopologyBuilder {
             tx_params,
             pool_capacity,
             n_serializers,
-            route_arena,
-            route_start,
+            attach,
+            node_of,
+            link_start,
+            links,
+            tables,
+            switch_coords: self.switch_coords.clone(),
         })
     }
 }
@@ -553,7 +732,7 @@ mod tests {
     #[test]
     fn injection_hop_is_charged_to_source_nic_pool() {
         let (topo, hosts) = star(3);
-        let route = topo.route(hosts[0], hosts[2]);
+        let route: Vec<TxId> = topo.route(hosts[0], hosts[2]).collect();
         let first = topo.tx_params[route[0].index()];
         assert_eq!(first.pool.index(), hosts[0].index());
         let second = topo.tx_params[route[1].index()];
@@ -602,7 +781,7 @@ mod tests {
         let used: std::collections::HashSet<TxId> = hosts[..4]
             .iter()
             .flat_map(|&a| hosts[4..].iter().map(move |&b| (a, b)))
-            .map(|(a, b)| topo.route(a, b)[1])
+            .map(|(a, b)| topo.route(a, b).nth(1).expect("four hops"))
             .collect();
         assert!(used.len() >= 2, "ECMP should spread across parallel links");
     }
@@ -646,15 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn route_handles_are_destination_major() {
-        let (topo, hosts) = star(3);
-        let id = topo.route_id(hosts[2], hosts[1]);
-        assert_eq!(id.index(), 3 + 2);
-        assert_eq!(topo.route_dst(id), hosts[1]);
-        assert_eq!(topo.route_slice(id), topo.route(hosts[2], hosts[1]));
-    }
-
-    #[test]
     #[should_panic(expected = "no route from a host to itself")]
     fn self_route_panics() {
         let (topo, hosts) = star(2);
@@ -673,8 +843,8 @@ mod tests {
         let topo = b.build().unwrap();
         // host → bus → switch → bus' → host': 4 transmitters.
         assert_eq!(topo.hop_count(hosts[0], hosts[1]), 4);
-        let fwd = topo.route(hosts[0], hosts[1]);
-        let rev = topo.route(hosts[1], hosts[0]);
+        let fwd: Vec<TxId> = topo.route(hosts[0], hosts[1]).collect();
+        let rev: Vec<TxId> = topo.route(hosts[1], hosts[0]).collect();
         // Host 0's outbound bus hop and its inbound bus hop (last hop of
         // the reverse route) share one serializer.
         let out_slot = topo.tx_params[fwd[0].index()].serializer;
@@ -695,7 +865,7 @@ mod tests {
         for &a in &hosts {
             for &b in &hosts {
                 if a != b {
-                    assert_eq!(t1.route(a, b), t2.route(a, b));
+                    assert!(t1.route(a, b).eq(t2.route(a, b)), "{a}->{b}");
                 }
             }
         }

@@ -131,8 +131,7 @@ pub struct RecvActions {
 ///
 /// Holds both endpoints' state (the simulator is omniscient): the sender
 /// half lives at `src`, the receiver half at `dst`. Routes are not held
-/// here: the engine resolves a packet's route through its own
-/// `flow → RouteId` table.
+/// here: the engine resolves a packet's route through its own flow table.
 #[derive(Debug)]
 pub struct Connection {
     /// First unacknowledged stream byte (sender half).

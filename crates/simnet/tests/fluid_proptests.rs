@@ -95,7 +95,6 @@ fn multi_bottleneck_fabric(fat: bool) -> (Topology, Vec<HostId>) {
 fn route_slots(topo: &Topology, src: HostId, dst: HostId) -> Vec<usize> {
     let mut slots: Vec<usize> = topo
         .route(src, dst)
-        .iter()
         .map(|tx| topo.tx_params[tx.index()].serializer as usize)
         .collect();
     slots.sort_unstable();

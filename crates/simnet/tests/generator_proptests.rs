@@ -167,12 +167,13 @@ fn ecmp_hash(a: u64, b: u64, c: u64) -> u64 {
     x
 }
 
-/// Reference route construction: the per-hop algorithm the builder used
-/// before it tabulated next-hop candidates per destination. For every
-/// ordered host pair it walks from the source, at each node filtering
-/// the adjacency down to the neighbours one BFS step closer to the
-/// destination, then picking dimension-ordered (when the node has
-/// coordinates) or by the ECMP hash of `(src, dst, node)`.
+/// Reference route construction: the algorithm the builder used while
+/// it stored every host pair's path. For every destination host it runs
+/// a BFS over every node, hosts and bus stages included; then, for every
+/// source, it walks greedily, at each node filtering the adjacency down
+/// to the neighbours one BFS step closer to the destination and picking
+/// dimension-ordered (when the node has coordinates) or by the ECMP hash
+/// of `(src, dst, node)`.
 ///
 /// Works from the built topology alone: transmitters are created in
 /// pairs (`2k` = a→b, `2k+1` = b→a) in link order, so the sender of
@@ -246,23 +247,24 @@ fn reference_routes(topo: &Topology, coords: Option<&[[u16; 3]]>) -> Vec<Vec<TxI
     routes
 }
 
-/// Every route equals the reference's, and has the properties the route
-/// table and the fluid tier rely on instead of storing or checking them:
-/// a route id divides back to its destination, the last hop lands on the
-/// destination host, and no serializer slot repeats within a route (so a
-/// fluid flow never double-counts its demand on a shared bus slot).
+/// Every route the topology walks on demand equals the reference's, and
+/// has the properties the engines rely on instead of storing or checking
+/// them: its length is `hop_count`, its last hop lands on the destination
+/// host, and no serializer slot repeats within it (so a fluid flow never
+/// double-counts its demand on a shared bus slot).
 fn assert_routes_match_reference(topo: &Topology, coords: Option<&[[u16; 3]]>) {
     let reference = reference_routes(topo, coords);
     for src in 0..topo.n_hosts {
         for dst in (0..topo.n_hosts).filter(|&dst| dst != src) {
             let (s, d) = (HostId::new(src), HostId::new(dst));
-            let route = topo.route(s, d);
+            let route: Vec<TxId> = topo.route(s, d).collect();
             assert_eq!(
                 route,
-                &reference[src * topo.n_hosts + dst][..],
+                reference[src * topo.n_hosts + dst],
                 "route {src} -> {dst}"
             );
-            assert_eq!(topo.route_dst(topo.route_id(s, d)), d);
+            assert_eq!(topo.hop_count(s, d), route.len(), "{src} -> {dst}");
+            assert_eq!(topo.route(s, d).len(), route.len(), "{src} -> {dst}");
             let last = route.last().expect("a route has hops");
             assert_eq!(topo.tx_params[last.index()].to, Endpoint::Host(d));
             let mut slots: Vec<u32> = route
@@ -374,6 +376,72 @@ fn bus_fabric_routes_match_the_per_hop_reference() {
     assert_routes_match_reference(&topo, None);
 }
 
+/// A host with two links is its own attachment root, and a route may run
+/// through it: here the only way between the two switches is across the
+/// dual-homed host, by either of its links.
+#[test]
+fn a_two_link_host_routes_as_its_own_root() {
+    for bus in [false, true] {
+        let mut b = TopologyBuilder::new();
+        let hosts = b.add_hosts(5);
+        let (s0, s1) = (b.add_switch(sw()), b.add_switch(sw()));
+        b.link_host(hosts[0], s0, gbe());
+        b.link_host(hosts[1], s0, gbe());
+        b.link_host(hosts[2], s0, gbe());
+        b.link_host(hosts[2], s1, gbe());
+        b.link_host(hosts[3], s1, gbe());
+        // Two parallel links into one switch make a host its own root too.
+        b.link_host(hosts[4], s1, gbe());
+        b.link_host(hosts[4], s1, gbe());
+        if bus {
+            b.host_io_bus(250e6, 500);
+        }
+        let topo = b.build().unwrap();
+        let extra = if bus { 2 } else { 0 };
+        assert_eq!(topo.hop_count(hosts[0], hosts[1]), 2 + extra);
+        assert_eq!(topo.hop_count(hosts[0], hosts[3]), 4 + extra);
+        assert_eq!(topo.hop_count(hosts[2], hosts[4]), 2 + extra);
+        assert_routes_match_reference(&topo, None);
+    }
+}
+
+/// Parallel switch-to-switch links on every tier: the ECMP hash spreads
+/// pairs across them exactly as the reference does.
+#[test]
+fn parallel_switch_links_route_as_the_reference() {
+    let mut b = TopologyBuilder::new();
+    let hosts = b.add_hosts(12);
+    let leaves: Vec<_> = (0..3).map(|_| b.add_switch(sw())).collect();
+    let spines: Vec<_> = (0..2).map(|_| b.add_switch(sw())).collect();
+    for (i, &h) in hosts.iter().enumerate() {
+        b.link_host(h, leaves[i % 3], gbe());
+    }
+    for (i, &leaf) in leaves.iter().enumerate() {
+        for &spine in &spines {
+            for _ in 0..=i {
+                b.link_switches(leaf, spine, gbe());
+            }
+        }
+    }
+    b.link_switches(spines[0], spines[1], gbe());
+    b.link_switches(spines[0], spines[1], gbe());
+    let topo = b.build().unwrap();
+    assert_routes_match_reference(&topo, None);
+    // The cross-leaf pairs use more than one of leaf 2's six uplinks.
+    let used: std::collections::HashSet<TxId> = hosts
+        .iter()
+        .filter(|h| h.index() % 3 == 2)
+        .flat_map(|&s| {
+            hosts
+                .iter()
+                .filter(|d| d.index() % 3 != 2)
+                .map(move |&d| (s, d))
+        })
+        .map(|(s, d)| topo.route(s, d).nth(1).expect("four hops"))
+        .collect();
+    assert!(used.len() > 1, "{used:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -449,23 +517,28 @@ proptest! {
             prop_assert_eq!(&first.pool_capacity, &other.pool_capacity);
             for &s in &g1.hosts {
                 for &d in g1.hosts.iter().filter(|&&d| d != s) {
-                    prop_assert_eq!(first.route(s, d), other.route(s, d), "{} -> {}", s, d);
+                    prop_assert!(first.route(s, d).eq(other.route(s, d)), "{} -> {}", s, d);
                 }
             }
         }
     }
 
-    /// The tabulated route construction picks, hop for hop, what the
-    /// per-hop reference picks — ECMP-hashed families and the
-    /// dimension-ordered torus alike, at random sizes.
+    /// The on-demand walk picks, hop for hop, what the per-host reference
+    /// picks — ECMP-hashed families and the dimension-ordered torus alike,
+    /// at random sizes, with and without an I/O bus stage behind every
+    /// host (which lengthens every attachment chain by one hop).
     #[test]
-    fn tabulated_routes_match_the_per_hop_reference(
+    fn on_demand_routes_match_the_per_host_reference(
         family in 0usize..6,
         a in 1usize..5,
         b in 1usize..5,
         c in 1usize..4,
+        bus in any::<bool>(),
     ) {
-        let (g, coords) = generate_family(family, a, b, c);
+        let (mut g, coords) = generate_family(family, a, b, c);
+        if bus {
+            g.builder.host_io_bus(250e6, 500);
+        }
         let topo = g.builder.build().unwrap();
         assert_routes_match_reference(&topo, coords.as_deref());
     }
