@@ -377,8 +377,9 @@ fn bus_fabric_routes_match_the_per_hop_reference() {
 }
 
 /// A host with two links is its own attachment root, and a route may run
-/// through it: here the only way between the two switches is across the
-/// dual-homed host, by either of its links.
+/// through it: here the only way between the two switches is across
+/// dual-homed host 2 (behind buses, across its bus stage, which then is
+/// the root).
 #[test]
 fn a_two_link_host_routes_as_its_own_root() {
     for bus in [false, true] {
