@@ -825,6 +825,35 @@ mod tests {
     }
 
     #[test]
+    fn a_path_too_long_for_16_bit_distances_is_an_error() {
+        // Hop distances are `u16` with `u16::MAX` meaning unreached, so a
+        // line of 65 536 switches (end-to-end distance 65 535) is one too
+        // many; a line one switch shorter builds.
+        for (switches, fits) in [(1 << 16, false), ((1 << 16) - 1, true)] {
+            let mut b = TopologyBuilder::new();
+            let hosts = b.add_hosts(2);
+            let line: Vec<SwitchId> = (0..switches)
+                .map(|_| b.add_switch(SwitchConfig::commodity_ethernet()))
+                .collect();
+            for pair in line.windows(2) {
+                b.link_switches(pair[0], pair[1], LinkConfig::gigabit_ethernet());
+            }
+            b.link_host(hosts[0], line[0], LinkConfig::gigabit_ethernet());
+            b.link_host(hosts[1], line[switches - 1], LinkConfig::gigabit_ethernet());
+            match b.build() {
+                Ok(topo) => {
+                    assert!(fits);
+                    assert_eq!(topo.hop_count(hosts[0], hosts[1]), switches + 1);
+                }
+                Err(err) => {
+                    assert!(!fits);
+                    assert_eq!(err, TopologyError::RouteTableOverflow(2));
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "no route from a host to itself")]
     fn self_route_panics() {
         let (topo, hosts) = star(2);
