@@ -29,10 +29,10 @@
 use crate::config::{LinkConfig, SwitchConfig};
 use crate::ids::{HostId, PoolId, SwitchId, TxId};
 
-/// The most hosts a topology may have. Routes are no longer indexed by
-/// host pair, but the engines number per-pair work in `u32`: a fluid
-/// world's messages are `u32` ids, and a full all-to-all over `n` hosts
-/// is `n·(n − 1)` of them, which fits only up to 2¹⁶ hosts.
+/// The most hosts a topology may have. The engines number per-pair work
+/// in `u32`: a fluid world's messages are `u32` ids, and a full
+/// all-to-all over `n` hosts is `n·(n − 1)` of them, which fits only up
+/// to 2¹⁶ hosts.
 pub const MAX_HOSTS: usize = 1 << 16;
 
 /// Hop distance of a node its root's BFS never reached.
