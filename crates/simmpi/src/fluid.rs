@@ -39,20 +39,32 @@
 //! ([`FluidSim::window_end`]).
 //!
 //! Per-message cost is what a large run pays half a million times, so a
-//! message costs a few sequential passes and one route walk. Which
-//! receive takes which message is a pure function of the programs: the
-//! k-th send s → d meets the k-th receive at d from s. So before the first
-//! op issues, `Messages::pair` lays out every message and pairs every
-//! receive with it in `O(messages + ranks)`, and at run time a send or a
-//! receive finds its message by a per-rank cursor; nothing is looked up.
-//! The route is walked once, by [`FluidSim::start_flow`], which copies its
-//! serializer slots and returns its one-way latency for the finish to
-//! read; only a zero-byte message, which starts no flow, sums its latency
-//! at issue.
+//! message costs a few sequential passes, one route walk and few bytes.
+//! Which receive takes which message is a pure function of the programs:
+//! the k-th send s → d meets the k-th receive at d from s. So before the
+//! first op issues, `Messages::pair` lays out every message and pairs
+//! every receive with it in `O(messages + ranks)`, and at run time a send
+//! or a receive finds its message by a per-rank cursor; nothing is looked
+//! up. Pairing consumes the programs: each rank's [`Op`]s become
+//! `FluidStep`s (a transfer's send and receive counts, or a barrier) and
+//! are dropped, so the interpreter reads a send's destination and size
+//! from its message. What a message holds for the whole run:
+//!
+//! | bytes | what |
+//! |---|---|
+//! | 32 | its `Transfer`: source and destination rank (`u32` each), payload bytes, receive post and data arrival instants |
+//! | 4 | the id its receive takes (`recv_message`) |
+//!
+//! plus, while its flow is in flight, [`FluidSim`]'s per-flow state. The
+//! route is walked once, by [`FluidSim::start_flow`], which copies its
+//! serializer slots; the finish wave that completes the flow sums their
+//! latencies into [`FluidCompletion::latency_ns`], which the finish adds to
+//! the flow's end to get the arrival. Only a zero-byte message, which
+//! starts no flow, walks its route for the latency at issue.
 
 use crate::config::MpiConfig;
 use crate::ops::{Op, Rank};
-use crate::program::{check_hosts, Next, ProgramCounter};
+use crate::program::{check_hosts, check_peers, Next, ProgramCounter, Step};
 use crate::world::{RunInterrupt, RunResult};
 use simnet::event::RadixQueue;
 use simnet::fluid::{FluidCompletion, FluidSim};
@@ -74,16 +86,13 @@ pub const FINISH_WINDOW_REL: f64 = 1e-2;
 
 /// One point-to-point message, identified by its index in
 /// [`Messages::transfers`]. Ranks fit `u32`: each sits on its own
-/// [`HostId`]. Eager is `bytes <= eager_threshold`, not a field.
+/// [`HostId`]. Eager is `bytes <= eager_threshold`, not a field, and the
+/// route's one-way latency comes back with the flow's completion.
 #[derive(Debug)]
 struct Transfer {
     src: u32,
     dst: u32,
     bytes: u64,
-    /// One-way wire latency of the src → dst route, returned by the walk
-    /// that starts the flow; unset for a zero-byte message, which starts
-    /// none.
-    latency_ns: u64,
     /// Receive post instant; NaN until the matching receive has posted.
     post_ns: f64,
     /// Data arrival instant at the receiver (flow finish + route
@@ -92,9 +101,38 @@ struct Transfer {
 }
 
 const _: () = assert!(
-    std::mem::size_of::<Transfer>() == 40,
-    "Transfer is 40 bytes: a large all-to-all holds one per message"
+    std::mem::size_of::<Transfer>() == 32,
+    "Transfer is 32 bytes: a large all-to-all holds one per message"
 );
+
+/// A rank's op once [`Messages::pair`] has laid its messages out: how many
+/// sends and receives a transfer issues, which the rank's cursors find, or
+/// a barrier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FluidStep {
+    /// Post the rank's next `recvs` receives, issue its next `sends` sends.
+    Transfer { sends: u32, recvs: u32 },
+    /// [`Op::Barrier`].
+    Barrier,
+}
+
+/// A transfer hands its world its `(sends, recvs)` counts.
+impl Step for FluidStep {
+    type Payload = (u32, u32);
+
+    fn is_empty(&self) -> bool {
+        *self == FluidStep::Transfer { sends: 0, recvs: 0 }
+    }
+
+    fn take(&mut self) -> Option<Self::Payload> {
+        match *self {
+            FluidStep::Transfer { sends, recvs } => Some((sends, recvs)),
+            FluidStep::Barrier => None,
+        }
+    }
+
+    fn restore(&mut self, _: Self::Payload) {}
+}
 
 /// The message id of a surplus receive, which no send matches: it blocks
 /// its rank for good.
@@ -116,15 +154,22 @@ struct Messages {
 }
 
 impl Messages {
-    /// Lays out every send of `programs` and pairs the k-th receive at d
-    /// from s with the k-th send s → d (MPI non-overtaking). A stable
-    /// counting sort of message ids by destination leaves each source's
-    /// messages to d contiguous and in program order, so one cursor per
-    /// source, set and reset only where d's bucket touches it, walks them:
-    /// `O(messages + ranks)`, no hashing and no ranks² table.
-    fn pair<'p>(programs: impl Iterator<Item = &'p [Op]> + Clone, n: usize) -> Self {
+    /// Lays out every send of `programs`, turning each rank's ops into the
+    /// steps its counter runs and dropping them as it goes, and pairs the
+    /// k-th receive at d from s with the k-th send s → d (MPI
+    /// non-overtaking). A stable counting sort of message ids by
+    /// destination leaves each source's messages to d contiguous and in
+    /// program order, so one cursor per source, set and reset only where
+    /// d's bucket touches it, walks them: `O(messages + ranks)`, no hashing
+    /// and no ranks² table.
+    ///
+    /// # Panics
+    /// Panics, naming the rank, the op index and the peer, if a send or
+    /// receive names a peer outside the world or the rank itself.
+    fn pair(programs: Vec<Vec<Op>>) -> (Self, Vec<Vec<FluidStep>>) {
+        let n = programs.len();
         let (sends, recvs) = programs
-            .clone()
+            .iter()
             .flatten()
             .fold((0, 0), |(s, r), op| match op {
                 Op::Transfer { sends, recvs } => (s + sends.len(), r + recvs.len()),
@@ -138,22 +183,29 @@ impl Messages {
         // Each rank's first receive, and the end while pairing: rank d's
         // receives are `next_recv[d]..next_recv[d + 1]`.
         let mut next_recv = Vec::with_capacity(n + 1);
-        for (rank, program) in programs.enumerate() {
+        let mut steps = Vec::with_capacity(n);
+        for (rank, program) in programs.into_iter().enumerate() {
             next_send.push(transfers.len() as u32);
             next_recv.push(recv_message.len() as u32);
-            for op in program {
-                if let Op::Transfer { sends, recvs } = op {
-                    transfers.extend(sends.iter().map(|&(to, bytes)| Transfer {
-                        src: rank as u32,
-                        dst: to as u32,
-                        bytes,
-                        latency_ns: 0,
-                        post_ns: f64::NAN,
-                        arrival_ns: f64::NAN,
-                    }));
-                    recv_message.extend(recvs.iter().map(|&from| from as u32));
+            let step = |(index, op): (usize, Op)| {
+                check_peers(rank, index, &op, n);
+                let Op::Transfer { sends, recvs } = op else {
+                    return FluidStep::Barrier;
+                };
+                transfers.extend(sends.iter().map(|&(to, bytes)| Transfer {
+                    src: rank as u32,
+                    dst: to as u32,
+                    bytes,
+                    post_ns: f64::NAN,
+                    arrival_ns: f64::NAN,
+                }));
+                recv_message.extend(recvs.iter().map(|&from| from as u32));
+                FluidStep::Transfer {
+                    sends: sends.len() as u32,
+                    recvs: recvs.len() as u32,
                 }
-            }
+            };
+            steps.push(program.into_iter().enumerate().map(step).collect());
         }
         next_recv.push(recv_message.len() as u32);
         let mut starts = vec![0u32; n + 2];
@@ -193,12 +245,13 @@ impl Messages {
             }
         }
         next_recv.pop();
-        Self {
+        let messages = Self {
             transfers,
             recv_message,
             next_send,
             next_recv,
-        }
+        };
+        (messages, steps)
     }
 
     /// The id of `rank`'s next send, which it issues now.
@@ -239,7 +292,7 @@ struct Interp<'w, 'a, R: Recorder> {
     hosts: &'w [HostId],
     mpi: &'w MpiConfig,
     net: FluidSim<'a, R>,
-    ranks: ProgramCounter<f64>,
+    ranks: ProgramCounter<f64, FluidStep>,
     messages: Messages,
     /// Per pending part: the rank it resolves for (ranks fit `u32`, as in
     /// [`Transfer`]), keyed by the resolving instant's `f64` bits, which
@@ -292,8 +345,7 @@ impl<'a> FluidWorld<'a> {
         guard: RunGuard,
     ) -> Interp<'_, 'a, R> {
         assert_eq!(programs.len(), self.hosts.len(), "one program per rank");
-        let ranks = ProgramCounter::new(programs);
-        let messages = Messages::pair(ranks.programs(), self.hosts.len());
+        let (messages, steps) = Messages::pair(programs);
         let mut net = FluidSim::with_recorder(self.topo, recorder);
         net.reserve(messages.transfers.len());
         net.set_finish_window(FINISH_WINDOW_REL);
@@ -303,7 +355,7 @@ impl<'a> FluidWorld<'a> {
             hosts: &self.hosts,
             mpi: &self.mpi,
             net,
-            ranks,
+            ranks: ProgramCounter::new(steps),
             messages,
             events: RadixQueue::new(),
             finish_buf: Vec::new(),
@@ -367,7 +419,7 @@ impl<R: Recorder> Interp<'_, '_, R> {
             // cascaded events from ever being scheduled fractionally past
             // the clock.
             for c in &finishes {
-                self.on_flow_finish(c.tag, (c.at.0 as f64).clamp(t, t_adv));
+                self.on_flow_finish(c, (c.at.0 as f64).clamp(t, t_adv));
             }
             self.finish_buf = finishes;
             while let Some((at, rank)) = self.events.pop_at_most(t_adv.to_bits()) {
@@ -438,13 +490,12 @@ impl<R: Recorder> Interp<'_, '_, R> {
             .sum()
     }
 
-    /// Starts message `id`'s payload as a fluid flow, keeping the route
-    /// latency the same walk sums.
+    /// Starts message `id`'s payload as a fluid flow.
     fn start_flow(&mut self, id: u32) {
-        let tr = &mut self.messages.transfers[id as usize];
+        let tr = &self.messages.transfers[id as usize];
         let (src, dst) = (self.hosts[tr.src as usize], self.hosts[tr.dst as usize]);
         self.flow_bytes += tr.bytes;
-        tr.latency_ns = self.net.start_flow(src, dst, tr.bytes, u64::from(id));
+        self.net.start_flow(src, dst, tr.bytes, u64::from(id));
     }
 
     fn issue_current_op(&mut self, rank: Rank, now_ns: f64) {
@@ -455,40 +506,37 @@ impl<R: Recorder> Interp<'_, '_, R> {
                     self.schedule(r, now_ns);
                 }
             }
-            Next::Transfer { sends, recvs } => {
-                let rendezvous = sends
+            Next::Transfer((sends, recvs)) => {
+                // The op's sends are the rank's next `sends` messages.
+                let first = self.messages.next_send[rank] as usize;
+                let rendezvous = self.messages.transfers[first..first + sends as usize]
                     .iter()
-                    .filter(|(_, b)| *b > self.mpi.eager_threshold)
+                    .filter(|tr| tr.bytes > self.mpi.eager_threshold)
                     .count();
-                let cpu_parts = usize::from(!sends.is_empty());
+                let cpu_parts = usize::from(sends > 0);
                 // Receives post first (instantaneous state change) so a
                 // sendrecv against the same peer cannot deadlock.
-                for &from in &recvs {
-                    self.post_recv(from, rank, now_ns);
+                for _ in 0..recvs {
+                    self.post_recv(rank, now_ns);
                 }
                 if cpu_parts > 0 {
-                    let cpu_ns = sends.len() as u64 * self.mpi.send_overhead_ns;
+                    let cpu_ns = u64::from(sends) * self.mpi.send_overhead_ns;
                     self.schedule(rank, now_ns + cpu_ns as f64);
                 }
-                for &send in &sends {
-                    self.issue_send(rank, send, now_ns);
+                for _ in 0..sends {
+                    self.issue_send(rank, now_ns);
                 }
-                let parts = cpu_parts + rendezvous + recvs.len();
-                self.ranks.wait(rank, parts, Op::Transfer { sends, recvs });
+                let parts = cpu_parts + rendezvous + recvs as usize;
+                self.ranks.wait(rank, parts, (sends, recvs));
             }
         }
     }
 
-    /// `src` issues its next send, `(dst, bytes)`.
-    fn issue_send(&mut self, src: Rank, (dst, bytes): (Rank, u64), now_ns: f64) {
+    /// `src` issues its next send.
+    fn issue_send(&mut self, src: Rank, now_ns: f64) {
         let id = self.messages.issue(src);
         let tr = &self.messages.transfers[id as usize];
-        debug_assert_eq!(
-            (tr.dst as Rank, tr.bytes),
-            (dst, bytes),
-            "sends issue in walk order"
-        );
-        let post = tr.post_ns;
+        let (dst, bytes, post) = (tr.dst as Rank, tr.bytes, tr.post_ns);
         // Its receive has posted already.
         let matched = !post.is_nan();
         if bytes == 0 {
@@ -506,8 +554,8 @@ impl<R: Recorder> Interp<'_, '_, R> {
         }
     }
 
-    /// `dst` posts its next receive, from `src`.
-    fn post_recv(&mut self, src: Rank, dst: Rank, now_ns: f64) {
+    /// `dst` posts its next receive.
+    fn post_recv(&mut self, dst: Rank, now_ns: f64) {
         let id = self.messages.post(dst);
         if id == UNMATCHED {
             // A surplus receive: no send will ever match it.
@@ -515,7 +563,6 @@ impl<R: Recorder> Interp<'_, '_, R> {
         }
         let issued = self.messages.issued(id);
         let tr = &mut self.messages.transfers[id as usize];
-        debug_assert_eq!(tr.src as Rank, src, "receives post in walk order");
         tr.post_ns = now_ns;
         if !issued {
             // The send finds the post when it issues.
@@ -541,9 +588,11 @@ impl<R: Recorder> Interp<'_, '_, R> {
         self.schedule(dst, done);
     }
 
-    fn on_flow_finish(&mut self, id: u64, at_ns: f64) {
-        let tr = &mut self.messages.transfers[id as usize];
-        let arrival = at_ns + tr.latency_ns as f64;
+    /// Flow `c` finished at `at_ns`; its data arrives one route latency
+    /// later.
+    fn on_flow_finish(&mut self, c: &FluidCompletion, at_ns: f64) {
+        let tr = &mut self.messages.transfers[c.tag as usize];
+        let arrival = at_ns + c.latency_ns as f64;
         tr.arrival_ns = arrival;
         let (src, dst, post) = (tr.src as Rank, tr.dst as Rank, tr.post_ns);
         if tr.bytes > self.mpi.eager_threshold {

@@ -5,7 +5,7 @@
 //! * ranks mapped onto hosts by two worlds, the packet [`world::World`]
 //!   and the flow-level [`fluid::FluidWorld`], which share one rank
 //!   program counter (next op, outstanding parts, barriers, finish times,
-//!   the host-set check) and keep only their own protocols;
+//!   the host-set and peer checks) and keep only their own protocols;
 //! * blocking point-to-point semantics with an **eager/rendezvous**
 //!   protocol (envelope overheads, unexpected-message queueing, RTS/CTS
 //!   handshakes) — the source of the paper's small-message non-linearity

@@ -24,7 +24,7 @@
 
 use crate::config::MpiConfig;
 use crate::ops::{Op, Rank};
-use crate::program::{check_hosts, Next, ProgramCounter};
+use crate::program::{check_hosts, check_peers, Next, ProgramCounter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::prelude::*;
@@ -155,7 +155,7 @@ pub struct World<R: Recorder = NoopRecorder> {
     conn_pair: Vec<(Rank, Rank)>,
     rendezvous: HashMap<(usize, u64), u64>,
     actions: Vec<WakeupAction>,
-    ranks: ProgramCounter<SimTime>,
+    ranks: ProgramCounter<SimTime, Op>,
     /// Per rank, the instant its CPU finishes the overheads charged so far.
     cpu_free: Vec<SimTime>,
     rng: StdRng,
@@ -239,9 +239,17 @@ impl<R: Recorder> World<R> {
     /// `set_guard`; discard the world rather than running again.
     ///
     /// # Panics
-    /// Panics if `programs.len()` differs from the rank count.
+    /// Panics if `programs.len()` differs from the rank count, or, naming
+    /// the rank, the op index and the peer, if a send or receive names a
+    /// peer outside the world or the rank itself.
     pub fn try_run(&mut self, programs: Vec<Vec<Op>>) -> Result<RunResult, RunInterrupt> {
-        assert_eq!(programs.len(), self.hosts.len(), "one program per rank");
+        let n = self.hosts.len();
+        assert_eq!(programs.len(), n, "one program per rank");
+        for (rank, program) in programs.iter().enumerate() {
+            for (index, op) in program.iter().enumerate() {
+                check_peers(rank, index, op, n);
+            }
+        }
         // Drain any traffic trailing from a previous run (late ACKs).
         self.sim.run_until_idle();
         while self.sim.poll().is_some() {}
@@ -396,7 +404,7 @@ impl<R: Recorder> World<R> {
                     self.sim.schedule_wakeup(now, token);
                 }
             }
-            Next::Transfer { sends, recvs } => {
+            Next::Transfer((sends, recvs)) => {
                 // Receives post first (instantaneous state change) so a
                 // sendrecv against the same peer cannot deadlock.
                 for &from in &recvs {
@@ -409,8 +417,8 @@ impl<R: Recorder> World<R> {
                         WakeupAction::IssueSend { rank, to, bytes },
                     );
                 }
-                let parts = sends.len() + recvs.len();
-                self.ranks.wait(rank, parts, Op::Transfer { sends, recvs });
+                self.ranks
+                    .wait(rank, sends.len() + recvs.len(), (sends, recvs));
             }
         }
     }

@@ -77,6 +77,17 @@
 //! short of every finish touches no flow and a finish wave only its own
 //! flows, past an `O(levels + log flows)` search; only a solve that
 //! re-solves a flow scans and reorders them all.
+//!
+//! Per flow in flight the engine holds 28 bytes besides its route's slots
+//! in the arena: the 16-byte `FlowState` (arena span and tag), the 8-byte
+//! `Progress` (finish instant), the only per-flow bytes a wave's search
+//! reads, and the 4-byte level. The flow's rate is its level's share,
+//! stored once per level: waves, [`FluidSim::rates`], the utilization
+//! samples and a restart's add-backs all read it there, so a restart reads
+//! the shares of the levels it re-solves before it cuts them. The route's
+//! latency is not stored per flow either: the wave that completes a flow
+//! sums it from a per-slot table, in the loop that gives the flow's
+//! bandwidth back, into its [`FluidCompletion`].
 
 use crate::guard::{GuardStop, InstalledGuard, RunGuard};
 use crate::ids::HostId;
@@ -95,12 +106,17 @@ pub struct FluidCompletion {
     pub tag: u64,
     /// Completion instant.
     pub at: SimTime,
+    /// One-way wire latency of the flow's route in nanoseconds, the value
+    /// [`FluidSim::start_flow`] returned: summed over the flow's slots by
+    /// the finish wave that gives their bandwidth back, so a caller holds
+    /// no per-flow copy of it.
+    pub latency_ns: u64,
 }
 
 /// One fluid flow in flight: what only solves and finishes read. Its
 /// [`Progress`] and its level sit at the same index of parallel vectors,
 /// and all three are in descending finish order whenever no solve is
-/// pending.
+/// pending. Its rate is its level's share, stored nowhere else.
 #[derive(Debug, Clone, Copy)]
 struct FlowState {
     /// Span into the slot arena: the serializer slot of each hop, in route
@@ -111,16 +127,16 @@ struct FlowState {
     tag: u64,
 }
 
-/// What a finish wave reads of a flow in flight: it binary-searches and
-/// pops these 16 bytes per flow and nothing else.
+/// What a finish wave's search reads of a flow in flight: it
+/// binary-searches these 8 bytes per flow, and of the flows it pops reads
+/// their level's share as the rate.
 #[derive(Debug, Clone, Copy)]
 struct Progress {
-    /// Projected finish instant in nanoseconds at `rate`, set by the solve
-    /// that assigned the rate. From the flow's start to its first solve,
-    /// and inside a solve that re-solves it, the bytes it has left instead.
+    /// Projected finish instant in nanoseconds at the flow's level's share,
+    /// set by the solve that froze it there. From the flow's start to its
+    /// first solve, and inside a solve that re-solves it, the bytes it has
+    /// left instead.
     finish_ns: f64,
-    /// Current max-min rate in bytes/second.
-    rate: f64,
 }
 
 impl FlowState {
@@ -139,7 +155,7 @@ impl FlowState {
 }
 
 const _: () = assert!(
-    std::mem::size_of::<FlowState>() == 16 && std::mem::size_of::<Progress>() == 16,
+    std::mem::size_of::<FlowState>() == 16 && std::mem::size_of::<Progress>() == 8,
     "a large all-to-all holds ~n² flows; each pass over them reads one of these"
 );
 
@@ -166,14 +182,17 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     topo: &'a Topology,
     /// Capacity per serializer slot in bytes/second.
     capacity: Vec<f64>,
+    /// One-way wire latency per serializer slot in nanoseconds.
+    latency_ns: Vec<u64>,
     /// Representative transmitter id per slot (first tx mapped onto it),
     /// used to label recorder samples.
     slot_tx: Vec<u32>,
     flows: Vec<FlowState>,
-    /// Finish instant and rate of each flow (parallel to `flows`).
+    /// Finish instant of each flow (parallel to `flows`).
     progress: Vec<Progress>,
     /// Bottleneck level each flow froze at in the last solve (parallel to
-    /// `flows`, so the tail scan reads 4 bytes per flow, not 16).
+    /// `flows`, so the tail scan reads 4 bytes per flow, not 16); its
+    /// share is the flow's rate.
     flow_level: Vec<u32>,
     /// Fair share of each bottleneck level of the last solve.
     levels: Vec<f64>,
@@ -203,7 +222,7 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     guard: InstalledGuard,
     recorder: R,
     // Per-slot scratch reused across recomputations. The per-flow and
-    // per-hop scratch of a solve (its tail, its CSR, its sort keys) is
+    // per-hop scratch of a solve (its CSR, a level's spans, its sort keys) is
     // allocated by the solve and freed before it returns: on a big run it
     // outweighs everything else the engine holds between solves.
     scratch_count: Vec<u32>,
@@ -225,19 +244,27 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// attached.
     pub fn with_recorder(topo: &'a Topology, recorder: R) -> Self {
         let mut capacity = vec![0.0; topo.n_serializers];
+        let mut latency_ns = vec![0; topo.n_serializers];
         let mut slot_tx = vec![u32::MAX; topo.n_serializers];
         for (i, params) in topo.tx_params.iter().enumerate() {
             let slot = params.serializer as usize;
-            // All members of a shared slot have equal rates by construction.
+            // All members of a shared slot have equal rates by construction,
+            // and equal latencies: a host's two bus directions are one link.
             capacity[slot] = 1e9 / params.ns_per_byte;
             if slot_tx[slot] == u32::MAX {
                 slot_tx[slot] = i as u32;
+                latency_ns[slot] = params.latency_ns;
             }
+            assert_eq!(
+                latency_ns[slot], params.latency_ns,
+                "members of serializer slot {slot} differ in latency"
+            );
         }
         Self {
             topo,
             residual: capacity.clone(),
             capacity,
+            latency_ns,
             slot_tx,
             flows: Vec::new(),
             progress: Vec::new(),
@@ -338,8 +365,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.ensure_rates();
         self.flows
             .iter()
-            .zip(&self.progress)
-            .map(|(f, p)| (f.tag, p.rate))
+            .zip(&self.flow_level)
+            .map(|(f, &level)| (f.tag, self.levels[level as usize]))
     }
 
     /// Installs supervision limits, replacing any previous guard and
@@ -366,7 +393,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
 
     /// Starts a flow of `bytes` from `src` to `dst` at the current time and
     /// returns the route's one-way wire latency in nanoseconds, summed in
-    /// the same walk that copies the route's serializer slots.
+    /// the same walk that copies the route's serializer slots; the flow's
+    /// [`FluidCompletion`] carries it again.
     ///
     /// # Panics
     /// Panics if `src == dst` or `bytes == 0` (zero-byte transfers carry
@@ -389,7 +417,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         // Bytes left until the solve this start forces sets the finish.
         self.progress.push(Progress {
             finish_ns: bytes as f64,
-            rate: 0.0,
         });
         self.flow_level.push(NO_LEVEL);
         self.restart_level = 0;
@@ -417,55 +444,63 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         } else {
             self.level_flows[from as usize..].iter().sum::<u32>() as usize
         };
-        self.levels.truncate(from as usize);
-        self.level_flows.truncate(from as usize);
         self.flows_resolved += tail_len as u64;
         if R::ENABLED {
             self.recorder.on_fluid_solve(self.flows.len(), tail_len);
         }
         if tail_len == 0 {
             // Every rate, finish instant and the finish order stand.
+            self.levels.truncate(from as usize);
+            self.level_flows.truncate(from as usize);
             return;
         }
         let now = self.now_ns;
         let n_slots = self.capacity.len();
         self.scratch_count.clear();
         self.scratch_count.resize(n_slots, 0);
-        // The tail gives its bandwidth back, turns its finish instants back
-        // into bytes left (a fresh flow holds its bytes already) and is
-        // counted per slot.
-        let mut tail: Vec<u32> = Vec::with_capacity(tail_len);
+        // The tail gives its bandwidth back at its level's share (so the
+        // shares are read before the levels are cut back), turns its finish
+        // instants back into bytes left (a fresh flow holds its bytes
+        // already), is counted per slot and marked unfrozen.
+        let mut marked = 0;
         for (fi, level) in self.flow_level.iter_mut().enumerate() {
-            if *level >= from {
+            if *level < from {
+                continue;
+            }
+            marked += 1;
+            let mut rate = 0.0;
+            if *level != NO_LEVEL {
+                rate = self.levels[*level as usize];
                 let p = &mut self.progress[fi];
-                if *level != NO_LEVEL {
-                    p.finish_ns = (p.finish_ns - now) * p.rate / 1e9;
-                }
-                *level = NO_LEVEL;
-                tail.push(fi as u32);
-                for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
-                    self.scratch_count[s as usize] += 1;
-                    self.residual[s as usize] += p.rate;
-                }
+                p.finish_ns = (p.finish_ns - now) * rate / 1e9;
+            }
+            *level = NO_LEVEL;
+            for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
+                self.scratch_count[s as usize] += 1;
+                self.residual[s as usize] += rate;
             }
         }
-        debug_assert_eq!(tail.len(), tail_len, "per-level live counts");
+        debug_assert_eq!(marked, tail_len, "per-level live counts");
+        self.levels.truncate(from as usize);
+        self.level_flows.truncate(from as usize);
         if from == 0 {
             // From scratch: shed the rounding the add-backs accumulated.
             self.residual.clone_from(&self.capacity);
         }
-        // CSR: per-slot list of tail flow indices. `offsets[s + 1]` starts
-        // as slot `s`'s fill cursor and so ends as its end offset.
+        // CSR: per-slot list of tail flow indices, in index order.
+        // `offsets[s + 1]` starts as slot `s`'s fill cursor and so ends as
+        // its end offset.
         self.scratch_offsets.clear();
         self.scratch_offsets.resize(n_slots + 2, 0);
         for s in 0..n_slots {
             self.scratch_offsets[s + 2] = self.scratch_offsets[s + 1] + self.scratch_count[s];
         }
         let mut csr = vec![0u32; self.scratch_offsets[n_slots + 1] as usize];
-        for fi in tail {
-            for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi as usize])] {
+        let flows = self.flows.iter().zip(&self.flow_level).enumerate();
+        for (fi, (flow, _)) in flows.filter(|(_, (_, &level))| level == NO_LEVEL) {
+            for &s in &self.slot_arena[Self::flow_slots(flow)] {
                 let cursor = &mut self.scratch_offsets[s as usize + 1];
-                csr[*cursor as usize] = fi;
+                csr[*cursor as usize] = fi as u32;
                 *cursor += 1;
             }
         }
@@ -473,6 +508,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.scratch_active
             .extend((0..n_slots as u32).filter(|&s| self.scratch_count[s as usize] > 0));
 
+        // The slot spans of the flows one level freezes.
+        let mut spans = Vec::new();
         let mut remaining_flows = tail_len;
         while remaining_flows > 0 {
             // Find the bottleneck slot: smallest fair share among slots
@@ -495,12 +532,15 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             let level = self.levels.len() as u32;
             self.levels.push(best_share);
             // Freeze every unfrozen flow crossing the bottleneck at the
-            // bottleneck's fair share.
+            // bottleneck's fair share, gathering their slot spans; then take
+            // that share off each of their slots. Every flow of the level
+            // takes the same share, so walking the spans after the flows
+            // leaves each slot's residual as one pass would.
             let (lo, hi) = (
                 self.scratch_offsets[best_slot] as usize,
                 self.scratch_offsets[best_slot + 1] as usize,
             );
-            let mut frozen = 0;
+            spans.clear();
             for &fi in &csr[lo..hi] {
                 let fi = fi as usize;
                 if self.flow_level[fi] != NO_LEVEL {
@@ -509,9 +549,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 self.flow_level[fi] = level;
                 let p = &mut self.progress[fi];
                 p.finish_ns = now + (p.finish_ns / best_share) * 1e9;
-                p.rate = best_share;
-                frozen += 1;
-                for &s in &self.slot_arena[Self::flow_slots(&self.flows[fi])] {
+                spans.push(Self::flow_slots(&self.flows[fi]));
+            }
+            for span in &spans {
+                for &s in &self.slot_arena[span.clone()] {
                     let s = s as usize;
                     self.residual[s] -= best_share;
                     // Conservation: Σ rates on a slot ≤ its capacity.
@@ -523,10 +564,11 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                     self.scratch_count[s] -= 1;
                 }
             }
-            remaining_flows -= frozen as usize;
-            self.level_flows.push(frozen);
+            let frozen = spans.len();
+            remaining_flows -= frozen;
+            self.level_flows.push(frozen as u32);
         }
-        drop(csr);
+        drop((csr, spans));
         self.order_by_finish();
     }
 
@@ -538,9 +580,9 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// level. The bits of a non-negative `f64` order as the value does and
     /// the index is unique, so descending keys are exactly that order, and
     /// the sort reads nothing else. A sorted key holds its flow's finish
-    /// and level, and the rate is the level's share; the flow itself is
-    /// gathered into the key's slot, so no per-flow vector is copied and
-    /// no load waits on the one before it, as a cycle walk's would.
+    /// and level; the flow itself is gathered into the key's slot, so no
+    /// per-flow vector is copied and no load waits on the one before it, as
+    /// a cycle walk's would.
     fn order_by_finish(&mut self) {
         let mut keys: Vec<u128> = self
             .progress
@@ -549,21 +591,15 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             .enumerate()
             .map(|(i, (p, &level))| {
                 debug_assert!(p.finish_ns.is_sign_positive(), "negative finish");
-                debug_assert_eq!(
-                    p.rate, self.levels[level as usize],
-                    "rate is the level's share"
-                );
                 u128::from(p.finish_ns.to_bits()) << 64 | (i as u128) << 32 | u128::from(level)
             })
             .collect();
         keys.sort_unstable_by_key(|&key| Reverse(key));
         for (i, key) in keys.iter_mut().enumerate() {
-            let level = *key as u32;
             self.progress[i] = Progress {
                 finish_ns: f64::from_bits((*key >> 64) as u64),
-                rate: self.levels[level as usize],
             };
-            self.flow_level[i] = level;
+            self.flow_level[i] = *key as u32;
             *key = self.flows[(*key >> 32) as u32 as usize].to_bits();
         }
         for (flow, &bits) in self.flows.iter_mut().zip(keys.iter()) {
@@ -616,9 +652,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     fn record_busy(&mut self, dt_secs: f64, from_ns: f64, to_ns: f64) {
         self.scratch_rate.clear();
         self.scratch_rate.resize(self.capacity.len(), 0.0);
-        for (flow, p) in self.flows.iter().zip(&self.progress) {
+        for (flow, &level) in self.flows.iter().zip(&self.flow_level) {
+            let rate = self.levels[level as usize];
             for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                self.scratch_rate[s as usize] += p.rate;
+                self.scratch_rate[s as usize] += rate;
             }
         }
         for (s, &rate) in self.scratch_rate.iter().enumerate() {
@@ -691,8 +728,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         let first = completions.len();
         let mut kept = lo;
         for i in lo..self.flows.len() {
-            let p = self.progress[i];
-            if (p.finish_ns - stop_ns) * p.rate / 1e9 > DONE_TOLERANCE_BYTES {
+            let finish_ns = self.progress[i].finish_ns;
+            let level = self.flow_level[i];
+            let rate = self.levels[level as usize];
+            if (finish_ns - stop_ns) * rate / 1e9 > DONE_TOLERANCE_BYTES {
                 // Not done: moves up past the done ones, order kept.
                 self.flows.swap(kept, i);
                 self.progress.swap(kept, i);
@@ -700,17 +739,20 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 kept += 1;
                 continue;
             }
+            // The freed bandwidth goes back, and the route's latency is
+            // summed on the way; the next solve restarts no higher than the
+            // level this flow was frozen at.
             let flow = self.flows[i];
+            let mut latency_ns = 0;
+            for &s in &self.slot_arena[Self::flow_slots(&flow)] {
+                self.residual[s as usize] += rate;
+                latency_ns += self.latency_ns[s as usize];
+            }
             completions.push(FluidCompletion {
                 tag: flow.tag,
-                at: SimTime(p.finish_ns.min(stop_ns).round() as u64),
+                at: SimTime(finish_ns.min(stop_ns).round() as u64),
+                latency_ns,
             });
-            // The freed bandwidth goes back; the next solve restarts no
-            // higher than the level this flow was frozen at.
-            for &s in &self.slot_arena[Self::flow_slots(&flow)] {
-                self.residual[s as usize] += p.rate;
-            }
-            let level = self.flow_level[i];
             self.level_flows[level as usize] -= 1;
             self.restart_level = self.restart_level.min(level);
         }

@@ -7,6 +7,7 @@ use contention_scenario::prelude::AllToAllAlgorithm;
 use contention_scenario::spec::{SpecError, TopologySpec};
 use contention_scenario::topology::{self, Fabric};
 use proptest::prelude::*;
+use simnet::fluid::FluidSim;
 use simnet::generate::{
     dragonfly, fat_tree, single_switch, star_of_switches, torus, two_level_tree, DragonflyParams,
     FatTreeParams, Generated, Placement, SingleSwitchParams, StarParams, TorusParams, TreeParams,
@@ -542,6 +543,49 @@ proptest! {
         }
         let topo = g.builder.build().unwrap();
         assert_routes_match_reference(&topo, coords.as_deref());
+    }
+
+    /// A fluid flow's completion carries its route's one-way latency: the
+    /// `tx_params` latencies summed along the walk, which is also what
+    /// `start_flow` returned. The engine sums it again, at the finish, from
+    /// a per-slot table, whose entry the two directions of a shared bus
+    /// slot must agree on; the tree family's uplinks and the bus stage give
+    /// the routes hops of differing latency.
+    #[test]
+    fn fluid_completions_carry_each_routes_latency(
+        family in 0usize..6,
+        a in 1usize..5,
+        b in 1usize..5,
+        c in 1usize..4,
+        bus in any::<bool>(),
+    ) {
+        let (mut g, _) = generate_family(family, a, b, c);
+        if bus {
+            g.builder.host_io_bus(250e6, 500);
+        }
+        let topo = g.builder.build().unwrap();
+        let n = topo.n_hosts;
+        let mut sim = FluidSim::new(&topo);
+        sim.set_finish_window(1e-2);
+        let mut walked = vec![0; n * n];
+        for src in 0..n {
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let (s, d) = (HostId::new(src), HostId::new(dst));
+                let pair = src * n + dst;
+                walked[pair] = topo
+                    .route(s, d)
+                    .map(|tx| topo.tx_params[tx.index()].latency_ns)
+                    .sum();
+                let started = sim.start_flow(s, d, 100_000, pair as u64);
+                assert_eq!(started, walked[pair], "start_flow {src} -> {dst}");
+            }
+        }
+        let done = sim.run_to_completion();
+        assert_eq!(done.len(), n * (n - 1));
+        for c in done {
+            let (src, dst) = (c.tag as usize / n, c.tag as usize % n);
+            assert_eq!(c.latency_ns, walked[c.tag as usize], "completion {src} -> {dst}");
+        }
     }
 
     /// Fat-trees for k ∈ {2, 4} and 2–8 hosts per edge: every pair routes,
