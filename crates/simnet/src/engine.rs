@@ -60,42 +60,20 @@ struct TxQueue {
     bulk: VecDeque<PackedPacket>,
 }
 
-/// A serialization slot: usually one per transmitter, but a host I/O bus
-/// shares one slot between its two directions.
+/// A serialization slot's run state, one per [`Topology::serializers`]
+/// entry: usually one transmitter's, but a host I/O bus shares one slot
+/// between its two directions.
 ///
-/// Members live inline: almost every slot serves exactly one transmitter
-/// (a bus slot serves two), and `begin_service` runs twice per packet per
-/// hop — a `Vec` would put a pointer chase and a heap allocation on the
-/// hottest loop in the engine.
+/// Members live inline, as the slot's first transmitter and a count (a bus
+/// slot's second member is the next transmitter): `begin_service` runs
+/// twice per packet per hop, and reading the topology's table there would
+/// put a pointer chase on the hottest loop in the engine.
 #[derive(Debug, Clone, Copy)]
 struct SerializerState {
     busy: bool,
-    members: [TxId; Self::MAX_MEMBERS],
+    first_tx: TxId,
     n_members: u8,
     rr_cursor: u8,
-}
-
-impl SerializerState {
-    /// A slot is private (1 member) or a half-duplex bus pair (2).
-    const MAX_MEMBERS: usize = 2;
-
-    fn idle() -> Self {
-        Self {
-            busy: false,
-            members: [TxId::from_index(0); Self::MAX_MEMBERS],
-            n_members: 0,
-            rr_cursor: 0,
-        }
-    }
-
-    fn add_member(&mut self, tx: TxId) {
-        assert!(
-            (self.n_members as usize) < Self::MAX_MEMBERS,
-            "a serializer slot serves at most a host bus pair"
-        );
-        self.members[self.n_members as usize] = tx;
-        self.n_members += 1;
-    }
 }
 
 /// Where one flow's hops sit in [`Simulator`]'s hop table, and the host
@@ -165,19 +143,26 @@ impl<R: Recorder> Simulator<R> {
     /// Creates a simulator that reports engine events to `recorder`.
     pub fn with_recorder(topo: impl Into<Arc<Topology>>, config: SimConfig, recorder: R) -> Self {
         let topo: Arc<Topology> = topo.into();
-        let n_serializers = topo.n_serializers;
         let n_tx = topo.tx_params.len();
         let n_pools = topo.pool_capacity.len();
         let n_hosts = topo.n_hosts;
-        let mut serializers: Vec<SerializerState> = vec![SerializerState::idle(); n_serializers];
+        let serializers = topo
+            .serializers
+            .iter()
+            .map(|slot| SerializerState {
+                busy: false,
+                first_tx: slot.first_tx,
+                n_members: slot.n_members,
+                rr_cursor: 0,
+            })
+            .collect();
         let mut tx_host_owned = Vec::with_capacity(n_tx);
         let mut tx_unbounded = Vec::with_capacity(n_tx);
         // "Unbounded" = larger than any simulation could queue: a tail
         // drop at such a transmitter is arithmetically impossible, so its
         // occupancy is dead weight. Hosts and lossless fabrics qualify.
         const UNBOUNDED_BYTES: u64 = u64::MAX / 8;
-        for (i, params) in topo.tx_params.iter().enumerate() {
-            serializers[params.serializer as usize].add_member(TxId::from_index(i));
+        for params in &topo.tx_params {
             tx_host_owned.push(params.pool.index() < n_hosts);
             tx_unbounded.push(
                 topo.pool_capacity[params.pool.index()] >= UNBOUNDED_BYTES
@@ -448,7 +433,7 @@ impl<R: Recorder> Simulator<R> {
         if self.serializers[slot].n_members == 1 {
             // Fast path: a private slot (every ordinary link) — one control
             // probe, one bulk probe, no round-robin bookkeeping.
-            let tx = self.serializers[slot].members[0];
+            let tx = self.serializers[slot].first_tx;
             let q = &mut self.tx_queues[tx.index()];
             let pkt = q.control.pop_front().or_else(|| q.bulk.pop_front())?;
             Some((tx, pkt))
@@ -457,22 +442,22 @@ impl<R: Recorder> Simulator<R> {
         }
     }
 
-    /// Slow path of [`Simulator::pick`]: round-robin over the members of a
-    /// shared slot (a host I/O bus pair), or an empty slot whose
-    /// transmitter serializes elsewhere.
+    /// Slow path of [`Simulator::pick`]: round-robin over the two members
+    /// of a shared slot (a host I/O bus pair).
     fn pick_shared(&mut self, slot: usize) -> Option<(TxId, PackedPacket)> {
-        let n = self.serializers[slot].n_members as usize;
-        let cursor = self.serializers[slot].rr_cursor as usize;
+        let state = self.serializers[slot];
+        let (n, cursor) = (state.n_members as usize, state.rr_cursor as usize);
+        let member = |idx: usize| TxId(state.first_tx.0 + idx as u32);
         for i in 0..n {
             let idx = (cursor + i) % n;
-            let tx = self.serializers[slot].members[idx];
+            let tx = member(idx);
             if let Some(pkt) = self.tx_queues[tx.index()].control.pop_front() {
                 return Some((tx, pkt));
             }
         }
         for i in 0..n {
             let idx = (cursor + i) % n;
-            let tx = self.serializers[slot].members[idx];
+            let tx = member(idx);
             if let Some(pkt) = self.tx_queues[tx.index()].bulk.pop_front() {
                 self.serializers[slot].rr_cursor = ((idx + 1) % n) as u8;
                 return Some((tx, pkt));

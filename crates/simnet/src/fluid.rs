@@ -86,7 +86,8 @@
 //! samples and a restart's add-backs all read it there, so a restart reads
 //! the shares of the levels it re-solves before it cuts them. The route's
 //! latency is not stored per flow either: the wave that completes a flow
-//! sums it from a per-slot table, in the loop that gives the flow's
+//! sums it from the topology's slot table ([`Topology::serializers`], which
+//! also holds each slot's capacity), in the loop that gives the flow's
 //! bandwidth back, into its [`FluidCompletion`].
 
 use crate::guard::{GuardStop, InstalledGuard, RunGuard};
@@ -106,10 +107,9 @@ pub struct FluidCompletion {
     pub tag: u64,
     /// Completion instant.
     pub at: SimTime,
-    /// One-way wire latency of the flow's route in nanoseconds, the value
-    /// [`FluidSim::start_flow`] returned: summed over the flow's slots by
-    /// the finish wave that gives their bandwidth back, so a caller holds
-    /// no per-flow copy of it.
+    /// One-way wire latency of the flow's route in nanoseconds: summed
+    /// over the flow's slots by the finish wave that gives their bandwidth
+    /// back, so neither the engine nor a caller holds a per-flow copy of it.
     pub latency_ns: u64,
 }
 
@@ -176,17 +176,10 @@ const NO_LEVEL: u32 = u32::MAX;
 /// advance interval emits one `on_tx_busy` sample per busy serializer slot
 /// with the bytes that flowed through it at the current rates, busy for
 /// those bytes' serializing time — per-link utilization falls out of the
-/// fluid rates for free. The default
-/// [`NoopRecorder`] compiles all of it away.
+/// fluid rates, summed per slot at most once per solve, not per advance.
+/// The default [`NoopRecorder`] compiles all of it away.
 pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     topo: &'a Topology,
-    /// Capacity per serializer slot in bytes/second.
-    capacity: Vec<f64>,
-    /// One-way wire latency per serializer slot in nanoseconds.
-    latency_ns: Vec<u64>,
-    /// Representative transmitter id per slot (first tx mapped onto it),
-    /// used to label recorder samples.
-    slot_tx: Vec<u32>,
     flows: Vec<FlowState>,
     /// Finish instant of each flow (parallel to `flows`).
     progress: Vec<Progress>,
@@ -221,6 +214,10 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// solver effort).
     guard: InstalledGuard,
     recorder: R,
+    /// Σ rate per slot under the current rates (utilization samples only):
+    /// summed by the first recorded advance after a solve, emptied by the
+    /// next solve.
+    slot_rate: Vec<f64>,
     // Per-slot scratch reused across recomputations. The per-flow and
     // per-hop scratch of a solve (its CSR, a level's spans, its sort keys) is
     // allocated by the solve and freed before it returns: on a big run it
@@ -228,8 +225,6 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     scratch_count: Vec<u32>,
     scratch_offsets: Vec<u32>,
     scratch_active: Vec<u32>,
-    /// Per-slot rate sums (utilization samples only).
-    scratch_rate: Vec<f64>,
 }
 
 impl<'a> FluidSim<'a, NoopRecorder> {
@@ -243,29 +238,9 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     /// Creates an empty fluid simulation over `topo` with `recorder`
     /// attached.
     pub fn with_recorder(topo: &'a Topology, recorder: R) -> Self {
-        let mut capacity = vec![0.0; topo.n_serializers];
-        let mut latency_ns = vec![0; topo.n_serializers];
-        let mut slot_tx = vec![u32::MAX; topo.n_serializers];
-        for (i, params) in topo.tx_params.iter().enumerate() {
-            let slot = params.serializer as usize;
-            // All members of a shared slot have equal rates by construction,
-            // and equal latencies: a host's two bus directions are one link.
-            capacity[slot] = 1e9 / params.ns_per_byte;
-            if slot_tx[slot] == u32::MAX {
-                slot_tx[slot] = i as u32;
-                latency_ns[slot] = params.latency_ns;
-            }
-            assert_eq!(
-                latency_ns[slot], params.latency_ns,
-                "members of serializer slot {slot} differ in latency"
-            );
-        }
         Self {
             topo,
-            residual: capacity.clone(),
-            capacity,
-            latency_ns,
-            slot_tx,
+            residual: topo.serializers.iter().map(|slot| slot.capacity).collect(),
             flows: Vec::new(),
             progress: Vec::new(),
             flow_level: Vec::new(),
@@ -280,10 +255,10 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             flows_resolved: 0,
             guard: InstalledGuard::default(),
             recorder,
+            slot_rate: Vec::new(),
             scratch_count: Vec::new(),
             scratch_offsets: Vec::new(),
             scratch_active: Vec::new(),
-            scratch_rate: Vec::new(),
         }
     }
 
@@ -391,24 +366,21 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.recorder
     }
 
-    /// Starts a flow of `bytes` from `src` to `dst` at the current time and
-    /// returns the route's one-way wire latency in nanoseconds, summed in
-    /// the same walk that copies the route's serializer slots; the flow's
-    /// [`FluidCompletion`] carries it again.
+    /// Starts a flow of `bytes` from `src` to `dst` at the current time,
+    /// copying its route's serializer slots; its [`FluidCompletion`]
+    /// carries the route's latency.
     ///
     /// # Panics
     /// Panics if `src == dst` or `bytes == 0` (zero-byte transfers carry
     /// no fluid and must be completed by the caller directly).
-    pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) -> u64 {
+    pub fn start_flow(&mut self, src: HostId, dst: HostId, bytes: u64, tag: u64) {
         assert!(bytes > 0, "empty fluid flow");
         let topo = self.topo;
         let span_start = self.slot_arena.len() as u32;
-        let mut latency_ns = 0;
-        self.slot_arena.extend(topo.route(src, dst).map(|tx| {
-            let params = &topo.tx_params[tx.index()];
-            latency_ns += params.latency_ns;
-            params.serializer
-        }));
+        self.slot_arena.extend(
+            topo.route(src, dst)
+                .map(|tx| topo.tx_params[tx.index()].serializer),
+        );
         self.flows.push(FlowState {
             span_start,
             span_len: self.slot_arena.len() as u32 - span_start,
@@ -421,7 +393,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.flow_level.push(NO_LEVEL);
         self.restart_level = 0;
         self.window_anchor_ns = self.now_ns;
-        latency_ns
     }
 
     fn flow_slots(flow: &FlowState) -> std::ops::Range<usize> {
@@ -455,7 +426,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             return;
         }
         let now = self.now_ns;
-        let n_slots = self.capacity.len();
+        let slots = &self.topo.serializers;
+        let n_slots = slots.len();
         self.scratch_count.clear();
         self.scratch_count.resize(n_slots, 0);
         // The tail gives its bandwidth back at its level's share (so the
@@ -485,7 +457,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         self.level_flows.truncate(from as usize);
         if from == 0 {
             // From scratch: shed the rounding the add-backs accumulated.
-            self.residual.clone_from(&self.capacity);
+            self.residual.clear();
+            self.residual.extend(slots.iter().map(|slot| slot.capacity));
         }
         // CSR: per-slot list of tail flow indices, in index order.
         // `offsets[s + 1]` starts as slot `s`'s fill cursor and so ends as
@@ -556,7 +529,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                     let s = s as usize;
                     self.residual[s] -= best_share;
                     // Conservation: Σ rates on a slot ≤ its capacity.
-                    debug_assert!(self.residual[s] >= -1e-9 * self.capacity[s]);
+                    debug_assert!(self.residual[s] >= -1e-9 * slots[s].capacity);
                     // Numerical guard: residuals may dip epsilon-negative.
                     if self.residual[s] < 0.0 {
                         self.residual[s] = 0.0;
@@ -627,6 +600,8 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
         assert_eq!(live, self.level_flows, "per-level live counts");
     }
 
+    /// Solves the rates if a start or a finish wave has changed the flow
+    /// set since the last solve, and marks the per-slot rate sums stale.
     fn ensure_rates(&mut self) {
         if self.restart_level != NO_LEVEL {
             if !self.flows.is_empty() {
@@ -634,6 +609,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 self.check_finish_order();
             }
             self.restart_level = NO_LEVEL;
+            self.slot_rate.clear();
         }
     }
 
@@ -645,24 +621,27 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     }
 
     /// Emits one utilization sample per busy slot for `dt_secs` of fluid
-    /// at current rates. A slot counts as busy for its serializing time,
-    /// bytes ÷ capacity (the packet engine's meaning): from `from_ns` for
-    /// the interval's share `Σrate / capacity`. Max-min leaves some slot
-    /// saturated in every advance, so the busiest one spans the interval.
+    /// at current rates, labelled by the slot's first transmitter. A slot
+    /// counts as busy for its serializing time, bytes ÷ capacity (the
+    /// packet engine's meaning): from `from_ns` for the interval's share
+    /// `Σrate / capacity`. Max-min leaves some slot saturated in every
+    /// advance, so the busiest one spans the interval. Walks the slots
+    /// only, but for the first advance after a solve, which sums the rates.
     fn record_busy(&mut self, dt_secs: f64, from_ns: f64, to_ns: f64) {
-        self.scratch_rate.clear();
-        self.scratch_rate.resize(self.capacity.len(), 0.0);
-        for (flow, &level) in self.flows.iter().zip(&self.flow_level) {
-            let rate = self.levels[level as usize];
-            for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                self.scratch_rate[s as usize] += rate;
+        if self.slot_rate.is_empty() {
+            self.slot_rate.resize(self.topo.serializers.len(), 0.0);
+            for (flow, &level) in self.flows.iter().zip(&self.flow_level) {
+                let rate = self.levels[level as usize];
+                for &s in &self.slot_arena[Self::flow_slots(flow)] {
+                    self.slot_rate[s as usize] += rate;
+                }
             }
         }
-        for (s, &rate) in self.scratch_rate.iter().enumerate() {
+        for (slot, &rate) in self.topo.serializers.iter().zip(&self.slot_rate) {
             if rate > 0.0 {
-                let load = (rate / self.capacity[s]).min(1.0);
+                let load = (rate / slot.capacity).min(1.0);
                 self.recorder.on_tx_busy(
-                    self.slot_tx[s],
+                    slot.first_tx.index() as u32,
                     from_ns.round() as u64,
                     (from_ns + (to_ns - from_ns) * load).round() as u64,
                     (rate * dt_secs).round() as u64,
@@ -746,7 +725,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             let mut latency_ns = 0;
             for &s in &self.slot_arena[Self::flow_slots(&flow)] {
                 self.residual[s as usize] += rate;
-                latency_ns += self.latency_ns[s as usize];
+                latency_ns += self.topo.serializers[s as usize].latency_ns;
             }
             completions.push(FluidCompletion {
                 tag: flow.tag,

@@ -76,14 +76,29 @@ pub struct TxParams {
     /// Cap on this transmitter's own queue within the pool (per-port
     /// dynamic threshold on switches; effectively unbounded on hosts).
     pub port_cap_bytes: u64,
-    /// Serialization slot. Normally private to the transmitter, but a
-    /// host's I/O-bus transmitters share one slot in both directions,
-    /// modeling a DMA engine that cannot overlap send and receive at full
-    /// rate (the practical violation of 1-port *full-duplex* on Myrinet
-    /// hosts).
+    /// Serialization slot: an index into [`Topology::serializers`].
+    /// Normally private to the transmitter, but a host's I/O-bus
+    /// transmitters share one slot in both directions, modeling a DMA
+    /// engine that cannot overlap send and receive at full rate (the
+    /// practical violation of 1-port *full-duplex* on Myrinet hosts).
     pub serializer: u32,
     /// Receiving end of the wire.
     pub to: Endpoint,
+}
+
+/// One serialization slot, numbered densely in the order of its first
+/// member: the transmitters it serves and what they share.
+#[derive(Debug, Clone, Copy)]
+pub struct Serializer {
+    /// Its first member; a host I/O bus slot also serves the next
+    /// transmitter, the bus link's other direction.
+    pub first_tx: TxId,
+    /// 1, or 2 for a bus slot.
+    pub n_members: u8,
+    /// Bytes/second: `1e9 / ns_per_byte` of every member.
+    pub capacity: f64,
+    /// One-way latency in nanoseconds, every member's.
+    pub latency_ns: u64,
 }
 
 /// Errors detected while building a topology.
@@ -135,8 +150,10 @@ pub struct Topology {
     /// Buffer-pool capacities in bytes, indexed by [`PoolId`]: one per
     /// host, then one per switch.
     pub pool_capacity: Vec<u64>,
-    /// Number of serialization slots (see [`TxParams::serializer`]).
-    pub n_serializers: usize,
+    /// The serialization slots, indexed by [`TxParams::serializer`]: one
+    /// per transmitter, less one per host I/O bus link. Both engines read
+    /// them here and work out no slot of their own.
+    pub serializers: Vec<Serializer>,
     /// Per host: its attachment chain and the table of its root.
     attach: Vec<Attachment>,
     /// Routing node (a node off every chain) → graph node index (hosts,
@@ -504,8 +521,10 @@ impl TopologyBuilder {
             }
         }
 
-        // Transmitters + adjacency.
+        // Transmitters + adjacency, and the slots: one per transmitter, but
+        // one per bus link, whose two directions share it.
         let mut tx_params: Vec<TxParams> = Vec::with_capacity(edges.len() * 2);
+        let mut serializers: Vec<Serializer> = Vec::with_capacity(edges.len() * 2);
         let mut adjacency: Vec<Vec<(TxId, usize)>> = vec![Vec::new(); n_nodes];
         for edge in &edges {
             let (ai, bi) = (node_idx(edge.a), node_idx(edge.b));
@@ -518,28 +537,29 @@ impl TopologyBuilder {
                 Node::Bus(h) => Endpoint::Bus(HostId::from_index(h)),
             };
             let ns_per_byte = 1e9 / edge.config.bandwidth_bytes_per_sec;
-            let first_tx_index = tx_params.len() as u32;
             for (k, (from, to_node)) in [(edge.a, edge.b), (edge.b, edge.a)].into_iter().enumerate()
             {
                 let (from_i, to_i) = (node_idx(from), node_idx(to_node));
                 let tx = TxId::from_index(tx_params.len());
-                let serializer = if edge.shared_serializer && k == 1 {
-                    first_tx_index
-                } else {
-                    tx_params.len() as u32
-                };
+                if k == 0 || !edge.shared_serializer {
+                    serializers.push(Serializer {
+                        first_tx: tx,
+                        n_members: 1 + u8::from(edge.shared_serializer),
+                        capacity: 1e9 / ns_per_byte,
+                        latency_ns: edge.config.latency_ns,
+                    });
+                }
                 tx_params.push(TxParams {
                     ns_per_byte,
                     latency_ns: edge.config.latency_ns,
                     pool: PoolId::from_index(pool_of(from)),
                     port_cap_bytes: port_cap_of(from),
-                    serializer,
+                    serializer: (serializers.len() - 1) as u32,
                     to: endpoint(to_node),
                 });
                 adjacency[from_i].push((tx, to_i));
             }
         }
-        let n_serializers = tx_params.len();
 
         for (h, adj) in adjacency.iter().take(n_hosts).enumerate() {
             if adj.is_empty() {
@@ -680,7 +700,7 @@ impl TopologyBuilder {
             n_hosts,
             tx_params,
             pool_capacity,
-            n_serializers,
+            serializers,
             attach,
             node_of,
             link_start,

@@ -215,10 +215,7 @@ proptest! {
         ),
     ) {
         let (topo, hosts) = multi_bottleneck_fabric(fat);
-        let mut capacity = vec![0.0; topo.n_serializers];
-        for tx in &topo.tx_params {
-            capacity[tx.serializer as usize] = 1e9 / tx.ns_per_byte;
-        }
+        let capacity: Vec<f64> = topo.serializers.iter().map(|slot| slot.capacity).collect();
         let mut sim = FluidSim::new(&topo);
         sim.set_finish_window(window);
         let mut in_flight: Vec<(u64, Vec<usize>)> = Vec::new();
@@ -420,10 +417,7 @@ proptest! {
             0 => star(8, 125e6),
             f => multi_bottleneck_fabric(f == 2),
         };
-        let mut capacity = vec![0.0; topo.n_serializers];
-        for tx in &topo.tx_params {
-            capacity[tx.serializer as usize] = 1e9 / tx.ns_per_byte;
-        }
+        let capacity: Vec<f64> = topo.serializers.iter().map(|slot| slot.capacity).collect();
         let mut sim = FluidSim::new(&topo);
         sim.set_finish_window(window);
         let mut reference = DrainStepper {

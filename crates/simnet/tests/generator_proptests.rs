@@ -119,15 +119,16 @@ fn family(
 }
 
 /// One valid fabric of family `family`, sized by three small positive
-/// knobs, plus its per-switch coordinates when the family routes
-/// dimension-ordered. Every family offers equal-cost choices for some
-/// sizes: parallel uplinks, fat-tree aggregation/core fan-out, torus
-/// midpoints, dragonfly local detours.
+/// knobs and wired with `link`, plus its per-switch coordinates when the
+/// family routes dimension-ordered. Every family offers equal-cost choices
+/// for some sizes: parallel uplinks, fat-tree aggregation/core fan-out,
+/// torus midpoints, dragonfly local detours.
 fn generate_family(
     family_index: usize,
     a: usize,
     b: usize,
     c: usize,
+    link: LinkConfig,
 ) -> (Generated, Option<Vec<[u16; 3]>>) {
     // At least two switches everywhere; the fat-tree's first count is its
     // (even) arity.
@@ -136,7 +137,7 @@ fn generate_family(
     } else {
         a + 1
     };
-    let (spec, generate) = family(family_index, [first, b, c, 1 + (a + b) % 2], gbe(), sw());
+    let (spec, generate) = family(family_index, [first, b, c, 1 + (a + b) % 2], link, sw());
     // Switch s sits at (x, y, z) with x fastest — the generator's own
     // numbering.
     let coords = match spec {
@@ -508,8 +509,8 @@ proptest! {
         b in 1usize..4,
         c in 1usize..4,
     ) {
-        let (g1, _) = generate_family(family, a, b, c);
-        let (g2, _) = generate_family(family, a, b, c);
+        let (g1, _) = generate_family(family, a, b, c, gbe());
+        let (g2, _) = generate_family(family, a, b, c, gbe());
         let first = g1.builder.build().unwrap();
         for other in [g1.builder.build().unwrap(), g2.builder.build().unwrap()] {
             prop_assert_eq!(
@@ -537,7 +538,7 @@ proptest! {
         c in 1usize..4,
         bus in any::<bool>(),
     ) {
-        let (mut g, coords) = generate_family(family, a, b, c);
+        let (mut g, coords) = generate_family(family, a, b, c, gbe());
         if bus {
             g.builder.host_io_bus(250e6, 500);
         }
@@ -546,11 +547,10 @@ proptest! {
     }
 
     /// A fluid flow's completion carries its route's one-way latency: the
-    /// `tx_params` latencies summed along the walk, which is also what
-    /// `start_flow` returned. The engine sums it again, at the finish, from
-    /// a per-slot table, whose entry the two directions of a shared bus
-    /// slot must agree on; the tree family's uplinks and the bus stage give
-    /// the routes hops of differing latency.
+    /// `tx_params` latencies summed along the walk. The engine sums it at
+    /// the finish from the topology's per-slot table, whose entry the two
+    /// directions of a shared bus slot must agree on; the tree family's
+    /// uplinks and the bus stage give the routes hops of differing latency.
     #[test]
     fn fluid_completions_carry_each_routes_latency(
         family in 0usize..6,
@@ -559,7 +559,7 @@ proptest! {
         c in 1usize..4,
         bus in any::<bool>(),
     ) {
-        let (mut g, _) = generate_family(family, a, b, c);
+        let (mut g, _) = generate_family(family, a, b, c, gbe());
         if bus {
             g.builder.host_io_bus(250e6, 500);
         }
@@ -576,8 +576,7 @@ proptest! {
                     .route(s, d)
                     .map(|tx| topo.tx_params[tx.index()].latency_ns)
                     .sum();
-                let started = sim.start_flow(s, d, 100_000, pair as u64);
-                assert_eq!(started, walked[pair], "start_flow {src} -> {dst}");
+                sim.start_flow(s, d, 100_000, pair as u64);
             }
         }
         let done = sim.run_to_completion();
@@ -585,6 +584,111 @@ proptest! {
         for c in done {
             let (src, dst) = (c.tag as usize / n, c.tag as usize % n);
             assert_eq!(c.latency_ns, walked[c.tag as usize], "completion {src} -> {dst}");
+        }
+    }
+
+    /// The topology defines every serializer slot once, densely: one per
+    /// transmitter, less one per host I/O bus link, whose two directions
+    /// share one. Slots cover the transmitters in order, each member names
+    /// its slot, a slot's capacity and latency are its members', and a
+    /// two-member slot is one bus link's two directions. No slot is left
+    /// without a member.
+    #[test]
+    fn serializer_slots_are_dense_and_agree_with_their_members(
+        family in 0usize..6,
+        a in 1usize..5,
+        b in 1usize..5,
+        c in 1usize..4,
+        bus in any::<bool>(),
+    ) {
+        let (mut g, _) = generate_family(family, a, b, c, gbe());
+        if bus {
+            g.builder.host_io_bus(250e6, 500);
+        }
+        let topo = g.builder.build().unwrap();
+        let bus_links = if bus { topo.n_hosts } else { 0 };
+        prop_assert_eq!(topo.serializers.len(), topo.tx_params.len() - bus_links);
+        let mut next_tx = 0;
+        for (s, slot) in topo.serializers.iter().enumerate() {
+            let first = slot.first_tx.index();
+            prop_assert!(matches!(slot.n_members, 1 | 2), "slot {} has {}", s, slot.n_members);
+            prop_assert_eq!(first, next_tx, "slot {} skips or repeats a transmitter", s);
+            next_tx = first + usize::from(slot.n_members);
+            for params in &topo.tx_params[first..next_tx] {
+                prop_assert_eq!(params.serializer as usize, s);
+                prop_assert_eq!(slot.capacity, 1e9 / params.ns_per_byte, "slot {}", s);
+                prop_assert_eq!(slot.latency_ns, params.latency_ns, "slot {}", s);
+            }
+            if slot.n_members == 2 {
+                // Host → bus stage, then back: transmitters 2k and 2k + 1.
+                let ends = (topo.tx_params[first].to, topo.tx_params[first + 1].to);
+                prop_assert!(
+                    first % 2 == 0
+                        && matches!(ends, (Endpoint::Bus(up), Endpoint::Host(down)) if up == down),
+                    "slot {} shares {:?}", s, ends
+                );
+            }
+        }
+        prop_assert_eq!(next_tx, topo.tx_params.len());
+    }
+
+    /// Scaling every link's bandwidth by k ∈ {2, 4}, bus stages included,
+    /// divides every exact-mode fluid completion instant by k: capacities,
+    /// fair shares and instants all scale by a power of two, which floating
+    /// point does exactly, so the runs take the same solves and only the
+    /// rounding to whole nanoseconds tells them apart. Half the pairs start
+    /// at 0, the rest at the first finish, so restarts are covered too.
+    #[test]
+    fn scaling_every_bandwidth_by_k_divides_every_fluid_completion_by_k(
+        family in 0usize..6,
+        a in 1usize..5,
+        b in 1usize..5,
+        c in 1usize..4,
+        bus in any::<bool>(),
+        k in prop::sample::select(vec![2.0, 4.0]),
+        seed in any::<u64>(),
+    ) {
+        let run = |scale: f64| {
+            let mut link = gbe();
+            link.bandwidth_bytes_per_sec *= scale;
+            let (mut g, _) = generate_family(family, a, b, c, link);
+            if bus {
+                g.builder.host_io_bus(250e6 * scale, 500);
+            }
+            let topo = g.builder.build().unwrap();
+            let n = topo.n_hosts;
+            let mut sim = FluidSim::new(&topo);
+            sim.set_finish_window(0.0);
+            let pairs: Vec<(usize, usize)> = (0..n)
+                .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+                .collect();
+            let start = |sim: &mut FluidSim, &(s, d): &(usize, usize)| {
+                let tag = (s * n + d) as u64;
+                let bytes = 1 + ((seed ^ tag).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 47);
+                sim.start_flow(HostId::new(s), HostId::new(d), bytes, tag);
+            };
+            let (early, late) = pairs.split_at(pairs.len() / 2);
+            early.iter().for_each(|p| start(&mut sim, p));
+            let mut done = Vec::new();
+            if let Some(t) = sim.next_finish_ns() {
+                sim.advance_to(t, &mut done);
+            }
+            late.iter().for_each(|p| start(&mut sim, p));
+            done.extend(sim.run_to_completion());
+            done.sort_by_key(|c| c.tag);
+            (done, sim.recomputes())
+        };
+        let (base, base_solves) = run(1.0);
+        let (scaled, scaled_solves) = run(k);
+        prop_assert_eq!(base.len(), scaled.len());
+        prop_assert_eq!(base_solves, scaled_solves);
+        for (x, y) in base.iter().zip(&scaled) {
+            prop_assert_eq!(x.tag, y.tag);
+            let expected = x.at.as_nanos() as f64 / k;
+            prop_assert!(
+                (y.at.as_nanos() as f64 - expected).abs() <= 1.0,
+                "flow {}: {} ns at ×{} vs {} ns", x.tag, y.at.as_nanos(), k, x.at.as_nanos()
+            );
         }
     }
 
