@@ -79,7 +79,9 @@ fn bench_fluid_vs_packet(c: &mut Criterion) {
         let equiv = event_equivalents(&topo, &hosts, case.mtu, case.message_bytes);
         group.sample_size(case.sample_size);
         group.throughput(Throughput::Elements(equiv));
-        group.bench_function(case.name, |b| b.iter(|| drive_fluid(&case, &topo, &hosts)));
+        group.bench_function(case.name, |b| {
+            b.iter(|| drive_fluid(&case, &topo, &hosts, NoopRecorder))
+        });
     }
     group.finish();
 }

@@ -1,8 +1,10 @@
 //! CI gate on the telemetry and supervision taxes (see `crates/obs`,
 //! `simnet::guard`), measured on `hotpath::gate_case` (8 hosts, TCP,
-//! 64 KiB all-to-all — the most event-dense regime per byte).
+//! 64 KiB all-to-all — the most event-dense regime per byte) and, for the
+//! fluid tier, on `hotpath::fluid_gate_case` (a 128-host fat-tree
+//! all-to-all whose advances nearly all follow a finish wave).
 //!
-//! Two timing checks, each a ratio between two configurations sampled
+//! Three timing checks, each a ratio between two configurations sampled
 //! *interleaved* in one loop so machine-speed drift over the sampling
 //! window cancels — only that makes a single-digit tolerance trustworthy
 //! on a box whose speed oscillates between epochs minutes apart:
@@ -13,16 +15,22 @@
 //!    `Session` installs by default (a cancel-flag-only `RunGuard`,
 //!    polled at the preemption point every `GUARD_CHECK_INTERVAL`
 //!    events) against the unguarded engine, within [`GUARD_PCT`].
+//! 3. **Fluid recording overhead** — the fluid solver with
+//!    `EngineRecorder` against `NoopRecorder`, within
+//!    [`FLUID_RECORDING_PCT`]: recording reads each slot's load off the
+//!    solver's residuals, so it walks the slots once per advance and
+//!    never the flows.
 //!
 //! And the structural half of the zero-cost-when-disabled claim, which
 //! needs no clock: a recorder observes and never schedules, so the no-op
 //! and the recording side of every pair must process the same number of
-//! events — and so must both sides of the guard pair, whose guard never
-//! trips. (The hooks themselves sit behind `R::ENABLED`, a constant the
-//! no-op monomorphisation folds away; what a *change* to the no-op engine
-//! costs is `ctnbench`'s `simnet.engine.ns_per_event`, measured against
-//! the parent commit in alternating pairs, not against a snapshot taken
-//! at another time on another epoch of the box.)
+//! events (the fluid pair: rate solves) — and so must both sides of the
+//! guard pair, whose guard never trips. (The hooks themselves sit behind
+//! `R::ENABLED`, a constant the no-op monomorphisation folds away; what a
+//! *change* to the no-op engine costs is `ctnbench`'s
+//! `simnet.engine.ns_per_event`, measured against the parent commit in
+//! alternating pairs, not against a snapshot taken at another time on
+//! another epoch of the box.)
 //!
 //! ```text
 //! cargo run --release -p contention-bench --bin overhead_gate
@@ -31,7 +39,9 @@
 //! Exits 0 when all checks pass, 1 otherwise. Run in release: the
 //! tolerances were sized on the release engine.
 
-use contention_bench::hotpath::{build_alltoall, drive_alltoall, gate_case};
+use contention_bench::hotpath::{
+    build_alltoall, build_fabric, drive_alltoall, drive_fluid, fluid_gate_case, gate_case,
+};
 use simnet::guard::RunGuard;
 use simnet::obs::{EngineRecorder, NoopRecorder, Recorder};
 use std::sync::atomic::AtomicBool;
@@ -55,6 +65,13 @@ const RECORDING_PCT: f64 = 30.0;
 /// measures well under 1 %; 2 % is what every `Session` cell may pay for
 /// being cancellable.
 const GUARD_PCT: f64 = 2.0;
+/// Fluid recording tolerance, percent over the no-op solver. Walking the
+/// slots once per advance (≈ 770 on the 8-ary fat-tree) read +12.1 …
+/// +17.0 % in 14 gate runs on a 2-core 2.0 GHz Xeon, ≈ 8 µs per solve;
+/// summing the flows' rates into their slots once per solve instead read
+/// +151 … +196 % there. 30 % keeps the first with CI headroom and fails
+/// the second.
+const FLUID_RECORDING_PCT: f64 = 30.0;
 
 const WARMUP_ITERS: usize = 3;
 /// Iterations per side of each interleaved pair. The ratio tolerances
@@ -75,6 +92,18 @@ fn one_iter<R: Recorder>(recorder: R, guarded: bool) -> (u64, u64) {
     let start = Instant::now();
     let events = drive_alltoall(case, &mut sim, &conns);
     (start.elapsed().as_nanos() as u64, events)
+}
+
+/// One timed fluid all-to-all of [`fluid_gate_case`] over its prebuilt
+/// fabric with the given recorder. Returns `(elapsed_ns, rate_solves)`.
+fn one_fluid_iter<R: Recorder>(
+    recorder: R,
+    topo: &simnet::prelude::Topology,
+    hosts: &[simnet::prelude::HostId],
+) -> (u64, u64) {
+    let start = Instant::now();
+    let solves = drive_fluid(&fluid_gate_case(), topo, hosts, recorder);
+    (start.elapsed().as_nanos() as u64, solves)
 }
 
 /// Interleaved pair measurement for the ratio checks. The two sides
@@ -147,8 +176,15 @@ fn main() -> std::process::ExitCode {
         || one_iter(NoopRecorder, false),
         || one_iter(NoopRecorder, true),
     );
+    let fluid_case = fluid_gate_case();
+    let (topo, hosts) = build_fabric(fluid_case.fabric, fluid_case.hosts);
+    let fluid = measure_pair(
+        || one_fluid_iter(NoopRecorder, &topo, &hosts),
+        || one_fluid_iter(EngineRecorder::default(), &topo, &hosts),
+    );
     let recording_pct = (recording.ratio - 1.0) * 100.0;
     let guard_pct = (guard.ratio - 1.0) * 100.0;
+    let fluid_pct = (fluid.ratio - 1.0) * 100.0;
     println!("overhead_gate: case {}", gate_case().name);
     println!(
         "  noop recorder:    {} ns  (recording-pair baseline, interleaved)",
@@ -170,10 +206,29 @@ fn main() -> std::process::ExitCode {
         "  session guard:    {} ns  ({guard_pct:+.2}% vs unguarded, median of per-pair ratios, tolerance {GUARD_PCT}%)",
         guard.min_b
     );
+    println!("overhead_gate: fluid case {}", fluid_case.name);
+    println!(
+        "  noop recorder:    {} ns  (fluid-pair baseline, interleaved)",
+        fluid.min_a
+    );
+    println!(
+        "  engine recorder:  {} ns  ({fluid_pct:+.2}% vs noop, median of per-pair ratios, tolerance {FLUID_RECORDING_PCT}%)",
+        fluid.min_b
+    );
+    println!(
+        "  recorder adds:    {:.0} ns/solve  (median of per-pair (recording - noop) / solves)",
+        fluid.added_ns_per_event
+    );
 
     let mut ok = true;
     if !(recording.same_events && guard.same_events) {
         eprintln!("overhead_gate: FAIL: a recorder or an untripped guard changed how many events the engine processed");
+        ok = false;
+    }
+    if !fluid.same_events {
+        eprintln!(
+            "overhead_gate: FAIL: a recorder changed how many rate solves the fluid solver made"
+        );
         ok = false;
     }
     if recording_pct > RECORDING_PCT {
@@ -182,6 +237,10 @@ fn main() -> std::process::ExitCode {
     }
     if guard_pct > GUARD_PCT {
         eprintln!("overhead_gate: FAIL: supervision guard costs more than the budget");
+        ok = false;
+    }
+    if fluid_pct > FLUID_RECORDING_PCT {
+        eprintln!("overhead_gate: FAIL: fluid recording costs more than the budget");
         ok = false;
     }
     if ok {

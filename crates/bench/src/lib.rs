@@ -144,6 +144,25 @@ pub mod hotpath {
         ]
     }
 
+    /// The fluid case the `overhead_gate` binary's recording pair runs: an
+    /// all-to-all on a 128-host 8-ary fat-tree, whose ECMP collisions
+    /// spread the finishes over many waves, so nearly every advance
+    /// follows a solve and a recorder that walked the flows once per solve
+    /// would show.
+    pub fn fluid_gate_case() -> FluidCase {
+        FluidCase {
+            name: "fluid_fattree128_64KiB",
+            fabric: Fabric::FatTree {
+                k: 8,
+                hosts_per_edge: 4,
+            },
+            hosts: 128,
+            message_bytes: 64 * 1024,
+            mtu: 1460,
+            sample_size: 10,
+        }
+    }
+
     /// Packet-engine baseline of the `fluid_vs_packet` group: the same
     /// star-32 workload as `fluid_tcp_star32_64KiB`, timed through the
     /// packet engine with the same event-equivalent denominator.
@@ -233,11 +252,17 @@ pub mod hotpath {
     }
 
     /// One timed iteration of a fluid case: start the full all-to-all on a
-    /// fresh solver over the prebuilt topology and run it dry. Uses the
-    /// fluid world's finish-coalescing window, so the benchmark times what
-    /// `ctnsim` ships.
-    pub fn drive_fluid(case: &FluidCase, topo: &Topology, hosts: &[HostId]) -> usize {
-        let mut sim = simnet::fluid::FluidSim::new(topo);
+    /// fresh solver over the prebuilt topology with `recorder` attached and
+    /// run it dry; returns the rate solves it took. Uses the fluid world's
+    /// finish-coalescing window, so the benchmark times what `ctnsim`
+    /// ships.
+    pub fn drive_fluid<R: simnet::obs::Recorder>(
+        case: &FluidCase,
+        topo: &Topology,
+        hosts: &[HostId],
+        recorder: R,
+    ) -> u64 {
+        let mut sim = simnet::fluid::FluidSim::with_recorder(topo, recorder);
         sim.set_finish_window(simmpi::fluid::FINISH_WINDOW_REL);
         let mut tag = 0u64;
         for &src in hosts {
@@ -255,7 +280,7 @@ pub mod hotpath {
             "{}: unfinished fluid flows",
             case.name
         );
-        done.len()
+        sim.recomputes()
     }
 
     /// A primed simulator on the case's lossless star with `recorder`

@@ -1,22 +1,30 @@
-//! Metamorphic relation: hosts no rank is placed on change nothing. On a
-//! single switch, appending idle hosts after the placed ones adds links
-//! no route crosses and a routing table no placed pair reads, so the
-//! fluid completion times must stay bit-identical and the packet report
-//! rows byte-identical.
+//! Metamorphic relations: hosts no rank is placed on change nothing, and
+//! neither does which hosts they are. On a single switch, appending idle
+//! hosts after the placed ones adds links no route crosses and a routing
+//! table no placed pair reads, so under each placement the fluid
+//! completion times must stay bit-identical and the packet report rows
+//! byte-identical. Every host hangs off the one switch by an identical
+//! link, so the fluid completion times must also be bit-identical across
+//! placements.
 
 use contention_scenario::prelude::*;
 
 /// Hosts the grid's largest cell places ranks on.
 const PLACED: usize = 6;
 
-fn spec(idle: usize, backend: Backend, workload: &WorkloadSpec) -> ScenarioSpec {
+fn spec(
+    idle: usize,
+    placement: Placement,
+    backend: Backend,
+    workload: &WorkloadSpec,
+) -> ScenarioSpec {
     ScenarioBuilder::new("idle-hosts")
         .single_switch(
             PLACED + idle,
             LinkConfig::gigabit_ethernet(),
             SwitchConfig::commodity_ethernet(),
         )
-        .placement(Placement::Pack)
+        .placement(placement)
         .backend(backend)
         .workload(workload.clone())
         .nodes([4, PLACED])
@@ -37,6 +45,15 @@ fn run(spec: &ScenarioSpec) -> Report {
         .expect("run completes")
 }
 
+/// Bits of each cell's fluid mean completion time.
+fn mean_bits(report: &Report) -> Vec<u64> {
+    report.batches[0]
+        .cells
+        .iter()
+        .map(|c| c.mean_secs.to_bits())
+        .collect()
+}
+
 #[test]
 fn hosts_no_rank_is_placed_on_change_nothing() {
     let workloads = [
@@ -48,23 +65,24 @@ fn hosts_no_rank_is_placed_on_change_nothing() {
     ];
     for backend in [Backend::Packet, Backend::Fluid] {
         for workload in &workloads {
-            let base = run(&spec(0, backend, workload));
-            assert_eq!(base.cell_count(), 4);
-            let rows = base.render(ReportFormat::Csv);
-            for idle in 1..=3 {
-                let with_idle = run(&spec(idle, backend, workload));
-                let what = format!("{backend:?} {} with {idle} idle", workload.kind());
+            let mut fluid_bits = None;
+            for placement in Placement::all() {
+                let base = run(&spec(0, placement, backend, workload));
+                assert_eq!(base.cell_count(), 4);
+                let rows = base.render(ReportFormat::Csv);
+                let what = format!("{backend:?} {} {}", workload.kind(), placement.name());
                 if backend == Backend::Fluid {
-                    let bits = |r: &Report| -> Vec<u64> {
-                        r.batches[0]
-                            .cells
-                            .iter()
-                            .map(|c| c.mean_secs.to_bits())
-                            .collect()
-                    };
-                    assert_eq!(bits(&with_idle), bits(&base), "{what}");
+                    let first = fluid_bits.get_or_insert_with(|| mean_bits(&base));
+                    assert_eq!(&mean_bits(&base), first, "{what} against scatter");
                 }
-                assert_eq!(with_idle.render(ReportFormat::Csv), rows, "{what}");
+                for idle in 1..=3 {
+                    let with_idle = run(&spec(idle, placement, backend, workload));
+                    let what = format!("{what} with {idle} idle");
+                    if backend == Backend::Fluid {
+                        assert_eq!(mean_bits(&with_idle), mean_bits(&base), "{what}");
+                    }
+                    assert_eq!(with_idle.render(ReportFormat::Csv), rows, "{what}");
+                }
             }
         }
     }

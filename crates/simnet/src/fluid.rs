@@ -82,9 +82,12 @@
 //! in the arena: the 16-byte `FlowState` (arena span and tag), the 8-byte
 //! `Progress` (finish instant), the only per-flow bytes a wave's search
 //! reads, and the 4-byte level. The flow's rate is its level's share,
-//! stored once per level: waves, [`FluidSim::rates`], the utilization
-//! samples and a restart's add-backs all read it there, so a restart reads
-//! the shares of the levels it re-solves before it cuts them. The route's
+//! stored once per level: waves, [`FluidSim::rates`] and a restart's
+//! add-backs all read it there, so a restart reads the shares of the
+//! levels it re-solves before it cuts them. A slot's load, Σrate over the
+//! flows crossing it, is stored nowhere either: it is the capacity less
+//! the slot's residual, which solves and waves keep, and the utilization
+//! samples read it there without walking a flow. The route's
 //! latency is not stored per flow either: the wave that completes a flow
 //! sums it from the topology's slot table ([`Topology::serializers`], which
 //! also holds each slot's capacity), in the loop that gives the flow's
@@ -99,6 +102,10 @@ use std::cmp::Reverse;
 
 /// Finished-flow tolerance: anything within a byte of done is done.
 const DONE_TOLERANCE_BYTES: f64 = 1.0;
+
+/// Relative rounding a slot's residual may carry: a solve may leave it
+/// this far below 0 (then clamps it), and a load this far above 0 is idle.
+const CONSERVATION_SLACK: f64 = 1e-9;
 
 /// A completed fluid transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,11 +180,12 @@ const NO_LEVEL: u32 = u32::MAX;
 /// [`SimTime`] stamps.
 ///
 /// The `R` parameter is the telemetry recorder: when `R::ENABLED`, every
-/// advance interval emits one `on_tx_busy` sample per busy serializer slot
-/// with the bytes that flowed through it at the current rates, busy for
-/// those bytes' serializing time — per-link utilization falls out of the
-/// fluid rates, summed per slot at most once per solve, not per advance.
-/// The default [`NoopRecorder`] compiles all of it away.
+/// advance interval with flows in flight emits one `on_tx_busy` sample per
+/// busy serializer slot with the bytes that flowed through it at the
+/// current rates, busy for those bytes' serializing time. A slot's load is
+/// its capacity less the residual the solver keeps, so recording walks the
+/// slots once per interval and never the flows. The default
+/// [`NoopRecorder`] compiles all of it away.
 pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     topo: &'a Topology,
     flows: Vec<FlowState>,
@@ -191,7 +199,8 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     levels: Vec<f64>,
     /// Flows in flight frozen at each level (parallel to `levels`).
     level_flows: Vec<u32>,
-    /// Capacity each slot has left under the current rates.
+    /// Capacity each slot has left under the current rates: the capacity
+    /// less it is the slot's load, Σrate over the flows crossing it.
     residual: Vec<f64>,
     /// Backing store for flow slot lists (grows monotonically; spans of
     /// finished flows are not reclaimed, which is fine for the bounded
@@ -214,10 +223,6 @@ pub struct FluidSim<'a, R: Recorder = NoopRecorder> {
     /// solver effort).
     guard: InstalledGuard,
     recorder: R,
-    /// Σ rate per slot under the current rates (utilization samples only):
-    /// summed by the first recorded advance after a solve, emptied by the
-    /// next solve.
-    slot_rate: Vec<f64>,
     // Per-slot scratch reused across recomputations. The per-flow and
     // per-hop scratch of a solve (its CSR, a level's spans, its sort keys) is
     // allocated by the solve and freed before it returns: on a big run it
@@ -255,7 +260,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             flows_resolved: 0,
             guard: InstalledGuard::default(),
             recorder,
-            slot_rate: Vec::new(),
             scratch_count: Vec::new(),
             scratch_offsets: Vec::new(),
             scratch_active: Vec::new(),
@@ -529,7 +533,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                     let s = s as usize;
                     self.residual[s] -= best_share;
                     // Conservation: Σ rates on a slot ≤ its capacity.
-                    debug_assert!(self.residual[s] >= -1e-9 * slots[s].capacity);
+                    debug_assert!(self.residual[s] >= -CONSERVATION_SLACK * slots[s].capacity);
                     // Numerical guard: residuals may dip epsilon-negative.
                     if self.residual[s] < 0.0 {
                         self.residual[s] = 0.0;
@@ -601,7 +605,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     }
 
     /// Solves the rates if a start or a finish wave has changed the flow
-    /// set since the last solve, and marks the per-slot rate sums stale.
+    /// set since the last solve; the residuals then hold every slot's load.
     fn ensure_rates(&mut self) {
         if self.restart_level != NO_LEVEL {
             if !self.flows.is_empty() {
@@ -609,7 +613,6 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
                 self.check_finish_order();
             }
             self.restart_level = NO_LEVEL;
-            self.slot_rate.clear();
         }
     }
 
@@ -621,30 +624,24 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
     }
 
     /// Emits one utilization sample per busy slot for `dt_secs` of fluid
-    /// at current rates, labelled by the slot's first transmitter. A slot
-    /// counts as busy for its serializing time, bytes ÷ capacity (the
-    /// packet engine's meaning): from `from_ns` for the interval's share
-    /// `Σrate / capacity`. Max-min leaves some slot saturated in every
-    /// advance, so the busiest one spans the interval. Walks the slots
-    /// only, but for the first advance after a solve, which sums the rates.
+    /// at current rates, labelled by the slot's first transmitter. A slot's
+    /// load is what the solver took off it, capacity − residual = Σrate,
+    /// and a saturated slot's is its capacity (the solver clamps residuals
+    /// at 0); a load of at most [`CONSERVATION_SLACK`] · capacity is
+    /// rounding left in the residual, not traffic. A slot counts as busy
+    /// for its serializing time, bytes ÷ capacity (the packet engine's
+    /// meaning): from `from_ns` for the interval's share `load / capacity`.
+    /// Max-min leaves some slot saturated in every advance, so the busiest
+    /// one spans the interval. Walks the slots only.
     fn record_busy(&mut self, dt_secs: f64, from_ns: f64, to_ns: f64) {
-        if self.slot_rate.is_empty() {
-            self.slot_rate.resize(self.topo.serializers.len(), 0.0);
-            for (flow, &level) in self.flows.iter().zip(&self.flow_level) {
-                let rate = self.levels[level as usize];
-                for &s in &self.slot_arena[Self::flow_slots(flow)] {
-                    self.slot_rate[s as usize] += rate;
-                }
-            }
-        }
-        for (slot, &rate) in self.topo.serializers.iter().zip(&self.slot_rate) {
-            if rate > 0.0 {
-                let load = (rate / slot.capacity).min(1.0);
+        for (slot, &residual) in self.topo.serializers.iter().zip(&self.residual) {
+            let load = slot.capacity - residual;
+            if load > CONSERVATION_SLACK * slot.capacity {
                 self.recorder.on_tx_busy(
                     slot.first_tx.index() as u32,
                     from_ns.round() as u64,
-                    (from_ns + (to_ns - from_ns) * load).round() as u64,
-                    (rate * dt_secs).round() as u64,
+                    (from_ns + (to_ns - from_ns) * (load / slot.capacity)).round() as u64,
+                    (load * dt_secs).round() as u64,
                 );
             }
         }
@@ -680,7 +677,7 @@ impl<'a, R: Recorder> FluidSim<'a, R> {
             let next_ns = self.next_finish_ns().filter(|&t| t <= target_ns);
             let stop_ns = next_ns.map_or(target_ns, |t| self.window_end(t).min(target_ns));
             let from_ns = self.now_ns;
-            if R::ENABLED && stop_ns > from_ns {
+            if R::ENABLED && stop_ns > from_ns && !self.flows.is_empty() {
                 self.record_busy((stop_ns - from_ns) / 1e9, from_ns, stop_ns);
             }
             self.now_ns = stop_ns;
@@ -1059,6 +1056,10 @@ mod tests {
         let mut done = Vec::new();
         let t = sim.next_finish_ns().unwrap();
         sim.advance_to(t, &mut done);
+        assert_eq!(done.len(), 1);
+        // On past the finish with nothing in flight: the residuals the
+        // flow gave back are no load, so nothing more is recorded.
+        sim.advance_to(2.0 * t, &mut done);
         assert_eq!(done.len(), 1);
         let log = sim.into_recorder();
         // The route crosses two serializers (host uplink, sink downlink);

@@ -7,20 +7,24 @@
 //!   must advance monotonically and every serializer slot must conserve
 //!   capacity (sum of flow rates ≤ link capacity at all times), audited
 //!   through the `on_tx_busy` recorder samples the fluid drain emits;
-//! * on multi-bottleneck fabrics, under random interleavings of starts,
-//!   partial advances and exact or windowed finishes, the level-restart
-//!   solver's rates must equal a naive from-scratch water-filling after
-//!   every step;
+//! * on multi-bottleneck fabrics, with and without a host I/O bus, under
+//!   random interleavings of starts, partial advances and exact or
+//!   windowed finishes, the level-restart solver's rates must equal a
+//!   naive from-scratch water-filling after every step, and every
+//!   utilization sample must carry the load those reference rates put on
+//!   its slot;
 //! * on the star and those fabrics, under random churn with extra
 //!   intermediate advance targets, the finish-ordered waves must complete
 //!   the same flows at the same instants, after the same number of rate
 //!   solves, as a reference that drains every flow on every advance.
 
 use proptest::prelude::*;
-use simnet::fluid::FluidSim;
+use simnet::fluid::{FluidCompletion, FluidSim};
 use simnet::generate::{fat_tree, two_level_tree, FatTreeParams, TreeParams};
 use simnet::obs::Recorder;
 use simnet::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// `n` hosts around one switch, every link at `bandwidth` bytes/sec.
 fn star(n: usize, bandwidth: f64) -> (Topology, Vec<HostId>) {
@@ -61,9 +65,119 @@ impl Recorder for CapacityAudit {
     }
 }
 
+/// One utilization sample: the flows in flight at the solve that set the
+/// rates it was drawn at, then `on_tx_busy`'s arguments.
+type Sample = (usize, u32, u64, u64, u64);
+
+/// Recorder that logs every utilization sample where the test reads it
+/// between advances.
+struct SampleLog {
+    /// Flows in flight at the latest solve.
+    in_flight: usize,
+    samples: Rc<RefCell<Vec<Sample>>>,
+}
+
+impl Recorder for SampleLog {
+    fn on_fluid_solve(&mut self, active_flows: usize, _resolved_flows: usize) {
+        self.in_flight = active_flows;
+    }
+
+    fn on_tx_busy(&mut self, tx: u32, from_ns: u64, until_ns: u64, wire_bytes: u64) {
+        let sample = (self.in_flight, tx, from_ns, until_ns, wire_bytes);
+        self.samples.borrow_mut().push(sample);
+    }
+}
+
+/// Conservation oracle for the samples of one advance from `start_ns` to
+/// `end_ns` (the f64 clock) that completed `done`, in time order, of the
+/// flows `in_flight` held before it. An advance with flows in flight
+/// records from its start, one without records nothing. Each wave the
+/// advance made starts one more interval, whose samples are labelled by
+/// the flows still in flight. In each interval, every slot must get one
+/// sample if the reference water-filling rates of the flows crossing it
+/// sum to more than 0, and none otherwise; that sample must be busy for
+/// `dt · Σrate / capacity` within 1 ns and carry `Σrate · dt` bytes
+/// within 1. `dt` is taken between interval edges rounded to the
+/// nanosecond, as the samples' edges are, which keeps the busy time
+/// within 1 ns (and the clock's f64 rounding) of the reference.
+fn check_samples(
+    topo: &Topology,
+    in_flight: &[(u64, Vec<usize>)],
+    done: &[FluidCompletion],
+    samples: &[Sample],
+    (start_ns, end_ns): (f64, f64),
+) -> TestCaseResult {
+    let capacity: Vec<f64> = topo.serializers.iter().map(|slot| slot.capacity).collect();
+    match samples.first() {
+        Some(&(live, _, from, _, _)) => {
+            prop_assert_eq!(live, in_flight.len());
+            prop_assert_eq!(from, start_ns.round() as u64);
+        }
+        None => prop_assert!(
+            in_flight.is_empty() || end_ns == start_ns,
+            "nothing recorded"
+        ),
+    }
+    let mut rest = samples;
+    while let Some(&(live, _, from, _, _)) = rest.first() {
+        let len = rest.iter().take_while(|s| s.0 == live).count();
+        let (interval, next) = rest.split_at(len);
+        rest = next;
+        let until = next.first().map_or(end_ns.round() as u64, |s| s.2);
+        let dt_ns = (until - from) as f64;
+        prop_assert!(live <= in_flight.len() && in_flight.len() - live <= done.len());
+        let finished = &done[..in_flight.len() - live];
+        let slots: Vec<Vec<usize>> = in_flight
+            .iter()
+            .filter(|(tag, _)| finished.iter().all(|c| c.tag != *tag))
+            .map(|f| f.1.clone())
+            .collect();
+        let mut load = vec![0.0; capacity.len()];
+        for (flow, rate) in slots.iter().zip(water_filling(&capacity, &slots)) {
+            flow.iter().for_each(|&s| load[s] += rate);
+        }
+        let mut seen = vec![false; capacity.len()];
+        for &(_, tx, sample_from, sample_until, bytes) in interval {
+            let s = topo.tx_params[tx as usize].serializer as usize;
+            prop_assert!(!seen[s], "slot {} sampled twice in one interval", s);
+            seen[s] = true;
+            prop_assert!(load[s] > 0.0, "slot {} no flow crosses was sampled", s);
+            prop_assert_eq!(sample_from, from);
+            let busy_ns = dt_ns * load[s] / capacity[s];
+            prop_assert!(
+                ((sample_until - sample_from) as f64 - busy_ns).abs() <= 1.0 + 1e-6,
+                "slot {}: busy [{}, {}] ns, reference {} ns",
+                s,
+                sample_from,
+                sample_until,
+                busy_ns
+            );
+            let want = load[s] * dt_ns / 1e9;
+            prop_assert!(
+                (bytes as f64 - want).abs() <= 1.0,
+                "slot {}: {} bytes, reference {}",
+                s,
+                bytes,
+                want
+            );
+        }
+        for (s, (&l, &sampled)) in load.iter().zip(&seen).enumerate() {
+            prop_assert!(
+                sampled || l == 0.0,
+                "slot {} carries {} B/s unsampled",
+                s,
+                l
+            );
+        }
+    }
+    Ok(())
+}
+
 /// A 3:1 oversubscribed two-level tree (12 hosts) or a 4-ary fat-tree (16
 /// hosts): several bottleneck levels, multi-hop routes, ECMP collisions.
-fn multi_bottleneck_fabric(fat: bool) -> (Topology, Vec<HostId>) {
+/// With `bus`, each host reaches its switch through a half-duplex I/O bus,
+/// one slot both directions share.
+fn multi_bottleneck_fabric(fat: bool, bus: bool) -> (Topology, Vec<HostId>) {
     let (link, switch) = (
         LinkConfig::gigabit_ethernet(),
         SwitchConfig::lossless_fabric(),
@@ -87,7 +201,11 @@ fn multi_bottleneck_fabric(fat: bool) -> (Topology, Vec<HostId>) {
             core_switch: switch,
         })
     };
-    let topo = g.builder.build().expect("fabric builds");
+    let mut builder = g.builder;
+    if bus {
+        builder.host_io_bus(250e6, 500);
+    }
+    let topo = builder.build().expect("fabric builds");
     (topo, g.hosts)
 }
 
@@ -198,25 +316,33 @@ impl DrainStepper {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // A slot no flow crosses any more, whose residual rounding left off
+    // its capacity, turns up about once in three hundred cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Differential test of the level-restart solver: whatever mix of
     /// starts (restart from level 0), partial advances (no solve) and
     /// finish waves (restart from the lowest finished level; a wide window
     /// finishes flows of several levels at once) came before, the rates in
     /// force must be the max-min allocation of the flows now in flight.
+    /// Between steps, every recorded interval's samples must match the
+    /// loads of that allocation ([`check_samples`]); an advance is made
+    /// one finish wave at a time, so the test knows where each ends.
     #[test]
     fn restarted_rates_equal_a_from_scratch_water_filling(
         fat in any::<bool>(),
+        bus in any::<bool>(),
         window in prop::sample::select(vec![0.0, 1e-2, 0.5]),
         steps in prop::collection::vec(
             (0u8..8, 0usize..16, 0usize..16, 1u64..2_048, 1u32..100),
             12..60,
         ),
     ) {
-        let (topo, hosts) = multi_bottleneck_fabric(fat);
+        let (topo, hosts) = multi_bottleneck_fabric(fat, bus);
         let capacity: Vec<f64> = topo.serializers.iter().map(|slot| slot.capacity).collect();
-        let mut sim = FluidSim::new(&topo);
+        let samples = Rc::new(RefCell::new(Vec::new()));
+        let log = SampleLog { in_flight: 0, samples: Rc::clone(&samples) };
+        let mut sim = FluidSim::with_recorder(&topo, log);
         sim.set_finish_window(window);
         let mut in_flight: Vec<(u64, Vec<usize>)> = Vec::new();
         let mut done = Vec::new();
@@ -233,7 +359,24 @@ proptest! {
                         // ... or through its whole window.
                         _ => t * (1.0 + window),
                     };
-                    sim.advance_to(to, &mut done);
+                    // Where `advance_to(to)` would stop for each wave (an
+                    // empty window may end an ulp short of `t`).
+                    loop {
+                        let stop = sim
+                            .next_finish_ns()
+                            .filter(|&t| t <= to)
+                            .map_or(to, |t| sim.window_end(t).max(t).min(to));
+                        let from = sim.now_ns();
+                        sim.advance_to(stop, &mut done);
+                        let drawn = std::mem::take(&mut *samples.borrow_mut());
+                        check_samples(&topo, &in_flight, &done, &drawn, (from, sim.now_ns()))?;
+                        for c in done.drain(..) {
+                            in_flight.retain(|(tag, _)| *tag != c.tag);
+                        }
+                        if stop >= to {
+                            break;
+                        }
+                    }
                 }
                 // An opening burst, then one step in eight (and any step
                 // with nothing in flight) starts a flow.
@@ -243,9 +386,6 @@ proptest! {
                     sim.start_flow(hosts[src], hosts[dst], kib * 1024, step as u64);
                     in_flight.push((step as u64, route_slots(&topo, hosts[src], hosts[dst])));
                 }
-            }
-            for c in done.drain(..) {
-                in_flight.retain(|(tag, _)| *tag != c.tag);
             }
 
             let rates: Vec<(u64, f64)> = sim.rates().collect();
@@ -277,6 +417,11 @@ proptest! {
             }
         }
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Incast onto one host: the receiver's downlink is the single
     /// bottleneck, so max-min fair sharing degenerates to the analytic
@@ -415,7 +560,7 @@ proptest! {
     ) {
         let (topo, hosts) = match fabric {
             0 => star(8, 125e6),
-            f => multi_bottleneck_fabric(f == 2),
+            f => multi_bottleneck_fabric(f == 2, false),
         };
         let capacity: Vec<f64> = topo.serializers.iter().map(|slot| slot.capacity).collect();
         let mut sim = FluidSim::new(&topo);

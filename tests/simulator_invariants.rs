@@ -3,7 +3,12 @@
 //! behavior matches the paper's qualitative observations.
 
 use alltoall_contention::prelude::*;
+use contention_model::med::Med;
+use proptest::prelude::*;
 use simmpi::harness::{alltoall_times, stress_run};
+use simnet::config::{LinkConfig, SwitchConfig};
+use simnet::fluid::FluidSim;
+use simnet::generate::{single_switch, SingleSwitchParams};
 
 #[test]
 fn lossless_alltoall_never_beats_proposition_1() {
@@ -26,6 +31,48 @@ fn lossless_alltoall_never_beats_proposition_1() {
             assert!(
                 t >= bound * 0.95,
                 "n={n} m={m}: measured {t} below bound {bound}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// The closed form on the fluid tier: on a lossless single switch every
+    /// link carries `n − 1` flows of a uniform all-to-all at `bandwidth /
+    /// (n − 1)` each, so every flow finishes at once, at Claim 2's
+    /// bandwidth bound `(n − 1) · m / bandwidth`, to the nanosecond.
+    #[test]
+    fn fluid_uniform_alltoall_finishes_at_the_bandwidth_bound(
+        n in 2usize..=24,
+        m in 1024u64..=4 << 20,
+        bandwidth in 1e6f64..1e10,
+    ) {
+        let fabric = single_switch(&SingleSwitchParams {
+            hosts: n,
+            link: LinkConfig {
+                bandwidth_bytes_per_sec: bandwidth,
+                latency_ns: 1_000,
+            },
+            switch: SwitchConfig::lossless_fabric(),
+        });
+        let topo = fabric.builder.build().expect("single switch builds");
+        let mut sim = FluidSim::new(&topo);
+        sim.set_finish_window(0.0);
+        for (i, &src) in fabric.hosts.iter().enumerate() {
+            for (j, &dst) in fabric.hosts.iter().enumerate() {
+                if i != j {
+                    sim.start_flow(src, dst, m, (i * n + j) as u64);
+                }
+            }
+        }
+        let bound_ns = Med::uniform_alltoall(n, m).bandwidth_bound(1.0 / bandwidth) * 1e9;
+        let done = sim.run_to_completion();
+        prop_assert_eq!(done.len(), n * (n - 1));
+        for c in &done {
+            prop_assert!(
+                (c.at.0 as f64 - bound_ns).abs() <= 1.0,
+                "n={} m={} bandwidth={}: flow {} done at {} ns, bound {} ns",
+                n, m, bandwidth, c.tag, c.at.0, bound_ns
             );
         }
     }
