@@ -35,8 +35,9 @@ pub struct DaemonConfig {
     pub addr: String,
     /// Session workers executing runs in parallel.
     pub run_workers: usize,
-    /// Worker threads *inside* each run's session (reports are
-    /// byte-identical for any value).
+    /// Workers *inside* each run's session: the run worker's own thread
+    /// plus `session_workers − 1` helpers, spawned only for runs with
+    /// more than one cell (reports are byte-identical for any value).
     pub session_workers: usize,
     /// Queued-run ceiling; submissions beyond it are answered 429.
     pub queue_depth: usize,

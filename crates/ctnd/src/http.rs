@@ -11,11 +11,11 @@
 //! tenth of a millisecond, so a response costs what its bytes cost and
 //! no more: the sockets are `TCP_NODELAY` and unbuffered, where every
 //! `write` is a system call and a segment, so whatever goes out
-//! together — a response's head and body, a stream's head, one chunk
-//! with its framing — is assembled in one buffer and leaves in one
-//! `write`. (Keep-alive would save the two reconnects an operation
-//! still pays; it waits for a benchmark client that can hold a
-//! connection.)
+//! together — a response's head and body, a stream's head with the
+//! chunks ready when it is served, the last chunks with the terminator —
+//! is assembled in one buffer and leaves in one `write`. (Keep-alive
+//! would save the two reconnects an operation still pays; it waits for a
+//! benchmark client that can hold a connection.)
 //!
 //! The parser is strict where it is cheap to be (CRLF line endings, one
 //! space between request-line tokens, `HTTP/1.x` versions only) and
@@ -312,46 +312,59 @@ impl Response {
 }
 
 /// Writes a `Transfer-Encoding: chunked` response incrementally — the
-/// transport behind `GET /v1/runs/{id}/events`. Each [`ChunkedWriter::chunk`]
-/// is one `write` and flushes, so the client sees progress lines as they
-/// happen.
+/// transport behind `GET /v1/runs/{id}/events`. The head and the chunks
+/// are buffered, and each [`ChunkedWriter::send`] writes all that is
+/// pending in one `write`; [`ChunkedWriter::finish`] does the same with
+/// the terminating chunk appended. So a head goes out with the first
+/// chunks, and the last chunks with the terminator: a response whose
+/// chunks are all known up front is one `write`.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     w: W,
+    pending: Vec<u8>,
 }
 
 impl<W: Write> ChunkedWriter<W> {
-    /// Writes the response head and returns the chunk writer.
-    pub fn start(mut w: W, status: u16, content_type: &str) -> io::Result<Self> {
-        let head = format!(
+    /// Buffers the response head and returns the chunk writer.
+    pub fn start(w: W, status: u16, content_type: &str) -> io::Result<Self> {
+        let mut pending = Vec::with_capacity(256);
+        write!(
+            pending,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
             reason(status),
             content_type
-        );
-        w.write_all(head.as_bytes())?;
-        w.flush()?;
-        Ok(ChunkedWriter { w })
+        )?;
+        Ok(ChunkedWriter { w, pending })
     }
 
-    /// Writes one chunk (empty input is skipped — a zero-length chunk
+    /// Buffers one chunk (empty input is skipped — a zero-length chunk
     /// would terminate the stream).
     pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        let mut wire = Vec::with_capacity(data.len() + 20);
-        write!(wire, "{:x}\r\n", data.len())?;
-        wire.extend_from_slice(data);
-        wire.extend_from_slice(b"\r\n");
-        self.w.write_all(&wire)?;
+        write!(self.pending, "{:x}\r\n", data.len())?;
+        self.pending.extend_from_slice(data);
+        self.pending.extend_from_slice(b"\r\n");
+        Ok(())
+    }
+
+    /// Writes whatever is pending in one `write` and flushes, so the
+    /// client sees it now.
+    pub fn send(&mut self) -> io::Result<()> {
+        if !self.pending.is_empty() {
+            self.w.write_all(&self.pending)?;
+            self.pending.clear();
+        }
         self.w.flush()
     }
 
-    /// Writes the terminating zero chunk.
+    /// Writes whatever is pending and the terminating zero chunk, in one
+    /// `write`.
     pub fn finish(mut self) -> io::Result<()> {
-        self.w.write_all(b"0\r\n\r\n")?;
-        self.w.flush()
+        self.pending.extend_from_slice(b"0\r\n\r\n");
+        self.send()
     }
 }
 
@@ -471,9 +484,9 @@ mod tests {
 
     #[test]
     fn response_and_chunked_writer_frame_correctly() {
-        // The bytes are pinned verbatim, and each call is one `write`:
-        // on the daemon's unbuffered `TCP_NODELAY` sockets a `write` is
-        // a system call and a segment.
+        // The bytes are pinned verbatim, and so is each `write`: on the
+        // daemon's unbuffered `TCP_NODELAY` sockets a `write` is a system
+        // call and a segment.
         let mut out = Fake::new("");
         Response::json(429, "{\"error\": \"queue full\"}".to_string())
             .with_header("Retry-After", "1")
@@ -495,9 +508,11 @@ mod tests {
             writes.push(cw.w.writes);
         }
         cw.finish().unwrap();
-        // The empty chunk is skipped, not written as a terminator.
-        assert_eq!(writes, [1, 2, 2, 3, 4]);
-        assert_eq!(out.writes, 5);
+        // The empty chunk is skipped, not written as a terminator. Head
+        // and chunks wait in the buffer, and `finish` writes them with
+        // the terminator: a stream known up front is one `write`.
+        assert_eq!(writes, [0, 0, 0, 0, 0]);
+        assert_eq!(out.writes, 1);
         assert_eq!(
             String::from_utf8(out.output).unwrap(),
             "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\

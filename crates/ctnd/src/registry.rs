@@ -107,6 +107,14 @@ pub struct RunState {
     pub events_closed: bool,
 }
 
+impl RunState {
+    /// The lines beyond `from` and whether the log is closed.
+    fn since(&self, from: usize) -> (Vec<String>, bool) {
+        let lines = self.events[from.min(self.events.len())..].to_vec();
+        (lines, self.events_closed)
+    }
+}
+
 /// One submitted run, shared between HTTP handlers and its worker. It
 /// carries the scenario's name, not its `ScenarioSpec`: the spec rides
 /// the run queue to the worker that executes it and is dropped there,
@@ -187,6 +195,12 @@ impl Run {
         self.progress.notify_all();
     }
 
+    /// The lines beyond `from` and whether the log is closed, without
+    /// waiting.
+    pub fn events_since(&self, from: usize) -> (Vec<String>, bool) {
+        self.state().since(from)
+    }
+
     /// Blocks until events beyond `from` exist or the log closes;
     /// returns the new lines and whether the log is closed. A closed log
     /// with no new lines returns `(empty, true)` immediately.
@@ -194,8 +208,7 @@ impl Run {
         let mut st = self.state();
         loop {
             if st.events.len() > from || st.events_closed {
-                let lines = st.events[from.min(st.events.len())..].to_vec();
-                return (lines, st.events_closed);
+                return st.since(from);
             }
             let (next, _timeout) = self
                 .progress

@@ -325,16 +325,17 @@ fn report_response(run: &Run) -> Response {
 
 /// `GET /v1/runs/{id}/events` — replays the progress log, then follows
 /// it live until the run completes; chunked so each line is visible as
-/// it happens. Every line that is ready goes out in one chunk, and the
-/// closing `run-finished` line rides with the last of them.
-fn stream_events(run: &Run, stream: &mut TcpStream) {
-    let mut writer = match ChunkedWriter::start(stream, 200, "application/x-ndjson") {
-        Ok(w) => w,
-        Err(_) => return,
+/// it happens. The head goes out at once, in one write with the lines
+/// already logged; after that, every line that is ready goes out in one
+/// chunk, and the closing `run-finished` line rides with the last of them
+/// and the terminator. A run that has finished is answered in one write.
+fn stream_events<W: Write>(run: &Run, stream: W) {
+    let Ok(mut writer) = ChunkedWriter::start(stream, 200, "application/x-ndjson") else {
+        return;
     };
+    let (mut lines, mut closed) = run.events_since(0);
     let mut from = 0usize;
     loop {
-        let (lines, closed) = run.wait_events(from);
         from += lines.len();
         let mut batch = String::new();
         for line in &lines {
@@ -351,11 +352,15 @@ fn stream_events(run: &Run, stream: &mut TcpStream) {
             ));
         }
         if writer.chunk(batch.as_bytes()).is_err() {
-            return; // subscriber went away
+            return;
         }
         if closed {
             break;
         }
+        if writer.send().is_err() {
+            return; // subscriber went away
+        }
+        (lines, closed) = run.wait_events(from);
     }
     let _ = writer.finish();
 }
@@ -648,6 +653,87 @@ mod tests {
             not_found(&lapsed),
             "{\"error\": \"no such run (completed runs expire)\"}\n"
         );
+    }
+
+    /// A stream that keeps each `write` apart and calls `after` with the
+    /// number of writes so far once each has landed.
+    struct Writes<F: FnMut(usize)> {
+        writes: Vec<Vec<u8>>,
+        after: F,
+    }
+
+    impl<F: FnMut(usize)> Write for Writes<F> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            (self.after)(self.writes.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const EVENTS_HEAD: &str = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                               Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+
+    fn chunk(data: &str) -> String {
+        format!("{:x}\r\n{data}\r\n", data.len())
+    }
+
+    #[test]
+    fn a_finished_runs_event_stream_is_one_write() {
+        let exec = Executive::new(DaemonConfig::default());
+        let run = exec.registry.create(
+            "done".to_string(),
+            GuardLimits::default(),
+            42,
+            ModelKind::Med,
+        );
+        run.push_event("{\"event\": \"a\"}".to_string());
+        run.push_event("{\"event\": \"b\"}".to_string());
+        let outcome = crate::registry::RunOutcome::Ok { json: "{}".into() };
+        exec.registry.finish(&run, outcome);
+        let mut out = Writes {
+            writes: Vec::new(),
+            after: |_| {},
+        };
+        stream_events(&run, &mut out);
+        let lines = "{\"event\": \"a\"}\n{\"event\": \"b\"}\n\
+                     {\"event\": \"run-finished\", \"outcome\": \"ok\"}\n";
+        let expected = format!("{EVENTS_HEAD}{}0\r\n\r\n", chunk(lines));
+        assert_eq!(out.writes, [expected.into_bytes()]);
+    }
+
+    #[test]
+    fn a_live_runs_event_stream_sends_its_last_lines_with_the_terminator() {
+        let exec = Executive::new(DaemonConfig::default());
+        let run = exec.registry.create(
+            "live".to_string(),
+            GuardLimits::default(),
+            42,
+            ModelKind::Med,
+        );
+        run.push_event("{\"event\": \"a\"}".to_string());
+        // The run logs its last line and finishes right after the head
+        // went out, while the stream is still live.
+        let mut out = Writes {
+            writes: Vec::new(),
+            after: |writes| {
+                if writes == 1 {
+                    run.push_event("{\"event\": \"b\"}".to_string());
+                    let outcome = crate::registry::RunOutcome::Ok { json: "{}".into() };
+                    exec.registry.finish(&run, outcome);
+                }
+            },
+        };
+        stream_events(&run, &mut out);
+        let head = format!("{EVENTS_HEAD}{}", chunk("{\"event\": \"a\"}\n"));
+        let last = format!(
+            "{}0\r\n\r\n",
+            chunk("{\"event\": \"b\"}\n{\"event\": \"run-finished\", \"outcome\": \"ok\"}\n")
+        );
+        assert_eq!(out.writes, [head.into_bytes(), last.into_bytes()]);
     }
 
     #[test]

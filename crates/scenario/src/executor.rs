@@ -21,6 +21,12 @@
 //! reports. The work queue is one flat LIFO across *all* scenarios of a
 //! batch, so a wide scenario cannot serialize a narrow one behind it.
 //!
+//! Workers: the thread that calls `execute` is worker 0 and runs the
+//! same pop–simulate–record loop as the `workers − 1` scoped helpers it
+//! spawns, so a one-worker run spawns no thread. The worker that finishes
+//! a cell records it — row, metrics, observer event, batch assembly,
+//! fabric release — under one lock.
+//!
 //! Three schedule-level optimizations ride on top of that contract (none
 //! can change a single output byte):
 //!
@@ -69,7 +75,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which completion-time predictor fills the `model_secs` column.
@@ -639,12 +645,31 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// What the workers of one run record as their cells finish: one lock
+/// guards all of it, observer included, so whichever worker finishes a
+/// cell files its row and metrics, tells the observer and, on a batch's
+/// last cell, assembles the batch — and no two observer calls overlap.
+struct Collected<'o> {
+    /// Grid-indexed rows; `None` until the cell reports.
+    rows: Vec<Option<CellResult>>,
+    /// Each scenario's batch, once its last cell has reported.
+    batches: Vec<Option<BatchResult>>,
+    workers: Vec<WorkerMetrics>,
+    /// Per-cell spans in completion order.
+    cells: Vec<CellMetrics>,
+    observer: &'o mut (dyn FnMut(RunEvent<'_>) + Send),
+}
+
 /// The streaming executor core behind every [`Session`] run: calibrates
 /// each scenario, lays the batch's cells out once in grid order, shards an
-/// LPT-ordered queue of their indices over `session.workers` scoped
-/// threads, forwards [`RunEvent`]s to `observer` (on the calling thread,
-/// in completion order) as rows land, and assembles each batch from the
-/// grid-indexed rows.
+/// LPT-ordered queue of their indices over `session.workers` workers —
+/// the calling thread and `workers − 1` scoped helpers, so one worker
+/// spawns no thread — and assembles each batch from the grid-indexed rows.
+///
+/// Events: `BatchStarted` goes out on the calling thread before any cell
+/// runs; each `CellFinished`, and a batch's `BatchFinished` after its last
+/// one, goes out on the thread of the worker that finished the cell, in
+/// completion order, one call at a time (see `Collected`).
 ///
 /// Supervision: each cell runs under `session.limits` (engine guard)
 /// inside a `catch_unwind` isolation boundary, so a cell that times out,
@@ -665,7 +690,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) fn execute(
     session: &Session,
     fabrics: &BatchFabrics<'_>,
-    observer: &mut dyn FnMut(RunEvent<'_>),
+    observer: &mut (dyn FnMut(RunEvent<'_>) + Send),
 ) -> Result<(Vec<BatchResult>, SessionMetrics), CtnError> {
     let specs = fabrics.specs;
     let cancel = &session.cancel;
@@ -733,8 +758,6 @@ pub(crate) fn execute(
     queue.sort_by_cached_key(|&i| (cell_cost(&specs[grid[i].scenario], &grid[i]), Reverse(i)));
     let queue = Mutex::new(queue);
 
-    let mut rows: Vec<Option<CellResult>> = grid.iter().map(|_| None).collect();
-    let mut batches: Vec<Option<BatchResult>> = specs.iter().map(|_| None).collect();
     // A row still missing when its batch is assembled belongs to a cell a
     // mid-run cancellation left unpopped: it reads `cancelled`, so the
     // partial report still covers the full grid.
@@ -750,115 +773,129 @@ pub(crate) fn execute(
             .collect(),
     };
     let spawned = session.workers.min(grid.len());
-    let mut worker_metrics: Vec<WorkerMetrics> = (0..spawned)
-        .map(|worker| WorkerMetrics {
-            worker,
-            ..WorkerMetrics::default()
-        })
-        .collect();
-    let mut cell_metrics: Vec<CellMetrics> = Vec::with_capacity(grid.len());
-
-    let (sender, receiver) = mpsc::channel::<(usize, CellResult, CellMetrics)>();
-    std::thread::scope(|scope| {
-        for worker in 0..spawned {
-            let sender = sender.clone();
-            let (queue, grid, scenarios) = (&queue, &grid, &scenarios);
-            scope.spawn(move || loop {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                // The popped cell's distance from the end of the schedule
-                // is its schedule index (0 popped first). Telemetry only.
-                let (index, schedule_index) = {
-                    let mut queue = queue.lock().expect("queue lock");
-                    let Some(index) = queue.pop() else { break };
-                    (index, grid.len() - 1 - queue.len())
-                };
-                let cell = &grid[index];
-                let scenario = &scenarios[cell.scenario];
-                let name = &scenario.spec.name;
-                let start_secs = run_start.elapsed().as_secs_f64();
-                let fault = (session.faults.as_ref())
-                    .and_then(|f| f.fault_for(name, cell.n, cell.message_bytes));
-                // Panic isolation: a panicking cell (injected or real)
-                // becomes a `panicked` status row; its siblings keep
-                // running on the surviving workers.
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    match fault {
-                        Some(Fault::Panic) => panic!(
-                            "injected fault: forced panic in cell {name} n={} m={}",
-                            cell.n, cell.message_bytes
-                        ),
-                        Some(Fault::Stall) => {
-                            let status = stall(&session.limits, cancel);
-                            return (scenario.row(cell, Err(status)), None);
-                        }
-                        Some(Fault::Slow(delay)) => std::thread::sleep(delay),
-                        None => {}
-                    }
-                    // `execute` validated the spec, and a spec that
-                    // validates builds (generator_proptests pins it).
-                    let fabric = fabrics
-                        .get(cell.scenario)
-                        .unwrap_or_else(|e| panic!("validated spec failed to build: {e}"));
-                    run_cell(scenario, &fabric, cell, session)
-                }));
-                let (row, engine) = caught.unwrap_or_else(|payload| {
-                    let detail = panic_detail(payload.as_ref());
-                    (
-                        scenario.row(cell, Err(CellStatus::Panicked { detail })),
-                        None,
-                    )
-                });
-                let metrics = CellMetrics {
-                    scenario: name.clone(),
-                    n: cell.n,
-                    message_bytes: cell.message_bytes,
-                    worker,
-                    schedule_index,
-                    start_secs,
-                    wall_secs: run_start.elapsed().as_secs_f64() - start_secs,
-                    status: row.status.name().to_string(),
-                    engine,
-                };
-                if sender.send((index, row, metrics)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(sender);
-        // The calling thread is the collector: events stream to the
-        // observer while workers are still simulating.
-        for (index, row, metrics) in receiver {
-            let batch = grid[index].scenario;
-            let scenario = &scenarios[batch];
-            let name = &scenario.spec.name;
-            let total = scenario.cells.len();
-            let completed = 1 + rows[scenario.cells.clone()].iter().flatten().count();
-            observer(RunEvent::CellFinished {
-                scenario: name,
-                cell: &row,
-                metrics: &metrics,
-                completed,
-                total,
-            });
-            rows[index] = Some(row);
-            let w = &mut worker_metrics[metrics.worker];
-            w.cells += 1;
-            w.busy_secs += metrics.wall_secs;
-            cell_metrics.push(metrics);
-            if completed == total {
-                // Nothing will ask for this scenario's fabric again, so
-                // let it go before the rest of the batch runs on.
-                fabrics.release(batch);
-                observer(RunEvent::BatchFinished {
-                    scenario: name,
-                    batch: batches[batch].insert(assemble(scenario, &mut rows)),
-                });
-            }
-        }
+    let collected = Mutex::new(Collected {
+        rows: grid.iter().map(|_| None).collect(),
+        batches: specs.iter().map(|_| None).collect(),
+        workers: (0..spawned)
+            .map(|worker| WorkerMetrics {
+                worker,
+                ..WorkerMetrics::default()
+            })
+            .collect(),
+        cells: Vec::with_capacity(grid.len()),
+        observer,
     });
 
+    let work = |worker: usize| loop {
+        if cancel.is_cancelled() {
+            break;
+        }
+        // The popped cell's distance from the end of the schedule is its
+        // schedule index (0 popped first). Telemetry only.
+        let (index, schedule_index) = {
+            let mut queue = queue.lock().expect("queue lock");
+            let Some(index) = queue.pop() else { break };
+            (index, grid.len() - 1 - queue.len())
+        };
+        let cell = &grid[index];
+        let batch = cell.scenario;
+        let scenario = &scenarios[batch];
+        let name = &scenario.spec.name;
+        let start_secs = run_start.elapsed().as_secs_f64();
+        let fault =
+            (session.faults.as_ref()).and_then(|f| f.fault_for(name, cell.n, cell.message_bytes));
+        // Panic isolation: a panicking cell (injected or real) becomes a
+        // `panicked` status row; its siblings keep running on the
+        // surviving workers.
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            match fault {
+                Some(Fault::Panic) => panic!(
+                    "injected fault: forced panic in cell {name} n={} m={}",
+                    cell.n, cell.message_bytes
+                ),
+                Some(Fault::Stall) => {
+                    let status = stall(&session.limits, cancel);
+                    return (scenario.row(cell, Err(status)), None);
+                }
+                Some(Fault::Slow(delay)) => std::thread::sleep(delay),
+                None => {}
+            }
+            // `execute` validated the spec, and a spec that validates
+            // builds (generator_proptests pins it).
+            let fabric = fabrics
+                .get(batch)
+                .unwrap_or_else(|e| panic!("validated spec failed to build: {e}"));
+            run_cell(scenario, &fabric, cell, session)
+        }));
+        let (row, engine) = caught.unwrap_or_else(|payload| {
+            let detail = panic_detail(payload.as_ref());
+            (
+                scenario.row(cell, Err(CellStatus::Panicked { detail })),
+                None,
+            )
+        });
+        let metrics = CellMetrics {
+            scenario: name.clone(),
+            n: cell.n,
+            message_bytes: cell.message_bytes,
+            worker,
+            schedule_index,
+            start_secs,
+            wall_secs: run_start.elapsed().as_secs_f64() - start_secs,
+            status: row.status.name().to_string(),
+            engine,
+        };
+        // The finishing worker records its cell and tells the observer,
+        // all under one lock: events go out as rows land, one at a time.
+        let mut done = collected.lock().expect("collected cells lock");
+        let Collected {
+            rows,
+            batches,
+            workers,
+            cells,
+            observer,
+        } = &mut *done;
+        let total = scenario.cells.len();
+        let completed = 1 + rows[scenario.cells.clone()].iter().flatten().count();
+        observer(RunEvent::CellFinished {
+            scenario: name,
+            cell: &row,
+            metrics: &metrics,
+            completed,
+            total,
+        });
+        rows[index] = Some(row);
+        let w = &mut workers[worker];
+        w.cells += 1;
+        w.busy_secs += metrics.wall_secs;
+        cells.push(metrics);
+        if completed == total {
+            // Nothing will ask for this scenario's fabric again, so let it
+            // go before the rest of the batch runs on.
+            fabrics.release(batch);
+            observer(RunEvent::BatchFinished {
+                scenario: name,
+                batch: batches[batch].insert(assemble(scenario, rows)),
+            });
+        }
+    };
+    // The calling thread is worker 0; only the other workers get threads,
+    // so a one-worker run spawns none.
+    std::thread::scope(|scope| {
+        for worker in 1..spawned {
+            let work = &work;
+            scope.spawn(move || work(worker));
+        }
+        work(0);
+    });
+
+    let Collected {
+        mut rows,
+        batches,
+        workers: worker_metrics,
+        cells: mut cell_metrics,
+        ..
+    } = collected.into_inner().expect("collected cells lock");
     let batches = (batches.into_iter().zip(&scenarios))
         .map(|(batch, scenario)| {
             batch.unwrap_or_else(|| {
@@ -899,6 +936,86 @@ mod tests {
         let csv1 = r1.render(ReportFormat::Csv);
         let csv4 = r4.render(ReportFormat::Csv);
         assert_eq!(csv1, csv4, "CSV must be byte-identical across workers");
+    }
+
+    /// A cheap four-cell incast under `name`.
+    fn small_incast(name: &str) -> ScenarioSpec {
+        let mut spec = by_name("incast-burst").unwrap();
+        spec.name = name.to_string();
+        spec.sweep.nodes = vec![4, 8];
+        spec.sweep.message_bytes = vec![16 * 1024, 64 * 1024];
+        spec.sweep.reps = 1;
+        spec.sweep.warmup = 0;
+        spec
+    }
+
+    #[test]
+    fn a_one_worker_session_calls_the_observer_on_the_calling_thread() {
+        let session = Session::builder().workers(1).build().unwrap();
+        let caller = std::thread::current().id();
+        let mut calls = 0usize;
+        session
+            .run_many_with(&[small_incast("a"), small_incast("b")], &mut |_| {
+                assert_eq!(std::thread::current().id(), caller);
+                calls += 1;
+            })
+            .unwrap();
+        // Two batches: a start, four cells and a finish each.
+        assert_eq!(calls, 12);
+        let metrics = session.metrics().unwrap();
+        assert_eq!(metrics.workers.len(), 1);
+        assert_eq!(metrics.workers[0].cells, 8);
+    }
+
+    #[test]
+    fn observer_calls_never_overlap() {
+        let session = Session::builder().workers(2).build().unwrap();
+        let inside = std::sync::atomic::AtomicBool::new(false);
+        session
+            .run_many_with(&[small_incast("a"), small_incast("b")], &mut |_| {
+                assert!(!inside.swap(true, Ordering::SeqCst), "observer re-entered");
+                // Widen the window another worker's event would hit.
+                std::thread::sleep(Duration::from_millis(2));
+                inside.store(false, Ordering::SeqCst);
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn each_batch_counts_its_cells_in_order_and_finishes_after_them() {
+        let session = Session::builder().workers(2).build().unwrap();
+        let specs = [small_incast("a"), small_incast("b")];
+        // Per scenario: the `completed` counts seen, then `None` for its
+        // `BatchFinished`.
+        let mut seen: HashMap<String, Vec<Option<usize>>> = HashMap::new();
+        session
+            .run_many_with(&specs, &mut |event| match event {
+                RunEvent::BatchStarted { .. } => {}
+                RunEvent::CellFinished {
+                    scenario,
+                    completed,
+                    total,
+                    ..
+                } => {
+                    assert_eq!(total, 4);
+                    seen.entry(scenario.to_string())
+                        .or_default()
+                        .push(Some(completed));
+                }
+                RunEvent::BatchFinished { scenario, batch } => {
+                    assert_eq!(batch.cells.len(), 4);
+                    seen.entry(scenario.to_string()).or_default().push(None);
+                }
+            })
+            .unwrap();
+        assert_eq!(seen.len(), 2);
+        for (scenario, events) in seen {
+            assert_eq!(
+                events,
+                [Some(1), Some(2), Some(3), Some(4), None],
+                "{scenario}"
+            );
+        }
     }
 
     #[test]

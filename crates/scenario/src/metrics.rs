@@ -86,7 +86,7 @@ pub struct CellMetrics {
     pub n: usize,
     /// Per-pair message size in bytes.
     pub message_bytes: u64,
-    /// Worker thread that ran the cell.
+    /// Worker that ran the cell (0 is the thread that started the run).
     pub worker: usize,
     /// Position in the cost-aware (LPT) schedule: 0 started first.
     pub schedule_index: usize,
@@ -112,7 +112,7 @@ impl CellMetrics {
 /// Per-worker occupancy over one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerMetrics {
-    /// Worker thread index.
+    /// Worker index (0 is the thread that started the run).
     pub worker: usize,
     /// Cells this worker completed.
     pub cells: usize,

@@ -240,7 +240,8 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Worker threads sharing the cell queue. Defaults to the machine's
+    /// Workers sharing the cell queue: the thread that runs the session
+    /// plus `workers − 1` helper threads. Defaults to the machine's
     /// available parallelism. Zero is rejected by [`SessionBuilder::build`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
@@ -362,7 +363,7 @@ impl Session {
         Self::builder().build().expect("default session is valid")
     }
 
-    /// Worker threads this session runs with.
+    /// Workers this session runs with (the calling thread counts as one).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -406,21 +407,29 @@ impl Session {
         self.run_many_with(specs, &mut |_| {})
     }
 
-    /// Like [`Session::run`], streaming [`RunEvent`]s to `observer` — on
-    /// the calling thread, once per event — as the run progresses.
+    /// Like [`Session::run`], streaming [`RunEvent`]s to `observer`, once
+    /// per event, as the run progresses. See [`Session::run_many_with`]
+    /// for which thread makes each call.
     pub fn run_with(
         &self,
         spec: &ScenarioSpec,
-        observer: &mut dyn FnMut(RunEvent<'_>),
+        observer: &mut (dyn FnMut(RunEvent<'_>) + Send),
     ) -> Result<Report, CtnError> {
         self.run_many_with(std::slice::from_ref(spec), observer)
     }
 
     /// Like [`Session::run_many`], streaming [`RunEvent`]s to `observer`.
+    ///
+    /// The calling thread is one of the session's workers, so the observer
+    /// must be `Send`: `BatchStarted` events come from the calling thread,
+    /// and each `CellFinished` (and the `BatchFinished` after a batch's
+    /// last cell) from whichever worker finished the cell. Calls never
+    /// overlap, and a one-worker session makes every call on the calling
+    /// thread.
     pub fn run_many_with(
         &self,
         specs: &[ScenarioSpec],
-        observer: &mut dyn FnMut(RunEvent<'_>),
+        observer: &mut (dyn FnMut(RunEvent<'_>) + Send),
     ) -> Result<Report, CtnError> {
         let (batches, metrics) = executor::execute(self, &BatchFabrics::new(specs), observer)?;
         *self.metrics.lock().expect("metrics lock") = Some(metrics);

@@ -2,7 +2,9 @@
 //! points with.
 
 /// Maps `f` over `items` on up to `workers` threads, preserving order.
-/// Sweeps are embarrassingly parallel (one simulator per point).
+/// Sweeps are embarrassingly parallel (one simulator per point). The
+/// calling thread maps items too, beside `workers.min(items.len()) − 1`
+/// scoped helpers, so one worker or one item spawns no thread.
 pub fn parallel_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -10,9 +12,6 @@ where
     F: Fn(T) -> R + Sync,
 {
     assert!(workers > 0);
-    if items.len() <= 1 || workers == 1 {
-        return items.into_iter().map(f).collect();
-    }
     let n = items.len();
     // LIFO work queue + per-slot results: order is restored by index, so
     // the output never depends on worker scheduling.
@@ -20,15 +19,17 @@ where
         std::sync::Mutex::new(items.into_iter().enumerate().collect());
     let slots: Vec<std::sync::Mutex<Option<R>>> =
         (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    let work = || loop {
+        let item = queue.lock().expect("queue lock").pop();
+        let Some((idx, item)) = item else { break };
+        let r = f(item);
+        *slots[idx].lock().expect("slot lock") = Some(r);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let item = queue.lock().expect("queue lock").pop();
-                let Some((idx, item)) = item else { break };
-                let r = f(item);
-                *slots[idx].lock().expect("slot lock") = Some(r);
-            });
+        for _ in 1..workers.min(n) {
+            scope.spawn(work);
         }
+        work();
     });
     slots
         .into_iter()
