@@ -4,8 +4,8 @@
 //! repro [--full] [--seed N] [--out DIR] [all | figN | params ...]
 //! ```
 //!
-//! Each experiment prints its tables and ASCII charts and writes one CSV
-//! per table under `--out` (default `results/`). `--full` runs the paper's
+//! Each experiment prints its table and ASCII chart and writes the table
+//! as `{id}.csv` under `--out` (default `results/`). `--full` runs the paper's
 //! grid sizes; the default quick profile is sized for a small machine.
 
 use contention_lab::experiments::{by_id, registry, Experiment, Profile, Scale};
@@ -64,7 +64,7 @@ fn main() {
         println!("\n=== {} — {} ===", e.id, e.title);
         println!("paper: {}", e.paper_claim);
         let output = (e.run)(&profile);
-        for table in &output.tables {
+        if let Some(table) = &output.table {
             let path = profile.out_dir.join(format!("{}.csv", e.id));
             match table.write_csv(&path) {
                 Ok(()) => println!("[csv written to {}]", path.display()),
@@ -72,7 +72,7 @@ fn main() {
             }
             println!("{}", table.to_aligned());
         }
-        for chart in &output.charts {
+        if let Some(chart) = &output.chart {
             println!("{chart}");
         }
         for note in &output.notes {

@@ -1,21 +1,20 @@
 //! Figures 8, 11 and 14: estimation error `(measured/estimated − 1)·100 %`
 //! vs process count, one curve per message size — the paper's accuracy
 //! claim ("usually smaller than 10 % when there are enough processes to
-//! saturate the network").
+//! saturate the network"). Measured on the same grid, with the same
+//! signature, as the preset's surface ([`surface::measure_surface`]).
 
 use super::{surface, ExperimentOutput, Profile};
 use crate::report::{ascii_chart, Series, Table};
 use simmpi::presets::ClusterPreset;
 
-fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -> ExperimentOutput {
-    let (points, cal) = match surface::measure_surface(preset, sample_n, profile) {
+/// The error-grid figure of `preset`.
+pub fn run(preset: &ClusterPreset, profile: &Profile) -> ExperimentOutput {
+    let (points, cal) = match surface::measure_surface(preset, profile) {
         Ok(x) => x,
-        Err(e) => {
-            let mut out = ExperimentOutput::default();
-            out.notes.push(e);
-            return out;
-        }
+        Err(e) => return ExperimentOutput::failed(e),
     };
+    let sample_n = preset.sample_nodes;
     let mut table = Table::new(
         format!("{} estimation error vs process count", preset.name),
         &["nodes", "message_bytes", "error_pct"],
@@ -61,23 +60,8 @@ fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -> Ex
         ),
     ];
     ExperimentOutput {
-        tables: vec![table],
-        charts: vec![ascii_chart(&series, 64, 16)],
+        table: Some(table),
+        chart: Some(ascii_chart(&series, 64, 16)),
         notes,
     }
-}
-
-/// Figure 8: Fast Ethernet error grid.
-pub fn run_fast_ethernet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::fast_ethernet(), 24, profile)
-}
-
-/// Figure 11: Gigabit Ethernet error grid.
-pub fn run_gigabit_ethernet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::gigabit_ethernet(), 40, profile)
-}
-
-/// Figure 14: Myrinet error grid.
-pub fn run_myrinet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::myrinet(), 24, profile)
 }

@@ -1,42 +1,15 @@
 //! Figures 6, 9 and 12: fitting the contention signature on one network —
 //! measured Direct Exchange vs lower bound vs fitted prediction, at the
-//! paper's sample node count.
+//! paper's sample node count n′ ([`ClusterPreset::sample_nodes`]).
+//!
+//! [`calibrate_testbed`] is the one calibration of a testbed: these
+//! figures, the surfaces and error grids (Figs. 7/10/13, 8/11/14) and
+//! `params` all fit through it, so one scale gives one "our γ" per network.
 
-use super::{ExperimentOutput, Profile, Scale};
+use super::{paper, ExperimentOutput, Profile, Scale};
 use crate::report::{ascii_chart, Series, Table};
-use crate::runner::{calibrate_report, default_sample_sizes};
+use crate::runner::{calibrate_report, default_sample_sizes, CalibrationReport};
 use simmpi::presets::ClusterPreset;
-
-/// Paper-reported signature values for the comparison notes.
-pub struct PaperSignature {
-    /// Paper's fitted γ.
-    pub gamma: f64,
-    /// Paper's fitted δ in seconds.
-    pub delta_secs: f64,
-    /// Paper's cutoff `M` in bytes (`None` for "no affine term").
-    pub cutoff: Option<u64>,
-}
-
-/// The paper's quoted values per network (§8).
-pub fn paper_signature(preset: &ClusterPreset) -> PaperSignature {
-    match preset.name {
-        "fast-ethernet" => PaperSignature {
-            gamma: 1.0195,
-            delta_secs: 8.23e-3,
-            cutoff: Some(2 * 1024),
-        },
-        "gigabit-ethernet" => PaperSignature {
-            gamma: 4.3628,
-            delta_secs: 4.93e-3,
-            cutoff: Some(8 * 1024),
-        },
-        _ => PaperSignature {
-            gamma: 2.49754,
-            delta_secs: 1e-6,
-            cutoff: None,
-        },
-    }
-}
 
 /// Message-size grid for the fit figures.
 pub fn fit_sizes(scale: Scale) -> Vec<u64> {
@@ -59,19 +32,24 @@ pub fn fit_sizes(scale: Scale) -> Vec<u64> {
     }
 }
 
-/// Generic fit figure: calibrate on `preset` at `sample_n` and tabulate
-/// measured / bound / prediction across message sizes.
-pub fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -> ExperimentOutput {
+/// The paper's calibration of `preset`: at its n′, over [`fit_sizes`].
+pub fn calibrate_testbed(
+    preset: &ClusterPreset,
+    profile: &Profile,
+) -> Result<CalibrationReport, String> {
     let sizes = fit_sizes(profile.scale);
-    let report = match calibrate_report(preset, sample_n, &sizes, profile.seed) {
+    calibrate_report(preset, preset.sample_nodes, &sizes, profile.seed)
+        .map_err(|e| format!("calibration failed on {}: {e}", preset.name))
+}
+
+/// The fit figure: calibrate `preset` and tabulate measured / bound /
+/// prediction across message sizes.
+pub fn run(preset: &ClusterPreset, profile: &Profile) -> ExperimentOutput {
+    let report = match calibrate_testbed(preset, profile) {
         Ok(r) => r,
-        Err(e) => {
-            let mut out = ExperimentOutput::default();
-            out.notes
-                .push(format!("calibration failed on {}: {e}", preset.name));
-            return out;
-        }
+        Err(e) => return ExperimentOutput::failed(e),
     };
+    let sample_n = preset.sample_nodes;
     let cal = report.calibration;
     let sig = cal.signature;
 
@@ -125,7 +103,7 @@ pub fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -
         16,
     );
 
-    let paper = paper_signature(preset);
+    let paper = paper::testbed(preset.network);
     let notes = vec![
         format!(
             "fitted: gamma={:.4} delta={:.3}ms M={:?} (R2={:.4}); hockney alpha={:.1}us beta={:.3}ns/B",
@@ -145,40 +123,15 @@ pub fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -
     ];
 
     ExperimentOutput {
-        tables: vec![table],
-        charts: vec![chart],
+        table: Some(table),
+        chart: Some(chart),
         notes,
     }
-}
-
-/// Figure 6: Fast Ethernet at 24 machines.
-pub fn run_fast_ethernet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::fast_ethernet(), 24, profile)
-}
-
-/// Figure 9: Gigabit Ethernet at 40 machines.
-pub fn run_gigabit_ethernet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::gigabit_ethernet(), 40, profile)
-}
-
-/// Figure 12: Myrinet at 24 processes.
-pub fn run_myrinet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::myrinet(), 24, profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_values_match_the_text() {
-        let fe = paper_signature(&ClusterPreset::fast_ethernet());
-        assert_eq!(fe.gamma, 1.0195);
-        let ge = paper_signature(&ClusterPreset::gigabit_ethernet());
-        assert_eq!(ge.cutoff, Some(8192));
-        let my = paper_signature(&ClusterPreset::myrinet());
-        assert!(my.cutoff.is_none());
-    }
 
     #[test]
     fn full_scale_uses_finer_grid() {

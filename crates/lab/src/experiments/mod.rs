@@ -1,12 +1,14 @@
 //! One module per paper figure, all registered in [`registry`].
 //!
 //! Figures 6/9/12 (fit), 7/10/13 (prediction surface) and 8/11/14
-//! (estimation error) have identical structure across the three networks,
-//! so they share generic implementations parameterized by preset and
-//! sample node count.
+//! (estimation error) have identical structure across the three networks:
+//! each is one function of the preset, which carries the paper's n′
+//! ([`ClusterPreset::sample_nodes`]); the registry binds the preset. What
+//! the paper reported on each testbed is [`paper::testbed`].
 
 pub mod error_grid;
 pub mod fit;
+pub mod paper;
 pub mod params;
 pub mod smallmsg;
 pub mod stress;
@@ -14,6 +16,7 @@ pub mod surface;
 pub mod throughput_fig;
 
 use crate::report::Table;
+use simmpi::presets::ClusterPreset;
 use std::path::PathBuf;
 
 /// How large a grid an experiment runs.
@@ -49,16 +52,26 @@ impl Default for Profile {
     }
 }
 
-/// What an experiment produces: tables (also written as CSV) and optional
-/// pre-rendered charts/notes for the terminal.
+/// What an experiment produces: its table (also written as CSV), an
+/// optional pre-rendered chart and notes for the terminal.
 #[derive(Debug, Default)]
 pub struct ExperimentOutput {
-    /// Result tables, one CSV file each.
-    pub tables: Vec<Table>,
-    /// ASCII charts to print.
-    pub charts: Vec<String>,
+    /// The result table, written as `{id}.csv`.
+    pub table: Option<Table>,
+    /// ASCII chart to print.
+    pub chart: Option<String>,
     /// Free-form notes (fitted parameters, paper comparison).
     pub notes: Vec<String>,
+}
+
+impl ExperimentOutput {
+    /// An experiment that could not measure: no table, one note saying why.
+    pub fn failed(note: String) -> Self {
+        Self {
+            notes: vec![note],
+            ..Self::default()
+        }
+    }
 }
 
 /// A registered, reproducible experiment.
@@ -105,55 +118,55 @@ pub fn registry() -> Vec<Experiment> {
             id: "fig6",
             title: "Fitting MPI_Alltoall on Fast Ethernet (24 machines)",
             paper_claim: "gamma=1.0195, delta=8.23 ms for m >= 2 KiB: affine, near the bound",
-            run: fit::run_fast_ethernet,
+            run: |p| fit::run(&ClusterPreset::fast_ethernet(), p),
         },
         Experiment {
             id: "fig7",
             title: "Prediction surface on Fast Ethernet",
             paper_claim: "signature fitted at n'=24 predicts other node counts",
-            run: surface::run_fast_ethernet,
+            run: |p| surface::run(&ClusterPreset::fast_ethernet(), p),
         },
         Experiment {
             id: "fig8",
             title: "Estimation error vs process count on Fast Ethernet",
             paper_claim: "error < ~10% once the network is saturated",
-            run: error_grid::run_fast_ethernet,
+            run: |p| error_grid::run(&ClusterPreset::fast_ethernet(), p),
         },
         Experiment {
             id: "fig9",
             title: "Fitting MPI_Alltoall on Gigabit Ethernet (40 machines)",
             paper_claim: "gamma=4.3628, delta=4.93 ms for m >= 8 KiB: far above the bound",
-            run: fit::run_gigabit_ethernet,
+            run: |p| fit::run(&ClusterPreset::gigabit_ethernet(), p),
         },
         Experiment {
             id: "fig10",
             title: "Prediction surface on Gigabit Ethernet",
             paper_claim: "signature fitted at n'=40 predicts other node counts",
-            run: surface::run_gigabit_ethernet,
+            run: |p| surface::run(&ClusterPreset::gigabit_ethernet(), p),
         },
         Experiment {
             id: "fig11",
             title: "Estimation error vs process count on Gigabit Ethernet",
             paper_claim: "large negative error below saturation, < ~10% above",
-            run: error_grid::run_gigabit_ethernet,
+            run: |p| error_grid::run(&ClusterPreset::gigabit_ethernet(), p),
         },
         Experiment {
             id: "fig12",
             title: "Fitting MPI_Alltoall on Myrinet (24 processes)",
             paper_claim: "gamma=2.49754, delta below 1 us: pure ratio, no affine term",
-            run: fit::run_myrinet,
+            run: |p| fit::run(&ClusterPreset::myrinet(), p),
         },
         Experiment {
             id: "fig13",
             title: "Prediction surface on Myrinet",
             paper_claim: "signature fitted at n'=24 predicts other node counts",
-            run: surface::run_myrinet,
+            run: |p| surface::run(&ClusterPreset::myrinet(), p),
         },
         Experiment {
             id: "fig14",
             title: "Estimation error vs process count on Myrinet",
             paper_claim: "saturation only beyond ~40 processes; error shrinks there",
-            run: error_grid::run_myrinet,
+            run: |p| error_grid::run(&ClusterPreset::myrinet(), p),
         },
         Experiment {
             id: "params",

@@ -84,8 +84,8 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
         })
         .fold(0.0, f64::max);
     ExperimentOutput {
-        tables: vec![table],
-        charts: vec![chart],
+        table: Some(table),
+        chart: Some(chart),
         notes: vec![format!(
             "max deviation from proportional scaling at n={}: {:.0}% \
              (paper fig5: strongly non-linear below ~16 KiB)",

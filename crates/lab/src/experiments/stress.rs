@@ -5,10 +5,15 @@
 //! of connections; Fig. 3 plots the individual transmission times, whose
 //! long tail (stragglers ≈ 6× the fastest) is the TCP-retransmission
 //! fingerprint the whole paper builds on.
+//!
+//! [`throughput_model`] is §6's one stress run, the source of βF/βC for
+//! figure 4 and `params`.
 
 use super::{ExperimentOutput, Profile, Scale};
 use crate::descriptive::Summary;
 use crate::report::{ascii_chart, Series, Table};
+use contention_model::error::ModelError;
+use contention_model::throughput::ThroughputModel;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use simmpi::harness::{stress_run, StressResult};
@@ -34,24 +39,43 @@ pub fn transfer_bytes(scale: Scale) -> u64 {
     }
 }
 
+/// `k` simultaneous `bytes`-sized transfers on Gigabit Ethernet: `2k`
+/// hosts (world seeded by `world_seed`) paired off at random (`pair_seed`).
+fn paired_stress(k: usize, bytes: u64, world_seed: u64, pair_seed: u64) -> StressResult {
+    let mut world = ClusterPreset::gigabit_ethernet().build_world(2 * k, world_seed);
+    // Random pairing over scattered hosts: like grabbing 2k nodes from the
+    // batch scheduler, most pairs cross switches.
+    let mut ranks: Vec<usize> = (0..2 * k).collect();
+    ranks.shuffle(&mut rand::rngs::StdRng::seed_from_u64(pair_seed));
+    let pairs: Vec<(usize, usize)> = ranks.chunks(2).map(|c| (c[0], c[1])).collect();
+    stress_run(&mut world, &pairs, bytes)
+}
+
 /// Runs the stress sweep: for each connection count `k`, `2k` hosts are
 /// paired off randomly (seeded), all transfers start simultaneously.
 pub fn stress_sweep(profile: &Profile) -> Vec<(usize, StressResult)> {
-    let preset = ClusterPreset::gigabit_ethernet();
     let bytes = transfer_bytes(profile.scale);
     connection_counts(profile.scale)
         .into_iter()
         .map(|k| {
-            let mut world = preset.build_world(2 * k, profile.seed ^ (k as u64) << 8);
-            // Random pairing over scattered hosts: like grabbing 2k nodes
-            // from the batch scheduler, most pairs cross switches.
-            let mut ranks: Vec<usize> = (0..2 * k).collect();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(profile.seed ^ 0xF00D ^ k as u64);
-            ranks.shuffle(&mut rng);
-            let pairs: Vec<(usize, usize)> = ranks.chunks(2).map(|c| (c[0], c[1])).collect();
-            (k, stress_run(&mut world, &pairs, bytes))
+            let world_seed = profile.seed ^ (k as u64) << 8;
+            let pair_seed = profile.seed ^ 0xF00D ^ k as u64;
+            (k, paired_stress(k, bytes, world_seed, pair_seed))
         })
         .collect()
+}
+
+/// §6's throughput-under-contention model on Gigabit Ethernet: one
+/// saturating stress run with a connection per process of the n′-process
+/// All-to-All it predicts, βF/βC read off its fastest and slowest
+/// connections (as the paper reads fig. 3), ρ = 0.5. `alpha_secs` only
+/// enters the model's predictions.
+pub fn throughput_model(profile: &Profile, alpha_secs: f64) -> Result<ThroughputModel, ModelError> {
+    let k = ClusterPreset::gigabit_ethernet().sample_nodes;
+    let bytes = transfer_bytes(profile.scale);
+    let seed = profile.seed ^ 0xBEEF;
+    let stress = paired_stress(k, bytes, seed, seed);
+    ThroughputModel::from_stress_times(alpha_secs, bytes, &stress.times_secs, 0.5)
 }
 
 /// Figure 2: average per-connection bandwidth vs connection count.
@@ -86,8 +110,8 @@ pub fn run_fig2(profile: &Profile) -> ExperimentOutput {
         14,
     );
     ExperimentOutput {
-        tables: vec![table],
-        charts: vec![chart],
+        table: Some(table),
+        chart: Some(chart),
         notes: vec![
             "paper fig2: single connection ≈ 112 MB/s, degrading steadily with more connections"
                 .into(),
@@ -129,8 +153,8 @@ pub fn run_fig3(profile: &Profile) -> ExperimentOutput {
         16,
     );
     ExperimentOutput {
-        tables: vec![table],
-        charts: vec![chart],
+        table: Some(table),
+        chart: Some(chart),
         notes: vec![format!(
             "worst straggler factor (slowest/fastest within a run): {max_straggler:.1}x \
              (paper: some connections take almost six times longer)"

@@ -1,21 +1,19 @@
 //! Figures 7, 10 and 13: prediction surfaces — measured vs predicted
 //! completion over a (node count × message size) grid, with the signature
-//! fitted once at the paper's sample node count.
+//! fitted once by [`fit::calibrate_testbed`] at the paper's n′, up to the
+//! paper's node ceiling ([`paper::PaperTestbed::surface_max_nodes`]).
 
-use super::{ExperimentOutput, Profile, Scale};
+use super::{fit, paper, ExperimentOutput, Profile, Scale};
 use crate::report::Table;
-use crate::runner::{calibrate_report, fit_cfg_for, measure_alltoall_curve};
+use crate::runner::{fit_cfg_for, measure_alltoall_curve};
+use contention_model::calibration::Calibration;
 use contention_model::metrics::AccuracyPoint;
 use simmpi::presets::ClusterPreset;
 use simmpi::runner::parallel_map;
 
 /// Node-count grids per figure.
 pub fn surface_nodes(preset: &ClusterPreset, scale: Scale) -> Vec<usize> {
-    let max = match preset.name {
-        "fast-ethernet" => 40,
-        "gigabit-ethernet" => 48,
-        _ => 48,
-    };
+    let max = paper::testbed(preset.network).surface_max_nodes;
     match scale {
         Scale::Quick => vec![8, 16, 24, 36, 48]
             .into_iter()
@@ -46,23 +44,9 @@ pub fn surface_sizes(scale: Scale) -> Vec<u64> {
 /// and returns accuracy points against the fitted signature.
 pub fn measure_surface(
     preset: &ClusterPreset,
-    sample_n: usize,
     profile: &Profile,
-) -> Result<
-    (
-        Vec<AccuracyPoint>,
-        contention_model::calibration::Calibration,
-    ),
-    String,
-> {
-    let report = calibrate_report(
-        preset,
-        sample_n,
-        &crate::experiments::fit::fit_sizes(profile.scale),
-        profile.seed,
-    )
-    .map_err(|e| format!("calibration failed on {}: {e}", preset.name))?;
-    let cal = report.calibration;
+) -> Result<(Vec<AccuracyPoint>, Calibration), String> {
+    let cal = fit::calibrate_testbed(preset, profile)?.calibration;
     let ns = surface_nodes(preset, profile.scale);
     let ms = surface_sizes(profile.scale);
     let seed = profile.seed;
@@ -86,19 +70,16 @@ pub fn measure_surface(
     Ok((points, cal))
 }
 
-fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -> ExperimentOutput {
-    let (points, cal) = match measure_surface(preset, sample_n, profile) {
+/// The surface figure of `preset`.
+pub fn run(preset: &ClusterPreset, profile: &Profile) -> ExperimentOutput {
+    let (points, cal) = match measure_surface(preset, profile) {
         Ok(x) => x,
-        Err(e) => {
-            let mut out = ExperimentOutput::default();
-            out.notes.push(e);
-            return out;
-        }
+        Err(e) => return ExperimentOutput::failed(e),
     };
     let mut table = Table::new(
         format!(
-            "{} prediction surface (signature from n'={sample_n})",
-            preset.name
+            "{} prediction surface (signature from n'={})",
+            preset.name, preset.sample_nodes
         ),
         &[
             "nodes",
@@ -131,25 +112,10 @@ fn run_generic(preset: &ClusterPreset, sample_n: usize, profile: &Profile) -> Ex
         ),
     ];
     ExperimentOutput {
-        tables: vec![table],
-        charts: vec![],
+        table: Some(table),
+        chart: None,
         notes,
     }
-}
-
-/// Figure 7: Fast Ethernet surface.
-pub fn run_fast_ethernet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::fast_ethernet(), 24, profile)
-}
-
-/// Figure 10: Gigabit Ethernet surface.
-pub fn run_gigabit_ethernet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::gigabit_ethernet(), 40, profile)
-}
-
-/// Figure 13: Myrinet surface.
-pub fn run_myrinet(profile: &Profile) -> ExperimentOutput {
-    run_generic(&ClusterPreset::myrinet(), 24, profile)
 }
 
 #[cfg(test)]
@@ -159,8 +125,13 @@ mod tests {
     #[test]
     fn grids_respect_cluster_capacity() {
         for preset in ClusterPreset::all() {
-            for n in surface_nodes(&preset, Scale::Quick) {
-                assert!(n <= preset.max_hosts());
+            let ceiling = paper::testbed(preset.network).surface_max_nodes;
+            assert!(ceiling <= preset.max_hosts(), "{}", preset.name);
+            for scale in [Scale::Quick, Scale::Full] {
+                let ns = surface_nodes(&preset, scale);
+                assert!(ns.iter().all(|&n| n <= ceiling), "{}", preset.name);
+                // The grid reaches the paper's n′, where the signature is fitted.
+                assert!(ns.last() >= Some(&preset.sample_nodes), "{}", preset.name);
             }
         }
     }

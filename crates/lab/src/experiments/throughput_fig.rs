@@ -1,18 +1,15 @@
 //! Figure 4: the §6 throughput-under-contention approach — predicting the
-//! 40-process All-to-All on Gigabit Ethernet with the synthetic
-//! `β = (1−ρ)·βF + ρ·βC` from stress-test extremes, against the measured
-//! Direct Exchange and the contention-free lower bound.
+//! n′-process (40) All-to-All on Gigabit Ethernet with the synthetic
+//! `β = (1−ρ)·βF + ρ·βC` from stress-test extremes
+//! ([`stress::throughput_model`]), against the measured Direct Exchange and
+//! the contention-free lower bound.
 //!
 //! The figure's point is a *partial* success: good at large messages,
 //! wrong below ~64 KiB, motivating the §7 signature model.
 
-use super::{ExperimentOutput, Profile, Scale};
+use super::{paper, stress, ExperimentOutput, Profile, Scale};
 use crate::report::{ascii_chart, Series, Table};
 use crate::runner::{fit_cfg_for, measure_alltoall_curve, measure_hockney};
-use contention_model::throughput::ThroughputModel;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use simmpi::harness::stress_run;
 use simmpi::presets::ClusterPreset;
 
 /// Message sizes, deliberately including the small range where the
@@ -47,39 +44,18 @@ fn sizes(scale: Scale) -> Vec<u64> {
 /// Runs figure 4.
 pub fn run(profile: &Profile) -> ExperimentOutput {
     let preset = ClusterPreset::gigabit_ethernet();
-    let n = 40;
+    let n = preset.sample_nodes;
     let hockney = match measure_hockney(&preset, profile.seed) {
         Ok(h) => h,
-        Err(e) => {
-            let mut out = ExperimentOutput::default();
-            out.notes.push(format!("hockney fit failed: {e}"));
-            return out;
-        }
+        Err(e) => return ExperimentOutput::failed(format!("hockney fit failed: {e}")),
     };
-
-    // βF / βC from a saturating stress run (the paper reads them off
-    // fig. 3's fastest and slowest connections).
-    let stress_k = 40;
-    let bytes = super::stress::transfer_bytes(profile.scale);
-    let mut world = preset.build_world(2 * stress_k, profile.seed ^ 0xBEEF);
-    let mut ranks: Vec<usize> = (0..2 * stress_k).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(profile.seed ^ 0xBEEF);
-    ranks.shuffle(&mut rng);
-    let pairs: Vec<(usize, usize)> = ranks.chunks(2).map(|c| (c[0], c[1])).collect();
-    let stress = stress_run(&mut world, &pairs, bytes);
-    let model = match ThroughputModel::from_stress_times(
-        hockney.alpha_secs,
-        bytes,
-        &stress.times_secs,
-        0.5,
-    ) {
+    let model = match stress::throughput_model(profile, hockney.alpha_secs) {
         Ok(m) => m,
-        Err(e) => {
-            let mut out = ExperimentOutput::default();
-            out.notes.push(format!("stress estimation failed: {e}"));
-            return out;
-        }
+        Err(e) => return ExperimentOutput::failed(format!("stress estimation failed: {e}")),
     };
+    let paper = paper::testbed(preset.network)
+        .stress
+        .expect("§6 measured Gigabit Ethernet");
 
     let curve = measure_alltoall_curve(
         &preset,
@@ -88,7 +64,7 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
         &fit_cfg_for(profile.seed),
     );
     let mut table = Table::new(
-        "fig4: throughput-under-contention prediction at 40 processes (GbE)",
+        format!("fig4: throughput-under-contention prediction at {n} processes (GbE)"),
         &[
             "message_bytes",
             "measured_s",
@@ -129,15 +105,18 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
         16,
     );
     ExperimentOutput {
-        tables: vec![table],
-        charts: vec![chart],
+        table: Some(table),
+        chart: Some(chart),
         notes: vec![
             format!(
                 "betaF={:.3e} s/B, betaC={:.3e} s/B, rho=0.5 → synthetic beta={:.3e} s/B \
-                 (paper §6: 8.502e-9, 8.498e-8 → 4.674e-8)",
+                 (paper §6: {:.3e}, {:.3e} → {:.3e})",
                 model.beta_free,
                 model.beta_contended,
-                model.synthetic_beta()
+                model.synthetic_beta(),
+                paper.beta_free,
+                paper.beta_contended,
+                paper.synthetic_beta,
             ),
             "paper fig4: the synthetic-beta curve tracks large messages but misses below ~64 KiB"
                 .into(),

@@ -7,7 +7,8 @@
 //! * [`runner`] — ping-pong/Hockney measurement, All-to-All sweeps and
 //!   the full §8 calibration pipeline;
 //! * [`experiments`] — one module per paper figure (2–14) plus the fitted
-//!   parameter table, all registered for the `repro` binary;
+//!   parameter table, all registered for the `repro` binary, and the
+//!   paper's own results per testbed ([`experiments::paper`]);
 //! * [`report`] — CSV/markdown tables and ASCII charts.
 
 #![forbid(unsafe_code)]

@@ -93,13 +93,6 @@ pub fn measure_alltoall_curve(
         .collect()
 }
 
-/// Mean Direct Exchange completion at a single `(n, m)` point.
-pub fn measure_alltoall_point(preset: &ClusterPreset, n: usize, m: u64, cfg: &SweepConfig) -> f64 {
-    let mut world = preset.build_world(n, cfg.seed);
-    let times = alltoall_times(&mut world, cfg.algorithm, m, cfg.warmup, cfg.reps);
-    times.iter().sum::<f64>() / times.len() as f64
-}
-
 /// A calibration together with the raw measurements that produced it.
 #[derive(Debug, Clone)]
 pub struct CalibrationReport {
@@ -135,16 +128,6 @@ pub fn calibrate_report(
     };
     let calibration = Calibration::from_measurements(&input)?;
     Ok(CalibrationReport { calibration, input })
-}
-
-/// [`calibrate_report`] without the raw measurements.
-pub fn calibrate_signature(
-    preset: &ClusterPreset,
-    sample_n: usize,
-    sizes: &[u64],
-    seed: u64,
-) -> Result<Calibration, ModelError> {
-    calibrate_report(preset, sample_n, sizes, seed).map(|r| r.calibration)
 }
 
 /// A default [`SweepConfig`] with the given seed.

@@ -1,10 +1,13 @@
 //! The three cluster presets standing in for the paper's testbeds.
 //!
-//! | preset | stands in for | key contention mechanism |
-//! |---|---|---|
-//! | [`ClusterPreset::fast_ethernet`] | icluster2's Fast Ethernet: 5 edge switches × 20 ports behind a GbE core | slow edge links never saturate the uplinks at ≤40 nodes → γ ≈ 1; per-round rendezvous sync + kernel scheduling hiccups → a large affine δ |
-//! | [`ClusterPreset::gigabit_ethernet`] | GdX's Broadcom GbE with an oversubscribed core | All-to-All bursts exhaust shared switch buffers and saturate uplinks; TCP RTO stalls inflate completion → γ ≈ 4 |
-//! | [`ClusterPreset::myrinet`] | icluster2's Myrinet 2000 (one M3-E128 switch, `gm`) | lossless fabric, but the host DMA bus cannot overlap send+receive at full rate → γ ≈ 2, δ ≈ 0 (no kernel in the path) |
+//! | preset | stands in for | n′ | key contention mechanism |
+//! |---|---|---|---|
+//! | [`ClusterPreset::fast_ethernet`] | icluster2's Fast Ethernet: 5 edge switches × 20 ports behind a GbE core | 24 | slow edge links never saturate the uplinks at ≤40 nodes → γ ≈ 1; per-round rendezvous sync + kernel scheduling hiccups → a large affine δ |
+//! | [`ClusterPreset::gigabit_ethernet`] | GdX's Broadcom GbE with an oversubscribed core | 40 | All-to-All bursts exhaust shared switch buffers and saturate uplinks; TCP RTO stalls inflate completion → γ ≈ 4 |
+//! | [`ClusterPreset::myrinet`] | icluster2's Myrinet 2000 (one M3-E128 switch, `gm`) | 24 | lossless fabric, but the host DMA bus cannot overlap send+receive at full rate → γ ≈ 2, δ ≈ 0 (no kernel in the path) |
+//!
+//! n′ ([`ClusterPreset::sample_nodes`]) is the node count the paper fits
+//! its contention signature at on that testbed (§8, Figs. 6/9/12).
 //!
 //! Each preset fixes the *cluster*, not the experiment: [`ClusterPreset::build_world`]
 //! instantiates any number of nodes up to the cluster size, assigning hosts
@@ -37,6 +40,9 @@ pub struct ClusterPreset {
     pub hosts_per_switch: usize,
     /// Number of edge switches (cluster capacity = switches × ports).
     pub edge_switches: usize,
+    /// The paper's sample node count n′: the one node count its
+    /// contention signature is fitted at on this testbed (§8).
+    pub sample_nodes: usize,
     /// Host ↔ edge-switch link.
     pub edge_link: LinkConfig,
     /// Edge ↔ core link parameters.
@@ -67,6 +73,7 @@ impl ClusterPreset {
             network: NetworkKind::FastEthernet,
             hosts_per_switch: 20,
             edge_switches: 5,
+            sample_nodes: 24,
             edge_link: LinkConfig {
                 bandwidth_bytes_per_sec: 12.5e6,
                 latency_ns: 25_000,
@@ -115,6 +122,7 @@ impl ClusterPreset {
             network: NetworkKind::GigabitEthernet,
             hosts_per_switch: 24,
             edge_switches: 9,
+            sample_nodes: 40,
             edge_link: LinkConfig {
                 bandwidth_bytes_per_sec: 125e6,
                 latency_ns: 20_000,
@@ -163,6 +171,7 @@ impl ClusterPreset {
             network: NetworkKind::Myrinet,
             hosts_per_switch: 128,
             edge_switches: 1,
+            sample_nodes: 24,
             edge_link: LinkConfig {
                 bandwidth_bytes_per_sec: 250e6,
                 latency_ns: 4_000,
@@ -271,6 +280,15 @@ mod tests {
         assert_eq!(ClusterPreset::fast_ethernet().max_hosts(), 100);
         assert_eq!(ClusterPreset::gigabit_ethernet().max_hosts(), 216);
         assert_eq!(ClusterPreset::myrinet().max_hosts(), 128);
+    }
+
+    #[test]
+    fn sample_nodes_are_the_papers_and_fit_the_cluster() {
+        let ns = ClusterPreset::all().map(|p| p.sample_nodes);
+        assert_eq!(ns, [24, 40, 24]);
+        for preset in ClusterPreset::all() {
+            assert!(preset.sample_nodes <= preset.max_hosts(), "{}", preset.name);
+        }
     }
 
     #[test]

@@ -23,13 +23,6 @@ pub struct NetStats {
     pub messages_delivered: u64,
     /// Events processed by the engine.
     pub events_processed: u64,
-    // New counters are appended so serialized output stays a superset of
-    // what older readers expect.
-    /// ACK packets that reached their sender.
-    pub acks_received: u64,
-    /// Data segments that arrived above the next expected sequence (a
-    /// reordering/loss gap at the receiver).
-    pub ooo_segments: u64,
     /// Peak bytes queued at any bounded transmitter port (lossless
     /// "unbounded" ports skip occupancy accounting and never register).
     pub max_queue_depth: u64,

@@ -50,8 +50,8 @@ pub use simnet;
 /// Commonly used items, re-exported for examples and downstream users.
 pub mod prelude {
     pub use contention_lab::runner::{
-        calibrate_report, calibrate_signature, default_sample_sizes, measure_alltoall_curve,
-        measure_hockney, SweepConfig,
+        calibrate_report, default_sample_sizes, measure_alltoall_curve, measure_hockney,
+        SweepConfig,
     };
     pub use contention_model::calibration::{Calibration, CalibrationInput};
     pub use contention_model::hockney::HockneyParams;

@@ -21,7 +21,8 @@ fn every_preset_calibrates_successfully() {
             vec![128 * 1024, 256 * 1024, 384 * 1024, 512 * 1024],
         ),
     ] {
-        let cal = calibrate_signature(&preset, sample_n, &sizes, 42)
+        let cal = calibrate_report(&preset, sample_n, &sizes, 42)
+            .map(|r| r.calibration)
             .unwrap_or_else(|e| panic!("{} failed: {e}", preset.name));
         assert!(cal.signature.gamma > 0.5, "{}: gamma sane", preset.name);
         assert!(cal.signature.gamma < 20.0, "{}: gamma sane", preset.name);
@@ -37,7 +38,7 @@ fn gigabit_below_saturation_fails_loudly_not_silently() {
     // noise and the fit must refuse (non-physical γ) rather than hand back
     // a garbage signature — the paper likewise restricts its model's
     // domain to saturated networks.
-    match calibrate_signature(&ClusterPreset::gigabit_ethernet(), 6, &SIZES, 42) {
+    match calibrate_report(&ClusterPreset::gigabit_ethernet(), 6, &SIZES, 42) {
         Err(contention_model::ModelError::NonPhysical { .. }) | Ok(_) => {}
         Err(other) => panic!("unexpected error class: {other}"),
     }
@@ -71,7 +72,9 @@ fn myrinet_signature_is_pure_ratio_near_two() {
     // The paper's Myrinet result: no affine term, ratio from the duplex
     // bottleneck. Our mechanistic model gives γ ≈ 2 (the paper measured
     // 2.5 on real hardware).
-    let cal = calibrate_signature(&ClusterPreset::myrinet(), 8, &SIZES, 42).unwrap();
+    let cal = calibrate_report(&ClusterPreset::myrinet(), 8, &SIZES, 42)
+        .unwrap()
+        .calibration;
     assert!(
         cal.signature.gamma > 1.6 && cal.signature.gamma < 2.4,
         "gamma = {}",
@@ -87,7 +90,9 @@ fn myrinet_signature_is_pure_ratio_near_two() {
 #[test]
 fn fast_ethernet_tracks_the_lower_bound() {
     // γ ≈ 1: the Fast Ethernet fabric never saturates at these scales.
-    let cal = calibrate_signature(&ClusterPreset::fast_ethernet(), 6, &SIZES, 42).unwrap();
+    let cal = calibrate_report(&ClusterPreset::fast_ethernet(), 6, &SIZES, 42)
+        .unwrap()
+        .calibration;
     assert!(
         cal.signature.gamma > 0.9 && cal.signature.gamma < 1.4,
         "gamma = {}",
@@ -107,7 +112,7 @@ fn gigabit_shows_more_contention_than_fast_ethernet() {
     };
     let ratio = |preset: &ClusterPreset| {
         let h = measure_hockney(preset, 5).unwrap();
-        let t = contention_lab::runner::measure_alltoall_point(preset, 10, m, &cfg);
+        let t = measure_alltoall_curve(preset, 10, &[m], &cfg)[0].1;
         t / h.alltoall_lower_bound(10, m)
     };
     let fe = ratio(&ClusterPreset::fast_ethernet());
@@ -124,14 +129,16 @@ fn signature_predicts_unseen_node_count() {
     // The paper reports <10% in saturation; we allow a loose 40% at this
     // tiny, noisy scale — the point is extrapolation, not luck.
     let preset = ClusterPreset::myrinet();
-    let cal = calibrate_signature(&preset, 8, &SIZES, 42).unwrap();
+    let cal = calibrate_report(&preset, 8, &SIZES, 42)
+        .unwrap()
+        .calibration;
     let m = 128 * 1024;
     let predicted = cal.signature.predict(12, m);
     let cfg = SweepConfig {
         seed: 99,
         ..SweepConfig::default()
     };
-    let measured = contention_lab::runner::measure_alltoall_point(&preset, 12, m, &cfg);
+    let measured = measure_alltoall_curve(&preset, 12, &[m], &cfg)[0].1;
     let err = estimation_error_percent(measured, predicted);
     assert!(
         err.abs() < 40.0,
@@ -153,7 +160,7 @@ fn prediction_beats_the_naive_linear_model_under_contention() {
         seed: 77,
         ..SweepConfig::default()
     };
-    let measured = contention_lab::runner::measure_alltoall_point(&preset, 12, m, &cfg);
+    let measured = measure_alltoall_curve(&preset, 12, &[m], &cfg)[0].1;
     let err_naive = estimation_error_percent(measured, naive.alltoall_lower_bound(12, m)).abs();
     let err_sig = estimation_error_percent(measured, sig.predict(12, m)).abs();
     assert!(

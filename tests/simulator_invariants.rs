@@ -177,8 +177,9 @@ fn direct_beats_bruck_for_large_messages() {
 fn whole_pipeline_is_deterministic() {
     let run = || {
         let preset = ClusterPreset::myrinet();
-        let cal =
-            calibrate_signature(&preset, 6, &[65_536, 131_072, 262_144, 524_288], 1234).unwrap();
+        let cal = calibrate_report(&preset, 6, &[65_536, 131_072, 262_144, 524_288], 1234)
+            .unwrap()
+            .calibration;
         (cal.signature.gamma, cal.signature.delta_secs)
     };
     assert_eq!(run(), run());
